@@ -42,7 +42,6 @@ from .mmevbt import (
     ReparentReport,
     build_mmevbt,
     hop_weight,
-    maintain_after_drain,
     relocate_sink,
     reparent_if_better,
 )

@@ -69,6 +69,12 @@ class ExperimentConfig:
         self.fitness().validate()
         if self.policy_grid < 1:
             raise ValueError("policy.grid must be >= 1")
+        if self.policy_t_move is not None and self.policy_t_move < 0:
+            raise ValueError("policy.t_move must be >= 0 (0 or none = off)")
+        if self.policy_max_step is not None and self.policy_max_step < 0:
+            raise ValueError("policy.max_step must be >= 0 (none = unbounded)")
+        if self.traffic_rounds_max < 0:
+            raise ValueError("traffic.rounds_max must be >= 0")
         return self
 
     def field(self) -> Field:

@@ -225,14 +225,6 @@ def reparent_if_better(tree: BackboneTree, node_id: int,
     return report
 
 
-def maintain_after_drain(tree: BackboneTree, scenario: Scenario,
-                         params: RadioParams, th: float,
-                         graph: Optional[ReachabilityGraph] = None,
-                         e_fail: float = DEFAULT_E_FAIL) -> BackboneTree:
-    """Rebuild after energy changes; equivalent to a fresh construction."""
-    return build_mmevbt(scenario, params, th, graph=graph, e_fail=e_fail)
-
-
 def relocate_sink(scenario: Scenario, grid: int = 4,
                   max_step: Optional[float] = None) -> tuple[float, float]:
     """Pick the sink's next position: centroid of the richest grid cell.

@@ -141,23 +141,64 @@ def deploy_uniform(field: Field, n: int, seed: int, e_init: float = E_INIT,
 
 
 def build_reachability(scenario: Scenario) -> ReachabilityGraph:
-    """All-pairs unit-disk adjacency over the nodes plus the sink vertex."""
+    """Unit-disk adjacency over the nodes plus the sink vertex.
+
+    The n+1 points fall into a uniform grid of square cells a hair wider
+    than the range, so every pair within range sits in the same or an
+    adjacent cell and each point is tested only against the 3x3 block of
+    cells around it. The test itself is the exact inclusive
+    ((p_a - p_b) ** 2).sum() <= range**2, so the graph equals the
+    all-pairs one while memory is O(n*k) for mean degree k, not O(n^2).
+    Neighbour lists are sorted plain ints, the sink (SINK) first.
+    """
     n = len(scenario.nodes)
-    pts = np.empty((n + 1, 2))
-    for i, nd in enumerate(scenario.nodes):
-        pts[i] = (nd.x, nd.y)
-    pts[n] = scenario.field.sink_pos
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= scenario.sensing_range**2
-    np.fill_diagonal(within, False)
+    pts = np.array([(nd.x, nd.y) for nd in scenario.nodes]
+                   + [scenario.field.sink_pos], dtype=float)
+    r = scenario.sensing_range
 
-    def vid(row: int) -> int:
-        return SINK if row == n else row
+    # The relative margin dwarfs the rounding in the cell index, which the
+    # span floor keeps below 2**20 cells a side even for a tiny range.
+    origin = pts.min(axis=0)
+    span = float((pts.max(axis=0) - origin).max())
+    cell = max(r, span * 2.0**-20) * (1.0 + 1e-6)
+    cx, cy = np.floor((pts - origin) / cell).astype(np.int64).T
+    xs, ys = pts.T.copy()
+    rows = int(cy.max()) + 3  # a spare row either side keeps keys unique
+    key = (cx + 1) * rows + (cy + 1)
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
 
-    adjacency = {}
-    for row in range(n + 1):
-        adjacency[vid(row)] = sorted(vid(int(c))
-                                     for c in np.nonzero(within[row])[0])
+    pairs_a = []
+    pairs_b = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            # sorted needles: the point order of the pairs does not matter
+            target = sorted_key + (dx * rows + dy)
+            lo = np.searchsorted(sorted_key, target, side="left")
+            hi = np.searchsorted(sorted_key, target, side="right")
+            counts = hi - lo
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            a = np.repeat(order, counts)
+            starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            b = order[starts + np.arange(total)]
+            # the same float ops as ((p_a - p_b) ** 2).sum(), in 1-D
+            d2 = (xs[a] - xs[b]) ** 2 + (ys[a] - ys[b]) ** 2
+            keep = (d2 <= r**2) & (a != b)
+            pairs_a.append(a[keep])
+            pairs_b.append(b[keep])
+
+    a = np.concatenate(pairs_a)
+    b = np.concatenate(pairs_b)
+    vb = np.where(b == n, SINK, b)
+    # group by point row, then sort each row's neighbour ids ascending
+    a_sorted = np.sort(a * (n + 1) + (vb + 1))
+    nbrs = (a_sorted % (n + 1) - 1).tolist()
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n + 1))))
+    bounds = bounds.tolist()
+    adjacency = {row: nbrs[bounds[row]:bounds[row + 1]] for row in range(n)}
+    adjacency[SINK] = nbrs[bounds[n]:bounds[n + 1]]
     return ReachabilityGraph(adjacency, scenario.sensing_range)
 
 

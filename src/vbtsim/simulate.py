@@ -175,7 +175,9 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
         spend: dict[int, float] = {}
         for origin in origins:
             path = router.route(origin, rng)
-            log(round_no, "packet", origin, ">".join(str(v) for v in path))
+            if event_log is not None:
+                log(round_no, "packet", origin,
+                    ">".join(str(v) for v in path))
             for u, v in zip(path, path[1:]):
                 cost = tx_cost(radio, distance(pos[u], pos[v]))
                 spend[u] = spend.get(u, 0.0) + cost

@@ -11,7 +11,32 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from vbtsim import SINK, NodeStatus, rx_cost, tx_cost
+
+
+def dense_reachability(scenario):
+    """All-pairs unit-disk adjacency from one dense (n+1)x(n+1)x2 array.
+
+    Same inclusive test and float arithmetic as the package's grid build,
+    O(n^2) memory: keep n small. Returns {vertex: sorted neighbour ids},
+    nodes 0..n-1 first, then SINK.
+    """
+    n = len(scenario.nodes)
+    pts = np.empty((n + 1, 2))
+    for i, nd in enumerate(scenario.nodes):
+        pts[i] = (nd.x, nd.y)
+    pts[n] = scenario.field.sink_pos
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    within = d2 <= scenario.sensing_range**2
+    np.fill_diagonal(within, False)
+
+    def vid(row):
+        return SINK if row == n else row
+
+    return {vid(row): sorted(vid(int(c)) for c in np.nonzero(within[row])[0])
+            for row in range(n + 1)}
 
 
 def bellman_ford_consumption(scenario, params, th):

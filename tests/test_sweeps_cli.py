@@ -271,3 +271,30 @@ def test_cli_layering_set_and_seed_beat_config_file(tmp_path, capsys):
     lines = scen.read_text(encoding="utf-8").splitlines()
     assert lines[0].split()[-2:] == ["50.0", "9"]
     assert sum(1 for l in lines if l.startswith("node ")) == 25
+
+
+def run_with_setting(tmp_path, setting):
+    scen = tmp_path / "s.txt"
+    assert main(["gen-scenario", str(scen), "--set", "n_nodes=10",
+                 "--set", "ranges=80"]) == 0
+    out = tmp_path / "out"
+    rc = main(["run", str(scen), "--out", str(out), "--set", setting])
+    assert not out.exists()
+    return rc
+
+
+def test_cli_rejects_negative_t_move(tmp_path, capsys):
+    # round % -5 == 0 would still relocate the sink every 5 rounds
+    assert run_with_setting(tmp_path, "policy.t_move=-5") == 1
+    assert "policy.t_move must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_max_step(tmp_path, capsys):
+    # a negative step would move the sink away from its target
+    assert run_with_setting(tmp_path, "policy.max_step=-1.5") == 1
+    assert "policy.max_step must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_rounds_max(tmp_path, capsys):
+    assert run_with_setting(tmp_path, "traffic.rounds_max=-1") == 1
+    assert "traffic.rounds_max must be >= 0" in capsys.readouterr().err
