@@ -41,7 +41,6 @@ from .mmevbt import (
     BackboneTree,
     ReparentReport,
     build_mmevbt,
-    hop_weight,
     relocate_sink,
     reparent_if_better,
 )
@@ -59,6 +58,7 @@ from .model import (
     classify_status,
     deploy_uniform,
     distance,
+    hop_weight,
     is_connected_to_sink,
 )
 from .scenario_io import ScenarioFormatError, read_scenario, write_scenario

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -140,13 +141,16 @@ def selection_probabilities(values: Sequence[float]) -> list[float]:
 
 def select_parent(probabilities: Sequence[float], rng: np.random.Generator) -> int:
     """Draw one candidate index: R uniform in [0,1) against cumulative sums."""
-    r = rng.random()
-    acc = 0.0
-    for idx, p in enumerate(probabilities):
-        acc += p
-        if r < acc:
-            return idx
-    return len(probabilities) - 1  # rounding slack lands on the last interval
+    return draw_index(list(itertools.accumulate(probabilities)), rng.random())
+
+
+def draw_index(cumulative: Sequence[float], r: float) -> int:
+    """First index whose cumulative sum exceeds r (the scan's r < acc).
+
+    Rounding can leave the last sum just below 1; that slack lands on the
+    last interval.
+    """
+    return min(bisect_right(cumulative, r), len(cumulative) - 1)
 
 
 @dataclass
@@ -167,6 +171,12 @@ class ForwardingProblem:
 
     def probabilities(self, node_id: int) -> list[float]:
         return selection_probabilities(self.fitness[node_id])
+
+    def best_parent(self, node_id: int) -> int:
+        """The highest-fitness candidate; ties keep the smaller id."""
+        fit = self.fitness[node_id]
+        return self.candidates[node_id][max(range(len(fit)),
+                                            key=fit.__getitem__)]
 
 
 @dataclass

@@ -63,18 +63,12 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.target_successes < 1 or self.max_attempts < 1:
             raise ValueError("target_successes and max_attempts must be >= 1")
-        if not 0.0 <= self.traffic_origin_probability <= 1.0:
-            raise ValueError("traffic.origin_probability must be in [0,1]")
+        if self.energy_e_init <= 0:
+            raise ValueError("energy.e_init must be > 0")
         self.radio().validate()
         self.fitness().validate()
-        if self.policy_grid < 1:
-            raise ValueError("policy.grid must be >= 1")
-        if self.policy_t_move is not None and self.policy_t_move < 0:
-            raise ValueError("policy.t_move must be >= 0 (0 or none = off)")
-        if self.policy_max_step is not None and self.policy_max_step < 0:
-            raise ValueError("policy.max_step must be >= 0 (none = unbounded)")
-        if self.traffic_rounds_max < 0:
-            raise ValueError("traffic.rounds_max must be >= 0")
+        self.policy().validate()
+        self.traffic().validate()
         return self
 
     def field(self) -> Field:

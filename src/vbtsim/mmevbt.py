@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost, tx_cost
+from .energy import DEFAULT_E_FAIL, RadioParams
 from .model import (
     SINK,
     ConstructionFailed,
@@ -22,6 +22,7 @@ from .model import (
     build_reachability,
     classify_status,
     distance,
+    hop_weight,
 )
 
 
@@ -50,17 +51,6 @@ class BackboneTree:
         return path
 
 
-def hop_weight(params: RadioParams, dist: float, parent: int) -> float:
-    """Energy one hop costs the network: sender tx plus receiver rx.
-
-    The sink is mains-powered, so reception there is free.
-    """
-    cost = tx_cost(params, dist)
-    if parent != SINK:
-        cost += rx_cost(params)
-    return cost
-
-
 def _relay_eligible(scenario: Scenario, vertex: int, th: float) -> bool:
     if vertex == SINK:
         return True
@@ -73,7 +63,8 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
                  e_fail: float = DEFAULT_E_FAIL) -> BackboneTree:
     """Construct the minimal-energy backbone for every live node.
 
-    Dijkstra from the sink over hop costs; a vertex may appear on the
+    Dijkstra from the sink over hop costs, read from the graph's cached
+    hop_weights rows; a vertex may appear on the
     interior of a path only when its energy is at or above th. The path's
     own endpoint is exempt, so nodes below th still get routes, they just
     never relay. Equal-cost parents resolve to the smaller vertex id (the
@@ -85,7 +76,7 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
     """
     if graph is None:
         graph = build_reachability(scenario)
-    pos = scenario.positions()
+    weights = graph.hop_weights(params)
     live = set(scenario.live_ids())
 
     dist: dict[int, float] = {SINK: 0.0}
@@ -99,10 +90,10 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
         done.add(v)
         if not _relay_eligible(scenario, v, th):
             continue  # v keeps its route but expands no further
-        for u in graph.neighbors(v):
+        for u, w in zip(graph.neighbors(v), weights[v]):
             if u == SINK or u not in live:
                 continue
-            cand = d + hop_weight(params, distance(pos[u], pos[v]), v)
+            cand = d + w
             old = dist.get(u)
             if old is None or cand < old:
                 dist[u] = cand

@@ -1,4 +1,8 @@
-"""Domain types, field geometry, seeded deployment and unit-disk reachability."""
+"""Domain types, field geometry, seeded deployment and unit-disk reachability.
+
+The reachability graph also carries each edge's hop weight, built once
+per radio, and moves its sink vertex in place.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .energy import DEFAULT_E_FAIL
+from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost, tx_cost
 
 E_INIT = 2.0               # default initial battery per node, joules
 DEFAULT_TH = 0.1 * E_INIT  # relay-eligibility threshold, joules
@@ -114,17 +118,81 @@ class Scenario:
 
 @dataclass
 class ReachabilityGraph:
-    """Unit-disk adjacency: edge iff euclidean distance <= range (inclusive)."""
+    """Unit-disk adjacency: edge iff euclidean distance <= range (inclusive).
+
+    points holds the coordinates the graph was built from, one row per
+    node id and the sink last, so row SINK (-1) is the sink. Edge weights
+    are built per radio on first use and kept until the sink moves, when
+    only the rows that involve the sink are patched.
+    """
 
     adjacency: dict[int, list[int]] = dc_field(default_factory=dict)
     range: float = 0.0
+    points: Optional[np.ndarray] = dc_field(default=None, repr=False,
+                                            compare=False)
+    _weights: dict[RadioParams, dict[int, list[float]]] = dc_field(
+        default_factory=dict, repr=False, compare=False)
 
     def neighbors(self, vertex: int) -> list[int]:
         return self.adjacency[vertex]
 
+    def hop_weights(self, params: RadioParams) -> dict[int, list[float]]:
+        """Per-vertex rows aligned with adjacency: weights[v][k] is the
+        hop_weight of the hop from adjacency[v][k] into v."""
+        rows = self._weights.get(params)
+        if rows is None:
+            xy = self.points.tolist()
+            rows = {v: [hop_weight(params, distance(xy[u], xy[v]), v)
+                        for u in nbrs]
+                    for v, nbrs in self.adjacency.items()}
+            self._weights[params] = rows
+        return rows
+
+    def move_sink(self, sink_pos: tuple[float, float]) -> None:
+        """Put the sink at sink_pos, as build_reachability would have.
+
+        The sink's row is recomputed with the build's exact inclusive
+        test, and every node row the sink enters, stays in or leaves has
+        its head (SINK sorts first) inserted, reweighted or dropped.
+        """
+        pts = self.points
+        pts[-1] = sink_pos
+        d2 = (pts[:-1, 0] - pts[-1, 0]) ** 2 + (pts[:-1, 1] - pts[-1, 1]) ** 2
+        row = np.flatnonzero(d2 <= self.range**2).tolist()
+        left = set(self.adjacency[SINK]).difference(row)
+        entered = set(row).difference(self.adjacency[SINK])
+        self.adjacency[SINK] = row
+        for u in left:
+            del self.adjacency[u][0]
+        for u in entered:
+            self.adjacency[u].insert(0, SINK)
+        xy = pts.tolist()
+        for params, rows in self._weights.items():
+            rows[SINK] = [hop_weight(params, distance(xy[u], xy[SINK]), SINK)
+                          for u in row]
+            for u in left:
+                del rows[u][0]
+            for u in row:
+                head = hop_weight(params, distance(xy[SINK], xy[u]), u)
+                if u in entered:
+                    rows[u].insert(0, head)
+                else:
+                    rows[u][0] = head
+
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def hop_weight(params: RadioParams, dist: float, parent: int) -> float:
+    """Energy one hop costs the network: sender tx plus receiver rx.
+
+    The sink is mains-powered, so reception there is free.
+    """
+    cost = tx_cost(params, dist)
+    if parent != SINK:
+        cost += rx_cost(params)
+    return cost
 
 
 def deploy_uniform(field: Field, n: int, seed: int, e_init: float = E_INIT,
@@ -199,7 +267,7 @@ def build_reachability(scenario: Scenario) -> ReachabilityGraph:
     bounds = bounds.tolist()
     adjacency = {row: nbrs[bounds[row]:bounds[row + 1]] for row in range(n)}
     adjacency[SINK] = nbrs[bounds[n]:bounds[n + 1]]
-    return ReachabilityGraph(adjacency, scenario.sensing_range)
+    return ReachabilityGraph(adjacency, scenario.sensing_range, pts)
 
 
 def is_connected_to_sink(graph: ReachabilityGraph,

@@ -8,6 +8,8 @@ Format, one record per line, '.' decimal separator, '#' starts a comment:
 
 from __future__ import annotations
 
+import math
+
 from .energy import DEFAULT_E_FAIL
 from .model import DEFAULT_TH, Field, Node, Scenario, classify_status
 
@@ -58,6 +60,9 @@ def read_scenario(path: str, th: float = DEFAULT_TH,
                     x, y, energy = (float(v) for v in args[1:])
                 except ValueError:
                     raise ScenarioFormatError(line_no, "bad number in node line")
+                if not math.isfinite(energy):
+                    raise ScenarioFormatError(
+                        line_no, f"node {node_id} energy must be finite")
                 if node_id in seen_ids:
                     raise ScenarioFormatError(line_no, f"duplicate node id {node_id}")
                 if not field.contains(x, y):

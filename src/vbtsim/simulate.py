@@ -5,11 +5,24 @@ state, debit radio costs, refresh statuses, rebuild the backbone when any
 node's relay eligibility flipped, and periodically relocate the sink.
 Everything is driven by one seeded generator, so a (scenario, config,
 seed) triple always replays bit-for-bit.
+
+Each build fills a route table (_Router): every live node's candidate
+parents with the tx cost of each hop, the cumulative selection sums the
+probabilistic algorithm draws from (the other two have one parent), the
+node's row of expected load, and the serving counts. A round then only
+walks that table and touches the nodes that spent energy. This is exact:
+a status is a pure function of (energy, serving count), serving counts
+change only at a rebuild and every rebuild refreshes every status, so
+only a node that spent can change status; and relay eligibility only
+ever flips from true to false, so a rebuild is due exactly when such a
+node has just died or dropped below th. Sums are taken per node in the
+same packet and hop order, so every float is bit-identical.
 """
 
 from __future__ import annotations
 
 import copy
+from itertools import accumulate, compress
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -17,8 +30,8 @@ import numpy as np
 
 from .balanced import (
     FitnessParams,
-    ForwardingProblem,
     build_forwarding_problem,
+    draw_index,
     select_parent,
 )
 from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost, tx_cost
@@ -44,6 +57,13 @@ class TrafficModel:
     origin_probability: float = 0.1  # per node per round
     rounds_max: int = 1000
 
+    def validate(self) -> "TrafficModel":
+        if not 0.0 <= self.origin_probability <= 1.0:
+            raise ValueError("traffic.origin_probability must be in [0,1]")
+        if self.rounds_max < 0:
+            raise ValueError("traffic.rounds_max must be >= 0")
+        return self
+
 
 @dataclass(frozen=True)
 class SimPolicy:
@@ -52,6 +72,17 @@ class SimPolicy:
     t_move: Optional[int] = 50  # sink relocation cadence in rounds; None = off
     grid: int = 4
     max_step: Optional[float] = None
+
+    def validate(self) -> "SimPolicy":
+        if not self.th >= 0:
+            raise ValueError("policy.th must be >= 0")
+        if self.grid < 1:
+            raise ValueError("policy.grid must be >= 1")
+        if self.t_move is not None and self.t_move < 0:
+            raise ValueError("policy.t_move must be >= 0 (0 or none = off)")
+        if self.max_step is not None and self.max_step < 0:
+            raise ValueError("policy.max_step must be >= 0 (none = unbounded)")
+        return self
 
 
 @dataclass
@@ -67,7 +98,15 @@ class LifetimeMetrics:
 
 
 class _Router:
-    """Per-build routing state for one algorithm over one scenario."""
+    """Route table of one backbone build for one algorithm.
+
+    hops[i] is (candidates, tx cost of the hop to each, cumulative
+    selection sums) for every live node i; the sums are None for the
+    fixed-parent algorithms, whose one candidate is the parent. loads[i]
+    holds the (tree node, weight) pairs one packet from i adds to the
+    expected load. serving counts how many nodes each tree node forwards
+    for; it fixes, with its energy, every status until the next build.
+    """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
                  fitness_params: FitnessParams, e_init: float):
@@ -78,63 +117,54 @@ class _Router:
         self.policy = policy
         self.fitness_params = fitness_params
         self.e_init = e_init
-        self.next_map: dict[int, int] = {}
-        self.problem: Optional[ForwardingProblem] = None
-        self.probs: dict[int, list[float]] = {}
+        self.hops: dict[int, tuple[list[int], list[float],
+                                   Optional[list[float]]]] = {}
+        self.loads: dict[int, list[tuple[int, float]]] = {}
+        self.serving: dict[int, int] = {}
 
     def rebuild(self, scenario: Scenario, graph) -> None:
-        """Reconstruct the backbone; raises ConstructionFailed."""
+        """Reconstruct the backbone; raises ConstructionFailed and then
+        changes nothing."""
+        th, e_fail = self.policy.th, self.policy.e_fail
         if self.algorithm == "mmevbt":
-            tree = build_mmevbt(scenario, self.radio, self.policy.th,
-                                graph=graph, e_fail=self.policy.e_fail)
-            self.next_map = tree.parent
-            self.problem = None
-            self.probs = {}
-            return
-        tree_set, _ = build_min_cover(scenario, self.policy.th, graph=graph)
-        problem = build_forwarding_problem(scenario, tree_set, self.policy.th,
-                                           self.fitness_params, self.e_init,
-                                           graph=graph)
-        self.problem = problem
-        self.probs = {i: problem.probabilities(i) for i in problem.candidates}
-        self.next_map = {}
-        for i, cands in problem.candidates.items():
-            best, best_f = cands[0], problem.fitness[i][0]
-            for cand, f in zip(cands[1:], problem.fitness[i][1:]):
-                if f > best_f:  # strict: ties keep the smaller id
-                    best, best_f = cand, f
-            self.next_map[i] = best
-        serving = {i: 0 for i in tree_set}
-        for cands in problem.candidates.values():
-            for cand in cands:
-                if cand != SINK:
-                    serving[cand] = serving.get(cand, 0) + 1
-        _refresh_statuses(scenario, serving, self.policy.th, self.policy.e_fail)
-
-    def route(self, origin: int, rng: np.random.Generator) -> list[int]:
-        """Vertex path origin..sink; probabilistic mode draws per hop."""
-        path = [origin]
-        if self.algorithm == "balanced_probabilistic":
-            while path[-1] != SINK:
-                cur = path[-1]
-                idx = select_parent(self.probs[cur], rng)
-                path.append(self.problem.candidates[cur][idx])
+            tree = build_mmevbt(scenario, self.radio, th, graph=graph,
+                                e_fail=e_fail)
+            parents = {i: [p] for i, p in tree.parent.items()}
+            probs = None
+            serving = tree.children_count
         else:
-            while path[-1] != SINK:
-                path.append(self.next_map[path[-1]])
-        return path
+            tree_set, _ = build_min_cover(scenario, th, graph=graph)
+            problem = build_forwarding_problem(scenario, tree_set, th,
+                                               self.fitness_params,
+                                               self.e_init, graph=graph)
+            if self.algorithm == "balanced_probabilistic":
+                parents = problem.candidates
+                probs = {i: problem.probabilities(i) for i in parents}
+            else:
+                parents = {i: [problem.best_parent(i)]
+                           for i in problem.candidates}
+                probs = None
+            serving = {i: 0 for i in tree_set}
+            for cands in problem.candidates.values():
+                for cand in cands:
+                    if cand != SINK:
+                        serving[cand] = serving.get(cand, 0) + 1
+            _refresh_statuses(scenario, serving, th, e_fail)
 
-    def decision_weights(self, node_id: int) -> list[tuple[int, float]]:
-        """(candidate, probability) pairs behind one forwarding decision."""
-        if self.algorithm == "balanced_probabilistic":
-            return list(zip(self.problem.candidates[node_id],
-                            self.probs[node_id]))
-        return [(self.next_map[node_id], 1.0)]
-
-
-def _eligibility_signature(scenario: Scenario, th: float) -> tuple:
-    return tuple((n.status is not NodeStatus.FAILED, n.energy >= th)
-                 for n in scenario.nodes)
+        pos = scenario.positions()
+        self.hops = {}
+        self.loads = {}
+        for i, cands in parents.items():
+            costs = [tx_cost(self.radio, distance(pos[i], pos[c]))
+                     for c in cands]
+            if probs is None:
+                self.hops[i] = (cands, costs, None)
+                self.loads[i] = [(c, 1.0) for c in cands if c != SINK]
+            else:
+                self.hops[i] = (cands, costs, list(accumulate(probs[i])))
+                self.loads[i] = [(c, p) for c, p in zip(cands, probs[i])
+                                 if c != SINK]
+        self.serving = serving
 
 
 def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
@@ -147,12 +177,20 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     event_log, when given, collects (round, event, node, detail) tuples
     for packet sends, deaths, rebuilds, relocations and disconnect.
     """
+    traffic.validate()
+    policy.validate()
     sc = copy.deepcopy(scenario)
     fparams = (fitness_params or FitnessParams()).validate()
     radio.validate()
     rng = np.random.default_rng(seed)
-    n_total = len(sc.nodes)
+    random = rng.random
+    nodes = sc.nodes
+    n_total = len(nodes)
+    th, e_fail = policy.th, policy.e_fail
+    rx = rx_cost(radio)
     metrics = LifetimeMetrics()
+    load_counts = metrics.tree_load_counts
+    load_expected = metrics.tree_load_expected
 
     def log(round_no: int, event: str, node: int = -1, detail: str = "") -> None:
         if event_log is not None:
@@ -161,64 +199,67 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     graph = build_reachability(sc)
     router = _Router(algorithm, radio, policy, fparams, e_init)
     router.rebuild(sc, graph)  # initial ConstructionFailed propagates
-    last_sig = _eligibility_signature(sc, policy.th)
+    alive = sc.live_ids()
 
     for round_no in range(1, traffic.rounds_max + 1):
         metrics.rounds_run = round_no
-        pos = sc.positions()
-        alive = [n.id for n in sc.nodes if n.status is not NodeStatus.FAILED]
-        draws = rng.random(len(alive))
-        origins = [i for i, u in zip(alive, draws)
-                   if u < traffic.origin_probability]
+        hops, loads = router.hops, router.loads
+        draws = random(len(alive))
+        origins = list(compress(alive,
+                                (draws < traffic.origin_probability).tolist()))
 
         # routes all reflect start-of-round energies; debits land afterwards
         spend: dict[int, float] = {}
         for origin in origins:
-            path = router.route(origin, rng)
+            path = [origin]
+            u = origin
+            while u != SINK:
+                cands, costs, cumulative = hops[u]
+                k = 0 if cumulative is None else draw_index(cumulative,
+                                                            random())
+                v = cands[k]
+                spend[u] = spend.get(u, 0.0) + costs[k]
+                if v != SINK:
+                    spend[v] = spend.get(v, 0.0) + rx
+                path.append(v)
+                u = v
             if event_log is not None:
                 log(round_no, "packet", origin,
                     ">".join(str(v) for v in path))
-            for u, v in zip(path, path[1:]):
-                cost = tx_cost(radio, distance(pos[u], pos[v]))
-                spend[u] = spend.get(u, 0.0) + cost
-                if v != SINK:
-                    spend[v] = spend.get(v, 0.0) + rx_cost(radio)
             # load bookkeeping counts the origin's parent pick, one per packet
             if path[1] != SINK:
-                metrics.tree_load_counts[path[1]] = \
-                    metrics.tree_load_counts.get(path[1], 0) + 1
-            for cand, p in router.decision_weights(origin):
-                if cand != SINK:
-                    metrics.tree_load_expected[cand] = \
-                        metrics.tree_load_expected.get(cand, 0.0) + p
+                load_counts[path[1]] = load_counts.get(path[1], 0) + 1
+            for cand, p in loads[origin]:
+                load_expected[cand] = load_expected.get(cand, 0.0) + p
 
         metrics.total_energy_consumed += sum(spend.values())
+        # only a node that spent can change status or relay eligibility
+        serving = router.serving
+        died = False
+        flipped = False
         for node_id in sorted(spend):
-            node = sc.node(node_id)
+            node = nodes[node_id]
+            eligible = node.energy >= th
             node.energy = max(0.0, node.energy - spend[node_id])
-
-        children = _serving_counts(router, sc)
-        for node in sc.nodes:
+            node.status = classify_status(node.energy,
+                                          serving.get(node_id, 0), th, e_fail)
             if node.status is NodeStatus.FAILED:
-                continue
-            status = classify_status(node.energy, children.get(node.id, 0),
-                                     policy.th, policy.e_fail)
-            if status is NodeStatus.FAILED:
-                log(round_no, "death", node.id)
+                died = True
+                log(round_no, "death", node_id)
                 if metrics.first_node_death_round is None:
                     metrics.first_node_death_round = round_no
-            node.status = status
+            elif eligible and node.energy < th:
+                flipped = True
+        if died:
+            alive = [i for i in alive if nodes[i].status is not NodeStatus.FAILED]
 
-        alive_after = sum(1 for n in sc.nodes
-                          if n.status is not NodeStatus.FAILED)
-        metrics.alive_fraction_curve.append((round_no, alive_after / n_total))
-        if alive_after == 0:
+        metrics.alive_fraction_curve.append((round_no, len(alive) / n_total))
+        if not alive:
             metrics.rounds_until_disconnect = round_no
             log(round_no, "disconnect")
             break
 
-        sig = _eligibility_signature(sc, policy.th)
-        if sig != last_sig:
+        if died or flipped:
             try:
                 router.rebuild(sc, graph)
             except ConstructionFailed as fail:
@@ -227,46 +268,28 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                     detail=";".join(str(i) for i in fail.unreachable))
                 break
             metrics.reconstructions += 1
-            last_sig = sig
             log(round_no, "rebuild", detail="eligibility")
 
         if policy.t_move and round_no % policy.t_move == 0:
             target = relocate_sink(sc, policy.grid, policy.max_step)
             if target != sc.field.sink_pos:
-                saved = (sc.field.sink_x, sc.field.sink_y)
+                saved = sc.field.sink_pos
                 sc.field.sink_x, sc.field.sink_y = target
-                graph = build_reachability(sc)
+                graph.move_sink(target)
                 try:
                     router.rebuild(sc, graph)
                 except ConstructionFailed:
                     # rebuild mutates nothing when it fails, so the old
-                    # routing state is still valid at the old position
+                    # route table is still valid at the old position
                     sc.field.sink_x, sc.field.sink_y = saved
-                    graph = build_reachability(sc)
+                    graph.move_sink(saved)
                     log(round_no, "relocate", detail="reverted")
                 else:
                     metrics.reconstructions += 1
-                    last_sig = _eligibility_signature(sc, policy.th)
                     log(round_no, "relocate",
                         detail=f"{target[0]:.3f};{target[1]:.3f}")
 
     return metrics
-
-
-def _serving_counts(router: _Router, scenario: Scenario) -> dict[int, int]:
-    """How many nodes each backbone vertex currently forwards for."""
-    counts: dict[int, int] = {}
-    if router.algorithm == "mmevbt":
-        for parent in router.next_map.values():
-            if parent != SINK:
-                counts[parent] = counts.get(parent, 0) + 1
-        return counts
-    if router.problem is not None:
-        for cands in router.problem.candidates.values():
-            for cand in cands:
-                if cand != SINK:
-                    counts[cand] = counts.get(cand, 0) + 1
-    return counts
 
 
 def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
@@ -289,13 +312,7 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     problem = build_forwarding_problem(sc, tree_set, th, fparams, e_init,
                                        graph=graph)
     probs = {i: problem.probabilities(i) for i in problem.candidates}
-    best_next: dict[int, int] = {}
-    for i, cands in problem.candidates.items():
-        best, best_f = cands[0], problem.fitness[i][0]
-        for cand, f in zip(cands[1:], problem.fitness[i][1:]):
-            if f > best_f:
-                best, best_f = cand, f
-        best_next[i] = best
+    best_next = {i: problem.best_parent(i) for i in problem.candidates}
 
     rng_origin = np.random.default_rng(seed)
     rng_pick = np.random.default_rng(seed + 1)

@@ -1,12 +1,15 @@
 """Fitness scoring, selection probabilities, expected loads, exact min-max."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import vbtsim as v
-from oracles import brute_force_min_max
+from oracles import brute_force_min_max, scan_select_index
+from vbtsim.balanced import draw_index
 
 TH = v.DEFAULT_TH
 
@@ -182,6 +185,30 @@ def test_selection_respects_cumulative_boundaries():
     p = v.selection_probabilities([0.58, 0.62])
     assert v.select_parent(p, FixedRng(0.4)) == 0
     assert v.select_parent(p, FixedRng(0.5)) == 1
+
+
+@given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12),
+       st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                 st.sampled_from([0.0, 0.5, 1.0 - 2**-53])))
+def test_bisect_draw_equals_cumulative_scan(values, r):
+    if sum(values) <= 0:
+        values = values + [1.0]
+    p = v.selection_probabilities(values)
+    expect = scan_select_index(p, r)
+    assert v.select_parent(p, FixedRng(r)) == expect
+    # a draw landing exactly on a cumulative sum moves to the next interval
+    cumulative = list(itertools.accumulate(p))
+    assert draw_index(cumulative, r) == expect
+    for edge in cumulative[:-1]:
+        assert draw_index(cumulative, edge) == scan_select_index(p, edge)
+
+
+def test_best_parent_prefers_fitness_then_smaller_id():
+    prob = v.ForwardingProblem(candidates={9: [v.SINK, 2, 4, 7]},
+                               fitness={9: [0.3, 0.8, 0.8, 0.5]})
+    assert prob.best_parent(9) == 2
+    prob.fitness[9] = [0.9, 0.8, 0.8, 0.5]
+    assert prob.best_parent(9) == v.SINK
 
 
 def test_selection_frequency_matches_binomial_oracle():

@@ -223,6 +223,56 @@ def test_grid_reachability_equals_dense_oracle_uniform(seed, n, range_m):
     assert v.build_reachability(sc).adjacency == dense_reachability(sc)
 
 
+@st.composite
+def sink_walks(draw):
+    """A layout and a few sink positions on its field: corners, node
+    positions, points exactly range from a node, anywhere."""
+    sc = draw(edge_case_layouts())
+    f, r = sc.field, sc.sensing_range
+    spots = [(0.0, 0.0), (f.width, f.height), f.sink_pos]
+    for nd in sc.nodes:
+        spots += [(nd.x, nd.y), (nd.x + r, nd.y), (nd.x, nd.y - r)]
+    spot = st.sampled_from([p for p in spots if f.contains(*p)])
+    anywhere = st.tuples(st.floats(0.0, f.width), st.floats(0.0, f.height))
+    walk = draw(st.lists(st.one_of(spot, anywhere), min_size=1, max_size=4))
+    return sc, walk
+
+
+def expected_weights(sc, graph, params):
+    pos = sc.positions()
+    return {u: [v.hop_weight(params, v.distance(pos[w], pos[u]), u)
+                for w in nbrs] for u, nbrs in graph.adjacency.items()}
+
+
+RADIOS = (v.RadioParams(), v.RadioParams(e_elec=1e-7, e_amp=3e-12))
+
+
+@pytest.mark.filterwarnings("error")
+@given(sink_walks())
+def test_moved_sink_graph_equals_fresh_build(case):
+    sc, walk = case
+    g = v.build_reachability(sc)
+    g.hop_weights(RADIOS[0])  # a cached radio is patched, not rebuilt
+    for pos in walk:
+        sc.field.sink_x, sc.field.sink_y = pos
+        g.move_sink(pos)
+        fresh = v.build_reachability(sc)
+        assert g.adjacency == fresh.adjacency
+        assert list(g.adjacency) == list(fresh.adjacency)
+        assert (g.points == fresh.points).all()
+        assert all(type(u) is int for u in g.adjacency[v.SINK])
+        for params in RADIOS:
+            assert g.hop_weights(params) == expected_weights(sc, g, params)
+
+
+@given(edge_case_layouts())
+def test_cached_weights_equal_hop_weight_of_distance(sc):
+    g = v.build_reachability(sc)
+    for params in RADIOS:
+        assert g.hop_weights(params) == expected_weights(sc, g, params)
+        assert g.hop_weights(params) is g.hop_weights(params)
+
+
 def test_neighbor_ids_are_plain_ints():
     sc = make_scenario([node(0, 99, 99)], range_m=10.0)
     g = v.build_reachability(sc)

@@ -72,6 +72,15 @@ def test_out_of_field_position_rejected(tmp_path):
         read_scenario(write_text(tmp_path, bad), th=0.2, e_fail=2.048e-4)
 
 
+@pytest.mark.parametrize("energy", ["nan", "inf", "-inf"])
+def test_non_finite_energy_rejected_with_line_number(tmp_path, energy):
+    bad = f"field 200 200 100 100 25 7\nnode 0 1 1 2.0\nnode 1 2 2 {energy}\n"
+    with pytest.raises(ScenarioFormatError) as err:
+        read_scenario(write_text(tmp_path, bad), th=0.2, e_fail=2.048e-4)
+    assert err.value.line_no == 3
+    assert "finite" in str(err.value)
+
+
 def test_node_before_field_rejected(tmp_path):
     bad = "node 0 1 1 2.0\nfield 200 200 100 100 25 7\n"
     with pytest.raises(ScenarioFormatError):

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import vbtsim as v
-from oracles import route_energy
+from oracles import reference_run_simulation, route_energy
 
 TH = v.DEFAULT_TH
 RADIO = v.RadioParams()
@@ -313,3 +314,104 @@ def test_compare_respects_origin_probability():
     mc_prob, mc_det = v.compare_load_spread(sc, rounds=50, seed=1,
                                             origin_probability=0.0)
     assert mc_prob == mc_det == 0
+
+
+# ------------------------------------------------ full-rescan loop oracle
+
+def run_both(sc, algo, traffic, policy, seed, fitness_params=None,
+             e_init=v.E_INIT):
+    """Run the route-table loop and the reference loop on one input.
+
+    Returns the two (metrics or unreachable ids, event log) outcomes.
+    """
+    outcomes = []
+    for run in (v.run_simulation, reference_run_simulation):
+        events = []
+        try:
+            result = run(sc, algo, traffic, RADIO, policy, seed,
+                         fitness_params=fitness_params, e_init=e_init,
+                         event_log=events)
+        except v.ConstructionFailed as fail:
+            result = fail.unreachable
+        outcomes.append((result, events))
+    return outcomes
+
+
+@st.composite
+def lifetime_cases(draw):
+    field = v.Field(100, 100, draw(st.sampled_from([50.0, 10.0])), 50.0)
+    n = draw(st.integers(1, 25))
+    e_init = draw(st.sampled_from([0.01, 0.03]))
+    th = e_init / draw(st.sampled_from([5, 20]))
+    # mostly full batteries; some start below th or already failed
+    levels = st.sampled_from([e_init] * 6 + [e_init / 2, th / 2, 1e-4])
+    nodes = v.deploy_uniform(field, n, draw(st.integers(0, 2**16)),
+                             e_init=e_init, th=th)
+    for node in nodes:
+        node.energy = draw(levels)
+        node.status = v.classify_status(node.energy, 0, th)
+    sc = v.Scenario(field, nodes, draw(st.sampled_from([70.0, 45.0, 30.0])))
+    policy = v.SimPolicy(th=th, t_move=draw(st.sampled_from([0, None, 1, 4])),
+                         grid=draw(st.sampled_from([2, 4])),
+                         max_step=draw(st.sampled_from([None, 10.0])))
+    traffic = v.TrafficModel(draw(st.sampled_from([0.2, 0.6, 1.0])),
+                             draw(st.integers(1, 80)))
+    fitness = v.FitnessParams(mode=draw(st.sampled_from(["normalized",
+                                                         "raw"])))
+    return (sc, draw(st.sampled_from(v.ALGORITHMS)), traffic, policy,
+            draw(st.integers(0, 2**32 - 1)), fitness, e_init)
+
+
+@given(lifetime_cases())
+def test_route_table_loop_equals_reference_loop(case):
+    sc, algo, traffic, policy, seed, fitness, e_init = case
+    new, ref = run_both(sc, algo, traffic, policy, seed, fitness, e_init)
+    assert new == ref
+
+
+# 60 nodes at range 45 and low batteries: deaths, eligibility rebuilds,
+# kept and reverted relocations and a mid-run construction failure
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+@pytest.mark.parametrize("mode", ["normalized", "raw"])
+def test_route_table_loop_equals_reference_on_eventful_runs(algo, mode):
+    field = v.Field(200, 200, 100, 100)
+    policy = v.SimPolicy(th=0.005, t_move=5)
+    traffic = v.TrafficModel(0.1, 300)
+    fitness = v.FitnessParams(mode=mode)
+    seen = set()
+    for layout in (2, 4, 16, 18, 23):
+        nodes = v.deploy_uniform(field, 60, layout, e_init=0.05, th=0.005)
+        sc = v.Scenario(field, nodes, 45.0, layout)
+        new, ref = run_both(sc, algo, traffic, policy, 1, fitness, 0.05)
+        assert new == ref
+        metrics, events = new
+        if isinstance(metrics, v.LifetimeMetrics):
+            assert metrics.rounds_until_disconnect is not None
+        seen |= {ev if detail != "reverted" else "reverted"
+                 for _, ev, _, detail in events}
+    assert {"death", "rebuild", "relocate", "reverted", "disconnect"} <= seen
+
+
+def test_policy_and_traffic_reject_bad_values():
+    bad_policies = [dict(th=-0.1), dict(t_move=-5), dict(max_step=-10.0),
+                    dict(grid=0), dict(th=math.nan)]
+    for kwargs in bad_policies:
+        with pytest.raises(ValueError):
+            v.SimPolicy(**kwargs).validate()
+    for kwargs in [dict(rounds_max=-3), dict(origin_probability=1.5),
+                   dict(origin_probability=-0.1)]:
+        with pytest.raises(ValueError):
+            v.TrafficModel(**kwargs).validate()
+
+
+@pytest.mark.parametrize("policy, traffic", [
+    (v.SimPolicy(t_move=-5, max_step=-10.0), v.TrafficModel()),
+    (v.SimPolicy(t_move=-5), v.TrafficModel()),
+    (v.SimPolicy(max_step=-10.0), v.TrafficModel()),
+    (v.SimPolicy(th=-1.0), v.TrafficModel()),
+    (NO_MOVE, v.TrafficModel(rounds_max=-3)),
+])
+def test_run_simulation_rejects_bad_policy_or_traffic(policy, traffic):
+    sc = connected_random_scenario(20, n=20)
+    with pytest.raises(ValueError):
+        v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=1)

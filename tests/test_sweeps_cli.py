@@ -298,3 +298,26 @@ def test_cli_rejects_negative_max_step(tmp_path, capsys):
 def test_cli_rejects_negative_rounds_max(tmp_path, capsys):
     assert run_with_setting(tmp_path, "traffic.rounds_max=-1") == 1
     assert "traffic.rounds_max must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_th(tmp_path, capsys):
+    assert run_with_setting(tmp_path, "policy.th=-1") == 1
+    assert "policy.th must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_rejects_zero_e_init(tmp_path, capsys):
+    assert run_with_setting(tmp_path, "energy.e_init=0") == 1
+    assert "energy.e_init must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("energy", ["nan", "inf"])
+def test_cli_rejects_non_finite_scenario_energy(tmp_path, capsys, energy):
+    # nan used to run with the node silently failed; inf never drained
+    scen = tmp_path / "s.txt"
+    scen.write_text("field 200 200 100 100 60 0\nnode 0 100 120 2.0\n"
+                    f"node 1 100 130 {energy}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "scenario error: line 3" in err and "finite" in err
