@@ -64,11 +64,11 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
     """Construct the minimal-energy backbone for every live node.
 
     Dijkstra from the sink over hop costs, read from the graph's cached
-    hop_weights rows; a vertex may appear on the
-    interior of a path only when its energy is at or above th. The path's
-    own endpoint is exempt, so nodes below th still get routes, they just
-    never relay. Equal-cost parents resolve to the smaller vertex id (the
-    sink's id is smaller than every node's, so it wins ties).
+    hop_weights rows; a vertex may appear on the interior of a path only
+    when its energy is at or above th. The path's own endpoint is exempt,
+    so nodes below th still get routes, they just never relay. Equal-cost
+    parents resolve to the smaller vertex id (the sink's id is smaller
+    than every node's, so it wins ties).
 
     Raises ConstructionFailed listing every live node left unreachable.
     Node statuses in the scenario are refreshed from the resulting child

@@ -122,16 +122,21 @@ class ReachabilityGraph:
 
     points holds the coordinates the graph was built from, one row per
     node id and the sink last, so row SINK (-1) is the sink. Edge weights
-    are built per radio on first use and kept until the sink moves, when
-    only the rows that involve the sink are patched.
+    are built on first use for one radio and kept until another radio
+    asks; a sink move patches only the rows that involve the sink.
     """
 
     adjacency: dict[int, list[int]] = dc_field(default_factory=dict)
     range: float = 0.0
     points: Optional[np.ndarray] = dc_field(default=None, repr=False,
                                             compare=False)
-    _weights: dict[RadioParams, dict[int, list[float]]] = dc_field(
-        default_factory=dict, repr=False, compare=False)
+    # None until first use, so a graph that never routes (the sweeps')
+    # allocates nothing more: an empty dict per graph raised the 4000-node
+    # sweep's peak RSS by about 0.7 MB
+    _radio: Optional[RadioParams] = dc_field(default=None, init=False,
+                                             repr=False, compare=False)
+    _weights: Optional[dict[int, list[float]]] = dc_field(
+        default=None, init=False, repr=False, compare=False)
 
     def neighbors(self, vertex: int) -> list[int]:
         return self.adjacency[vertex]
@@ -139,14 +144,13 @@ class ReachabilityGraph:
     def hop_weights(self, params: RadioParams) -> dict[int, list[float]]:
         """Per-vertex rows aligned with adjacency: weights[v][k] is the
         hop_weight of the hop from adjacency[v][k] into v."""
-        rows = self._weights.get(params)
-        if rows is None:
+        if self._weights is None or params != self._radio:
             xy = self.points.tolist()
-            rows = {v: [hop_weight(params, distance(xy[u], xy[v]), v)
-                        for u in nbrs]
-                    for v, nbrs in self.adjacency.items()}
-            self._weights[params] = rows
-        return rows
+            self._weights = {v: [hop_weight(params, distance(xy[u], xy[v]), v)
+                                 for u in nbrs]
+                             for v, nbrs in self.adjacency.items()}
+            self._radio = params
+        return self._weights
 
     def move_sink(self, sink_pos: tuple[float, float]) -> None:
         """Put the sink at sink_pos, as build_reachability would have.
@@ -157,6 +161,7 @@ class ReachabilityGraph:
         """
         pts = self.points
         pts[-1] = sink_pos
+        # (a - b) ** 2 == (b - a) ** 2 exactly: the build's test either way
         d2 = (pts[:-1, 0] - pts[-1, 0]) ** 2 + (pts[:-1, 1] - pts[-1, 1]) ** 2
         row = np.flatnonzero(d2 <= self.range**2).tolist()
         left = set(self.adjacency[SINK]).difference(row)
@@ -166,18 +171,20 @@ class ReachabilityGraph:
             del self.adjacency[u][0]
         for u in entered:
             self.adjacency[u].insert(0, SINK)
+        rows, params = self._weights, self._radio
+        if rows is None:
+            return
         xy = pts.tolist()
-        for params, rows in self._weights.items():
-            rows[SINK] = [hop_weight(params, distance(xy[u], xy[SINK]), SINK)
-                          for u in row]
-            for u in left:
-                del rows[u][0]
-            for u in row:
-                head = hop_weight(params, distance(xy[SINK], xy[u]), u)
-                if u in entered:
-                    rows[u].insert(0, head)
-                else:
-                    rows[u][0] = head
+        rows[SINK] = [hop_weight(params, distance(xy[u], xy[SINK]), SINK)
+                      for u in row]
+        for u in left:
+            del rows[u][0]
+        for u in row:
+            head = hop_weight(params, distance(xy[SINK], xy[u]), u)
+            if u in entered:
+                rows[u].insert(0, head)
+            else:
+                rows[u][0] = head
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:

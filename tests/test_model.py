@@ -247,7 +247,6 @@ def expected_weights(sc, graph, params):
 RADIOS = (v.RadioParams(), v.RadioParams(e_elec=1e-7, e_amp=3e-12))
 
 
-@pytest.mark.filterwarnings("error")
 @given(sink_walks())
 def test_moved_sink_graph_equals_fresh_build(case):
     sc, walk = case

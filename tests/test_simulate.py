@@ -392,16 +392,16 @@ def test_route_table_loop_equals_reference_on_eventful_runs(algo, mode):
     assert {"death", "rebuild", "relocate", "reverted", "disconnect"} <= seen
 
 
-def test_policy_and_traffic_reject_bad_values():
-    bad_policies = [dict(th=-0.1), dict(t_move=-5), dict(max_step=-10.0),
-                    dict(grid=0), dict(th=math.nan)]
-    for kwargs in bad_policies:
-        with pytest.raises(ValueError):
-            v.SimPolicy(**kwargs).validate()
-    for kwargs in [dict(rounds_max=-3), dict(origin_probability=1.5),
-                   dict(origin_probability=-0.1)]:
-        with pytest.raises(ValueError):
-            v.TrafficModel(**kwargs).validate()
+@pytest.mark.parametrize("bad", [
+    v.SimPolicy(th=-0.1), v.SimPolicy(th=math.nan), v.SimPolicy(t_move=-5),
+    v.SimPolicy(max_step=-10.0), v.SimPolicy(grid=0),
+    v.TrafficModel(rounds_max=-3), v.TrafficModel(origin_probability=1.5),
+    v.TrafficModel(origin_probability=-0.1),
+], ids=["th<0", "th=nan", "t_move<0", "max_step<0", "grid=0",
+        "rounds_max<0", "origin_p>1", "origin_p<0"])
+def test_policy_and_traffic_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        bad.validate()
 
 
 @pytest.mark.parametrize("policy, traffic", [
@@ -410,7 +410,8 @@ def test_policy_and_traffic_reject_bad_values():
     (v.SimPolicy(max_step=-10.0), v.TrafficModel()),
     (v.SimPolicy(th=-1.0), v.TrafficModel()),
     (NO_MOVE, v.TrafficModel(rounds_max=-3)),
-])
+], ids=["t_move_and_max_step<0", "t_move<0", "max_step<0", "th<0",
+        "rounds_max<0"])
 def test_run_simulation_rejects_bad_policy_or_traffic(policy, traffic):
     sc = connected_random_scenario(20, n=20)
     with pytest.raises(ValueError):
