@@ -126,10 +126,9 @@ class ReachabilityGraph:
     asks; a sink move patches only the rows that involve the sink.
     """
 
-    adjacency: dict[int, list[int]] = dc_field(default_factory=dict)
-    range: float = 0.0
-    points: Optional[np.ndarray] = dc_field(default=None, repr=False,
-                                            compare=False)
+    adjacency: dict[int, list[int]]
+    range: float
+    points: np.ndarray = dc_field(repr=False, compare=False)
     # None until first use, so a graph that never routes (the sweeps')
     # allocates nothing more: an empty dict per graph raised the 4000-node
     # sweep's peak RSS by about 0.7 MB
