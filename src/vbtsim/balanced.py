@@ -147,10 +147,13 @@ def select_parent(probabilities: Sequence[float], rng: np.random.Generator) -> i
 def draw_index(cumulative: Sequence[float], r: float) -> int:
     """First index whose cumulative sum exceeds r (the scan's r < acc).
 
-    Rounding can leave the last sum just below 1; that slack lands on the
-    last interval.
+    This is the number of cut points at or below r, where the cut points
+    are the cumulative sums without the last: the last sum never bounds
+    a draw, so rounding that leaves it just below 1 lands its slack on
+    the last interval. The round loop stores the cut points and bisects
+    them directly.
     """
-    return min(bisect_right(cumulative, r), len(cumulative) - 1)
+    return bisect_right(cumulative, r, 0, len(cumulative) - 1)
 
 
 @dataclass

@@ -103,6 +103,14 @@ class Scenario:
             if not self.field.contains(n.x, n.y):
                 raise ValueError(f"node {n.id} outside the field")
 
+    def copy(self) -> "Scenario":
+        """An independent copy: a fresh Field and fresh Nodes."""
+        f = self.field
+        return Scenario(Field(f.width, f.height, f.sink_x, f.sink_y),
+                        [Node(n.id, n.x, n.y, n.energy, n.status)
+                         for n in self.nodes],
+                        self.sensing_range, self.rng_seed)
+
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 

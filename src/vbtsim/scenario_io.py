@@ -45,6 +45,9 @@ def read_scenario(path: str, th: float = DEFAULT_TH,
                     seed = int(args[5])
                 except ValueError:
                     raise ScenarioFormatError(line_no, "bad number in field line")
+                if not all(map(math.isfinite, (w, h, sx, sy, rng_m))):
+                    raise ScenarioFormatError(
+                        line_no, "field values must be finite")
                 try:
                     field = Field(w, h, sx, sy)
                 except ValueError as exc:
@@ -63,6 +66,9 @@ def read_scenario(path: str, th: float = DEFAULT_TH,
                 if not math.isfinite(energy):
                     raise ScenarioFormatError(
                         line_no, f"node {node_id} energy must be finite")
+                if energy < 0:
+                    raise ScenarioFormatError(
+                        line_no, f"node {node_id} energy must be >= 0")
                 if node_id in seen_ids:
                     raise ScenarioFormatError(line_no, f"duplicate node id {node_id}")
                 if not field.contains(x, y):

@@ -7,9 +7,9 @@ Everything is driven by one seeded generator, so a (scenario, config,
 seed) triple always replays bit-for-bit.
 
 Each build fills a route table (_Router): every live node's candidate
-parents with the tx cost of each hop, the cumulative selection sums the
-probabilistic algorithm draws from (the other two have one parent), the
-node's row of expected load, and the serving counts. A round then only
+parents with the tx cost of each hop, the cut points the probabilistic
+algorithm draws from (the other two have one parent), the node's row of
+expected load, and the serving counts. A round then only
 walks that table and touches the nodes that spent energy. This is exact:
 a status is a pure function of (energy, serving count), serving counts
 change only at a rebuild and every rebuild refreshes every status, so
@@ -17,23 +17,32 @@ only a node that spent can change status; and relay eligibility only
 ever flips from true to false, so a rebuild is due exactly when such a
 node has just died or dropped below th. Sums are taken per node in the
 same packet and hop order, so every float is bit-identical.
+
+The hop walk pays no numpy call and no dict lookup per hop, and stays
+exact. Uniforms come from one stream (_Uniforms): rng.random(k) yields
+exactly the values of k scalar rng.random() calls, so the origin draws
+are a slice of it and each hop reads the next value as a Python float;
+each round first reserves packets times the table's longest path, so no
+hop checks for a refill. A draw bisects the row's cut points, the
+cumulative sums without the last, which is balanced.draw_index's rule.
+Spend lives in a list indexed by node id plus the ids in first-touch
+order (every cost is > 0, so a zero entry means untouched); the round
+total sums in that order, as a dict keyed on first spend would, and a
+relay adds its receive cost just before its transmit cost, the order in
+which the reference loop charges them.
 """
 
 from __future__ import annotations
 
-import copy
+import math
+from bisect import bisect_right
 from itertools import accumulate, compress
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
-from .balanced import (
-    FitnessParams,
-    build_forwarding_problem,
-    draw_index,
-    select_parent,
-)
+from .balanced import FitnessParams, build_forwarding_problem, select_parent
 from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost, tx_cost
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt, relocate_sink, _refresh_statuses
@@ -50,6 +59,9 @@ from .model import (
 )
 
 ALGORITHMS = ("mmevbt", "min_cover_best_parent", "balanced_probabilistic")
+
+# Uniforms drawn per refill of _Uniforms beyond the values asked for.
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -97,15 +109,51 @@ class LifetimeMetrics:
     tree_load_expected: dict[int, float] = dc_field(default_factory=dict)
 
 
+class _Uniforms:
+    """The doubles of one Generator, drawn in chunks and read in order.
+
+    rng.random(k) yields exactly the values of k scalar rng.random()
+    calls, so reading this stream in order replays those calls bit for
+    bit. values holds the current chunk as Python floats and pos is the
+    next unread one; a reader may take values[pos:pos + k] after
+    reserve(k) and then moves pos past the values it used.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._random = rng.random
+        self._array = np.empty(0)
+        self.values: list[float] = []
+        self.pos = 0
+
+    def reserve(self, k: int) -> None:
+        """Make at least k unread values available from pos on."""
+        if self.pos + k > len(self.values):
+            self._array = np.concatenate((self._array[self.pos:],
+                                          self._random(k + _CHUNK)))
+            self.values = self._array.tolist()
+            self.pos = 0
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k values, as an array."""
+        self.reserve(k)
+        start = self.pos
+        self.pos += k
+        return self._array[start:self.pos]
+
+
 class _Router:
     """Route table of one backbone build for one algorithm.
 
-    hops[i] is (candidates, tx cost of the hop to each, cumulative
-    selection sums) for every live node i; the sums are None for the
-    fixed-parent algorithms, whose one candidate is the parent. loads[i]
-    holds the (tree node, weight) pairs one packet from i adds to the
-    expected load. serving counts how many nodes each tree node forwards
-    for; it fixes, with its energy, every status until the next build.
+    hops[i] is (candidates, tx cost of the hop to each, cut points) for
+    every live node i and None for a failed one. The cut points are the
+    cumulative selection sums without the last, so the draw for a
+    uniform r is bisect_right(cuts, r); they are None for the
+    fixed-parent algorithms, whose one candidate is the parent.
+    max_draws is the most draws one packet can take: the longest path to
+    the sink, or 0 when nothing is drawn. loads[i] holds the (tree node,
+    weight) pairs one packet from i adds to the expected load. serving
+    counts how many nodes each tree node forwards for; it fixes, with its
+    energy, every status until the next build.
     """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
@@ -117,20 +165,22 @@ class _Router:
         self.policy = policy
         self.fitness_params = fitness_params
         self.e_init = e_init
-        self.hops: dict[int, tuple[list[int], list[float],
-                                   Optional[list[float]]]] = {}
-        self.loads: dict[int, list[tuple[int, float]]] = {}
+        self.hops: list[Optional[tuple[list[int], list[float],
+                                       Optional[list[float]]]]] = []
+        self.loads: list[Optional[list[tuple[int, float]]]] = []
         self.serving: dict[int, int] = {}
+        self.max_draws = 0
 
     def rebuild(self, scenario: Scenario, graph) -> None:
         """Reconstruct the backbone; raises ConstructionFailed and then
         changes nothing."""
         th, e_fail = self.policy.th, self.policy.e_fail
+        probs = None
+        max_draws = 0
         if self.algorithm == "mmevbt":
             tree = build_mmevbt(scenario, self.radio, th, graph=graph,
                                 e_fail=e_fail)
             parents = {i: [p] for i, p in tree.parent.items()}
-            probs = None
             serving = tree.children_count
         else:
             tree_set, _ = build_min_cover(scenario, th, graph=graph)
@@ -140,10 +190,18 @@ class _Router:
             if self.algorithm == "balanced_probabilistic":
                 parents = problem.candidates
                 probs = {i: problem.probabilities(i) for i in parents}
+                # longest path: every candidate has a smaller level than
+                # its child, and a node off the backbone (no level) is
+                # nobody's candidate, so level order visits parents first
+                levels = problem.levels
+                depth = {SINK: 0}
+                for i in sorted(parents,
+                                key=lambda i: levels.get(i, math.inf)):
+                    depth[i] = 1 + max(depth[c] for c in parents[i])
+                max_draws = max(depth.values())
             else:
                 parents = {i: [problem.best_parent(i)]
                            for i in problem.candidates}
-                probs = None
             serving = {i: 0 for i in tree_set}
             for cands in problem.candidates.values():
                 for cand in cands:
@@ -152,8 +210,8 @@ class _Router:
             _refresh_statuses(scenario, serving, th, e_fail)
 
         pos = scenario.positions()
-        self.hops = {}
-        self.loads = {}
+        self.hops = [None] * len(scenario.nodes)
+        self.loads = [None] * len(scenario.nodes)
         for i, cands in parents.items():
             costs = [tx_cost(self.radio, distance(pos[i], pos[c]))
                      for c in cands]
@@ -161,10 +219,12 @@ class _Router:
                 self.hops[i] = (cands, costs, None)
                 self.loads[i] = [(c, 1.0) for c in cands if c != SINK]
             else:
-                self.hops[i] = (cands, costs, list(accumulate(probs[i])))
+                self.hops[i] = (cands, costs,
+                                list(accumulate(probs[i]))[:-1])
                 self.loads[i] = [(c, p) for c, p in zip(cands, probs[i])
                                  if c != SINK]
         self.serving = serving
+        self.max_draws = max_draws
 
 
 def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
@@ -179,11 +239,10 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     """
     traffic.validate()
     policy.validate()
-    sc = copy.deepcopy(scenario)
+    sc = scenario.copy()
     fparams = (fitness_params or FitnessParams()).validate()
     radio.validate()
-    rng = np.random.default_rng(seed)
-    random = rng.random
+    stream = _Uniforms(np.random.default_rng(seed))
     nodes = sc.nodes
     n_total = len(nodes)
     th, e_fail = policy.th, policy.e_fail
@@ -191,6 +250,10 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     metrics = LifetimeMetrics()
     load_counts = metrics.tree_load_counts
     load_expected = metrics.tree_load_expected
+    # per-node spend of the round, kept all-zero between rounds; touched
+    # lists the nodes that spent, in first-touch order
+    spend = [0.0] * n_total
+    touched: list[int] = []
 
     def log(round_no: int, event: str, node: int = -1, detail: str = "") -> None:
         if event_log is not None:
@@ -204,43 +267,55 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     for round_no in range(1, traffic.rounds_max + 1):
         metrics.rounds_run = round_no
         hops, loads = router.hops, router.loads
-        draws = random(len(alive))
+        draws = stream.take(len(alive))
         origins = list(compress(alive,
                                 (draws < traffic.origin_probability).tolist()))
 
         # routes all reflect start-of-round energies; debits land afterwards
-        spend: dict[int, float] = {}
+        stream.reserve(len(origins) * router.max_draws)
+        uniforms, j = stream.values, stream.pos
         for origin in origins:
-            path = [origin]
+            path = [origin] if event_log is not None else None
+            first = None
             u = origin
+            received = 0.0
             while u != SINK:
-                cands, costs, cumulative = hops[u]
-                k = 0 if cumulative is None else draw_index(cumulative,
-                                                            random())
-                v = cands[k]
-                spend[u] = spend.get(u, 0.0) + costs[k]
-                if v != SINK:
-                    spend[v] = spend.get(v, 0.0) + rx
-                path.append(v)
-                u = v
-            if event_log is not None:
-                log(round_no, "packet", origin,
-                    ">".join(str(v) for v in path))
+                cands, costs, cuts = hops[u]
+                if cuts is None:
+                    k = 0
+                else:
+                    k = bisect_right(cuts, uniforms[j])
+                    j += 1
+                # a relay pays its receive cost, then its transmit cost
+                if not spend[u]:
+                    touched.append(u)
+                spend[u] = spend[u] + received + costs[k]
+                received = rx
+                u = cands[k]
+                if first is None:
+                    first = u
+                if path is not None:
+                    path.append(u)
+            if path is not None:
+                log(round_no, "packet", origin, ">".join(map(str, path)))
             # load bookkeeping counts the origin's parent pick, one per packet
-            if path[1] != SINK:
-                load_counts[path[1]] = load_counts.get(path[1], 0) + 1
+            if first != SINK:
+                load_counts[first] = load_counts.get(first, 0) + 1
             for cand, p in loads[origin]:
                 load_expected[cand] = load_expected.get(cand, 0.0) + p
+        stream.pos = j
 
-        metrics.total_energy_consumed += sum(spend.values())
+        metrics.total_energy_consumed += sum([spend[i] for i in touched])
         # only a node that spent can change status or relay eligibility
         serving = router.serving
         died = False
         flipped = False
-        for node_id in sorted(spend):
+        touched.sort()
+        for node_id in touched:
             node = nodes[node_id]
             eligible = node.energy >= th
             node.energy = max(0.0, node.energy - spend[node_id])
+            spend[node_id] = 0.0
             node.status = classify_status(node.energy,
                                           serving.get(node_id, 0), th, e_fail)
             if node.status is NodeStatus.FAILED:
@@ -250,6 +325,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                     metrics.first_node_death_round = round_no
             elif eligible and node.energy < th:
                 flipped = True
+        touched.clear()
         if died:
             alive = [i for i in alive if nodes[i].status is not NodeStatus.FAILED]
 
@@ -305,7 +381,9 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     count. Direct-to-sink deliveries burden no tree node and count for
     neither policy.
     """
-    sc = copy.deepcopy(scenario)
+    SimPolicy(th=th).validate()
+    TrafficModel(origin_probability, rounds).validate()
+    sc = scenario.copy()
     fparams = (fitness_params or FitnessParams()).validate()
     graph = build_reachability(sc)
     tree_set, _ = build_min_cover(sc, th, graph=graph)

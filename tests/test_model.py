@@ -120,6 +120,21 @@ def test_scenario_live_ids_excludes_failed():
 
 # ---------------------------------------------------------------- reachability
 
+def test_scenario_copy_is_independent():
+    field = v.Field(200, 200, 100, 100)
+    sc = v.Scenario(field, v.deploy_uniform(field, 5, seed=2), 30.0, 9)
+    dup = sc.copy()
+    assert dup == sc
+    assert dup.field is not sc.field
+    assert all(a is not b for a, b in zip(dup.nodes, sc.nodes))
+    dup.nodes[0].energy = 0.0
+    dup.nodes[1].status = v.NodeStatus.FAILED
+    dup.field.sink_x = 3.0
+    assert sc.nodes[0].energy == v.E_INIT
+    assert sc.nodes[1].status is not v.NodeStatus.FAILED
+    assert sc.field.sink_pos == (100, 100)
+
+
 def test_distance_is_euclidean():
     assert v.distance((0, 0), (3, 4)) == 5.0
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import vbtsim as v
 from oracles import reference_run_simulation, route_energy
+from vbtsim import simulate
 
 TH = v.DEFAULT_TH
 RADIO = v.RadioParams()
@@ -91,6 +92,22 @@ def test_input_scenario_is_never_mutated():
                      seed=4)
     assert [(n.id, n.x, n.y, n.energy, n.status) for n in sc.nodes] == before
     assert sc.field.sink_pos == sink_before
+
+
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+def test_runs_leave_the_input_scenario_unchanged(algo):
+    # low batteries: nodes die and the sink moves, all on the copy
+    sc = connected_random_scenario(5, n=30, range_m=50.0)
+    for n in sc.nodes:
+        n.energy = 0.01
+    before = [(n.energy, n.status) for n in sc.nodes]
+    policy = v.SimPolicy(th=0.002, t_move=3)
+    m = v.run_simulation(sc, algo, v.TrafficModel(0.5, 200), RADIO, policy,
+                         seed=2, e_init=0.01)
+    assert m.first_node_death_round is not None
+    v.compare_load_spread(sc, rounds=5, seed=2, th=0.002, e_init=0.01)
+    assert [(n.energy, n.status) for n in sc.nodes] == before
+    assert sc.field.sink_pos == (100, 100)
 
 
 def test_determinism_across_runs():
@@ -316,6 +333,42 @@ def test_compare_respects_origin_probability():
     assert mc_prob == mc_det == 0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"th": -1.0}, {"origin_probability": 2.0}, {"origin_probability": -1.0},
+    {"rounds": -4},
+], ids=["th<0", "origin_p>1", "origin_p<0", "rounds<0"])
+def test_compare_load_spread_rejects_bad_values(kwargs):
+    args = {"rounds": 5, "seed": 1, **kwargs}
+    with pytest.raises(ValueError):
+        v.compare_load_spread(ten_client_two_gateway_scenario(), **args)
+
+
+# ---------------------------------------------------------- uniform stream
+
+@given(seed=st.integers(0, 2**32 - 1),
+       ops=st.lists(st.one_of(
+           st.tuples(st.just("take"),
+                     st.sampled_from([0, 1, 7, simulate._CHUNK + 5])),
+           st.tuples(st.just("read"), st.integers(0, 9),
+                     st.integers(0, 9))), max_size=12))
+def test_uniform_stream_replays_scalar_draws(seed, ops):
+    """Vector takes and reserved scalar reads, in any order, give exactly
+    the values of successive scalar rng.random() calls."""
+    stream = simulate._Uniforms(np.random.default_rng(seed))
+    scalar = np.random.default_rng(seed).random
+    for op in ops:
+        if op[0] == "take":
+            got = stream.take(op[1]).tolist()
+            assert got == [scalar() for _ in range(op[1])]
+        else:
+            # reserve more than is read, as the round loop does
+            reserved, extra = op[1], op[2]
+            stream.reserve(reserved + extra)
+            for _ in range(reserved):
+                assert stream.values[stream.pos] == scalar()
+                stream.pos += 1
+
+
 # ------------------------------------------------ full-rescan loop oracle
 
 def run_both(sc, algo, traffic, policy, seed, fitness_params=None,
@@ -416,3 +469,18 @@ def test_run_simulation_rejects_bad_policy_or_traffic(policy, traffic):
     sc = connected_random_scenario(20, n=20)
     with pytest.raises(ValueError):
         v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=1)
+
+
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
+    # a tiny chunk makes the stream refill every round, between the origin
+    # draws and the hop draws, carrying unread values over
+    monkeypatch.setattr(simulate, "_CHUNK", 3)
+    field = v.Field(200, 200, 100, 100)
+    nodes = v.deploy_uniform(field, 60, 16, e_init=0.05, th=0.005)
+    sc = v.Scenario(field, nodes, 45.0, 16)
+    policy = v.SimPolicy(th=0.005, t_move=5)
+    new, ref = run_both(sc, algo, v.TrafficModel(0.3, 300), policy, 1,
+                        e_init=0.05)
+    assert new == ref
+    assert len([e for e in new[1] if e[1] == "packet"]) > 100

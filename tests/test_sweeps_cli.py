@@ -321,3 +321,23 @@ def test_cli_rejects_non_finite_scenario_energy(tmp_path, capsys, energy):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "scenario error: line 3" in err and "finite" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    # nan used to reach the grid's cell index and exit 2
+    ("field 200 200 100 100 nan 7\nnode 0 100 110 2.0\n",
+     "line 1: field values must be finite"),
+    # inf used to run and exit 0
+    ("field 200 200 100 100 inf 7\nnode 0 100 110 2.0\n",
+     "line 1: field values must be finite"),
+    # a negative battery used to be classed failed in silence
+    ("field 200 200 100 100 60 7\nnode 0 100 110 -2.0\n",
+     "line 2: node 0 energy must be >= 0"),
+], ids=["range=nan", "range=inf", "energy<0"])
+def test_cli_rejects_bad_scenario_numbers(tmp_path, capsys, text, message):
+    scen = tmp_path / "s.txt"
+    scen.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"scenario error: {message}" in capsys.readouterr().err
