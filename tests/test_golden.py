@@ -2,9 +2,9 @@
 
 The digests were recorded from the round loop that recomputed every hop
 cost and reclassified every node each round, before the per-build route
-table replaced it; the fig4 digests were recorded from the lazy greedy
-cover, before the per-hop kernel rewrite. Any change to routing, energy, lifetime or load
-numbers, or to the CSV formatting, changes a digest. Re-record only for a
+table replaced it; the sweep-fig4 digests were recorded from the lazy
+greedy cover. Any change to routing, energy, lifetime or load numbers,
+or to the CSV formatting, changes a digest. Re-record only for a
 change that alters output bytes on purpose, and say why.
 
 The scenarios are small and their batteries low, so runs end within a

@@ -118,8 +118,6 @@ def test_scenario_live_ids_excludes_failed():
     assert sc.live_ids() == [0]
 
 
-# ---------------------------------------------------------------- reachability
-
 def test_scenario_copy_is_independent():
     field = v.Field(200, 200, 100, 100)
     sc = v.Scenario(field, v.deploy_uniform(field, 5, seed=2), 30.0, 9)
@@ -134,6 +132,8 @@ def test_scenario_copy_is_independent():
     assert sc.nodes[1].status is not v.NodeStatus.FAILED
     assert sc.field.sink_pos == (100, 100)
 
+
+# ---------------------------------------------------------------- reachability
 
 def test_distance_is_euclidean():
     assert v.distance((0, 0), (3, 4)) == 5.0
