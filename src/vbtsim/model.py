@@ -1,7 +1,7 @@
 """Domain types, field geometry, seeded deployment and unit-disk reachability.
 
-The reachability graph also carries each edge's hop weight, built once
-per radio, and moves its sink vertex in place.
+The reachability graph also carries each edge's hop weight and transmit
+cost, each built once per radio, and moves its sink vertex in place.
 """
 
 from __future__ import annotations
@@ -129,9 +129,10 @@ class ReachabilityGraph:
     """Unit-disk adjacency: edge iff euclidean distance <= range (inclusive).
 
     points holds the coordinates the graph was built from, one row per
-    node id and the sink last, so row SINK (-1) is the sink. Edge weights
-    are built on first use for one radio and kept until another radio
-    asks; a sink move patches only the rows that involve the sink.
+    node id and the sink last, so row SINK (-1) is the sink. Per-edge
+    cost rows (tx_costs, and hop_weights derived from them) are built on
+    first use for one radio and kept until another radio asks; a sink
+    move patches only the entries that involve the sink.
     """
 
     adjacency: dict[int, list[int]]
@@ -142,21 +143,39 @@ class ReachabilityGraph:
     # sweep's peak RSS by about 0.7 MB
     _radio: Optional[RadioParams] = dc_field(default=None, init=False,
                                              repr=False, compare=False)
+    _tx: Optional[dict[int, list[float]]] = dc_field(
+        default=None, init=False, repr=False, compare=False)
     _weights: Optional[dict[int, list[float]]] = dc_field(
         default=None, init=False, repr=False, compare=False)
 
     def neighbors(self, vertex: int) -> list[int]:
         return self.adjacency[vertex]
 
+    def tx_costs(self, params: RadioParams) -> dict[int, list[float]]:
+        """Per-vertex rows aligned with adjacency: costs[v][k] is the
+        tx_cost of the hop from v to adjacency[v][k]."""
+        if params != self._radio:
+            self._radio, self._tx, self._weights = params, None, None
+        if self._tx is None:
+            xy = self.points.tolist()
+            self._tx = {v: [tx_cost(params, distance(xy[v], xy[u]))
+                            for u in nbrs]
+                        for v, nbrs in self.adjacency.items()}
+        return self._tx
+
     def hop_weights(self, params: RadioParams) -> dict[int, list[float]]:
         """Per-vertex rows aligned with adjacency: weights[v][k] is the
-        hop_weight of the hop from adjacency[v][k] into v."""
-        if self._weights is None or params != self._radio:
-            xy = self.points.tolist()
-            self._weights = {v: [hop_weight(params, distance(xy[u], xy[v]), v)
-                                 for u in nbrs]
-                             for v, nbrs in self.adjacency.items()}
-            self._radio = params
+        hop_weight of the hop from adjacency[v][k] into v.
+
+        distance is symmetric to the bit (hypot drops the signs), so
+        this is the tx_costs entry plus v's receive cost, which is how
+        hop_weight adds them.
+        """
+        tx = self.tx_costs(params)
+        if self._weights is None:
+            rx = rx_cost(params)
+            self._weights = {v: [t + rx for t in row] if v != SINK
+                             else list(row) for v, row in tx.items()}
         return self._weights
 
     def move_sink(self, sink_pos: tuple[float, float]) -> None:
@@ -164,7 +183,8 @@ class ReachabilityGraph:
 
         The sink's row is recomputed with the build's exact inclusive
         test, and every node row the sink enters, stays in or leaves has
-        its head (SINK sorts first) inserted, reweighted or dropped.
+        its head (SINK sorts first) inserted, recomputed or dropped, in
+        the adjacency and in the cost rows built so far.
         """
         pts = self.points
         pts[-1] = sink_pos
@@ -178,20 +198,31 @@ class ReachabilityGraph:
             del self.adjacency[u][0]
         for u in entered:
             self.adjacency[u].insert(0, SINK)
-        rows, params = self._weights, self._radio
-        if rows is None:
+        if self._tx is None:
             return
+        params = self._radio
         xy = pts.tolist()
-        rows[SINK] = [hop_weight(params, distance(xy[u], xy[SINK]), SINK)
-                      for u in row]
-        for u in left:
-            del rows[u][0]
-        for u in row:
-            head = hop_weight(params, distance(xy[SINK], xy[u]), u)
-            if u in entered:
-                rows[u].insert(0, head)
-            else:
-                rows[u][0] = head
+        sink_row = [tx_cost(params, distance(xy[SINK], xy[u])) for u in row]
+        heads = dict(zip(row, sink_row))  # distance is symmetric to the bit
+        _patch_heads(self._tx, sink_row, heads, left, entered)
+        if self._weights is not None:
+            rx = rx_cost(params)
+            _patch_heads(self._weights, list(sink_row),
+                         {u: t + rx for u, t in heads.items()}, left, entered)
+
+
+def _patch_heads(rows: dict[int, list[float]], sink_row: list[float],
+                 heads: dict[int, float], left: set[int],
+                 entered: set[int]) -> None:
+    """Give rows the sink's new row and each node row's new head entry."""
+    rows[SINK] = sink_row
+    for u in left:
+        del rows[u][0]
+    for u, head in heads.items():
+        if u in entered:
+            rows[u].insert(0, head)
+        else:
+            rows[u][0] = head
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:

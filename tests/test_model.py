@@ -287,6 +287,32 @@ def test_cached_weights_equal_hop_weight_of_distance(sc):
         assert g.hop_weights(params) is g.hop_weights(params)
 
 
+def expected_tx(sc, graph, params):
+    pos = sc.positions()
+    return {u: [v.tx_cost(params, v.distance(pos[u], pos[w])) for w in nbrs]
+            for u, nbrs in graph.adjacency.items()}
+
+
+@given(sink_walks(), st.booleans())
+def test_cached_tx_costs_follow_sink_moves(case, weights_first):
+    sc, walk = case
+    g = v.build_reachability(sc)
+    # both row sets cached, built in either order, are patched on a move
+    if weights_first:
+        g.hop_weights(RADIOS[0])
+    g.tx_costs(RADIOS[0])
+    for pos in walk:
+        sc.field.sink_x, sc.field.sink_y = pos
+        g.move_sink(pos)
+        rows = g.tx_costs(RADIOS[0])
+        assert rows == expected_tx(sc, g, RADIOS[0])
+        assert rows is g.tx_costs(RADIOS[0])
+        assert g.hop_weights(RADIOS[0]) == expected_weights(sc, g, RADIOS[0])
+    for params in RADIOS[::-1]:  # another radio rebuilds both
+        assert g.tx_costs(params) == expected_tx(sc, g, params)
+        assert g.hop_weights(params) == expected_weights(sc, g, params)
+
+
 def test_neighbor_ids_are_plain_ints():
     sc = make_scenario([node(0, 99, 99)], range_m=10.0)
     g = v.build_reachability(sc)

@@ -396,15 +396,18 @@ def lifetime_cases(draw):
     n = draw(st.integers(1, 25))
     e_init = draw(st.sampled_from([0.01, 0.03]))
     th = e_init / draw(st.sampled_from([5, 20]))
+    # e_fail above th is accepted input: a node below th is then failed
+    e_fail = draw(st.sampled_from([v.DEFAULT_E_FAIL, 0.0, 1.5 * th]))
     # mostly full batteries; some start below th or already failed
     levels = st.sampled_from([e_init] * 6 + [e_init / 2, th / 2, 1e-4])
     nodes = v.deploy_uniform(field, n, draw(st.integers(0, 2**16)),
-                             e_init=e_init, th=th)
+                             e_init=e_init, th=th, e_fail=e_fail)
     for node in nodes:
         node.energy = draw(levels)
-        node.status = v.classify_status(node.energy, 0, th)
+        node.status = v.classify_status(node.energy, 0, th, e_fail)
     sc = v.Scenario(field, nodes, draw(st.sampled_from([70.0, 45.0, 30.0])))
-    policy = v.SimPolicy(th=th, t_move=draw(st.sampled_from([0, None, 1, 4])),
+    policy = v.SimPolicy(th=th, e_fail=e_fail,
+                         t_move=draw(st.sampled_from([0, None, 1, 4])),
                          grid=draw(st.sampled_from([2, 4])),
                          max_step=draw(st.sampled_from([None, 10.0])))
     traffic = v.TrafficModel(draw(st.sampled_from([0.2, 0.6, 1.0])),
@@ -443,6 +446,77 @@ def test_route_table_loop_equals_reference_on_eventful_runs(algo, mode):
         seen |= {ev if detail != "reverted" else "reverted"
                  for _, ev, _, detail in events}
     assert {"death", "rebuild", "relocate", "reverted", "disconnect"} <= seen
+
+
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+def test_rounds_without_origins_equal_reference(algo):
+    # ten nodes at 2% a round: most rounds send nothing, a few send
+    sc = connected_random_scenario(21, n=10, range_m=70.0)
+    traffic = v.TrafficModel(0.02, 60)
+    new, ref = run_both(sc, algo, traffic, NO_MOVE, 3, e_init=v.E_INIT)
+    assert new == ref
+    sent = {rnd for rnd, ev, _, _ in new[1] if ev == "packet"}
+    assert 0 < len(sent) < 30
+    assert new[0].total_energy_consumed > 0
+
+
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+def test_one_hop_rounds_equal_reference(algo):
+    # every node in range of the sink: each packet's walk is one hop
+    coords = [(100 + 20 * math.cos(k), 100 + 20 * math.sin(k))
+              for k in range(8)]
+    sc = scenario_from(coords, range_m=25.0, energies=[0.002] * 8)
+    policy = v.SimPolicy(th=0.0004, t_move=0)
+    new, ref = run_both(sc, algo, v.TrafficModel(0.7, 400), policy, 5,
+                        e_init=0.002)
+    assert new == ref
+    metrics, events = new
+    paths = [parse_path(d) for _, ev, _, d in events if ev == "packet"]
+    assert paths and all(len(p) == 2 and p[1] == v.SINK for p in paths)
+    assert metrics.first_node_death_round is not None
+    assert metrics.tree_load_counts == {} == metrics.tree_load_expected
+
+
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+@pytest.mark.parametrize("at_th", [True, False], ids=["th", "e_fail"])
+def test_energies_exactly_at_thresholds_equal_reference(algo, at_th):
+    # a node holding exactly th is eligible, one holding exactly e_fail
+    # alive, so its first spend is a crossing
+    th = 0.004
+    sc = connected_random_scenario(13, n=35, range_m=60.0)
+    for n in sc.nodes:
+        n.energy = 0.1 if n.id % 4 else th if at_th else v.DEFAULT_E_FAIL
+        n.status = v.classify_status(n.energy, 0, th)
+    policy = v.SimPolicy(th=th, t_move=0)
+    new, ref = run_both(sc, algo, v.TrafficModel(0.3, 20), policy, 7,
+                        e_init=0.1)
+    assert new == ref
+    assert new[0].reconstructions >= 1
+
+
+# ------------------------------------------------------- array round kernel
+
+def test_bincount_order_matters_for_floats():
+    # the left fold in index order is what np.bincount must reproduce
+    big, one = 1e16, 1.0
+    assert (big + one) + one != (one + one) + big
+    assert np.bincount([0, 0, 0], weights=[big, one, one])[0] == big
+    assert np.bincount([0, 0, 0], weights=[one, one, big])[0] == big + 2
+
+
+@given(st.lists(st.tuples(st.integers(0, 4),
+                          st.sampled_from([1e16, 1.0, 0.5, 3e-3, 7.25e15,
+                                           0.0, 1e-300])),
+                max_size=40))
+def test_weighted_bincount_is_a_left_fold_in_input_order(charges):
+    """The array round kernel's premise: per bin, np.bincount adds the
+    weights one by one in input order, starting from 0.0."""
+    fold = [0.0] * 5
+    for i, w in charges:
+        fold[i] = fold[i] + w
+    idx = np.array([i for i, _ in charges], dtype=np.int64)
+    weights = np.array([w for _, w in charges])
+    assert np.bincount(idx, weights=weights, minlength=5).tolist() == fold
 
 
 @pytest.mark.parametrize("bad", [
