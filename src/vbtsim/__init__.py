@@ -36,14 +36,8 @@ from .energy import (
     rx_cost,
     tx_cost,
 )
-from .mincover import CoverState, build_min_cover
-from .mmevbt import (
-    BackboneTree,
-    ReparentReport,
-    build_mmevbt,
-    relocate_sink,
-    reparent_if_better,
-)
+from .mincover import build_min_cover
+from .mmevbt import BackboneTree, build_mmevbt, relocate_sink
 from .model import (
     DEFAULT_TH,
     E_INIT,

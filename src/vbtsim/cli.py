@@ -93,8 +93,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                         attempts)
         elif args.verb == "run":
             config = resolve_config(args)
-            scenario = read_scenario(args.scenario, th=config.policy_th,
-                                     e_fail=config.policy_e_fail)
+            scenario = read_scenario(args.scenario, th=config.policy.th,
+                                     e_fail=config.policy.e_fail)
             _, paths = run_scenario(scenario, config, args.out,
                                     write_events=args.events)
         else:  # gen-scenario

@@ -1,56 +1,69 @@
-"""Flat key = value experiment configuration.
+"""Flat key = value experiment configuration over nested sections.
 
-One key per line, '#' starts a comment, sections are dotted
-(radio.e_elec = 50e-9). Unknown keys are fatal so typos never pass
-silently. Every CSV the harness writes echoes the resolved config back
-as '#'-prefixed header lines, which is enough to replay the run.
+ExperimentConfig holds six top-level scalars and one frozen section per
+dotted key prefix: field and energy (below), radio (RadioParams), policy
+(SimPolicy), fitness (FitnessParams) and traffic (TrafficModel). Keys,
+their parsers and their defaults all come from those declarations: a
+section field `name` is the key `section.name`, parsed by its declared
+type, so a new field is a new key with nothing else to edit.
+
+One key per line, '#' starts a comment (radio.e_elec = 50e-9). Unknown
+keys are fatal so typos never pass silently. Every CSV the harness
+writes echoes the resolved config back as sorted '#'-prefixed header
+lines, which is enough to replay the run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Optional, get_type_hints
 
 from .balanced import FitnessParams
-from .energy import (
-    DEFAULT_E_AMP,
-    DEFAULT_E_ELEC,
-    DEFAULT_E_FAIL,
-    DEFAULT_PACKET_BITS,
-    RadioParams,
-)
-from .model import DEFAULT_TH, E_INIT, Field
+from .energy import RadioParams
+from .model import E_INIT
 from .simulate import ALGORITHMS, SimPolicy, TrafficModel
+
+
+@dataclass(frozen=True)
+class FieldParams:
+    """The numbers of a Field, unchecked until make_scenario builds one.
+
+    `run` reads its field from the scenario file, and a field reshaped
+    key by key may pass through a state with the sink outside, so the
+    checks wait for the Field itself.
+    """
+
+    width: float = 200.0
+    height: float = 200.0
+    sink_x: float = 100.0
+    sink_y: float = 100.0
+
+
+@dataclass(frozen=True)
+class EnergyParams:
+    e_init: float = E_INIT  # initial battery per deployed node, joules
+
+    def validate(self) -> "EnergyParams":
+        if self.e_init <= 0:
+            raise ValueError("energy.e_init must be > 0")
+        return self
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_nodes: int = 200
-    field_width: float = 200.0
-    field_height: float = 200.0
-    field_sink_x: float = 100.0
-    field_sink_y: float = 100.0
     ranges: tuple[float, ...] = (20.0, 25.0, 30.0, 35.0)
     target_successes: int = 15
     max_attempts: int = 200
     algorithm: str = "mmevbt"
     base_seed: int = 0
-    radio_e_elec: float = DEFAULT_E_ELEC
-    radio_e_amp: float = DEFAULT_E_AMP
-    radio_packet_bits: int = DEFAULT_PACKET_BITS
-    energy_e_init: float = E_INIT
-    policy_th: float = DEFAULT_TH
-    policy_e_fail: float = DEFAULT_E_FAIL
-    policy_t_move: Optional[int] = 50
-    policy_grid: int = 4
-    policy_max_step: Optional[float] = None
-    fitness_c1: float = 1.0 / 3.0
-    fitness_c2: float = 1.0 / 3.0
-    fitness_c3: float = 1.0 / 3.0
-    fitness_mode: str = "normalized"
-    traffic_origin_probability: float = 0.1
-    traffic_rounds_max: int = 1000
+    field: FieldParams = FieldParams()
+    energy: EnergyParams = EnergyParams()
+    radio: RadioParams = RadioParams()
+    policy: SimPolicy = SimPolicy()
+    fitness: FitnessParams = FitnessParams()
+    traffic: TrafficModel = TrafficModel()
 
     def validate(self) -> "ExperimentConfig":
         if self.n_nodes < 1:
@@ -63,46 +76,16 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.target_successes < 1 or self.max_attempts < 1:
             raise ValueError("target_successes and max_attempts must be >= 1")
-        if self.energy_e_init <= 0:
-            raise ValueError("energy.e_init must be > 0")
-        self.radio().validate()
-        self.fitness().validate()
-        self.policy().validate()
-        self.traffic().validate()
+        # field is checked by Field when make_scenario builds one
+        for section in (self.energy, self.radio, self.fitness, self.policy,
+                        self.traffic):
+            section.validate()
         return self
-
-    def field(self) -> Field:
-        return Field(self.field_width, self.field_height,
-                     self.field_sink_x, self.field_sink_y)
-
-    def radio(self) -> RadioParams:
-        return RadioParams(self.radio_e_elec, self.radio_e_amp,
-                           self.radio_packet_bits)
-
-    def policy(self) -> SimPolicy:
-        return SimPolicy(self.policy_th, self.policy_e_fail,
-                         self.policy_t_move, self.policy_grid,
-                         self.policy_max_step)
-
-    def fitness(self) -> FitnessParams:
-        return FitnessParams(self.fitness_c1, self.fitness_c2,
-                             self.fitness_c3, self.fitness_mode)
-
-    def traffic(self) -> TrafficModel:
-        return TrafficModel(self.traffic_origin_probability,
-                            self.traffic_rounds_max)
 
     def echo_lines(self) -> list[str]:
         """The resolved config as sorted '# key = value' CSV header lines."""
-        return [f"# {key} = {_format_value(getattr(self, _KEY_TO_ATTR[key]))}"
-                for key in sorted(_KEY_TO_ATTR)]
-
-
-_KEY_TO_ATTR = {f.name.replace("_", ".", 1) if "_" in f.name and
-                f.name.split("_", 1)[0] in
-                ("field", "radio", "policy", "fitness", "traffic", "energy")
-                else f.name: f.name
-                for f in fields(ExperimentConfig)}
+        return [f"# {key} = {_format_value(_lookup(self, key))}"
+                for key in sorted(_PARSERS)]
 
 
 def _format_value(value) -> str:
@@ -126,47 +109,45 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_opt_int(text: str) -> Optional[int]:
-    return None if text.lower() == "none" else _parse_int(text)
+def _none_or(parse):
+    return lambda text: None if text.lower() == "none" else parse(text)
 
 
-def _parse_opt_float(text: str) -> Optional[float]:
-    return None if text.lower() == "none" else _parse_float(text)
-
-
-def _parse_ranges(text: str) -> tuple[float, ...]:
+def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(part) for part in text.split(",") if part.strip())
 
 
-_PARSERS = {
-    "n_nodes": _parse_int,
-    "field.width": _parse_float,
-    "field.height": _parse_float,
-    "field.sink_x": _parse_float,
-    "field.sink_y": _parse_float,
-    "ranges": _parse_ranges,
-    "target_successes": _parse_int,
-    "max_attempts": _parse_int,
-    "algorithm": str,
-    "base_seed": _parse_int,
-    "radio.e_elec": _parse_float,
-    "radio.e_amp": _parse_float,
-    "radio.packet_bits": _parse_int,
-    "energy.e_init": _parse_float,
-    "policy.th": _parse_float,
-    "policy.e_fail": _parse_float,
-    "policy.t_move": _parse_opt_int,
-    "policy.grid": _parse_int,
-    "policy.max_step": _parse_opt_float,
-    "fitness.c1": _parse_float,
-    "fitness.c2": _parse_float,
-    "fitness.c3": _parse_float,
-    "fitness.mode": str,
-    "traffic.origin_probability": _parse_float,
-    "traffic.rounds_max": _parse_int,
+_PARSE_BY_TYPE = {
+    int: _parse_int,
+    float: _parse_float,
+    str: str,
+    Optional[int]: _none_or(_parse_int),
+    Optional[float]: _none_or(_parse_float),
+    tuple[float, ...]: _parse_floats,
 }
 
-assert set(_PARSERS) == set(_KEY_TO_ATTR)
+
+def _key_parsers(cls, prefix: str = "") -> dict:
+    """key -> parser for every field of cls, sections flattened."""
+    hints = get_type_hints(cls)
+    table = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            table.update(_key_parsers(hint, f"{prefix}{f.name}."))
+        else:
+            table[prefix + f.name] = _PARSE_BY_TYPE[hint]
+    return table
+
+
+_PARSERS = _key_parsers(ExperimentConfig)
+
+
+def _lookup(config: ExperimentConfig, key: str):
+    value = config
+    for attr in key.split("."):
+        value = getattr(value, attr)
+    return value
 
 
 def apply_setting(config: ExperimentConfig, key: str,
@@ -178,7 +159,15 @@ def apply_setting(config: ExperimentConfig, key: str,
         parsed = _PARSERS[key](value)
     except ValueError as exc:
         raise ValueError(f"bad value for '{key}': {value} ({exc})")
-    return replace(config, **{_KEY_TO_ATTR[key]: parsed})
+    return _replace_at(config, key, parsed)
+
+
+def _replace_at(obj, key: str, value):
+    """obj with the field at dotted key set to value, sections copied."""
+    attr, _, rest = key.partition(".")
+    if rest:
+        value = _replace_at(getattr(obj, attr), rest, value)
+    return replace(obj, **{attr: value})
 
 
 def parse_config_text(text: str,

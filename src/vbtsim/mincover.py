@@ -2,8 +2,9 @@
 
 Classic degree-greedy cover over the sensor-only reachability graph:
 seed with the best-connected node, then repeatedly promote the covered
-node that reaches the most still-uncovered nodes. covered values:
-0 uncovered, 1 covered by a tree node, 2 tree node.
+node that reaches the most still-uncovered nodes. build_min_cover
+returns the tree nodes and the covered map, id -> 0 uncovered, 1 covered
+by a tree node, 2 tree node.
 
 The selection is Minoux's lazy (accelerated) greedy: a node's count of
 uncovered neighbours only falls as coverage grows, so a heap of stale
@@ -15,7 +16,6 @@ every covered node would, ties to the smaller id included.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .model import (
@@ -27,14 +27,9 @@ from .model import (
 )
 
 
-@dataclass
-class CoverState:
-    covered: dict[int, int] = dc_field(default_factory=dict)
-
-
 def build_min_cover(scenario: Scenario, th: float,
                     graph: Optional[ReachabilityGraph] = None
-                    ) -> tuple[set[int], CoverState]:
+                    ) -> tuple[set[int], dict[int, int]]:
     """Pick tree nodes greedily until every live node is covered.
 
     The sink plays no part here; only sensor-to-sensor adjacency counts
@@ -59,10 +54,9 @@ def build_min_cover(scenario: Scenario, th: float,
     adj = {i: [v for v in graph.neighbors(i) if v in live_set] for i in live}
 
     covered = {i: 0 for i in live}
-    state = CoverState(covered)
     tree_nodes: set[int] = set()
     if not live:
-        return tree_nodes, state
+        return tree_nodes, covered
     heap: list[tuple[int, int]] = []
 
     def uncovered_neighbours(i: int) -> int:
@@ -95,4 +89,4 @@ def build_min_cover(scenario: Scenario, th: float,
         elif wd:
             heapq.heappush(heap, (-wd, best))
 
-    return tree_nodes, state
+    return tree_nodes, covered

@@ -1,14 +1,13 @@
 """Minimal-energy virtual backbone tree.
 
 Sink-rooted shortest-path tree under per-hop radio cost, where only nodes
-at or above the relay threshold may forward for others. Includes local
-re-parenting, full maintenance rebuild, and grid-based sink relocation.
+at or above the relay threshold may forward for others. Maintenance is
+a full rebuild; the sink relocates by a grid rule.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -22,7 +21,6 @@ from .model import (
     build_reachability,
     classify_status,
     distance,
-    hop_weight,
 )
 
 
@@ -123,97 +121,6 @@ def _refresh_statuses(scenario: Scenario, children: dict[int, int],
             continue  # death is permanent
         node.status = classify_status(node.energy, children.get(node.id, 0),
                                       th, e_fail)
-
-
-@dataclass
-class ReparentReport:
-    """Outcome of one local parent re-election."""
-
-    node: int
-    old_parent: Optional[int] = None
-    new_parent: Optional[int] = None
-    old_consumption: float = 0.0
-    new_consumption: float = 0.0
-    changed: bool = False
-    unreachable: bool = False
-    demoted: Optional[int] = None  # old parent, when it dropped to zero children
-
-
-def _is_descendant(tree: BackboneTree, vertex: int, ancestor: int) -> bool:
-    while vertex != SINK:
-        if vertex == ancestor:
-            return True
-        vertex = tree.parent[vertex]
-    return False
-
-
-def reparent_if_better(tree: BackboneTree, node_id: int,
-                       graph: ReachabilityGraph, scenario: Scenario,
-                       params: RadioParams, th: float,
-                       e_fail: float = DEFAULT_E_FAIL) -> ReparentReport:
-    """Re-elect node_id's parent among its currently eligible neighbors.
-
-    The winning neighbor minimizes (hop cost + neighbor's consumption),
-    ties to the smaller id. On a change the consumption delta propagates
-    to the node's whole subtree and both parents' child counts and
-    statuses are refreshed; an old parent left childless is demoted off
-    the tree. With no eligible neighbor at all the report only flags the
-    node unreachable, leaving the tree untouched for the caller to rebuild.
-    """
-    pos = scenario.positions()
-    report = ReparentReport(node=node_id, old_parent=tree.parent.get(node_id),
-                            old_consumption=tree.consumption.get(node_id, math.inf))
-
-    best: Optional[tuple[float, int]] = None
-    for v in graph.neighbors(node_id):
-        if v != SINK:
-            if not _relay_eligible(scenario, v, th):
-                continue
-            if v not in tree.consumption:
-                continue  # no path of its own
-            if _is_descendant(tree, v, node_id):
-                continue
-        cand = (tree.consumption[v] if v != SINK else 0.0) \
-            + hop_weight(params, distance(pos[node_id], pos[v]), v)
-        if best is None or (cand, v) < best:
-            best = (cand, v)
-
-    if best is None:
-        report.unreachable = True
-        return report
-
-    new_cost, new_parent = best
-    old_parent = report.old_parent
-    if new_parent == old_parent and new_cost == report.old_consumption:
-        return report  # fixed point
-
-    report.changed = True
-    report.new_parent = new_parent
-    report.new_consumption = new_cost
-    delta = new_cost - tree.consumption[node_id]
-    tree.parent[node_id] = new_parent
-    if delta != 0.0:
-        # shift the whole subtree hanging off node_id
-        for u in tree.parent:
-            if _is_descendant(tree, u, node_id):
-                tree.consumption[u] += delta
-    tree.consumption[node_id] = new_cost
-
-    if old_parent is not None and old_parent != SINK and old_parent != new_parent:
-        tree.children_count[old_parent] -= 1
-        if tree.children_count[old_parent] == 0:
-            old = scenario.node(old_parent)
-            if old.status is not NodeStatus.FAILED:
-                old.status = classify_status(old.energy, 0, th, e_fail)
-                report.demoted = old_parent
-    if new_parent != SINK and new_parent != old_parent:
-        tree.children_count[new_parent] += 1
-        new = scenario.node(new_parent)
-        if new.status is not NodeStatus.FAILED:
-            new.status = classify_status(new.energy,
-                                         tree.children_count[new_parent],
-                                         th, e_fail)
-    return report
 
 
 def relocate_sink(scenario: Scenario, grid: int = 4,

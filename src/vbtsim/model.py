@@ -67,10 +67,10 @@ class Node:
 
 @dataclass
 class Field:
-    width: float = 200.0
-    height: float = 200.0
-    sink_x: float = 100.0
-    sink_y: float = 100.0
+    width: float
+    height: float
+    sink_x: float
+    sink_y: float
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:

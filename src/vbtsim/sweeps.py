@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from .config import ExperimentConfig
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt
-from .model import ConstructionFailed, Scenario, deploy_uniform
+from .model import ConstructionFailed, Field, Scenario, deploy_uniform
 from .simulate import LifetimeMetrics, run_simulation
 
 # Seeds spread attempts out so no two (range, attempt) cells collide for
@@ -29,10 +29,11 @@ def attempt_seed(base_seed: int, range_m: float, attempt: int) -> int:
 
 def make_scenario(config: ExperimentConfig, seed: int,
                   range_m: float) -> Scenario:
-    field = config.field()
+    f = config.field
+    field = Field(f.width, f.height, f.sink_x, f.sink_y)
     nodes = deploy_uniform(field, config.n_nodes, seed,
-                           e_init=config.energy_e_init,
-                           th=config.policy_th, e_fail=config.policy_e_fail)
+                           e_init=config.energy.e_init,
+                           th=config.policy.th, e_fail=config.policy.e_fail)
     return Scenario(field, nodes, range_m, seed)
 
 
@@ -87,8 +88,8 @@ def sweep_figure3(config: ExperimentConfig
     """Minimal-energy backbone sizes across sensing ranges."""
 
     def count(scenario: Scenario) -> int:
-        tree = build_mmevbt(scenario, config.radio(), config.policy_th,
-                            e_fail=config.policy_e_fail)
+        tree = build_mmevbt(scenario, config.radio, config.policy.th,
+                            e_fail=config.policy.e_fail)
         return len(tree.tree_nodes())
 
     return _sweep(config, count)
@@ -99,7 +100,7 @@ def sweep_figure4(config: ExperimentConfig
     """Greedy minimal-cover backbone sizes across sensing ranges."""
 
     def count(scenario: Scenario) -> int:
-        tree_nodes, _ = build_min_cover(scenario, config.policy_th)
+        tree_nodes, _ = build_min_cover(scenario, config.policy.th)
         return len(tree_nodes)
 
     return _sweep(config, count)
@@ -152,11 +153,11 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig, out_dir: str,
     caller maps that to a nonzero exit code.
     """
     events: Optional[list] = [] if write_events else None
-    metrics = run_simulation(scenario, config.algorithm, config.traffic(),
-                             config.radio(), config.policy(),
+    metrics = run_simulation(scenario, config.algorithm, config.traffic,
+                             config.radio, config.policy,
                              seed=config.base_seed,
-                             fitness_params=config.fitness(),
-                             e_init=config.energy_e_init,
+                             fitness_params=config.fitness,
+                             e_init=config.energy.e_init,
                              event_log=events)
     os.makedirs(out_dir, exist_ok=True)
     paths = []

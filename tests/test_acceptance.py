@@ -77,8 +77,8 @@ def test_criterion_2_connectivity_threshold():
         for s in range(50):
             sc = make_scenario(cfg, attempt_seed(0, range_m, s), range_m)
             try:
-                v.build_mmevbt(sc, cfg.radio(), cfg.policy_th,
-                               e_fail=cfg.policy_e_fail)
+                v.build_mmevbt(sc, cfg.radio, cfg.policy.th,
+                               e_fail=cfg.policy.e_fail)
                 successes += 1
             except v.ConstructionFailed:
                 pass
@@ -106,15 +106,15 @@ def test_criterion_3_greedy_cover_correctness():
         sc = uniform_scenario(n, range_m, int(rng.integers(0, 2**31)))
         graph = v.build_reachability(sc)
         try:
-            tree_nodes, state = v.build_min_cover(sc, v.DEFAULT_TH,
+            tree_nodes, covered = v.build_min_cover(sc, v.DEFAULT_TH,
                                                   graph=graph)
         except v.ConstructionFailed:
             continue
-        assert all(c >= 1 for c in state.covered.values())
-        assert tree_nodes == {i for i, c in state.covered.items() if c == 2}
-        for i, c in state.covered.items():
+        assert all(c >= 1 for c in covered.values())
+        assert tree_nodes == {i for i, c in covered.items() if c == 2}
+        for i, c in covered.items():
             if c == 1:
-                assert any(state.covered.get(u) == 2
+                assert any(covered.get(u) == 2
                            for u in graph.neighbors(i) if u != v.SINK)
         covered_ok += 1
 

@@ -1,11 +1,16 @@
 """Experiment configuration: parsing, validation, echo round-trip."""
 
 import dataclasses
+import os
+import string
+import typing
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vbtsim as v
-from vbtsim.config import _KEY_TO_ATTR, apply_setting
+from vbtsim.config import _PARSERS, EnergyParams, FieldParams, apply_setting
 
 ALL_KEYS = {
     "n_nodes", "field.width", "field.height", "field.sink_x", "field.sink_y",
@@ -24,13 +29,19 @@ def test_defaults_validate():
 
 def test_default_factories_match_module_defaults():
     cfg = v.ExperimentConfig()
-    assert cfg.radio() == v.RadioParams()
-    assert cfg.policy().th == v.DEFAULT_TH
-    assert cfg.policy().e_fail == v.DEFAULT_E_FAIL
-    assert cfg.field().width == 200.0
-    assert cfg.field().sink_x == 100.0
-    assert cfg.traffic().rounds_max == 1000
-    assert cfg.fitness().c1 == pytest.approx(1.0 / 3.0)
+    assert cfg.field == FieldParams()
+    assert cfg.energy == EnergyParams()
+    assert cfg.radio == v.RadioParams()
+    assert cfg.policy == v.SimPolicy()
+    assert cfg.fitness == v.FitnessParams()
+    assert cfg.traffic == v.TrafficModel()
+    assert cfg.policy.th == v.DEFAULT_TH
+    assert cfg.policy.e_fail == v.DEFAULT_E_FAIL
+    assert cfg.energy.e_init == v.E_INIT
+    assert cfg.field.width == 200.0
+    assert cfg.field.sink_x == 100.0
+    assert cfg.traffic.rounds_max == 1000
+    assert cfg.fitness.c1 == pytest.approx(1.0 / 3.0)
 
 
 def test_parse_text_with_comments_and_blanks():
@@ -46,10 +57,10 @@ policy.t_move = 10
     assert cfg.n_nodes == 120
     assert cfg.ranges == (20.0, 25.0, 30.0)
     assert cfg.algorithm == "min_cover_best_parent"
-    assert cfg.policy_t_move == 10
+    assert cfg.policy.t_move == 10
     # untouched keys keep their defaults
     assert cfg.base_seed == 0
-    assert cfg.radio_packet_bits == v.ExperimentConfig().radio_packet_bits
+    assert cfg.radio.packet_bits == v.ExperimentConfig().radio.packet_bits
 
 
 def test_unknown_key_is_fatal_and_names_key_and_line():
@@ -77,10 +88,10 @@ def test_line_without_equals_is_fatal():
 
 def test_none_parses_for_optional_keys():
     cfg = v.parse_config_text("policy.t_move = none\npolicy.max_step = NONE\n")
-    assert cfg.policy_t_move is None
-    assert cfg.policy_max_step is None
+    assert cfg.policy.t_move is None
+    assert cfg.policy.max_step is None
     cfg2 = v.parse_config_text("policy.max_step = 12.5\n")
-    assert cfg2.policy_max_step == 12.5
+    assert cfg2.policy.max_step == 12.5
 
 
 def test_non_finite_floats_rejected():
@@ -140,7 +151,7 @@ def test_echo_lines_sorted_and_complete():
         keys.append(key)
     assert keys == sorted(keys)
     assert set(keys) == ALL_KEYS
-    assert set(keys) == set(_KEY_TO_ATTR)
+    assert set(keys) == set(_PARSERS)
 
 
 def _round_trip(cfg):
@@ -160,12 +171,10 @@ def test_echo_round_trip_on_modified_config():
         n_nodes=73,
         ranges=(15.0, 22.5),
         algorithm="balanced_probabilistic",
-        radio_e_elec=7.25e-9,
-        policy_t_move=None,
-        policy_max_step=17.75,
-        fitness_c1=1.0 / 3.0,
-        fitness_mode="raw",
-        traffic_origin_probability=0.05,
+        radio=v.RadioParams(e_elec=7.25e-9),
+        policy=v.SimPolicy(t_move=None, max_step=17.75),
+        fitness=v.FitnessParams(c1=1.0 / 3.0, mode="raw"),
+        traffic=v.TrafficModel(origin_probability=0.05),
     )
     assert _round_trip(cfg) == cfg
 
@@ -192,3 +201,59 @@ def test_parse_with_base_only_overrides_given_keys():
     cfg = v.parse_config_text("base_seed = 10\n", base=base)
     assert cfg.n_nodes == 44
     assert cfg.base_seed == 10
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+STRATEGY_BY_TYPE = {
+    int: st.integers(),
+    float: _FINITE,
+    str: st.text(string.ascii_letters + string.digits + "_", min_size=1),
+    Optional[int]: st.none() | st.integers(),
+    Optional[float]: st.none() | _FINITE,
+    tuple[float, ...]: st.lists(_FINITE, max_size=5).map(tuple),
+}
+
+
+def declared_type(key):
+    owner = v.ExperimentConfig
+    *sections, name = key.split(".")
+    for section in sections:
+        owner = typing.get_type_hints(owner)[section]
+    return typing.get_type_hints(owner)[name]
+
+
+def replaced(cfg, key, value):
+    section, _, name = key.rpartition(".")
+    if not section:
+        return dataclasses.replace(cfg, **{name: value})
+    inner = dataclasses.replace(getattr(cfg, section), **{name: value})
+    return dataclasses.replace(cfg, **{section: inner})
+
+
+@pytest.mark.parametrize("key", sorted(ALL_KEYS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_every_key_round_trips_a_value_of_its_declared_type(key, data):
+    cfg = replaced(v.ExperimentConfig(), key,
+                   data.draw(STRATEGY_BY_TYPE[declared_type(key)]))
+    assert _round_trip(cfg) == cfg
+
+    # apply_setting with the echoed text rebuilds cfg from the defaults
+    # and moves no other key's echo line
+    prefix = f"# {key} = "
+    (line,) = [l for l in cfg.echo_lines() if l.startswith(prefix)]
+    base = v.ExperimentConfig()
+    applied = apply_setting(base, key, line[len(prefix):])
+    assert applied == cfg
+    assert [l for l in applied.echo_lines() if not l.startswith(prefix)] == \
+        [l for l in base.echo_lines() if not l.startswith(prefix)]
+
+
+def test_readme_config_block_is_the_default_echo():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Config keys", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert block.splitlines() == \
+        [line[2:] for line in v.ExperimentConfig().echo_lines()]

@@ -55,16 +55,16 @@ def replay_greedy(scenario, th):
 
 def test_collinear_triple_covered_by_middle_node():
     sc = scenario_from([(100, 60), (100, 70), (100, 80)], range_m=10)
-    tree, state = v.build_min_cover(sc, TH)
+    tree, covered = v.build_min_cover(sc, TH)
     assert tree == {1}
-    assert state.covered == {0: 1, 1: 2, 2: 1}
+    assert covered == {0: 1, 1: 2, 2: 1}
 
 
 def test_single_isolated_node_seeds_itself():
     sc = scenario_from([(100, 95)], range_m=10)
-    tree, state = v.build_min_cover(sc, TH)
+    tree, covered = v.build_min_cover(sc, TH)
     assert tree == {0}
-    assert state.covered == {0: 2}
+    assert covered == {0: 2}
 
 
 def test_seed_eligibility_is_unconditioned_on_energy():
@@ -72,9 +72,9 @@ def test_seed_eligibility_is_unconditioned_on_energy():
     coords = [(100, 50), (90, 50), (110, 50), (100, 40), (100, 60)]
     energies = [0.15, 2.0, 2.0, 2.0, 2.0]
     sc = scenario_from(coords, range_m=10, energies=energies)
-    tree, state = v.build_min_cover(sc, TH)
+    tree, covered = v.build_min_cover(sc, TH)
     assert tree == {0}
-    assert state.covered[0] == 2
+    assert covered[0] == 2
 
 
 def test_later_picks_respect_energy_threshold():
@@ -104,7 +104,7 @@ def test_greedy_never_beats_exhaustive_minimum():
         sc = v.Scenario(field, nodes, 70.0, seed)
         g = v.build_reachability(sc)
         try:
-            tree, state = v.build_min_cover(sc, TH, graph=g)
+            tree, covered = v.build_min_cover(sc, TH, graph=g)
         except v.ConstructionFailed:
             continue
         best = min_connected_cover_size(sc, g)
@@ -123,15 +123,15 @@ def test_coverage_completeness_on_success():
         sc = v.Scenario(field, nodes, 40.0, seed)
         g = v.build_reachability(sc)
         try:
-            tree, state = v.build_min_cover(sc, TH, graph=g)
+            tree, covered = v.build_min_cover(sc, TH, graph=g)
         except v.ConstructionFailed:
             continue
-        assert set(state.covered.values()) <= {1, 2}
-        for i, c in state.covered.items():
+        assert set(covered.values()) <= {1, 2}
+        for i, c in covered.items():
             if c == 1:
-                assert any(state.covered.get(u) == 2
+                assert any(covered.get(u) == 2
                            for u in g.neighbors(i) if u != v.SINK)
-        assert {i for i, c in state.covered.items() if c == 2} == tree
+        assert {i for i, c in covered.items() if c == 2} == tree
         done += 1
 
 
@@ -175,13 +175,13 @@ def test_lazy_greedy_equals_full_rescore(seed, kinds, range_m):
     sc = v.Scenario(field, nodes, range_m, seed)
     expect_tree, expect_unreachable = replay_greedy(sc, TH)
     try:
-        tree, state = v.build_min_cover(sc, TH)
+        tree, covered = v.build_min_cover(sc, TH)
     except v.ConstructionFailed as err:
         assert expect_tree is None
         assert err.unreachable == expect_unreachable
         return
     assert tree == expect_tree
-    assert {i for i, c in state.covered.items() if c == 2} == tree
+    assert {i for i, c in covered.items() if c == 2} == tree
 
 
 def test_determinism():
@@ -193,7 +193,7 @@ def test_determinism():
         t2, s2 = v.build_min_cover(sc, TH)
     except v.ConstructionFailed:
         pytest.skip("seed 9 not coverable at this range")
-    assert t1 == t2 and s1.covered == s2.covered
+    assert t1 == t2 and s1 == s2
 
 
 def test_degree_tie_prefers_smaller_id():
@@ -201,6 +201,6 @@ def test_degree_tie_prefers_smaller_id():
     # so 1 seeds; covering node 3 then forces picking 2
     coords = [(100, 30), (100, 40), (100, 50), (100, 60)]
     sc = scenario_from(coords, range_m=10)
-    tree, state = v.build_min_cover(sc, TH)
+    tree, covered = v.build_min_cover(sc, TH)
     assert tree == {1, 2}
-    assert state.covered == {0: 1, 1: 2, 2: 2, 3: 1}
+    assert covered == {0: 1, 1: 2, 2: 2, 3: 1}

@@ -156,67 +156,6 @@ def test_failed_nodes_are_ignored_entirely():
     assert 1 not in tree.parent
 
 
-# ---------------------------------------------------------------- reparenting
-
-def test_reparent_is_fixed_point_on_fresh_tree():
-    field = v.Field(200, 200, 100, 100)
-    nodes = v.deploy_uniform(field, 30, seed=7)
-    sc = v.Scenario(field, nodes, 50.0, 7)
-    g = v.build_reachability(sc)
-    tree = v.build_mmevbt(sc, RADIO, TH, graph=g)
-    before = (dict(tree.parent), dict(tree.consumption))
-    for i in sc.live_ids():
-        rep = v.reparent_if_better(tree, i, g, sc, RADIO, TH)
-        assert not rep.changed and not rep.unreachable
-    assert (tree.parent, tree.consumption) == before
-
-
-def test_reparent_tie_preference_demotes_childless_old_parent():
-    sc, params = exact_tie_scenario()
-    g = v.build_reachability(sc)
-    # hand-assemble the equal-cost tree that routes 2 via 1 instead of 0
-    tx, rx = v.tx_cost, v.rx_cost
-    cons = {v.SINK: 0.0, 0: tx(params, 10.0), 1: tx(params, 20.0)}
-    cons[2] = tx(params, 10.0) + rx(params) + cons[1]
-    tree = v.BackboneTree(parent={0: v.SINK, 1: v.SINK, 2: 1},
-                          consumption=cons,
-                          children_count={0: 0, 1: 1, 2: 0})
-    sc.node(1).status = v.NodeStatus.TREE
-    rep = v.reparent_if_better(tree, 2, g, sc, params, TH)
-    assert rep.changed and rep.new_parent == 0 and rep.demoted == 1
-    assert rep.new_consumption == rep.old_consumption  # equal-cost switch
-    assert tree.parent[2] == 0
-    assert sc.node(1).status is v.NodeStatus.CANDIDATE_NON_TREE
-    assert sc.node(0).status is v.NodeStatus.TREE
-
-
-def test_reparent_after_relay_drain_matches_oracle():
-    # node 2 reaches the sink via 0 or 1; drain its current parent below Th
-    sc = scenario_from([(100, 112), (112, 100), (110, 110)], range_m=13)
-    g = v.build_reachability(sc)
-    tree = v.build_mmevbt(sc, RADIO, TH, graph=g)
-    old_parent = tree.parent[2]
-    other = 1 - old_parent
-    sc.node(old_parent).energy = 0.05
-    sc.node(old_parent).status = v.classify_status(0.05, 1, TH, v.DEFAULT_E_FAIL)
-    rep = v.reparent_if_better(tree, 2, g, sc, RADIO, TH)
-    assert rep.changed and rep.new_parent == other
-    oracle = bellman_ford_consumption(sc, RADIO, TH)
-    assert tree.consumption[2] == pytest.approx(oracle[2], rel=1e-9)
-
-
-def test_reparent_reports_unreachable_without_touching_tree():
-    sc = scenario_from([(100, 110), (100, 120)], range_m=12)
-    g = v.build_reachability(sc)
-    tree = v.build_mmevbt(sc, RADIO, TH, graph=g)
-    sc.node(0).energy = 0.05
-    sc.node(0).status = v.classify_status(0.05, 1, TH, v.DEFAULT_E_FAIL)
-    before = dict(tree.parent)
-    rep = v.reparent_if_better(tree, 1, g, sc, RADIO, TH)
-    assert rep.unreachable and not rep.changed
-    assert tree.parent == before
-
-
 # ---------------------------------------------------------------- maintenance
 
 def test_maintain_without_changes_reproduces_tree():

@@ -7,6 +7,7 @@ import pytest
 
 import vbtsim as v
 from vbtsim.cli import main
+from vbtsim.config import EnergyParams
 from vbtsim.mincover import build_min_cover
 from vbtsim.mmevbt import build_mmevbt
 from vbtsim.sweeps import (
@@ -53,7 +54,7 @@ def test_attempt_seed_spreads_ranges_and_attempts():
 
 def test_make_scenario_uses_config():
     cfg = dataclasses.replace(v.ExperimentConfig(), n_nodes=12,
-                              energy_e_init=0.5)
+                              energy=EnergyParams(e_init=0.5))
     sc = make_scenario(cfg, 77, 33.0)
     assert len(sc.nodes) == 12
     assert sc.sensing_range == 33.0
@@ -83,8 +84,8 @@ def test_sweep_rows_consistent_and_replayable():
     # replay one successful attempt from its recorded seed
     probe = next(a for a in attempts if not a.failed)
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
-    tree = build_mmevbt(sc, cfg.radio(), cfg.policy_th,
-                        e_fail=cfg.policy_e_fail)
+    tree = build_mmevbt(sc, cfg.radio, cfg.policy.th,
+                        e_fail=cfg.policy.e_fail)
     assert len(tree.tree_nodes()) == probe.n_tree_nodes
 
 
@@ -94,7 +95,7 @@ def test_sweep_fig4_counts_greedy_cover_sizes():
     assert all(r.successes == cfg.target_successes for r in summary)
     probe = next(a for a in attempts if not a.failed)
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
-    tree_nodes, _ = build_min_cover(sc, cfg.policy_th)
+    tree_nodes, _ = build_min_cover(sc, cfg.policy.th)
     assert len(tree_nodes) == probe.n_tree_nodes
 
 
@@ -139,7 +140,7 @@ def test_sweep_outputs_byte_identical_across_reruns(tmp_path):
 
 def test_run_scenario_writes_metrics_alive_loads_events(tmp_path):
     cfg = dataclasses.replace(v.ExperimentConfig(), n_nodes=25,
-                              traffic_rounds_max=150)
+                              traffic=v.TrafficModel(rounds_max=150))
     sc = make_scenario(cfg, 3, 60.0)
     metrics, paths = run_scenario(sc, cfg, str(tmp_path), stem="probe",
                                   write_events=True)
@@ -271,6 +272,35 @@ def test_cli_layering_set_and_seed_beat_config_file(tmp_path, capsys):
     lines = scen.read_text(encoding="utf-8").splitlines()
     assert lines[0].split()[-2:] == ["50.0", "9"]
     assert sum(1 for l in lines if l.startswith("node ")) == 25
+
+
+def test_cli_field_settings_apply_before_the_field_is_checked(tmp_path,
+                                                             capsys):
+    # the sink stays inside only once both settings are in
+    scen = tmp_path / "s.txt"
+    assert main(["gen-scenario", str(scen), "--set", "n_nodes=10",
+                 "--set", "field.width=50", "--set", "field.sink_x=25"]) == 0
+    capsys.readouterr()
+    assert scen.read_text(encoding="utf-8").split()[1:5] == \
+        ["50.0", "200.0", "25.0", "100.0"]
+
+
+def test_cli_gen_scenario_rejects_sink_outside_field(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert main(["gen-scenario", str(out), "--set", "field.width=50"]) == 1
+    assert "sink position outside the field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_ignores_config_field(tmp_path, capsys):
+    # run reads the field from the scenario file, never from field.*
+    scen = tmp_path / "s.txt"
+    assert main(["gen-scenario", str(scen), "--set", "n_nodes=25",
+                 "--set", "ranges=60", "--seed", "3"]) == 0
+    assert main(["run", str(scen), "--out", str(tmp_path / "out"),
+                 "--set", "field.width=50",
+                 "--set", "traffic.rounds_max=20"]) == 0
+    capsys.readouterr()
 
 
 def run_with_setting(tmp_path, setting):
