@@ -156,6 +156,64 @@ def draw_index(cumulative: Sequence[float], r: float) -> int:
     return bisect_right(cumulative, r, 0, len(cumulative) - 1)
 
 
+@dataclass(frozen=True)
+class CandidateArrays:
+    """One build's candidate edges as flat arrays, node rows ascending.
+
+    Node rows[k]'s candidates are the graph edges edges[bounds[k]:
+    bounds[k + 1]], in candidates order; fitness aligns with edges.
+    max_level is the deepest backbone level: no route takes more than
+    1 + max_level hops.
+    """
+
+    rows: np.ndarray
+    bounds: np.ndarray
+    edges: np.ndarray
+    fitness: np.ndarray
+    max_level: int
+
+    def _padded(self, fill: float) -> tuple[np.ndarray, ...]:
+        """fitness as a rows x widest matrix padded with fill, and each
+        value's row and column in it."""
+        widths = np.diff(self.bounds)
+        rank = np.repeat(np.arange(len(widths)), widths)
+        col = np.arange(len(rank)) - self.bounds[:-1][rank]
+        fit = np.full((len(widths), int(widths.max(initial=0))), fill)
+        fit[rank, col] = self.fitness
+        return fit, rank, col
+
+    def best_edges(self) -> np.ndarray:
+        """Each row's best_parent edge: its first maximal fitness."""
+        fit, _, _ = self._padded(-math.inf)
+        if not fit.size:
+            return self.edges[:0]
+        return self.edges[self.bounds[:-1] + fit.argmax(axis=1)]
+
+    def draws(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's selection_probabilities and its cut points (the
+        cumulative sums without the last), flat in edges order.
+
+        sum and accumulate are left folds, so both are column loops over
+        the rows padded with zeros: adding 0.0 changes no sum. The first
+        row selection_probabilities rejects raises its error.
+        """
+        fit, rank, col = self._padded(0.0)
+        total = np.zeros(len(fit))
+        for k in range(fit.shape[1]):
+            total = total + fit[:, k]
+        bad = np.flatnonzero((fit < 0).any(axis=1) | (total <= 0))
+        if bad.size:
+            lo, hi = self.bounds[bad[0]:bad[0] + 2]
+            selection_probabilities(self.fitness[lo:hi].tolist())
+        with np.errstate(invalid="ignore"):  # inf / inf is nan, silently
+            probs = fit / total[:, None]
+        cum = probs.copy()
+        for k in range(1, cum.shape[1]):
+            cum[:, k] = cum[:, k - 1] + probs[:, k]
+        is_cut = col < np.diff(self.bounds)[rank] - 1
+        return probs[rank, col], cum[rank, col][is_cut]
+
+
 @dataclass
 class ForwardingProblem:
     """Who may forward to whom, and how attractive each option is.
@@ -164,13 +222,16 @@ class ForwardingProblem:
     sink id precedes all node ids); fitness[i] aligns with candidates[i].
     levels holds each backbone vertex's hop distance from the sink over
     the backbone; every candidate sits strictly closer to the sink than
-    its child, so forwarding always terminates.
+    its child, so forwarding always terminates. arrays holds the same
+    candidates as graph edges when build_forwarding_problem made it.
     """
 
     candidates: dict[int, list[int]] = dc_field(default_factory=dict)
     fitness: dict[int, list[float]] = dc_field(default_factory=dict)
     levels: dict[int, int] = dc_field(default_factory=dict)
     next_hop: dict[int, int] = dc_field(default_factory=dict)
+    arrays: Optional[CandidateArrays] = dc_field(default=None, repr=False,
+                                                 compare=False)
 
     def probabilities(self, node_id: int) -> list[float]:
         return selection_probabilities(self.fitness[node_id])
@@ -202,55 +263,144 @@ def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
     strictly smaller level; non-backbone nodes rank as level infinity, so
     any adjacent backbone vertex qualifies for them. A node with the sink
     itself in range needs no backbone at all: its candidate list is just
-    the sink, delivery is direct. Raises ConstructionFailed for live
-    nodes with no candidate at all.
+    the sink, delivery is direct. Each backbone node's next_hop is its
+    smallest-id neighbour one level closer. Raises ConstructionFailed for
+    live nodes with no candidate at all; in raw mode a zero-distance
+    candidate raises ValueError first.
+
+    Everything is a pass over the graph's CSR edges: the level BFS walks
+    the edges between eligible vertices, a next_hop is the first edge of
+    its row one level down, and one mask picks the candidate edges. The
+    fitness terms repeat fitness()'s float operations in its order,
+    elementwise, and the angle is its scalar math.atan2 per pair, so
+    every total equals fitness(...).total to the bit.
     """
     if graph is None:
         graph = build_reachability(scenario)
-    pos = scenario.positions()
-    live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
-    eligible = {t for t in tree_nodes
-                if scenario.node(t).status is not NodeStatus.FAILED
-                and scenario.node(t).energy >= th}
+    nodes = scenario.nodes
+    n = len(nodes)
+    live = np.zeros(n + 1, dtype=bool)
+    live[:n] = [node.status is not NodeStatus.FAILED for node in nodes]
+    # the sink, vertex n, is mains-powered: it always scores a full battery
+    energy = np.array([node.energy for node in nodes] + [e_init])
+    tree = np.fromiter(tree_nodes, dtype=np.int64, count=len(tree_nodes))
+    eligible = np.zeros(n + 1, dtype=bool)
+    eligible[tree] = live[tree] & (energy[tree] >= th)
+    level, max_level = _backbone_levels(graph, eligible)
+    cand, child, parent, hop_from, hop_to = _candidate_edges(graph, level,
+                                                             live)
+    d = graph.distances()[cand]
+    if params.mode == "raw" and (d == 0).any():
+        raise ValueError("raw mode cannot score a zero-distance candidate")
+    count = np.bincount(child, minlength=n + 1)
+    unreachable = np.flatnonzero(live & (count == 0))
+    if unreachable.size:
+        raise ConstructionFailed(unreachable.tolist())
 
-    levels: dict[int, int] = {SINK: 0}
-    frontier = [SINK]
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            for u in graph.neighbors(v):
-                if u in eligible and u not in levels:
-                    levels[u] = levels[v] + 1
-                    nxt.append(u)
-        frontier = sorted(nxt)
-
-    energies = {n.id: n.energy for n in scenario.nodes}
-    energies[SINK] = e_init  # mains-powered: always scores a full battery
-    next_hop: dict[int, int] = {}
-    for t in sorted(eligible & levels.keys()):
-        options = [u for u in graph.neighbors(t)
-                   if u in levels and levels[u] < levels[t]]
-        next_hop[t] = min(options, key=lambda u: (levels[u], u))
-
-    ctx = FitnessContext(positions=pos, energies=energies, next_hop=next_hop,
-                         range_m=scenario.sensing_range, e_init=e_init)
-    problem = ForwardingProblem(levels=levels, next_hop=next_hop)
-    unreachable = []
-    for i in live:
-        own = levels.get(i, math.inf) if i in eligible else math.inf
-        if SINK in graph.neighbors(i):
-            cands = [SINK]
+    next_hop = np.full(n + 1, n)
+    next_hop[hop_from] = hop_to
+    beta = _deviation_angles(graph.points, child, parent, next_hop)
+    e = energy[parent]
+    # Python floats overflow to inf and make nan silently; so does this
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.mode == "normalized":
+            f_d = 1.0 - d / scenario.sensing_range
+            f_e = _clamp(e / e_init, 0.0, 1.0)
+            f_beta = BETA_MIN / beta
         else:
-            cands = sorted(u for u in graph.neighbors(i)
-                           if u in levels and levels[u] < own)
-        if not cands:
-            unreachable.append(i)
-            continue
-        problem.candidates[i] = cands
-        problem.fitness[i] = [fitness(i, u, ctx, params).total for u in cands]
-    if unreachable:
-        raise ConstructionFailed(unreachable)
-    return problem
+            f_d = 1.0 / d
+            f_e = e
+            f_beta = math.pi / beta
+        total = params.c1 * f_d + params.c2 * f_e + params.c3 * f_beta
+
+    rows = np.flatnonzero(count)
+    bounds = np.concatenate(([0], np.cumsum(count[rows])))
+    keys, cut = rows.tolist(), bounds.tolist()
+    backbone = np.flatnonzero(level[:n] <= max_level)
+    return ForwardingProblem(
+        candidates=dict(zip(keys, split_rows(
+            np.where(parent == n, SINK, parent).tolist(), cut))),
+        fitness=dict(zip(keys, split_rows(total.tolist(), cut))),
+        levels={SINK: 0, **dict(zip(backbone.tolist(),
+                                    level[backbone].tolist()))},
+        next_hop=dict(zip(hop_from.tolist(),
+                          np.where(hop_to == n, SINK, hop_to).tolist())),
+        arrays=CandidateArrays(rows, bounds, cand, total, max_level))
+
+
+def _backbone_levels(graph: ReachabilityGraph,
+                     eligible: np.ndarray) -> tuple[np.ndarray, int]:
+    """Hop levels from the sink (vertex n) over eligible vertices, and
+    the deepest; an unreached vertex holds a level past every other."""
+    n = len(eligible) - 1
+    level = np.full(n + 1, n + 1)
+    level[n] = 0
+    hop = np.flatnonzero(eligible[graph.nbrs])
+    hop_from, hop_to = graph.edge_rows(hop), graph.nbrs[hop]
+    expands = eligible[hop_from] | (hop_from == n)
+    hop_from, hop_to = hop_from[expands], hop_to[expands]
+    max_level = 0
+    while True:
+        reached = hop_to[(level[hop_from] == max_level)
+                         & (level[hop_to] == n + 1)]
+        if not reached.size:
+            return level, max_level
+        max_level += 1
+        level[reached] = max_level
+
+
+def _candidate_edges(graph: ReachabilityGraph, level: np.ndarray,
+                     live: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The candidate edges with their rows and ends, then each backbone
+    node's next hop as (nodes, hops) arrays."""
+    n = len(level) - 1
+    into = np.flatnonzero((level <= n)[graph.nbrs])  # ends on the backbone
+    src, dst = graph.edge_rows(into), graph.nbrs[into]
+    src_level, dst_level = level[src], level[dst]
+    # rows list the sink first, then node ids ascending: the first edge
+    # one level down is the sink at level 1, else the smallest id
+    down = (src != n) & (src_level <= n) & (dst_level == src_level - 1)
+    hop_from, hop_to = src[down], dst[down]
+    first = np.diff(hop_from, prepend=-1) != 0
+    near_sink = np.zeros(n + 1, dtype=bool)
+    near_sink[graph.nbrs[graph.indptr[n]:]] = True
+    keep = live[src] & (dst_level < src_level) & (~near_sink[src] | (dst == n))
+    return (into[keep], src[keep], dst[keep], hop_from[first],
+            hop_to[first])
+
+
+def _deviation_angles(points: np.ndarray, child: np.ndarray,
+                      parent: np.ndarray, next_hop: np.ndarray) -> np.ndarray:
+    """deviation_angle of every (child, parent) pair, parent n the sink:
+    its float operations elementwise, then math.atan2 per pair."""
+    xs, ys = points.T
+    beta = np.full(len(child), BETA_MIN)
+    turn = np.flatnonzero(parent != len(points) - 1)
+    i, c = child[turn], parent[turn]
+    h = next_hop[c]
+    v1x, v1y = xs[c] - xs[i], ys[c] - ys[i]
+    v2x, v2y = xs[h] - xs[c], ys[h] - ys[c]
+    # zero-length legs score as perfectly straight
+    bent = ((v1x != 0) | (v1y != 0)) & ((v2x != 0) | (v2y != 0))
+    v1x, v1y, v2x, v2y = v1x[bent], v1y[bent], v2x[bent], v2y[bent]
+    cross = v1x * v2y - v1y * v2x
+    dot = v1x * v2x + v1y * v2y
+    angle = np.array(list(map(math.atan2, cross.tolist(), dot.tolist())),
+                     dtype=float)
+    beta[turn[bent]] = _clamp(np.abs(angle), BETA_MIN, math.pi)
+    return beta
+
+
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """min(max(x, lo), hi) elementwise, with Python's builtin semantics:
+    max keeps x unless lo > x, min keeps it unless hi < it."""
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def split_rows(values: list, bounds: list[int]) -> list[list]:
+    """values cut into the runs values[bounds[k]:bounds[k + 1]]."""
+    return list(map(values.__getitem__, map(slice, bounds, bounds[1:])))
 
 
 def expected_loads(problem: ForwardingProblem) -> dict[int, float]:

@@ -99,7 +99,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                     write_events=args.events)
         else:  # gen-scenario
             config = resolve_config(args)
-            range_m = args.range_m if args.range_m else config.ranges[0]
+            range_m = (config.ranges[0] if args.range_m is None
+                       else args.range_m)
             scenario = make_scenario(config, config.base_seed, range_m)
             write_scenario(scenario, args.path)
             paths = [args.path]

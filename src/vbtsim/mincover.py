@@ -8,7 +8,7 @@ by a tree node, 2 tree node.
 
 The selection is Minoux's lazy (accelerated) greedy: a node's count of
 uncovered neighbours only falls as coverage grows, so a heap of stale
-counts is an upper bound and a popped node whose recomputed count is
+counts is an upper bound and a popped node whose current count is
 unchanged is the true maximum. It picks exactly what a full re-score of
 every covered node would, ties to the smaller id included.
 """
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import heapq
 from typing import Optional
+
+import numpy as np
 
 from .model import (
     ConstructionFailed,
@@ -41,52 +43,66 @@ def build_min_cover(scenario: Scenario, th: float,
 
     Each newly covered node holding th joules enters a heap keyed
     (-wd, id), wd being its count of uncovered neighbours, unless wd is
-    already 0. A pop recomputes wd: if unchanged the node is promoted,
-    else it goes back with the new value (or is dropped at 0). Same
-    picks as re-scoring every covered node after each promotion, without
-    the O(n^2) cost.
+    already 0. A pop reads the current wd: if unchanged the node is
+    promoted, else it goes back with the new value (or is dropped at 0).
+    Same picks as re-scoring every covered node after each promotion,
+    without the O(n^2) cost. The live-to-live edges are one mask over
+    the graph's CSR arrays, and every node's wd is a counter that each
+    node leaving the uncovered state decrements once per live neighbour.
     """
     if graph is None:
         graph = build_reachability(scenario)
-    live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
-    live_set = set(live)
-    # live_set holds sensor ids only, so this also drops the sink vertex
-    adj = {i: [v for v in graph.neighbors(i) if v in live_set] for i in live}
-
-    covered = {i: 0 for i in live}
+    nodes = scenario.nodes
+    n = len(nodes)
+    live_ids = [node.id for node in nodes
+                if node.status is not NodeStatus.FAILED]
+    live = np.zeros(n + 1, dtype=bool)  # the sink, n, is never live
+    live[live_ids] = True
+    covered = [0] * n
     tree_nodes: set[int] = set()
-    if not live:
-        return tree_nodes, covered
+    if not live_ids:
+        return tree_nodes, {}
+    keep = live[graph.nbrs] & np.repeat(live, np.diff(graph.indptr))
+    # a memoryview reads ints on the fly: no list of every edge's ints
+    adj = memoryview(graph.nbrs[keep])
+    offsets = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)))
+    offsets = offsets[graph.indptr]
+    degree = np.diff(offsets)
+    bounds = offsets.tolist()
+    wd = degree.tolist()  # uncovered live neighbours per node
+    rich = [node.energy >= th for node in nodes]
     heap: list[tuple[int, int]] = []
 
-    def uncovered_neighbours(i: int) -> int:
-        return list(map(covered.__getitem__, adj[i])).count(0)
+    def uncover(v: int) -> None:
+        """v leaves the uncovered state: its neighbours lose one."""
+        for u in adj[bounds[v]:bounds[v + 1]]:
+            wd[u] -= 1
 
     def promote(node_id: int) -> int:
         """Make node_id a tree node; return how many nodes it newly covers."""
         covered[node_id] = 2
         tree_nodes.add(node_id)
-        fresh = [v for v in adj[node_id] if covered[v] == 0]
+        fresh = [v for v in adj[bounds[node_id]:bounds[node_id + 1]]
+                 if covered[v] == 0]
         for v in fresh:
             covered[v] = 1
+            uncover(v)
         for v in fresh:
-            if scenario.node(v).energy >= th:
-                wd = uncovered_neighbours(v)
-                if wd:
-                    heapq.heappush(heap, (-wd, v))
+            if rich[v] and wd[v]:
+                heapq.heappush(heap, (-wd[v], v))
         return len(fresh)
 
-    seed = max(live, key=lambda i: (len(adj[i]), -i))
-    uncovered = len(live) - 1 - promote(seed)
+    # most live neighbours, ties to the smaller id
+    seed = int(np.argmax(np.where(live, degree, -1)))
+    uncover(seed)  # the seed itself was uncovered too
+    uncovered = len(live_ids) - 1 - promote(seed)
     while uncovered:
         if not heap:
-            raise ConstructionFailed(
-                i for i, v in covered.items() if v == 0)
+            raise ConstructionFailed(i for i in live_ids if covered[i] == 0)
         neg_wd, best = heapq.heappop(heap)
-        wd = uncovered_neighbours(best)
-        if wd == -neg_wd:
+        if wd[best] == -neg_wd:
             uncovered -= promote(best)
-        elif wd:
-            heapq.heappush(heap, (-wd, best))
+        elif wd[best]:
+            heapq.heappush(heap, (-wd[best], best))
 
-    return tree_nodes, covered
+    return tree_nodes, {i: covered[i] for i in live_ids}

@@ -1,7 +1,8 @@
 """Domain types, field geometry, seeded deployment and unit-disk reachability.
 
-The reachability graph also carries each edge's hop weight and transmit
-cost, each built once per radio, and moves its sink vertex in place.
+The reachability graph keeps its edges both as per-vertex lists and as
+CSR arrays, carries each edge's distance and transmit cost as flat
+arrays built on first use, and moves its sink vertex in place.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -18,6 +20,9 @@ from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost, tx_cost
 
 E_INIT = 2.0               # default initial battery per node, joules
 DEFAULT_TH = 0.1 * E_INIT  # relay-eligibility threshold, joules
+
+# Edges per block of the scalar per-edge passes (see _per_edge).
+_BLOCK = 2048
 
 # Distinguished vertex id for the sink.  The sink is not a Node: it has
 # unlimited power, never drains, and may be moved.
@@ -129,38 +134,62 @@ class ReachabilityGraph:
     """Unit-disk adjacency: edge iff euclidean distance <= range (inclusive).
 
     points holds the coordinates the graph was built from, one row per
-    node id and the sink last, so row SINK (-1) is the sink. Per-edge
-    cost rows (tx_costs, and hop_weights derived from them) are built on
-    first use for one radio and kept until another radio asks; a sink
-    move patches only the entries that involve the sink.
+    node id and the sink last, so row SINK (-1) is the sink. The edges
+    are kept twice: adjacency maps each vertex to its sorted neighbour
+    ids, and the CSR arrays list the same rows flat, with the sink as
+    row and id n (the node count): row v is nbrs[indptr[v]:indptr[v + 1]]
+    in adjacency[v]'s order. Per-edge arrays aligned with nbrs (the
+    distances, and the tx costs for one radio) and the hop_weights rows
+    are built on first use and kept; a sink move patches only the
+    entries that involve the sink.
     """
 
     adjacency: dict[int, list[int]]
     range: float
     points: np.ndarray = dc_field(repr=False, compare=False)
+    indptr: np.ndarray = dc_field(repr=False, compare=False)
+    nbrs: np.ndarray = dc_field(repr=False, compare=False)
     # None until first use, so a graph that never routes (the sweeps')
-    # allocates nothing more: an empty dict per graph raised the 4000-node
-    # sweep's peak RSS by about 0.7 MB
+    # allocates nothing more
+    _dist: Optional[np.ndarray] = dc_field(default=None, init=False,
+                                           repr=False, compare=False)
     _radio: Optional[RadioParams] = dc_field(default=None, init=False,
                                              repr=False, compare=False)
-    _tx: Optional[dict[int, list[float]]] = dc_field(
-        default=None, init=False, repr=False, compare=False)
-    _weights: Optional[dict[int, list[float]]] = dc_field(
+    _tx: Optional[np.ndarray] = dc_field(default=None, init=False,
+                                         repr=False, compare=False)
+    _weight_rows: Optional[dict[int, list[float]]] = dc_field(
         default=None, init=False, repr=False, compare=False)
 
     def neighbors(self, vertex: int) -> list[int]:
         return self.adjacency[vertex]
 
-    def tx_costs(self, params: RadioParams) -> dict[int, list[float]]:
-        """Per-vertex rows aligned with adjacency: costs[v][k] is the
-        tx_cost of the hop from v to adjacency[v][k]."""
+    def edge_rows(self, edges: np.ndarray) -> np.ndarray:
+        """The row (sending vertex, the sink as n) of each given edge."""
+        return np.searchsorted(self.indptr, edges, side="right") - 1
+
+    def distances(self) -> np.ndarray:
+        """Per edge, the distance from its row vertex to nbrs[k].
+
+        Scalar math.hypot, as distance() computes it: np.hypot differs
+        from it in the last bit for some inputs.
+        """
+        if self._dist is None:
+            xs, ys = self.points.T
+            src = self.edge_rows(np.arange(len(self.nbrs)))
+            self._dist = _per_edge(math.hypot, xs[src] - xs[self.nbrs],
+                                   ys[src] - ys[self.nbrs])
+        return self._dist
+
+    def edge_tx(self, params: RadioParams) -> np.ndarray:
+        """Per edge, the tx_cost of the hop from its row vertex to nbrs[k].
+
+        Scalar tx_cost of each distance: its distance**2 is libm pow,
+        which is not always the d*d a numpy square computes.
+        """
         if params != self._radio:
-            self._radio, self._tx, self._weights = params, None, None
+            self._radio, self._tx, self._weight_rows = params, None, None
         if self._tx is None:
-            xy = self.points.tolist()
-            self._tx = {v: [tx_cost(params, distance(xy[v], xy[u]))
-                            for u in nbrs]
-                        for v, nbrs in self.adjacency.items()}
+            self._tx = _per_edge(partial(tx_cost, params), self.distances())
         return self._tx
 
     def hop_weights(self, params: RadioParams) -> dict[int, list[float]]:
@@ -168,61 +197,101 @@ class ReachabilityGraph:
         hop_weight of the hop from adjacency[v][k] into v.
 
         distance is symmetric to the bit (hypot drops the signs), so
-        this is the tx_costs entry plus v's receive cost, which is how
-        hop_weight adds them.
+        this is the edge_tx entry plus v's receive cost, which is how
+        hop_weight adds them; the sink receives for free.
         """
-        tx = self.tx_costs(params)
-        if self._weights is None:
-            rx = rx_cost(params)
-            self._weights = {v: [t + rx for t in row] if v != SINK
-                             else list(row) for v, row in tx.items()}
-        return self._weights
+        tx = self.edge_tx(params)
+        if self._weight_rows is None:
+            bounds = self.indptr.tolist()
+            weights = tx + rx_cost(params)
+            weights[bounds[-2]:] = tx[bounds[-2]:]
+            values = weights.tolist()
+            rows = {v: values[bounds[v]:bounds[v + 1]]
+                    for v in range(len(bounds) - 2)}
+            rows[SINK] = values[bounds[-2]:]
+            self._weight_rows = rows
+        return self._weight_rows
 
     def move_sink(self, sink_pos: tuple[float, float]) -> None:
         """Put the sink at sink_pos, as build_reachability would have.
 
         The sink's row is recomputed with the build's exact inclusive
         test, and every node row the sink enters, stays in or leaves has
-        its head (SINK sorts first) inserted, recomputed or dropped, in
-        the adjacency and in the cost rows built so far.
+        its head (the sink sorts first) inserted, recomputed or dropped,
+        in the adjacency, the CSR arrays and the cost arrays and rows
+        built so far.
         """
         pts = self.points
         pts[-1] = sink_pos
+        n = len(pts) - 1
         # (a - b) ** 2 == (b - a) ** 2 exactly: the build's test either way
         d2 = (pts[:-1, 0] - pts[-1, 0]) ** 2 + (pts[:-1, 1] - pts[-1, 1]) ** 2
-        row = np.flatnonzero(d2 <= self.range**2).tolist()
-        left = set(self.adjacency[SINK]).difference(row)
-        entered = set(row).difference(self.adjacency[SINK])
-        self.adjacency[SINK] = row
+        row = np.flatnonzero(d2 <= self.range**2)
+        ids = row.tolist()
+        left = set(self.adjacency[SINK]).difference(ids)
+        entered = set(ids).difference(self.adjacency[SINK])
+        self.adjacency[SINK] = ids
         for u in left:
             del self.adjacency[u][0]
         for u in entered:
             self.adjacency[u].insert(0, SINK)
+
+        # node rows keep their node entries in order; a row the sink is
+        # in gets the sink as its head, and the sink row is replaced
+        stop = self.indptr[n]
+        tail = self.nbrs[:stop] != n
+        lengths = np.diff(self.indptr)
+        lengths[self.nbrs[stop:]] -= 1
+        lengths[row] += 1
+        lengths[n] = len(row)
+        self.indptr = np.concatenate(([0], np.cumsum(lengths)))
+        heads = self.indptr[row]
+        slots = np.ones(self.indptr[n], dtype=bool)
+        slots[heads] = False
+
+        def patch(old: np.ndarray, head: np.ndarray,
+                  sink_row: np.ndarray) -> np.ndarray:
+            new = np.empty(self.indptr[-1], dtype=old.dtype)
+            new[:len(slots)][slots] = old[:stop][tail]
+            new[heads] = head
+            new[len(slots):] = sink_row
+            return new
+
+        self.nbrs = patch(self.nbrs, n, row)
+        if self._dist is None:
+            return
+        # distance is symmetric to the bit, so a node row's head equals
+        # the sink row's entry for that node
+        sx, sy = sink_pos
+        dist = np.array(list(map(math.hypot, (sx - pts[row, 0]).tolist(),
+                                 (sy - pts[row, 1]).tolist())), dtype=float)
+        self._dist = patch(self._dist, dist, dist)
         if self._tx is None:
             return
-        params = self._radio
-        xy = pts.tolist()
-        sink_row = [tx_cost(params, distance(xy[SINK], xy[u])) for u in row]
-        heads = dict(zip(row, sink_row))  # distance is symmetric to the bit
-        _patch_heads(self._tx, sink_row, heads, left, entered)
-        if self._weights is not None:
-            rx = rx_cost(params)
-            _patch_heads(self._weights, list(sink_row),
-                         {u: t + rx for u, t in heads.items()}, left, entered)
+        tx = [tx_cost(self._radio, d) for d in dist.tolist()]
+        self._tx = patch(self._tx, tx, tx)
+        rows = self._weight_rows
+        if rows is None:
+            return
+        rows[SINK] = tx
+        for u in left:
+            del rows[u][0]
+        rx = rx_cost(self._radio)
+        for u, t in zip(ids, tx):
+            if u in entered:
+                rows[u].insert(0, t + rx)
+            else:
+                rows[u][0] = t + rx
 
 
-def _patch_heads(rows: dict[int, list[float]], sink_row: list[float],
-                 heads: dict[int, float], left: set[int],
-                 entered: set[int]) -> None:
-    """Give rows the sink's new row and each node row's new head entry."""
-    rows[SINK] = sink_row
-    for u in left:
-        del rows[u][0]
-    for u, head in heads.items():
-        if u in entered:
-            rows[u].insert(0, head)
-        else:
-            rows[u][0] = head
+def _per_edge(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """fn over the Python floats of aligned arrays, a block at a time,
+    so no list of every edge's floats is ever held."""
+    out = np.empty(len(columns[0]))
+    for lo in range(0, len(out), _BLOCK):
+        out[lo:lo + _BLOCK] = list(map(
+            fn, *(c[lo:lo + _BLOCK].tolist() for c in columns)))
+    return out
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -262,7 +331,8 @@ def build_reachability(scenario: Scenario) -> ReachabilityGraph:
     cells around it. The test itself is the exact inclusive
     ((p_a - p_b) ** 2).sum() <= range**2, so the graph equals the
     all-pairs one while memory is O(n*k) for mean degree k, not O(n^2).
-    Neighbour lists are sorted plain ints, the sink (SINK) first.
+    Neighbour lists are sorted plain ints, the sink (SINK) first; the CSR
+    arrays hold the same rows in the same order.
     """
     n = len(scenario.nodes)
     pts = np.array([(nd.x, nd.y) for nd in scenario.nodes]
@@ -306,13 +376,17 @@ def build_reachability(scenario: Scenario) -> ReachabilityGraph:
     b = np.concatenate(pairs_b)
     vb = np.where(b == n, SINK, b)
     # group by point row, then sort each row's neighbour ids ascending
-    a_sorted = np.sort(a * (n + 1) + (vb + 1))
-    nbrs = (a_sorted % (n + 1) - 1).tolist()
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n + 1))))
-    bounds = bounds.tolist()
+    # and give the sink, which sorts first, its CSR id n
+    csr = ((np.sort(a * (n + 1) + (vb + 1)) - 1) % (n + 1)).astype(np.int32)
+    nbrs = csr.tolist()
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n + 1))))
+    bounds = indptr.tolist()
     adjacency = {row: nbrs[bounds[row]:bounds[row + 1]] for row in range(n)}
     adjacency[SINK] = nbrs[bounds[n]:bounds[n + 1]]
-    return ReachabilityGraph(adjacency, scenario.sensing_range, pts)
+    for u in adjacency[SINK]:
+        adjacency[u][0] = SINK
+    return ReachabilityGraph(adjacency, scenario.sensing_range, pts, indptr,
+                             csr)
 
 
 def is_connected_to_sink(graph: ReachabilityGraph,

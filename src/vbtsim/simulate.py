@@ -27,22 +27,30 @@ balanced_probabilistic walks its packets in Python, reading its
 uniforms in order from one stream (_Uniforms): rng.random(k) yields
 exactly the values of k scalar rng.random() calls, so the origin draws
 are a slice of it and each hop reads the next value; each round first
-reserves packets times the table's longest path. A draw bisects the
-row's cut points, balanced.draw_index's rule, and spend is a list
-indexed by node id plus the ids in first-touch order.
+reserves packets times a bound on the table's longest path. A draw
+bisects the row's cut points, balanced.draw_index's rule, and spend is
+a list indexed by node id plus the ids in first-touch order.
+
+A rebuild reads the build's candidate edges as arrays (CandidateArrays):
+parents, tx costs and the draw rows' cut points come from array passes
+over them and the graph's per-edge costs, with no per-build dicts.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from itertools import accumulate
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
-from .balanced import FitnessParams, build_forwarding_problem, select_parent
+from .balanced import (
+    FitnessParams,
+    ForwardingProblem,
+    build_forwarding_problem,
+    select_parent,
+    split_rows,
+)
 from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt, relocate_sink, _refresh_statuses
@@ -87,6 +95,8 @@ class SimPolicy:
     def validate(self) -> "SimPolicy":
         if not self.th >= 0:
             raise ValueError("policy.th must be >= 0")
+        if not self.e_fail >= 0:
+            raise ValueError("policy.e_fail must be >= 0")
         if self.grid < 1:
             raise ValueError("policy.grid must be >= 1")
         if self.t_move is not None and self.t_move < 0:
@@ -158,7 +168,7 @@ class _Router:
     the cut points being the cumulative selection sums without the last
     (the draw for a uniform r is bisect_right(cuts, r)); loads[i] holds
     the (tree node, probability) pairs one packet from i adds to the
-    expected load; max_draws is the longest path to the sink. serving
+    expected load; max_draws bounds the longest path to the sink. serving
     counts how many nodes each tree node forwards for; with its energy
     it fixes every status until the next build.
     """
@@ -189,35 +199,35 @@ class _Router:
         if self.algorithm == "mmevbt":
             tree = build_mmevbt(scenario, self.radio, th, graph=graph,
                                 e_fail=e_fail)
-            self._fill_parents(tree.parent, graph, n)
+            # a routed node's hop is the edge of its row to its parent
+            first = graph.indptr.tolist()
+            adjacency = graph.adjacency
+            edges = [first[i] + adjacency[i].index(p)
+                     for i, p in tree.parent.items()]
+            self._fill_parents(list(tree.parent), edges, graph, n)
             self.serving = tree.children_count
             return
         tree_set, _ = build_min_cover(scenario, th, graph=graph)
         problem = build_forwarding_problem(scenario, tree_set, th,
                                            self.fitness_params, self.e_init,
                                            graph=graph)
-        serving = {i: 0 for i in tree_set}
-        for cands in problem.candidates.values():
-            for cand in cands:
-                if cand != SINK:
-                    serving[cand] = serving.get(cand, 0) + 1
+        rows = problem.arrays
+        tree = list(tree_set)
+        load = np.bincount(graph.nbrs[rows.edges], minlength=n + 1)
+        serving = dict(zip(tree, load[tree].tolist()))
         _refresh_statuses(scenario, serving, th, e_fail)
         if self.algorithm == "balanced_probabilistic":
             self._fill_draw_rows(problem, graph, n)
         else:
-            self._fill_parents({i: problem.best_parent(i)
-                                for i in problem.candidates}, graph, n)
+            self._fill_parents(rows.rows, rows.best_edges(), graph, n)
         self.serving = serving
 
-    def _fill_parents(self, parents: dict[int, int], graph, n: int) -> None:
-        adjacency = graph.adjacency
-        costs = graph.tx_costs(self.radio)
+    def _fill_parents(self, ids, edges, graph, n: int) -> None:
+        """Route node ids[k] over graph edge edges[k]."""
         parent = np.full(n + 1, n, dtype=np.int64)
         tx = np.zeros(n + 1)
-        ids = list(parents)
-        parent[ids] = [n if p == SINK else p for p in parents.values()]
-        tx[ids] = [costs[i][adjacency[i].index(p)]
-                   for i, p in parents.items()]
+        parent[ids] = graph.nbrs[edges]
+        tx[ids] = graph.edge_tx(self.radio)[edges]
         depth = np.zeros(n + 1, dtype=np.int64)
         cur = np.arange(n + 1)
         moving = cur != n
@@ -227,28 +237,33 @@ class _Router:
             moving = cur != n
         self.parent, self.tx, self.depth = parent, tx, depth
 
-    def _fill_draw_rows(self, problem, graph, n: int) -> None:
-        adjacency = graph.adjacency
-        costs = graph.tx_costs(self.radio)
-        self.hops = [None] * n
-        self.loads = [None] * n
-        for i, cands in problem.candidates.items():
-            probs = problem.probabilities(i)
-            row = costs[i]
-            self.hops[i] = (cands,
-                            [row[adjacency[i].index(c)] for c in cands],
-                            list(accumulate(probs))[:-1])
-            self.loads[i] = [(c, p) for c, p in zip(cands, probs)
-                             if c != SINK]
-        # longest path: every candidate has a smaller level than its
-        # child, and a node off the backbone (no level) is nobody's
-        # candidate, so level order visits parents first
-        levels = problem.levels
-        depth = {SINK: 0}
-        for i in sorted(problem.candidates,
-                        key=lambda i: levels.get(i, math.inf)):
-            depth[i] = 1 + max(depth[c] for c in problem.candidates[i])
-        self.max_draws = max(depth.values())
+    def _fill_draw_rows(self, problem: ForwardingProblem, graph,
+                        n: int) -> None:
+        """hops and loads from the problem's arrays; the candidate lists
+        are the problem's own."""
+        rows = problem.arrays
+        probs, cuts = rows.draws()
+        self.hops = self.loads = []  # the old rows go before new ones come
+        # a node with the sink in range has it as its one candidate, and
+        # a packet from it loads no tree node: its load row is empty
+        to_node = graph.nbrs[rows.edges] != n
+        load_bounds = np.concatenate(([0], np.cumsum(to_node)))[rows.bounds]
+        bounds = rows.bounds.tolist()
+        cands = list(problem.candidates.values())
+        hop_rows = zip(
+            cands,
+            split_rows(graph.edge_tx(self.radio)[rows.edges].tolist(), bounds),
+            split_rows(cuts.tolist(),
+                       (rows.bounds - np.arange(len(bounds))).tolist()))
+        load_rows = map(list, map(zip, cands, split_rows(
+            probs[to_node].tolist(), load_bounds.tolist())))
+        self.hops = hops = [None] * n
+        self.loads = loads = [None] * n
+        for i, hop, load in zip(rows.rows.tolist(), hop_rows, load_rows):
+            hops[i] = hop
+            loads[i] = load
+        # each hop goes one level down, or onto the backbone from off it
+        self.max_draws = 1 + rows.max_level
 
     def walk(self, origins: np.ndarray) -> np.ndarray:
         """Every origin's fixed parent chain, one row per packet.

@@ -7,6 +7,8 @@ enumeration instead of search-plus-matching. reference_run_simulation is
 the round loop as it was before the per-build route table: every hop
 cost recomputed, every node reclassified and the whole eligibility
 signature compared each round, the graph rebuilt on every relocation.
+reference_forwarding_problem is the candidate and fitness build pair by
+pair over dicts, scored with the scalar fitness().
 """
 
 from __future__ import annotations
@@ -23,15 +25,17 @@ from vbtsim import (
     E_INIT,
     SINK,
     ConstructionFailed,
+    FitnessContext,
     FitnessParams,
+    ForwardingProblem,
     LifetimeMetrics,
     NodeStatus,
-    build_forwarding_problem,
     build_min_cover,
     build_mmevbt,
     build_reachability,
     classify_status,
     distance,
+    fitness,
     relocate_sink,
     rx_cost,
     tx_cost,
@@ -163,6 +167,58 @@ def route_energy(params, positions, path):
     return total
 
 
+def reference_forwarding_problem(scenario, tree_nodes, th, params,
+                                 e_init=E_INIT, graph=None):
+    """build_forwarding_problem pair by pair: a level BFS over dicts,
+    next_hop by min over each row, and fitness() per candidate."""
+    if graph is None:
+        graph = build_reachability(scenario)
+    pos = scenario.positions()
+    live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
+    eligible = {t for t in tree_nodes
+                if scenario.node(t).status is not NodeStatus.FAILED
+                and scenario.node(t).energy >= th}
+
+    levels = {SINK: 0}
+    frontier = [SINK]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in graph.neighbors(v):
+                if u in eligible and u not in levels:
+                    levels[u] = levels[v] + 1
+                    nxt.append(u)
+        frontier = sorted(nxt)
+
+    energies = {n.id: n.energy for n in scenario.nodes}
+    energies[SINK] = e_init  # mains-powered: always scores a full battery
+    next_hop = {}
+    for t in sorted(eligible & levels.keys()):
+        options = [u for u in graph.neighbors(t)
+                   if u in levels and levels[u] < levels[t]]
+        next_hop[t] = min(options, key=lambda u: (levels[u], u))
+
+    ctx = FitnessContext(positions=pos, energies=energies, next_hop=next_hop,
+                         range_m=scenario.sensing_range, e_init=e_init)
+    problem = ForwardingProblem(levels=levels, next_hop=next_hop)
+    unreachable = []
+    for i in live:
+        own = levels.get(i, math.inf) if i in eligible else math.inf
+        if SINK in graph.neighbors(i):
+            cands = [SINK]
+        else:
+            cands = sorted(u for u in graph.neighbors(i)
+                           if u in levels and levels[u] < own)
+        if not cands:
+            unreachable.append(i)
+            continue
+        problem.candidates[i] = cands
+        problem.fitness[i] = [fitness(i, u, ctx, params).total for u in cands]
+    if unreachable:
+        raise ConstructionFailed(unreachable)
+    return problem
+
+
 def scan_select_index(probabilities, r):
     """Index drawn by uniform r: first cumulative sum above r, else last."""
     acc = 0.0
@@ -198,9 +254,9 @@ class _ReferenceRouter:
             self.probs = {}
             return
         tree_set, _ = build_min_cover(scenario, self.policy.th, graph=graph)
-        problem = build_forwarding_problem(scenario, tree_set, self.policy.th,
-                                           self.fitness_params, self.e_init,
-                                           graph=graph)
+        problem = reference_forwarding_problem(
+            scenario, tree_set, self.policy.th, self.fitness_params,
+            self.e_init, graph=graph)
         self.problem = problem
         self.probs = {i: problem.probabilities(i) for i in problem.candidates}
         self.next_map = {}

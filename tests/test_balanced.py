@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vbtsim as v
-from oracles import brute_force_min_max, scan_select_index
+from oracles import (brute_force_min_max, reference_forwarding_problem,
+                     scan_select_index)
 from vbtsim.balanced import draw_index
 
 TH = v.DEFAULT_TH
@@ -420,3 +421,128 @@ def test_symmetric_diamond_splits_fifty_fifty():
     # the two tree nodes deliver their own packets straight to the sink
     assert exp[0] == exp[1] == pytest.approx(0.5, abs=1e-12)
     assert exp[v.SINK] == pytest.approx(2.0, abs=1e-12)
+
+
+# ------------------------------------------- array build vs scalar oracle
+
+def problem_outcome(build, sc, tree, th, params, e_init, graph):
+    """A build's result with every float as its exact bits, or its error."""
+    try:
+        p = build(sc, tree, th, params, e_init, graph=graph)
+    except v.ConstructionFailed as fail:
+        return "unreachable", fail.unreachable
+    except ValueError as err:
+        return "error", str(err)
+    bits = {i: [f.hex() for f in fit] for i, fit in p.fitness.items()}
+    return "built", p.candidates, bits, p.levels, p.next_hop
+
+
+@st.composite
+def drained_layouts(draw):
+    """Up to 40 nodes with duplicate positions, mixed and failed batteries,
+    a tree-node set and a few (drain, kill, sink move) steps."""
+    f = v.Field(100, 100, draw(st.floats(0, 100)), draw(st.floats(0, 100)))
+    n = draw(st.integers(1, 40))
+    nodes = v.deploy_uniform(f, n, draw(st.integers(0, 2**16)))
+    for node in nodes:
+        if node.id and draw(st.integers(0, 4)) == 0:  # stack on a node
+            twin = nodes[draw(st.integers(0, node.id - 1))]
+            node.x, node.y = twin.x, twin.y
+        node.energy = draw(st.sampled_from([2.0] * 4 + [0.2, 0.05, 0.0]))
+        node.status = v.classify_status(node.energy, 0, TH)
+    sc = v.Scenario(f, nodes, draw(st.sampled_from([25.0, 45.0, 70.0])))
+    # None: the greedy cover's tree nodes, at each step
+    tree = draw(st.sampled_from([None, set(range(n)), set(range(n))]) | st.sets(
+        st.integers(0, n - 1), max_size=n))
+    steps = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, n - 1), max_size=n),
+        st.sampled_from([0.5, 0.0]),
+        st.one_of(st.none(), st.tuples(st.floats(0, 100),
+                                       st.floats(0, 100)))), max_size=3))
+    return sc, tree, steps
+
+
+@given(drained_layouts(), st.sampled_from(["normalized", "raw"]),
+       st.sampled_from([2.0, 0.5]))
+def test_array_problem_equals_scalar_reference(case, mode, e_init):
+    """Candidates, fitness bits, levels, next hops, failure lists and the
+    raw-mode error (which wins over an unreachable node) all match the
+    pair-by-pair build, after drains, deaths and sink moves; so do the
+    draw rows and best parents the round loop reads from the arrays."""
+    sc, tree, steps = case
+    params = v.FitnessParams(mode=mode)
+    g = v.build_reachability(sc)
+    for touched, factor, sink in [([], 1.0, None)] + steps:
+        for i in touched:
+            node = sc.nodes[i]
+            node.energy *= factor
+            if factor == 0.0:
+                node.status = v.NodeStatus.FAILED
+        if sink is not None:
+            sc.field.sink_x, sc.field.sink_y = sink
+            g.move_sink(sink)
+        if tree is None:
+            try:
+                chosen, _ = v.build_min_cover(sc, TH, graph=g)
+            except v.ConstructionFailed:
+                chosen = set()
+        else:
+            chosen = tree
+        got = problem_outcome(v.build_forwarding_problem, sc, chosen, TH,
+                              params, e_init, g)
+        want = problem_outcome(reference_forwarding_problem, sc, chosen, TH,
+                               params, e_init, g)
+        assert got == want
+        if got[0] == "built":
+            check_candidate_arrays(v.build_forwarding_problem(
+                sc, chosen, TH, params, e_init, graph=g), g)
+
+
+def check_candidate_arrays(p, g):
+    arrays, n = p.arrays, len(g.indptr) - 2
+    rows = arrays.rows.tolist()
+    assert rows == sorted(p.candidates)
+    ends = g.nbrs[arrays.edges]
+    assert np.where(ends == n, v.SINK, ends).tolist() == \
+        [c for i in rows for c in p.candidates[i]]
+    assert (g.edge_rows(arrays.edges) == np.repeat(
+        arrays.rows, np.diff(arrays.bounds))).all()
+    assert [f.hex() for f in arrays.fitness.tolist()] == \
+        [f.hex() for i in rows for f in p.fitness[i]]
+    best = g.nbrs[arrays.best_edges()]
+    assert np.where(best == n, v.SINK, best).tolist() == \
+        [p.best_parent(i) for i in rows]
+    try:
+        probs = [p.probabilities(i) for i in rows]
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            arrays.draws()
+        return
+    flat, cuts = arrays.draws()
+    assert flat.tolist() == [q for row in probs for q in row]
+    assert cuts.tolist() == [c for row in probs
+                             for c in list(itertools.accumulate(row))[:-1]]
+
+
+def test_array_problem_with_no_live_node():
+    sc = scenario_from([(100, 110), (100, 120)], range_m=12,
+                       energies=[0.0, 0.0])
+    for node in sc.nodes:
+        node.status = v.NodeStatus.FAILED
+    p = v.build_forwarding_problem(sc, {0}, TH, v.FitnessParams())
+    assert p == reference_forwarding_problem(sc, {0}, TH, v.FitnessParams())
+    assert p.candidates == {} and p.levels == {v.SINK: 0}
+    flat, cuts = p.arrays.draws()
+    assert flat.size == cuts.size == p.arrays.best_edges().size == 0
+
+
+@pytest.mark.parametrize("mode, error", [
+    ("raw", ValueError), ("normalized", v.ConstructionFailed)])
+def test_raw_zero_distance_error_precedes_unreachable(mode, error):
+    # node 2 sits on tree node 1; node 3 is out of everyone's range
+    sc = scenario_from([(100, 110), (100, 121), (100, 121), (10, 10)],
+                       range_m=12)
+    params = v.FitnessParams(mode=mode)
+    for build in (v.build_forwarding_problem, reference_forwarding_problem):
+        with pytest.raises(error):
+            build(sc, {0, 1}, TH, params)

@@ -287,30 +287,67 @@ def test_cached_weights_equal_hop_weight_of_distance(sc):
         assert g.hop_weights(params) is g.hop_weights(params)
 
 
-def expected_tx(sc, graph, params):
-    pos = sc.positions()
-    return {u: [v.tx_cost(params, v.distance(pos[u], pos[w])) for w in nbrs]
-            for u, nbrs in graph.adjacency.items()}
+def expected_edge_arrays(sc, params):
+    """CSR rows of a fresh build, with scalar distances and tx costs."""
+    fresh = v.build_reachability(sc)
+    n, pos = len(sc.nodes), sc.positions()
+    rows = list(range(n)) + [v.SINK]
+    nbrs = [n if u == v.SINK else u for w in rows for u in fresh.adjacency[w]]
+    dist = [v.distance(pos[w], pos[u]) for w in rows
+            for u in fresh.adjacency[w]]
+    return (fresh.indptr.tolist(), nbrs, dist,
+            [v.tx_cost(params, d) for d in dist])
 
 
-@given(sink_walks(), st.booleans())
-def test_cached_tx_costs_follow_sink_moves(case, weights_first):
+def assert_edge_arrays_fresh(sc, g, params):
+    indptr, nbrs, dist, tx = expected_edge_arrays(sc, params)
+    assert g.indptr.tolist() == indptr
+    assert g.nbrs.tolist() == nbrs
+    assert g.distances().tolist() == dist
+    assert g.edge_tx(params).tolist() == tx
+
+
+@given(sink_walks(), st.sampled_from(["none", "tx", "weights"]))
+def test_cached_tx_costs_follow_sink_moves(case, cached):
+    """The CSR arrays, distances and tx costs after sink moves that add,
+    keep and drop sink edges equal a fresh build's with scalar tx_cost
+    of each distance, whether they were built before the moves or not."""
     sc, walk = case
     g = v.build_reachability(sc)
-    # both row sets cached, built in either order, are patched on a move
-    if weights_first:
+    if cached != "none":
+        g.edge_tx(RADIOS[0])
+    if cached == "weights":
         g.hop_weights(RADIOS[0])
-    g.tx_costs(RADIOS[0])
     for pos in walk:
         sc.field.sink_x, sc.field.sink_y = pos
         g.move_sink(pos)
-        rows = g.tx_costs(RADIOS[0])
-        assert rows == expected_tx(sc, g, RADIOS[0])
-        assert rows is g.tx_costs(RADIOS[0])
-        assert g.hop_weights(RADIOS[0]) == expected_weights(sc, g, RADIOS[0])
+        if cached != "none":
+            assert_edge_arrays_fresh(sc, g, RADIOS[0])
+            assert g.edge_tx(RADIOS[0]) is g.edge_tx(RADIOS[0])
+            assert g.hop_weights(RADIOS[0]) == \
+                expected_weights(sc, g, RADIOS[0])
     for params in RADIOS[::-1]:  # another radio rebuilds both
-        assert g.tx_costs(params) == expected_tx(sc, g, params)
+        assert_edge_arrays_fresh(sc, g, params)
         assert g.hop_weights(params) == expected_weights(sc, g, params)
+
+
+def test_edge_tx_is_scalar_tx_cost_of_each_distance():
+    # at this distance libm pow(d, 2) and d * d differ in the last bit,
+    # so a numpy square in the tx formula would show here
+    d = 30.034675292417745
+    b = RADIOS[0].packet_bits
+    assert v.tx_cost(RADIOS[0], d) != \
+        RADIOS[0].e_elec * b + RADIOS[0].e_amp * b * (d * d)
+    sc = layout(200, 200, (100, 100), [(0.0, 0.0), (d, 0.0), (90.0, 95.0)],
+                35.0)
+    g = v.build_reachability(sc)
+    g.edge_tx(RADIOS[0])
+    # the sink walks in next to node 2, stays, then leaves again
+    for pos in [(80.0, 80.0), (95.0, 90.0), (0.0, 20.0), (170.0, 170.0)]:
+        sc.field.sink_x, sc.field.sink_y = pos
+        g.move_sink(pos)
+        assert_edge_arrays_fresh(sc, g, RADIOS[0])
+    assert g.distances()[g.indptr[0]] == d
 
 
 def test_neighbor_ids_are_plain_ints():

@@ -1,6 +1,9 @@
 """Round-based lifetime simulation and the load-spread comparison."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -522,10 +525,11 @@ def test_weighted_bincount_is_a_left_fold_in_input_order(charges):
 @pytest.mark.parametrize("bad", [
     v.SimPolicy(th=-0.1), v.SimPolicy(th=math.nan), v.SimPolicy(t_move=-5),
     v.SimPolicy(max_step=-10.0), v.SimPolicy(grid=0),
+    v.SimPolicy(e_fail=-1.0), v.SimPolicy(e_fail=math.nan),
     v.TrafficModel(rounds_max=-3), v.TrafficModel(origin_probability=1.5),
     v.TrafficModel(origin_probability=-0.1),
-], ids=["th<0", "th=nan", "t_move<0", "max_step<0", "grid=0",
-        "rounds_max<0", "origin_p>1", "origin_p<0"])
+], ids=["th<0", "th=nan", "t_move<0", "max_step<0", "grid=0", "e_fail<0",
+        "e_fail=nan", "rounds_max<0", "origin_p>1", "origin_p<0"])
 def test_policy_and_traffic_reject_bad_values(bad):
     with pytest.raises(ValueError):
         bad.validate()
@@ -558,3 +562,33 @@ def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
                         e_init=0.05)
     assert new == ref
     assert len([e for e in new[1] if e[1] == "packet"]) > 100
+
+
+def test_balanced_run_leaves_numpy_ma_unloaded(tmp_path):
+    """np.unique and a few other numpy calls import numpy.ma on first use,
+    about 0.5 MB of code objects; the rebuilds must not need it."""
+    scen, out = str(tmp_path / "s.txt"), str(tmp_path / "out")
+    code = "\n".join([
+        "import sys",
+        "from vbtsim.cli import main",
+        f"assert main(['gen-scenario', {scen!r}, '--set', 'n_nodes=60',"
+        " '--range', '45', '--seed', '16', '--set', 'energy.e_init=0.05',"
+        " '--set', 'policy.th=0.005']) == 0",
+        f"assert main(['run', {scen!r}, '--out', {out!r}, '--events',"
+        " '--set', 'algorithm=balanced_probabilistic', '--set',"
+        " 'policy.t_move=5', '--set', 'policy.th=0.005']) == 0",
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] == ['numpy', 'ma']))",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    with open(os.path.join(out, "run_metrics.csv"), encoding="utf-8") as fh:
+        header, row = [ln for ln in fh.read().splitlines()
+                       if not ln.startswith("#")]
+    assert int(dict(zip(header.split(","),
+                        row.split(",")))["reconstructions"]) > 0

@@ -335,6 +335,21 @@ def test_cli_rejects_negative_th(tmp_path, capsys):
     assert "policy.th must be >= 0" in capsys.readouterr().err
 
 
+def test_cli_rejects_negative_e_fail(tmp_path, capsys):
+    # below zero no node could ever be classed failed
+    assert run_with_setting(tmp_path, "policy.e_fail=-1") == 1
+    assert "policy.e_fail must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("range_m", ["0", "-5"])
+def test_gen_scenario_rejects_non_positive_range(tmp_path, capsys, range_m):
+    # 0 must not fall back to the first of the config's ranges
+    scen = tmp_path / "s.txt"
+    assert main(["gen-scenario", str(scen), "--range", range_m]) == 1
+    assert not scen.exists()
+    assert "sensing range must be positive" in capsys.readouterr().err
+
+
 def test_cli_rejects_zero_e_init(tmp_path, capsys):
     assert run_with_setting(tmp_path, "energy.e_init=0") == 1
     assert "energy.e_init must be > 0" in capsys.readouterr().err
