@@ -26,6 +26,7 @@ from .model import (
     Scenario,
     build_reachability,
     distance,
+    left_sum,
 )
 
 BETA_MIN = math.pi / 36  # 5 degrees; caps the straightness reward
@@ -133,7 +134,7 @@ def selection_probabilities(values: Sequence[float]) -> list[float]:
         raise ValueError("need at least one candidate")
     if min(values) < 0:
         raise ValueError("fitness values must be nonnegative")
-    total = sum(values)
+    total = left_sum(values)
     if total <= 0:
         raise ValueError("degenerate all-zero fitness")
     return [v / total for v in values]
@@ -193,9 +194,9 @@ class CandidateArrays:
         """Each row's selection_probabilities and its cut points (the
         cumulative sums without the last), flat in edges order.
 
-        sum and accumulate are left folds, so both are column loops over
-        the rows padded with zeros: adding 0.0 changes no sum. The first
-        row selection_probabilities rejects raises its error.
+        left_sum and accumulate are left folds, so both are column loops
+        over the rows padded with zeros: adding 0.0 changes no sum. The
+        first row selection_probabilities rejects raises its error.
         """
         fit, rank, col = self._padded(0.0)
         total = np.zeros(len(fit))

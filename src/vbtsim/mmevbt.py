@@ -1,17 +1,20 @@
 """Minimal-energy virtual backbone tree.
 
 Sink-rooted shortest-path tree under per-hop radio cost, where only nodes
-at or above the relay threshold may forward for others. Maintenance is
-a full rebuild; the sink relocates by a grid rule.
+at or above the relay threshold may forward for others, built by array
+passes over the graph's CSR edges. Maintenance is a full rebuild; the
+sink relocates by a grid rule.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .energy import DEFAULT_E_FAIL, RadioParams
+import numpy as np
+
+from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost
 from .model import (
     SINK,
     ConstructionFailed,
@@ -31,29 +34,18 @@ class BackboneTree:
     consumption[i] is the total energy all participants spend moving one
     packet from node i to the sink along the parent chain. The sink is
     carried in the map with consumption 0 so hop arithmetic needs no
-    special case.
+    special case. edges holds each routed node's hop as its graph's CSR
+    edge, in parent's key order.
     """
 
     parent: dict[int, int] = dc_field(default_factory=dict)
     consumption: dict[int, float] = dc_field(default_factory=dict)
     children_count: dict[int, int] = dc_field(default_factory=dict)
+    edges: Optional[np.ndarray] = dc_field(default=None, repr=False,
+                                           compare=False)
 
     def tree_nodes(self) -> set[int]:
         return {i for i, c in self.children_count.items() if c > 0}
-
-    def route(self, node_id: int) -> list[int]:
-        """Vertex sequence from node_id to the sink, both ends included."""
-        path = [node_id]
-        while path[-1] != SINK:
-            path.append(self.parent[path[-1]])
-        return path
-
-
-def _relay_eligible(scenario: Scenario, vertex: int, th: float) -> bool:
-    if vertex == SINK:
-        return True
-    node = scenario.node(vertex)
-    return node.status is not NodeStatus.FAILED and node.energy >= th
 
 
 def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
@@ -61,54 +53,72 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
                  e_fail: float = DEFAULT_E_FAIL) -> BackboneTree:
     """Construct the minimal-energy backbone for every live node.
 
-    Dijkstra from the sink over hop costs, read from the graph's cached
-    hop_weights rows; a vertex may appear on the interior of a path only
-    when its energy is at or above th. The path's own endpoint is exempt,
-    so nodes below th still get routes, they just never relay. Equal-cost
-    parents resolve to the smaller vertex id (the sink's id is smaller
-    than every node's, so it wins ties).
+    A shortest-path tree from the sink over hop costs (the sender's tx
+    plus the receiver's rx, none at the sink); a vertex may appear on
+    the interior of a path only when its energy is at or above th. The
+    path's own endpoint is exempt, so nodes below th still get routes,
+    they just never relay. Equal-cost parents resolve to the smaller
+    vertex id (the sink's id is smaller than every node's, so it wins
+    ties).
 
-    Raises ConstructionFailed listing every live node left unreachable.
-    Node statuses in the scenario are refreshed from the resulting child
-    counts; Failed stays Failed.
+    Frontier relaxation over the graph's CSR rows: each pass adds the
+    hop costs to the distances of the relays whose distance fell in the
+    last pass and folds them into their live neighbours' with
+    np.minimum.at. Float + of a nonnegative cost is monotone, so any
+    relaxation order reaches the same minimum fold as Dijkstra's heap,
+    bit for bit. A last pass gives each node the first entry of its row
+    (sink first, then ascending ids) that may relay and whose distance
+    plus the hop's cost equals its own.
+
+    Raises ConstructionFailed listing every live node left unreachable,
+    before any status changes. Node statuses in the scenario are
+    refreshed from the resulting child counts; Failed stays Failed.
     """
     if graph is None:
         graph = build_reachability(scenario)
-    weights = graph.hop_weights(params)
-    live = set(scenario.live_ids())
+    nodes = scenario.nodes
+    n = len(nodes)
+    head = np.zeros(n + 1, dtype=bool)  # live nodes: the sink is no head
+    head[:n] = [node.status is not NodeStatus.FAILED for node in nodes]
+    relay = np.ones(n + 1, dtype=bool)  # the sink relays for everyone
+    relay[:n] = head[:n] & (np.array([node.energy for node in nodes]) >= th)
+    rx = np.full(n + 1, rx_cost(params))  # by receiver: free at the sink
+    rx[n] = 0.0
+    tx = graph.edge_tx(params)
 
-    dist: dict[int, float] = {SINK: 0.0}
-    parent: dict[int, int] = {}
-    heap: list[tuple[float, int]] = [(0.0, SINK)]
-    done: set[int] = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        if not _relay_eligible(scenario, v, th):
-            continue  # v keeps its route but expands no further
-        for u, w in zip(graph.neighbors(v), weights[v]):
-            if u == SINK or u not in live:
-                continue
-            cand = d + w
-            old = dist.get(u)
-            if old is None or cand < old:
-                dist[u] = cand
-                parent[u] = v
-                heapq.heappush(heap, (cand, u))
-            elif cand == old and v < parent[u]:
-                parent[u] = v
+    dist = np.full(n + 1, math.inf)
+    dist[n] = 0.0
+    frontier = np.array([n])
+    while frontier.size:
+        src, edges = graph.out_edges(frontier)
+        dst = graph.nbrs[edges]
+        keep = head[dst]
+        src, edges, dst = src[keep], edges[keep], dst[keep]
+        before = dist[dst]
+        # hop_weight's order: tx plus rx, then added to the distance
+        np.minimum.at(dist, dst, dist[src] + (tx[edges] + rx[src]))
+        fell = np.zeros(n + 1, dtype=bool)
+        fell[dst] = dist[dst] < before
+        frontier = np.flatnonzero(fell & relay)
 
-    unreachable = live - dist.keys()
-    if unreachable:
-        raise ConstructionFailed(unreachable)
+    routed = np.flatnonzero(head)
+    lost = np.isinf(dist[routed])
+    if lost.any():
+        raise ConstructionFailed(routed[lost].tolist())
 
-    children: dict[int, int] = {n.id: 0 for n in scenario.nodes}
-    for u, p in parent.items():
-        if p != SINK:
-            children[p] += 1
-    tree = BackboneTree(parent=parent, consumption=dist, children_count=children)
+    # each parent: the first relay of the row on a shortest path to it
+    src, edges = graph.out_edges(routed)
+    via = graph.nbrs[edges]
+    tight = relay[via] & (dist[via] + (tx[edges] + rx[via]) == dist[src])
+    src, edges = src[tight], edges[tight]
+    edges = edges[np.diff(src, prepend=-1) != 0]
+    up = graph.nbrs[edges]
+    ids = routed.tolist()
+    children = dict(enumerate(np.bincount(up, minlength=n + 1)[:n].tolist()))
+    tree = BackboneTree(
+        parent=dict(zip(ids, np.where(up == n, SINK, up).tolist())),
+        consumption={SINK: 0.0, **dict(zip(ids, dist[routed].tolist()))},
+        children_count=children, edges=edges)
     _refresh_statuses(scenario, children, th, e_fail)
     return tree
 
@@ -136,19 +146,23 @@ def relocate_sink(scenario: Scenario, grid: int = 4,
     f = scenario.field
     cell_w = f.width / grid
     cell_h = f.height / grid
-    total: dict[int, float] = {}
-    count: dict[int, int] = {}
-    for node in scenario.nodes:
-        if node.status is NodeStatus.FAILED:
-            continue
-        col = min(int(node.x / cell_w), grid - 1)
-        row = min(int(node.y / cell_h), grid - 1)
-        idx = row * grid + col
-        total[idx] = total.get(idx, 0.0) + node.energy
-        count[idx] = count.get(idx, 0) + 1
-
-    best_idx = min(total, key=lambda i: (-(total[i] / count[i]), i))
-    row, col = divmod(best_idx, grid)
+    x, y, energy = np.array(
+        [(node.x, node.y, node.energy) for node in scenario.nodes
+         if node.status is not NodeStatus.FAILED]).reshape(-1, 3).T
+    # int() truncates as astype does, and both coordinates are >= 0
+    col = np.minimum((x / cell_w).astype(np.int64), grid - 1)
+    row = np.minimum((y / cell_h).astype(np.int64), grid - 1)
+    # rank the occupied cells in row-major order, then sum each cell's
+    # energies in node order: bincount's per-bin left fold
+    order = np.lexsort((col, row))
+    row, col = row[order], col[order]
+    new = np.diff(row, prepend=-1) != 0
+    new |= np.diff(col, prepend=-1) != 0
+    cell = np.empty(len(order), dtype=np.int64)
+    cell[order] = np.cumsum(new) - 1
+    mean = np.bincount(cell, energy) / np.bincount(cell)
+    best = int(np.argmax(mean))  # the first best: ties to the smaller index
+    row, col = int(row[new][best]), int(col[new][best])
     target = ((col + 0.5) * cell_w, (row + 0.5) * cell_h)
 
     cur = f.sink_pos

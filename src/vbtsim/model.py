@@ -1,17 +1,15 @@
 """Domain types, field geometry, seeded deployment and unit-disk reachability.
 
-The reachability graph keeps its edges both as per-vertex lists and as
-CSR arrays, carries each edge's distance and transmit cost as flat
-arrays built on first use, and moves its sink vertex in place.
+The reachability graph keeps its edges as CSR arrays only, carries each
+edge's distance and transmit cost as flat arrays built on first use, and
+moves its sink vertex in place.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from functools import partial
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -129,49 +127,60 @@ class Scenario:
         return [n.id for n in self.nodes if n.status is not NodeStatus.FAILED]
 
 
-@dataclass
+@dataclass(eq=False)
 class ReachabilityGraph:
     """Unit-disk adjacency: edge iff euclidean distance <= range (inclusive).
 
     points holds the coordinates the graph was built from, one row per
     node id and the sink last, so row SINK (-1) is the sink. The edges
-    are kept twice: adjacency maps each vertex to its sorted neighbour
-    ids, and the CSR arrays list the same rows flat, with the sink as
-    row and id n (the node count): row v is nbrs[indptr[v]:indptr[v + 1]]
-    in adjacency[v]'s order. Per-edge arrays aligned with nbrs (the
-    distances, and the tx costs for one radio) and the hop_weights rows
-    are built on first use and kept; a sink move patches only the
-    entries that involve the sink.
+    are CSR arrays with the sink as row and id n (the node count): row v
+    is nbrs[indptr[v]:indptr[v + 1]], its neighbour ids ascending after
+    the sink, which sorts first. Per-edge arrays aligned with nbrs (the
+    distances, and the tx costs for one radio) are built on first use
+    and kept; a sink move patches only the entries that involve the sink.
     """
 
-    adjacency: dict[int, list[int]]
     range: float
-    points: np.ndarray = dc_field(repr=False, compare=False)
-    indptr: np.ndarray = dc_field(repr=False, compare=False)
-    nbrs: np.ndarray = dc_field(repr=False, compare=False)
+    points: np.ndarray = dc_field(repr=False)
+    indptr: np.ndarray = dc_field(repr=False)
+    nbrs: np.ndarray = dc_field(repr=False)
     # None until first use, so a graph that never routes (the sweeps')
     # allocates nothing more
     _dist: Optional[np.ndarray] = dc_field(default=None, init=False,
-                                           repr=False, compare=False)
+                                           repr=False)
     _radio: Optional[RadioParams] = dc_field(default=None, init=False,
-                                             repr=False, compare=False)
+                                             repr=False)
     _tx: Optional[np.ndarray] = dc_field(default=None, init=False,
-                                         repr=False, compare=False)
-    _weight_rows: Optional[dict[int, list[float]]] = dc_field(
-        default=None, init=False, repr=False, compare=False)
+                                         repr=False)
 
     def neighbors(self, vertex: int) -> list[int]:
-        return self.adjacency[vertex]
+        """vertex's CSR row as plain ids, the sink (n) shown as SINK."""
+        n = len(self.indptr) - 2
+        row = n if vertex == SINK else vertex
+        ids = self.nbrs[self.indptr[row]:self.indptr[row + 1]].tolist()
+        if ids and ids[0] == n:
+            ids[0] = SINK
+        return ids
 
     def edge_rows(self, edges: np.ndarray) -> np.ndarray:
         """The row (sending vertex, the sink as n) of each given edge."""
         return np.searchsorted(self.indptr, edges, side="right") - 1
 
+    def out_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of the given rows, row after row, and each one's row."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        ends = np.cumsum(counts)
+        edges = (np.arange(ends[-1] if len(ends) else 0)
+                 + np.repeat(starts - ends + counts, counts))
+        return np.repeat(rows, counts), edges
+
     def distances(self) -> np.ndarray:
         """Per edge, the distance from its row vertex to nbrs[k].
 
         Scalar math.hypot, as distance() computes it: np.hypot differs
-        from it in the last bit for some inputs.
+        from it in the last bit for some inputs. hypot drops the signs,
+        so the distance is symmetric to the bit.
         """
         if self._dist is None:
             xs, ys = self.points.T
@@ -181,36 +190,12 @@ class ReachabilityGraph:
         return self._dist
 
     def edge_tx(self, params: RadioParams) -> np.ndarray:
-        """Per edge, the tx_cost of the hop from its row vertex to nbrs[k].
-
-        Scalar tx_cost of each distance: its distance**2 is libm pow,
-        which is not always the d*d a numpy square computes.
-        """
+        """Per edge, the tx_cost of the hop from its row vertex to nbrs[k]."""
         if params != self._radio:
-            self._radio, self._tx, self._weight_rows = params, None, None
+            self._radio, self._tx = params, None
         if self._tx is None:
-            self._tx = _per_edge(partial(tx_cost, params), self.distances())
+            self._tx = _tx_costs(params, self.distances())
         return self._tx
-
-    def hop_weights(self, params: RadioParams) -> dict[int, list[float]]:
-        """Per-vertex rows aligned with adjacency: weights[v][k] is the
-        hop_weight of the hop from adjacency[v][k] into v.
-
-        distance is symmetric to the bit (hypot drops the signs), so
-        this is the edge_tx entry plus v's receive cost, which is how
-        hop_weight adds them; the sink receives for free.
-        """
-        tx = self.edge_tx(params)
-        if self._weight_rows is None:
-            bounds = self.indptr.tolist()
-            weights = tx + rx_cost(params)
-            weights[bounds[-2]:] = tx[bounds[-2]:]
-            values = weights.tolist()
-            rows = {v: values[bounds[v]:bounds[v + 1]]
-                    for v in range(len(bounds) - 2)}
-            rows[SINK] = values[bounds[-2]:]
-            self._weight_rows = rows
-        return self._weight_rows
 
     def move_sink(self, sink_pos: tuple[float, float]) -> None:
         """Put the sink at sink_pos, as build_reachability would have.
@@ -218,8 +203,7 @@ class ReachabilityGraph:
         The sink's row is recomputed with the build's exact inclusive
         test, and every node row the sink enters, stays in or leaves has
         its head (the sink sorts first) inserted, recomputed or dropped,
-        in the adjacency, the CSR arrays and the cost arrays and rows
-        built so far.
+        in the CSR arrays and the cost arrays built so far.
         """
         pts = self.points
         pts[-1] = sink_pos
@@ -227,14 +211,6 @@ class ReachabilityGraph:
         # (a - b) ** 2 == (b - a) ** 2 exactly: the build's test either way
         d2 = (pts[:-1, 0] - pts[-1, 0]) ** 2 + (pts[:-1, 1] - pts[-1, 1]) ** 2
         row = np.flatnonzero(d2 <= self.range**2)
-        ids = row.tolist()
-        left = set(self.adjacency[SINK]).difference(ids)
-        entered = set(ids).difference(self.adjacency[SINK])
-        self.adjacency[SINK] = ids
-        for u in left:
-            del self.adjacency[u][0]
-        for u in entered:
-            self.adjacency[u].insert(0, SINK)
 
         # node rows keep their node entries in order; a row the sink is
         # in gets the sink as its head, and the sink row is replaced
@@ -266,22 +242,21 @@ class ReachabilityGraph:
         dist = np.array(list(map(math.hypot, (sx - pts[row, 0]).tolist(),
                                  (sy - pts[row, 1]).tolist())), dtype=float)
         self._dist = patch(self._dist, dist, dist)
-        if self._tx is None:
-            return
-        tx = [tx_cost(self._radio, d) for d in dist.tolist()]
-        self._tx = patch(self._tx, tx, tx)
-        rows = self._weight_rows
-        if rows is None:
-            return
-        rows[SINK] = tx
-        for u in left:
-            del rows[u][0]
-        rx = rx_cost(self._radio)
-        for u, t in zip(ids, tx):
-            if u in entered:
-                rows[u].insert(0, t + rx)
-            else:
-                rows[u][0] = t + rx
+        if self._tx is not None:
+            tx = _tx_costs(self._radio, dist)
+            self._tx = patch(self._tx, tx, tx)
+
+
+def _tx_costs(params: RadioParams, dist: np.ndarray) -> np.ndarray:
+    """tx_cost of each distance, elementwise in tx_cost's order.
+
+    The square is libm pow, as tx_cost's distance**2 computes it; a
+    numpy square is d*d, which differs from it in the last bit for some
+    distances.
+    """
+    b = params.packet_bits
+    d2 = _per_edge(math.pow, dist, np.broadcast_to(2.0, dist.shape))
+    return params.e_elec * b + params.e_amp * b * d2
 
 
 def _per_edge(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
@@ -292,6 +267,19 @@ def _per_edge(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
         out[lo:lo + _BLOCK] = list(map(
             fn, *(c[lo:lo + _BLOCK].tolist() for c in columns)))
     return out
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """values added one by one from the left, starting at 0.0.
+
+    This is what sum() of floats computed before Python 3.12; from 3.12
+    on, sum() compensates the rounding (Neumaier), which can change the
+    last bits.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -331,8 +319,7 @@ def build_reachability(scenario: Scenario) -> ReachabilityGraph:
     cells around it. The test itself is the exact inclusive
     ((p_a - p_b) ** 2).sum() <= range**2, so the graph equals the
     all-pairs one while memory is O(n*k) for mean degree k, not O(n^2).
-    Neighbour lists are sorted plain ints, the sink (SINK) first; the CSR
-    arrays hold the same rows in the same order.
+    Each CSR row lists its neighbour ids ascending, the sink (n) first.
     """
     n = len(scenario.nodes)
     pts = np.array([(nd.x, nd.y) for nd in scenario.nodes]
@@ -378,15 +365,8 @@ def build_reachability(scenario: Scenario) -> ReachabilityGraph:
     # group by point row, then sort each row's neighbour ids ascending
     # and give the sink, which sorts first, its CSR id n
     csr = ((np.sort(a * (n + 1) + (vb + 1)) - 1) % (n + 1)).astype(np.int32)
-    nbrs = csr.tolist()
     indptr = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n + 1))))
-    bounds = indptr.tolist()
-    adjacency = {row: nbrs[bounds[row]:bounds[row + 1]] for row in range(n)}
-    adjacency[SINK] = nbrs[bounds[n]:bounds[n + 1]]
-    for u in adjacency[SINK]:
-        adjacency[u][0] = SINK
-    return ReachabilityGraph(adjacency, scenario.sensing_range, pts, indptr,
-                             csr)
+    return ReachabilityGraph(scenario.sensing_range, pts, indptr, csr)
 
 
 def is_connected_to_sink(graph: ReachabilityGraph,
@@ -394,15 +374,19 @@ def is_connected_to_sink(graph: ReachabilityGraph,
     """True iff every (alive) node sits in the sink's connected component.
 
     Only alive nodes may be traversed; by default all nodes count as alive.
+    A breadth-first walk over the CSR rows, one frontier at a time.
     """
-    node_ids = [v for v in graph.adjacency if v != SINK]
-    live = set(node_ids) if alive is None else set(alive)
-    seen = {SINK}
-    queue = deque([SINK])
-    while queue:
-        v = queue.popleft()
-        for u in graph.adjacency[v]:
-            if u in live and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return live <= seen
+    n = len(graph.indptr) - 2
+    live = np.ones(n + 1, dtype=bool)
+    if alive is not None:
+        live[:n] = False
+        live[np.fromiter(alive, dtype=np.int64)] = True
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[n] = True
+    frontier = np.array([n])
+    while frontier.size:
+        near = np.zeros(n + 1, dtype=bool)
+        near[graph.nbrs[graph.out_edges(frontier)[1]]] = True
+        frontier = np.flatnonzero(near & live & ~seen)
+        seen[frontier] = True
+    return bool(seen[live].all())

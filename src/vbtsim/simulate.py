@@ -21,7 +21,8 @@ out packet by packet and hop by hop, a relay's receive cost just before
 its transmit cost: the order in which the reference loop charges them.
 Weighted np.bincount adds each node's charges one by one in that order,
 the same left fold, so every float is bit-identical; the round total
-sums the nodes in first-touch order, as a dict keyed on first spend.
+folds the nodes in first-touch order (left_sum, never sum(), which
+compensates from Python 3.12 on), as a dict keyed on first spend.
 
 balanced_probabilistic walks its packets in Python, reading its
 uniforms in order from one stream (_Uniforms): rng.random(k) yields
@@ -31,9 +32,10 @@ reserves packets times a bound on the table's longest path. A draw
 bisects the row's cut points, balanced.draw_index's rule, and spend is
 a list indexed by node id plus the ids in first-touch order.
 
-A rebuild reads the build's candidate edges as arrays (CandidateArrays):
-parents, tx costs and the draw rows' cut points come from array passes
-over them and the graph's per-edge costs, with no per-build dicts.
+A cover rebuild reads the build's candidate edges as arrays
+(CandidateArrays), an mmevbt rebuild each routed node's CSR edge
+(BackboneTree.edges): parents, tx costs and the draw rows' cut points
+come from array passes over them and the graph's per-edge costs.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .model import (
     Scenario,
     build_reachability,
     classify_status,
+    left_sum,
 )
 
 ALGORITHMS = ("mmevbt", "min_cover_best_parent", "balanced_probabilistic")
@@ -199,12 +202,7 @@ class _Router:
         if self.algorithm == "mmevbt":
             tree = build_mmevbt(scenario, self.radio, th, graph=graph,
                                 e_fail=e_fail)
-            # a routed node's hop is the edge of its row to its parent
-            first = graph.indptr.tolist()
-            adjacency = graph.adjacency
-            edges = [first[i] + adjacency[i].index(p)
-                     for i, p in tree.parent.items()]
-            self._fill_parents(list(tree.parent), edges, graph, n)
+            self._fill_parents(list(tree.parent), tree.edges, graph, n)
             self.serving = tree.children_count
             return
         tree_set, _ = build_min_cover(scenario, th, graph=graph)
@@ -301,7 +299,7 @@ def _fixed_spend(walk: np.ndarray, tx: np.ndarray, rx: float,
     first = np.full(n + 1, senders.size)  # each node's first position
     np.minimum.at(first, senders, np.arange(senders.size))
     ids = np.flatnonzero(first[:n] < senders.size)
-    total = sum(spend[ids[np.argsort(first[ids])]].tolist())
+    total = left_sum(spend[ids[np.argsort(first[ids])]].tolist())
     return ids, spend[ids], total
 
 
@@ -412,7 +410,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                 for cand, p in loads[origin]:
                     load_expected[cand] = load_expected.get(cand, 0.0) + p
             stream.pos = j
-            spent = sum([spend_list[i] for i in touched])
+            spent = left_sum([spend_list[i] for i in touched])
             touched.sort()
             ids = np.array(touched, dtype=np.int64)
             amounts = np.array([spend_list[i] for i in touched])

@@ -8,22 +8,31 @@ the round loop as it was before the per-build route table: every hop
 cost recomputed, every node reclassified and the whole eligibility
 signature compared each round, the graph rebuilt on every relocation.
 reference_forwarding_problem is the candidate and fitness build pair by
-pair over dicts, scored with the scalar fitness().
+pair over dicts, scored with the scalar fitness(). reference_mmevbt is
+the heap Dijkstra over per-vertex neighbour lists and scalar hop_weight,
+and reference_relocate_sink the per-node loop over dicts; the reference
+round loop uses both, so it shares no tree or relocation code with the
+package.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
+import heapq
 import itertools
 import math
+import operator
 from typing import Optional
 
 import numpy as np
 
 from vbtsim import (
     ALGORITHMS,
+    DEFAULT_E_FAIL,
     E_INIT,
     SINK,
+    BackboneTree,
     ConstructionFailed,
     FitnessContext,
     FitnessParams,
@@ -31,12 +40,11 @@ from vbtsim import (
     LifetimeMetrics,
     NodeStatus,
     build_min_cover,
-    build_mmevbt,
     build_reachability,
     classify_status,
     distance,
     fitness,
-    relocate_sink,
+    hop_weight,
     rx_cost,
     tx_cost,
 )
@@ -64,6 +72,96 @@ def dense_reachability(scenario):
 
     return {vid(row): sorted(vid(int(c)) for c in np.nonzero(within[row])[0])
             for row in range(n + 1)}
+
+
+def adjacency(graph):
+    """{vertex: graph.neighbors(vertex)}, nodes ascending, then SINK."""
+    n = len(graph.indptr) - 2
+    return {u: graph.neighbors(u) for u in [*range(n), SINK]}
+
+
+def reference_mmevbt(scenario, params, th, graph=None,
+                     e_fail=DEFAULT_E_FAIL):
+    """build_mmevbt as a heap Dijkstra from the sink.
+
+    Relaxes over graph.neighbors with scalar hop_weight per edge; only
+    the sink and live nodes holding th expand. Equal-cost parents go to
+    the smaller id (SINK is smallest). Raises ConstructionFailed before
+    touching any status, then refreshes statuses as build_mmevbt does.
+    """
+    if graph is None:
+        graph = build_reachability(scenario)
+    pos = scenario.positions()
+    live = set(scenario.live_ids())
+
+    def relays(u):
+        if u == SINK:
+            return True
+        node = scenario.node(u)
+        return node.status is not NodeStatus.FAILED and node.energy >= th
+
+    dist = {SINK: 0.0}
+    parent = {}
+    heap = [(0.0, SINK)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if not relays(u):
+            continue  # u keeps its route but expands no further
+        for w in graph.neighbors(u):
+            if w == SINK or w not in live:
+                continue
+            cand = d + hop_weight(params, distance(pos[w], pos[u]), u)
+            old = dist.get(w)
+            if old is None or cand < old:
+                dist[w] = cand
+                parent[w] = u
+                heapq.heappush(heap, (cand, w))
+            elif cand == old and u < parent[w]:
+                parent[w] = u
+
+    unreachable = live - dist.keys()
+    if unreachable:
+        raise ConstructionFailed(unreachable)
+    children = {n.id: 0 for n in scenario.nodes}
+    for p in parent.values():
+        if p != SINK:
+            children[p] += 1
+    _refresh_statuses(scenario, children, th, e_fail)
+    return BackboneTree(parent=parent, consumption=dist,
+                        children_count=children)
+
+
+def reference_relocate_sink(scenario, grid=4, max_step=None):
+    """relocate_sink as a per-node loop summing energies into dicts."""
+    f = scenario.field
+    cell_w = f.width / grid
+    cell_h = f.height / grid
+    total = {}
+    count = {}
+    for node in scenario.nodes:
+        if node.status is NodeStatus.FAILED:
+            continue
+        col = min(int(node.x / cell_w), grid - 1)
+        row = min(int(node.y / cell_h), grid - 1)
+        idx = row * grid + col
+        total[idx] = total.get(idx, 0.0) + node.energy
+        count[idx] = count.get(idx, 0) + 1
+
+    best_idx = min(total, key=lambda i: (-(total[i] / count[i]), i))
+    row, col = divmod(best_idx, grid)
+    target = ((col + 0.5) * cell_w, (row + 0.5) * cell_h)
+
+    cur = f.sink_pos
+    step = distance(cur, target)
+    if max_step is None or step <= max_step:
+        return target
+    frac = max_step / step
+    return (cur[0] + (target[0] - cur[0]) * frac,
+            cur[1] + (target[1] - cur[1]) * frac)
 
 
 def bellman_ford_consumption(scenario, params, th):
@@ -247,8 +345,8 @@ class _ReferenceRouter:
     def rebuild(self, scenario, graph):
         """Reconstruct the backbone; raises ConstructionFailed."""
         if self.algorithm == "mmevbt":
-            tree = build_mmevbt(scenario, self.radio, self.policy.th,
-                                graph=graph, e_fail=self.policy.e_fail)
+            tree = reference_mmevbt(scenario, self.radio, self.policy.th,
+                                    graph=graph, e_fail=self.policy.e_fail)
             self.next_map = tree.parent
             self.problem = None
             self.probs = {}
@@ -364,7 +462,9 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
                     metrics.tree_load_expected[cand] = \
                         metrics.tree_load_expected.get(cand, 0.0) + p
 
-        metrics.total_energy_consumed += sum(spend.values())
+        # a left fold, as sum() of floats was before Python 3.12
+        metrics.total_energy_consumed += functools.reduce(
+            operator.add, spend.values(), 0.0)
         for node_id in sorted(spend):
             node = sc.node(node_id)
             node.energy = max(0.0, node.energy - spend[node_id])
@@ -403,7 +503,8 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
             log(round_no, "rebuild", detail="eligibility")
 
         if policy.t_move and round_no % policy.t_move == 0:
-            target = relocate_sink(sc, policy.grid, policy.max_step)
+            target = reference_relocate_sink(sc, policy.grid,
+                                             policy.max_step)
             if target != sc.field.sink_pos:
                 saved = (sc.field.sink_x, sc.field.sink_y)
                 sc.field.sink_x, sc.field.sink_y = target

@@ -2,10 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import vbtsim as v
-from oracles import bellman_ford_consumption
+from oracles import (
+    bellman_ford_consumption,
+    reference_mmevbt,
+    reference_relocate_sink,
+)
 
 RADIO = v.RadioParams()
 TH = v.DEFAULT_TH
@@ -30,8 +36,11 @@ def assert_tree_invariants(tree, scenario, params=RADIO, th=TH):
         if par != v.SINK:
             assert scenario.node(par).energy >= th
             assert scenario.node(par).status is v.NodeStatus.TREE
-        # parent chain terminates at the sink
-        assert tree.route(i)[-1] == v.SINK
+        # parent chain terminates at the sink without a cycle
+        chain = [i]
+        while chain[-1] != v.SINK:
+            chain.append(tree.parent[chain[-1]])
+            assert len(chain) <= len(scenario.nodes) + 1
     for n in scenario.nodes:
         if n.status is v.NodeStatus.FAILED:
             continue
@@ -48,7 +57,6 @@ def test_single_node_routes_directly():
     assert tree.parent[0] == v.SINK
     assert tree.consumption[0] == pytest.approx(2.4576e-4, rel=1e-12)
     assert tree.consumption[v.SINK] == 0.0
-    assert tree.route(0) == [0, v.SINK]
 
 
 def test_direct_beats_relay_at_square_path_loss():
@@ -156,6 +164,84 @@ def test_failed_nodes_are_ignored_entirely():
     assert 1 not in tree.parent
 
 
+EXACT_RADIO = v.RadioParams(e_elec=2.0 ** -20, e_amp=2.0 ** -30,
+                            packet_bits=1024)
+
+
+@st.composite
+def spt_cases(draw):
+    """A layout after random drains and deaths, with th above and below
+    the energies, a few sink moves and nodes stacked on one spot. On a
+    10 m lattice the power-of-two radio makes exact cost ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = draw(st.booleans())
+
+    def spots(k):
+        if lattice:
+            return (10.0 * rng.integers(0, 11, (k, 2))).tolist()
+        return rng.uniform(0.0, 100.0, (k, 2)).tolist()
+
+    pts = spots(draw(st.integers(1, 80)))
+    pts += [pts[i] for i in rng.integers(0, len(pts), draw(st.integers(0, 6)))]
+    th = draw(st.sampled_from([0.0, 0.05, v.DEFAULT_TH, 1.0, 3.0]))
+    e_fail = v.DEFAULT_E_FAIL
+    energy = rng.uniform(0.0, v.E_INIT, len(pts))
+    drained = rng.random(len(pts)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    energy[drained] = rng.choice([0.0, e_fail, th, v.E_INIT], drained.sum())
+    nodes = [v.Node(i, x, y, e, v.classify_status(e, 0, th, e_fail))
+             for i, ((x, y), e) in enumerate(zip(pts, energy.tolist()))]
+    field = v.Field(100.0, 100.0, *spots(1)[0])
+    range_m = draw(st.sampled_from([15.0, 22.5, 35.0, 60.0, 150.0]))
+    moves = [tuple(p) for p in spots(draw(st.integers(0, 3)))]
+    radio = EXACT_RADIO if lattice else RADIO
+    return v.Scenario(field, nodes, range_m, 0), moves, radio, th, e_fail
+
+
+def float_bits(values):
+    return {k: float.hex(x) for k, x in values.items()}
+
+
+@settings(max_examples=300)
+@given(spt_cases())
+@example((v.Scenario(v.Field(200, 200, 100, 100),
+                     [v.Node(i, x, y, v.E_INIT) for i, (x, y)
+                      in enumerate([(110, 100), (100, 120), (110, 120)])],
+                     21.0, 0), [], EXACT_RADIO, TH, v.DEFAULT_E_FAIL))
+def test_array_spt_equals_heap_dijkstra(case):
+    """The frontier relaxation and its tie pass give the heap Dijkstra's
+    tree to the bit: consumption, parents, child counts, statuses and
+    the unreachable ids, on a graph whose sink moved in place."""
+    sc, moves, radio, th, e_fail = case
+    ours, ref = sc.copy(), sc.copy()
+    graph = v.build_reachability(ours)
+    for pos in moves:
+        ours.field.sink_x, ours.field.sink_y = pos
+        ref.field.sink_x, ref.field.sink_y = pos
+        graph.move_sink(pos)
+
+    def attempt(build, scenario, g):
+        try:
+            return build(scenario, radio, th, graph=g, e_fail=e_fail)
+        except v.ConstructionFailed as err:
+            return err.unreachable
+
+    tree = attempt(v.build_mmevbt, ours, graph)
+    expect = attempt(reference_mmevbt, ref, v.build_reachability(ref))
+    assert [n.status for n in ours.nodes] == [n.status for n in ref.nodes]
+    if isinstance(expect, list):
+        assert tree == expect
+        assert [n.status for n in ours.nodes] == [n.status for n in sc.nodes]
+        return
+    assert tree.parent == expect.parent
+    assert float_bits(tree.consumption) == float_bits(expect.consumption)
+    assert tree.children_count == expect.children_count
+    # each routed node's CSR edge runs from its row to its parent
+    n = len(sc.nodes)
+    assert graph.edge_rows(tree.edges).tolist() == list(tree.parent)
+    assert graph.nbrs[tree.edges].tolist() == \
+        [n if p == v.SINK else p for p in tree.parent.values()]
+
+
 # ---------------------------------------------------------------- maintenance
 
 def test_maintain_without_changes_reproduces_tree():
@@ -261,3 +347,68 @@ def test_relocation_picks_maximal_mean_cell_on_random_instances():
         chosen = (min(int(ty / 50.0), 3), min(int(tx / 50.0), 3))
         assert means[chosen] == max(means.values())
         assert tx == 50.0 * chosen[1] + 25.0 and ty == 50.0 * chosen[0] + 25.0
+
+
+@st.composite
+def relocation_cases(draw):
+    """Layouts with failed nodes, shared cells, border coordinates and
+    grids from 1 to 10**6 cells a side."""
+    width = draw(st.sampled_from([1.0, 100.0, 250.0]))
+    height = draw(st.sampled_from([1.0, 80.0, 200.0]))
+    coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
+    energy = st.one_of(st.floats(0.0, v.E_INIT),
+                       st.sampled_from([0.0, 0.5, 1.0]))
+    nodes = []
+    for i in range(draw(st.integers(1, 30))):
+        fx, fy, e = draw(coord), draw(coord), draw(energy)
+        status = draw(st.sampled_from(list(v.NodeStatus)))
+        nodes.append(v.Node(i, fx * width, fy * height, e, status))
+    if all(nd.status is v.NodeStatus.FAILED for nd in nodes):
+        nodes[0].status = v.NodeStatus.PERMANENT_NON_TREE
+    field = v.Field(width, height, draw(coord) * width, draw(coord) * height)
+    grid = draw(st.sampled_from([1, 2, 3, 4, 7, 10**6]))
+    max_step = draw(st.sampled_from([None, 0.0, 5.0, 1e9]))
+    return v.Scenario(field, nodes, 10.0, 0), grid, max_step
+
+
+@given(relocation_cases())
+def test_relocation_equals_reference_loop(case):
+    sc, grid, max_step = case
+    assert v.relocate_sink(sc, grid, max_step) == \
+        reference_relocate_sink(sc, grid, max_step)
+
+
+def test_relocation_exact_tie_goes_to_smaller_cell_index():
+    # cell 2 (row 1, col 0) comes first in node order; cell 1 (row 0,
+    # col 1) averages 0.5 and 1.5 to exactly the same 1.0
+    field = v.Field(100, 100, 50, 50)
+    nodes = [v.Node(0, 20, 80, 1.0), v.Node(1, 80, 20, 0.5),
+             v.Node(2, 70, 30, 1.5), v.Node(3, 20, 20, 0.25)]
+    sc = v.Scenario(field, nodes, 10.0, 0)
+    assert v.relocate_sink(sc, grid=2) == (75.0, 25.0)
+    assert reference_relocate_sink(sc, grid=2) == (75.0, 25.0)
+
+
+def test_relocation_with_a_million_cells_a_side():
+    field = v.Field(200, 200, 100, 100)
+    nodes = v.deploy_uniform(field, 300, seed=5)
+    rng = np.random.default_rng(5)
+    for nd in nodes:
+        nd.energy = float(rng.uniform(0.0, v.E_INIT))
+    nodes[7].x, nodes[7].y = nodes[3].x, nodes[3].y  # one shared cell
+    sc = v.Scenario(field, nodes, 10.0, 0)
+    assert v.relocate_sink(sc, grid=10**6) == \
+        reference_relocate_sink(sc, grid=10**6)
+
+
+def test_relocation_sums_each_cell_as_a_left_fold():
+    # cell 1 holds 1.0 then fifteen 2**-53: added from the left each one
+    # rounds away, so its mean is exactly 1/16 and ties cell 0's single
+    # node; a pairwise or compensated sum would keep them and win cell 1
+    field = v.Field(100, 100, 50, 50)
+    energies = [1.0] + [2.0 ** -53] * 15
+    nodes = [v.Node(i, 80, 20, e) for i, e in enumerate(energies)]
+    nodes.append(v.Node(len(nodes), 20, 20, 1.0 / 16))
+    sc = v.Scenario(field, nodes, 10.0, 0)
+    assert v.relocate_sink(sc, grid=2) == (25.0, 25.0)
+    assert reference_relocate_sink(sc, grid=2) == (25.0, 25.0)

@@ -564,9 +564,9 @@ def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
     assert len([e for e in new[1] if e[1] == "packet"]) > 100
 
 
-def test_balanced_run_leaves_numpy_ma_unloaded(tmp_path):
-    """np.unique and a few other numpy calls import numpy.ma on first use,
-    about 0.5 MB of code objects; the rebuilds must not need it."""
+def assert_run_leaves_numpy_ma_unloaded(tmp_path, algorithm):
+    """A CLI run with relocation every 5 rounds, in a fresh interpreter,
+    rebuilds its backbone and never imports numpy.ma."""
     scen, out = str(tmp_path / "s.txt"), str(tmp_path / "out")
     code = "\n".join([
         "import sys",
@@ -575,7 +575,7 @@ def test_balanced_run_leaves_numpy_ma_unloaded(tmp_path):
         " '--range', '45', '--seed', '16', '--set', 'energy.e_init=0.05',"
         " '--set', 'policy.th=0.005']) == 0",
         f"assert main(['run', {scen!r}, '--out', {out!r}, '--events',"
-        " '--set', 'algorithm=balanced_probabilistic', '--set',"
+        f" '--set', 'algorithm={algorithm}', '--set',"
         " 'policy.t_move=5', '--set', 'policy.th=0.005']) == 0",
         "print(sorted(m for m in sys.modules"
         " if m.split('.')[:2] == ['numpy', 'ma']))",
@@ -592,3 +592,18 @@ def test_balanced_run_leaves_numpy_ma_unloaded(tmp_path):
                        if not ln.startswith("#")]
     assert int(dict(zip(header.split(","),
                         row.split(",")))["reconstructions"]) > 0
+    with open(os.path.join(out, "run_events.csv"), encoding="utf-8") as fh:
+        relocated = [ln for ln in fh if ",relocate," in ln
+                     and "reverted" not in ln]
+    assert relocated
+
+
+def test_balanced_run_leaves_numpy_ma_unloaded(tmp_path):
+    """np.unique and a few other numpy calls import numpy.ma on first use,
+    about 0.5 MB of code objects; the rebuilds must not need it."""
+    assert_run_leaves_numpy_ma_unloaded(tmp_path, "balanced_probabilistic")
+
+
+def test_mmevbt_run_leaves_numpy_ma_unloaded(tmp_path):
+    """Nor may the shortest-path tree, the sink moves or the relocation."""
+    assert_run_leaves_numpy_ma_unloaded(tmp_path, "mmevbt")
