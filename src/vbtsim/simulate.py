@@ -100,8 +100,8 @@ class SimPolicy:
             raise ValueError("policy.th must be >= 0")
         if not self.e_fail >= 0:
             raise ValueError("policy.e_fail must be >= 0")
-        if self.grid < 1:
-            raise ValueError("policy.grid must be >= 1")
+        if not 1 <= self.grid <= 2**62:  # cell indices are int64
+            raise ValueError("policy.grid must be in [1, 2**62]")
         if self.t_move is not None and self.t_move < 0:
             raise ValueError("policy.t_move must be >= 0 (0 or none = off)")
         if self.max_step is not None and self.max_step < 0:

@@ -352,7 +352,7 @@ def test_relocation_picks_maximal_mean_cell_on_random_instances():
 @st.composite
 def relocation_cases(draw):
     """Layouts with failed nodes, shared cells, border coordinates and
-    grids from 1 to 10**6 cells a side."""
+    grids from 1 to 2**62 cells a side."""
     width = draw(st.sampled_from([1.0, 100.0, 250.0]))
     height = draw(st.sampled_from([1.0, 80.0, 200.0]))
     coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
@@ -366,7 +366,7 @@ def relocation_cases(draw):
     if all(nd.status is v.NodeStatus.FAILED for nd in nodes):
         nodes[0].status = v.NodeStatus.PERMANENT_NON_TREE
     field = v.Field(width, height, draw(coord) * width, draw(coord) * height)
-    grid = draw(st.sampled_from([1, 2, 3, 4, 7, 10**6]))
+    grid = draw(st.sampled_from([1, 2, 3, 4, 7, 10**6, 2**62]))
     max_step = draw(st.sampled_from([None, 0.0, 5.0, 1e9]))
     return v.Scenario(field, nodes, 10.0, 0), grid, max_step
 

@@ -525,11 +525,12 @@ def test_weighted_bincount_is_a_left_fold_in_input_order(charges):
 @pytest.mark.parametrize("bad", [
     v.SimPolicy(th=-0.1), v.SimPolicy(th=math.nan), v.SimPolicy(t_move=-5),
     v.SimPolicy(max_step=-10.0), v.SimPolicy(grid=0),
+    v.SimPolicy(grid=2**62 + 1),
     v.SimPolicy(e_fail=-1.0), v.SimPolicy(e_fail=math.nan),
     v.TrafficModel(rounds_max=-3), v.TrafficModel(origin_probability=1.5),
     v.TrafficModel(origin_probability=-0.1),
-], ids=["th<0", "th=nan", "t_move<0", "max_step<0", "grid=0", "e_fail<0",
-        "e_fail=nan", "rounds_max<0", "origin_p>1", "origin_p<0"])
+], ids=["th<0", "th=nan", "t_move<0", "max_step<0", "grid=0", "grid>2**62",
+        "e_fail<0", "e_fail=nan", "rounds_max<0", "origin_p>1", "origin_p<0"])
 def test_policy_and_traffic_reject_bad_values(bad):
     with pytest.raises(ValueError):
         bad.validate()
