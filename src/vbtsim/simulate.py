@@ -30,7 +30,10 @@ exactly the values of k scalar rng.random() calls, so the origin draws
 are a slice of it and each hop reads the next value; each round first
 reserves packets times a bound on the table's longest path. A draw
 bisects the row's cut points, balanced.draw_index's rule, and spend is
-a list indexed by node id plus the ids in first-touch order.
+a list indexed by node id plus the ids in first-touch order. The round
+then folds its origins' expected loads, flat arrays of the build, into
+the run's totals with one weighted np.bincount led by those totals: per
+tree node 0 + total + p1 + ..., the left fold of a per-packet loop.
 
 A cover rebuild reads the build's candidate edges as arrays
 (CandidateArrays), an mmevbt rebuild each routed node's CSR edge
@@ -90,6 +93,8 @@ class TrafficModel:
 @dataclass(frozen=True)
 class SimPolicy:
     th: float = DEFAULT_TH
+    # e_fail above th is accepted: classify_status tests th first, so such
+    # a node relays while it holds th and fails once it drops below it
     e_fail: float = DEFAULT_E_FAIL
     t_move: Optional[int] = 50  # sink relocation cadence in rounds; None = off
     grid: int = 4
@@ -169,11 +174,12 @@ class _Router:
     balanced_probabilistic, hops[i] is (candidates, tx cost of the hop
     to each, cut points) for every live node and None for a failed one,
     the cut points being the cumulative selection sums without the last
-    (the draw for a uniform r is bisect_right(cuts, r)); loads[i] holds
-    the (tree node, probability) pairs one packet from i adds to the
-    expected load; max_draws bounds the longest path to the sink. serving
-    counts how many nodes each tree node forwards for; with its energy
-    it fixes every status until the next build.
+    (the draw for a uniform r is bisect_right(cuts, r)); one packet from
+    i adds load_p[k] to the expected load of tree node load_cand[k] for
+    load_bounds[i] <= k < load_bounds[i + 1]; max_draws bounds the
+    longest path to the sink. serving counts how many nodes each tree
+    node forwards for; with its energy it fixes every status until the
+    next build.
     """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
@@ -190,7 +196,8 @@ class _Router:
         self.depth: Optional[np.ndarray] = None
         self.hops: list[Optional[tuple[list[int], list[float],
                                        list[float]]]] = []
-        self.loads: list[Optional[list[tuple[int, float]]]] = []
+        self.load_bounds = np.zeros(1, dtype=np.int64)
+        self.load_cand, self.load_p = np.zeros(0, dtype=np.int64), np.zeros(0)
         self.serving: dict[int, int] = {}
         self.max_draws = 0
 
@@ -237,31 +244,40 @@ class _Router:
 
     def _fill_draw_rows(self, problem: ForwardingProblem, graph,
                         n: int) -> None:
-        """hops and loads from the problem's arrays; the candidate lists
-        are the problem's own."""
+        """hops and the load arrays from the problem's arrays; the
+        candidate lists are the problem's own."""
         rows = problem.arrays
         probs, cuts = rows.draws()
-        self.hops = self.loads = []  # the old rows go before new ones come
+        self.hops = []  # the old rows go before new ones come
+        bounds = rows.bounds.tolist()
+        hop_rows = zip(
+            problem.candidates.values(),
+            split_rows(graph.edge_tx(self.radio)[rows.edges].tolist(), bounds),
+            split_rows(cuts.tolist(),
+                       (rows.bounds - np.arange(len(bounds))).tolist()))
+        self.hops = hops = [None] * n
+        for i, hop in zip(rows.rows.tolist(), hop_rows):
+            hops[i] = hop
         # a node with the sink in range has it as its one candidate, and
         # a packet from it loads no tree node: its load row is empty
         to_node = graph.nbrs[rows.edges] != n
         load_bounds = np.concatenate(([0], np.cumsum(to_node)))[rows.bounds]
-        bounds = rows.bounds.tolist()
-        cands = list(problem.candidates.values())
-        hop_rows = zip(
-            cands,
-            split_rows(graph.edge_tx(self.radio)[rows.edges].tolist(), bounds),
-            split_rows(cuts.tolist(),
-                       (rows.bounds - np.arange(len(bounds))).tolist()))
-        load_rows = map(list, map(zip, cands, split_rows(
-            probs[to_node].tolist(), load_bounds.tolist())))
-        self.hops = hops = [None] * n
-        self.loads = loads = [None] * n
-        for i, hop, load in zip(rows.rows.tolist(), hop_rows, load_rows):
-            hops[i] = hop
-            loads[i] = load
+        count = np.zeros(n, dtype=np.int64)
+        count[rows.rows] = np.diff(load_bounds)
+        self.load_bounds = np.concatenate(([0], np.cumsum(count)))
+        self.load_cand = graph.nbrs[rows.edges][to_node]
+        self.load_p = probs[to_node]
         # each hop goes one level down, or onto the backbone from off it
         self.max_draws = 1 + rows.max_level
+
+    def load_rows(self, origins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tree nodes and probabilities one packet from each origin
+        adds to the expected load, origin by origin, flat."""
+        start = self.load_bounds[origins]
+        count = self.load_bounds[origins + 1] - start
+        at = np.arange(count.sum())
+        at += np.repeat(start - np.cumsum(count) + count, count)
+        return self.load_cand[at], self.load_p[at]
 
     def walk(self, origins: np.ndarray) -> np.ndarray:
         """Every origin's fixed parent chain, one row per packet.
@@ -339,13 +355,16 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     th, e_fail = policy.th, policy.e_fail
     rx = rx_cost(radio)
     metrics = LifetimeMetrics()
-    load_counts = metrics.tree_load_counts
-    load_expected = metrics.tree_load_expected
     # the run's energies; the Nodes are synced from it only before a
     # rebuild or a relocation reads them
     energy = np.array([node.energy for node in nodes], dtype=float)
-    # fixed-parent first hops per vertex over the run (the sink is n)
+    # parent picks per vertex over the run (the sink is n); balanced
+    # expected loads and the tree nodes any packet could pick
     first_hops = np.zeros(n_total + 1, dtype=np.int64)
+    expected, seen = np.zeros(n_total), np.zeros(n_total, dtype=bool)
+    # packet path names; the sink's "-1" is names[SINK]
+    names = ([str(i) for i in range(n_total)] + [str(SINK)]
+             if event_log is not None else [])
 
     def log(round_no: int, event: str, node: int = -1, detail: str = "") -> None:
         if event_log is not None:
@@ -374,16 +393,17 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
             if event_log is not None:
                 depth = router.depth[origins].tolist()
                 for row, hops in zip(walk.tolist(), depth):
-                    log(round_no, "packet", row[0],
-                        ">".join(map(str, row[:hops] + [SINK])))
+                    event_log.append((round_no, "packet", row[0], ">".join(
+                        [*map(names.__getitem__, row[:hops]), names[SINK]])))
         else:
-            hops, loads = router.hops, router.loads
+            hops = router.hops
             spend_list = [0.0] * n_total
             touched: list[int] = []  # first-touch order
+            firsts: list[int] = []  # each packet's parent pick
             stream.reserve(len(origins) * router.max_draws)
             uniforms, j = stream.values, stream.pos
             for origin in origins.tolist():
-                path = [origin] if event_log is not None else None
+                path = [names[origin]] if event_log is not None else None
                 first = None
                 u = origin
                 received = 0.0
@@ -400,16 +420,20 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                     if first is None:
                         first = u
                     if path is not None:
-                        path.append(u)
+                        path.append(names[u])
+                firsts.append(first)
                 if path is not None:
-                    log(round_no, "packet", origin, ">".join(map(str, path)))
-                # load bookkeeping counts the origin's parent pick, one
-                # per packet
-                if first != SINK:
-                    load_counts[first] = load_counts.get(first, 0) + 1
-                for cand, p in loads[origin]:
-                    load_expected[cand] = load_expected.get(cand, 0.0) + p
+                    event_log.append((round_no, "packet", origin,
+                                      ">".join(path)))
             stream.pos = j
+            # SINK (-1) indexes the sink's bin n
+            np.add.at(first_hops, firsts, 1)
+            # per tree node 0.0 + its total so far + each p as drawn
+            load_ids, load_ps = router.load_rows(origins)
+            expected = np.bincount(
+                np.concatenate((np.arange(n_total), load_ids)),
+                np.concatenate((expected, load_ps)))
+            seen[load_ids] = True
             spent = left_sum([spend_list[i] for i in touched])
             touched.sort()
             ids = np.array(touched, dtype=np.int64)
@@ -470,11 +494,16 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                     log(round_no, "relocate",
                         detail=f"{target[0]:.3f};{target[1]:.3f}")
 
-    # a fixed-parent packet adds 1.0 to its first hop's expected load, and
-    # sums of 1.0 are exact
-    for i in np.flatnonzero(first_hops[:n_total]).tolist():
-        load_counts[i] = int(first_hops[i])
-        load_expected[i] = float(first_hops[i])
+    counts = first_hops[:n_total]
+    if router.parent is not None:
+        # a fixed-parent packet adds 1.0 to its first hop's expected load,
+        # and sums of 1.0 are exact
+        expected, seen = counts.astype(float), counts > 0
+    ids = np.flatnonzero(counts)
+    metrics.tree_load_counts = dict(zip(ids.tolist(), counts[ids].tolist()))
+    ids = np.flatnonzero(seen)
+    metrics.tree_load_expected = dict(zip(ids.tolist(),
+                                          expected[ids].tolist()))
     return metrics
 
 

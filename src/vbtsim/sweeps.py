@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .config import ExperimentConfig
 from .mincover import build_min_cover
@@ -116,14 +116,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# _fmt per exact cell type; any other type falls back to _fmt itself
+_CELL = {int: str, str: str, float: repr, bool: ("0", "1").__getitem__,
+         type(None): lambda _: ""}
+
+
 def write_csv(path: str, config: ExperimentConfig, columns: list[str],
-              rows: list[list]) -> None:
+              rows: Iterable[Sequence]) -> None:
+    cell = _CELL.get
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in config.echo_lines():
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join([cell(type(v), _fmt)(v) for v in row]) + "\n"
+                      for row in rows)
 
 
 def write_sweep_outputs(out_dir: str, stem: str, config: ExperimentConfig,
@@ -190,6 +196,6 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig, out_dir: str,
     if events is not None:
         events_path = os.path.join(out_dir, f"{stem}_events.csv")
         write_csv(events_path, config, ["round", "event", "node", "detail"],
-                  [list(e) for e in events])
+                  events)
         paths.append(events_path)
     return metrics, paths

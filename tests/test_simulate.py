@@ -480,6 +480,27 @@ def test_one_hop_rounds_equal_reference(algo):
     assert metrics.tree_load_counts == {} == metrics.tree_load_expected
 
 
+def test_zero_probability_candidate_keeps_its_load_row():
+    # node 2 is exactly the sensing range from tree node 1, so with all
+    # weight on distance it picks 1 with probability 0.0; no other node
+    # forwards to 1, yet 1 still gets an expected-load row
+    coords = [(100.0, 80.0), (110.0, 100.0), (110.0, 130.0), (120.0, 120.0),
+              (140.0, 140.0), (150.0, 150.0)]
+    sc = scenario_from(coords, range_m=30.0)
+    fitness = v.FitnessParams(c1=1.0, c2=0.0, c3=0.0)
+    tree, _ = v.build_min_cover(sc, TH)
+    problem = v.build_forwarding_problem(sc, tree, TH, fitness)
+    assert problem.candidates[2] == [1, 3]
+    assert problem.probabilities(2) == [0.0, 1.0]
+    new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(1.0, 20),
+                        NO_MOVE, 3, fitness)
+    assert new == ref
+    metrics = new[0]
+    assert metrics.tree_load_expected[1] == 0.0
+    assert 1 not in metrics.tree_load_counts
+    assert metrics.tree_load_expected[3] == 40.0  # nodes 2 and 4, 20 rounds
+
+
 @pytest.mark.parametrize("algo", v.ALGORITHMS)
 @pytest.mark.parametrize("at_th", [True, False], ids=["th", "e_fail"])
 def test_energies_exactly_at_thresholds_equal_reference(algo, at_th):

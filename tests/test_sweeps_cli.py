@@ -1,8 +1,10 @@
 """Sweep harness and command-line interface."""
 
 import dataclasses
+import math
 import os
 
+import numpy as np
 import pytest
 
 import vbtsim as v
@@ -11,6 +13,7 @@ from vbtsim.config import EnergyParams
 from vbtsim.mincover import build_min_cover
 from vbtsim.mmevbt import build_mmevbt
 from vbtsim.sweeps import (
+    _fmt,
     attempt_seed,
     make_scenario,
     run_scenario,
@@ -124,6 +127,29 @@ def test_write_csv_echoes_config_and_formats_cells(tmp_path):
     assert lines[len(echo)] == "a,b,c"
     assert lines[len(echo) + 1] == "1,,2.5"
     assert lines[len(echo) + 2] == "1,0,x"
+
+
+def test_write_csv_writes_the_per_cell_fmt_join(tmp_path):
+    # every cell type a writer meets, then one row per event kind
+    rows = [
+        [3, "x", 2.5, -0.0, 1e-300, math.inf, -math.inf, math.nan, True,
+         False, None, np.float64(0.1), np.int64(7), 10**20],
+        (1, "packet", 4, "4>9>-1"),
+        (2, "death", 9, ""),
+        (2, "rebuild", -1, "eligibility"),
+        (5, "relocate", -1, "101.250;98.000"),
+        (10, "relocate", -1, "reverted"),
+        (11, "disconnect", -1, "3;17;40"),
+        (12, "disconnect", -1, ""),
+    ]
+    cfg = v.ExperimentConfig()
+    path = tmp_path / "t.csv"
+    write_csv(str(path), cfg, ["round", "event", "node", "detail"],
+              iter(rows))
+    text = "".join(line + "\n" for line in cfg.echo_lines())
+    text += "round,event,node,detail\n"
+    text += "".join(",".join(_fmt(c) for c in row) + "\n" for row in rows)
+    assert read_bytes(path) == text.encode("utf-8")
 
 
 def test_sweep_outputs_byte_identical_across_reruns(tmp_path):
@@ -339,6 +365,26 @@ def test_cli_rejects_negative_e_fail(tmp_path, capsys):
     # below zero no node could ever be classed failed
     assert run_with_setting(tmp_path, "policy.e_fail=-1") == 1
     assert "policy.e_fail must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ranges", ["-5", "0", "-5,10"])
+def test_cli_rejects_non_positive_ranges(tmp_path, capsys, ranges):
+    # a negative range made a negative attempt seed, which numpy rejected
+    # without naming the key
+    out = tmp_path / "out"
+    assert main(["sweep-fig4", "--out", str(out), "--set",
+                 f"ranges={ranges}"]) == 1
+    assert not out.exists()
+    assert "ranges must be positive" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_base_seed(tmp_path, capsys):
+    assert run_with_setting(tmp_path, "base_seed=-1") == 1
+    assert "base_seed must be >= 0" in capsys.readouterr().err
+    out = tmp_path / "out2"
+    assert main(["sweep-fig3", "--out", str(out), "--seed", "-1"]) == 1
+    assert not out.exists()
+    assert "base_seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("range_m", ["0", "-5"])
