@@ -224,7 +224,8 @@ class ForwardingProblem:
     levels holds each backbone vertex's hop distance from the sink over
     the backbone; every candidate sits strictly closer to the sink than
     its child, so forwarding always terminates. arrays holds the same
-    candidates as graph edges when build_forwarding_problem made it.
+    candidates as graph edges when build_forwarding_problem made it; it
+    makes the four dicts from them only when one is first read.
     """
 
     candidates: dict[int, list[int]] = dc_field(default_factory=dict)
@@ -233,6 +234,12 @@ class ForwardingProblem:
     next_hop: dict[int, int] = dc_field(default_factory=dict)
     arrays: Optional[CandidateArrays] = dc_field(default=None, repr=False,
                                                  compare=False)
+
+    def __getattr__(self, name: str):
+        if name not in self.__dataclass_fields__ or "_views" not in vars(self):
+            raise AttributeError(name)
+        vars(self).update(vars(self).pop("_views")())
+        return vars(self)[name]
 
     def probabilities(self, node_id: int) -> list[float]:
         return selection_probabilities(self.fitness[node_id])
@@ -316,17 +323,23 @@ def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
 
     rows = np.flatnonzero(count)
     bounds = np.concatenate(([0], np.cumsum(count[rows])))
-    keys, cut = rows.tolist(), bounds.tolist()
-    backbone = np.flatnonzero(level[:n] <= max_level)
-    return ForwardingProblem(
-        candidates=dict(zip(keys, split_rows(
-            np.where(parent == n, SINK, parent).tolist(), cut))),
-        fitness=dict(zip(keys, split_rows(total.tolist(), cut))),
-        levels={SINK: 0, **dict(zip(backbone.tolist(),
-                                    level[backbone].tolist()))},
-        next_hop=dict(zip(hop_from.tolist(),
-                          np.where(hop_to == n, SINK, hop_to).tolist())),
-        arrays=CandidateArrays(rows, bounds, cand, total, max_level))
+
+    def views() -> dict:
+        keys, cut = rows.tolist(), bounds.tolist()
+        backbone = np.flatnonzero(level[:n] <= max_level)
+        return dict(
+            candidates=dict(zip(keys, split_rows(
+                np.where(parent == n, SINK, parent).tolist(), cut))),
+            fitness=dict(zip(keys, split_rows(total.tolist(), cut))),
+            levels={SINK: 0, **dict(zip(backbone.tolist(),
+                                        level[backbone].tolist()))},
+            next_hop=dict(zip(hop_from.tolist(),
+                              np.where(hop_to == n, SINK, hop_to).tolist())))
+
+    problem = object.__new__(ForwardingProblem)  # dicts made on first read
+    vars(problem).update(_views=views, arrays=CandidateArrays(
+        rows, bounds, cand, total, max_level))
+    return problem
 
 
 def _backbone_levels(graph: ReachabilityGraph,

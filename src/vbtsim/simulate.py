@@ -15,28 +15,32 @@ reclassified, and a rebuild is due exactly when one died or fell below
 th. Energies live in one array during the run and the Nodes are synced
 from it before a rebuild or a relocation reads them.
 
-The fixed-parent algorithms (mmevbt, min_cover_best_parent) walk all of
-a round's packets at once, one numpy step per hop, and lay the charges
-out packet by packet and hop by hop, a relay's receive cost just before
-its transmit cost: the order in which the reference loop charges them.
-Weighted np.bincount adds each node's charges one by one in that order,
-the same left fold, so every float is bit-identical; the round total
-folds the nodes in first-touch order (left_sum, never sum(), which
-compensates from Python 3.12 on), as a dict keyed on first spend.
+Every algorithm charges a round through one kernel (_spend): a list of
+senders packet by packet and hop by hop, a relay's receive cost just
+before its transmit cost, the order in which the reference loop charges
+them. Weighted np.bincount adds each node's charges one by one in that
+order, the same left fold, so every float is bit-identical; the round
+total folds the nodes in first-touch order with np.cumsum, a left fold
+(never sum(), which compensates from Python 3.12 on). The fixed-parent
+algorithms (mmevbt, min_cover_best_parent) walk a round's packets at
+once, one numpy step per hop.
 
 balanced_probabilistic walks its packets in Python, reading its
 uniforms in order from one stream (_Uniforms): rng.random(k) yields
 exactly the values of k scalar rng.random() calls, so the origin draws
-are a slice of it and each hop reads the next value; each round first
+are a slice of it and each hop uses up the next value; each round first
 reserves packets times a bound on the table's longest path. A draw
-bisects the row's cut points, balanced.draw_index's rule, and spend is
-a list indexed by node id plus the ids in first-touch order. The round
-then folds its origins' expected loads, flat arrays of the build, into
-the run's totals with one weighted np.bincount led by those totals: per
-tree node 0 + total + p1 + ..., the left fold of a per-packet loop.
+bisects the row's cut points, balanced.draw_index's rule; a node with
+one candidate is forced, and a packet there takes its whole chain of
+forced hops (and as many values) in one step, so a packet costs one
+Python step per draw or chain, not per hop. The round then folds its
+origins' expected loads, flat arrays of the build, into the run's
+totals with one weighted np.bincount led by those totals: per tree node
+0 + total + p1 + ..., the left fold of a per-packet loop.
 
 A cover rebuild reads the build's candidate edges as arrays
-(CandidateArrays), an mmevbt rebuild each routed node's CSR edge
+(CandidateArrays; the forwarding problem's dicts are never made), an
+mmevbt rebuild each routed node's CSR edge
 (BackboneTree.edges): parents, tx costs and the draw rows' cut points
 come from array passes over them and the graph's per-edge costs.
 """
@@ -50,8 +54,8 @@ from typing import Optional
 import numpy as np
 
 from .balanced import (
+    CandidateArrays,
     FitnessParams,
-    ForwardingProblem,
     build_forwarding_problem,
     select_parent,
     split_rows,
@@ -68,7 +72,6 @@ from .model import (
     Scenario,
     build_reachability,
     classify_status,
-    left_sum,
 )
 
 ALGORITHMS = ("mmevbt", "min_cover_best_parent", "balanced_probabilistic")
@@ -171,11 +174,16 @@ class _Router:
     The fixed-parent algorithms fill arrays indexed by node id, the sink
     mapped to index n (the node count): parent[i], the tx cost of that
     hop and depth[i], the hops to the sink; parent[n] is n. For
-    balanced_probabilistic, hops[i] is (candidates, tx cost of the hop
-    to each, cut points) for every live node and None for a failed one,
-    the cut points being the cumulative selection sums without the last
-    (the draw for a uniform r is bisect_right(cuts, r)); one packet from
-    i adds load_p[k] to the expected load of tree node load_cand[k] for
+    balanced_probabilistic, slot s, a position in the build's
+    CandidateArrays.edges, is the hop from sender[s] to head[s] (n for
+    the sink) at cost slot_tx[s]. A node with several candidates has
+    draw_rows[i] = (cut points, first slot), the cut points being the
+    cumulative selection sums without the last (a uniform r picks slot
+    first + bisect_right(cuts, r)). A node with one is forced: chains[i]
+    lists the slots it and the forced nodes after it take, up to
+    stops[i], the sink or the first node with a draw, and texts[i] their
+    heads' names joined by '>' (event logs only). One packet from i adds
+    load_p[k] to the expected load of tree node load_cand[k] for
     load_bounds[i] <= k < load_bounds[i + 1]; max_draws bounds the
     longest path to the sink. serving counts how many nodes each tree
     node forwards for; with its energy it fixes every status until the
@@ -183,7 +191,8 @@ class _Router:
     """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
-                 fitness_params: FitnessParams, e_init: float):
+                 fitness_params: FitnessParams, e_init: float,
+                 names: list[str]):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{algorithm}'")
         self.algorithm = algorithm
@@ -191,11 +200,11 @@ class _Router:
         self.policy = policy
         self.fitness_params = fitness_params
         self.e_init = e_init
+        self.names = names
         self.parent: Optional[np.ndarray] = None
         self.tx: Optional[np.ndarray] = None
         self.depth: Optional[np.ndarray] = None
-        self.hops: list[Optional[tuple[list[int], list[float],
-                                       list[float]]]] = []
+        self.chains: list[tuple[int, ...]] = []
         self.load_bounds = np.zeros(1, dtype=np.int64)
         self.load_cand, self.load_p = np.zeros(0, dtype=np.int64), np.zeros(0)
         self.serving: dict[int, int] = {}
@@ -222,7 +231,7 @@ class _Router:
         serving = dict(zip(tree, load[tree].tolist()))
         _refresh_statuses(scenario, serving, th, e_fail)
         if self.algorithm == "balanced_probabilistic":
-            self._fill_draw_rows(problem, graph, n)
+            self._fill_draw_rows(rows, graph, n)
         else:
             self._fill_parents(rows.rows, rows.best_edges(), graph, n)
         self.serving = serving
@@ -242,30 +251,43 @@ class _Router:
             moving = cur != n
         self.parent, self.tx, self.depth = parent, tx, depth
 
-    def _fill_draw_rows(self, problem: ForwardingProblem, graph,
-                        n: int) -> None:
-        """hops and the load arrays from the problem's arrays; the
-        candidate lists are the problem's own."""
-        rows = problem.arrays
+    def _fill_draw_rows(self, rows: CandidateArrays, graph, n: int) -> None:
+        """Slots, draw rows, forced chains and load arrays of a build."""
+        self.chains = self.draw_rows = self.texts = []  # old rows go first
         probs, cuts = rows.draws()
-        self.hops = []  # the old rows go before new ones come
-        bounds = rows.bounds.tolist()
-        hop_rows = zip(
-            problem.candidates.values(),
-            split_rows(graph.edge_tx(self.radio)[rows.edges].tolist(), bounds),
-            split_rows(cuts.tolist(),
-                       (rows.bounds - np.arange(len(bounds))).tolist()))
-        self.hops = hops = [None] * n
-        for i, hop in zip(rows.rows.tolist(), hop_rows):
-            hops[i] = hop
+        widths, first = np.diff(rows.bounds), rows.bounds[:-1]
+        many = widths > 1
+        self.head = head = graph.nbrs[rows.edges].astype(np.int64)
+        self.sender, self.heads = np.repeat(rows.rows, widths), head.tolist()
+        self.slot_tx = graph.edge_tx(self.radio)[rows.edges]
+        self.draw_rows = dict(zip(rows.rows[many].tolist(), zip(split_rows(
+            cuts.tolist(), np.cumsum([0, *widths[many] - 1]).tolist()),
+            first[many].tolist())))
+        # a forced node's chain extends its head's, so go by chain length
+        ids, slot = rows.rows[~many], first[~many]
+        nxt = np.arange(n + 1)
+        nxt[ids] = head[slot]
+        at, length = ids, np.zeros(len(ids), dtype=np.int64)
+        while (more := nxt[at] != at).any():
+            length += more
+            at = nxt[at]
+        order = np.argsort(length)
+        chains, stops = [()] * (n + 1), list(range(n + 1))
+        texts, names = [""] * (n + 1), self.names
+        for i, s, h in zip(ids[order].tolist(), slot[order].tolist(),
+                           nxt[ids[order]].tolist()):
+            chains[i], stops[i] = (s, *chains[h]), stops[h]
+            if names:
+                texts[i] = f"{names[h]}>{texts[h]}" if chains[h] else names[h]
+        self.chains, self.stops, self.texts = chains, stops, texts
         # a node with the sink in range has it as its one candidate, and
         # a packet from it loads no tree node: its load row is empty
-        to_node = graph.nbrs[rows.edges] != n
+        to_node = head != n
         load_bounds = np.concatenate(([0], np.cumsum(to_node)))[rows.bounds]
         count = np.zeros(n, dtype=np.int64)
         count[rows.rows] = np.diff(load_bounds)
         self.load_bounds = np.concatenate(([0], np.cumsum(count)))
-        self.load_cand = graph.nbrs[rows.edges][to_node]
+        self.load_cand = head[to_node]
         self.load_p = probs[to_node]
         # each hop goes one level down, or onto the backbone from off it
         self.max_draws = 1 + rows.max_level
@@ -295,28 +317,26 @@ class _Router:
         return walk.T
 
 
-def _fixed_spend(walk: np.ndarray, tx: np.ndarray, rx: float,
-                 n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Spend of one round of fixed-parent packets, from _Router.walk.
+def _spend(senders: np.ndarray, tx: np.ndarray, first: np.ndarray,
+           rx: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Spend of one round's hops, packet by packet and hop by hop.
 
-    Each sender is charged rx (0.0 for the origin, which leaves a sum
-    unchanged) and then its tx, packet by packet and hop by hop; padding
-    charges the sink's bin n, which is dropped. Returns the ids that
-    spent (ascending), their spend, and the round total summed in
-    first-touch order.
+    Sender k is charged 0.0 if it is its packet's origin (k in first),
+    else rx, and then tx[k]; sender n, the sink as padding, is dropped.
+    Returns the ids that spent (ascending), their spend, and the round
+    total folded in first-touch order (cumsum adds one by one).
     """
-    senders = walk.ravel()
-    charges = np.empty(walk.shape + (2,))
-    charges[:, :, 0] = rx
-    charges[:, :1, 0] = 0.0
-    charges[:, :, 1] = tx[walk]
+    charges = np.empty((senders.size, 2))
+    charges[:, 0] = rx
+    charges[first, 0] = 0.0
+    charges[:, 1] = tx
     spend = np.bincount(np.repeat(senders, 2), charges.ravel(),
                         minlength=n + 1)
-    first = np.full(n + 1, senders.size)  # each node's first position
-    np.minimum.at(first, senders, np.arange(senders.size))
-    ids = np.flatnonzero(first[:n] < senders.size)
-    total = left_sum(spend[ids[np.argsort(first[ids])]].tolist())
-    return ids, spend[ids], total
+    at = np.full(n + 1, senders.size)  # each node's first position
+    np.minimum.at(at, senders, np.arange(senders.size))
+    ids = np.flatnonzero(at[:n] < senders.size)
+    total = np.cumsum(spend[ids[np.argsort(at[ids])]])
+    return ids, spend[ids], float(total[-1]) if total.size else 0.0
 
 
 def _debit(energy: np.ndarray, ids: np.ndarray, amounts: np.ndarray,
@@ -375,7 +395,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
             node.energy = e
 
     graph = build_reachability(sc)
-    router = _Router(algorithm, radio, policy, fparams, e_init)
+    router = _Router(algorithm, radio, policy, fparams, e_init, names)
     router.rebuild(sc, graph)  # initial ConstructionFailed propagates
     alive = np.array(sc.live_ids(), dtype=np.int64)
 
@@ -387,7 +407,10 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
         # routes all reflect start-of-round energies; debits land afterwards
         if router.parent is not None:
             walk = router.walk(origins)
-            ids, amounts, spent = _fixed_spend(walk, router.tx, rx, n_total)
+            senders = walk.ravel()
+            ids, amounts, spent = _spend(
+                senders, router.tx[senders],
+                np.arange(len(origins)) * walk.shape[1], rx, n_total)
             first_hops += np.bincount(router.parent[origins],
                                       minlength=n_total + 1)
             if event_log is not None:
@@ -396,48 +419,48 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                     event_log.append((round_no, "packet", row[0], ">".join(
                         [*map(names.__getitem__, row[:hops]), names[SINK]])))
         else:
-            hops = router.hops
-            spend_list = [0.0] * n_total
-            touched: list[int] = []  # first-touch order
-            firsts: list[int] = []  # each packet's parent pick
+            chains, stops, texts = router.chains, router.stops, router.texts
+            draw_rows, heads = router.draw_rows, router.heads
+            slots: list[int] = []  # the round's hops, packet by packet
+            starts: list[int] = []  # each packet's first hop in slots
             stream.reserve(len(origins) * router.max_draws)
             uniforms, j = stream.values, stream.pos
             for origin in origins.tolist():
+                starts.append(len(slots))
                 path = [names[origin]] if event_log is not None else None
-                first = None
                 u = origin
-                received = 0.0
-                while u != SINK:
-                    cands, costs, cuts = hops[u]
-                    k = bisect_right(cuts, uniforms[j])
-                    j += 1
-                    # a relay pays its receive cost, then its transmit cost
-                    if not spend_list[u]:
-                        touched.append(u)
-                    spend_list[u] = spend_list[u] + received + costs[k]
-                    received = rx
-                    u = cands[k]
-                    if first is None:
-                        first = u
-                    if path is not None:
-                        path.append(names[u])
-                firsts.append(first)
+                while u != n_total:
+                    chain = chains[u]
+                    if chain:  # forced hops still use up a uniform each
+                        slots += chain
+                        j += len(chain)
+                        if path is not None:
+                            path.append(texts[u])
+                        u = stops[u]
+                    else:
+                        cuts, s = draw_rows[u]
+                        s += bisect_right(cuts, uniforms[j])
+                        j += 1
+                        slots.append(s)
+                        u = heads[s]
+                        if path is not None:
+                            path.append(names[u])
                 if path is not None:
                     event_log.append((round_no, "packet", origin,
                                       ">".join(path)))
             stream.pos = j
-            # SINK (-1) indexes the sink's bin n
-            np.add.at(first_hops, firsts, 1)
+            hops = np.array(slots, dtype=np.int64)
+            ids, amounts, spent = _spend(router.sender[hops],
+                                         router.slot_tx[hops], starts, rx,
+                                         n_total)
+            first_hops += np.bincount(router.head[hops[starts]],
+                                      minlength=n_total + 1)
             # per tree node 0.0 + its total so far + each p as drawn
             load_ids, load_ps = router.load_rows(origins)
             expected = np.bincount(
                 np.concatenate((np.arange(n_total), load_ids)),
                 np.concatenate((expected, load_ps)))
             seen[load_ids] = True
-            spent = left_sum([spend_list[i] for i in touched])
-            touched.sort()
-            ids = np.array(touched, dtype=np.int64)
-            amounts = np.array([spend_list[i] for i in touched])
 
         metrics.total_energy_consumed += spent
         # only a node that spent can change status or relay eligibility,

@@ -12,6 +12,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .config import ExperimentConfig
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt
@@ -107,6 +109,8 @@ def sweep_figure4(config: ExperimentConfig
 
 
 def _fmt(value) -> str:
+    if isinstance(value, np.generic):  # numpy 2 reprs as np.float64(...)
+        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):

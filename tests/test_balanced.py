@@ -387,6 +387,21 @@ def test_problem_chain_uses_strictly_closer_levels():
     assert prob.next_hop[1] == 0
 
 
+def test_built_problem_makes_its_dicts_on_first_read():
+    coords = [(100, 110), (100, 120), (100, 130), (100, 140)]
+    sc = scenario_from(coords, range_m=12)
+    prob = v.build_forwarding_problem(sc, {0, 1, 2}, TH, v.FitnessParams())
+    views = ("candidates", "fitness", "levels", "next_hop")
+    assert prob.arrays is not None
+    with pytest.raises(AttributeError):
+        prob.not_a_field
+    assert not set(views) & set(vars(prob))
+    assert prob.next_hop == {0: v.SINK, 1: 0, 2: 1}
+    assert set(views) <= set(vars(prob)) and "_views" not in vars(prob)
+    assert prob == reference_forwarding_problem(sc, {0, 1, 2}, TH,
+                                                v.FitnessParams())
+
+
 def test_sink_adjacent_nodes_deliver_directly():
     coords = [(100, 110), (95, 105), (100, 125)]
     sc = scenario_from(coords, range_m=15)

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 import vbtsim as v
 from oracles import reference_run_simulation, route_energy
 from vbtsim import simulate
+from vbtsim.model import left_sum
 
 TH = v.DEFAULT_TH
 RADIO = v.RadioParams()
@@ -518,6 +519,64 @@ def test_energies_exactly_at_thresholds_equal_reference(algo, at_th):
     assert new[0].reconstructions >= 1
 
 
+def chain_scenario(energies=None):
+    """Node 4 is forced to 3, which draws between 1 and 2; both are
+    forced on through 0 to the sink. 5 and 0 reach only the sink, 6
+    and 7 are forced through 1 and 2."""
+    coords = [(100, 125), (85, 150), (115, 150), (100, 170), (100, 195),
+              (80, 115), (60, 160), (140, 160)]
+    return scenario_from(coords, 29.5, energies)
+
+
+def test_forced_chains_stop_at_draws_and_the_sink():
+    sc = chain_scenario()
+    tree, _ = v.build_min_cover(sc, TH)
+    problem = v.build_forwarding_problem(sc, tree, TH, v.FitnessParams())
+    assert problem.candidates == {0: [v.SINK], 1: [0], 2: [0], 3: [1, 2],
+                                  4: [3], 5: [v.SINK], 6: [1], 7: [2]}
+    names = [str(i) for i in range(8)] + ["-1"]
+    router = simulate._Router("balanced_probabilistic", RADIO, NO_MOVE,
+                              v.FitnessParams(), v.E_INIT, names)
+    router.rebuild(sc, v.build_reachability(sc))
+    chains = {i: (router.stops[i], router.texts[i],
+                  router.sender[list(c)].tolist(),
+                  router.head[list(c)].tolist())
+              for i, c in enumerate(router.chains[:8]) if c}
+    assert chains == {
+        0: (8, "-1", [0], [8]), 1: (8, "0>-1", [1, 0], [0, 8]),
+        2: (8, "0>-1", [2, 0], [0, 8]), 4: (3, "3", [4], [3]),
+        5: (8, "-1", [5], [8]), 6: (8, "1>0>-1", [6, 1, 0], [1, 0, 8]),
+        7: (8, "2>0>-1", [7, 2, 0], [2, 0, 8])}
+    assert router.draw_rows.keys() == {3}
+
+
+@pytest.mark.parametrize("algo", ["balanced_probabilistic",
+                                  "min_cover_best_parent"])
+def test_cover_runs_never_make_the_problem_dicts(algo, monkeypatch):
+    def refuse(problem, name):
+        raise AssertionError(f"read ForwardingProblem.{name}")
+
+    monkeypatch.setattr(v.ForwardingProblem, "__getattr__", refuse)
+    sc = connected_random_scenario(21, n=30)
+    metrics = v.run_simulation(sc, algo, v.TrafficModel(0.5, 30), RADIO,
+                               v.SimPolicy(t_move=5), 1)
+    assert metrics.reconstructions > 0
+
+
+def test_chain_walk_equals_reference():
+    # forced -> draw -> forced -> sink, and a forced hop onto the sink;
+    # node 5 falls below th first, so a rebuild remakes the chains
+    sc = chain_scenario([1.0, 0.5, 0.5, 0.5, 0.05, 0.02, 0.05, 0.05])
+    policy = v.SimPolicy(th=0.01, t_move=0)
+    new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(0.5, 400),
+                        policy, 5, e_init=0.1)
+    assert new == ref
+    metrics, events = new
+    paths = {tuple(parse_path(d)) for _, ev, _, d in events if ev == "packet"}
+    assert {(4, 3, 1, 0, -1), (4, 3, 2, 0, -1), (5, -1)} <= paths
+    assert metrics.reconstructions == 1 and metrics.rounds_run > 38
+
+
 # ------------------------------------------------------- array round kernel
 
 def test_bincount_order_matters_for_floats():
@@ -541,6 +600,18 @@ def test_weighted_bincount_is_a_left_fold_in_input_order(charges):
     idx = np.array([i for i, _ in charges], dtype=np.int64)
     weights = np.array([w for _, w in charges])
     assert np.bincount(idx, weights=weights, minlength=5).tolist() == fold
+
+
+@given(st.lists(st.one_of(
+    st.floats(0.0, 1.0), st.floats(0.0, 1e300),
+    st.floats(0.0, 1e-300, allow_subnormal=True),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e16, 1.0, 0.1])),
+    min_size=1, max_size=80))
+def test_cumsum_is_a_left_fold(values):
+    """The round total's premise: np.cumsum adds one by one from the
+    left, as left_sum does (np.sum would add pairwise)."""
+    values = [abs(x) for x in values]  # no -0.0
+    assert float(np.cumsum(values)[-1]).hex() == left_sum(values).hex()
 
 
 @pytest.mark.parametrize("bad", [
@@ -571,11 +642,52 @@ def test_run_simulation_rejects_bad_policy_or_traffic(policy, traffic):
         v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=1)
 
 
+def refills_inside_chains(walks, events):
+    """How many stream refills put their first new value strictly inside
+    a forced chain, replaying each round's packet paths (from events)
+    over that round's chains; walks holds one (index of the first new
+    value or None, chains) per round."""
+    paths = {}
+    for rnd, ev, _, detail in events:
+        if ev == "packet":
+            paths.setdefault(rnd, []).append(parse_path(detail))
+    inside = 0
+    for rnd, (new_at, chains) in enumerate(walks, 1):
+        pos = 0  # the next value a hop uses up
+        for path in paths.get(rnd, []):
+            k = 0
+            while path[k] != v.SINK:
+                step = len(chains[path[k]]) or 1  # a chain or one draw
+                inside += new_at is not None and pos < new_at < pos + step
+                pos, k = pos + step, k + step
+    return inside
+
+
 @pytest.mark.parametrize("algo", v.ALGORITHMS)
 def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
     # a tiny chunk makes the stream refill every round, between the origin
     # draws and the hop draws, carrying unread values over
     monkeypatch.setattr(simulate, "_CHUNK", 3)
+    routers, walks = [], []
+
+    class Router(simulate._Router):
+        def __init__(self, *args):
+            super().__init__(*args)
+            routers.append(self)
+
+    class Uniforms(simulate._Uniforms):
+        def reserve(self, k):
+            old, carried = self._array, len(self._array) - self.pos
+            super().reserve(k)
+            self.new_at = None if self._array is old else carried
+
+        @property
+        def values(self):  # read by the balanced walk, once a round
+            walks.append((self.new_at, routers[-1].chains))
+            return super().values
+
+    monkeypatch.setattr(simulate, "_Router", Router)
+    monkeypatch.setattr(simulate, "_Uniforms", Uniforms)
     field = v.Field(200, 200, 100, 100)
     nodes = v.deploy_uniform(field, 60, 16, e_init=0.05, th=0.005)
     sc = v.Scenario(field, nodes, 45.0, 16)
@@ -584,6 +696,9 @@ def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
                         e_init=0.05)
     assert new == ref
     assert len([e for e in new[1] if e[1] == "packet"]) > 100
+    if algo == "balanced_probabilistic":
+        assert len(walks) == new[0].rounds_run
+        assert refills_inside_chains(walks, new[1]) > 0
 
 
 def assert_run_leaves_numpy_ma_unloaded(tmp_path, algorithm):

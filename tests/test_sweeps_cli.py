@@ -152,6 +152,20 @@ def test_write_csv_writes_the_per_cell_fmt_join(tmp_path):
     assert read_bytes(path) == text.encode("utf-8")
 
 
+@pytest.mark.parametrize("cell", [
+    np.float64(0.1), np.float64(-0.0), np.float64(math.nan),
+    np.float32(0.1), np.int64(-7), np.bool_(True), np.bool_(False),
+], ids=["f64", "f64=-0", "f64=nan", "f32", "i64", "true", "false"])
+def test_write_csv_writes_numpy_scalars_as_their_item(tmp_path, cell):
+    cfg = v.ExperimentConfig()
+    paths = [tmp_path / "np.csv", tmp_path / "item.csv"]
+    for path, value in zip(paths, (cell, cell.item())):
+        write_csv(str(path), cfg, ["c"], [[value, 1]])
+    assert read_bytes(paths[0]) == read_bytes(paths[1])
+    assert read_bytes(paths[0]).splitlines()[-1] == (
+        f"{_fmt(cell.item())},1".encode("utf-8"))
+
+
 def test_sweep_outputs_byte_identical_across_reruns(tmp_path):
     cfg = small_sweep_config()
     first = write_sweep_outputs(str(tmp_path / "a"), "fig3", cfg,
