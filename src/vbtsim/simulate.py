@@ -176,18 +176,18 @@ class _Router:
     hop and depth[i], the hops to the sink; parent[n] is n. For
     balanced_probabilistic, slot s, a position in the build's
     CandidateArrays.edges, is the hop from sender[s] to head[s] (n for
-    the sink) at cost slot_tx[s]. A node with several candidates has
-    draw_rows[i] = (cut points, first slot), the cut points being the
-    cumulative selection sums without the last (a uniform r picks slot
-    first + bisect_right(cuts, r)). A node with one is forced: chains[i]
-    lists the slots it and the forced nodes after it take, up to
-    stops[i], the sink or the first node with a draw, and texts[i] their
-    heads' names joined by '>' (event logs only). One packet from i adds
-    load_p[k] to the expected load of tree node load_cand[k] for
-    load_bounds[i] <= k < load_bounds[i + 1]; max_draws bounds the
-    longest path to the sink. serving counts how many nodes each tree
-    node forwards for; with its energy it fixes every status until the
-    next build.
+    the sink; heads is head as a list) at cost slot_tx[s]. A node with
+    several candidates has draw_rows[i] = (cut points, first slot), the
+    cut points being the cumulative selection sums without the last (a
+    uniform r picks slot first + bisect_right(cuts, r)). A node with one
+    is forced: chains[i] lists the slots it and the forced nodes after
+    it take, up to stops[i], the sink or the first node with a draw, and
+    texts[i] their heads' names joined by '>' (event logs only). One
+    packet from i adds load_p[k] to the expected load of tree node
+    load_cand[k] for load_bounds[i] <= k < load_bounds[i + 1];
+    max_draws bounds the longest path to the sink. serving counts how
+    many nodes each tree node forwards for; with its energy it fixes
+    every status until the next build.
     """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
