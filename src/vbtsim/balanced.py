@@ -238,7 +238,8 @@ class ForwardingProblem:
     def __getattr__(self, name: str):
         if name not in self.__dataclass_fields__ or "_views" not in vars(self):
             raise AttributeError(name)
-        vars(self).update(vars(self).pop("_views")())
+        views = vars(self).pop("_views")
+        vars(self).update(_dict_views(self.arrays, *views))
         return vars(self)[name]
 
     def probabilities(self, node_id: int) -> list[float]:
@@ -323,23 +324,28 @@ def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
 
     rows = np.flatnonzero(count)
     bounds = np.concatenate(([0], np.cumsum(count[rows])))
-
-    def views() -> dict:
-        keys, cut = rows.tolist(), bounds.tolist()
-        backbone = np.flatnonzero(level[:n] <= max_level)
-        return dict(
-            candidates=dict(zip(keys, split_rows(
-                np.where(parent == n, SINK, parent).tolist(), cut))),
-            fitness=dict(zip(keys, split_rows(total.tolist(), cut))),
-            levels={SINK: 0, **dict(zip(backbone.tolist(),
-                                        level[backbone].tolist()))},
-            next_hop=dict(zip(hop_from.tolist(),
-                              np.where(hop_to == n, SINK, hop_to).tolist())))
-
     problem = object.__new__(ForwardingProblem)  # dicts made on first read
-    vars(problem).update(_views=views, arrays=CandidateArrays(
-        rows, bounds, cand, total, max_level))
+    vars(problem).update(_views=(parent, level, hop_from, hop_to),
+                         arrays=CandidateArrays(rows, bounds, cand, total,
+                                                max_level))
     return problem
+
+
+def _dict_views(arrays: CandidateArrays, parent: np.ndarray,
+                level: np.ndarray, hop_from: np.ndarray,
+                hop_to: np.ndarray) -> dict:
+    """A built ForwardingProblem's four dicts, from its arrays."""
+    n = len(level) - 1
+    keys, cut = arrays.rows.tolist(), arrays.bounds.tolist()
+    backbone = np.flatnonzero(level[:n] <= arrays.max_level)
+    return dict(
+        candidates=dict(zip(keys, split_rows(
+            np.where(parent == n, SINK, parent).tolist(), cut))),
+        fitness=dict(zip(keys, split_rows(arrays.fitness.tolist(), cut))),
+        levels={SINK: 0, **dict(zip(backbone.tolist(),
+                                    level[backbone].tolist()))},
+        next_hop=dict(zip(hop_from.tolist(),
+                          np.where(hop_to == n, SINK, hop_to).tolist())))
 
 
 def _backbone_levels(graph: ReachabilityGraph,

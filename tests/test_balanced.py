@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -396,10 +397,11 @@ def test_built_problem_makes_its_dicts_on_first_read():
     with pytest.raises(AttributeError):
         prob.not_a_field
     assert not set(views) & set(vars(prob))
+    copy = pickle.loads(pickle.dumps(prob))
     assert prob.next_hop == {0: v.SINK, 1: 0, 2: 1}
     assert set(views) <= set(vars(prob)) and "_views" not in vars(prob)
     assert prob == reference_forwarding_problem(sc, {0, 1, 2}, TH,
-                                                v.FitnessParams())
+                                                v.FitnessParams()) == copy
 
 
 def test_sink_adjacent_nodes_deliver_directly():
