@@ -21,9 +21,9 @@ from .model import (
     E_INIT,
     SINK,
     ConstructionFailed,
-    NodeStatus,
     ReachabilityGraph,
     Scenario,
+    State,
     build_reachability,
     distance,
     left_sum,
@@ -262,7 +262,8 @@ class LoadStats:
 def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
                              th: float, params: FitnessParams,
                              e_init: float = E_INIT,
-                             graph: Optional[ReachabilityGraph] = None
+                             graph: Optional[ReachabilityGraph] = None, *,
+                             state: Optional[State] = None
                              ) -> ForwardingProblem:
     """Wire every live node to its eligible tree-node parents.
 
@@ -286,12 +287,11 @@ def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
     """
     if graph is None:
         graph = build_reachability(scenario)
-    nodes = scenario.nodes
-    n = len(nodes)
-    live = np.zeros(n + 1, dtype=bool)
-    live[:n] = [node.status is not NodeStatus.FAILED for node in nodes]
+    energy, live = scenario.state() if state is None else state
+    n = len(energy)
+    live = np.append(live, False)
     # the sink, vertex n, is mains-powered: it always scores a full battery
-    energy = np.array([node.energy for node in nodes] + [e_init])
+    energy = np.append(energy, e_init)
     tree = np.fromiter(tree_nodes, dtype=np.int64, count=len(tree_nodes))
     eligible = np.zeros(n + 1, dtype=bool)
     eligible[tree] = live[tree] & (energy[tree] >= th)

@@ -22,15 +22,16 @@ import numpy as np
 
 from .model import (
     ConstructionFailed,
-    NodeStatus,
     ReachabilityGraph,
     Scenario,
+    State,
     build_reachability,
 )
 
 
 def build_min_cover(scenario: Scenario, th: float,
-                    graph: Optional[ReachabilityGraph] = None
+                    graph: Optional[ReachabilityGraph] = None, *,
+                    state: Optional[State] = None
                     ) -> tuple[set[int], dict[int, int]]:
     """Pick tree nodes greedily until every live node is covered.
 
@@ -52,12 +53,10 @@ def build_min_cover(scenario: Scenario, th: float,
     """
     if graph is None:
         graph = build_reachability(scenario)
-    nodes = scenario.nodes
-    n = len(nodes)
-    live_ids = [node.id for node in nodes
-                if node.status is not NodeStatus.FAILED]
-    live = np.zeros(n + 1, dtype=bool)  # the sink, n, is never live
-    live[live_ids] = True
+    energy, live = scenario.state() if state is None else state
+    n = len(energy)
+    live = np.append(live, False)  # the sink, n, is never live
+    live_ids = np.flatnonzero(live).tolist()
     covered = [0] * n
     tree_nodes: set[int] = set()
     if not live_ids:
@@ -70,7 +69,7 @@ def build_min_cover(scenario: Scenario, th: float,
     degree = np.diff(offsets)
     bounds = offsets.tolist()
     wd = degree.tolist()  # uncovered live neighbours per node
-    rich = [node.energy >= th for node in nodes]
+    rich = (energy >= th).tolist()
     heap: list[tuple[int, int]] = []
 
     def uncover(v: int) -> None:

@@ -21,6 +21,7 @@ from .model import (
     NodeStatus,
     ReachabilityGraph,
     Scenario,
+    State,
     build_reachability,
     classify_status,
     distance,
@@ -50,7 +51,8 @@ class BackboneTree:
 
 def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
                  graph: Optional[ReachabilityGraph] = None,
-                 e_fail: float = DEFAULT_E_FAIL) -> BackboneTree:
+                 e_fail: float = DEFAULT_E_FAIL, *,
+                 state: Optional[State] = None) -> BackboneTree:
     """Construct the minimal-energy backbone for every live node.
 
     A shortest-path tree from the sink over hop costs (the sender's tx
@@ -71,17 +73,15 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
     plus the hop's cost equals its own.
 
     Raises ConstructionFailed listing every live node left unreachable,
-    before any status changes. Node statuses in the scenario are
-    refreshed from the resulting child counts; Failed stays Failed.
+    before any status changes. Without a state it reads the Nodes and
+    refreshes their statuses from the child counts; Failed stays Failed.
     """
     if graph is None:
         graph = build_reachability(scenario)
-    nodes = scenario.nodes
-    n = len(nodes)
-    head = np.zeros(n + 1, dtype=bool)  # live nodes: the sink is no head
-    head[:n] = [node.status is not NodeStatus.FAILED for node in nodes]
-    relay = np.ones(n + 1, dtype=bool)  # the sink relays for everyone
-    relay[:n] = head[:n] & (np.array([node.energy for node in nodes]) >= th)
+    energy, live = scenario.state() if state is None else state
+    n = len(energy)
+    head = np.append(live, False)  # live nodes: the sink is no head
+    relay = np.append(live & (energy >= th), True)  # the sink relays for all
     rx = np.full(n + 1, rx_cost(params))  # by receiver: free at the sink
     rx[n] = 0.0
     tx = graph.edge_tx(params)
@@ -119,7 +119,8 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
         parent=dict(zip(ids, np.where(up == n, SINK, up).tolist())),
         consumption={SINK: 0.0, **dict(zip(ids, dist[routed].tolist()))},
         children_count=children, edges=edges)
-    _refresh_statuses(scenario, children, th, e_fail)
+    if state is None:
+        _refresh_statuses(scenario, children, th, e_fail)
     return tree
 
 
@@ -134,7 +135,9 @@ def _refresh_statuses(scenario: Scenario, children: dict[int, int],
 
 
 def relocate_sink(scenario: Scenario, grid: int = 4,
-                  max_step: Optional[float] = None) -> tuple[float, float]:
+                  max_step: Optional[float] = None, *,
+                  graph: Optional[ReachabilityGraph] = None,
+                  state: Optional[State] = None) -> tuple[float, float]:
     """Pick the sink's next position: centroid of the richest grid cell.
 
     The field splits into grid x grid equal cells; each non-empty cell
@@ -142,13 +145,16 @@ def relocate_sink(scenario: Scenario, grid: int = 4,
     (ties to the smaller row-major index) attracts the sink. A bounded
     max_step clamps the move to that many meters along the straight line.
     Pure: returns the position, the caller updates the field and rebuilds.
+    Positions come from graph.points when a graph is given.
     """
     f = scenario.field
     cell_w = f.width / grid
     cell_h = f.height / grid
-    x, y, energy = np.array(
-        [(node.x, node.y, node.energy) for node in scenario.nodes
-         if node.status is not NodeStatus.FAILED]).reshape(-1, 3).T
+    energy, live = scenario.state() if state is None else state
+    points = (graph.points[:-1] if graph is not None else
+              np.array([node.pos for node in scenario.nodes]).reshape(-1, 2))
+    x, y = points[live].T
+    energy = energy[live]
     # int() truncates as astype does, and both coordinates are >= 0
     col = np.minimum((x / cell_w).astype(np.int64), grid - 1)
     row = np.minimum((y / cell_h).astype(np.int64), grid - 1)

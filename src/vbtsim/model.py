@@ -22,6 +22,10 @@ DEFAULT_TH = 0.1 * E_INIT  # relay-eligibility threshold, joules
 # Edges per block of the scalar per-edge passes (see _per_edge).
 _BLOCK = 2048
 
+# Every node's energy (float64) and whether it is alive (bool), by id: a
+# builder or relocate_sink given one as state= reads no Node.
+State = tuple[np.ndarray, np.ndarray]
+
 # Distinguished vertex id for the sink.  The sink is not a Node: it has
 # unlimited power, never drains, and may be moved.
 SINK = -1
@@ -97,8 +101,8 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.sensing_range <= 0:
-            raise ValueError("sensing range must be positive")
+        if not 0 < self.sensing_range < math.inf:
+            raise ValueError("sensing range must be positive and finite")
         ids = [n.id for n in self.nodes]
         if ids != list(range(len(ids))):
             raise ValueError("node ids must be dense from 0 in order")
@@ -125,6 +129,12 @@ class Scenario:
 
     def live_ids(self) -> list[int]:
         return [n.id for n in self.nodes if n.status is not NodeStatus.FAILED]
+
+    def state(self) -> State:
+        """The nodes' energies and liveness as a State."""
+        return (np.array([n.energy for n in self.nodes], dtype=float),
+                np.array([n.status is not NodeStatus.FAILED
+                          for n in self.nodes], dtype=bool))
 
 
 @dataclass(eq=False)

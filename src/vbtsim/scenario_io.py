@@ -80,6 +80,8 @@ def read_scenario(path: str, th: float = DEFAULT_TH,
                 raise ScenarioFormatError(line_no, f"unknown record '{kind}'")
     if field is None:
         raise ScenarioFormatError(0, "missing field line")
+    if not nodes:
+        raise ScenarioFormatError(0, "no node lines")
     nodes.sort(key=lambda n: n.id)
     if [n.id for n in nodes] != list(range(len(nodes))):
         raise ScenarioFormatError(0, "node ids must be dense from 0")

@@ -1,19 +1,20 @@
 """Round-based traffic simulation over a chosen backbone algorithm.
 
 Each round: draw packet origins, fix every route against start-of-round
-state, debit radio costs, refresh statuses, rebuild the backbone when any
-node's relay eligibility flipped, and periodically relocate the sink.
-Everything is driven by one seeded generator, so a (scenario, config,
-seed) triple always replays bit-for-bit.
+state, debit radio costs, mark the nodes that died, rebuild the backbone
+when any node's relay eligibility flipped, and periodically relocate the
+sink. Everything is driven by one seeded generator, so a (scenario,
+config, seed) triple always replays bit-for-bit.
 
-Each build fills a route table (_Router) and a round touches only the
-nodes that spent energy. This is exact: a status is a pure function of
-(energy, serving count), serving counts change only at a rebuild, which
-refreshes every status, and energy only falls, so a status changes
-exactly when a node's energy crosses th or e_fail; only those nodes are
-reclassified, and a rebuild is due exactly when one died or fell below
-th. Energies live in one array during the run and the Nodes are synced
-from it before a rebuild or a relocation reads them.
+The run's state is two arrays by node id (model.State: energy, live),
+passed as state= to every build and relocation, which then read no
+Node: the run writes no Node and copies only the Field it moves. A
+status matters only as "failed or not": relay eligibility is energy >=
+th, and a node fails once it holds neither th nor e_fail, whatever its
+child count. Each build fills a route table (_Router) and a round
+touches only the nodes that spent energy. Energy only falls, so a node
+dies or loses eligibility exactly when a debit takes it below e_fail or
+th, and a rebuild is due exactly when one did.
 
 Every algorithm charges a round through one kernel (_spend): a list of
 senders packet by packet and hop by hop, a relay's receive cost just
@@ -47,6 +48,7 @@ come from array passes over them and the graph's per-edge costs.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -62,16 +64,15 @@ from .balanced import (
 )
 from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost
 from .mincover import build_min_cover
-from .mmevbt import build_mmevbt, relocate_sink, _refresh_statuses
+from .mmevbt import build_mmevbt, relocate_sink
 from .model import (
     DEFAULT_TH,
     E_INIT,
     SINK,
     ConstructionFailed,
-    NodeStatus,
     Scenario,
+    State,
     build_reachability,
-    classify_status,
 )
 
 ALGORITHMS = ("mmevbt", "min_cover_best_parent", "balanced_probabilistic")
@@ -96,8 +97,8 @@ class TrafficModel:
 @dataclass(frozen=True)
 class SimPolicy:
     th: float = DEFAULT_TH
-    # e_fail above th is accepted: classify_status tests th first, so such
-    # a node relays while it holds th and fails once it drops below it
+    # e_fail above th is accepted: a node fails only once it holds
+    # neither, so such a node relays while it holds th and then fails
     e_fail: float = DEFAULT_E_FAIL
     t_move: Optional[int] = 50  # sink relocation cadence in rounds; None = off
     grid: int = 4
@@ -185,9 +186,7 @@ class _Router:
     texts[i] their heads' names joined by '>' (event logs only). One
     packet from i adds load_p[k] to the expected load of tree node
     load_cand[k] for load_bounds[i] <= k < load_bounds[i + 1];
-    max_draws bounds the longest path to the sink. serving counts how
-    many nodes each tree node forwards for; with its energy it fixes
-    every status until the next build.
+    max_draws bounds the longest path to the sink.
     """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
@@ -207,34 +206,27 @@ class _Router:
         self.chains: list[tuple[int, ...]] = []
         self.load_bounds = np.zeros(1, dtype=np.int64)
         self.load_cand, self.load_p = np.zeros(0, dtype=np.int64), np.zeros(0)
-        self.serving: dict[int, int] = {}
         self.max_draws = 0
 
-    def rebuild(self, scenario: Scenario, graph) -> None:
-        """Reconstruct the backbone; raises ConstructionFailed and then
-        changes nothing."""
-        th, e_fail = self.policy.th, self.policy.e_fail
+    def rebuild(self, scenario: Scenario, graph,
+                state: Optional[State] = None) -> None:
+        """Reconstruct the backbone from state, else from the Nodes;
+        raises ConstructionFailed and then changes nothing."""
+        th = self.policy.th
         n = len(scenario.nodes)
         if self.algorithm == "mmevbt":
             tree = build_mmevbt(scenario, self.radio, th, graph=graph,
-                                e_fail=e_fail)
+                                e_fail=self.policy.e_fail, state=state)
             self._fill_parents(list(tree.parent), tree.edges, graph, n)
-            self.serving = tree.children_count
             return
-        tree_set, _ = build_min_cover(scenario, th, graph=graph)
-        problem = build_forwarding_problem(scenario, tree_set, th,
-                                           self.fitness_params, self.e_init,
-                                           graph=graph)
-        rows = problem.arrays
-        tree = list(tree_set)
-        load = np.bincount(graph.nbrs[rows.edges], minlength=n + 1)
-        serving = dict(zip(tree, load[tree].tolist()))
-        _refresh_statuses(scenario, serving, th, e_fail)
+        tree_set, _ = build_min_cover(scenario, th, graph=graph, state=state)
+        rows = build_forwarding_problem(
+            scenario, tree_set, th, self.fitness_params, self.e_init,
+            graph=graph, state=state).arrays
         if self.algorithm == "balanced_probabilistic":
             self._fill_draw_rows(rows, graph, n)
         else:
             self._fill_parents(rows.rows, rows.best_edges(), graph, n)
-        self.serving = serving
 
     def _fill_parents(self, ids, edges, graph, n: int) -> None:
         """Route node ids[k] over graph edge edges[k]."""
@@ -340,18 +332,18 @@ def _spend(senders: np.ndarray, tx: np.ndarray, first: np.ndarray,
 
 
 def _debit(energy: np.ndarray, ids: np.ndarray, amounts: np.ndarray,
-           th: float, e_fail: float) -> tuple[list[int], list[float], bool]:
+           th: float, e_fail: float) -> tuple[list[int], bool]:
     """Debit amounts from energy[ids] (ascending, distinct), floored at 0.
 
-    Returns the ids whose energy crossed th or e_fail with their new
-    energies, ascending, and whether any of them crossed th.
+    The ids are live nodes, each holding th or e_fail. Returns those
+    that now hold neither, the round's deaths, ascending, and whether
+    any node fell below th.
     """
     before = energy[ids]
     after = np.maximum(before - amounts, 0.0)
     energy[ids] = after
-    below_th = (before >= th) & (after < th)
-    crossed = below_th | ((before >= e_fail) & (after < e_fail))
-    return ids[crossed].tolist(), after[crossed].tolist(), bool(below_th.any())
+    dead = (after < th) & (after < e_fail)
+    return ids[dead].tolist(), bool(((before >= th) & (after < th)).any())
 
 
 def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
@@ -366,18 +358,17 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     """
     traffic.validate()
     policy.validate()
-    sc = scenario.copy()
     fparams = (fitness_params or FitnessParams()).validate()
     radio.validate()
+    # the run moves the sink and never writes a Node: the copy shares them
+    sc = copy.copy(scenario)
+    sc.field = copy.copy(scenario.field)
     stream = _Uniforms(np.random.default_rng(seed))
-    nodes = sc.nodes
-    n_total = len(nodes)
+    n_total = len(sc.nodes)
     th, e_fail = policy.th, policy.e_fail
     rx = rx_cost(radio)
     metrics = LifetimeMetrics()
-    # the run's energies; the Nodes are synced from it only before a
-    # rebuild or a relocation reads them
-    energy = np.array([node.energy for node in nodes], dtype=float)
+    state = energy, live = sc.state()  # written in place by the rounds
     # parent picks per vertex over the run (the sink is n); balanced
     # expected loads and the tree nodes any packet could pick
     first_hops = np.zeros(n_total + 1, dtype=np.int64)
@@ -390,14 +381,12 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
         if event_log is not None:
             event_log.append((round_no, event, node, detail))
 
-    def sync_energies() -> None:
-        for node, e in zip(nodes, energy.tolist()):
-            node.energy = e
-
     graph = build_reachability(sc)
     router = _Router(algorithm, radio, policy, fparams, e_init, names)
-    router.rebuild(sc, graph)  # initial ConstructionFailed propagates
-    alive = np.array(sc.live_ids(), dtype=np.int64)
+    router.rebuild(sc, graph, state)  # initial ConstructionFailed propagates
+    # a live node holding neither th nor e_fail failed at the first build
+    live &= (energy >= th) | (energy >= e_fail)
+    alive = np.flatnonzero(live)
 
     for round_no in range(1, traffic.rounds_max + 1):
         metrics.rounds_run = round_no
@@ -463,21 +452,15 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
             seen[load_ids] = True
 
         metrics.total_energy_consumed += spent
-        # only a node that spent can change status or relay eligibility,
-        # and its status changes only when its energy crosses th or e_fail
-        crossed, after, flipped = _debit(energy, ids, amounts, th, e_fail)
-        serving = router.serving
-        dead = []
-        for node_id, e in zip(crossed, after):
-            status = classify_status(e, serving.get(node_id, 0), th, e_fail)
-            nodes[node_id].status = status
-            if status is NodeStatus.FAILED:
-                dead.append(node_id)
-                log(round_no, "death", node_id)
-                if metrics.first_node_death_round is None:
-                    metrics.first_node_death_round = round_no
+        # only a node that spent can die or lose relay eligibility
+        dead, flipped = _debit(energy, ids, amounts, th, e_fail)
+        for node_id in dead:
+            log(round_no, "death", node_id)
         if dead:
-            alive = alive[~np.isin(alive, dead)]
+            live[dead] = False
+            alive = np.flatnonzero(live)
+            if metrics.first_node_death_round is None:
+                metrics.first_node_death_round = round_no
 
         metrics.alive_fraction_curve.append((round_no, len(alive) / n_total))
         if not len(alive):
@@ -486,9 +469,8 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
             break
 
         if dead or flipped:
-            sync_energies()
             try:
-                router.rebuild(sc, graph)
+                router.rebuild(sc, graph, state)
             except ConstructionFailed as fail:
                 metrics.rounds_until_disconnect = round_no
                 log(round_no, "disconnect",
@@ -498,14 +480,14 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
             log(round_no, "rebuild", detail="eligibility")
 
         if policy.t_move and round_no % policy.t_move == 0:
-            sync_energies()
-            target = relocate_sink(sc, policy.grid, policy.max_step)
+            target = relocate_sink(sc, policy.grid, policy.max_step,
+                                   graph=graph, state=state)
             if target != sc.field.sink_pos:
                 saved = sc.field.sink_pos
                 sc.field.sink_x, sc.field.sink_y = target
                 graph.move_sink(target)
                 try:
-                    router.rebuild(sc, graph)
+                    router.rebuild(sc, graph, state)
                 except ConstructionFailed:
                     # rebuild mutates nothing when it fails, so the old
                     # route table is still valid at the old position

@@ -519,6 +519,19 @@ def test_energies_exactly_at_thresholds_equal_reference(algo, at_th):
     assert new[0].reconstructions >= 1
 
 
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+def test_live_status_on_an_empty_battery_equals_reference(algo):
+    # a node whose status says live while it holds neither th nor e_fail
+    # is a head of the first build, then fails without a logged death
+    sc = connected_random_scenario(15, n=35, range_m=60.0)
+    for n in sc.nodes[::5]:
+        n.energy, n.status = 0.0, v.NodeStatus.CANDIDATE_NON_TREE
+    new, ref = run_both(sc, algo, v.TrafficModel(0.5, 30), NO_MOVE, 7)
+    assert new == ref
+    assert new[0].alive_fraction_curve[0] == (1, 28 / 35)
+    assert not [e for e in new[1] if e[1] == "death"]
+
+
 def chain_scenario(energies=None):
     """Node 4 is forced to 3, which draws between 1 and 2; both are
     forced on through 0 to the sink. 5 and 0 reach only the sink, 6
@@ -575,6 +588,92 @@ def test_chain_walk_equals_reference():
     paths = {tuple(parse_path(d)) for _, ev, _, d in events if ev == "packet"}
     assert {(4, 3, 1, 0, -1), (4, 3, 2, 0, -1), (5, -1)} <= paths
     assert metrics.reconstructions == 1 and metrics.rounds_run > 38
+
+
+# ---------------------------------------------------------- state arrays
+
+@st.composite
+def drained_states(draw):
+    """A layout after drains, deaths and a sink move: the Scenario whose
+    Nodes hold the state, the same state as arrays, and the moved graph."""
+    n = draw(st.integers(1, 25))
+    th = 0.002
+    e_fail = draw(st.sampled_from([v.DEFAULT_E_FAIL, 0.0, 1.5 * th]))
+    levels = [0.01] * 4 + [0.005, th, th / 2, 1e-4, 0.0]
+    energy = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    live = draw(st.lists(st.sampled_from([True] * 7 + [False]),
+                         min_size=n, max_size=n))
+    field = v.Field(100, 100, 50.0, 50.0)
+    nodes = v.deploy_uniform(field, n, draw(st.integers(0, 2**16)))
+    # a build tells statuses apart only as failed or not
+    up = [s for s in v.NodeStatus if s is not v.NodeStatus.FAILED]
+    for node, e, alive in zip(nodes, energy, live):
+        node.energy = e
+        node.status = (draw(st.sampled_from(up)) if alive
+                       else v.NodeStatus.FAILED)
+    sc = v.Scenario(field, nodes, draw(st.sampled_from([70.0, 45.0])))
+    graph = v.build_reachability(sc)
+    sink = (draw(st.sampled_from([0.0, 10.0, 50.0, 100.0])),
+            draw(st.sampled_from([0.0, 37.5, 50.0])))
+    sc.field.sink_x, sc.field.sink_y = sink
+    graph.move_sink(sink)
+    return sc, (np.array(energy), np.array(live)), graph, th, e_fail
+
+
+def outcome(build, *args, **kwargs):
+    """build's result, or the type and message of what it raised."""
+    try:
+        return build(*args, **kwargs)
+    except (v.ConstructionFailed, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(drained_states(), st.sampled_from(["normalized", "raw"]))
+def test_state_arrays_and_scenario_builds_agree(case, mode):
+    sc, state, graph, th, e_fail = case
+    # the array path gets Nodes that say nothing true: failed, no energy,
+    # all in one corner; it must neither read nor write them
+    f = sc.field
+    blank = v.Scenario(v.Field(f.width, f.height, f.sink_x, f.sink_y),
+                       [v.Node(i, 0.0, 0.0, math.nan, v.NodeStatus.FAILED)
+                        for i in range(len(sc.nodes))], sc.sensing_range)
+    arrays = [a.copy() for a in state]
+
+    tree = outcome(v.build_mmevbt, blank, RADIO, th, graph, e_fail,
+                   state=state)
+    # from the scenario alone the build refreshes statuses: give it a copy
+    want = outcome(v.build_mmevbt, sc.copy(), RADIO, th, graph, e_fail)
+    if isinstance(want, v.BackboneTree):
+        assert tree.parent == want.parent
+        assert tree.consumption == want.consumption
+        assert np.array_equal(tree.edges, want.edges)
+    else:
+        assert tree == want
+
+    cover = outcome(v.build_min_cover, blank, th, graph, state=state)
+    assert cover == outcome(v.build_min_cover, sc, th, graph)
+    if not isinstance(cover[0], type):
+        params = v.FitnessParams(mode=mode)
+        got = outcome(v.build_forwarding_problem, blank, cover[0], th,
+                      params, 0.01, graph, state=state)
+        want = outcome(v.build_forwarding_problem, sc, cover[0], th, params,
+                       0.01, graph)
+        if isinstance(want, v.ForwardingProblem):
+            for name in ("rows", "bounds", "edges", "fitness"):
+                assert np.array_equal(getattr(got.arrays, name),
+                                      getattr(want.arrays, name),
+                                      equal_nan=True)
+            assert got.arrays.max_level == want.arrays.max_level
+        else:
+            assert got == want
+
+    for grid, step in [(2, None), (4, 10.0)]:
+        assert (outcome(v.relocate_sink, blank, grid, step, graph=graph,
+                        state=state)
+                == outcome(v.relocate_sink, sc, grid, step))
+    assert all(n.status is v.NodeStatus.FAILED and (n.x, n.y) == (0.0, 0.0)
+               and math.isnan(n.energy) for n in blank.nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(state, arrays))
 
 
 # ------------------------------------------------------- array round kernel

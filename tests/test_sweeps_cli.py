@@ -401,9 +401,10 @@ def test_cli_rejects_negative_base_seed(tmp_path, capsys):
     assert "base_seed must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("range_m", ["0", "-5"])
+@pytest.mark.parametrize("range_m", ["0", "-5", "nan", "inf"])
 def test_gen_scenario_rejects_non_positive_range(tmp_path, capsys, range_m):
-    # 0 must not fall back to the first of the config's ranges
+    # 0 must not fall back to the first of the config's ranges; nan and
+    # inf were written, and run then refused the file
     scen = tmp_path / "s.txt"
     assert main(["gen-scenario", str(scen), "--range", range_m]) == 1
     assert not scen.exists()
@@ -438,7 +439,9 @@ def test_cli_rejects_non_finite_scenario_energy(tmp_path, capsys, energy):
     # a negative battery used to be classed failed in silence
     ("field 200 200 100 100 60 7\nnode 0 100 110 -2.0\n",
      "line 2: node 0 energy must be >= 0"),
-], ids=["range=nan", "range=inf", "energy<0"])
+    # no nodes used to die dividing by the node count
+    ("field 200 200 100 100 60 7\n", "line 0: no node lines"),
+], ids=["range=nan", "range=inf", "energy<0", "no nodes"])
 def test_cli_rejects_bad_scenario_numbers(tmp_path, capsys, text, message):
     scen = tmp_path / "s.txt"
     scen.write_text(text, encoding="utf-8")
