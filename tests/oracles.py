@@ -30,6 +30,7 @@ import numpy as np
 from vbtsim import (
     ALGORITHMS,
     DEFAULT_E_FAIL,
+    DEFAULT_TH,
     E_INIT,
     SINK,
     BackboneTree,
@@ -39,6 +40,9 @@ from vbtsim import (
     ForwardingProblem,
     LifetimeMetrics,
     NodeStatus,
+    SimPolicy,
+    TrafficModel,
+    build_forwarding_problem,
     build_min_cover,
     build_reachability,
     classify_status,
@@ -46,6 +50,7 @@ from vbtsim import (
     fitness,
     hop_weight,
     rx_cost,
+    select_parent,
     tx_cost,
 )
 from vbtsim.mmevbt import _refresh_statuses
@@ -315,6 +320,43 @@ def reference_forwarding_problem(scenario, tree_nodes, th, params,
     if unreachable:
         raise ConstructionFailed(unreachable)
     return problem
+
+
+def reference_compare_load_spread(scenario, rounds, seed, *, th=DEFAULT_TH,
+                                  fitness_params=None, e_init=E_INIT,
+                                  origin_probability=1.0):
+    """compare_load_spread over the built problem's per-node dicts: one
+    select_parent and one best_parent per packet, counts in dicts."""
+    SimPolicy(th=th).validate()
+    TrafficModel(origin_probability, rounds).validate()
+    sc = scenario.copy()
+    fparams = (fitness_params or FitnessParams()).validate()
+    graph = build_reachability(sc)
+    tree_set, _ = build_min_cover(sc, th, graph=graph)
+    problem = build_forwarding_problem(sc, tree_set, th, fparams, e_init,
+                                       graph=graph)
+    probs = {i: problem.probabilities(i) for i in problem.candidates}
+    best_next = {i: problem.best_parent(i) for i in problem.candidates}
+
+    rng_origin = np.random.default_rng(seed)
+    rng_pick = np.random.default_rng(seed + 1)
+    ids = sorted(problem.candidates)
+    count_prob = {}
+    count_det = {}
+    for _ in range(rounds):
+        draws = rng_origin.random(len(ids))
+        origins = [i for i, u in zip(ids, draws) if u < origin_probability]
+        for origin in origins:
+            idx = select_parent(probs[origin], rng_pick)
+            pick = problem.candidates[origin][idx]
+            if pick != SINK:
+                count_prob[pick] = count_prob.get(pick, 0) + 1
+            pick = best_next[origin]
+            if pick != SINK:
+                count_det[pick] = count_det.get(pick, 0) + 1
+    mc_prob = max(count_prob.values(), default=0)
+    mc_det = max(count_det.values(), default=0)
+    return mc_prob, mc_det
 
 
 def scan_select_index(probabilities, r):

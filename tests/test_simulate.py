@@ -7,10 +7,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import vbtsim as v
-from oracles import reference_run_simulation, route_energy
+from oracles import (reference_compare_load_spread, reference_run_simulation,
+                     route_energy)
 from vbtsim import simulate
 from vbtsim.model import left_sum
 
@@ -345,6 +346,58 @@ def test_compare_load_spread_rejects_bad_values(kwargs):
     args = {"rounds": 5, "seed": 1, **kwargs}
     with pytest.raises(ValueError):
         v.compare_load_spread(ten_client_two_gateway_scenario(), **args)
+
+
+def spread_outcome(compare, sc, rounds, seed, **kwargs):
+    """A comparison's counts, or the error it raised."""
+    try:
+        return compare(sc, rounds, seed, **kwargs)
+    except v.ConstructionFailed as fail:
+        return "unreachable", fail.unreachable
+    except ValueError as err:
+        return "error", str(err)
+
+
+def backbone_layout(layout_seed, n, range_m, energies):
+    """The first of a few seeded layouts whose cover and forwarding
+    problem build (the last one tried if none does), with the given
+    batteries and failed nodes."""
+    field = v.Field(100, 100, 10, 10)
+    for attempt in range(20):
+        nodes = v.deploy_uniform(field, n, layout_seed + 1000 * attempt)
+        for node, e in zip(nodes, energies):
+            node.energy = e
+            node.status = v.classify_status(e, 0, TH)
+        sc = v.Scenario(field, nodes, range_m, layout_seed)
+        try:
+            tree, _ = v.build_min_cover(sc, TH)
+            v.build_forwarding_problem(sc, tree, TH, v.FitnessParams())
+            return sc
+        except v.ConstructionFailed:
+            pass
+    return sc
+
+
+@settings(max_examples=200)
+@given(layout_seed=st.integers(0, 2**16), n=st.integers(1, 40),
+       range_m=st.sampled_from([30.0, 40.0, 55.0]),
+       energies=st.lists(st.sampled_from([2.0, 2.0, 2.0, 0.5, 0.05, 0.0]),
+                         min_size=40, max_size=40),
+       mode=st.sampled_from(["normalized", "raw"]),
+       origin_probability=st.sampled_from([0.0, 0.5, 1.0]),
+       rounds=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_compare_load_spread_equals_dict_reference(
+        layout_seed, n, range_m, energies, mode, origin_probability, rounds,
+        seed):
+    """Both busiest-parent counts, and any failure, match the per-node
+    dict comparison on random connected layouts with mixed and failed
+    batteries."""
+    sc = backbone_layout(layout_seed, n, range_m, energies)
+    kwargs = dict(fitness_params=v.FitnessParams(mode=mode),
+                  origin_probability=origin_probability)
+    got = spread_outcome(v.compare_load_spread, sc, rounds, seed, **kwargs)
+    assert got == spread_outcome(reference_compare_load_spread, sc, rounds,
+                                 seed, **kwargs)
 
 
 # ---------------------------------------------------------- uniform stream
