@@ -9,19 +9,12 @@ relocates the sink; a CLI harness sweeps sensing ranges into CSV.
 
 from .balanced import (
     BETA_MIN,
-    FitnessBreakdown,
-    FitnessContext,
     FitnessParams,
     ForwardingProblem,
     InstanceTooLarge,
-    LoadStats,
     build_forwarding_problem,
-    deviation_angle,
     expected_loads,
-    fitness,
-    load_stats,
     min_max_load_exact,
-    realize_selections,
     select_parent,
     selection_probabilities,
 )
@@ -32,7 +25,6 @@ from .energy import (
     DEFAULT_E_FAIL,
     DEFAULT_PACKET_BITS,
     RadioParams,
-    path_consumption,
     rx_cost,
     tx_cost,
 )
@@ -52,7 +44,6 @@ from .model import (
     classify_status,
     deploy_uniform,
     distance,
-    hop_weight,
     is_connected_to_sink,
 )
 from .scenario_io import ScenarioFormatError, read_scenario, write_scenario

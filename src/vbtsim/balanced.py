@@ -25,7 +25,6 @@ from .model import (
     Scenario,
     State,
     build_reachability,
-    distance,
     left_sum,
 )
 
@@ -51,81 +50,6 @@ class FitnessParams:
         if self.mode not in ("normalized", "raw"):
             raise ValueError(f"unknown fitness mode '{self.mode}'")
         return self
-
-
-@dataclass(frozen=True)
-class FitnessBreakdown:
-    f_d: float
-    f_e: float
-    f_beta: float
-    beta: float
-    total: float
-
-
-@dataclass
-class FitnessContext:
-    """Geometry and energy snapshot the fitness terms read from.
-
-    next_hop maps each tree node to the neighbor its own traffic would
-    take toward the sink; the deviation angle is measured against that
-    direction. The sink appears in positions/energies (full battery by
-    convention) and in nobody's next_hop.
-    """
-
-    positions: dict[int, tuple[float, float]]
-    energies: dict[int, float]
-    next_hop: dict[int, int]
-    range_m: float
-    e_init: float = E_INIT
-    beta_min: float = BETA_MIN
-
-
-def deviation_angle(ctx: FitnessContext, node_i: int, cand: int) -> float:
-    """Angle at cand between arriving from node_i and leaving for the sink.
-
-    Clamped to [beta_min, pi]. The sink, a candidate with no onward hop,
-    and degenerate zero-length legs all score as perfectly straight.
-    """
-    nxt = ctx.next_hop.get(cand)
-    if cand == SINK or nxt is None:
-        return ctx.beta_min
-    ix, iy = ctx.positions[node_i]
-    cx, cy = ctx.positions[cand]
-    nx, ny = ctx.positions[nxt]
-    v1 = (cx - ix, cy - iy)
-    v2 = (nx - cx, ny - cy)
-    if (v1[0] == 0 and v1[1] == 0) or (v2[0] == 0 and v2[1] == 0):
-        return ctx.beta_min
-    cross = v1[0] * v2[1] - v1[1] * v2[0]
-    dot = v1[0] * v2[0] + v1[1] * v2[1]
-    beta = abs(math.atan2(cross, dot))
-    return min(max(beta, ctx.beta_min), math.pi)
-
-
-def fitness(node_i: int, cand: int, ctx: FitnessContext,
-            params: FitnessParams) -> FitnessBreakdown:
-    """Score candidate parent cand from node_i's point of view.
-
-    normalized mode keeps each term in [0,1]: nearer is better, fuller
-    battery is better, straighter onward path is better. raw mode keeps
-    the literal 1/distance, joules and pi/angle terms (incommensurate
-    units, retained for fidelity); distance 0 is rejected there.
-    """
-    d = distance(ctx.positions[node_i], ctx.positions[cand])
-    beta = deviation_angle(ctx, node_i, cand)
-    energy = ctx.energies[cand]
-    if params.mode == "normalized":
-        f_d = 1.0 - d / ctx.range_m
-        f_e = min(max(energy / ctx.e_init, 0.0), 1.0)
-        f_beta = ctx.beta_min / beta
-    else:
-        if d == 0:
-            raise ValueError("raw mode cannot score a zero-distance candidate")
-        f_d = 1.0 / d
-        f_e = energy
-        f_beta = math.pi / beta
-    total = params.c1 * f_d + params.c2 * f_e + params.c3 * f_beta
-    return FitnessBreakdown(f_d, f_e, f_beta, beta, total)
 
 
 def selection_probabilities(values: Sequence[float]) -> list[float]:
@@ -184,7 +108,8 @@ class CandidateArrays:
         return fit, rank, col
 
     def best_edges(self) -> np.ndarray:
-        """Each row's best_parent edge: its first maximal fitness."""
+        """Each row's best parent edge: its first maximal fitness, as
+        best_parent in tests/oracles.py picks it."""
         fit, _, _ = self._padded(-math.inf)
         if not fit.size:
             return self.edges[:0]
@@ -245,19 +170,6 @@ class ForwardingProblem:
     def probabilities(self, node_id: int) -> list[float]:
         return selection_probabilities(self.fitness[node_id])
 
-    def best_parent(self, node_id: int) -> int:
-        """The highest-fitness candidate; ties keep the smaller id."""
-        fit = self.fitness[node_id]
-        return self.candidates[node_id][max(range(len(fit)),
-                                            key=fit.__getitem__)]
-
-
-@dataclass
-class LoadStats:
-    count: dict[int, int]
-    mc: int
-    expected_count: dict[int, float]
-
 
 def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
                              th: float, params: FitnessParams,
@@ -281,9 +193,10 @@ def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
     Everything is a pass over the graph's CSR edges: the level BFS walks
     the edges between eligible vertices, a next_hop is the first edge of
     its row one level down, and one mask picks the candidate edges. The
-    fitness terms repeat fitness()'s float operations in its order,
-    elementwise, and the angle is its scalar math.atan2 per pair, so
-    every total equals fitness(...).total to the bit.
+    fitness terms repeat the float operations of the scalar reference
+    fitness() in tests/oracles.py in its order, elementwise, and the
+    angle is its scalar math.atan2 per pair, so every total equals
+    fitness(...).total to the bit.
     """
     if graph is None:
         graph = build_reachability(scenario)
@@ -391,8 +304,9 @@ def _candidate_edges(graph: ReachabilityGraph, level: np.ndarray,
 
 def _deviation_angles(points: np.ndarray, child: np.ndarray,
                       parent: np.ndarray, next_hop: np.ndarray) -> np.ndarray:
-    """deviation_angle of every (child, parent) pair, parent n the sink:
-    its float operations elementwise, then math.atan2 per pair."""
+    """The scalar reference deviation_angle (tests/oracles.py) of every
+    (child, parent) pair, parent n the sink: its float operations
+    elementwise, then math.atan2 per pair."""
     xs, ys = points.T
     beta = np.full(len(child), BETA_MIN)
     turn = np.flatnonzero(parent != len(points) - 1)
@@ -431,26 +345,6 @@ def expected_loads(problem: ForwardingProblem) -> dict[int, float]:
         for cand, p in zip(problem.candidates[i], probs):
             expected[cand] = expected.get(cand, 0.0) + p
     return expected
-
-
-def realize_selections(problem: ForwardingProblem,
-                       rng: np.random.Generator) -> dict[int, int]:
-    """One random parent pick per node, in ascending node order."""
-    picks: dict[int, int] = {}
-    for i in sorted(problem.candidates):
-        idx = select_parent(problem.probabilities(i), rng)
-        picks[i] = problem.candidates[i][idx]
-    return picks
-
-
-def load_stats(problem: ForwardingProblem,
-               selections: dict[int, int]) -> LoadStats:
-    """Realized per-parent counts; mc maxes over tree nodes, not the sink."""
-    count: dict[int, int] = {}
-    for i in sorted(selections):
-        count[selections[i]] = count.get(selections[i], 0) + 1
-    mc = max((c for t, c in count.items() if t != SINK), default=0)
-    return LoadStats(count=count, mc=mc, expected_count=expected_loads(problem))
 
 
 def min_max_load_exact(problem: ForwardingProblem, allow_matching: bool = True,

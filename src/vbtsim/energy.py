@@ -1,9 +1,12 @@
-"""First-order radio energy model: per-hop costs and whole-route consumption."""
+"""First-order radio energy model: per-hop transmit and receive costs.
+
+A whole route's cost is the sum of its hops' costs; the scalar
+reference path_consumption in tests/oracles.py states it hop by hop.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 # Standard first-order radio constants; packet = 512 bytes.
 DEFAULT_E_ELEC = 50e-9    # J/bit, transceiver electronics
@@ -39,19 +42,3 @@ def rx_cost(params: RadioParams) -> float:
 
 # Below one packet-reception worth of energy a node can do nothing at all.
 DEFAULT_E_FAIL = rx_cost(RadioParams())
-
-
-def path_consumption(params: RadioParams, hop_distances: Iterable[float]) -> float:
-    """Total energy drained by one packet travelling a route to the sink.
-
-    Hops are ordered from the originating node toward the sink.  Every sender
-    pays tx_cost for its hop and every receiver pays rx_cost, except the sink
-    itself (unlimited power).  An empty route (the node is the sink) costs 0.
-    """
-    hops = list(hop_distances)
-    if not hops:
-        return 0.0
-    total = 0.0
-    for d in hops:
-        total += tx_cost(params, d)
-    return total + rx_cost(params) * (len(hops) - 1)

@@ -95,7 +95,7 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
         keep = head[dst]
         src, edges, dst = src[keep], edges[keep], dst[keep]
         before = dist[dst]
-        # hop_weight's order: tx plus rx, then added to the distance
+        # hop_weight's order (tests/oracles.py): tx + rx, then + dist[src]
         np.minimum.at(dist, dst, dist[src] + (tx[edges] + rx[src]))
         fell = np.zeros(n + 1, dtype=bool)
         fell[dst] = dist[dst] < before
@@ -145,12 +145,17 @@ def relocate_sink(scenario: Scenario, grid: int = 4,
     (ties to the smaller row-major index) attracts the sink. A bounded
     max_step clamps the move to that many meters along the straight line.
     Pure: returns the position, the caller updates the field and rebuilds.
-    Positions come from graph.points when a graph is given.
+    Positions come from graph.points when a graph is given. Raises
+    ValueError for a grid or max_step SimPolicy rejects, or no live node.
     """
+    from .simulate import SimPolicy  # simulate imports this module
+    SimPolicy(grid=grid, max_step=max_step).validate()
+    energy, live = scenario.state() if state is None else state
+    if not live.any():
+        raise ValueError("relocate_sink needs at least one live node")
     f = scenario.field
     cell_w = f.width / grid
     cell_h = f.height / grid
-    energy, live = scenario.state() if state is None else state
     points = (graph.points[:-1] if graph is not None else
               np.array([node.pos for node in scenario.nodes]).reshape(-1, 2))
     x, y = points[live].T

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost, tx_cost
+from .energy import DEFAULT_E_FAIL, RadioParams
 
 E_INIT = 2.0               # default initial battery per node, joules
 DEFAULT_TH = 0.1 * E_INIT  # relay-eligibility threshold, joules
@@ -294,17 +294,6 @@ def left_sum(values: Iterable[float]) -> float:
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def hop_weight(params: RadioParams, dist: float, parent: int) -> float:
-    """Energy one hop costs the network: sender tx plus receiver rx.
-
-    The sink is mains-powered, so reception there is free.
-    """
-    cost = tx_cost(params, dist)
-    if parent != SINK:
-        cost += rx_cost(params)
-    return cost
 
 
 def deploy_uniform(field: Field, n: int, seed: int, e_init: float = E_INIT,

@@ -39,11 +39,10 @@ origins' expected loads, flat arrays of the build, into the run's
 totals with one weighted np.bincount led by those totals: per tree node
 0 + total + p1 + ..., the left fold of a per-packet loop.
 
-A cover rebuild reads the build's candidate edges as arrays
-(CandidateArrays; the forwarding problem's dicts are never made), an
-mmevbt rebuild each routed node's CSR edge
-(BackboneTree.edges): parents, tx costs and the draw rows' cut points
-come from array passes over them and the graph's per-edge costs.
+A cover rebuild reads the build's CandidateArrays, an mmevbt rebuild
+each routed node's CSR edge (BackboneTree.edges): parents, tx costs
+and the draw rows' cut points come from array passes over them and the
+graph's per-edge costs. compare_load_spread picks from the same arrays.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .balanced import (
     CandidateArrays,
     FitnessParams,
     build_forwarding_problem,
-    select_parent,
     split_rows,
 )
 from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost
@@ -346,6 +344,12 @@ def _debit(energy: np.ndarray, ids: np.ndarray, amounts: np.ndarray,
     return ids[dead].tolist(), bool(((before >= th) & (after < th)).any())
 
 
+def _generator(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                    radio: RadioParams, policy: SimPolicy, seed: int,
                    fitness_params: Optional[FitnessParams] = None,
@@ -363,7 +367,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     # the run moves the sink and never writes a Node: the copy shares them
     sc = copy.copy(scenario)
     sc.field = copy.copy(scenario.field)
-    stream = _Uniforms(np.random.default_rng(seed))
+    stream = _Uniforms(_generator(seed))
     n_total = len(sc.nodes)
     th, e_fail = policy.th, policy.e_fail
     rx = rx_cost(radio)
@@ -523,35 +527,30 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     energy drain, so fitness never shifts). Every packet charges its
     origin's chosen parent; returns each policy's maximum per-tree-node
     count. Direct-to-sink deliveries burden no tree node and count for
-    neither policy.
+    neither policy. Picks read the build's CandidateArrays as a run does.
     """
     SimPolicy(th=th).validate()
     TrafficModel(origin_probability, rounds).validate()
-    sc = scenario.copy()
     fparams = (fitness_params or FitnessParams()).validate()
-    graph = build_reachability(sc)
-    tree_set, _ = build_min_cover(sc, th, graph=graph)
-    problem = build_forwarding_problem(sc, tree_set, th, fparams, e_init,
-                                       graph=graph)
-    probs = {i: problem.probabilities(i) for i in problem.candidates}
-    best_next = {i: problem.best_parent(i) for i in problem.candidates}
-
-    rng_origin = np.random.default_rng(seed)
-    rng_pick = np.random.default_rng(seed + 1)
-    ids = sorted(problem.candidates)
-    count_prob: dict[int, int] = {}
-    count_det: dict[int, int] = {}
+    rng_origin, rng_pick = _generator(seed), _generator(seed + 1)
+    state = scenario.state()
+    graph = build_reachability(scenario)
+    tree_set, _ = build_min_cover(scenario, th, graph=graph, state=state)
+    rows = build_forwarding_problem(scenario, tree_set, th, fparams, e_init,
+                                    graph=graph, state=state).arrays
+    cuts = rows.draws()[1].tolist()
+    # row k's cut points, one fewer than its slots from bounds[k] on, are
+    # cuts[lo[k]:lo[k + 1]]: uniform r picks slot k + bisect_right there
+    lo = (rows.bounds - np.arange(len(rows.bounds))).tolist()
+    head, n = graph.nbrs[rows.edges], len(state[0])
+    best = graph.nbrs[rows.best_edges()]
+    count = np.zeros((2, n + 1), dtype=np.int64)  # the sink is vertex n
     for _ in range(rounds):
-        draws = rng_origin.random(len(ids))
-        origins = [i for i, u in zip(ids, draws) if u < origin_probability]
-        for origin in origins:
-            idx = select_parent(probs[origin], rng_pick)
-            pick = problem.candidates[origin][idx]
-            if pick != SINK:
-                count_prob[pick] = count_prob.get(pick, 0) + 1
-            pick = best_next[origin]
-            if pick != SINK:
-                count_det[pick] = count_det.get(pick, 0) + 1
-    mc_prob = max(count_prob.values(), default=0)
-    mc_det = max(count_det.values(), default=0)
+        origins = np.flatnonzero(
+            rng_origin.random(len(rows.rows)) < origin_probability)
+        picks = [k + bisect_right(cuts, r, lo[k], lo[k + 1]) for k, r in zip(
+            origins.tolist(), rng_pick.random(len(origins)).tolist())]
+        count[0] += np.bincount(head[picks], minlength=n + 1)
+        count[1] += np.bincount(best[origins], minlength=n + 1)
+    mc_prob, mc_det = count[:, :n].max(axis=1, initial=0).tolist()
     return mc_prob, mc_det

@@ -12,7 +12,13 @@ pair over dicts, scored with the scalar fitness(). reference_mmevbt is
 the heap Dijkstra over per-vertex neighbour lists and scalar hop_weight,
 and reference_relocate_sink the per-node loop over dicts; the reference
 round loop uses both, so it shares no tree or relocation code with the
-package.
+package. reference_compare_load_spread is the load-spread comparison
+over a built problem's per-node dicts, one select_parent per packet.
+
+The scalar references (hop_weight, path_consumption, deviation_angle,
+fitness, best_parent, realize_selections, load_stats) state per hop,
+route, pair or node what the package computes in array passes; nothing
+in the package calls them.
 """
 
 from __future__ import annotations
@@ -23,19 +29,20 @@ import heapq
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from vbtsim import (
     ALGORITHMS,
+    BETA_MIN,
     DEFAULT_E_FAIL,
     DEFAULT_TH,
     E_INIT,
     SINK,
     BackboneTree,
     ConstructionFailed,
-    FitnessContext,
     FitnessParams,
     ForwardingProblem,
     LifetimeMetrics,
@@ -47,8 +54,7 @@ from vbtsim import (
     build_reachability,
     classify_status,
     distance,
-    fitness,
-    hop_weight,
+    expected_loads,
     rx_cost,
     select_parent,
     tx_cost,
@@ -83,6 +89,141 @@ def adjacency(graph):
     """{vertex: graph.neighbors(vertex)}, nodes ascending, then SINK."""
     n = len(graph.indptr) - 2
     return {u: graph.neighbors(u) for u in [*range(n), SINK]}
+
+
+# ---------------------------------------------------- scalar references
+
+def hop_weight(params, dist, parent):
+    """Energy one hop costs the network: sender tx plus receiver rx.
+
+    The sink is mains-powered, so reception there is free.
+    """
+    cost = tx_cost(params, dist)
+    if parent != SINK:
+        cost += rx_cost(params)
+    return cost
+
+
+def path_consumption(params, hop_distances):
+    """Total energy drained by one packet travelling a route to the sink.
+
+    Hops are ordered from the originating node toward the sink.  Every sender
+    pays tx_cost for its hop and every receiver pays rx_cost, except the sink
+    itself (unlimited power).  An empty route (the node is the sink) costs 0.
+    """
+    hops = list(hop_distances)
+    if not hops:
+        return 0.0
+    total = 0.0
+    for d in hops:
+        total += tx_cost(params, d)
+    return total + rx_cost(params) * (len(hops) - 1)
+
+
+@dataclass(frozen=True)
+class FitnessBreakdown:
+    f_d: float
+    f_e: float
+    f_beta: float
+    beta: float
+    total: float
+
+
+@dataclass
+class FitnessContext:
+    """Geometry and energy snapshot the fitness terms read from.
+
+    next_hop maps each tree node to the neighbor its own traffic would
+    take toward the sink; the deviation angle is measured against that
+    direction. The sink appears in positions/energies (full battery by
+    convention) and in nobody's next_hop.
+    """
+
+    positions: dict[int, tuple[float, float]]
+    energies: dict[int, float]
+    next_hop: dict[int, int]
+    range_m: float
+    e_init: float = E_INIT
+    beta_min: float = BETA_MIN
+
+
+def deviation_angle(ctx, node_i, cand):
+    """Angle at cand between arriving from node_i and leaving for the sink.
+
+    Clamped to [beta_min, pi]. The sink, a candidate with no onward hop,
+    and degenerate zero-length legs all score as perfectly straight.
+    """
+    nxt = ctx.next_hop.get(cand)
+    if cand == SINK or nxt is None:
+        return ctx.beta_min
+    ix, iy = ctx.positions[node_i]
+    cx, cy = ctx.positions[cand]
+    nx, ny = ctx.positions[nxt]
+    v1 = (cx - ix, cy - iy)
+    v2 = (nx - cx, ny - cy)
+    if (v1[0] == 0 and v1[1] == 0) or (v2[0] == 0 and v2[1] == 0):
+        return ctx.beta_min
+    cross = v1[0] * v2[1] - v1[1] * v2[0]
+    dot = v1[0] * v2[0] + v1[1] * v2[1]
+    beta = abs(math.atan2(cross, dot))
+    return min(max(beta, ctx.beta_min), math.pi)
+
+
+def fitness(node_i, cand, ctx, params):
+    """Score candidate parent cand from node_i's point of view.
+
+    normalized mode keeps each term in [0,1]: nearer is better, fuller
+    battery is better, straighter onward path is better. raw mode keeps
+    the literal 1/distance, joules and pi/angle terms (incommensurate
+    units, retained for fidelity); distance 0 is rejected there.
+    """
+    d = distance(ctx.positions[node_i], ctx.positions[cand])
+    beta = deviation_angle(ctx, node_i, cand)
+    energy = ctx.energies[cand]
+    if params.mode == "normalized":
+        f_d = 1.0 - d / ctx.range_m
+        f_e = min(max(energy / ctx.e_init, 0.0), 1.0)
+        f_beta = ctx.beta_min / beta
+    else:
+        if d == 0:
+            raise ValueError("raw mode cannot score a zero-distance candidate")
+        f_d = 1.0 / d
+        f_e = energy
+        f_beta = math.pi / beta
+    total = params.c1 * f_d + params.c2 * f_e + params.c3 * f_beta
+    return FitnessBreakdown(f_d, f_e, f_beta, beta, total)
+
+
+def best_parent(problem, node_id):
+    """The highest-fitness candidate; ties keep the smaller id."""
+    fit = problem.fitness[node_id]
+    return problem.candidates[node_id][max(range(len(fit)),
+                                           key=fit.__getitem__)]
+
+
+@dataclass
+class LoadStats:
+    count: dict[int, int]
+    mc: int
+    expected_count: dict[int, float]
+
+
+def realize_selections(problem, rng):
+    """One random parent pick per node, in ascending node order."""
+    picks = {}
+    for i in sorted(problem.candidates):
+        idx = select_parent(problem.probabilities(i), rng)
+        picks[i] = problem.candidates[i][idx]
+    return picks
+
+
+def load_stats(problem, selections):
+    """Realized per-parent counts; mc maxes over tree nodes, not the sink."""
+    count = {}
+    for i in sorted(selections):
+        count[selections[i]] = count.get(selections[i], 0) + 1
+    mc = max((c for t, c in count.items() if t != SINK), default=0)
+    return LoadStats(count=count, mc=mc, expected_count=expected_loads(problem))
 
 
 def reference_mmevbt(scenario, params, th, graph=None,
@@ -336,7 +477,7 @@ def reference_compare_load_spread(scenario, rounds, seed, *, th=DEFAULT_TH,
     problem = build_forwarding_problem(sc, tree_set, th, fparams, e_init,
                                        graph=graph)
     probs = {i: problem.probabilities(i) for i in problem.candidates}
-    best_next = {i: problem.best_parent(i) for i in problem.candidates}
+    best_next = {i: best_parent(problem, i) for i in problem.candidates}
 
     rng_origin = np.random.default_rng(seed)
     rng_pick = np.random.default_rng(seed + 1)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vbtsim as v
-from oracles import (brute_force_min_max, reference_forwarding_problem,
-                     scan_select_index)
+from oracles import (FitnessContext, best_parent, brute_force_min_max,
+                     deviation_angle, fitness, load_stats, realize_selections,
+                     reference_forwarding_problem, scan_select_index)
 from vbtsim.balanced import draw_index
 
 TH = v.DEFAULT_TH
@@ -30,7 +31,7 @@ def ctx_line(energy=v.E_INIT, cand_pos=(10.0, 0.0), i_pos=(20.0, 0.0), range_m=1
     # candidate 0 forwards to the sink at the origin; node 1 sits behind it
     positions = {v.SINK: (0.0, 0.0), 0: cand_pos, 1: i_pos}
     energies = {v.SINK: v.E_INIT, 0: energy, 1: v.E_INIT}
-    return v.FitnessContext(positions=positions, energies=energies,
+    return FitnessContext(positions=positions, energies=energies,
                             next_hop={0: v.SINK}, range_m=range_m)
 
 
@@ -38,22 +39,22 @@ def ctx_line(energy=v.E_INIT, cand_pos=(10.0, 0.0), i_pos=(20.0, 0.0), range_m=1
 
 def test_deviation_straight_line_clamps_to_minimum():
     ctx = ctx_line()
-    assert v.deviation_angle(ctx, 1, 0) == v.BETA_MIN
+    assert deviation_angle(ctx, 1, 0) == v.BETA_MIN
 
 
 def test_deviation_full_reversal_is_pi():
     ctx = ctx_line(i_pos=(0.0, 0.0))  # arriving from the sink's own position
-    assert v.deviation_angle(ctx, 1, 0) == pytest.approx(math.pi, rel=1e-12)
+    assert deviation_angle(ctx, 1, 0) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_deviation_right_angle():
     ctx = ctx_line(i_pos=(10.0, 10.0))
-    assert v.deviation_angle(ctx, 1, 0) == pytest.approx(math.pi / 2, rel=1e-12)
+    assert deviation_angle(ctx, 1, 0) == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 def test_deviation_sink_candidate_counts_as_straight():
     ctx = ctx_line()
-    assert v.deviation_angle(ctx, 1, v.SINK) == v.BETA_MIN
+    assert deviation_angle(ctx, 1, v.SINK) == v.BETA_MIN
 
 
 # ------------------------------------------------------------------- fitness
@@ -62,7 +63,7 @@ def test_worst_candidate_scores_only_the_angle_floor():
     # distance = range, empty battery, full reversal
     ctx = ctx_line(energy=0.0, i_pos=(0.0, 0.0))
     params = v.FitnessParams()
-    br = v.fitness(1, 0, ctx, params)
+    br = fitness(1, 0, ctx, params)
     assert br.f_d == pytest.approx(0.0, abs=1e-12)
     assert br.f_e == 0.0
     assert br.beta == pytest.approx(math.pi, rel=1e-12)
@@ -71,7 +72,7 @@ def test_worst_candidate_scores_only_the_angle_floor():
 
 def test_perfect_candidate_scores_one():
     ctx = ctx_line(cand_pos=(20.0 - 1e-9, 0.0))
-    br = v.fitness(1, 0, ctx, v.FitnessParams())
+    br = fitness(1, 0, ctx, v.FitnessParams())
     assert br.total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -84,7 +85,7 @@ def test_normalized_components_stay_in_unit_interval():
             continue
         ctx = ctx_line(energy=float(rng.uniform(0, 3.0)), cand_pos=c_pos,
                        i_pos=i_pos, range_m=30.0)
-        br = v.fitness(1, 0, ctx, v.FitnessParams())
+        br = fitness(1, 0, ctx, v.FitnessParams())
         for part in (br.f_d, br.f_e, br.f_beta, br.total):
             assert -1e-12 <= part <= 1.0 + 1e-12
 
@@ -92,7 +93,7 @@ def test_normalized_components_stay_in_unit_interval():
 def test_raw_mode_uses_literal_terms():
     ctx = ctx_line(energy=0.7)
     params = v.FitnessParams(mode="raw")
-    br = v.fitness(1, 0, ctx, params)
+    br = fitness(1, 0, ctx, params)
     assert br.f_d == pytest.approx(1.0 / 10.0, rel=1e-12)
     assert br.f_e == 0.7
     assert br.f_beta == pytest.approx(math.pi / v.BETA_MIN, rel=1e-12)
@@ -103,13 +104,13 @@ def test_raw_mode_uses_literal_terms():
 def test_raw_mode_rejects_zero_distance():
     ctx = ctx_line(cand_pos=(20.0, 0.0))
     with pytest.raises(ValueError):
-        v.fitness(1, 0, ctx, v.FitnessParams(mode="raw"))
+        fitness(1, 0, ctx, v.FitnessParams(mode="raw"))
 
 
 def test_sink_candidate_gets_full_battery_and_straight_angle():
     ctx = ctx_line(i_pos=(8.0, 0.0))
     params = v.FitnessParams()
-    br = v.fitness(1, v.SINK, ctx, params)
+    br = fitness(1, v.SINK, ctx, params)
     assert br.f_e == 1.0 and br.f_beta == 1.0
     assert br.f_d == pytest.approx(1.0 - 8.0 / 10.0, rel=1e-12)
 
@@ -208,9 +209,9 @@ def test_bisect_draw_equals_cumulative_scan(values, r):
 def test_best_parent_prefers_fitness_then_smaller_id():
     prob = v.ForwardingProblem(candidates={9: [v.SINK, 2, 4, 7]},
                                fitness={9: [0.3, 0.8, 0.8, 0.5]})
-    assert prob.best_parent(9) == 2
+    assert best_parent(prob, 9) == 2
     prob.fitness[9] = [0.9, 0.8, 0.8, 0.5]
-    assert prob.best_parent(9) == v.SINK
+    assert best_parent(prob, 9) == v.SINK
 
 
 def test_selection_frequency_matches_binomial_oracle():
@@ -270,7 +271,7 @@ def test_monte_carlo_counts_match_expectation():
     rounds = 20000
     totals = {90: 0, 91: 0}
     for _ in range(rounds):
-        picks = v.realize_selections(prob, rng)
+        picks = realize_selections(prob, rng)
         for t in picks.values():
             totals[t] += 1
     for t in (90, 91):
@@ -285,7 +286,7 @@ def test_load_stats_counts_and_mc():
         fitness={0: [1.0], 1: [1.0], 2: [1.0]},
         levels={7: 1}, next_hop={7: v.SINK},
     )
-    stats = v.load_stats(prob, v.realize_selections(prob, np.random.default_rng(1)))
+    stats = load_stats(prob, realize_selections(prob, np.random.default_rng(1)))
     assert stats.count == {7: 2, v.SINK: 1}
     assert stats.mc == 2  # the sink's direct deliveries never count
     assert sum(stats.count.values()) == 3
@@ -363,7 +364,7 @@ def test_realized_mc_never_beats_optimum():
     for _ in range(50):
         prob = random_problem(rng)
         _, optimal = v.min_max_load_exact(prob)
-        stats = v.load_stats(prob, v.realize_selections(prob, rng))
+        stats = load_stats(prob, realize_selections(prob, rng))
         assert stats.mc >= optimal
 
 
@@ -528,7 +529,7 @@ def check_candidate_arrays(p, g):
         [f.hex() for i in rows for f in p.fitness[i]]
     best = g.nbrs[arrays.best_edges()]
     assert np.where(best == n, v.SINK, best).tolist() == \
-        [p.best_parent(i) for i in rows]
+        [best_parent(p, i) for i in rows]
     try:
         probs = [p.probabilities(i) for i in rows]
     except ValueError as err:

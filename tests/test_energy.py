@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from vbtsim import DEFAULT_E_FAIL, RadioParams, path_consumption, rx_cost, tx_cost
+from oracles import path_consumption
+from vbtsim import DEFAULT_E_FAIL, RadioParams, rx_cost, tx_cost
 
 DEFAULTS = RadioParams()
 

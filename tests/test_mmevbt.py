@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import vbtsim as v
 from oracles import (
     bellman_ford_consumption,
+    hop_weight,
     reference_mmevbt,
     reference_relocate_sink,
 )
@@ -30,7 +31,7 @@ def scenario_from(coords, range_m, energies=None, field=None):
 def assert_tree_invariants(tree, scenario, params=RADIO, th=TH):
     pos = scenario.positions()
     for i, par in tree.parent.items():
-        hop = v.hop_weight(params, v.distance(pos[i], pos[par]), par)
+        hop = hop_weight(params, v.distance(pos[i], pos[par]), par)
         parent_cons = tree.consumption[par]
         assert tree.consumption[i] == pytest.approx(hop + parent_cons, rel=1e-12)
         if par != v.SINK:
@@ -130,8 +131,8 @@ def test_tie_breaks_to_smaller_parent_id():
     sc, params = exact_tie_scenario()
     tree = v.build_mmevbt(sc, params, TH)
     pos = sc.positions()
-    via_a = v.hop_weight(params, v.distance(pos[2], pos[0]), 0) + tree.consumption[0]
-    via_b = v.hop_weight(params, v.distance(pos[2], pos[1]), 1) + tree.consumption[1]
+    via_a = hop_weight(params, v.distance(pos[2], pos[0]), 0) + tree.consumption[0]
+    via_b = hop_weight(params, v.distance(pos[2], pos[1]), 1) + tree.consumption[1]
     assert via_a == via_b  # guard: the tie really is exact
     assert tree.parent[2] == 0
 

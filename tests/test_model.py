@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import vbtsim as v
-from oracles import adjacency, dense_reachability
+from oracles import adjacency, dense_reachability, hop_weight
 from vbtsim.model import left_sum
 
 
@@ -266,7 +266,7 @@ def sink_walks(draw):
 def expected_weights(sc, graph, params):
     """Per edge, hop_weight of the hop from nbrs[k] into its row vertex."""
     pos = sc.positions()
-    return [v.hop_weight(params, v.distance(pos[w], pos[u]), u)
+    return [hop_weight(params, v.distance(pos[w], pos[u]), u)
             for u, nbrs in adjacency(graph).items() for w in nbrs]
 
 

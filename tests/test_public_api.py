@@ -1,0 +1,32 @@
+"""The package's public names, pinned."""
+
+import types
+
+import vbtsim
+
+PUBLIC = {
+    "ALGORITHMS", "BETA_MIN", "DEFAULT_E_AMP", "DEFAULT_E_ELEC",
+    "DEFAULT_E_FAIL", "DEFAULT_PACKET_BITS", "DEFAULT_TH", "E_INIT", "SINK",
+    "BackboneTree", "ConstructionFailed", "ExperimentConfig", "Field",
+    "FitnessParams", "ForwardingProblem", "InstanceTooLarge",
+    "LifetimeMetrics", "Node", "NodeStatus", "RadioParams",
+    "ReachabilityGraph", "Scenario", "ScenarioFormatError", "SimPolicy",
+    "TrafficModel", "apply_setting", "attempt_seed",
+    "build_forwarding_problem", "build_min_cover", "build_mmevbt",
+    "build_reachability", "classify_status", "compare_load_spread",
+    "deploy_uniform", "distance", "expected_loads", "is_connected_to_sink",
+    "load_config", "make_scenario", "min_max_load_exact",
+    "parse_config_text", "read_scenario", "relocate_sink", "run_scenario",
+    "run_simulation", "rx_cost", "select_parent", "selection_probabilities",
+    "sweep_figure3", "sweep_figure4", "tx_cost", "write_scenario",
+}
+
+
+def test_public_names_are_pinned():
+    """A helper with no production caller lives in tests/oracles.py; one
+    that comes back into the package shows up here."""
+    names = {name for name, obj in vars(vbtsim).items()
+             if not name.startswith("_")
+             and not isinstance(obj, types.ModuleType)}
+    assert len(PUBLIC) == 52
+    assert names == PUBLIC

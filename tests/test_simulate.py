@@ -348,6 +348,31 @@ def test_compare_load_spread_rejects_bad_values(kwargs):
         v.compare_load_spread(ten_client_two_gateway_scenario(), **args)
 
 
+def all_failed_scenario():
+    sc = ten_client_two_gateway_scenario()
+    for node in sc.nodes:
+        node.energy, node.status = 0.0, v.NodeStatus.FAILED
+    return sc
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: v.relocate_sink(all_failed_scenario()), "live node"),
+    (lambda: v.relocate_sink(ten_client_two_gateway_scenario(), grid=0),
+     "policy.grid"),
+    (lambda: v.relocate_sink(ten_client_two_gateway_scenario(),
+                             max_step=-1.0), "policy.max_step"),
+    (lambda: v.run_simulation(ten_client_two_gateway_scenario(), "mmevbt",
+                              v.TrafficModel(), RADIO, NO_MOVE, seed=-1),
+     "seed must be >= 0"),
+    (lambda: v.compare_load_spread(ten_client_two_gateway_scenario(),
+                                   rounds=1, seed=-1), "seed must be >= 0"),
+], ids=["relocate-no-live-node", "relocate-grid-0", "relocate-max-step<0",
+        "run-seed<0", "compare-seed<0"])
+def test_library_calls_reject_bad_inputs_clearly(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def spread_outcome(compare, sc, rounds, seed, **kwargs):
     """A comparison's counts, or the error it raised."""
     try:
