@@ -144,8 +144,9 @@ def relocate_sink(scenario: Scenario, grid: int = 4,
     scores the mean residual energy of its live nodes and the best cell
     (ties to the smaller row-major index) attracts the sink. A bounded
     max_step clamps the move to that many meters along the straight line.
-    Pure: returns the position, the caller updates the field and rebuilds.
-    Positions come from graph.points when a graph is given. Raises
+    Pure: returns the position, the caller moves the sink and rebuilds.
+    Given a graph, the node and sink positions come from graph.points,
+    the sink's from its last row, not from the field. Raises
     ValueError for a grid or max_step SimPolicy rejects, or no live node.
     """
     from .simulate import SimPolicy  # simulate imports this module
@@ -176,7 +177,7 @@ def relocate_sink(scenario: Scenario, grid: int = 4,
     row, col = int(row[new][best]), int(col[new][best])
     target = ((col + 0.5) * cell_w, (row + 0.5) * cell_h)
 
-    cur = f.sink_pos
+    cur = f.sink_pos if graph is None else tuple(graph.points[-1].tolist())
     step = distance(cur, target)
     if max_step is None or step <= max_step:
         return target

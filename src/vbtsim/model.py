@@ -101,6 +101,8 @@ class Scenario:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not self.nodes:
+            raise ValueError("need at least one node")
         if not 0 < self.sensing_range < math.inf:
             raise ValueError("sensing range must be positive and finite")
         ids = [n.id for n in self.nodes]
@@ -178,11 +180,7 @@ class ReachabilityGraph:
 
     def out_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edges of the given rows, row after row, and each one's row."""
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        ends = np.cumsum(counts)
-        edges = (np.arange(ends[-1] if len(ends) else 0)
-                 + np.repeat(starts - ends + counts, counts))
+        edges, counts = csr_positions(self.indptr, rows)
         return np.repeat(rows, counts), edges
 
     def distances(self) -> np.ndarray:
@@ -255,6 +253,18 @@ class ReachabilityGraph:
         if self._tx is not None:
             tx = _tx_costs(self._radio, dist)
             self._tx = patch(self._tx, tx, tx)
+
+
+def csr_positions(indptr: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the given CSR rows' entries, row after row, and
+    each row's entry count."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    at = np.arange(ends[-1] if len(ends) else 0)
+    at += np.repeat(starts - ends + counts, counts)
+    return at, counts
 
 
 def _tx_costs(params: RadioParams, dist: np.ndarray) -> np.ndarray:

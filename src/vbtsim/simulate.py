@@ -8,54 +8,50 @@ config, seed) triple always replays bit-for-bit.
 
 The run's state is two arrays by node id (model.State: energy, live),
 passed as state= to every build and relocation, which then read no
-Node: the run writes no Node and copies only the Field it moves. A
-status matters only as "failed or not": relay eligibility is energy >=
-th, and a node fails once it holds neither th nor e_fail, whatever its
-child count. Each build fills a route table (_Router) and a round
-touches only the nodes that spent energy. Energy only falls, so a node
-dies or loses eligibility exactly when a debit takes it below e_fail or
-th, and a rebuild is due exactly when one did.
+Node: the run writes no Node and moves only its graph's sink, so the
+caller's Scenario is never copied. A status matters only as "failed or
+not": relay eligibility is energy >= th, and a node fails once it holds
+neither th nor e_fail, whatever its child count. A round touches only
+the nodes that spent energy. Energy only falls, so a node dies or loses
+eligibility exactly when a debit takes it below e_fail or th, and a
+rebuild is due exactly when one did.
 
-Every algorithm charges a round through one kernel (_spend): a list of
-senders packet by packet and hop by hop, a relay's receive cost just
-before its transmit cost, the order in which the reference loop charges
-them. Weighted np.bincount adds each node's charges one by one in that
-order, the same left fold, so every float is bit-identical; the round
-total folds the nodes in first-touch order with np.cumsum, a left fold
-(never sum(), which compensates from Python 3.12 on). The fixed-parent
-algorithms (mmevbt, min_cover_best_parent) walk a round's packets at
-once, one numpy step per hop.
+Every build fills one route table (_Router), in which a fixed parent
+(mmevbt, min_cover_best_parent) is a row with one candidate. With no
+draws in the table, a packet's route is its origin's chain of forced
+hops, gathered for all packets at once. Otherwise the packets are
+walked in Python, reading uniforms in order from one stream
+(_Uniforms): rng.random(k) yields exactly the values of k scalar
+rng.random() calls, so the origin draws are a slice of it and each hop
+uses up the next value, a forced chain as many as it has hops, even
+when gathered. A draw bisects the row's cut points,
+balanced.draw_index's rule, and a chain is one step, so a packet costs
+one Python step per draw or chain, not per hop.
 
-balanced_probabilistic walks its packets in Python, reading its
-uniforms in order from one stream (_Uniforms): rng.random(k) yields
-exactly the values of k scalar rng.random() calls, so the origin draws
-are a slice of it and each hop uses up the next value; each round first
-reserves packets times a bound on the table's longest path. A draw
-bisects the row's cut points, balanced.draw_index's rule; a node with
-one candidate is forced, and a packet there takes its whole chain of
-forced hops (and as many values) in one step, so a packet costs one
-Python step per draw or chain, not per hop. The round then folds its
-origins' expected loads, flat arrays of the build, into the run's
-totals with one weighted np.bincount led by those totals: per tree node
-0 + total + p1 + ..., the left fold of a per-packet loop.
-
-A cover rebuild reads the build's CandidateArrays, an mmevbt rebuild
-each routed node's CSR edge (BackboneTree.edges): parents, tx costs
-and the draw rows' cut points come from array passes over them and the
-graph's per-edge costs. compare_load_spread picks from the same arrays.
+Both walkers feed one kernel (_spend): the senders packet by packet and
+hop by hop, a relay's receive cost just before its transmit cost, the
+order in which the reference loop charges them. Weighted np.bincount
+adds each node's charges one by one in that order, the same left fold,
+so every float is bit-identical; the round total folds the nodes in
+first-touch order with np.cumsum, a left fold (never sum(), which
+compensates from Python 3.12 on). A balanced round folds its origins'
+expected loads, flat arrays of the build, into the run's totals with
+one weighted np.bincount led by those totals: per tree node 0 + total +
+p1 + ..., the left fold of a per-packet loop. A fixed-parent packet
+adds exactly 1.0 to its first hop: there the loads are the counts.
+compare_load_spread picks from the same CandidateArrays as a rebuild.
 """
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .balanced import (
-    CandidateArrays,
     FitnessParams,
     build_forwarding_problem,
     split_rows,
@@ -71,6 +67,7 @@ from .model import (
     Scenario,
     State,
     build_reachability,
+    csr_positions,
 )
 
 ALGORITHMS = ("mmevbt", "min_cover_best_parent", "balanced_probabilistic")
@@ -170,141 +167,161 @@ class _Uniforms:
 class _Router:
     """Route table of one backbone build for one algorithm.
 
-    The fixed-parent algorithms fill arrays indexed by node id, the sink
-    mapped to index n (the node count): parent[i], the tx cost of that
-    hop and depth[i], the hops to the sink; parent[n] is n. For
-    balanced_probabilistic, slot s, a position in the build's
-    CandidateArrays.edges, is the hop from sender[s] to head[s] (n for
-    the sink; heads is head as a list) at cost slot_tx[s]. A node with
-    several candidates has draw_rows[i] = (cut points, first slot), the
-    cut points being the cumulative selection sums without the last (a
-    uniform r picks slot first + bisect_right(cuts, r)). A node with one
-    is forced: chains[i] lists the slots it and the forced nodes after
-    it take, up to stops[i], the sink or the first node with a draw, and
-    texts[i] their heads' names joined by '>' (event logs only). One
-    packet from i adds load_p[k] to the expected load of tree node
-    load_cand[k] for load_bounds[i] <= k < load_bounds[i + 1];
-    max_draws bounds the longest path to the sink.
+    Slot s, a position in the build's candidate edges, is the hop from
+    sender[s] to head[s] (the sink is vertex n, the node count) at cost
+    slot_tx[s]. mmevbt and min_cover_best_parent give each routed node
+    one candidate, balanced_probabilistic all of them. A node with
+    several has draw_rows[i] = (cut points, first slot), the cumulative
+    selection sums without the last: a uniform r picks slot first +
+    bisect_right(cuts, r). A node with one is forced. Row r of the table
+    is chain[chain_ptr[r]:chain_ptr[r + 1]]: for r = i <= n, the slots
+    node i and the forced nodes after it take up to the sink or the
+    first node with a draw (none at a draw node); for r = n + 1 + s, the
+    drawn slot s alone. route() expands each packet's rows with one
+    gather. Walk lists (lengths, stops, heads) exist only for a table
+    with draw rows; without them a packet is its origin's row. For
+    balanced_probabilistic, one packet from i adds load_p[k] to the
+    expected load of tree node load_cand[k] for load_bounds[i] <= k <
+    load_bounds[i + 1]. max_draws bounds the longest path to the sink.
     """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
-                 fitness_params: FitnessParams, e_init: float,
-                 names: list[str]):
+                 fitness_params: FitnessParams, e_init: float):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{algorithm}'")
         self.algorithm = algorithm
+        self.balanced = algorithm == "balanced_probabilistic"
         self.radio = radio
         self.policy = policy
         self.fitness_params = fitness_params
         self.e_init = e_init
-        self.names = names
-        self.parent: Optional[np.ndarray] = None
-        self.tx: Optional[np.ndarray] = None
-        self.depth: Optional[np.ndarray] = None
-        self.chains: list[tuple[int, ...]] = []
-        self.load_bounds = np.zeros(1, dtype=np.int64)
-        self.load_cand, self.load_p = np.zeros(0, dtype=np.int64), np.zeros(0)
-        self.max_draws = 0
 
     def rebuild(self, scenario: Scenario, graph,
                 state: Optional[State] = None) -> None:
         """Reconstruct the backbone from state, else from the Nodes;
         raises ConstructionFailed and then changes nothing."""
         th = self.policy.th
-        n = len(scenario.nodes)
         if self.algorithm == "mmevbt":
             tree = build_mmevbt(scenario, self.radio, th, graph=graph,
                                 e_fail=self.policy.e_fail, state=state)
-            self._fill_parents(list(tree.parent), tree.edges, graph, n)
+            self._fill(graph, tree.edges)
             return
         tree_set, _ = build_min_cover(scenario, th, graph=graph, state=state)
         rows = build_forwarding_problem(
             scenario, tree_set, th, self.fitness_params, self.e_init,
             graph=graph, state=state).arrays
-        if self.algorithm == "balanced_probabilistic":
-            self._fill_draw_rows(rows, graph, n)
+        if self.balanced:
+            # a hop goes one level down, or onto the backbone from off it
+            self._fill(graph, rows.edges, rows.bounds, rows.draws(),
+                       1 + rows.max_level)
         else:
-            self._fill_parents(rows.rows, rows.best_edges(), graph, n)
+            self._fill(graph, rows.best_edges())
 
-    def _fill_parents(self, ids, edges, graph, n: int) -> None:
-        """Route node ids[k] over graph edge edges[k]."""
-        parent = np.full(n + 1, n, dtype=np.int64)
-        tx = np.zeros(n + 1)
-        parent[ids] = graph.nbrs[edges]
-        tx[ids] = graph.edge_tx(self.radio)[edges]
-        depth = np.zeros(n + 1, dtype=np.int64)
-        cur = np.arange(n + 1)
-        moving = cur != n
-        while moving.any():
-            depth += moving
-            cur = parent[cur]
-            moving = cur != n
-        self.parent, self.tx, self.depth = parent, tx, depth
+    def _fill(self, graph, edges: np.ndarray,
+              bounds: Optional[np.ndarray] = None,
+              draws: Optional[tuple[np.ndarray, np.ndarray]] = None,
+              max_draws: Optional[int] = None) -> None:
+        """The table of candidate edges, node rows ascending: one per
+        node, else edges[bounds[k]:bounds[k + 1]] for row k, and draws
+        their CandidateArrays.draws(). max_draws defaults to the longest
+        chain, a bound when no node draws."""
+        self.sink = n = len(graph.indptr) - 2
+        self.sender = graph.edge_rows(edges)
+        self.head = head = graph.nbrs[edges].astype(np.int64)
+        self.slot_tx = graph.edge_tx(self.radio)[edges]
+        if bounds is None:
+            bounds = np.arange(len(edges) + 1)
+        first = bounds[:-1]
+        many = np.diff(bounds) > 1
+        # each forced node's slot (-1 at the rest), and the slot taken
+        # after each slot: -1 at a draw node or the sink, and after -1
+        forced = np.full(n + 1, -1)
+        ids, slot = self.sender[first[~many]], first[~many]
+        forced[ids] = slot
+        after = np.append(forced[head], -1)
+        # chase every chain at once: row k of steps holds each one's k-th
+        steps = [slot]
+        while (slot := after[slot]).max(initial=-1) >= 0:
+            steps.append(slot)
+        steps = np.array(steps).T
+        taken = steps >= 0
+        length = np.zeros(n + 1, dtype=np.int64)
+        length[ids] = taken.sum(axis=1)
+        ptr = np.concatenate(([0], np.cumsum(length)))
+        self.chain_ptr = np.concatenate((ptr, ptr[-1] + 1
+                                         + np.arange(len(edges))))
+        self.chain = np.concatenate((steps[taken], np.arange(len(edges))))
+        self.max_draws = (int(length.max(initial=0)) if max_draws is None
+                          else max_draws)
+        self.draw_rows, self.lengths = {}, None
+        if many.any():
+            self.draw_rows = dict(zip(
+                self.sender[first[many]].tolist(),
+                zip(split_rows(draws[1].tolist(), np.cumsum(
+                    [0, *np.diff(bounds)[many] - 1]).tolist()),
+                    first[many].tolist())))
+            self._walk_lists()
+        if draws is not None:
+            # a node with the sink in range has it as its one candidate,
+            # and a packet from it loads no tree node: its load row is empty
+            to_node = head != n
+            load_bounds = np.concatenate(([0], np.cumsum(to_node)))[bounds]
+            count = np.zeros(n, dtype=np.int64)
+            count[self.sender[first]] = np.diff(load_bounds)
+            self.load_bounds = np.concatenate(([0], np.cumsum(count)))
+            self.load_cand = head[to_node]
+            self.load_p = draws[0][to_node]
 
-    def _fill_draw_rows(self, rows: CandidateArrays, graph, n: int) -> None:
-        """Slots, draw rows, forced chains and load arrays of a build."""
-        self.chains = self.draw_rows = self.texts = []  # old rows go first
-        probs, cuts = rows.draws()
-        widths, first = np.diff(rows.bounds), rows.bounds[:-1]
-        many = widths > 1
-        self.head = head = graph.nbrs[rows.edges].astype(np.int64)
-        self.sender, self.heads = np.repeat(rows.rows, widths), head.tolist()
-        self.slot_tx = graph.edge_tx(self.radio)[rows.edges]
-        self.draw_rows = dict(zip(rows.rows[many].tolist(), zip(split_rows(
-            cuts.tolist(), np.cumsum([0, *widths[many] - 1]).tolist()),
-            first[many].tolist())))
-        # a forced node's chain extends its head's, so go by chain length
-        ids, slot = rows.rows[~many], first[~many]
-        nxt = np.arange(n + 1)
-        nxt[ids] = head[slot]
-        at, length = ids, np.zeros(len(ids), dtype=np.int64)
-        while (more := nxt[at] != at).any():
-            length += more
-            at = nxt[at]
-        order = np.argsort(length)
-        chains, stops = [()] * (n + 1), list(range(n + 1))
-        texts, names = [""] * (n + 1), self.names
-        for i, s, h in zip(ids[order].tolist(), slot[order].tolist(),
-                           nxt[ids[order]].tolist()):
-            chains[i], stops[i] = (s, *chains[h]), stops[h]
-            if names:
-                texts[i] = f"{names[h]}>{texts[h]}" if chains[h] else names[h]
-        self.chains, self.stops, self.texts = chains, stops, texts
-        # a node with the sink in range has it as its one candidate, and
-        # a packet from it loads no tree node: its load row is empty
-        to_node = head != n
-        load_bounds = np.concatenate(([0], np.cumsum(to_node)))[rows.bounds]
-        count = np.zeros(n, dtype=np.int64)
-        count[rows.rows] = np.diff(load_bounds)
-        self.load_bounds = np.concatenate(([0], np.cumsum(count)))
-        self.load_cand = head[to_node]
-        self.load_p = probs[to_node]
-        # each hop goes one level down, or onto the backbone from off it
-        self.max_draws = 1 + rows.max_level
+    def _walk_lists(self) -> None:
+        """Each node's chain length and stop (where its chain ends, the
+        head of its last slot; itself at a draw node) and each slot's
+        head, as lists: route() then walks in Python."""
+        ptr = self.chain_ptr[:self.sink + 2]
+        length = np.diff(ptr)
+        stops = np.arange(self.sink + 1)
+        ends = length > 0
+        stops[ends] = self.head[self.chain[ptr[1:][ends] - 1]]
+        self.lengths, self.stops = length.tolist(), stops.tolist()
+        self.heads = self.head.tolist()
 
-    def load_rows(self, origins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The tree nodes and probabilities one packet from each origin
-        adds to the expected load, origin by origin, flat."""
-        start = self.load_bounds[origins]
-        count = self.load_bounds[origins + 1] - start
-        at = np.arange(count.sum())
-        at += np.repeat(start - np.cumsum(count) + count, count)
-        return self.load_cand[at], self.load_p[at]
+    def route(self, origins: np.ndarray,
+              stream: _Uniforms) -> tuple[np.ndarray, np.ndarray]:
+        """The slots of one packet from each origin, packet by packet and
+        hop by hop, and the index of each packet's first slot."""
+        walk = self.lengths is not None
+        rows, firsts = (self._walk(origins, stream) if walk
+                        else (origins, slice(None)))
+        at, count = csr_positions(self.chain_ptr, rows)
+        if self.balanced and not walk:
+            stream.take(len(at))  # forced hops still use up a uniform each
+        return self.chain[at], (np.cumsum(count) - count)[firsts]
 
-    def walk(self, origins: np.ndarray) -> np.ndarray:
-        """Every origin's fixed parent chain, one row per packet.
-
-        Row p lists the senders of origins[p]'s packet, origin first,
-        padded with n (the sink) to the longest chain of the round.
-        """
-        parent = self.parent
-        steps = int(self.depth[origins].max(initial=0))
-        walk = np.empty((steps, len(origins)), dtype=np.int64)
-        cur = origins
-        for h in range(steps):
-            walk[h] = cur
-            cur = parent[cur]
-        return walk.T
+    def _walk(self, origins: np.ndarray,
+              stream: _Uniforms) -> tuple[np.ndarray, list[int]]:
+        """The table rows packet by packet, one Python step per draw or
+        forced chain, and the index of each packet's first row."""
+        lengths, stops, heads = self.lengths, self.stops, self.heads
+        draw_rows, sink = self.draw_rows, self.sink
+        rows: list[int] = []
+        firsts: list[int] = []
+        stream.reserve(len(origins) * self.max_draws)
+        uniforms, j = stream.values, stream.pos
+        for u in origins.tolist():
+            firsts.append(len(rows))
+            while u != sink:
+                k = lengths[u]
+                if k:  # forced hops still use up a uniform each
+                    rows.append(u)
+                    j += k
+                    u = stops[u]
+                else:
+                    cuts, s = draw_rows[u]
+                    s += bisect_right(cuts, uniforms[j])
+                    j += 1
+                    rows.append(sink + 1 + s)
+                    u = heads[s]
+        stream.pos = j
+        return np.array(rows, dtype=np.int64), firsts
 
 
 def _spend(senders: np.ndarray, tx: np.ndarray, first: np.ndarray,
@@ -364,30 +381,29 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     policy.validate()
     fparams = (fitness_params or FitnessParams()).validate()
     radio.validate()
-    # the run moves the sink and never writes a Node: the copy shares them
-    sc = copy.copy(scenario)
-    sc.field = copy.copy(scenario.field)
     stream = _Uniforms(_generator(seed))
-    n_total = len(sc.nodes)
+    n_total = len(scenario.nodes)
     th, e_fail = policy.th, policy.e_fail
     rx = rx_cost(radio)
     metrics = LifetimeMetrics()
-    state = energy, live = sc.state()  # written in place by the rounds
+    state = energy, live = scenario.state()  # written in place by the rounds
     # parent picks per vertex over the run (the sink is n); balanced
     # expected loads and the tree nodes any packet could pick
     first_hops = np.zeros(n_total + 1, dtype=np.int64)
     expected, seen = np.zeros(n_total), np.zeros(n_total, dtype=bool)
-    # packet path names; the sink's "-1" is names[SINK]
-    names = ([str(i) for i in range(n_total)] + [str(SINK)]
-             if event_log is not None else [])
+    # packet path pieces by vertex, the sink (n) last
+    if event_log is not None:
+        tokens = np.array([*(f"{i}>" for i in range(n_total)), f"{SINK}\n"],
+                          dtype=object)
 
     def log(round_no: int, event: str, node: int = -1, detail: str = "") -> None:
         if event_log is not None:
             event_log.append((round_no, event, node, detail))
 
-    graph = build_reachability(sc)
-    router = _Router(algorithm, radio, policy, fparams, e_init, names)
-    router.rebuild(sc, graph, state)  # initial ConstructionFailed propagates
+    # the run moves only the graph's sink, never the scenario's
+    graph = build_reachability(scenario)
+    router = _Router(algorithm, radio, policy, fparams, e_init)
+    router.rebuild(scenario, graph, state)  # initial failure propagates
     # a live node holding neither th nor e_fail failed at the first build
     live &= (energy >= th) | (energy >= e_fail)
     alive = np.flatnonzero(live)
@@ -398,61 +414,26 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
         origins = alive[draws < traffic.origin_probability]
 
         # routes all reflect start-of-round energies; debits land afterwards
-        if router.parent is not None:
-            walk = router.walk(origins)
-            senders = walk.ravel()
-            ids, amounts, spent = _spend(
-                senders, router.tx[senders],
-                np.arange(len(origins)) * walk.shape[1], rx, n_total)
-            first_hops += np.bincount(router.parent[origins],
-                                      minlength=n_total + 1)
-            if event_log is not None:
-                depth = router.depth[origins].tolist()
-                for row, hops in zip(walk.tolist(), depth):
-                    event_log.append((round_no, "packet", row[0], ">".join(
-                        [*map(names.__getitem__, row[:hops]), names[SINK]])))
-        else:
-            chains, stops, texts = router.chains, router.stops, router.texts
-            draw_rows, heads = router.draw_rows, router.heads
-            slots: list[int] = []  # the round's hops, packet by packet
-            starts: list[int] = []  # each packet's first hop in slots
-            stream.reserve(len(origins) * router.max_draws)
-            uniforms, j = stream.values, stream.pos
-            for origin in origins.tolist():
-                starts.append(len(slots))
-                path = [names[origin]] if event_log is not None else None
-                u = origin
-                while u != n_total:
-                    chain = chains[u]
-                    if chain:  # forced hops still use up a uniform each
-                        slots += chain
-                        j += len(chain)
-                        if path is not None:
-                            path.append(texts[u])
-                        u = stops[u]
-                    else:
-                        cuts, s = draw_rows[u]
-                        s += bisect_right(cuts, uniforms[j])
-                        j += 1
-                        slots.append(s)
-                        u = heads[s]
-                        if path is not None:
-                            path.append(names[u])
-                if path is not None:
-                    event_log.append((round_no, "packet", origin,
-                                      ">".join(path)))
-            stream.pos = j
-            hops = np.array(slots, dtype=np.int64)
-            ids, amounts, spent = _spend(router.sender[hops],
-                                         router.slot_tx[hops], starts, rx,
-                                         n_total)
-            first_hops += np.bincount(router.head[hops[starts]],
-                                      minlength=n_total + 1)
+        hops, starts = router.route(origins, stream)
+        senders = router.sender[hops]
+        ids, amounts, spent = _spend(senders, router.slot_tx[hops], starts,
+                                     rx, n_total)
+        first_hops += np.bincount(router.head[hops[starts]],
+                                  minlength=n_total + 1)
+        if event_log is not None:
+            # each packet's senders' "i>", then the sink's "-1\n"
+            ends = np.append(starts[1:], len(hops))
+            paths = "".join(tokens[np.insert(senders, ends, n_total)]
+                            .tolist()).split("\n")
+            event_log.extend(zip(repeat(round_no), repeat("packet"),
+                                 origins.tolist(), paths[:-1]))
+        if router.balanced:
             # per tree node 0.0 + its total so far + each p as drawn
-            load_ids, load_ps = router.load_rows(origins)
+            at, _ = csr_positions(router.load_bounds, origins)
+            load_ids = router.load_cand[at]
             expected = np.bincount(
                 np.concatenate((np.arange(n_total), load_ids)),
-                np.concatenate((expected, load_ps)))
+                np.concatenate((expected, router.load_p[at])))
             seen[load_ids] = True
 
         metrics.total_energy_consumed += spent
@@ -474,7 +455,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
 
         if dead or flipped:
             try:
-                router.rebuild(sc, graph, state)
+                router.rebuild(scenario, graph, state)
             except ConstructionFailed as fail:
                 metrics.rounds_until_disconnect = round_no
                 log(round_no, "disconnect",
@@ -484,18 +465,16 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
             log(round_no, "rebuild", detail="eligibility")
 
         if policy.t_move and round_no % policy.t_move == 0:
-            target = relocate_sink(sc, policy.grid, policy.max_step,
+            saved = tuple(graph.points[-1].tolist())
+            target = relocate_sink(scenario, policy.grid, policy.max_step,
                                    graph=graph, state=state)
-            if target != sc.field.sink_pos:
-                saved = sc.field.sink_pos
-                sc.field.sink_x, sc.field.sink_y = target
+            if target != saved:
                 graph.move_sink(target)
                 try:
-                    router.rebuild(sc, graph, state)
+                    router.rebuild(scenario, graph, state)
                 except ConstructionFailed:
                     # rebuild mutates nothing when it fails, so the old
                     # route table is still valid at the old position
-                    sc.field.sink_x, sc.field.sink_y = saved
                     graph.move_sink(saved)
                     log(round_no, "relocate", detail="reverted")
                 else:
@@ -504,7 +483,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                         detail=f"{target[0]:.3f};{target[1]:.3f}")
 
     counts = first_hops[:n_total]
-    if router.parent is not None:
+    if not router.balanced:
         # a fixed-parent packet adds 1.0 to its first hop's expected load,
         # and sums of 1.0 are exact
         expected, seen = counts.astype(float), counts > 0

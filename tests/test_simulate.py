@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vbtsim as v
-from oracles import (reference_compare_load_spread, reference_run_simulation,
-                     route_energy)
+from oracles import (best_parent, reference_compare_load_spread,
+                     reference_run_simulation, route_energy)
 from vbtsim import simulate
 from vbtsim.model import left_sum
 
@@ -366,8 +366,12 @@ def all_failed_scenario():
      "seed must be >= 0"),
     (lambda: v.compare_load_spread(ten_client_two_gateway_scenario(),
                                    rounds=1, seed=-1), "seed must be >= 0"),
+    (lambda: v.run_simulation(v.Scenario(v.Field(200, 200, 100, 100), [],
+                                         30.0), "mmevbt", v.TrafficModel(),
+                              RADIO, NO_MOVE, seed=1),
+     "need at least one node"),
 ], ids=["relocate-no-live-node", "relocate-grid-0", "relocate-max-step<0",
-        "run-seed<0", "compare-seed<0"])
+        "run-seed<0", "compare-seed<0", "run-no-nodes"])
 def test_library_calls_reject_bad_inputs_clearly(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -627,12 +631,17 @@ def test_forced_chains_stop_at_draws_and_the_sink():
                                   4: [3], 5: [v.SINK], 6: [1], 7: [2]}
     names = [str(i) for i in range(8)] + ["-1"]
     router = simulate._Router("balanced_probabilistic", RADIO, NO_MOVE,
-                              v.FitnessParams(), v.E_INIT, names)
+                              v.FitnessParams(), v.E_INIT)
     router.rebuild(sc, v.build_reachability(sc))
-    chains = {i: (router.stops[i], router.texts[i],
-                  router.sender[list(c)].tolist(),
-                  router.head[list(c)].tolist())
-              for i, c in enumerate(router.chains[:8]) if c}
+    ptr = router.chain_ptr.tolist()
+    # each chain's stop, its heads' names as a packet path shows them,
+    # and its senders and heads
+    chains = {i: (router.stops[i],
+                  ">".join(names[h] for h in router.head[c].tolist()),
+                  router.sender[c].tolist(), router.head[c].tolist())
+              for i in range(8)
+              if (c := router.chain[ptr[i]:ptr[i + 1]]).size}
+    assert router.lengths == [b - a for a, b in zip(ptr, ptr[1:9 + 1])]
     assert chains == {
         0: (8, "-1", [0], [8]), 1: (8, "0>-1", [1, 0], [0, 8]),
         2: (8, "0>-1", [2, 0], [0, 8]), 4: (3, "3", [4], [3]),
@@ -666,6 +675,74 @@ def test_chain_walk_equals_reference():
     paths = {tuple(parse_path(d)) for _, ev, _, d in events if ev == "packet"}
     assert {(4, 3, 1, 0, -1), (4, 3, 2, 0, -1), (5, -1)} <= paths
     assert metrics.reconstructions == 1 and metrics.rounds_run > 38
+
+
+def test_all_forced_multi_hop_balanced_run_equals_reference(monkeypatch):
+    # every node of this layout has one candidate, some five hops from
+    # the sink: each round gathers whole chains and uses up one uniform
+    # per hop, until a flip's rebuild fails
+    def refuse(self, origins, stream):
+        raise AssertionError("walked a table with no draw rows")
+
+    field = v.Field(100, 100, 50, 50)
+    sc = v.Scenario(field, v.deploy_uniform(field, 8, 33, e_init=0.05,
+                                            th=0.005), 30.0, 33)
+    policy = v.SimPolicy(th=0.005, t_move=0)
+    router = simulate._Router("balanced_probabilistic", RADIO, policy,
+                              v.FitnessParams(), 0.05)
+    router.rebuild(sc, v.build_reachability(sc))
+    assert router.draw_rows == {} and router.lengths is None
+    monkeypatch.setattr(simulate._Router, "_walk", refuse)
+    new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(0.5, 300),
+                        policy, 4, e_init=0.05)
+    assert new == ref
+    metrics, events = new
+    paths = [parse_path(d) for _, ev, _, d in events if ev == "packet"]
+    assert max(map(len, paths)) == 6  # five hops
+    assert metrics.rounds_run > 20 and metrics.rounds_until_disconnect
+
+
+def fixed_parent_router(algo, sc):
+    router = simulate._Router(algo, RADIO, NO_MOVE, v.FitnessParams(),
+                              v.E_INIT)
+    router.rebuild(sc, v.build_reachability(sc))
+    return router
+
+
+@pytest.mark.parametrize("algo", ["mmevbt", "min_cover_best_parent"])
+@pytest.mark.parametrize("layout", [1, 6, 9])
+def test_fixed_parent_chains_follow_the_parents(algo, layout):
+    sc = connected_random_scenario(layout, n=40, range_m=35.0)
+    if algo == "mmevbt":
+        parent = v.build_mmevbt(sc, RADIO, TH).parent
+    else:
+        tree, _ = v.build_min_cover(sc, TH)
+        problem = v.build_forwarding_problem(sc, tree, TH, v.FitnessParams())
+        parent = {i: best_parent(problem, i) for i in problem.candidates}
+    router = fixed_parent_router(algo, sc)
+    assert router.draw_rows == {}
+    n, ptr = len(sc.nodes), router.chain_ptr
+    for i in range(n):
+        want = [i]
+        while want[-1] != v.SINK:
+            want.append(parent[want[-1]])
+        chain = router.chain[ptr[i]:ptr[i + 1]]
+        got = [i, *(v.SINK if h == n else h
+                    for h in router.head[chain].tolist())]
+        assert got == want
+        assert router.sender[chain].tolist() == want[:-1]
+
+
+@pytest.mark.parametrize("algo", ["mmevbt", "min_cover_best_parent"])
+def test_python_walk_of_a_fixed_parent_table_equals_the_gather(algo):
+    sc = connected_random_scenario(3, n=40, range_m=35.0)
+    router = fixed_parent_router(algo, sc)
+    origins = np.random.default_rng(2).integers(0, 40, 60)
+    gather = router.route(origins, simulate._Uniforms(np.random.default_rng(1)))
+    router._walk_lists()  # route() now walks in Python
+    walk = router.route(origins, simulate._Uniforms(np.random.default_rng(1)))
+    assert [a.tolist() for a in walk] == [a.tolist() for a in gather]
+    assert len(gather[0]) > 3 * len(origins)
 
 
 # ---------------------------------------------------------- state arrays
@@ -823,18 +900,18 @@ def refills_inside_chains(walks, events):
     """How many stream refills put their first new value strictly inside
     a forced chain, replaying each round's packet paths (from events)
     over that round's chains; walks holds one (index of the first new
-    value or None, chains) per round."""
+    value or None, chain length by node) per round."""
     paths = {}
     for rnd, ev, _, detail in events:
         if ev == "packet":
             paths.setdefault(rnd, []).append(parse_path(detail))
     inside = 0
-    for rnd, (new_at, chains) in enumerate(walks, 1):
+    for rnd, (new_at, lengths) in enumerate(walks, 1):
         pos = 0  # the next value a hop uses up
         for path in paths.get(rnd, []):
             k = 0
             while path[k] != v.SINK:
-                step = len(chains[path[k]]) or 1  # a chain or one draw
+                step = lengths[path[k]] or 1  # a chain or one draw
                 inside += new_at is not None and pos < new_at < pos + step
                 pos, k = pos + step, k + step
     return inside
@@ -860,7 +937,7 @@ def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
 
         @property
         def values(self):  # read by the balanced walk, once a round
-            walks.append((self.new_at, routers[-1].chains))
+            walks.append((self.new_at, routers[-1].lengths))
             return super().values
 
     monkeypatch.setattr(simulate, "_Router", Router)
