@@ -11,7 +11,6 @@ from .balanced import (
     BETA_MIN,
     FitnessParams,
     ForwardingProblem,
-    InstanceTooLarge,
     build_forwarding_problem,
     expected_loads,
     min_max_load_exact,

@@ -31,10 +31,6 @@ from .model import (
 BETA_MIN = math.pi / 36  # 5 degrees; caps the straightness reward
 
 
-class InstanceTooLarge(ValueError):
-    """Exact solver guard tripped with the matching fallback disabled."""
-
-
 @dataclass(frozen=True)
 class FitnessParams:
     c1: float = 1.0 / 3.0
@@ -43,9 +39,10 @@ class FitnessParams:
     mode: str = "normalized"  # or "raw"
 
     def validate(self) -> "FitnessParams":
-        if min(self.c1, self.c2, self.c3) < 0:
+        # a nan weight fails both comparisons
+        if not all(c >= 0 for c in (self.c1, self.c2, self.c3)):
             raise ValueError("fitness weights must be nonnegative")
-        if abs(self.c1 + self.c2 + self.c3 - 1.0) > 1e-9:
+        if not abs(self.c1 + self.c2 + self.c3 - 1.0) <= 1e-9:
             raise ValueError("fitness weights must sum to 1")
         if self.mode not in ("normalized", "raw"):
             raise ValueError(f"unknown fitness mode '{self.mode}'")
@@ -72,11 +69,11 @@ def select_parent(probabilities: Sequence[float], rng: np.random.Generator) -> i
 def draw_index(cumulative: Sequence[float], r: float) -> int:
     """First index whose cumulative sum exceeds r (the scan's r < acc).
 
-    This is the number of cut points at or below r, where the cut points
-    are the cumulative sums without the last: the last sum never bounds
-    a draw, so rounding that leaves it just below 1 lands its slack on
-    the last interval. The round loop stores the cut points and bisects
-    them directly.
+    The last sum never bounds a draw, so rounding that leaves it just
+    below 1 lands its slack on the last interval. The round loop and
+    compare_load_spread bisect each row of CandidateArrays.draws()'s flat
+    sums in place with the same bounds: bisect_right(cums, r, lo, hi - 1)
+    over the row's slots lo..hi - 1 is the drawn slot itself.
     """
     return bisect_right(cumulative, r, 0, len(cumulative) - 1)
 
@@ -116,8 +113,8 @@ class CandidateArrays:
         return self.edges[self.bounds[:-1] + fit.argmax(axis=1)]
 
     def draws(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's selection_probabilities and its cut points (the
-        cumulative sums without the last), flat in edges order.
+        """Each row's selection_probabilities and their cumulative sums
+        (itertools.accumulate of the row), flat in edges order.
 
         left_sum and accumulate are left folds, so both are column loops
         over the rows padded with zeros: adding 0.0 changes no sum. The
@@ -136,8 +133,7 @@ class CandidateArrays:
         cum = probs.copy()
         for k in range(1, cum.shape[1]):
             cum[:, k] = cum[:, k - 1] + probs[:, k]
-        is_cut = col < np.diff(self.bounds)[rank] - 1
-        return probs[rank, col], cum[rank, col][is_cut]
+        return probs[rank, col], cum[rank, col]
 
 
 @dataclass
@@ -347,42 +343,17 @@ def expected_loads(problem: ForwardingProblem) -> dict[int, float]:
     return expected
 
 
-def min_max_load_exact(problem: ForwardingProblem, allow_matching: bool = True,
-                       brute_force_limit: int = 10**6
+def min_max_load_exact(problem: ForwardingProblem
                        ) -> tuple[dict[int, int], int]:
     """Assign every node one candidate minimizing the busiest parent's load.
 
-    Small instances (product of candidate-list sizes within the guard)
-    enumerate every assignment and keep the lexicographically first
-    optimum. Larger ones binary-search the answer, checking feasibility
-    with capacity-limited augmenting paths; same optimal mc, possibly a
-    different witness. Raises InstanceTooLarge past the guard with the
-    matching fallback disabled.
+    Binary-searches the optimal mc, checking each bound's feasibility
+    with capacity-limited augmenting paths (the sink is uncapacitated);
+    returns a witness assignment and mc.
     """
     nodes = sorted(problem.candidates)
     if not nodes:
         return {}, 0
-    space = 1
-    for i in nodes:
-        space *= len(problem.candidates[i])
-        if space > brute_force_limit:
-            break
-    if space <= brute_force_limit:
-        best_mc = len(nodes) + 1
-        best: tuple[int, ...] = ()
-        for combo in itertools.product(*(problem.candidates[i] for i in nodes)):
-            count: dict[int, int] = {}
-            for t in combo:
-                if t != SINK:
-                    count[t] = count.get(t, 0) + 1
-            mc = max(count.values(), default=0)
-            if mc < best_mc:
-                best_mc = mc
-                best = combo
-        return dict(zip(nodes, best)), best_mc
-    if not allow_matching:
-        raise InstanceTooLarge(
-            f"assignment space exceeds {brute_force_limit} and matching is off")
     lo, hi = 0, len(nodes)
     feasible = _capacity_match(problem, nodes, hi)
     while lo < hi:

@@ -45,8 +45,8 @@ class EnergyParams:
     e_init: float = E_INIT  # initial battery per deployed node, joules
 
     def validate(self) -> "EnergyParams":
-        if self.e_init <= 0:
-            raise ValueError("energy.e_init must be > 0")
+        if not 0 < self.e_init < math.inf:
+            raise ValueError("energy.e_init must be > 0 and finite")
         return self
 
 

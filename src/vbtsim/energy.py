@@ -6,6 +6,7 @@ reference path_consumption in tests/oracles.py states it hop by hop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Standard first-order radio constants; packet = 512 bytes.
@@ -23,8 +24,10 @@ class RadioParams:
     packet_bits: int = DEFAULT_PACKET_BITS
 
     def validate(self) -> None:
-        if self.e_elec <= 0 or self.e_amp <= 0 or self.packet_bits <= 0:
-            raise ValueError("radio parameters must be strictly positive")
+        if not (0 < self.e_elec < math.inf and 0 < self.e_amp < math.inf
+                and self.packet_bits > 0):  # nan fails every comparison
+            raise ValueError("radio parameters must be strictly positive "
+                             "and finite")
 
 
 def tx_cost(params: RadioParams, distance: float) -> float:

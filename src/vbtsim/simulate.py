@@ -24,9 +24,9 @@ walked in Python, reading uniforms in order from one stream
 (_Uniforms): rng.random(k) yields exactly the values of k scalar
 rng.random() calls, so the origin draws are a slice of it and each hop
 uses up the next value, a forced chain as many as it has hops, even
-when gathered. A draw bisects the row's cut points,
-balanced.draw_index's rule, and a chain is one step, so a packet costs
-one Python step per draw or chain, not per hop.
+when gathered. A draw bisects its node's row of the build's cumulative
+selection sums in place, balanced.draw_index's rule, and a chain is one
+step, so a packet costs one Python step per draw or chain, not per hop.
 
 Both walkers feed one kernel (_spend): the senders packet by packet and
 hop by hop, a relay's receive cost just before its transmit cost, the
@@ -35,11 +35,13 @@ adds each node's charges one by one in that order, the same left fold,
 so every float is bit-identical; the round total folds the nodes in
 first-touch order with np.cumsum, a left fold (never sum(), which
 compensates from Python 3.12 on). A balanced round folds its origins'
-expected loads, flat arrays of the build, into the run's totals with
-one weighted np.bincount led by those totals: per tree node 0 + total +
-p1 + ..., the left fold of a per-packet loop. A fixed-parent packet
-adds exactly 1.0 to its first hop: there the loads are the counts.
-compare_load_spread picks from the same CandidateArrays as a rebuild.
+selection probabilities, read from the table's rows, into the run's
+expected loads with one weighted np.bincount led by those totals: per
+tree node 0 + total + p1 + ..., the left fold of a per-packet loop. A
+direct-to-sink packet adds to a sink entry that the run drops. A
+fixed-parent packet adds exactly 1.0 to its first hop: there the loads
+are the counts. compare_load_spread bisects the same CandidateArrays
+rows as a rebuild.
 """
 
 from __future__ import annotations
@@ -47,15 +49,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .balanced import (
-    FitnessParams,
-    build_forwarding_problem,
-    split_rows,
-)
+from .balanced import FitnessParams, build_forwarding_problem
 from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt, relocate_sink
@@ -108,7 +106,7 @@ class SimPolicy:
             raise ValueError("policy.grid must be in [1, 2**62]")
         if self.t_move is not None and self.t_move < 0:
             raise ValueError("policy.t_move must be >= 0 (0 or none = off)")
-        if self.max_step is not None and self.max_step < 0:
+        if self.max_step is not None and not self.max_step >= 0:
             raise ValueError("policy.max_step must be >= 0 (none = unbounded)")
         return self
 
@@ -130,30 +128,26 @@ class _Uniforms:
 
     rng.random(k) yields exactly the values of k scalar rng.random()
     calls, so reading this stream in order replays those calls bit for
-    bit. values holds the current chunk as Python floats (converted on
-    first read, so array-only readers never pay for it) and pos is the
-    next unread one; a reader may take values[pos:pos + k] after
-    reserve(k) and then moves pos past the values it used.
+    bit. values views the current chunk, and pos is the next unread
+    value; a reader may read values[pos:pos + k] after reserve(k) and
+    then moves pos past the values it used.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._random = rng.random
         self._array = np.empty(0)
-        self._values: Optional[list[float]] = None
         self.pos = 0
 
     @property
-    def values(self) -> list[float]:
-        if self._values is None:
-            self._values = self._array.tolist()
-        return self._values
+    def values(self) -> memoryview:
+        # a memoryview reads Python floats on the fly: no list of the chunk
+        return memoryview(self._array)
 
     def reserve(self, k: int) -> None:
         """Make at least k unread values available from pos on."""
         if self.pos + k > len(self._array):
             self._array = np.concatenate((self._array[self.pos:],
                                           self._random(k + _CHUNK)))
-            self._values = None
             self.pos = 0
 
     def take(self, k: int) -> np.ndarray:
@@ -169,20 +163,20 @@ class _Router:
 
     Slot s, a position in the build's candidate edges, is the hop from
     sender[s] to head[s] (the sink is vertex n, the node count) at cost
-    slot_tx[s]. mmevbt and min_cover_best_parent give each routed node
-    one candidate, balanced_probabilistic all of them. A node with
-    several has draw_rows[i] = (cut points, first slot), the cumulative
-    selection sums without the last: a uniform r picks slot first +
-    bisect_right(cuts, r). A node with one is forced. Row r of the table
-    is chain[chain_ptr[r]:chain_ptr[r + 1]]: for r = i <= n, the slots
-    node i and the forced nodes after it take up to the sink or the
-    first node with a draw (none at a draw node); for r = n + 1 + s, the
-    drawn slot s alone. route() expands each packet's rows with one
-    gather. Walk lists (lengths, stops, heads) exist only for a table
-    with draw rows; without them a packet is its origin's row. For
-    balanced_probabilistic, one packet from i adds load_p[k] to the
-    expected load of tree node load_cand[k] for load_bounds[i] <= k <
-    load_bounds[i + 1]. max_draws bounds the longest path to the sink.
+    slot_tx[s]; node i's slots are slot_ptr[i] <= s < slot_ptr[i + 1].
+    mmevbt and min_cover_best_parent give each routed node one
+    candidate, balanced_probabilistic all of them, with selection
+    probability slot_p[s] and cumulative sum cums[s] along the row. A
+    node with several draws: a uniform r picks slot
+    bisect_right(cums, r, lo, hi - 1) for its slots lo..hi - 1. A node
+    with one is forced. Row r of the table is
+    chain[chain_ptr[r]:chain_ptr[r + 1]]: for r = i <= n, the slots node
+    i and the forced nodes after it take up to the sink or the first
+    node with a draw (none at a draw node); for r = n + 1 + s, the drawn
+    slot s alone. route() expands each packet's rows with one gather.
+    Walk lists (lengths, stops, heads, starts, cums) exist only for a
+    table with draws; without them a packet is its origin's row.
+    max_draws bounds the longest path to the sink.
     """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
@@ -212,32 +206,28 @@ class _Router:
             graph=graph, state=state).arrays
         if self.balanced:
             # a hop goes one level down, or onto the backbone from off it
-            self._fill(graph, rows.edges, rows.bounds, rows.draws(),
-                       1 + rows.max_level)
+            self._fill(graph, rows.edges, rows.draws(), 1 + rows.max_level)
         else:
             self._fill(graph, rows.best_edges())
 
     def _fill(self, graph, edges: np.ndarray,
-              bounds: Optional[np.ndarray] = None,
               draws: Optional[tuple[np.ndarray, np.ndarray]] = None,
               max_draws: Optional[int] = None) -> None:
-        """The table of candidate edges, node rows ascending: one per
-        node, else edges[bounds[k]:bounds[k + 1]] for row k, and draws
+        """The table of candidate edges, senders ascending, and draws
         their CandidateArrays.draws(). max_draws defaults to the longest
         chain, a bound when no node draws."""
         self.sink = n = len(graph.indptr) - 2
         self.sender = graph.edge_rows(edges)
         self.head = head = graph.nbrs[edges].astype(np.int64)
         self.slot_tx = graph.edge_tx(self.radio)[edges]
-        if bounds is None:
-            bounds = np.arange(len(edges) + 1)
-        first = bounds[:-1]
-        many = np.diff(bounds) > 1
+        self.slot_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.sender, minlength=n + 1))))
+        width = np.diff(self.slot_ptr)
         # each forced node's slot (-1 at the rest), and the slot taken
         # after each slot: -1 at a draw node or the sink, and after -1
         forced = np.full(n + 1, -1)
-        ids, slot = self.sender[first[~many]], first[~many]
-        forced[ids] = slot
+        ids = np.flatnonzero(width == 1)
+        forced[ids] = slot = self.slot_ptr[ids]
         after = np.append(forced[head], -1)
         # chase every chain at once: row k of steps holds each one's k-th
         steps = [slot]
@@ -253,29 +243,17 @@ class _Router:
         self.chain = np.concatenate((steps[taken], np.arange(len(edges))))
         self.max_draws = (int(length.max(initial=0)) if max_draws is None
                           else max_draws)
-        self.draw_rows, self.lengths = {}, None
-        if many.any():
-            self.draw_rows = dict(zip(
-                self.sender[first[many]].tolist(),
-                zip(split_rows(draws[1].tolist(), np.cumsum(
-                    [0, *np.diff(bounds)[many] - 1]).tolist()),
-                    first[many].tolist())))
-            self._walk_lists()
+        self.lengths = None
         if draws is not None:
-            # a node with the sink in range has it as its one candidate,
-            # and a packet from it loads no tree node: its load row is empty
-            to_node = head != n
-            load_bounds = np.concatenate(([0], np.cumsum(to_node)))[bounds]
-            count = np.zeros(n, dtype=np.int64)
-            count[self.sender[first]] = np.diff(load_bounds)
-            self.load_bounds = np.concatenate(([0], np.cumsum(count)))
-            self.load_cand = head[to_node]
-            self.load_p = draws[0][to_node]
+            self.slot_p = draws[0]
+            if (width > 1).any():
+                self._walk_lists(draws[1].tolist())
 
-    def _walk_lists(self) -> None:
+    def _walk_lists(self, cums: Sequence[float] = ()) -> None:
         """Each node's chain length and stop (where its chain ends, the
-        head of its last slot; itself at a draw node) and each slot's
-        head, as lists: route() then walks in Python."""
+        head of its last slot; itself at a draw node), each slot's head,
+        each node's first slot and the slots' cumulative sums, as lists:
+        route() then walks in Python."""
         ptr = self.chain_ptr[:self.sink + 2]
         length = np.diff(ptr)
         stops = np.arange(self.sink + 1)
@@ -283,6 +261,7 @@ class _Router:
         stops[ends] = self.head[self.chain[ptr[1:][ends] - 1]]
         self.lengths, self.stops = length.tolist(), stops.tolist()
         self.heads = self.head.tolist()
+        self.starts, self.cums = self.slot_ptr.tolist(), cums
 
     def route(self, origins: np.ndarray,
               stream: _Uniforms) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +280,7 @@ class _Router:
         """The table rows packet by packet, one Python step per draw or
         forced chain, and the index of each packet's first row."""
         lengths, stops, heads = self.lengths, self.stops, self.heads
-        draw_rows, sink = self.draw_rows, self.sink
+        starts, cums, sink = self.starts, self.cums, self.sink
         rows: list[int] = []
         firsts: list[int] = []
         stream.reserve(len(origins) * self.max_draws)
@@ -315,8 +294,8 @@ class _Router:
                     j += k
                     u = stops[u]
                 else:
-                    cuts, s = draw_rows[u]
-                    s += bisect_right(cuts, uniforms[j])
+                    s = bisect_right(cums, uniforms[j], starts[u],
+                                     starts[u + 1] - 1)
                     j += 1
                     rows.append(sink + 1 + s)
                     u = heads[s]
@@ -387,10 +366,10 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     rx = rx_cost(radio)
     metrics = LifetimeMetrics()
     state = energy, live = scenario.state()  # written in place by the rounds
-    # parent picks per vertex over the run (the sink is n); balanced
-    # expected loads and the tree nodes any packet could pick
+    # per vertex over the run (the sink is n, dropped at the end): parent
+    # picks, balanced expected loads and the tree nodes any packet could pick
     first_hops = np.zeros(n_total + 1, dtype=np.int64)
-    expected, seen = np.zeros(n_total), np.zeros(n_total, dtype=bool)
+    expected, seen = np.zeros(n_total + 1), np.zeros(n_total + 1, dtype=bool)
     # packet path pieces by vertex, the sink (n) last
     if event_log is not None:
         tokens = np.array([*(f"{i}>" for i in range(n_total)), f"{SINK}\n"],
@@ -429,11 +408,11 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                                  origins.tolist(), paths[:-1]))
         if router.balanced:
             # per tree node 0.0 + its total so far + each p as drawn
-            at, _ = csr_positions(router.load_bounds, origins)
-            load_ids = router.load_cand[at]
+            at, _ = csr_positions(router.slot_ptr, origins)
+            load_ids = router.head[at]
             expected = np.bincount(
-                np.concatenate((np.arange(n_total), load_ids)),
-                np.concatenate((expected, router.load_p[at])))
+                np.concatenate((np.arange(n_total + 1), load_ids)),
+                np.concatenate((expected, router.slot_p[at])))
             seen[load_ids] = True
 
         metrics.total_energy_consumed += spent
@@ -482,14 +461,14 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                     log(round_no, "relocate",
                         detail=f"{target[0]:.3f};{target[1]:.3f}")
 
-    counts = first_hops[:n_total]
     if not router.balanced:
         # a fixed-parent packet adds 1.0 to its first hop's expected load,
         # and sums of 1.0 are exact
-        expected, seen = counts.astype(float), counts > 0
+        expected, seen = first_hops.astype(float), first_hops > 0
+    counts = first_hops[:n_total]
     ids = np.flatnonzero(counts)
     metrics.tree_load_counts = dict(zip(ids.tolist(), counts[ids].tolist()))
-    ids = np.flatnonzero(seen)
+    ids = np.flatnonzero(seen[:n_total])
     metrics.tree_load_expected = dict(zip(ids.tolist(),
                                           expected[ids].tolist()))
     return metrics
@@ -517,18 +496,18 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     tree_set, _ = build_min_cover(scenario, th, graph=graph, state=state)
     rows = build_forwarding_problem(scenario, tree_set, th, fparams, e_init,
                                     graph=graph, state=state).arrays
-    cuts = rows.draws()[1].tolist()
-    # row k's cut points, one fewer than its slots from bounds[k] on, are
-    # cuts[lo[k]:lo[k + 1]]: uniform r picks slot k + bisect_right there
-    lo = (rows.bounds - np.arange(len(rows.bounds))).tolist()
+    # uniform r picks slot bisect_right(cums, r, lo, hi - 1) of row k's
+    # slots lo = bounds[k] .. hi - 1, as the round loop does
+    cums, bounds = rows.draws()[1].tolist(), rows.bounds.tolist()
     head, n = graph.nbrs[rows.edges], len(state[0])
     best = graph.nbrs[rows.best_edges()]
     count = np.zeros((2, n + 1), dtype=np.int64)  # the sink is vertex n
     for _ in range(rounds):
         origins = np.flatnonzero(
             rng_origin.random(len(rows.rows)) < origin_probability)
-        picks = [k + bisect_right(cuts, r, lo[k], lo[k + 1]) for k, r in zip(
-            origins.tolist(), rng_pick.random(len(origins)).tolist())]
+        picks = [bisect_right(cums, r, bounds[k], bounds[k + 1] - 1)
+                 for k, r in zip(origins.tolist(),
+                                 rng_pick.random(len(origins)).tolist())]
         count[0] += np.bincount(head[picks], minlength=n + 1)
         count[1] += np.bincount(best[origins], minlength=n + 1)
     mc_prob, mc_det = count[:, :n].max(axis=1, initial=0).tolist()

@@ -326,37 +326,20 @@ def random_problem(rng):
 
 
 def test_min_max_matches_brute_force_oracle():
-    rng = np.random.default_rng(51)
-    for _ in range(30):
-        prob = random_problem(rng)
-        expect_mc = brute_force_min_max(prob.candidates)
-        assign, mc = v.min_max_load_exact(prob)
-        assert mc == expect_mc
-        # witness validity: one candidate per node, counts honour mc
-        counts = {}
-        for i, t in assign.items():
-            assert t in prob.candidates[i]
-            if t != v.SINK:
-                counts[t] = counts.get(t, 0) + 1
-        assert max(counts.values(), default=0) == mc
-
-
-def test_min_max_matching_path_agrees_with_brute_force():
-    rng = np.random.default_rng(61)
-    for _ in range(30):
-        prob = random_problem(rng)
-        expect_mc = brute_force_min_max(prob.candidates)
-        _, mc = v.min_max_load_exact(prob, brute_force_limit=0)  # force matching
-        assert mc == expect_mc
-
-
-def test_min_max_guard_raises_when_matching_disabled():
-    prob = v.ForwardingProblem(candidates={0: [7, 8], 1: [7, 8]},
-                               fitness={0: [1.0, 1.0], 1: [1.0, 1.0]},
-                               levels={7: 1, 8: 1},
-                               next_hop={7: v.SINK, 8: v.SINK})
-    with pytest.raises(v.InstanceTooLarge):
-        v.min_max_load_exact(prob, allow_matching=False, brute_force_limit=1)
+    for seed in (51, 61):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            prob = random_problem(rng)
+            expect_mc = brute_force_min_max(prob.candidates)
+            assign, mc = v.min_max_load_exact(prob)
+            assert mc == expect_mc
+            # witness validity: one candidate per node, counts honour mc
+            counts = {}
+            for i, t in assign.items():
+                assert t in prob.candidates[i]
+                if t != v.SINK:
+                    counts[t] = counts.get(t, 0) + 1
+            assert max(counts.values(), default=0) == mc
 
 
 def test_realized_mc_never_beats_optimum():
@@ -536,10 +519,10 @@ def check_candidate_arrays(p, g):
         with pytest.raises(ValueError, match=str(err)):
             arrays.draws()
         return
-    flat, cuts = arrays.draws()
+    flat, cums = arrays.draws()
     assert flat.tolist() == [q for row in probs for q in row]
-    assert cuts.tolist() == [c for row in probs
-                             for c in list(itertools.accumulate(row))[:-1]]
+    assert cums.tolist() == [c for row in probs
+                             for c in itertools.accumulate(row)]
 
 
 def test_array_problem_with_no_live_node():
@@ -550,8 +533,8 @@ def test_array_problem_with_no_live_node():
     p = v.build_forwarding_problem(sc, {0}, TH, v.FitnessParams())
     assert p == reference_forwarding_problem(sc, {0}, TH, v.FitnessParams())
     assert p.candidates == {} and p.levels == {v.SINK: 0}
-    flat, cuts = p.arrays.draws()
-    assert flat.size == cuts.size == p.arrays.best_edges().size == 0
+    flat, cums = p.arrays.draws()
+    assert flat.size == cums.size == p.arrays.best_edges().size == 0
 
 
 @pytest.mark.parametrize("mode, error", [

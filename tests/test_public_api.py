@@ -8,7 +8,7 @@ PUBLIC = {
     "ALGORITHMS", "BETA_MIN", "DEFAULT_E_AMP", "DEFAULT_E_ELEC",
     "DEFAULT_E_FAIL", "DEFAULT_PACKET_BITS", "DEFAULT_TH", "E_INIT", "SINK",
     "BackboneTree", "ConstructionFailed", "ExperimentConfig", "Field",
-    "FitnessParams", "ForwardingProblem", "InstanceTooLarge",
+    "FitnessParams", "ForwardingProblem",
     "LifetimeMetrics", "Node", "NodeStatus", "RadioParams",
     "ReachabilityGraph", "Scenario", "ScenarioFormatError", "SimPolicy",
     "TrafficModel", "apply_setting", "attempt_seed",
@@ -28,5 +28,5 @@ def test_public_names_are_pinned():
     names = {name for name, obj in vars(vbtsim).items()
              if not name.startswith("_")
              and not isinstance(obj, types.ModuleType)}
-    assert len(PUBLIC) == 52
+    assert len(PUBLIC) == 51
     assert names == PUBLIC

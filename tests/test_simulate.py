@@ -13,6 +13,7 @@ import vbtsim as v
 from oracles import (best_parent, reference_compare_load_spread,
                      reference_run_simulation, route_energy)
 from vbtsim import simulate
+from vbtsim.config import EnergyParams
 from vbtsim.model import left_sum
 
 TH = v.DEFAULT_TH
@@ -348,6 +349,11 @@ def test_compare_load_spread_rejects_bad_values(kwargs):
         v.compare_load_spread(ten_client_two_gateway_scenario(), **args)
 
 
+def run_ten(radio=RADIO, policy=NO_MOVE, **kwargs):
+    return v.run_simulation(ten_client_two_gateway_scenario(), "mmevbt",
+                            v.TrafficModel(), radio, policy, 1, **kwargs)
+
+
 def all_failed_scenario():
     sc = ten_client_two_gateway_scenario()
     for node in sc.nodes:
@@ -370,8 +376,19 @@ def all_failed_scenario():
                                          30.0), "mmevbt", v.TrafficModel(),
                               RADIO, NO_MOVE, seed=1),
      "need at least one node"),
+    (lambda: run_ten(fitness_params=v.FitnessParams(c1=math.nan)),
+     "fitness weights"),
+    (lambda: run_ten(radio=v.RadioParams(e_elec=math.nan)),
+     "radio parameters"),
+    (lambda: run_ten(radio=v.RadioParams(e_amp=math.inf)),
+     "radio parameters"),
+    (lambda: run_ten(policy=v.SimPolicy(max_step=math.nan)),
+     "policy.max_step"),
+    (lambda: EnergyParams(e_init=math.nan).validate(), "energy.e_init"),
 ], ids=["relocate-no-live-node", "relocate-grid-0", "relocate-max-step<0",
-        "run-seed<0", "compare-seed<0", "run-no-nodes"])
+        "run-seed<0", "compare-seed<0", "run-no-nodes", "run-c1-nan",
+        "run-e-elec-nan", "run-e-amp-inf", "run-max-step-nan",
+        "e-init-nan"])
 def test_library_calls_reject_bad_inputs_clearly(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -647,7 +664,7 @@ def test_forced_chains_stop_at_draws_and_the_sink():
         2: (8, "0>-1", [2, 0], [0, 8]), 4: (3, "3", [4], [3]),
         5: (8, "-1", [5], [8]), 6: (8, "1>0>-1", [6, 1, 0], [1, 0, 8]),
         7: (8, "2>0>-1", [7, 2, 0], [2, 0, 8])}
-    assert router.draw_rows.keys() == {3}
+    assert np.flatnonzero(np.diff(router.slot_ptr) > 1).tolist() == [3]
 
 
 @pytest.mark.parametrize("algo", ["balanced_probabilistic",
@@ -691,7 +708,7 @@ def test_all_forced_multi_hop_balanced_run_equals_reference(monkeypatch):
     router = simulate._Router("balanced_probabilistic", RADIO, policy,
                               v.FitnessParams(), 0.05)
     router.rebuild(sc, v.build_reachability(sc))
-    assert router.draw_rows == {} and router.lengths is None
+    assert np.diff(router.slot_ptr).max() == 1 and router.lengths is None
     monkeypatch.setattr(simulate._Router, "_walk", refuse)
     new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(0.5, 300),
                         policy, 4, e_init=0.05)
@@ -720,7 +737,7 @@ def test_fixed_parent_chains_follow_the_parents(algo, layout):
         problem = v.build_forwarding_problem(sc, tree, TH, v.FitnessParams())
         parent = {i: best_parent(problem, i) for i in problem.candidates}
     router = fixed_parent_router(algo, sc)
-    assert router.draw_rows == {}
+    assert np.diff(router.slot_ptr).max() == 1
     n, ptr = len(sc.nodes), router.chain_ptr
     for i in range(n):
         want = [i]
@@ -743,6 +760,34 @@ def test_python_walk_of_a_fixed_parent_table_equals_the_gather(algo):
     walk = router.route(origins, simulate._Uniforms(np.random.default_rng(1)))
     assert [a.tolist() for a in walk] == [a.tolist() for a in gather]
     assert len(gather[0]) > 3 * len(origins)
+
+
+class FixedUniforms:
+    """A Generator stand-in whose random(k) yields given values, then 0."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, k):
+        return np.array((self.values + [0.0] * k)[:k])
+
+
+def test_walk_draws_bisect_each_row_in_place():
+    # three draw nodes, two slots each, all onto the sink (vertex 3);
+    # node 1's sums end at the largest double below 1, node 2's below it
+    router = simulate._Router("balanced_probabilistic", RADIO, NO_MOVE,
+                              v.FitnessParams(), v.E_INIT)
+    router.sink, router.max_draws = 3, 1
+    router.lengths, router.stops, router.heads = [0] * 4, [0, 1, 2, 3], [3] * 6
+    router.starts = [0, 2, 4, 6, 6]
+    router.cums = [0.5, 1.0, 0.25, 1 - 2**-53, 0.5, 1 - 2**-52]
+    uniforms = [0.5, 0.25, 1 - 2**-53, 1 - 2**-53, 0.0]
+    stream = simulate._Uniforms(FixedUniforms(uniforms))
+    rows, firsts = router._walk(np.array([0, 1, 1, 2, 2]), stream)
+    # a uniform equal to a sum picks the next slot; one at or above a
+    # row's last sum picks that row's last slot, never the next row's
+    assert (rows - 4).tolist() == [1, 3, 3, 5, 4]
+    assert firsts == [0, 1, 2, 3, 4] and stream.pos == 5
 
 
 # ---------------------------------------------------------- state arrays
