@@ -325,21 +325,28 @@ def random_problem(rng):
                                next_hop={})
 
 
+def check_min_max_against_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        prob = random_problem(rng)
+        expect_mc = brute_force_min_max(prob.candidates)
+        assign, mc = v.min_max_load_exact(prob)
+        assert mc == expect_mc
+        # witness validity: one candidate per node, counts honour mc
+        counts = {}
+        for i, t in assign.items():
+            assert t in prob.candidates[i]
+            if t != v.SINK:
+                counts[t] = counts.get(t, 0) + 1
+        assert max(counts.values(), default=0) == mc
+
+
 def test_min_max_matches_brute_force_oracle():
-    for seed in (51, 61):
-        rng = np.random.default_rng(seed)
-        for _ in range(30):
-            prob = random_problem(rng)
-            expect_mc = brute_force_min_max(prob.candidates)
-            assign, mc = v.min_max_load_exact(prob)
-            assert mc == expect_mc
-            # witness validity: one candidate per node, counts honour mc
-            counts = {}
-            for i, t in assign.items():
-                assert t in prob.candidates[i]
-                if t != v.SINK:
-                    counts[t] = counts.get(t, 0) + 1
-            assert max(counts.values(), default=0) == mc
+    check_min_max_against_brute_force(51)
+
+
+def test_min_max_matching_path_agrees_with_brute_force():
+    check_min_max_against_brute_force(61)
 
 
 def test_realized_mc_never_beats_optimum():
