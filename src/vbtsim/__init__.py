@@ -23,6 +23,7 @@ from .energy import (
     DEFAULT_E_ELEC,
     DEFAULT_E_FAIL,
     DEFAULT_PACKET_BITS,
+    E_INIT,
     RadioParams,
     rx_cost,
     tx_cost,
@@ -31,7 +32,6 @@ from .mincover import build_min_cover
 from .mmevbt import BackboneTree, build_mmevbt, relocate_sink
 from .model import (
     DEFAULT_TH,
-    E_INIT,
     SINK,
     ConstructionFailed,
     Field,

@@ -25,6 +25,7 @@ from .model import (
     Scenario,
     State,
     build_reachability,
+    hop_levels,
     left_sum,
 )
 
@@ -204,7 +205,7 @@ def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
     tree = np.fromiter(tree_nodes, dtype=np.int64, count=len(tree_nodes))
     eligible = np.zeros(n + 1, dtype=bool)
     eligible[tree] = live[tree] & (energy[tree] >= th)
-    level, max_level = _backbone_levels(graph, eligible)
+    level, max_level = hop_levels(graph, eligible)
     cand, child, parent, hop_from, hop_to = _candidate_edges(graph, level,
                                                              live)
     d = graph.distances()[cand]
@@ -255,27 +256,6 @@ def _dict_views(arrays: CandidateArrays, parent: np.ndarray,
                                     level[backbone].tolist()))},
         next_hop=dict(zip(hop_from.tolist(),
                           np.where(hop_to == n, SINK, hop_to).tolist())))
-
-
-def _backbone_levels(graph: ReachabilityGraph,
-                     eligible: np.ndarray) -> tuple[np.ndarray, int]:
-    """Hop levels from the sink (vertex n) over eligible vertices, and
-    the deepest; an unreached vertex holds a level past every other."""
-    n = len(eligible) - 1
-    level = np.full(n + 1, n + 1)
-    level[n] = 0
-    hop = np.flatnonzero(eligible[graph.nbrs])
-    hop_from, hop_to = graph.edge_rows(hop), graph.nbrs[hop]
-    expands = eligible[hop_from] | (hop_from == n)
-    hop_from, hop_to = hop_from[expands], hop_to[expands]
-    max_level = 0
-    while True:
-        reached = hop_to[(level[hop_from] == max_level)
-                         & (level[hop_to] == n + 1)]
-        if not reached.size:
-            return level, max_level
-        max_level += 1
-        level[reached] = max_level
 
 
 def _candidate_edges(graph: ReachabilityGraph, level: np.ndarray,

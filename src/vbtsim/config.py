@@ -1,11 +1,12 @@
 """Flat key = value experiment configuration over nested sections.
 
 ExperimentConfig holds six top-level scalars and one frozen section per
-dotted key prefix: field and energy (below), radio (RadioParams), policy
-(SimPolicy), fitness (FitnessParams) and traffic (TrafficModel). Keys,
-their parsers and their defaults all come from those declarations: a
-section field `name` is the key `section.name`, parsed by its declared
-type, so a new field is a new key with nothing else to edit.
+dotted key prefix: field (below), energy (EnergyParams), radio
+(RadioParams), policy (SimPolicy), fitness (FitnessParams) and traffic
+(TrafficModel). Keys, their parsers and their defaults all come from
+those declarations: a section field `name` is the key `section.name`,
+parsed by its declared type, so a new field is a new key with nothing
+else to edit.
 
 One key per line, '#' starts a comment (radio.e_elec = 50e-9). Unknown
 keys are fatal so typos never pass silently. Every CSV the harness
@@ -20,8 +21,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional, get_type_hints
 
 from .balanced import FitnessParams
-from .energy import RadioParams
-from .model import E_INIT
+from .energy import EnergyParams, RadioParams
 from .simulate import ALGORITHMS, SimPolicy, TrafficModel
 
 
@@ -38,16 +38,6 @@ class FieldParams:
     height: float = 200.0
     sink_x: float = 100.0
     sink_y: float = 100.0
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    e_init: float = E_INIT  # initial battery per deployed node, joules
-
-    def validate(self) -> "EnergyParams":
-        if not 0 < self.e_init < math.inf:
-            raise ValueError("energy.e_init must be > 0 and finite")
-        return self
 
 
 @dataclass(frozen=True)

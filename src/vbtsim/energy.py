@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+E_INIT = 2.0               # default initial battery per node, joules
+
 # Standard first-order radio constants; packet = 512 bytes.
 DEFAULT_E_ELEC = 50e-9    # J/bit, transceiver electronics
 DEFAULT_E_AMP = 100e-12   # J/bit/m^2, transmit amplifier
@@ -28,6 +30,16 @@ class RadioParams:
                 and self.packet_bits > 0):  # nan fails every comparison
             raise ValueError("radio parameters must be strictly positive "
                              "and finite")
+
+
+@dataclass(frozen=True)
+class EnergyParams:
+    e_init: float = E_INIT  # initial battery per deployed node, joules
+
+    def validate(self) -> "EnergyParams":
+        if not 0 < self.e_init < math.inf:
+            raise ValueError("energy.e_init must be > 0 and finite")
+        return self
 
 
 def tx_cost(params: RadioParams, distance: float) -> float:

@@ -14,16 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost
+from .energy import RadioParams, rx_cost
 from .model import (
     SINK,
     ConstructionFailed,
-    NodeStatus,
     ReachabilityGraph,
     Scenario,
     State,
     build_reachability,
-    classify_status,
     distance,
 )
 
@@ -36,22 +34,23 @@ class BackboneTree:
     packet from node i to the sink along the parent chain. The sink is
     carried in the map with consumption 0 so hop arithmetic needs no
     special case. edges holds each routed node's hop as its graph's CSR
-    edge, in parent's key order.
+    edge, in parent's key order. Tree membership is this output alone:
+    the tree nodes are the parents other than the sink, and no Node
+    status records it.
     """
 
     parent: dict[int, int] = dc_field(default_factory=dict)
     consumption: dict[int, float] = dc_field(default_factory=dict)
-    children_count: dict[int, int] = dc_field(default_factory=dict)
     edges: Optional[np.ndarray] = dc_field(default=None, repr=False,
                                            compare=False)
 
     def tree_nodes(self) -> set[int]:
-        return {i for i, c in self.children_count.items() if c > 0}
+        """The nodes some node routes through: the paper's tree nodes."""
+        return set(self.parent.values()) - {SINK}
 
 
 def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
-                 graph: Optional[ReachabilityGraph] = None,
-                 e_fail: float = DEFAULT_E_FAIL, *,
+                 graph: Optional[ReachabilityGraph] = None, *,
                  state: Optional[State] = None) -> BackboneTree:
     """Construct the minimal-energy backbone for every live node.
 
@@ -72,9 +71,9 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
     (sink first, then ascending ids) that may relay and whose distance
     plus the hop's cost equals its own.
 
-    Raises ConstructionFailed listing every live node left unreachable,
-    before any status changes. Without a state it reads the Nodes and
-    refreshes their statuses from the child counts; Failed stays Failed.
+    Raises ConstructionFailed listing every live node left unreachable.
+    Without a state it reads the Nodes' energies and liveness; it never
+    writes a Node.
     """
     if graph is None:
         graph = build_reachability(scenario)
@@ -114,24 +113,10 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
     edges = edges[np.diff(src, prepend=-1) != 0]
     up = graph.nbrs[edges]
     ids = routed.tolist()
-    children = dict(enumerate(np.bincount(up, minlength=n + 1)[:n].tolist()))
-    tree = BackboneTree(
+    return BackboneTree(
         parent=dict(zip(ids, np.where(up == n, SINK, up).tolist())),
         consumption={SINK: 0.0, **dict(zip(ids, dist[routed].tolist()))},
-        children_count=children, edges=edges)
-    if state is None:
-        _refresh_statuses(scenario, children, th, e_fail)
-    return tree
-
-
-def _refresh_statuses(scenario: Scenario, children: dict[int, int],
-                      th: float, e_fail: float = DEFAULT_E_FAIL) -> None:
-    """Re-derive every node's status from energy and child count."""
-    for node in scenario.nodes:
-        if node.status is NodeStatus.FAILED:
-            continue  # death is permanent
-        node.status = classify_status(node.energy, children.get(node.id, 0),
-                                      th, e_fail)
+        edges=edges)
 
 
 def relocate_sink(scenario: Scenario, grid: int = 4,
@@ -145,9 +130,10 @@ def relocate_sink(scenario: Scenario, grid: int = 4,
     (ties to the smaller row-major index) attracts the sink. A bounded
     max_step clamps the move to that many meters along the straight line.
     Pure: returns the position, the caller moves the sink and rebuilds.
-    Given a graph, the node and sink positions come from graph.points,
-    the sink's from its last row, not from the field. Raises
-    ValueError for a grid or max_step SimPolicy rejects, or no live node.
+    The node and sink positions come from one points array, the sink
+    last: graph.points when a graph is given, else the Nodes' positions
+    and field.sink_pos. Raises ValueError for a grid or max_step
+    SimPolicy rejects, or no live node.
     """
     from .simulate import SimPolicy  # simulate imports this module
     SimPolicy(grid=grid, max_step=max_step).validate()
@@ -157,9 +143,10 @@ def relocate_sink(scenario: Scenario, grid: int = 4,
     f = scenario.field
     cell_w = f.width / grid
     cell_h = f.height / grid
-    points = (graph.points[:-1] if graph is not None else
-              np.array([node.pos for node in scenario.nodes]).reshape(-1, 2))
-    x, y = points[live].T
+    points = (graph.points if graph is not None else
+              np.array([*(node.pos for node in scenario.nodes), f.sink_pos],
+                       dtype=float))
+    x, y = points[:-1][live].T
     energy = energy[live]
     # int() truncates as astype does, and both coordinates are >= 0
     col = np.minimum((x / cell_w).astype(np.int64), grid - 1)
@@ -177,7 +164,7 @@ def relocate_sink(scenario: Scenario, grid: int = 4,
     row, col = int(row[new][best]), int(col[new][best])
     target = ((col + 0.5) * cell_w, (row + 0.5) * cell_h)
 
-    cur = f.sink_pos if graph is None else tuple(graph.points[-1].tolist())
+    cur = tuple(points[-1].tolist())
     step = distance(cur, target)
     if max_step is None or step <= max_step:
         return target

@@ -14,9 +14,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .energy import DEFAULT_E_FAIL, RadioParams
+from .energy import DEFAULT_E_FAIL, E_INIT, RadioParams
 
-E_INIT = 2.0               # default initial battery per node, joules
 DEFAULT_TH = 0.1 * E_INIT  # relay-eligibility threshold, joules
 
 # Edges per block of the scalar per-edge passes (see _per_edge).
@@ -378,24 +377,37 @@ def build_reachability(scenario: Scenario) -> ReachabilityGraph:
     return ReachabilityGraph(scenario.sensing_range, pts, indptr, csr)
 
 
+def hop_levels(graph: ReachabilityGraph,
+               mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Hop levels from the sink (vertex n) over the vertices mask holds,
+    and the deepest; an unreached vertex holds level n + 1."""
+    n = len(mask) - 1
+    level = np.full(n + 1, n + 1)
+    level[n] = 0
+    hop = np.flatnonzero(mask[graph.nbrs])
+    hop_from, hop_to = graph.edge_rows(hop), graph.nbrs[hop]
+    expands = mask[hop_from] | (hop_from == n)
+    hop_from, hop_to = hop_from[expands], hop_to[expands]
+    max_level = 0
+    while True:
+        reached = hop_to[(level[hop_from] == max_level)
+                         & (level[hop_to] == n + 1)]
+        if not reached.size:
+            return level, max_level
+        max_level += 1
+        level[reached] = max_level
+
+
 def is_connected_to_sink(graph: ReachabilityGraph,
                          alive: Optional[Iterable[int]] = None) -> bool:
     """True iff every (alive) node sits in the sink's connected component.
 
     Only alive nodes may be traversed; by default all nodes count as alive.
-    A breadth-first walk over the CSR rows, one frontier at a time.
     """
     n = len(graph.indptr) - 2
     live = np.ones(n + 1, dtype=bool)
     if alive is not None:
         live[:n] = False
         live[np.fromiter(alive, dtype=np.int64)] = True
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[n] = True
-    frontier = np.array([n])
-    while frontier.size:
-        near = np.zeros(n + 1, dtype=bool)
-        near[graph.nbrs[graph.out_edges(frontier)[1]]] = True
-        frontier = np.flatnonzero(near & live & ~seen)
-        seen[frontier] = True
-    return bool(seen[live].all())
+    level, _ = hop_levels(graph, live)
+    return bool((level[live] <= n).all())

@@ -54,12 +54,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .balanced import FitnessParams, build_forwarding_problem
-from .energy import DEFAULT_E_FAIL, RadioParams, rx_cost
+from .energy import DEFAULT_E_FAIL, E_INIT, EnergyParams, RadioParams, rx_cost
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt, relocate_sink
 from .model import (
     DEFAULT_TH,
-    E_INIT,
     SINK,
     ConstructionFailed,
     Scenario,
@@ -190,14 +189,13 @@ class _Router:
         self.fitness_params = fitness_params
         self.e_init = e_init
 
-    def rebuild(self, scenario: Scenario, graph,
-                state: Optional[State] = None) -> None:
-        """Reconstruct the backbone from state, else from the Nodes;
-        raises ConstructionFailed and then changes nothing."""
+    def rebuild(self, scenario: Scenario, graph, state: State) -> None:
+        """Reconstruct the backbone from state; raises ConstructionFailed
+        and then changes nothing."""
         th = self.policy.th
         if self.algorithm == "mmevbt":
             tree = build_mmevbt(scenario, self.radio, th, graph=graph,
-                                e_fail=self.policy.e_fail, state=state)
+                                state=state)
             self._fill(graph, tree.edges)
             return
         tree_set, _ = build_min_cover(scenario, th, graph=graph, state=state)
@@ -360,6 +358,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     policy.validate()
     fparams = (fitness_params or FitnessParams()).validate()
     radio.validate()
+    EnergyParams(e_init).validate()
     stream = _Uniforms(_generator(seed))
     n_total = len(scenario.nodes)
     th, e_fail = policy.th, policy.e_fail
@@ -383,7 +382,8 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     graph = build_reachability(scenario)
     router = _Router(algorithm, radio, policy, fparams, e_init)
     router.rebuild(scenario, graph, state)  # initial failure propagates
-    # a live node holding neither th nor e_fail failed at the first build
+    # a live node holding neither th nor e_fail fails at the first build,
+    # with no death logged
     live &= (energy >= th) | (energy >= e_fail)
     alive = np.flatnonzero(live)
 
@@ -489,6 +489,7 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     """
     SimPolicy(th=th).validate()
     TrafficModel(origin_probability, rounds).validate()
+    EnergyParams(e_init).validate()
     fparams = (fitness_params or FitnessParams()).validate()
     rng_origin, rng_pick = _generator(seed), _generator(seed + 1)
     state = scenario.state()

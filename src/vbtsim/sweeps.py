@@ -90,8 +90,7 @@ def sweep_figure3(config: ExperimentConfig
     """Minimal-energy backbone sizes across sensing ranges."""
 
     def count(scenario: Scenario) -> int:
-        tree = build_mmevbt(scenario, config.radio, config.policy.th,
-                            e_fail=config.policy.e_fail)
+        tree = build_mmevbt(scenario, config.radio, config.policy.th)
         return len(tree.tree_nodes())
 
     return _sweep(config, count)

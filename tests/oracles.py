@@ -7,6 +7,9 @@ enumeration instead of search-plus-matching. reference_run_simulation is
 the round loop as it was before the per-build route table: every hop
 cost recomputed, every node reclassified and the whole eligibility
 signature compared each round, the graph rebuilt on every relocation.
+Its statuses follow its own copy of the four-way rule
+(_refresh_statuses), applied after every build; no package build
+writes a status, and nothing here imports a private package name.
 reference_forwarding_problem is the candidate and fitness build pair by
 pair over dicts, scored with the scalar fitness(). reference_mmevbt is
 the heap Dijkstra over per-vertex neighbour lists and scalar hop_weight,
@@ -37,7 +40,6 @@ import numpy as np
 from vbtsim import (
     ALGORITHMS,
     BETA_MIN,
-    DEFAULT_E_FAIL,
     DEFAULT_TH,
     E_INIT,
     SINK,
@@ -59,7 +61,6 @@ from vbtsim import (
     select_parent,
     tx_cost,
 )
-from vbtsim.mmevbt import _refresh_statuses
 
 
 def dense_reachability(scenario):
@@ -226,14 +227,13 @@ def load_stats(problem, selections):
     return LoadStats(count=count, mc=mc, expected_count=expected_loads(problem))
 
 
-def reference_mmevbt(scenario, params, th, graph=None,
-                     e_fail=DEFAULT_E_FAIL):
+def reference_mmevbt(scenario, params, th, graph=None):
     """build_mmevbt as a heap Dijkstra from the sink.
 
     Relaxes over graph.neighbors with scalar hop_weight per edge; only
     the sink and live nodes holding th expand. Equal-cost parents go to
-    the smaller id (SINK is smallest). Raises ConstructionFailed before
-    touching any status, then refreshes statuses as build_mmevbt does.
+    the smaller id (SINK is smallest). Raises ConstructionFailed; writes
+    no Node.
     """
     if graph is None:
         graph = build_reachability(scenario)
@@ -272,13 +272,7 @@ def reference_mmevbt(scenario, params, th, graph=None,
     unreachable = live - dist.keys()
     if unreachable:
         raise ConstructionFailed(unreachable)
-    children = {n.id: 0 for n in scenario.nodes}
-    for p in parent.values():
-        if p != SINK:
-            children[p] += 1
-    _refresh_statuses(scenario, children, th, e_fail)
-    return BackboneTree(parent=parent, consumption=dist,
-                        children_count=children)
+    return BackboneTree(parent=parent, consumption=dist)
 
 
 def reference_relocate_sink(scenario, grid=4, max_step=None):
@@ -529,10 +523,12 @@ class _ReferenceRouter:
         """Reconstruct the backbone; raises ConstructionFailed."""
         if self.algorithm == "mmevbt":
             tree = reference_mmevbt(scenario, self.radio, self.policy.th,
-                                    graph=graph, e_fail=self.policy.e_fail)
+                                    graph=graph)
             self.next_map = tree.parent
             self.problem = None
             self.probs = {}
+            _refresh_statuses(scenario, _serving_counts(self, scenario),
+                              self.policy)
             return
         tree_set, _ = build_min_cover(scenario, self.policy.th, graph=graph)
         problem = reference_forwarding_problem(
@@ -547,12 +543,8 @@ class _ReferenceRouter:
                 if f > best_f:  # strict: ties keep the smaller id
                     best, best_f = cand, f
             self.next_map[i] = best
-        serving = {i: 0 for i in tree_set}
-        for cands in problem.candidates.values():
-            for cand in cands:
-                if cand != SINK:
-                    serving[cand] = serving.get(cand, 0) + 1
-        _refresh_statuses(scenario, serving, self.policy.th, self.policy.e_fail)
+        _refresh_statuses(scenario, _serving_counts(self, scenario),
+                          self.policy)
 
     def route(self, origin, rng):
         """Vertex path origin..sink; probabilistic mode draws per hop."""
@@ -573,6 +565,16 @@ class _ReferenceRouter:
             return list(zip(self.problem.candidates[node_id],
                             self.probs[node_id]))
         return [(self.next_map[node_id], 1.0)]
+
+
+def _refresh_statuses(scenario, children, policy):
+    """Re-derive every live node's status from energy and child count,
+    as the round loop once did after every build; Failed stays Failed."""
+    for node in scenario.nodes:
+        if node.status is not NodeStatus.FAILED:
+            node.status = classify_status(node.energy,
+                                          children.get(node.id, 0),
+                                          policy.th, policy.e_fail)
 
 
 def _eligibility_signature(scenario, th):

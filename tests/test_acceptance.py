@@ -77,8 +77,7 @@ def test_criterion_2_connectivity_threshold():
         for s in range(50):
             sc = make_scenario(cfg, attempt_seed(0, range_m, s), range_m)
             try:
-                v.build_mmevbt(sc, cfg.radio, cfg.policy.th,
-                               e_fail=cfg.policy.e_fail)
+                v.build_mmevbt(sc, cfg.radio, cfg.policy.th)
                 successes += 1
             except v.ConstructionFailed:
                 pass

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import vbtsim as v
 from oracles import adjacency, dense_reachability, hop_weight
-from vbtsim.model import left_sum
+from vbtsim.model import hop_levels, left_sum
 
 
 def make_scenario(nodes, range_m=10.0, field=None, seed=0):
@@ -419,3 +419,32 @@ def test_multihop_chain_is_connected():
     chain = [node(i, 100 + 9 * (i + 1), 100) for i in range(5)]
     sc = make_scenario(chain, range_m=10.0)
     assert v.is_connected_to_sink(v.build_reachability(sc))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+       st.sampled_from([12.0, 25.0, 40.0]), st.data())
+def test_hop_levels_and_connectivity_equal_dense_bfs(seed, n, range_m, data):
+    """hop_levels and is_connected_to_sink against a plain BFS from the
+    sink over the dense oracle's adjacency, through alive nodes only."""
+    f = v.Field(100, 100, 50, 50)
+    sc = v.Scenario(f, v.deploy_uniform(f, n, seed=seed), range_m, seed)
+    alive = data.draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1))))
+    live = set(range(n)) if alive is None else alive
+    adj = dense_reachability(sc)
+    level = {v.SINK: 0}
+    frontier = [v.SINK]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for w in adj[u]:
+                if w in live and w not in level:
+                    level[w] = level[u] + 1
+                    reached.append(w)
+        frontier = reached
+    g = v.build_reachability(sc)
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[sorted(live)] = True
+    got, deepest = hop_levels(g, mask)
+    assert got.tolist() == [level.get(i, n + 1) for i in range(n)] + [0]
+    assert deepest == max(level.values())
+    assert v.is_connected_to_sink(g, alive) == live.issubset(level)

@@ -1,6 +1,8 @@
 """The package's public names, pinned."""
 
+import ast
 import types
+from pathlib import Path
 
 import vbtsim
 
@@ -30,3 +32,19 @@ def test_public_names_are_pinned():
              and not isinstance(obj, types.ModuleType)}
     assert len(PUBLIC) == 51
     assert names == PUBLIC
+
+
+def test_oracles_import_no_private_package_name():
+    """The references in tests/oracles.py stay independent: they import
+    no _-prefixed module or name from vbtsim."""
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    private = [name for name in imported
+               if name.split(".")[0] == "vbtsim"
+               and any(part.startswith("_") for part in name.split(".")[1:])]
+    assert private == []

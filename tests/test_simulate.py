@@ -1,5 +1,6 @@
 """Round-based lifetime simulation and the load-spread comparison."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -385,10 +386,15 @@ def all_failed_scenario():
     (lambda: run_ten(policy=v.SimPolicy(max_step=math.nan)),
      "policy.max_step"),
     (lambda: EnergyParams(e_init=math.nan).validate(), "energy.e_init"),
+    (lambda: run_ten(e_init=math.nan), "energy.e_init"),
+    (lambda: run_ten(e_init=-1.0), "energy.e_init"),
+    (lambda: v.compare_load_spread(ten_client_two_gateway_scenario(),
+                                   rounds=1, seed=0, e_init=math.nan),
+     "energy.e_init"),
 ], ids=["relocate-no-live-node", "relocate-grid-0", "relocate-max-step<0",
         "run-seed<0", "compare-seed<0", "run-no-nodes", "run-c1-nan",
         "run-e-elec-nan", "run-e-amp-inf", "run-max-step-nan",
-        "e-init-nan"])
+        "e-init-nan", "run-e-init-nan", "run-e-init<0", "compare-e-init-nan"])
 def test_library_calls_reject_bad_inputs_clearly(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -649,7 +655,7 @@ def test_forced_chains_stop_at_draws_and_the_sink():
     names = [str(i) for i in range(8)] + ["-1"]
     router = simulate._Router("balanced_probabilistic", RADIO, NO_MOVE,
                               v.FitnessParams(), v.E_INIT)
-    router.rebuild(sc, v.build_reachability(sc))
+    router.rebuild(sc, v.build_reachability(sc), sc.state())
     ptr = router.chain_ptr.tolist()
     # each chain's stop, its heads' names as a packet path shows them,
     # and its senders and heads
@@ -707,7 +713,7 @@ def test_all_forced_multi_hop_balanced_run_equals_reference(monkeypatch):
     policy = v.SimPolicy(th=0.005, t_move=0)
     router = simulate._Router("balanced_probabilistic", RADIO, policy,
                               v.FitnessParams(), 0.05)
-    router.rebuild(sc, v.build_reachability(sc))
+    router.rebuild(sc, v.build_reachability(sc), sc.state())
     assert np.diff(router.slot_ptr).max() == 1 and router.lengths is None
     monkeypatch.setattr(simulate._Router, "_walk", refuse)
     new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(0.5, 300),
@@ -722,7 +728,7 @@ def test_all_forced_multi_hop_balanced_run_equals_reference(monkeypatch):
 def fixed_parent_router(algo, sc):
     router = simulate._Router(algo, RADIO, NO_MOVE, v.FitnessParams(),
                               v.E_INIT)
-    router.rebuild(sc, v.build_reachability(sc))
+    router.rebuild(sc, v.build_reachability(sc), sc.state())
     return router
 
 
@@ -830,7 +836,7 @@ def outcome(build, *args, **kwargs):
 
 @given(drained_states(), st.sampled_from(["normalized", "raw"]))
 def test_state_arrays_and_scenario_builds_agree(case, mode):
-    sc, state, graph, th, e_fail = case
+    sc, state, graph, th, _ = case
     # the array path gets Nodes that say nothing true: failed, no energy,
     # all in one corner; it must neither read nor write them
     f = sc.field
@@ -839,10 +845,8 @@ def test_state_arrays_and_scenario_builds_agree(case, mode):
                         for i in range(len(sc.nodes))], sc.sensing_range)
     arrays = [a.copy() for a in state]
 
-    tree = outcome(v.build_mmevbt, blank, RADIO, th, graph, e_fail,
-                   state=state)
-    # from the scenario alone the build refreshes statuses: give it a copy
-    want = outcome(v.build_mmevbt, sc.copy(), RADIO, th, graph, e_fail)
+    tree = outcome(v.build_mmevbt, blank, RADIO, th, graph, state=state)
+    want = outcome(v.build_mmevbt, sc, RADIO, th, graph)
     if isinstance(want, v.BackboneTree):
         assert tree.parent == want.parent
         assert tree.consumption == want.consumption
@@ -874,6 +878,23 @@ def test_state_arrays_and_scenario_builds_agree(case, mode):
     assert all(n.status is v.NodeStatus.FAILED and (n.x, n.y) == (0.0, 0.0)
                and math.isnan(n.energy) for n in blank.nodes)
     assert all(np.array_equal(a, b) for a, b in zip(state, arrays))
+
+
+def test_builds_write_no_node():
+    """Built from a Scenario alone, every backbone build and the sink
+    relocation leave every Node field as it was, statuses included."""
+    sc = ten_client_two_gateway_scenario()
+    for node in sc.nodes[:10]:  # clients: mixed batteries and labels
+        node.energy = (v.E_INIT, TH / 2, TH)[node.id % 3]
+        node.status = list(v.NodeStatus)[node.id % 4]
+    before = [dataclasses.replace(node) for node in sc.nodes]
+    field = dataclasses.replace(sc.field)
+    tree = v.build_mmevbt(sc, RADIO, TH)
+    cover, _ = v.build_min_cover(sc, TH)
+    v.build_forwarding_problem(sc, cover, TH, v.FitnessParams())
+    v.relocate_sink(sc, grid=2, max_step=5.0)
+    assert tree.tree_nodes() >= {10, 11} and cover == {10, 11}
+    assert sc.nodes == before and sc.field == field
 
 
 # ------------------------------------------------------- array round kernel

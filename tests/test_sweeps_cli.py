@@ -87,8 +87,7 @@ def test_sweep_rows_consistent_and_replayable():
     # replay one successful attempt from its recorded seed
     probe = next(a for a in attempts if not a.failed)
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
-    tree = build_mmevbt(sc, cfg.radio, cfg.policy.th,
-                        e_fail=cfg.policy.e_fail)
+    tree = build_mmevbt(sc, cfg.radio, cfg.policy.th)
     assert len(tree.tree_nodes()) == probe.n_tree_nodes
 
 
