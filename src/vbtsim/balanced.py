@@ -22,9 +22,7 @@ from .model import (
     SINK,
     ConstructionFailed,
     ReachabilityGraph,
-    Scenario,
     State,
-    build_reachability,
     hop_levels,
     left_sum,
 )
@@ -168,11 +166,9 @@ class ForwardingProblem:
         return selection_probabilities(self.fitness[node_id])
 
 
-def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
-                             th: float, params: FitnessParams,
-                             e_init: float = E_INIT,
-                             graph: Optional[ReachabilityGraph] = None, *,
-                             state: Optional[State] = None
+def build_forwarding_problem(graph: ReachabilityGraph, state: State,
+                             tree_nodes: set[int], th: float,
+                             params: FitnessParams, e_init: float = E_INIT
                              ) -> ForwardingProblem:
     """Wire every live node to its eligible tree-node parents.
 
@@ -193,11 +189,10 @@ def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
     fitness terms repeat the float operations of the scalar reference
     fitness() in tests/oracles.py in its order, elementwise, and the
     angle is its scalar math.atan2 per pair, so every total equals
-    fitness(...).total to the bit.
+    fitness(...).total to the bit. The normalized distance term divides
+    by graph.range. Reads only graph and state, and writes neither.
     """
-    if graph is None:
-        graph = build_reachability(scenario)
-    energy, live = scenario.state() if state is None else state
+    energy, live = state
     n = len(energy)
     live = np.append(live, False)
     # the sink, vertex n, is mains-powered: it always scores a full battery
@@ -223,7 +218,7 @@ def build_forwarding_problem(scenario: Scenario, tree_nodes: set[int],
     # Python floats overflow to inf and make nan silently; so does this
     with np.errstate(over="ignore", invalid="ignore"):
         if params.mode == "normalized":
-            f_d = 1.0 - d / scenario.sensing_range
+            f_d = 1.0 - d / graph.range
             f_e = _clamp(e / e_init, 0.0, 1.0)
             f_beta = BETA_MIN / beta
         else:

@@ -16,22 +16,13 @@ every covered node would, ties to the smaller id included.
 from __future__ import annotations
 
 import heapq
-from typing import Optional
 
 import numpy as np
 
-from .model import (
-    ConstructionFailed,
-    ReachabilityGraph,
-    Scenario,
-    State,
-    build_reachability,
-)
+from .model import ConstructionFailed, ReachabilityGraph, State
 
 
-def build_min_cover(scenario: Scenario, th: float,
-                    graph: Optional[ReachabilityGraph] = None, *,
-                    state: Optional[State] = None
+def build_min_cover(graph: ReachabilityGraph, state: State, th: float
                     ) -> tuple[set[int], dict[int, int]]:
     """Pick tree nodes greedily until every live node is covered.
 
@@ -50,10 +41,9 @@ def build_min_cover(scenario: Scenario, th: float,
     without the O(n^2) cost. The live-to-live edges are one mask over
     the graph's CSR arrays, and every node's wd is a counter that each
     node leaving the uncovered state decrements once per live neighbour.
+    Reads only graph and state, and writes neither.
     """
-    if graph is None:
-        graph = build_reachability(scenario)
-    energy, live = scenario.state() if state is None else state
+    energy, live = state
     n = len(energy)
     live = np.append(live, False)  # the sink, n, is never live
     live_ids = np.flatnonzero(live).tolist()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -18,12 +18,14 @@ from .energy import RadioParams, rx_cost
 from .model import (
     SINK,
     ConstructionFailed,
+    Field,
     ReachabilityGraph,
-    Scenario,
     State,
-    build_reachability,
     distance,
 )
+
+if TYPE_CHECKING:  # simulate imports this module
+    from .simulate import SimPolicy
 
 
 @dataclass
@@ -49,9 +51,8 @@ class BackboneTree:
         return set(self.parent.values()) - {SINK}
 
 
-def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
-                 graph: Optional[ReachabilityGraph] = None, *,
-                 state: Optional[State] = None) -> BackboneTree:
+def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
+                 th: float) -> BackboneTree:
     """Construct the minimal-energy backbone for every live node.
 
     A shortest-path tree from the sink over hop costs (the sender's tx
@@ -72,12 +73,9 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
     plus the hop's cost equals its own.
 
     Raises ConstructionFailed listing every live node left unreachable.
-    Without a state it reads the Nodes' energies and liveness; it never
-    writes a Node.
+    Reads only graph and state, and writes neither.
     """
-    if graph is None:
-        graph = build_reachability(scenario)
-    energy, live = scenario.state() if state is None else state
+    energy, live = state
     n = len(energy)
     head = np.append(live, False)  # live nodes: the sink is no head
     relay = np.append(live & (energy >= th), True)  # the sink relays for all
@@ -119,34 +117,26 @@ def build_mmevbt(scenario: Scenario, params: RadioParams, th: float,
         edges=edges)
 
 
-def relocate_sink(scenario: Scenario, grid: int = 4,
-                  max_step: Optional[float] = None, *,
-                  graph: Optional[ReachabilityGraph] = None,
-                  state: Optional[State] = None) -> tuple[float, float]:
+def relocate_sink(graph: ReachabilityGraph, state: State, field: Field,
+                  policy: SimPolicy) -> tuple[float, float]:
     """Pick the sink's next position: centroid of the richest grid cell.
 
-    The field splits into grid x grid equal cells; each non-empty cell
-    scores the mean residual energy of its live nodes and the best cell
-    (ties to the smaller row-major index) attracts the sink. A bounded
-    max_step clamps the move to that many meters along the straight line.
-    Pure: returns the position, the caller moves the sink and rebuilds.
-    The node and sink positions come from one points array, the sink
-    last: graph.points when a graph is given, else the Nodes' positions
-    and field.sink_pos. Raises ValueError for a grid or max_step
-    SimPolicy rejects, or no live node.
+    The field splits into policy.grid x policy.grid equal cells; each
+    non-empty cell scores the mean residual energy of its live nodes and
+    the best cell (ties to the smaller row-major index) attracts the
+    sink. A bounded policy.max_step clamps the move to that many meters
+    along the straight line. Pure: returns the position, the caller
+    moves the sink and rebuilds. The node and sink positions are
+    graph.points, the sink last. Raises ValueError for a policy that
+    fails validate(), or no live node.
     """
-    from .simulate import SimPolicy  # simulate imports this module
-    SimPolicy(grid=grid, max_step=max_step).validate()
-    energy, live = scenario.state() if state is None else state
+    grid, max_step = policy.validate().grid, policy.max_step
+    energy, live = state
     if not live.any():
         raise ValueError("relocate_sink needs at least one live node")
-    f = scenario.field
-    cell_w = f.width / grid
-    cell_h = f.height / grid
-    points = (graph.points if graph is not None else
-              np.array([*(node.pos for node in scenario.nodes), f.sink_pos],
-                       dtype=float))
-    x, y = points[:-1][live].T
+    cell_w = field.width / grid
+    cell_h = field.height / grid
+    x, y = graph.points[:-1][live].T
     energy = energy[live]
     # int() truncates as astype does, and both coordinates are >= 0
     col = np.minimum((x / cell_w).astype(np.int64), grid - 1)
@@ -164,7 +154,7 @@ def relocate_sink(scenario: Scenario, grid: int = 4,
     row, col = int(row[new][best]), int(col[new][best])
     target = ((col + 0.5) * cell_w, (row + 0.5) * cell_h)
 
-    cur = tuple(points[-1].tolist())
+    cur = tuple(graph.points[-1].tolist())
     step = distance(cur, target)
     if max_step is None or step <= max_step:
         return target

@@ -21,8 +21,8 @@ DEFAULT_TH = 0.1 * E_INIT  # relay-eligibility threshold, joules
 # Edges per block of the scalar per-edge passes (see _per_edge).
 _BLOCK = 2048
 
-# Every node's energy (float64) and whether it is alive (bool), by id: a
-# builder or relocate_sink given one as state= reads no Node.
+# Every node's energy (float64) and whether it is alive (bool), by id:
+# with a ReachabilityGraph, all that a build or relocate_sink reads.
 State = tuple[np.ndarray, np.ndarray]
 
 # Distinguished vertex id for the sink.  The sink is not a Node: it has
@@ -62,10 +62,6 @@ class Node:
     y: float
     energy: float
     status: NodeStatus = NodeStatus.CANDIDATE_NON_TREE
-
-    @property
-    def pos(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
     def is_alive(self) -> bool:
         return self.status is not NodeStatus.FAILED
@@ -398,16 +394,8 @@ def hop_levels(graph: ReachabilityGraph,
         level[reached] = max_level
 
 
-def is_connected_to_sink(graph: ReachabilityGraph,
-                         alive: Optional[Iterable[int]] = None) -> bool:
-    """True iff every (alive) node sits in the sink's connected component.
-
-    Only alive nodes may be traversed; by default all nodes count as alive.
-    """
-    n = len(graph.indptr) - 2
-    live = np.ones(n + 1, dtype=bool)
-    if alive is not None:
-        live[:n] = False
-        live[np.fromiter(alive, dtype=np.int64)] = True
-    level, _ = hop_levels(graph, live)
-    return bool((level[live] <= n).all())
+def is_connected_to_sink(graph: ReachabilityGraph, live: np.ndarray) -> bool:
+    """True iff every node the bool mask live holds (a State's, by id)
+    reaches the sink over live nodes alone."""
+    level, _ = hop_levels(graph, np.append(live, True))  # the sink, n, too
+    return bool((level[:-1][live] <= len(live)).all())

@@ -6,15 +6,15 @@ when any node's relay eligibility flipped, and periodically relocate the
 sink. Everything is driven by one seeded generator, so a (scenario,
 config, seed) triple always replays bit-for-bit.
 
-The run's state is two arrays by node id (model.State: energy, live),
-passed as state= to every build and relocation, which then read no
-Node: the run writes no Node and moves only its graph's sink, so the
-caller's Scenario is never copied. A status matters only as "failed or
-not": relay eligibility is energy >= th, and a node fails once it holds
-neither th nor e_fail, whatever its child count. A round touches only
-the nodes that spent energy. Energy only falls, so a node dies or loses
-eligibility exactly when a debit takes it below e_fail or th, and a
-rebuild is due exactly when one did.
+The run's state is two arrays by node id (model.State: energy, live).
+Every build and relocation reads only the run's graph and that state,
+so the run reads the caller's Nodes only at its start, writes none and
+moves only its graph's sink: the Scenario is never copied. A status
+matters only as "failed or not": relay eligibility is energy >= th, and
+a node fails once it holds neither th nor e_fail, whatever its child
+count. A round touches only the nodes that spent energy. Energy only
+falls, so a node dies or loses eligibility exactly when a debit takes
+it below e_fail or th, and a rebuild is due exactly when one did.
 
 Every build fills one route table (_Router), in which a fixed parent
 (mmevbt, min_cover_best_parent) is a row with one candidate. With no
@@ -61,6 +61,7 @@ from .model import (
     DEFAULT_TH,
     SINK,
     ConstructionFailed,
+    ReachabilityGraph,
     Scenario,
     State,
     build_reachability,
@@ -189,19 +190,17 @@ class _Router:
         self.fitness_params = fitness_params
         self.e_init = e_init
 
-    def rebuild(self, scenario: Scenario, graph, state: State) -> None:
+    def rebuild(self, graph: ReachabilityGraph, state: State) -> None:
         """Reconstruct the backbone from state; raises ConstructionFailed
         and then changes nothing."""
         th = self.policy.th
         if self.algorithm == "mmevbt":
-            tree = build_mmevbt(scenario, self.radio, th, graph=graph,
-                                state=state)
-            self._fill(graph, tree.edges)
+            self._fill(graph, build_mmevbt(graph, state, self.radio, th).edges)
             return
-        tree_set, _ = build_min_cover(scenario, th, graph=graph, state=state)
-        rows = build_forwarding_problem(
-            scenario, tree_set, th, self.fitness_params, self.e_init,
-            graph=graph, state=state).arrays
+        tree_set, _ = build_min_cover(graph, state, th)
+        rows = build_forwarding_problem(graph, state, tree_set, th,
+                                        self.fitness_params,
+                                        self.e_init).arrays
         if self.balanced:
             # a hop goes one level down, or onto the backbone from off it
             self._fill(graph, rows.edges, rows.draws(), 1 + rows.max_level)
@@ -381,7 +380,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     # the run moves only the graph's sink, never the scenario's
     graph = build_reachability(scenario)
     router = _Router(algorithm, radio, policy, fparams, e_init)
-    router.rebuild(scenario, graph, state)  # initial failure propagates
+    router.rebuild(graph, state)  # initial failure propagates
     # a live node holding neither th nor e_fail fails at the first build,
     # with no death logged
     live &= (energy >= th) | (energy >= e_fail)
@@ -434,7 +433,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
 
         if dead or flipped:
             try:
-                router.rebuild(scenario, graph, state)
+                router.rebuild(graph, state)
             except ConstructionFailed as fail:
                 metrics.rounds_until_disconnect = round_no
                 log(round_no, "disconnect",
@@ -445,12 +444,11 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
 
         if policy.t_move and round_no % policy.t_move == 0:
             saved = tuple(graph.points[-1].tolist())
-            target = relocate_sink(scenario, policy.grid, policy.max_step,
-                                   graph=graph, state=state)
+            target = relocate_sink(graph, state, scenario.field, policy)
             if target != saved:
                 graph.move_sink(target)
                 try:
-                    router.rebuild(scenario, graph, state)
+                    router.rebuild(graph, state)
                 except ConstructionFailed:
                     # rebuild mutates nothing when it fails, so the old
                     # route table is still valid at the old position
@@ -494,9 +492,9 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     rng_origin, rng_pick = _generator(seed), _generator(seed + 1)
     state = scenario.state()
     graph = build_reachability(scenario)
-    tree_set, _ = build_min_cover(scenario, th, graph=graph, state=state)
-    rows = build_forwarding_problem(scenario, tree_set, th, fparams, e_init,
-                                    graph=graph, state=state).arrays
+    tree_set, _ = build_min_cover(graph, state, th)
+    rows = build_forwarding_problem(graph, state, tree_set, th, fparams,
+                                    e_init).arrays
     # uniform r picks slot bisect_right(cums, r, lo, hi - 1) of row k's
     # slots lo = bounds[k] .. hi - 1, as the round loop does
     cums, bounds = rows.draws()[1].tolist(), rows.bounds.tolist()

@@ -17,7 +17,13 @@ import numpy as np
 from .config import ExperimentConfig
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt
-from .model import ConstructionFailed, Field, Scenario, deploy_uniform
+from .model import (
+    ConstructionFailed,
+    Field,
+    Scenario,
+    build_reachability,
+    deploy_uniform,
+)
 from .simulate import LifetimeMetrics, run_simulation
 
 # Seeds spread attempts out so no two (range, attempt) cells collide for
@@ -90,7 +96,8 @@ def sweep_figure3(config: ExperimentConfig
     """Minimal-energy backbone sizes across sensing ranges."""
 
     def count(scenario: Scenario) -> int:
-        tree = build_mmevbt(scenario, config.radio, config.policy.th)
+        tree = build_mmevbt(build_reachability(scenario), scenario.state(),
+                            config.radio, config.policy.th)
         return len(tree.tree_nodes())
 
     return _sweep(config, count)
@@ -101,7 +108,8 @@ def sweep_figure4(config: ExperimentConfig
     """Greedy minimal-cover backbone sizes across sensing ranges."""
 
     def count(scenario: Scenario) -> int:
-        tree_nodes, _ = build_min_cover(scenario, config.policy.th)
+        tree_nodes, _ = build_min_cover(build_reachability(scenario),
+                                        scenario.state(), config.policy.th)
         return len(tree_nodes)
 
     return _sweep(config, count)

@@ -15,8 +15,12 @@ pair over dicts, scored with the scalar fitness(). reference_mmevbt is
 the heap Dijkstra over per-vertex neighbour lists and scalar hop_weight,
 and reference_relocate_sink the per-node loop over dicts; the reference
 round loop uses both, so it shares no tree or relocation code with the
-package. reference_compare_load_spread is the load-spread comparison
-over a built problem's per-node dicts, one select_parent per packet.
+package. reference_min_cover replays the greedy cover, re-scoring every
+covered node after each pick. reference_compare_load_spread is the
+load-spread comparison over a built problem's per-node dicts, one
+select_parent per packet. graph_and_state turns a Scenario into the
+(graph, state) pair that every package build takes; the references
+read the Scenario itself.
 
 The scalar references (hop_weight, path_consumption, deviation_angle,
 fitness, best_parent, realize_selections, load_stats) state per hop,
@@ -61,6 +65,12 @@ from vbtsim import (
     select_parent,
     tx_cost,
 )
+
+
+def graph_and_state(scenario):
+    """scenario's reachability graph and State: the (graph, state) pair
+    every package build and relocate_sink takes."""
+    return build_reachability(scenario), scenario.state()
 
 
 def dense_reachability(scenario):
@@ -304,6 +314,41 @@ def reference_relocate_sink(scenario, grid=4, max_step=None):
             cur[1] + (target[1] - cur[1]) * frac)
 
 
+def reference_min_cover(scenario, th):
+    """build_min_cover as a from-scratch replay of the selection loop: every
+    covered node re-scored after each promotion, no incremental counts.
+
+    Returns (tree ids, []) on success and (None, still-uncovered ids) when
+    no eligible pick makes progress."""
+    g = build_reachability(scenario)
+    live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
+    live_set = set(live)
+    adj = {i: [u for u in g.neighbors(i) if u != SINK and u in live_set]
+           for i in live}
+    covered = {i: 0 for i in live}
+    if not live:
+        return set(), []
+    seed = max(live, key=lambda i: (len(adj[i]), -i))
+    covered[seed] = 2
+    for u in adj[seed]:
+        if covered[u] == 0:
+            covered[u] = 1
+    while any(c == 0 for c in covered.values()):
+        best, best_wd = None, -1
+        for i in sorted(covered):
+            if covered[i] == 1 and scenario.node(i).energy >= th:
+                wd = sum(1 for u in adj[i] if covered[u] == 0)
+                if wd > best_wd:
+                    best, best_wd = i, wd
+        if best is None or best_wd <= 0:
+            return None, sorted(i for i, c in covered.items() if c == 0)
+        covered[best] = 2
+        for u in adj[best]:
+            if covered[u] == 0:
+                covered[u] = 1
+    return {i for i, c in covered.items() if c == 2}, []
+
+
 def bellman_ford_consumption(scenario, params, th):
     """Cheapest route energy per live node, relays filtered by th.
 
@@ -464,12 +509,11 @@ def reference_compare_load_spread(scenario, rounds, seed, *, th=DEFAULT_TH,
     select_parent and one best_parent per packet, counts in dicts."""
     SimPolicy(th=th).validate()
     TrafficModel(origin_probability, rounds).validate()
-    sc = scenario.copy()
     fparams = (fitness_params or FitnessParams()).validate()
-    graph = build_reachability(sc)
-    tree_set, _ = build_min_cover(sc, th, graph=graph)
-    problem = build_forwarding_problem(sc, tree_set, th, fparams, e_init,
-                                       graph=graph)
+    graph, state = graph_and_state(scenario)
+    tree_set, _ = build_min_cover(graph, state, th)
+    problem = build_forwarding_problem(graph, state, tree_set, th, fparams,
+                                       e_init)
     probs = {i: problem.probabilities(i) for i in problem.candidates}
     best_next = {i: best_parent(problem, i) for i in problem.candidates}
 
@@ -530,7 +574,7 @@ class _ReferenceRouter:
             _refresh_statuses(scenario, _serving_counts(self, scenario),
                               self.policy)
             return
-        tree_set, _ = build_min_cover(scenario, self.policy.th, graph=graph)
+        tree_set, _ = build_min_cover(graph, scenario.state(), self.policy.th)
         problem = reference_forwarding_problem(
             scenario, tree_set, self.policy.th, self.fitness_params,
             self.e_init, graph=graph)

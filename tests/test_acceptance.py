@@ -17,6 +17,7 @@ from vbtsim.sweeps import attempt_seed, make_scenario
 from oracles import (
     bellman_ford_consumption,
     brute_force_min_max,
+    graph_and_state,
     min_connected_cover_size,
 )
 
@@ -53,7 +54,7 @@ def test_criterion_1_minimal_energy_optimality():
                 node.energy = 0.05
                 node.status = v.classify_status(0.05, 0, v.DEFAULT_TH)
         try:
-            tree = v.build_mmevbt(sc, RADIO, v.DEFAULT_TH)
+            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, v.DEFAULT_TH)
         except v.ConstructionFailed:
             continue
         oracle = bellman_ford_consumption(sc, RADIO, v.DEFAULT_TH)
@@ -77,7 +78,7 @@ def test_criterion_2_connectivity_threshold():
         for s in range(50):
             sc = make_scenario(cfg, attempt_seed(0, range_m, s), range_m)
             try:
-                v.build_mmevbt(sc, cfg.radio, cfg.policy.th)
+                v.build_mmevbt(*graph_and_state(sc), cfg.radio, cfg.policy.th)
                 successes += 1
             except v.ConstructionFailed:
                 pass
@@ -105,8 +106,8 @@ def test_criterion_3_greedy_cover_correctness():
         sc = uniform_scenario(n, range_m, int(rng.integers(0, 2**31)))
         graph = v.build_reachability(sc)
         try:
-            tree_nodes, covered = v.build_min_cover(sc, v.DEFAULT_TH,
-                                                  graph=graph)
+            tree_nodes, covered = v.build_min_cover(graph, sc.state(),
+                                                  v.DEFAULT_TH)
         except v.ConstructionFailed:
             continue
         assert all(c >= 1 for c in covered.values())
@@ -130,7 +131,7 @@ def test_criterion_3_greedy_cover_correctness():
         if best is None:
             continue
         try:
-            tree_nodes, _ = v.build_min_cover(sc, v.DEFAULT_TH, graph=graph)
+            tree_nodes, _ = v.build_min_cover(graph, sc.state(), v.DEFAULT_TH)
         except v.ConstructionFailed:
             continue
         size = len(tree_nodes)
@@ -173,11 +174,12 @@ def _random_forwarding_problem(seed):
         range_m = float(rng.uniform(40.0, 70.0))
         sc = uniform_scenario(n, range_m, s)
         try:
-            tree = v.build_mmevbt(sc, RADIO, v.DEFAULT_TH)
+            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, v.DEFAULT_TH)
             tree_set = set(tree.tree_nodes())
             if not tree_set:
                 continue
-            problem = v.build_forwarding_problem(sc, tree_set, v.DEFAULT_TH,
+            problem = v.build_forwarding_problem(*graph_and_state(sc),
+                                                 tree_set, v.DEFAULT_TH,
                                                  v.FitnessParams())
             if any(len(c) > 1 for c in problem.candidates.values()):
                 return problem

@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 
 import vbtsim as v
 from oracles import (FitnessContext, best_parent, brute_force_min_max,
-                     deviation_angle, fitness, load_stats, realize_selections,
-                     reference_forwarding_problem, scan_select_index)
+                     deviation_angle, fitness, graph_and_state, load_stats,
+                     realize_selections, reference_forwarding_problem,
+                     scan_select_index)
 from vbtsim.balanced import draw_index
 
 TH = v.DEFAULT_TH
@@ -373,7 +374,8 @@ def scenario_from(coords, range_m, energies=None):
 def test_problem_chain_uses_strictly_closer_levels():
     coords = [(100, 110), (100, 120), (100, 130), (100, 140)]
     sc = scenario_from(coords, range_m=12)
-    prob = v.build_forwarding_problem(sc, {0, 1, 2}, TH, v.FitnessParams())
+    prob = v.build_forwarding_problem(*graph_and_state(sc), {0, 1, 2}, TH,
+                                      v.FitnessParams())
     assert prob.candidates == {0: [v.SINK], 1: [0], 2: [1], 3: [2]}
     assert prob.levels[v.SINK] == 0 and prob.levels[0] == 1 and prob.levels[2] == 3
     assert prob.next_hop[1] == 0
@@ -382,7 +384,8 @@ def test_problem_chain_uses_strictly_closer_levels():
 def test_built_problem_makes_its_dicts_on_first_read():
     coords = [(100, 110), (100, 120), (100, 130), (100, 140)]
     sc = scenario_from(coords, range_m=12)
-    prob = v.build_forwarding_problem(sc, {0, 1, 2}, TH, v.FitnessParams())
+    prob = v.build_forwarding_problem(*graph_and_state(sc), {0, 1, 2}, TH,
+                                      v.FitnessParams())
     views = ("candidates", "fitness", "levels", "next_hop")
     assert prob.arrays is not None
     with pytest.raises(AttributeError):
@@ -398,7 +401,8 @@ def test_built_problem_makes_its_dicts_on_first_read():
 def test_sink_adjacent_nodes_deliver_directly():
     coords = [(100, 110), (95, 105), (100, 125)]
     sc = scenario_from(coords, range_m=15)
-    prob = v.build_forwarding_problem(sc, {0}, TH, v.FitnessParams())
+    prob = v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
+                                      v.FitnessParams())
     assert prob.candidates[0] == [v.SINK]
     assert prob.candidates[1] == [v.SINK]
     assert prob.candidates[2] == [0]
@@ -408,7 +412,8 @@ def test_problem_unreachable_node_raises():
     coords = [(100, 110), (10, 10)]
     sc = scenario_from(coords, range_m=15)
     with pytest.raises(v.ConstructionFailed) as err:
-        v.build_forwarding_problem(sc, {0}, TH, v.FitnessParams())
+        v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
+                                   v.FitnessParams())
     assert err.value.unreachable == [1]
 
 
@@ -416,13 +421,15 @@ def test_problem_skips_depleted_tree_nodes():
     coords = [(100, 110), (100, 120)]
     sc = scenario_from(coords, range_m=12, energies=[0.15, 2.0])
     with pytest.raises(v.ConstructionFailed):
-        v.build_forwarding_problem(sc, {0}, TH, v.FitnessParams())
+        v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
+                                   v.FitnessParams())
 
 
 def test_symmetric_diamond_splits_fifty_fifty():
     coords = [(100, 112), (112, 100), (110, 110)]
     sc = scenario_from(coords, range_m=13)
-    prob = v.build_forwarding_problem(sc, {0, 1}, TH, v.FitnessParams())
+    prob = v.build_forwarding_problem(*graph_and_state(sc), {0, 1}, TH,
+                                      v.FitnessParams())
     assert prob.candidates[2] == [0, 1]
     assert prob.probabilities(2) == [0.5, 0.5]
     exp = v.expected_loads(prob)
@@ -433,10 +440,10 @@ def test_symmetric_diamond_splits_fifty_fifty():
 
 # ------------------------------------------- array build vs scalar oracle
 
-def problem_outcome(build, sc, tree, th, params, e_init, graph):
+def problem_outcome(build, *args):
     """A build's result with every float as its exact bits, or its error."""
     try:
-        p = build(sc, tree, th, params, e_init, graph=graph)
+        p = build(*args)
     except v.ConstructionFailed as fail:
         return "unreachable", fail.unreachable
     except ValueError as err:
@@ -491,19 +498,19 @@ def test_array_problem_equals_scalar_reference(case, mode, e_init):
             g.move_sink(sink)
         if tree is None:
             try:
-                chosen, _ = v.build_min_cover(sc, TH, graph=g)
+                chosen, _ = v.build_min_cover(g, sc.state(), TH)
             except v.ConstructionFailed:
                 chosen = set()
         else:
             chosen = tree
-        got = problem_outcome(v.build_forwarding_problem, sc, chosen, TH,
-                              params, e_init, g)
+        got = problem_outcome(v.build_forwarding_problem, g, sc.state(),
+                              chosen, TH, params, e_init)
         want = problem_outcome(reference_forwarding_problem, sc, chosen, TH,
                                params, e_init, g)
         assert got == want
         if got[0] == "built":
             check_candidate_arrays(v.build_forwarding_problem(
-                sc, chosen, TH, params, e_init, graph=g), g)
+                g, sc.state(), chosen, TH, params, e_init), g)
 
 
 def check_candidate_arrays(p, g):
@@ -537,7 +544,8 @@ def test_array_problem_with_no_live_node():
                        energies=[0.0, 0.0])
     for node in sc.nodes:
         node.status = v.NodeStatus.FAILED
-    p = v.build_forwarding_problem(sc, {0}, TH, v.FitnessParams())
+    p = v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
+                                   v.FitnessParams())
     assert p == reference_forwarding_problem(sc, {0}, TH, v.FitnessParams())
     assert p.candidates == {} and p.levels == {v.SINK: 0}
     flat, cums = p.arrays.draws()
@@ -551,6 +559,7 @@ def test_raw_zero_distance_error_precedes_unreachable(mode, error):
     sc = scenario_from([(100, 110), (100, 121), (100, 121), (10, 10)],
                        range_m=12)
     params = v.FitnessParams(mode=mode)
-    for build in (v.build_forwarding_problem, reference_forwarding_problem):
-        with pytest.raises(error):
-            build(sc, {0, 1}, TH, params)
+    with pytest.raises(error):
+        v.build_forwarding_problem(*graph_and_state(sc), {0, 1}, TH, params)
+    with pytest.raises(error):
+        reference_forwarding_problem(sc, {0, 1}, TH, params)

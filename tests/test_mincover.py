@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vbtsim as v
-from oracles import min_connected_cover_size
+from oracles import (
+    graph_and_state,
+    min_connected_cover_size,
+    reference_min_cover,
+)
 
 TH = v.DEFAULT_TH
 
@@ -19,50 +23,16 @@ def scenario_from(coords, range_m, energies=None):
     return v.Scenario(field, nodes, range_m, 0)
 
 
-def replay_greedy(scenario, th):
-    """Independent from-scratch replay of the selection loop (no incremental
-    bookkeeping); used as a determinism oracle for build_min_cover.
-
-    Returns (tree ids, []) on success and (None, still-uncovered ids) when
-    no eligible pick makes progress."""
-    g = v.build_reachability(scenario)
-    live = [n.id for n in scenario.nodes if n.status is not v.NodeStatus.FAILED]
-    live_set = set(live)
-    adj = {i: [u for u in g.neighbors(i) if u != v.SINK and u in live_set] for i in live}
-    covered = {i: 0 for i in live}
-    if not live:
-        return set(), []
-    seed = max(live, key=lambda i: (len(adj[i]), -i))
-    covered[seed] = 2
-    for u in adj[seed]:
-        if covered[u] == 0:
-            covered[u] = 1
-    while any(c == 0 for c in covered.values()):
-        best, best_wd = None, -1
-        for i in sorted(covered):
-            if covered[i] == 1 and scenario.node(i).energy >= th:
-                wd = sum(1 for u in adj[i] if covered[u] == 0)
-                if wd > best_wd:
-                    best, best_wd = i, wd
-        if best is None or best_wd <= 0:
-            return None, sorted(i for i, c in covered.items() if c == 0)
-        covered[best] = 2
-        for u in adj[best]:
-            if covered[u] == 0:
-                covered[u] = 1
-    return {i for i, c in covered.items() if c == 2}, []
-
-
 def test_collinear_triple_covered_by_middle_node():
     sc = scenario_from([(100, 60), (100, 70), (100, 80)], range_m=10)
-    tree, covered = v.build_min_cover(sc, TH)
+    tree, covered = v.build_min_cover(*graph_and_state(sc), TH)
     assert tree == {1}
     assert covered == {0: 1, 1: 2, 2: 1}
 
 
 def test_single_isolated_node_seeds_itself():
     sc = scenario_from([(100, 95)], range_m=10)
-    tree, covered = v.build_min_cover(sc, TH)
+    tree, covered = v.build_min_cover(*graph_and_state(sc), TH)
     assert tree == {0}
     assert covered == {0: 2}
 
@@ -72,7 +42,7 @@ def test_seed_eligibility_is_unconditioned_on_energy():
     coords = [(100, 50), (90, 50), (110, 50), (100, 40), (100, 60)]
     energies = [0.15, 2.0, 2.0, 2.0, 2.0]
     sc = scenario_from(coords, range_m=10, energies=energies)
-    tree, covered = v.build_min_cover(sc, TH)
+    tree, covered = v.build_min_cover(*graph_and_state(sc), TH)
     assert tree == {0}
     assert covered[0] == 2
 
@@ -83,14 +53,14 @@ def test_later_picks_respect_energy_threshold():
     energies = [2.0, 2.0, 0.15, 2.0, 2.0]
     sc = scenario_from(coords, range_m=10, energies=energies)
     with pytest.raises(v.ConstructionFailed):
-        v.build_min_cover(sc, TH)
+        v.build_min_cover(*graph_and_state(sc), TH)
 
 
 def test_cover_failure_lists_uncovered_nodes():
     coords = [(100, 60), (100, 70), (20, 20), (20, 30)]
     sc = scenario_from(coords, range_m=10)
     with pytest.raises(v.ConstructionFailed) as err:
-        v.build_min_cover(sc, TH)
+        v.build_min_cover(*graph_and_state(sc), TH)
     assert err.value.unreachable == [2, 3]
 
 
@@ -104,7 +74,7 @@ def test_greedy_never_beats_exhaustive_minimum():
         sc = v.Scenario(field, nodes, 70.0, seed)
         g = v.build_reachability(sc)
         try:
-            tree, covered = v.build_min_cover(sc, TH, graph=g)
+            tree, covered = v.build_min_cover(g, sc.state(), TH)
         except v.ConstructionFailed:
             continue
         best = min_connected_cover_size(sc, g)
@@ -123,7 +93,7 @@ def test_coverage_completeness_on_success():
         sc = v.Scenario(field, nodes, 40.0, seed)
         g = v.build_reachability(sc)
         try:
-            tree, covered = v.build_min_cover(sc, TH, graph=g)
+            tree, covered = v.build_min_cover(g, sc.state(), TH)
         except v.ConstructionFailed:
             continue
         assert set(covered.values()) <= {1, 2}
@@ -147,9 +117,9 @@ def test_matches_independent_replay():
                 n.energy = 0.15
                 n.status = v.classify_status(n.energy, 0, TH, v.DEFAULT_E_FAIL)
         sc = v.Scenario(field, nodes, 45.0, seed)
-        expect, _ = replay_greedy(sc, TH)
+        expect, _ = reference_min_cover(sc, TH)
         try:
-            tree, _ = v.build_min_cover(sc, TH)
+            tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
         except v.ConstructionFailed:
             assert expect is None
             continue
@@ -173,9 +143,9 @@ def test_lazy_greedy_equals_full_rescore(seed, kinds, range_m):
         n.energy = ENERGY_KINDS[kind]
         n.status = v.classify_status(n.energy, 0, TH, v.DEFAULT_E_FAIL)
     sc = v.Scenario(field, nodes, range_m, seed)
-    expect_tree, expect_unreachable = replay_greedy(sc, TH)
+    expect_tree, expect_unreachable = reference_min_cover(sc, TH)
     try:
-        tree, covered = v.build_min_cover(sc, TH)
+        tree, covered = v.build_min_cover(*graph_and_state(sc), TH)
     except v.ConstructionFailed as err:
         assert expect_tree is None
         assert err.unreachable == expect_unreachable
@@ -189,8 +159,8 @@ def test_determinism():
     nodes = v.deploy_uniform(field, 80, seed=9)
     sc = v.Scenario(field, nodes, 35.0, 9)
     try:
-        t1, s1 = v.build_min_cover(sc, TH)
-        t2, s2 = v.build_min_cover(sc, TH)
+        t1, s1 = v.build_min_cover(*graph_and_state(sc), TH)
+        t2, s2 = v.build_min_cover(*graph_and_state(sc), TH)
     except v.ConstructionFailed:
         pytest.skip("seed 9 not coverable at this range")
     assert t1 == t2 and s1 == s2
@@ -201,6 +171,6 @@ def test_degree_tie_prefers_smaller_id():
     # so 1 seeds; covering node 3 then forces picking 2
     coords = [(100, 30), (100, 40), (100, 50), (100, 60)]
     sc = scenario_from(coords, range_m=10)
-    tree, covered = v.build_min_cover(sc, TH)
+    tree, covered = v.build_min_cover(*graph_and_state(sc), TH)
     assert tree == {1, 2}
     assert covered == {0: 1, 1: 2, 2: 2, 3: 1}

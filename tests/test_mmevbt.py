@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import vbtsim as v
 from oracles import (
     bellman_ford_consumption,
+    graph_and_state,
     hop_weight,
     reference_mmevbt,
     reference_relocate_sink,
@@ -26,6 +27,12 @@ def scenario_from(coords, range_m, energies=None, field=None):
         nodes.append(v.Node(id=i, x=x, y=y, energy=e,
                             status=v.classify_status(e, 0, TH, v.DEFAULT_E_FAIL)))
     return v.Scenario(field, nodes, range_m, 0)
+
+
+def relocate(sc, grid=4, max_step=None):
+    """relocate_sink over sc's graph, state and field."""
+    return v.relocate_sink(*graph_and_state(sc), sc.field,
+                           v.SimPolicy(grid=grid, max_step=max_step))
 
 
 def assert_tree_invariants(tree, scenario, params=RADIO, th=TH):
@@ -47,7 +54,7 @@ def assert_tree_invariants(tree, scenario, params=RADIO, th=TH):
 
 def test_single_node_routes_directly():
     sc = scenario_from([(100, 110)], range_m=12)
-    tree = v.build_mmevbt(sc, RADIO, TH)
+    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert tree.parent[0] == v.SINK
     assert tree.consumption[0] == pytest.approx(2.4576e-4, rel=1e-12)
     assert tree.consumption[v.SINK] == 0.0
@@ -56,7 +63,7 @@ def test_single_node_routes_directly():
 def test_direct_beats_relay_at_square_path_loss():
     # A 20 m out, B on the segment 10 m from each endpoint
     sc = scenario_from([(100, 120), (100, 110)], range_m=25)
-    tree = v.build_mmevbt(sc, RADIO, TH)
+    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert tree.parent[0] == v.SINK
     assert tree.consumption[0] == pytest.approx(3.6864e-4, rel=1e-12)
     assert len(tree.tree_nodes()) == 0  # nobody relays
@@ -64,7 +71,7 @@ def test_direct_beats_relay_at_square_path_loss():
 
 def test_relay_wins_when_direct_is_out_of_range():
     sc = scenario_from([(100, 110), (100, 120)], range_m=12)
-    tree = v.build_mmevbt(sc, RADIO, TH)
+    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert tree.parent[1] == 0
     assert tree.consumption[1] == pytest.approx(6.9632e-4, rel=1e-12)
     assert tree.tree_nodes() == {0}
@@ -80,7 +87,7 @@ def test_consumption_matches_bellman_ford_oracle():
         sc = v.Scenario(field, nodes, 45.0, seed)
         oracle = bellman_ford_consumption(sc, RADIO, TH)
         try:
-            tree = v.build_mmevbt(sc, RADIO, TH)
+            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         except v.ConstructionFailed as err:
             assert err.unreachable == sorted(i for i in sc.live_ids()
                                              if math.isinf(oracle[i]))
@@ -103,7 +110,7 @@ def test_oracle_agreement_with_depleted_relays():
         sc = v.Scenario(field, nodes, 50.0, seed)
         oracle = bellman_ford_consumption(sc, RADIO, TH)
         try:
-            tree = v.build_mmevbt(sc, RADIO, TH)
+            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         except v.ConstructionFailed as err:
             assert err.unreachable == sorted(i for i in sc.live_ids()
                                              if math.isinf(oracle[i]))
@@ -122,7 +129,7 @@ def exact_tie_scenario():
 
 def test_tie_breaks_to_smaller_parent_id():
     sc, params = exact_tie_scenario()
-    tree = v.build_mmevbt(sc, params, TH)
+    tree = v.build_mmevbt(*graph_and_state(sc), params, TH)
     pos = sc.positions()
     via_a = hop_weight(params, v.distance(pos[2], pos[0]), 0) + tree.consumption[0]
     via_b = hop_weight(params, v.distance(pos[2], pos[1]), 1) + tree.consumption[1]
@@ -133,7 +140,7 @@ def test_tie_breaks_to_smaller_parent_id():
 def test_construction_failed_lists_sorted_unreachable():
     sc = scenario_from([(95, 100), (0, 0), (0, 5)], range_m=10)
     with pytest.raises(v.ConstructionFailed) as err:
-        v.build_mmevbt(sc, RADIO, TH)
+        v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert err.value.unreachable == [1, 2]
 
 
@@ -141,20 +148,21 @@ def test_below_threshold_node_cannot_relay():
     # chain sink - A - C where only A can reach the sink
     sc = scenario_from([(100, 110), (100, 120)], range_m=12, energies=[0.15, 2.0])
     with pytest.raises(v.ConstructionFailed) as err:
-        v.build_mmevbt(sc, RADIO, TH)
+        v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert err.value.unreachable == [1]
 
 
 def test_below_threshold_endpoint_may_still_originate():
     sc = scenario_from([(100, 110), (100, 120)], range_m=12, energies=[2.0, 0.15])
-    tree = v.build_mmevbt(sc, RADIO, TH)
+    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert tree.parent[1] == 0
     assert tree.consumption[1] == pytest.approx(6.9632e-4, rel=1e-12)
 
 
 def test_failed_nodes_are_ignored_entirely():
     sc = scenario_from([(100, 110), (0, 0)], range_m=12, energies=[2.0, 0.0])
-    tree = v.build_mmevbt(sc, RADIO, TH)  # the dead corner node is not "unreachable"
+    # the dead corner node is not "unreachable"
+    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert 1 not in tree.parent
 
 
@@ -206,25 +214,23 @@ def test_array_spt_equals_heap_dijkstra(case):
     tree to the bit: consumption, parents and the unreachable ids, on a
     graph whose sink moved in place; neither build changes a status."""
     sc, moves, radio, th, _ = case
-    ours, ref = sc.copy(), sc.copy()
-    graph = v.build_reachability(ours)
+    ref = sc.copy()
+    graph = v.build_reachability(sc)
     for pos in moves:
-        ours.field.sink_x, ours.field.sink_y = pos
         ref.field.sink_x, ref.field.sink_y = pos
         graph.move_sink(pos)
 
-    def attempt(build, scenario, g):
+    def attempt(build, *inputs):
         try:
-            return build(scenario, radio, th, graph=g)
+            return build(*inputs, radio, th)
         except v.ConstructionFailed as err:
             return err.unreachable
 
-    tree = attempt(v.build_mmevbt, ours, graph)
-    expect = attempt(reference_mmevbt, ref, v.build_reachability(ref))
-    assert [n.status for n in ours.nodes] == [n.status for n in ref.nodes]
+    tree = attempt(v.build_mmevbt, graph, sc.state())
+    expect = attempt(reference_mmevbt, ref)
+    assert [n.status for n in ref.nodes] == [n.status for n in sc.nodes]
     if isinstance(expect, list):
         assert tree == expect
-        assert [n.status for n in ours.nodes] == [n.status for n in sc.nodes]
         return
     assert tree.parent == expect.parent
     assert float_bits(tree.consumption) == float_bits(expect.consumption)
@@ -241,8 +247,8 @@ def test_maintain_without_changes_reproduces_tree():
     field = v.Field(200, 200, 100, 100)
     nodes = v.deploy_uniform(field, 40, seed=4)
     sc = v.Scenario(field, nodes, 45.0, 4)
-    t1 = v.build_mmevbt(sc, RADIO, TH)
-    t2 = v.build_mmevbt(sc, RADIO, TH)
+    t1 = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
+    t2 = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert t1.parent == t2.parent
     assert t1.consumption == t2.consumption
 
@@ -258,17 +264,17 @@ def test_maintain_equals_fresh_build_after_random_drains():
         nodes = v.deploy_uniform(field, 50, seed=seed)
         sc = v.Scenario(field, nodes, 45.0, seed)
         try:
-            tree = v.build_mmevbt(sc, RADIO, TH)
+            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         except v.ConstructionFailed:
             continue
         for n in sc.nodes:
             if rng.random() < 0.3:
                 n.energy = float(rng.uniform(0.0, v.E_INIT))
         try:
-            maintained = v.build_mmevbt(sc, RADIO, TH)
+            maintained = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         except v.ConstructionFailed:
             continue
-        fresh = v.build_mmevbt(sc, RADIO, TH)
+        fresh = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         assert maintained.parent == fresh.parent
         assert maintained.consumption == fresh.consumption
         drained = [n.id for n in sc.nodes if n.energy < TH]
@@ -284,7 +290,7 @@ def test_relocation_fixed_point_with_uniform_energy():
     field = v.Field(200, 200, 100, 100)
     coords = [(50, 50), (150, 50), (50, 150), (150, 150)]
     sc = scenario_from(coords, range_m=90, field=v.Field(200, 200, 50, 50))
-    assert v.relocate_sink(sc, grid=2) == (50.0, 50.0)
+    assert relocate(sc, grid=2) == (50.0, 50.0)
 
 
 def test_relocation_targets_richest_cell_centroid():
@@ -294,7 +300,7 @@ def test_relocation_targets_richest_cell_centroid():
         v.Node(1, 80, 80, 2.0, v.NodeStatus.CANDIDATE_NON_TREE),
     ]
     sc = v.Scenario(field, nodes, 120.0, 0)
-    assert v.relocate_sink(sc, grid=2) == (75.0, 75.0)
+    assert relocate(sc, grid=2) == (75.0, 75.0)
 
 
 def test_relocation_bounded_step_moves_along_the_line():
@@ -305,7 +311,7 @@ def test_relocation_bounded_step_moves_along_the_line():
     ]
     sc = v.Scenario(field, nodes, 120.0, 0)
     # target (75, 75) is 50 m away from (25, 75); a 10 m step lands at (35, 75)
-    x, y = v.relocate_sink(sc, grid=2, max_step=10.0)
+    x, y = relocate(sc, grid=2, max_step=10.0)
     assert (x, y) == pytest.approx((35.0, 75.0), abs=1e-12)
 
 
@@ -316,7 +322,7 @@ def test_relocation_ignores_failed_nodes():
         v.Node(1, 80, 80, 0.0, v.NodeStatus.FAILED),
     ]
     sc = v.Scenario(field, nodes, 120.0, 0)
-    assert v.relocate_sink(sc, grid=2) == (25.0, 25.0)
+    assert relocate(sc, grid=2) == (25.0, 25.0)
 
 
 def test_relocation_picks_maximal_mean_cell_on_random_instances():
@@ -328,7 +334,7 @@ def test_relocation_picks_maximal_mean_cell_on_random_instances():
         for n in nodes:
             n.energy = float(rng.uniform(0.05, v.E_INIT))
         sc = v.Scenario(field, nodes, 40.0, seed)
-        tx, ty = v.relocate_sink(sc, grid=4)
+        tx, ty = relocate(sc, grid=4)
         # independent recomputation of per-cell means
         cells = {}
         for n in nodes:
@@ -366,7 +372,7 @@ def relocation_cases(draw):
 @given(relocation_cases())
 def test_relocation_equals_reference_loop(case):
     sc, grid, max_step = case
-    assert v.relocate_sink(sc, grid, max_step) == \
+    assert relocate(sc, grid, max_step) == \
         reference_relocate_sink(sc, grid, max_step)
 
 
@@ -377,7 +383,7 @@ def test_relocation_exact_tie_goes_to_smaller_cell_index():
     nodes = [v.Node(0, 20, 80, 1.0), v.Node(1, 80, 20, 0.5),
              v.Node(2, 70, 30, 1.5), v.Node(3, 20, 20, 0.25)]
     sc = v.Scenario(field, nodes, 10.0, 0)
-    assert v.relocate_sink(sc, grid=2) == (75.0, 25.0)
+    assert relocate(sc, grid=2) == (75.0, 25.0)
     assert reference_relocate_sink(sc, grid=2) == (75.0, 25.0)
 
 
@@ -389,7 +395,7 @@ def test_relocation_with_a_million_cells_a_side():
         nd.energy = float(rng.uniform(0.0, v.E_INIT))
     nodes[7].x, nodes[7].y = nodes[3].x, nodes[3].y  # one shared cell
     sc = v.Scenario(field, nodes, 10.0, 0)
-    assert v.relocate_sink(sc, grid=10**6) == \
+    assert relocate(sc, grid=10**6) == \
         reference_relocate_sink(sc, grid=10**6)
 
 
@@ -402,5 +408,5 @@ def test_relocation_sums_each_cell_as_a_left_fold():
     nodes = [v.Node(i, 80, 20, e) for i, e in enumerate(energies)]
     nodes.append(v.Node(len(nodes), 20, 20, 1.0 / 16))
     sc = v.Scenario(field, nodes, 10.0, 0)
-    assert v.relocate_sink(sc, grid=2) == (25.0, 25.0)
+    assert relocate(sc, grid=2) == (25.0, 25.0)
     assert reference_relocate_sink(sc, grid=2) == (25.0, 25.0)

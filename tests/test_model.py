@@ -383,12 +383,13 @@ def test_neighbor_ids_are_plain_ints():
 
 def test_single_node_within_sink_range_connected():
     sc = make_scenario([node(0, 95, 100)], range_m=10.0)
-    assert v.is_connected_to_sink(v.build_reachability(sc))
+    assert v.is_connected_to_sink(v.build_reachability(sc), sc.state()[1])
 
 
 def test_isolated_node_disconnects():
     sc = make_scenario([node(0, 95, 100), node(1, 0, 0)], range_m=10.0)
-    assert not v.is_connected_to_sink(v.build_reachability(sc))
+    assert not v.is_connected_to_sink(v.build_reachability(sc),
+                                      sc.state()[1])
 
 
 def test_failed_nodes_do_not_count_against_connectivity():
@@ -397,8 +398,8 @@ def test_failed_nodes_do_not_count_against_connectivity():
         range_m=10.0,
     )
     g = v.build_reachability(sc)
-    assert not v.is_connected_to_sink(g)
-    assert v.is_connected_to_sink(g, alive=sc.live_ids())
+    assert not v.is_connected_to_sink(g, np.ones(2, dtype=bool))
+    assert v.is_connected_to_sink(g, sc.state()[1])
 
 
 def test_sparse_200_node_networks_mostly_disconnected():
@@ -410,7 +411,7 @@ def test_sparse_200_node_networks_mostly_disconnected():
         seed = v.attempt_seed(0, 20.0, attempt)
         nodes = v.deploy_uniform(f, 200, seed=seed)
         g = v.build_reachability(v.Scenario(f, nodes, 20.0, seed))
-        if not v.is_connected_to_sink(g):
+        if not v.is_connected_to_sink(g, np.ones(200, dtype=bool)):
             disconnected += 1
     assert disconnected >= 48  # at least 95% of 50
 
@@ -418,7 +419,7 @@ def test_sparse_200_node_networks_mostly_disconnected():
 def test_multihop_chain_is_connected():
     chain = [node(i, 100 + 9 * (i + 1), 100) for i in range(5)]
     sc = make_scenario(chain, range_m=10.0)
-    assert v.is_connected_to_sink(v.build_reachability(sc))
+    assert v.is_connected_to_sink(v.build_reachability(sc), sc.state()[1])
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
@@ -447,4 +448,4 @@ def test_hop_levels_and_connectivity_equal_dense_bfs(seed, n, range_m, data):
     got, deepest = hop_levels(g, mask)
     assert got.tolist() == [level.get(i, n + 1) for i in range(n)] + [0]
     assert deepest == max(level.values())
-    assert v.is_connected_to_sink(g, alive) == live.issubset(level)
+    assert v.is_connected_to_sink(g, mask[:n]) == live.issubset(level)

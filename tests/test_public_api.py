@@ -1,10 +1,14 @@
-"""The package's public names, pinned."""
+"""The package's public names, its console scripts and its import graph."""
 
 import ast
+import importlib
+import re
 import types
 from pathlib import Path
 
 import vbtsim
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = {
     "ALGORITHMS", "BETA_MIN", "DEFAULT_E_AMP", "DEFAULT_E_ELEC",
@@ -48,3 +52,30 @@ def test_oracles_import_no_private_package_name():
                if name.split(".")[0] == "vbtsim"
                and any(part.startswith("_") for part in name.split(".")[1:])]
     assert private == []
+
+
+def test_no_function_imports_a_module():
+    """Every import in the package sits at module level, so an import
+    cycle fails at import time instead of hiding inside a function."""
+    inside = []
+    for path in sorted(Path(vbtsim.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+                inside += [f"{path.name}:{node.lineno}"
+                           for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inside == []
+
+
+def test_console_scripts_resolve_to_callables():
+    """Each [project.scripts] entry names a callable; tomllib is 3.11+,
+    so the table is read with a regex."""
+    text = (ROOT / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n|\n)*)", text,
+                      re.MULTILINE).group(1)
+    entries = re.findall(r'^(\S+)\s*=\s*"([\w.]+):(\w+)"', table,
+                         re.MULTILINE)
+    assert [name for name, _, _ in entries] == ["vbtsim"]
+    for _, module, attr in entries:
+        assert callable(getattr(importlib.import_module(module), attr))

@@ -26,7 +26,7 @@ def test_read_basic_file(tmp_path):
     assert sc.field.width == 200 and sc.field.sink_pos == (100.0, 100.0)
     assert sc.sensing_range == 25.0 and sc.rng_seed == 7
     assert [n.id for n in sc.nodes] == [0, 1, 2]
-    assert sc.node(0).pos == (10.5, 20.25)
+    assert (sc.node(0).x, sc.node(0).y) == (10.5, 20.25)
 
 
 def test_read_derives_statuses_from_energy(tmp_path):

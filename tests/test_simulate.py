@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vbtsim as v
-from oracles import (best_parent, reference_compare_load_spread,
+from oracles import (best_parent, graph_and_state,
+                     reference_compare_load_spread,
+                     reference_forwarding_problem, reference_min_cover,
+                     reference_mmevbt, reference_relocate_sink,
                      reference_run_simulation, route_energy)
 from vbtsim import simulate
 from vbtsim.config import EnergyParams
@@ -38,7 +41,7 @@ def connected_random_scenario(seed, n=30, range_m=45.0):
         nodes = v.deploy_uniform(field, n, seed=seed)
         sc = v.Scenario(field, nodes, range_m, seed)
         try:
-            v.build_mmevbt(sc, RADIO, TH)
+            v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
             return sc
         except v.ConstructionFailed:
             seed += 1000
@@ -300,9 +303,10 @@ def ten_client_two_gateway_scenario():
 
 def test_ten_clients_split_between_equal_gateways():
     sc = ten_client_two_gateway_scenario()
-    tree, _ = v.build_min_cover(sc, TH)
+    tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
     assert tree == {10, 11}
-    prob = v.build_forwarding_problem(sc, tree, TH, v.FitnessParams())
+    prob = v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
+                                      v.FitnessParams())
     for i in range(10):
         assert prob.candidates[i] == [10, 11]
         assert prob.probabilities(i) == [0.5, 0.5]  # exact by symmetry
@@ -355,6 +359,12 @@ def run_ten(radio=RADIO, policy=NO_MOVE, **kwargs):
                             v.TrafficModel(), radio, policy, 1, **kwargs)
 
 
+def relocate(sc, grid=4, max_step=None):
+    """relocate_sink over sc's graph, state and field."""
+    return v.relocate_sink(*graph_and_state(sc), sc.field,
+                           v.SimPolicy(grid=grid, max_step=max_step))
+
+
 def all_failed_scenario():
     sc = ten_client_two_gateway_scenario()
     for node in sc.nodes:
@@ -363,11 +373,11 @@ def all_failed_scenario():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: v.relocate_sink(all_failed_scenario()), "live node"),
-    (lambda: v.relocate_sink(ten_client_two_gateway_scenario(), grid=0),
+    (lambda: relocate(all_failed_scenario()), "live node"),
+    (lambda: relocate(ten_client_two_gateway_scenario(), grid=0),
      "policy.grid"),
-    (lambda: v.relocate_sink(ten_client_two_gateway_scenario(),
-                             max_step=-1.0), "policy.max_step"),
+    (lambda: relocate(ten_client_two_gateway_scenario(), max_step=-1.0),
+     "policy.max_step"),
     (lambda: v.run_simulation(ten_client_two_gateway_scenario(), "mmevbt",
                               v.TrafficModel(), RADIO, NO_MOVE, seed=-1),
      "seed must be >= 0"),
@@ -422,8 +432,9 @@ def backbone_layout(layout_seed, n, range_m, energies):
             node.status = v.classify_status(e, 0, TH)
         sc = v.Scenario(field, nodes, range_m, layout_seed)
         try:
-            tree, _ = v.build_min_cover(sc, TH)
-            v.build_forwarding_problem(sc, tree, TH, v.FitnessParams())
+            tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
+            v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
+                                       v.FitnessParams())
             return sc
         except v.ConstructionFailed:
             pass
@@ -594,8 +605,9 @@ def test_zero_probability_candidate_keeps_its_load_row():
               (140.0, 140.0), (150.0, 150.0)]
     sc = scenario_from(coords, range_m=30.0)
     fitness = v.FitnessParams(c1=1.0, c2=0.0, c3=0.0)
-    tree, _ = v.build_min_cover(sc, TH)
-    problem = v.build_forwarding_problem(sc, tree, TH, fitness)
+    tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
+    problem = v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
+                                         fitness)
     assert problem.candidates[2] == [1, 3]
     assert problem.probabilities(2) == [0.0, 1.0]
     new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(1.0, 20),
@@ -648,14 +660,15 @@ def chain_scenario(energies=None):
 
 def test_forced_chains_stop_at_draws_and_the_sink():
     sc = chain_scenario()
-    tree, _ = v.build_min_cover(sc, TH)
-    problem = v.build_forwarding_problem(sc, tree, TH, v.FitnessParams())
+    tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
+    problem = v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
+                                         v.FitnessParams())
     assert problem.candidates == {0: [v.SINK], 1: [0], 2: [0], 3: [1, 2],
                                   4: [3], 5: [v.SINK], 6: [1], 7: [2]}
     names = [str(i) for i in range(8)] + ["-1"]
     router = simulate._Router("balanced_probabilistic", RADIO, NO_MOVE,
                               v.FitnessParams(), v.E_INIT)
-    router.rebuild(sc, v.build_reachability(sc), sc.state())
+    router.rebuild(*graph_and_state(sc))
     ptr = router.chain_ptr.tolist()
     # each chain's stop, its heads' names as a packet path shows them,
     # and its senders and heads
@@ -713,7 +726,7 @@ def test_all_forced_multi_hop_balanced_run_equals_reference(monkeypatch):
     policy = v.SimPolicy(th=0.005, t_move=0)
     router = simulate._Router("balanced_probabilistic", RADIO, policy,
                               v.FitnessParams(), 0.05)
-    router.rebuild(sc, v.build_reachability(sc), sc.state())
+    router.rebuild(*graph_and_state(sc))
     assert np.diff(router.slot_ptr).max() == 1 and router.lengths is None
     monkeypatch.setattr(simulate._Router, "_walk", refuse)
     new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(0.5, 300),
@@ -728,7 +741,7 @@ def test_all_forced_multi_hop_balanced_run_equals_reference(monkeypatch):
 def fixed_parent_router(algo, sc):
     router = simulate._Router(algo, RADIO, NO_MOVE, v.FitnessParams(),
                               v.E_INIT)
-    router.rebuild(sc, v.build_reachability(sc), sc.state())
+    router.rebuild(*graph_and_state(sc))
     return router
 
 
@@ -737,10 +750,11 @@ def fixed_parent_router(algo, sc):
 def test_fixed_parent_chains_follow_the_parents(algo, layout):
     sc = connected_random_scenario(layout, n=40, range_m=35.0)
     if algo == "mmevbt":
-        parent = v.build_mmevbt(sc, RADIO, TH).parent
+        parent = v.build_mmevbt(*graph_and_state(sc), RADIO, TH).parent
     else:
-        tree, _ = v.build_min_cover(sc, TH)
-        problem = v.build_forwarding_problem(sc, tree, TH, v.FitnessParams())
+        tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
+        problem = v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
+                                             v.FitnessParams())
         parent = {i: best_parent(problem, i) for i in problem.candidates}
     router = fixed_parent_router(algo, sc)
     assert np.diff(router.slot_ptr).max() == 1
@@ -834,67 +848,84 @@ def outcome(build, *args, **kwargs):
         return type(exc), str(exc)
 
 
-@given(drained_states(), st.sampled_from(["normalized", "raw"]))
-def test_state_arrays_and_scenario_builds_agree(case, mode):
-    sc, state, graph, th, _ = case
-    # the array path gets Nodes that say nothing true: failed, no energy,
-    # all in one corner; it must neither read nor write them
-    f = sc.field
-    blank = v.Scenario(v.Field(f.width, f.height, f.sink_x, f.sink_y),
-                       [v.Node(i, 0.0, 0.0, math.nan, v.NodeStatus.FAILED)
-                        for i in range(len(sc.nodes))], sc.sensing_range)
-    arrays = [a.copy() for a in state]
+def input_arrays(graph, state):
+    """The arrays a build or relocate_sink reads and must not write."""
+    return (*state, graph.points, graph.indptr, graph.nbrs)
 
-    tree = outcome(v.build_mmevbt, blank, RADIO, th, graph, state=state)
-    want = outcome(v.build_mmevbt, sc, RADIO, th, graph)
+
+def fitness_bits(problem):
+    """A built problem's dicts, every fitness as its exact bits."""
+    return (problem.candidates, problem.levels, problem.next_hop,
+            {i: [f.hex() for f in fit] for i, fit in problem.fitness.items()})
+
+
+@given(drained_states(), st.sampled_from(["normalized", "raw"]))
+def test_builds_equal_references_on_drained_states(case, mode):
+    """After drains, deaths and a sink move, each build and relocate_sink
+    over (graph, state) equals its reference over the Scenario whose
+    Nodes hold that state, and leaves the state and the graph's arrays
+    as they were."""
+    sc, state, graph, th, _ = case
+    kept = [a.copy() for a in input_arrays(graph, state)]
+
+    tree = outcome(v.build_mmevbt, graph, state, RADIO, th)
+    want = outcome(reference_mmevbt, sc, RADIO, th)
     if isinstance(want, v.BackboneTree):
         assert tree.parent == want.parent
         assert tree.consumption == want.consumption
-        assert np.array_equal(tree.edges, want.edges)
     else:
         assert tree == want
 
-    cover = outcome(v.build_min_cover, blank, th, graph, state=state)
-    assert cover == outcome(v.build_min_cover, sc, th, graph)
-    if not isinstance(cover[0], type):
+    cover = outcome(v.build_min_cover, graph, state, th)
+    chosen, uncovered = reference_min_cover(sc, th)
+    if chosen is None:
+        failed = v.ConstructionFailed(uncovered)
+        assert cover == (type(failed), str(failed))
+    else:
+        assert cover[0] == chosen
         params = v.FitnessParams(mode=mode)
-        got = outcome(v.build_forwarding_problem, blank, cover[0], th,
-                      params, 0.01, graph, state=state)
-        want = outcome(v.build_forwarding_problem, sc, cover[0], th, params,
-                       0.01, graph)
+        got = outcome(v.build_forwarding_problem, graph, state, chosen, th,
+                      params, 0.01)
+        want = outcome(reference_forwarding_problem, sc, chosen, th, params,
+                       0.01)
         if isinstance(want, v.ForwardingProblem):
-            for name in ("rows", "bounds", "edges", "fitness"):
-                assert np.array_equal(getattr(got.arrays, name),
-                                      getattr(want.arrays, name),
-                                      equal_nan=True)
-            assert got.arrays.max_level == want.arrays.max_level
+            assert fitness_bits(got) == fitness_bits(want)
         else:
             assert got == want
 
     for grid, step in [(2, None), (4, 10.0)]:
-        assert (outcome(v.relocate_sink, blank, grid, step, graph=graph,
-                        state=state)
-                == outcome(v.relocate_sink, sc, grid, step))
-    assert all(n.status is v.NodeStatus.FAILED and (n.x, n.y) == (0.0, 0.0)
-               and math.isnan(n.energy) for n in blank.nodes)
-    assert all(np.array_equal(a, b) for a, b in zip(state, arrays))
+        got = outcome(v.relocate_sink, graph, state, sc.field,
+                      v.SimPolicy(grid=grid, max_step=step))
+        if state[1].any():
+            assert got == reference_relocate_sink(sc, grid, step)
+        else:
+            assert got == (ValueError,
+                           "relocate_sink needs at least one live node")
+    assert all(np.array_equal(a, b)
+               for a, b in zip(kept, input_arrays(graph, state)))
 
 
 def test_builds_write_no_node():
-    """Built from a Scenario alone, every backbone build and the sink
-    relocation leave every Node field as it was, statuses included."""
+    """Every backbone build and the sink relocation leave the state
+    arrays, the graph's points and CSR arrays and the Scenario they came
+    from as they were, Node statuses included."""
     sc = ten_client_two_gateway_scenario()
     for node in sc.nodes[:10]:  # clients: mixed batteries and labels
         node.energy = (v.E_INIT, TH / 2, TH)[node.id % 3]
         node.status = list(v.NodeStatus)[node.id % 4]
     before = [dataclasses.replace(node) for node in sc.nodes]
     field = dataclasses.replace(sc.field)
-    tree = v.build_mmevbt(sc, RADIO, TH)
-    cover, _ = v.build_min_cover(sc, TH)
-    v.build_forwarding_problem(sc, cover, TH, v.FitnessParams())
-    v.relocate_sink(sc, grid=2, max_step=5.0)
+    graph, state = graph_and_state(sc)
+    kept = [a.copy() for a in input_arrays(graph, state)]
+    tree = v.build_mmevbt(graph, state, RADIO, TH)
+    cover, _ = v.build_min_cover(graph, state, TH)
+    v.build_forwarding_problem(graph, state, cover, TH, v.FitnessParams())
+    v.relocate_sink(graph, state, sc.field,
+                    v.SimPolicy(grid=2, max_step=5.0))
     assert tree.tree_nodes() >= {10, 11} and cover == {10, 11}
     assert sc.nodes == before and sc.field == field
+    assert all(np.array_equal(a, b)
+               for a, b in zip(kept, input_arrays(graph, state)))
 
 
 # ------------------------------------------------------- array round kernel

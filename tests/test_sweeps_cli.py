@@ -22,6 +22,7 @@ from vbtsim.sweeps import (
     write_csv,
     write_sweep_outputs,
 )
+from oracles import graph_and_state
 
 SEED_STRIDE = 1_000_003
 
@@ -87,7 +88,7 @@ def test_sweep_rows_consistent_and_replayable():
     # replay one successful attempt from its recorded seed
     probe = next(a for a in attempts if not a.failed)
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
-    tree = build_mmevbt(sc, cfg.radio, cfg.policy.th)
+    tree = build_mmevbt(*graph_and_state(sc), cfg.radio, cfg.policy.th)
     assert len(tree.tree_nodes()) == probe.n_tree_nodes
 
 
@@ -97,7 +98,7 @@ def test_sweep_fig4_counts_greedy_cover_sizes():
     assert all(r.successes == cfg.target_successes for r in summary)
     probe = next(a for a in attempts if not a.failed)
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
-    tree_nodes, _ = build_min_cover(sc, cfg.policy.th)
+    tree_nodes, _ = build_min_cover(*graph_and_state(sc), cfg.policy.th)
     assert len(tree_nodes) == probe.n_tree_nodes
 
 
