@@ -27,7 +27,7 @@ from .simulate import ALGORITHMS, SimPolicy, TrafficModel
 
 @dataclass(frozen=True)
 class FieldParams:
-    """The numbers of a Field, unchecked until make_scenario builds one.
+    """The numbers of a Field, unchecked until a Field is built from them.
 
     `run` reads its field from the scenario file, and a field reshaped
     key by key may pass through a state with the sink outside, so the
@@ -70,7 +70,7 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.target_successes < 1 or self.max_attempts < 1:
             raise ValueError("target_successes and max_attempts must be >= 1")
-        # field is checked by Field when make_scenario builds one
+        # field is checked by Field when a sweep or make_scenario builds one
         for section in (self.energy, self.radio, self.fitness, self.policy,
                         self.traffic):
             section.validate()

@@ -107,25 +107,10 @@ class Scenario:
             if not self.field.contains(n.x, n.y):
                 raise ValueError(f"node {n.id} outside the field")
 
-    def copy(self) -> "Scenario":
-        """An independent copy: a fresh Field and fresh Nodes."""
-        f = self.field
-        return Scenario(Field(f.width, f.height, f.sink_x, f.sink_y),
-                        [Node(n.id, n.x, n.y, n.energy, n.status)
-                         for n in self.nodes],
-                        self.sensing_range, self.rng_seed)
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
-    def positions(self) -> dict[int, tuple[float, float]]:
-        """Positions of every vertex, the sink included under id SINK."""
-        pos = {n.id: (n.x, n.y) for n in self.nodes}
-        pos[SINK] = self.field.sink_pos
-        return pos
-
-    def live_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if n.status is not NodeStatus.FAILED]
+    def points(self) -> np.ndarray:
+        """A fresh (n+1, 2) array: each node's (x, y) by id, the sink last."""
+        return np.array([(n.x, n.y) for n in self.nodes]
+                        + [self.field.sink_pos], dtype=float)
 
     def state(self) -> State:
         """The nodes' energies and liveness as a State."""
@@ -159,15 +144,6 @@ class ReachabilityGraph:
                                              repr=False)
     _tx: Optional[np.ndarray] = dc_field(default=None, init=False,
                                          repr=False)
-
-    def neighbors(self, vertex: int) -> list[int]:
-        """vertex's CSR row as plain ids, the sink (n) shown as SINK."""
-        n = len(self.indptr) - 2
-        row = n if vertex == SINK else vertex
-        ids = self.nbrs[self.indptr[row]:self.indptr[row + 1]].tolist()
-        if ids and ids[0] == n:
-            ids[0] = SINK
-        return ids
 
     def edge_rows(self, edges: np.ndarray) -> np.ndarray:
         """The row (sending vertex, the sink as n) of each given edge."""
@@ -301,40 +277,52 @@ def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def deploy_uniform(field: Field, n: int, seed: int, e_init: float = E_INIT,
-                   th: float = DEFAULT_TH,
-                   e_fail: float = DEFAULT_E_FAIL) -> list[Node]:
-    """Drop n nodes i.i.d. uniform over the field; same seed, same layout."""
+def uniform_points(field: Field, n: int, seed: int) -> np.ndarray:
+    """n points i.i.d. uniform over the field, (n, 2); same seed, same."""
     if n < 1:
         raise ValueError("need at least one node")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, field.width, n)
     ys = rng.uniform(0.0, field.height, n)
+    return np.column_stack((xs, ys))
+
+
+def deploy_uniform(field: Field, n: int, seed: int, e_init: float = E_INIT,
+                   th: float = DEFAULT_TH,
+                   e_fail: float = DEFAULT_E_FAIL) -> list[Node]:
+    """Drop n nodes i.i.d. uniform over the field; same seed, same layout."""
     status = classify_status(e_init, 0, th, e_fail)
-    return [Node(i, float(xs[i]), float(ys[i]), e_init, status) for i in range(n)]
+    points = uniform_points(field, n, seed).tolist()
+    return [Node(i, x, y, e_init, status) for i, (x, y) in enumerate(points)]
 
 
-def build_reachability(scenario: Scenario) -> ReachabilityGraph:
-    """Unit-disk adjacency over the nodes plus the sink vertex.
+def build_reachability(points: np.ndarray,
+                       sensing_range: float) -> ReachabilityGraph:
+    """Unit-disk adjacency over an (n+1, 2) array of points, the sink last.
 
-    The n+1 points fall into a uniform grid of square cells a hair wider
-    than the range, so every pair within range sits in the same or an
-    adjacent cell and each point is tested only against the 3x3 block of
-    cells around it. The test itself is the exact inclusive
-    ((p_a - p_b) ** 2).sum() <= range**2, so the graph equals the
-    all-pairs one while memory is O(n*k) for mean degree k, not O(n^2).
-    Each CSR row lists its neighbour ids ascending, the sink (n) first.
+    The graph keeps points (move_sink writes its last row), so pass an
+    array nothing else holds, such as Scenario.points(). The points fall
+    into square cells a hair wider than the range, so a pair within range
+    is in one cell or in adjacent ones. Each point is tested against its
+    own cell and half of the eight around it, and an off-cell pair is kept
+    both ways: the exact inclusive ((p_a - p_b) ** 2).sum() <= range**2
+    is symmetric to the bit, as fl(a - b) == -fl(b - a). So the graph
+    equals the all-pairs one in O(n*k) memory for mean degree k. Each CSR
+    row lists its neighbour ids ascending, the sink (n) first.
     """
-    n = len(scenario.nodes)
-    pts = np.array([(nd.x, nd.y) for nd in scenario.nodes]
-                   + [scenario.field.sink_pos], dtype=float)
-    r = scenario.sensing_range
+    if not 0 < sensing_range < math.inf:
+        raise ValueError("sensing range must be positive and finite")
+    if points.ndim != 2 or points.shape[1] != 2 or not len(points):
+        raise ValueError("points must be a non-empty (m, 2) array")
+    pts, r, n = points, sensing_range, len(points) - 1
 
     # The relative margin dwarfs the rounding in the cell index, which the
     # span floor keeps below 2**20 cells a side even for a tiny range.
+    # Below 2**-500 a square can underflow (1e-300**2 == 3e-300**2 == 0.0),
+    # so a pair cells apart could pass the test: no cell is that small.
     origin = pts.min(axis=0)
     span = float((pts.max(axis=0) - origin).max())
-    cell = max(r, span * 2.0**-20) * (1.0 + 1e-6)
+    cell = max(r, span * 2.0**-20, 2.0**-500) * (1.0 + 1e-6)
     cx, cy = np.floor((pts - origin) / cell).astype(np.int64).T
     xs, ys = pts.T.copy()
     rows = int(cy.max()) + 3  # a spare row either side keeps keys unique
@@ -344,24 +332,25 @@ def build_reachability(scenario: Scenario) -> ReachabilityGraph:
 
     pairs_a = []
     pairs_b = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            # sorted needles: the point order of the pairs does not matter
-            target = sorted_key + (dx * rows + dy)
-            lo = np.searchsorted(sorted_key, target, side="left")
-            hi = np.searchsorted(sorted_key, target, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            a = np.repeat(order, counts)
-            starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-            b = order[starts + np.arange(total)]
-            # the same float ops as ((p_a - p_b) ** 2).sum(), in 1-D
-            d2 = (xs[a] - xs[b]) ** 2 + (ys[a] - ys[b]) ** 2
-            keep = (d2 <= r**2) & (a != b)
-            pairs_a.append(a[keep])
-            pairs_b.append(b[keep])
+    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        # sorted needles: the point order of the pairs does not matter
+        target = sorted_key + (dx * rows + dy)
+        lo = np.searchsorted(sorted_key, target, side="left")
+        hi = np.searchsorted(sorted_key, target, side="right")
+        counts = hi - lo
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        a = np.repeat(order, counts)
+        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        b = order[starts + np.arange(total)]
+        # the same float ops as ((p_a - p_b) ** 2).sum(), in 1-D
+        d2 = (xs[a] - xs[b]) ** 2 + (ys[a] - ys[b]) ** 2
+        keep = (d2 <= r**2) & (a != b)
+        a, b = a[keep], b[keep]
+        # a same-cell pair is found from both ends, an off-cell one once
+        pairs_a += [a] if dx == dy == 0 else [a, b]
+        pairs_b += [b] if dx == dy == 0 else [b, a]
 
     a = np.concatenate(pairs_a)
     b = np.concatenate(pairs_b)
@@ -370,7 +359,7 @@ def build_reachability(scenario: Scenario) -> ReachabilityGraph:
     # and give the sink, which sorts first, its CSR id n
     csr = ((np.sort(a * (n + 1) + (vb + 1)) - 1) % (n + 1)).astype(np.int32)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n + 1))))
-    return ReachabilityGraph(scenario.sensing_range, pts, indptr, csr)
+    return ReachabilityGraph(sensing_range, pts, indptr, csr)
 
 
 def hop_levels(graph: ReachabilityGraph,

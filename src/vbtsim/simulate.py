@@ -378,7 +378,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
             event_log.append((round_no, event, node, detail))
 
     # the run moves only the graph's sink, never the scenario's
-    graph = build_reachability(scenario)
+    graph = build_reachability(scenario.points(), scenario.sensing_range)
     router = _Router(algorithm, radio, policy, fparams, e_init)
     router.rebuild(graph, state)  # initial failure propagates
     # a live node holding neither th nor e_fail fails at the first build,
@@ -491,7 +491,7 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     fparams = (fitness_params or FitnessParams()).validate()
     rng_origin, rng_pick = _generator(seed), _generator(seed + 1)
     state = scenario.state()
-    graph = build_reachability(scenario)
+    graph = build_reachability(scenario.points(), scenario.sensing_range)
     tree_set, _ = build_min_cover(graph, state, th)
     rows = build_forwarding_problem(graph, state, tree_set, th, fparams,
                                     e_init).arrays

@@ -20,9 +20,14 @@ from .mmevbt import build_mmevbt
 from .model import (
     ConstructionFailed,
     Field,
+    NodeStatus,
+    ReachabilityGraph,
     Scenario,
+    State,
     build_reachability,
+    classify_status,
     deploy_uniform,
+    uniform_points,
 )
 from .simulate import LifetimeMetrics, run_simulation
 
@@ -37,8 +42,7 @@ def attempt_seed(base_seed: int, range_m: float, attempt: int) -> int:
 
 def make_scenario(config: ExperimentConfig, seed: int,
                   range_m: float) -> Scenario:
-    f = config.field
-    field = Field(f.width, f.height, f.sink_x, f.sink_y)
+    field = Field(**vars(config.field))
     nodes = deploy_uniform(field, config.n_nodes, seed,
                            e_init=config.energy.e_init,
                            th=config.policy.th, e_fail=config.policy.e_fail)
@@ -63,8 +67,13 @@ class RangeRow:
 
 
 def _sweep(config: ExperimentConfig,
-           count_tree_nodes: Callable[[Scenario], int]
+           count_tree_nodes: Callable[[ReachabilityGraph, State], int]
            ) -> tuple[list[RangeRow], list[AttemptRow]]:
+    """Each attempt is make_scenario's deployment as arrays, no Node."""
+    field = Field(**vars(config.field))
+    n, e_init, policy = config.n_nodes, config.energy.e_init, config.policy
+    live = classify_status(e_init, 0, policy.th,
+                           policy.e_fail) is not NodeStatus.FAILED
     summary: list[RangeRow] = []
     attempts: list[AttemptRow] = []
     for range_m in config.ranges:
@@ -75,9 +84,12 @@ def _sweep(config: ExperimentConfig,
             if successes >= config.target_successes:
                 break
             seed = attempt_seed(config.base_seed, range_m, attempt)
-            scenario = make_scenario(config, seed, range_m)
+            points = np.vstack((uniform_points(field, n, seed),
+                                [field.sink_pos]))
+            graph = build_reachability(points, range_m)
+            state = (np.full(n, e_init, dtype=float), np.full(n, live))
             try:
-                size = count_tree_nodes(scenario)
+                size = count_tree_nodes(graph, state)
             except ConstructionFailed:
                 failures += 1
                 attempts.append(AttemptRow(seed, range_m, None, True))
@@ -95,9 +107,8 @@ def sweep_figure3(config: ExperimentConfig
                   ) -> tuple[list[RangeRow], list[AttemptRow]]:
     """Minimal-energy backbone sizes across sensing ranges."""
 
-    def count(scenario: Scenario) -> int:
-        tree = build_mmevbt(build_reachability(scenario), scenario.state(),
-                            config.radio, config.policy.th)
+    def count(graph: ReachabilityGraph, state: State) -> int:
+        tree = build_mmevbt(graph, state, config.radio, config.policy.th)
         return len(tree.tree_nodes())
 
     return _sweep(config, count)
@@ -107,9 +118,8 @@ def sweep_figure4(config: ExperimentConfig
                   ) -> tuple[list[RangeRow], list[AttemptRow]]:
     """Greedy minimal-cover backbone sizes across sensing ranges."""
 
-    def count(scenario: Scenario) -> int:
-        tree_nodes, _ = build_min_cover(build_reachability(scenario),
-                                        scenario.state(), config.policy.th)
+    def count(graph: ReachabilityGraph, state: State) -> int:
+        tree_nodes, _ = build_min_cover(graph, state, config.policy.th)
         return len(tree_nodes)
 
     return _sweep(config, count)

@@ -20,7 +20,9 @@ covered node after each pick. reference_compare_load_spread is the
 load-spread comparison over a built problem's per-node dicts, one
 select_parent per packet. graph_and_state turns a Scenario into the
 (graph, state) pair that every package build takes; the references
-read the Scenario itself.
+read the Scenario itself. neighbors, positions, live_ids and
+copy_scenario give a graph row or a Scenario as plain ids, dicts or
+fresh Nodes; the package keeps no such accessor.
 
 The scalar references (hop_weight, path_consumption, deviation_angle,
 fitness, best_parent, realize_selections, load_stats) state per hop,
@@ -49,10 +51,13 @@ from vbtsim import (
     SINK,
     BackboneTree,
     ConstructionFailed,
+    Field,
     FitnessParams,
     ForwardingProblem,
     LifetimeMetrics,
+    Node,
     NodeStatus,
+    Scenario,
     SimPolicy,
     TrafficModel,
     build_forwarding_problem,
@@ -70,7 +75,38 @@ from vbtsim import (
 def graph_and_state(scenario):
     """scenario's reachability graph and State: the (graph, state) pair
     every package build and relocate_sink takes."""
-    return build_reachability(scenario), scenario.state()
+    return (build_reachability(scenario.points(), scenario.sensing_range),
+            scenario.state())
+
+
+def neighbors(graph, vertex):
+    """vertex's CSR row as plain ids, the sink (n) shown as SINK."""
+    n = len(graph.indptr) - 2
+    row = n if vertex == SINK else vertex
+    ids = graph.nbrs[graph.indptr[row]:graph.indptr[row + 1]].tolist()
+    if ids and ids[0] == n:
+        ids[0] = SINK
+    return ids
+
+
+def positions(scenario):
+    """Positions of every vertex, the sink included under id SINK."""
+    pos = {n.id: (n.x, n.y) for n in scenario.nodes}
+    pos[SINK] = scenario.field.sink_pos
+    return pos
+
+
+def live_ids(scenario):
+    return [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
+
+
+def copy_scenario(scenario):
+    """An independent copy: a fresh Field and fresh Nodes."""
+    f = scenario.field
+    return Scenario(Field(f.width, f.height, f.sink_x, f.sink_y),
+                    [Node(n.id, n.x, n.y, n.energy, n.status)
+                     for n in scenario.nodes],
+                    scenario.sensing_range, scenario.rng_seed)
 
 
 def dense_reachability(scenario):
@@ -97,9 +133,9 @@ def dense_reachability(scenario):
 
 
 def adjacency(graph):
-    """{vertex: graph.neighbors(vertex)}, nodes ascending, then SINK."""
+    """{vertex: neighbors(graph, vertex)}, nodes ascending, then SINK."""
     n = len(graph.indptr) - 2
-    return {u: graph.neighbors(u) for u in [*range(n), SINK]}
+    return {u: neighbors(graph, u) for u in [*range(n), SINK]}
 
 
 # ---------------------------------------------------- scalar references
@@ -246,14 +282,14 @@ def reference_mmevbt(scenario, params, th, graph=None):
     no Node.
     """
     if graph is None:
-        graph = build_reachability(scenario)
-    pos = scenario.positions()
-    live = set(scenario.live_ids())
+        graph = build_reachability(scenario.points(), scenario.sensing_range)
+    pos = positions(scenario)
+    live = set(live_ids(scenario))
 
     def relays(u):
         if u == SINK:
             return True
-        node = scenario.node(u)
+        node = scenario.nodes[u]
         return node.status is not NodeStatus.FAILED and node.energy >= th
 
     dist = {SINK: 0.0}
@@ -267,7 +303,7 @@ def reference_mmevbt(scenario, params, th, graph=None):
         done.add(u)
         if not relays(u):
             continue  # u keeps its route but expands no further
-        for w in graph.neighbors(u):
+        for w in neighbors(graph, u):
             if w == SINK or w not in live:
                 continue
             cand = d + hop_weight(params, distance(pos[w], pos[u]), u)
@@ -320,10 +356,10 @@ def reference_min_cover(scenario, th):
 
     Returns (tree ids, []) on success and (None, still-uncovered ids) when
     no eligible pick makes progress."""
-    g = build_reachability(scenario)
+    g = build_reachability(scenario.points(), scenario.sensing_range)
     live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
     live_set = set(live)
-    adj = {i: [u for u in g.neighbors(i) if u != SINK and u in live_set]
+    adj = {i: [u for u in neighbors(g, i) if u != SINK and u in live_set]
            for i in live}
     covered = {i: 0 for i in live}
     if not live:
@@ -336,7 +372,7 @@ def reference_min_cover(scenario, th):
     while any(c == 0 for c in covered.values()):
         best, best_wd = None, -1
         for i in sorted(covered):
-            if covered[i] == 1 and scenario.node(i).energy >= th:
+            if covered[i] == 1 and scenario.nodes[i].energy >= th:
                 wd = sum(1 for u in adj[i] if covered[u] == 0)
                 if wd > best_wd:
                     best, best_wd = i, wd
@@ -355,13 +391,13 @@ def bellman_ford_consumption(scenario, params, th):
     Returns {node_id: joules}, math.inf where no eligible path exists.
     """
     live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
-    pos = scenario.positions()
+    pos = positions(scenario)
     r = scenario.sensing_range
 
     def eligible_relay(v):
         if v == SINK:
             return True
-        node = scenario.node(v)
+        node = scenario.nodes[v]
         return node.status is not NodeStatus.FAILED and node.energy >= th
 
     edges = []  # (child u, parent v, weight)
@@ -397,7 +433,7 @@ def min_connected_cover_size(scenario, graph):
     """
     live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
     live_set = set(live)
-    adj = {i: {v for v in graph.neighbors(i) if v != SINK and v in live_set}
+    adj = {i: {v for v in neighbors(graph, i) if v != SINK and v in live_set}
            for i in live}
 
     def connected(subset):
@@ -455,19 +491,19 @@ def reference_forwarding_problem(scenario, tree_nodes, th, params,
     """build_forwarding_problem pair by pair: a level BFS over dicts,
     next_hop by min over each row, and fitness() per candidate."""
     if graph is None:
-        graph = build_reachability(scenario)
-    pos = scenario.positions()
+        graph = build_reachability(scenario.points(), scenario.sensing_range)
+    pos = positions(scenario)
     live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
     eligible = {t for t in tree_nodes
-                if scenario.node(t).status is not NodeStatus.FAILED
-                and scenario.node(t).energy >= th}
+                if scenario.nodes[t].status is not NodeStatus.FAILED
+                and scenario.nodes[t].energy >= th}
 
     levels = {SINK: 0}
     frontier = [SINK]
     while frontier:
         nxt = []
         for v in frontier:
-            for u in graph.neighbors(v):
+            for u in neighbors(graph, v):
                 if u in eligible and u not in levels:
                     levels[u] = levels[v] + 1
                     nxt.append(u)
@@ -477,7 +513,7 @@ def reference_forwarding_problem(scenario, tree_nodes, th, params,
     energies[SINK] = e_init  # mains-powered: always scores a full battery
     next_hop = {}
     for t in sorted(eligible & levels.keys()):
-        options = [u for u in graph.neighbors(t)
+        options = [u for u in neighbors(graph, t)
                    if u in levels and levels[u] < levels[t]]
         next_hop[t] = min(options, key=lambda u: (levels[u], u))
 
@@ -487,10 +523,10 @@ def reference_forwarding_problem(scenario, tree_nodes, th, params,
     unreachable = []
     for i in live:
         own = levels.get(i, math.inf) if i in eligible else math.inf
-        if SINK in graph.neighbors(i):
+        if SINK in neighbors(graph, i):
             cands = [SINK]
         else:
-            cands = sorted(u for u in graph.neighbors(i)
+            cands = sorted(u for u in neighbors(graph, i)
                            if u in levels and levels[u] < own)
         if not cands:
             unreachable.append(i)
@@ -657,14 +693,14 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
         if event_log is not None:
             event_log.append((round_no, event, node, detail))
 
-    graph = build_reachability(sc)
+    graph = build_reachability(sc.points(), sc.sensing_range)
     router = _ReferenceRouter(algorithm, radio, policy, fparams, e_init)
     router.rebuild(sc, graph)  # initial ConstructionFailed propagates
     last_sig = _eligibility_signature(sc, policy.th)
 
     for round_no in range(1, traffic.rounds_max + 1):
         metrics.rounds_run = round_no
-        pos = sc.positions()
+        pos = positions(sc)
         alive = [n.id for n in sc.nodes if n.status is not NodeStatus.FAILED]
         draws = rng.random(len(alive))
         origins = [i for i, u in zip(alive, draws)
@@ -695,7 +731,7 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
         metrics.total_energy_consumed += functools.reduce(
             operator.add, spend.values(), 0.0)
         for node_id in sorted(spend):
-            node = sc.node(node_id)
+            node = sc.nodes[node_id]
             node.energy = max(0.0, node.energy - spend[node_id])
 
         children = _serving_counts(router, sc)
@@ -737,14 +773,14 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
             if target != sc.field.sink_pos:
                 saved = (sc.field.sink_x, sc.field.sink_y)
                 sc.field.sink_x, sc.field.sink_y = target
-                graph = build_reachability(sc)
+                graph = build_reachability(sc.points(), sc.sensing_range)
                 try:
                     router.rebuild(sc, graph)
                 except ConstructionFailed:
                     # rebuild mutates nothing when it fails, so the old
                     # routing state is still valid at the old position
                     sc.field.sink_x, sc.field.sink_y = saved
-                    graph = build_reachability(sc)
+                    graph = build_reachability(sc.points(), sc.sensing_range)
                     log(round_no, "relocate", detail="reverted")
                 else:
                     metrics.reconstructions += 1

@@ -19,6 +19,7 @@ from oracles import (
     brute_force_min_max,
     graph_and_state,
     min_connected_cover_size,
+    neighbors,
 )
 
 RADIO = v.RadioParams()
@@ -104,7 +105,7 @@ def test_criterion_3_greedy_cover_correctness():
         n = int(rng.integers(10, 201))
         range_m = float(rng.uniform(25.0, 70.0))
         sc = uniform_scenario(n, range_m, int(rng.integers(0, 2**31)))
-        graph = v.build_reachability(sc)
+        graph = v.build_reachability(sc.points(), sc.sensing_range)
         try:
             tree_nodes, covered = v.build_min_cover(graph, sc.state(),
                                                   v.DEFAULT_TH)
@@ -115,7 +116,7 @@ def test_criterion_3_greedy_cover_correctness():
         for i, c in covered.items():
             if c == 1:
                 assert any(covered.get(u) == 2
-                           for u in graph.neighbors(i) if u != v.SINK)
+                           for u in neighbors(graph, i) if u != v.SINK)
         covered_ok += 1
 
     rng = np.random.default_rng(302)
@@ -126,7 +127,7 @@ def test_criterion_3_greedy_cover_correctness():
         n = int(rng.integers(4, 13))
         range_m = float(rng.uniform(55.0, 110.0))
         sc = uniform_scenario(n, range_m, int(rng.integers(0, 2**31)))
-        graph = v.build_reachability(sc)
+        graph = v.build_reachability(sc.points(), sc.sensing_range)
         best = min_connected_cover_size(sc, graph)
         if best is None:
             continue

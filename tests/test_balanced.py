@@ -486,7 +486,7 @@ def test_array_problem_equals_scalar_reference(case, mode, e_init):
     draw rows and best parents the round loop reads from the arrays."""
     sc, tree, steps = case
     params = v.FitnessParams(mode=mode)
-    g = v.build_reachability(sc)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
     for touched, factor, sink in [([], 1.0, None)] + steps:
         for i in touched:
             node = sc.nodes[i]

@@ -9,8 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 import vbtsim as v
 from oracles import (
     bellman_ford_consumption,
+    copy_scenario,
     graph_and_state,
     hop_weight,
+    live_ids,
+    positions,
     reference_mmevbt,
     reference_relocate_sink,
 )
@@ -36,13 +39,13 @@ def relocate(sc, grid=4, max_step=None):
 
 
 def assert_tree_invariants(tree, scenario, params=RADIO, th=TH):
-    pos = scenario.positions()
+    pos = positions(scenario)
     for i, par in tree.parent.items():
         hop = hop_weight(params, v.distance(pos[i], pos[par]), par)
         parent_cons = tree.consumption[par]
         assert tree.consumption[i] == pytest.approx(hop + parent_cons, rel=1e-12)
         if par != v.SINK:
-            assert scenario.node(par).energy >= th
+            assert scenario.nodes[par].energy >= th
         # parent chain terminates at the sink without a cycle
         chain = [i]
         while chain[-1] != v.SINK:
@@ -89,10 +92,10 @@ def test_consumption_matches_bellman_ford_oracle():
         try:
             tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         except v.ConstructionFailed as err:
-            assert err.unreachable == sorted(i for i in sc.live_ids()
+            assert err.unreachable == sorted(i for i in live_ids(sc)
                                              if math.isinf(oracle[i]))
             continue
-        for i in sc.live_ids():
+        for i in live_ids(sc):
             assert tree.consumption[i] == pytest.approx(oracle[i], rel=1e-9)
         assert_tree_invariants(tree, sc)
         checked += 1
@@ -112,10 +115,10 @@ def test_oracle_agreement_with_depleted_relays():
         try:
             tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         except v.ConstructionFailed as err:
-            assert err.unreachable == sorted(i for i in sc.live_ids()
+            assert err.unreachable == sorted(i for i in live_ids(sc)
                                              if math.isinf(oracle[i]))
             continue
-        for i in sc.live_ids():
+        for i in live_ids(sc):
             assert tree.consumption[i] == pytest.approx(oracle[i], rel=1e-9)
 
 
@@ -130,7 +133,7 @@ def exact_tie_scenario():
 def test_tie_breaks_to_smaller_parent_id():
     sc, params = exact_tie_scenario()
     tree = v.build_mmevbt(*graph_and_state(sc), params, TH)
-    pos = sc.positions()
+    pos = positions(sc)
     via_a = hop_weight(params, v.distance(pos[2], pos[0]), 0) + tree.consumption[0]
     via_b = hop_weight(params, v.distance(pos[2], pos[1]), 1) + tree.consumption[1]
     assert via_a == via_b  # guard: the tie really is exact
@@ -214,8 +217,8 @@ def test_array_spt_equals_heap_dijkstra(case):
     tree to the bit: consumption, parents and the unreachable ids, on a
     graph whose sink moved in place; neither build changes a status."""
     sc, moves, radio, th, _ = case
-    ref = sc.copy()
-    graph = v.build_reachability(sc)
+    ref = copy_scenario(sc)
+    graph = v.build_reachability(sc.points(), sc.sensing_range)
     for pos in moves:
         ref.field.sink_x, ref.field.sink_y = pos
         graph.move_sink(pos)

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import vbtsim as v
-from oracles import adjacency, dense_reachability, hop_weight
-from vbtsim.model import hop_levels, left_sum
+from oracles import (
+    adjacency,
+    copy_scenario,
+    dense_reachability,
+    graph_and_state,
+    hop_weight,
+    live_ids,
+    neighbors,
+    positions,
+)
+from vbtsim.model import hop_levels, left_sum, uniform_points
 
 
 def make_scenario(nodes, range_m=10.0, field=None, seed=0):
@@ -80,6 +89,12 @@ def test_deploy_is_deterministic_per_seed():
     assert [(n.id, n.x, n.y, n.energy) for n in a] == [(n.id, n.x, n.y, n.energy) for n in b]
     c = v.deploy_uniform(f, 200, seed=43)
     assert [(n.x, n.y) for n in a] != [(n.x, n.y) for n in c]
+    # one RNG path: all x draws, then all y draws, as (n, 2) rows
+    rng = np.random.default_rng(42)
+    xs, ys = rng.uniform(0.0, 200, 200), rng.uniform(0.0, 200, 200)
+    pts = uniform_points(f, 200, 42)
+    assert pts.shape == (200, 2) and pts.dtype == np.float64
+    assert pts.tolist() == [[n.x, n.y] for n in a] == np.c_[xs, ys].tolist()
 
 
 def test_deploy_mean_position_matches_uniform_law():
@@ -100,9 +115,20 @@ def test_deploy_ids_are_dense_from_zero():
 
 def test_scenario_positions_include_sink():
     sc = make_scenario([node(0, 10, 10)])
-    pos = sc.positions()
+    pos = positions(sc)
     assert pos[v.SINK] == (100.0, 100.0)
     assert pos[0] == (10.0, 10.0)
+
+
+def test_scenario_points_are_a_fresh_array_sink_last():
+    sc = make_scenario([node(0, 10, 10), node(1, 12.5, 3)])
+    pts = sc.points()
+    assert pts.dtype == np.float64
+    assert pts.tolist() == [[10.0, 10.0], [12.5, 3.0], [100.0, 100.0]]
+    # the graph keeps the array it was given and moves its sink in place
+    v.build_reachability(pts, sc.sensing_range).move_sink((1.0, 2.0))
+    assert pts[-1].tolist() == [1.0, 2.0]
+    assert sc.points()[-1].tolist() == [100.0, 100.0]
 
 
 def test_scenario_rejects_non_dense_ids():
@@ -117,13 +143,13 @@ def test_scenario_rejects_out_of_field_node():
 
 def test_scenario_live_ids_excludes_failed():
     sc = make_scenario([node(0, 1, 1), node(1, 2, 2, energy=0.0, status=v.NodeStatus.FAILED)])
-    assert sc.live_ids() == [0]
+    assert live_ids(sc) == [0]
 
 
 def test_scenario_copy_is_independent():
     field = v.Field(200, 200, 100, 100)
     sc = v.Scenario(field, v.deploy_uniform(field, 5, seed=2), 30.0, 9)
-    dup = sc.copy()
+    dup = copy_scenario(sc)
     assert dup == sc
     assert dup.field is not sc.field
     assert all(a is not b for a, b in zip(dup.nodes, sc.nodes))
@@ -151,14 +177,27 @@ def test_distance_is_euclidean():
 
 def test_reachability_boundary_is_inclusive():
     sc = make_scenario([node(0, 0, 0), node(1, 0, 10)], range_m=10.0)
-    g = v.build_reachability(sc)
-    assert 1 in g.neighbors(0) and 0 in g.neighbors(1)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
+    assert 1 in neighbors(g, 0) and 0 in neighbors(g, 1)
 
 
 def test_reachability_just_beyond_range_absent():
     sc = make_scenario([node(0, 0, 0), node(1, 0, 10.01)], range_m=10.0)
-    g = v.build_reachability(sc)
-    assert 1 not in g.neighbors(0) and 0 not in g.neighbors(1)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
+    assert 1 not in neighbors(g, 0) and 0 not in neighbors(g, 1)
+
+
+@pytest.mark.parametrize("range_m", [0.0, -1.0, math.inf, -math.inf,
+                                     math.nan])
+def test_reachability_rejects_bad_range(range_m):
+    with pytest.raises(ValueError, match="sensing range must be positive"):
+        v.build_reachability(np.zeros((2, 2)), range_m)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3,), (3, 3), (2, 1), (2, 2, 2)])
+def test_reachability_rejects_points_not_shaped_m_by_2(shape):
+    with pytest.raises(ValueError, match=r"\(m, 2\) array"):
+        v.build_reachability(np.zeros(shape), 10.0)
 
 
 def test_reachability_matches_brute_force_oracle():
@@ -166,25 +205,25 @@ def test_reachability_matches_brute_force_oracle():
     for seed in (11, 12, 13):
         nodes = v.deploy_uniform(f, 50, seed=seed)
         sc = v.Scenario(f, nodes, 35.0, seed)
-        g = v.build_reachability(sc)
-        pos = sc.positions()
+        g = v.build_reachability(sc.points(), sc.sensing_range)
+        pos = positions(sc)
         ids = list(pos)
         for a in ids:
             expect = sorted(
                 b for b in ids
                 if b != a and math.dist(pos[a], pos[b]) <= 35.0
             )
-            assert list(g.neighbors(a)) == expect
+            assert list(neighbors(g, a)) == expect
 
 
 def test_reachability_symmetric_no_self_loops():
     f = v.Field(200, 200, 100, 100)
     nodes = v.deploy_uniform(f, 60, seed=21)
-    g = v.build_reachability(v.Scenario(f, nodes, 30.0, 21))
+    g = v.build_reachability(v.Scenario(f, nodes, 30.0, 21).points(), 30.0)
     for a in list(range(60)) + [v.SINK]:
-        assert a not in g.neighbors(a)
-        for b in g.neighbors(a):
-            assert a in g.neighbors(b)
+        assert a not in neighbors(g, a)
+        for b in neighbors(g, a):
+            assert a in neighbors(g, b)
 
 
 @st.composite
@@ -232,8 +271,10 @@ def layout(width, height, sink, coords, range_m):
 @example(layout(200, 200, (0, 200), [(10, 0), (20, 0), (0, 30), (0, 40),
                                      (200, 190), (200, 200)], 10.0))
 @example(layout(200, 50, (100, 50), [(0, 0), (200, 50), (3, 4)], 500.0))
+# 3e-300 is past the range, but both squares underflow to 0.0
+@example(layout(1, 1, (0, 0), [(0, 3e-300)], 1e-300))
 def test_grid_reachability_equals_dense_oracle(sc):
-    g = v.build_reachability(sc)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
     expect = dense_reachability(sc)
     assert adjacency(g) == expect
     assert list(adjacency(g)) == list(expect)
@@ -245,7 +286,39 @@ def test_grid_reachability_equals_dense_oracle(sc):
 def test_grid_reachability_equals_dense_oracle_uniform(seed, n, range_m):
     f = v.Field(200, 200, 100, 100)
     sc = v.Scenario(f, v.deploy_uniform(f, n, seed=seed), range_m, seed)
-    assert adjacency(v.build_reachability(sc)) == dense_reachability(sc)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
+    assert adjacency(g) == dense_reachability(sc)
+
+
+def test_grid_keeps_pairs_at_exactly_range_in_every_direction():
+    """Integer points 3-4-5 or 5-0 apart, and points on cell edges: pairs
+    at exactly the range cross into each of the 8 neighbour cells, and
+    the half-stencil scan keeps every pair the dense test keeps."""
+    r = 5.0
+    cell = r * (1.0 + 1e-6)  # the build's cell size: the range dominates
+    coords = sorted({*map(float, range(21)), *(k * cell for k in range(5))})
+    sc = layout(30, 30, (0, 0), [(x, y) for x in coords for y in coords], r)
+    g = v.build_reachability(sc.points(), r)
+    assert adjacency(g) == dense_reachability(sc)
+    pts = sc.points()
+    a, b = g.edge_rows(np.arange(len(g.nbrs))), g.nbrs
+    at_range = ((pts[a] - pts[b]) ** 2).sum(axis=1) == r**2
+    cells = np.floor(pts / cell).astype(int)  # the origin is (0, 0)
+    steps = {tuple(d) for d in (cells[b] - cells[a])[at_range].tolist()}
+    assert steps == {(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 150),
+       st.floats(min_value=0.5, max_value=40.0))
+def test_grid_reachability_equals_dense_oracle_clustered(seed, k, n, range_m):
+    """Tight clusters put many points in a cell and its neighbours."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 200.0, (k, 2))
+    pts = centers[rng.integers(k, size=n)] + rng.normal(0.0, range_m, (n, 2))
+    sc = layout(200, 200, (100, 100), np.clip(pts, 0.0, 200.0).tolist(),
+                range_m)
+    g = v.build_reachability(sc.points(), range_m)
+    assert adjacency(g) == dense_reachability(sc)
 
 
 @st.composite
@@ -265,7 +338,7 @@ def sink_walks(draw):
 
 def expected_weights(sc, graph, params):
     """Per edge, hop_weight of the hop from nbrs[k] into its row vertex."""
-    pos = sc.positions()
+    pos = positions(sc)
     return [hop_weight(params, v.distance(pos[w], pos[u]), u)
             for u, nbrs in adjacency(graph).items() for w in nbrs]
 
@@ -285,23 +358,23 @@ RADIOS = (v.RadioParams(), v.RadioParams(e_elec=1e-7, e_amp=3e-12))
 @given(sink_walks())
 def test_moved_sink_graph_equals_fresh_build(case):
     sc, walk = case
-    g = v.build_reachability(sc)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
     g.edge_tx(RADIOS[0])  # a cached radio is patched, not rebuilt
     for pos in walk:
         sc.field.sink_x, sc.field.sink_y = pos
         g.move_sink(pos)
-        fresh = v.build_reachability(sc)
+        fresh = v.build_reachability(sc.points(), sc.sensing_range)
         assert adjacency(g) == adjacency(fresh)
         assert list(adjacency(g)) == list(adjacency(fresh))
         assert (g.points == fresh.points).all()
-        assert all(type(u) is int for u in g.neighbors(v.SINK))
+        assert all(type(u) is int for u in neighbors(g, v.SINK))
         for params in RADIOS:
             assert edge_weights(g, params) == expected_weights(sc, g, params)
 
 
 @given(edge_case_layouts())
 def test_cached_weights_equal_hop_weight_of_distance(sc):
-    g = v.build_reachability(sc)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
     for params in RADIOS:
         assert edge_weights(g, params) == expected_weights(sc, g, params)
         assert g.edge_tx(params) is g.edge_tx(params)
@@ -309,8 +382,8 @@ def test_cached_weights_equal_hop_weight_of_distance(sc):
 
 def expected_edge_arrays(sc, params):
     """CSR rows of a fresh build, with scalar distances and tx costs."""
-    fresh = v.build_reachability(sc)
-    n, pos = len(sc.nodes), sc.positions()
+    fresh = v.build_reachability(sc.points(), sc.sensing_range)
+    n, pos = len(sc.nodes), positions(sc)
     rows = adjacency(fresh)
     nbrs = [n if u == v.SINK else u for w in rows for u in rows[w]]
     dist = [v.distance(pos[w], pos[u]) for w in rows for u in rows[w]]
@@ -333,7 +406,7 @@ def test_cached_tx_costs_follow_sink_moves(case, cached):
     of each distance, whether they were built before the moves or not,
     and give every hop hop_weight's cost."""
     sc, walk = case
-    g = v.build_reachability(sc)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
     if cached == "dist":
         g.distances()
     if cached == "tx":
@@ -363,7 +436,7 @@ def test_edge_tx_is_scalar_tx_cost_of_each_distance():
         RADIOS[0].e_elec * b + RADIOS[0].e_amp * b * (d * d)
     sc = layout(200, 200, (100, 100), [(0.0, 0.0), (d, 0.0), (90.0, 95.0)],
                 35.0)
-    g = v.build_reachability(sc)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
     g.edge_tx(RADIOS[0])
     # the sink walks in next to node 2, stays, then leaves again
     for pos in [(80.0, 80.0), (95.0, 90.0), (0.0, 20.0), (170.0, 170.0)]:
@@ -375,21 +448,22 @@ def test_edge_tx_is_scalar_tx_cost_of_each_distance():
 
 def test_neighbor_ids_are_plain_ints():
     sc = make_scenario([node(0, 99, 99)], range_m=10.0)
-    g = v.build_reachability(sc)
-    assert all(type(x) is int for x in g.neighbors(v.SINK))
+    g = v.build_reachability(sc.points(), sc.sensing_range)
+    assert all(type(x) is int for x in neighbors(g, v.SINK))
 
 
 # ---------------------------------------------------------------- connectivity
 
 def test_single_node_within_sink_range_connected():
     sc = make_scenario([node(0, 95, 100)], range_m=10.0)
-    assert v.is_connected_to_sink(v.build_reachability(sc), sc.state()[1])
+    g, (_, live) = graph_and_state(sc)
+    assert v.is_connected_to_sink(g, live)
 
 
 def test_isolated_node_disconnects():
     sc = make_scenario([node(0, 95, 100), node(1, 0, 0)], range_m=10.0)
-    assert not v.is_connected_to_sink(v.build_reachability(sc),
-                                      sc.state()[1])
+    g, (_, live) = graph_and_state(sc)
+    assert not v.is_connected_to_sink(g, live)
 
 
 def test_failed_nodes_do_not_count_against_connectivity():
@@ -397,7 +471,7 @@ def test_failed_nodes_do_not_count_against_connectivity():
         [node(0, 95, 100), node(1, 0, 0, energy=0.0, status=v.NodeStatus.FAILED)],
         range_m=10.0,
     )
-    g = v.build_reachability(sc)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
     assert not v.is_connected_to_sink(g, np.ones(2, dtype=bool))
     assert v.is_connected_to_sink(g, sc.state()[1])
 
@@ -410,7 +484,8 @@ def test_sparse_200_node_networks_mostly_disconnected():
     for attempt in range(50):
         seed = v.attempt_seed(0, 20.0, attempt)
         nodes = v.deploy_uniform(f, 200, seed=seed)
-        g = v.build_reachability(v.Scenario(f, nodes, 20.0, seed))
+        g = v.build_reachability(v.Scenario(f, nodes, 20.0, seed).points(),
+                                 20.0)
         if not v.is_connected_to_sink(g, np.ones(200, dtype=bool)):
             disconnected += 1
     assert disconnected >= 48  # at least 95% of 50
@@ -419,7 +494,8 @@ def test_sparse_200_node_networks_mostly_disconnected():
 def test_multihop_chain_is_connected():
     chain = [node(i, 100 + 9 * (i + 1), 100) for i in range(5)]
     sc = make_scenario(chain, range_m=10.0)
-    assert v.is_connected_to_sink(v.build_reachability(sc), sc.state()[1])
+    g, (_, live) = graph_and_state(sc)
+    assert v.is_connected_to_sink(g, live)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
@@ -442,7 +518,7 @@ def test_hop_levels_and_connectivity_equal_dense_bfs(seed, n, range_m, data):
                     level[w] = level[u] + 1
                     reached.append(w)
         frontier = reached
-    g = v.build_reachability(sc)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
     mask = np.zeros(n + 1, dtype=bool)
     mask[sorted(live)] = True
     got, deepest = hop_levels(g, mask)

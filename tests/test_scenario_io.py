@@ -26,14 +26,14 @@ def test_read_basic_file(tmp_path):
     assert sc.field.width == 200 and sc.field.sink_pos == (100.0, 100.0)
     assert sc.sensing_range == 25.0 and sc.rng_seed == 7
     assert [n.id for n in sc.nodes] == [0, 1, 2]
-    assert (sc.node(0).x, sc.node(0).y) == (10.5, 20.25)
+    assert (sc.nodes[0].x, sc.nodes[0].y) == (10.5, 20.25)
 
 
 def test_read_derives_statuses_from_energy(tmp_path):
     sc = read_scenario(write_text(tmp_path, GOOD), th=0.2, e_fail=2.048e-4)
-    assert sc.node(0).status is v.NodeStatus.CANDIDATE_NON_TREE
-    assert sc.node(1).status is v.NodeStatus.PERMANENT_NON_TREE
-    assert sc.node(2).status is v.NodeStatus.FAILED
+    assert sc.nodes[0].status is v.NodeStatus.CANDIDATE_NON_TREE
+    assert sc.nodes[1].status is v.NodeStatus.PERMANENT_NON_TREE
+    assert sc.nodes[2].status is v.NodeStatus.FAILED
 
 
 def test_round_trip_preserves_values_exactly(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vbtsim as v
-from oracles import (best_parent, graph_and_state,
+from oracles import (best_parent, graph_and_state, positions,
                      reference_compare_load_spread,
                      reference_forwarding_problem, reference_min_cover,
                      reference_mmevbt, reference_relocate_sink,
@@ -143,7 +143,7 @@ def test_energy_conservation_against_event_replay(algo):
     events = []
     m = v.run_simulation(sc, algo, traffic, RADIO, policy, seed=8,
                          e_init=0.02, event_log=events)
-    pos = sc.positions()
+    pos = positions(sc)
     replayed = sum(route_energy(RADIO, pos, parse_path(detail))
                    for _, ev, _, detail in events if ev == "packet")
     assert m.total_energy_consumed == pytest.approx(replayed, rel=1e-9)
@@ -164,7 +164,7 @@ def test_packets_never_transit_ineligible_nodes(algo):
     events = []
     v.run_simulation(sc, algo, traffic, RADIO, policy, seed=9,
                      e_init=e_start, event_log=events)
-    pos = sc.positions()
+    pos = positions(sc)
     energy = {n.id: e_start for n in sc.nodes}
     dead = set()
     by_round = {}
@@ -832,7 +832,7 @@ def drained_states(draw):
         node.status = (draw(st.sampled_from(up)) if alive
                        else v.NodeStatus.FAILED)
     sc = v.Scenario(field, nodes, draw(st.sampled_from([70.0, 45.0])))
-    graph = v.build_reachability(sc)
+    graph = v.build_reachability(sc.points(), sc.sensing_range)
     sink = (draw(st.sampled_from([0.0, 10.0, 50.0, 100.0])),
             draw(st.sampled_from([0.0, 37.5, 50.0])))
     sc.field.sink_x, sc.field.sink_y = sink

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import vbtsim as v
 from vbtsim.cli import main
@@ -14,6 +15,7 @@ from vbtsim.mincover import build_min_cover
 from vbtsim.mmevbt import build_mmevbt
 from vbtsim.sweeps import (
     _fmt,
+    _sweep,
     attempt_seed,
     make_scenario,
     run_scenario,
@@ -100,6 +102,66 @@ def test_sweep_fig4_counts_greedy_cover_sizes():
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
     tree_nodes, _ = build_min_cover(*graph_and_state(sc), cfg.policy.th)
     assert len(tree_nodes) == probe.n_tree_nodes
+
+
+# energy levels drawn in every order, ties included; e_fail > e_init >= th
+# leaves live nodes that hold th but not e_fail
+LEVELS = st.sampled_from([0.05, 0.2, 0.3, 0.5])
+
+
+@settings(max_examples=25, deadline=None)
+@given(e_init=LEVELS, th=st.one_of(st.just(0.0), LEVELS),
+       e_fail=st.one_of(st.just(0.0), LEVELS), n=st.integers(1, 60),
+       range_m=st.sampled_from([25.0, 40.0, 60.0]),
+       base_seed=st.integers(0, 2**16))
+@example(e_init=0.3, th=0.2, e_fail=0.5, n=60, range_m=40.0, base_seed=0)
+def test_sweep_attempts_equal_their_scenario_replay(e_init, th, e_fail, n,
+                                                    range_m, base_seed):
+    """Every attempt's graph, state and count equal make_scenario's."""
+    cfg = small_sweep_config(
+        n_nodes=n, ranges=(range_m,), target_successes=2, max_attempts=3,
+        base_seed=base_seed, energy=EnergyParams(e_init),
+        policy=v.SimPolicy(th=th, e_fail=e_fail))
+    seen = []
+
+    def record(graph, state):
+        seen.append((graph, state))
+        return 0
+
+    _, attempts = _sweep(cfg, record)
+    assert len(seen) == len(attempts) == 2
+    for (graph, state), attempt in zip(seen, attempts):
+        sc = make_scenario(cfg, attempt.scenario_seed, range_m)
+        ref_graph, ref_state = graph_and_state(sc)
+        for got, want in [(graph.points, ref_graph.points),
+                          (graph.indptr, ref_graph.indptr),
+                          (graph.nbrs, ref_graph.nbrs), *zip(state, ref_state)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert graph.range == ref_graph.range
+
+    for sweep, count in [
+            (sweep_figure3, lambda g, s: len(build_mmevbt(
+                g, s, cfg.radio, th).tree_nodes())),
+            (sweep_figure4, lambda g, s: len(build_min_cover(g, s, th)[0]))]:
+        for attempt in sweep(cfg)[1]:
+            sc = make_scenario(cfg, attempt.scenario_seed, range_m)
+            try:
+                size = count(*graph_and_state(sc))
+            except v.ConstructionFailed:
+                size = None
+            assert (attempt.n_tree_nodes, attempt.failed) == (
+                size, size is None)
+
+
+@pytest.mark.parametrize("sweep", [sweep_figure3, sweep_figure4])
+@pytest.mark.parametrize("range_m, error", [
+    (0.0, ValueError),  # build_reachability's range check
+    (math.inf, OverflowError),  # the attempt seed's round(inf * 1000)
+])
+def test_sweeps_reject_a_range_not_positive_and_finite(sweep, range_m,
+                                                        error):
+    with pytest.raises(error):
+        sweep(small_sweep_config(ranges=(range_m,)))
 
 
 def test_sweep_exhausted_when_range_too_small():
