@@ -62,8 +62,8 @@ class ExperimentConfig:
             raise ValueError("ranges must be non-empty")
         if any(b <= a for a, b in zip(self.ranges, self.ranges[1:])):
             raise ValueError("ranges must be strictly increasing")
-        if not self.ranges[0] > 0:
-            raise ValueError("ranges must be positive")
+        if not all(0 < r < math.inf for r in self.ranges):  # NaN fails too
+            raise ValueError("ranges must be positive and finite")
         if self.base_seed < 0:  # numpy seeds must be non-negative
             raise ValueError("base_seed must be >= 0")
         if self.algorithm not in ALGORITHMS:

@@ -1,29 +1,24 @@
-"""Greedy backbone with as few tree nodes as possible.
-
-Classic degree-greedy cover over the sensor-only reachability graph:
-seed with the best-connected node, then repeatedly promote the covered
-node that reaches the most still-uncovered nodes. build_min_cover
-returns the tree nodes and the covered map, id -> 0 uncovered, 1 covered
-by a tree node, 2 tree node.
-
-The selection is Minoux's lazy (accelerated) greedy: a node's count of
-uncovered neighbours only falls as coverage grows, so a heap of stale
-counts is an upper bound and a popped node whose current count is
-unchanged is the true maximum. It picks exactly what a full re-score of
-every covered node would, ties to the smaller id included.
-"""
+"""Greedy backbone with as few tree nodes as possible: the degree-greedy
+connected cover of the sensor-only reachability graph (build_min_cover),
+found with Minoux's lazy (accelerated) greedy."""
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush, heapreplace
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import ConstructionFailed, ReachabilityGraph, State
 
 
+class Cover(NamedTuple):
+    """A greedy cover's tree nodes (a tuple: perfbench reads result[0])."""
+    tree_nodes: set[int]
+
+
 def build_min_cover(graph: ReachabilityGraph, state: State, th: float
-                    ) -> tuple[set[int], dict[int, int]]:
+                    ) -> Cover:
     """Pick tree nodes greedily until every live node is covered.
 
     The sink plays no part here; only sensor-to-sensor adjacency counts
@@ -33,24 +28,26 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
     ConstructionFailed with the still-uncovered ids when no eligible
     pick makes progress (disconnected layout).
 
-    Each newly covered node holding th joules enters a heap keyed
-    (-wd, id), wd being its count of uncovered neighbours, unless wd is
-    already 0. A pop reads the current wd: if unchanged the node is
-    promoted, else it goes back with the new value (or is dropped at 0).
-    Same picks as re-scoring every covered node after each promotion,
-    without the O(n^2) cost. The live-to-live edges are one mask over
-    the graph's CSR arrays, and every node's wd is a counter that each
-    node leaving the uncovered state decrements once per live neighbour.
+    Each later pick is the covered node that reaches the most uncovered
+    ones. That count, wd, only falls, so each newly covered node holding
+    th joules enters a heap with its wd then (unless 0) as an upper
+    bound, and a top whose wd is unchanged is the maximum: it is popped
+    and promoted. Any other top is replaced in place by its current key,
+    or popped at wd 0. The key is the int v - wd * (n + 1), which orders
+    exactly as the tuple (-wd, v) as 0 <= v < n + 1, and which the
+    garbage collector does not track. A node is pushed once, when
+    covered, so keys are unique and the pop order, hence every pick, is
+    that of popping and pushing back. The picks are those of re-scoring
+    every covered node after each promotion, without the O(n^2) cost.
     Reads only graph and state, and writes neither.
     """
     energy, live = state
     n = len(energy)
     live = np.append(live, False)  # the sink, n, is never live
     live_ids = np.flatnonzero(live).tolist()
-    covered = [0] * n
     tree_nodes: set[int] = set()
     if not live_ids:
-        return tree_nodes, {}
+        return Cover(tree_nodes)
     keep = live[graph.nbrs] & np.repeat(live, np.diff(graph.indptr))
     # a memoryview reads ints on the fly: no list of every edge's ints
     adj = memoryview(graph.nbrs[keep])
@@ -60,38 +57,42 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
     bounds = offsets.tolist()
     wd = degree.tolist()  # uncovered live neighbours per node
     rich = (energy >= th).tolist()
-    heap: list[tuple[int, int]] = []
-
-    def uncover(v: int) -> None:
-        """v leaves the uncovered state: its neighbours lose one."""
-        for u in adj[bounds[v]:bounds[v + 1]]:
-            wd[u] -= 1
+    covered = [False] * n
+    heap: list[int] = []
+    m = n + 1
 
     def promote(node_id: int) -> int:
         """Make node_id a tree node; return how many nodes it newly covers."""
-        covered[node_id] = 2
         tree_nodes.add(node_id)
         fresh = [v for v in adj[bounds[node_id]:bounds[node_id + 1]]
-                 if covered[v] == 0]
-        for v in fresh:
-            covered[v] = 1
-            uncover(v)
+                 if not covered[v]]
+        for v in fresh:  # v leaves the uncovered state
+            covered[v] = True
+            for u in adj[bounds[v]:bounds[v + 1]]:
+                wd[u] -= 1
         for v in fresh:
             if rich[v] and wd[v]:
-                heapq.heappush(heap, (-wd[v], v))
+                heappush(heap, v - wd[v] * m)
         return len(fresh)
 
     # most live neighbours, ties to the smaller id
     seed = int(np.argmax(np.where(live, degree, -1)))
-    uncover(seed)  # the seed itself was uncovered too
+    covered[seed] = True
+    for u in adj[bounds[seed]:bounds[seed + 1]]:
+        wd[u] -= 1
     uncovered = len(live_ids) - 1 - promote(seed)
     while uncovered:
         if not heap:
-            raise ConstructionFailed(i for i in live_ids if covered[i] == 0)
-        neg_wd, best = heapq.heappop(heap)
-        if wd[best] == -neg_wd:
+            raise ConstructionFailed(i for i in live_ids if not covered[i])
+        key = heap[0]
+        best = key % m
+        w = wd[best]
+        if key == best - w * m:
+            heappop(heap)
             uncovered -= promote(best)
-        elif wd[best]:
-            heapq.heappush(heap, (-wd[best], best))
+        elif w:
+            heapreplace(heap, best - w * m)
+        else:
+            heappop(heap)
 
-    return tree_nodes, {i: covered[i] for i in live_ids}
+    return Cover(tree_nodes)

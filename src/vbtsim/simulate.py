@@ -197,7 +197,7 @@ class _Router:
         if self.algorithm == "mmevbt":
             self._fill(graph, build_mmevbt(graph, state, self.radio, th).edges)
             return
-        tree_set, _ = build_min_cover(graph, state, th)
+        tree_set = build_min_cover(graph, state, th).tree_nodes
         rows = build_forwarding_problem(graph, state, tree_set, th,
                                         self.fitness_params,
                                         self.e_init).arrays
@@ -492,7 +492,7 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     rng_origin, rng_pick = _generator(seed), _generator(seed + 1)
     state = scenario.state()
     graph = build_reachability(scenario.points(), scenario.sensing_range)
-    tree_set, _ = build_min_cover(graph, state, th)
+    tree_set = build_min_cover(graph, state, th).tree_nodes
     rows = build_forwarding_problem(graph, state, tree_set, th, fparams,
                                     e_init).arrays
     # uniform r picks slot bisect_right(cums, r, lo, hi - 1) of row k's

@@ -70,6 +70,7 @@ def _sweep(config: ExperimentConfig,
            count_tree_nodes: Callable[[ReachabilityGraph, State], int]
            ) -> tuple[list[RangeRow], list[AttemptRow]]:
     """Each attempt is make_scenario's deployment as arrays, no Node."""
+    config.validate()
     field = Field(**vars(config.field))
     n, e_init, policy = config.n_nodes, config.energy.e_init, config.policy
     live = classify_status(e_init, 0, policy.th,
@@ -119,8 +120,7 @@ def sweep_figure4(config: ExperimentConfig
     """Greedy minimal-cover backbone sizes across sensing ranges."""
 
     def count(graph: ReachabilityGraph, state: State) -> int:
-        tree_nodes, _ = build_min_cover(graph, state, config.policy.th)
-        return len(tree_nodes)
+        return len(build_min_cover(graph, state, config.policy.th).tree_nodes)
 
     return _sweep(config, count)
 

@@ -16,13 +16,14 @@ the heap Dijkstra over per-vertex neighbour lists and scalar hop_weight,
 and reference_relocate_sink the per-node loop over dicts; the reference
 round loop uses both, so it shares no tree or relocation code with the
 package. reference_min_cover replays the greedy cover, re-scoring every
-covered node after each pick. reference_compare_load_spread is the
-load-spread comparison over a built problem's per-node dicts, one
-select_parent per packet. graph_and_state turns a Scenario into the
-(graph, state) pair that every package build takes; the references
-read the Scenario itself. neighbors, positions, live_ids and
-copy_scenario give a graph row or a Scenario as plain ids, dicts or
-fresh Nodes; the package keeps no such accessor.
+covered node after each pick, and cover_map labels a cover's live
+nodes. reference_compare_load_spread is the load-spread comparison
+over a built problem's per-node dicts, one select_parent per packet.
+graph_and_state turns a Scenario into the (graph, state) pair that
+every package build takes; the references read the Scenario itself.
+neighbors, positions, live_ids and copy_scenario give a graph row or a
+Scenario as plain ids, dicts or fresh Nodes; the package keeps no such
+accessor.
 
 The scalar references (hop_weight, path_consumption, deviation_angle,
 fitness, best_parent, realize_selections, load_stats) state per hop,
@@ -385,6 +386,14 @@ def reference_min_cover(scenario, th):
     return {i for i, c in covered.items() if c == 2}, []
 
 
+def cover_map(graph, state, tree):
+    """Live id -> 2 for a node of tree, 1 for a node next to one, 0 for an
+    uncovered node."""
+    return {i: 2 if i in tree else int(any(u in tree
+                                           for u in neighbors(graph, i)))
+            for i in np.flatnonzero(state[1]).tolist()}
+
+
 def bellman_ford_consumption(scenario, params, th):
     """Cheapest route energy per live node, relays filtered by th.
 
@@ -547,7 +556,7 @@ def reference_compare_load_spread(scenario, rounds, seed, *, th=DEFAULT_TH,
     TrafficModel(origin_probability, rounds).validate()
     fparams = (fitness_params or FitnessParams()).validate()
     graph, state = graph_and_state(scenario)
-    tree_set, _ = build_min_cover(graph, state, th)
+    tree_set = build_min_cover(graph, state, th).tree_nodes
     problem = build_forwarding_problem(graph, state, tree_set, th, fparams,
                                        e_init)
     probs = {i: problem.probabilities(i) for i in problem.candidates}
@@ -610,7 +619,8 @@ class _ReferenceRouter:
             _refresh_statuses(scenario, _serving_counts(self, scenario),
                               self.policy)
             return
-        tree_set, _ = build_min_cover(graph, scenario.state(), self.policy.th)
+        tree_set = build_min_cover(graph, scenario.state(),
+                                   self.policy.th).tree_nodes
         problem = reference_forwarding_problem(
             scenario, tree_set, self.policy.th, self.fitness_params,
             self.e_init, graph=graph)

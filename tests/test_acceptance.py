@@ -17,9 +17,9 @@ from vbtsim.sweeps import attempt_seed, make_scenario
 from oracles import (
     bellman_ford_consumption,
     brute_force_min_max,
+    cover_map,
     graph_and_state,
     min_connected_cover_size,
-    neighbors,
 )
 
 RADIO = v.RadioParams()
@@ -107,16 +107,14 @@ def test_criterion_3_greedy_cover_correctness():
         sc = uniform_scenario(n, range_m, int(rng.integers(0, 2**31)))
         graph = v.build_reachability(sc.points(), sc.sensing_range)
         try:
-            tree_nodes, covered = v.build_min_cover(graph, sc.state(),
-                                                  v.DEFAULT_TH)
+            tree_nodes = v.build_min_cover(graph, sc.state(),
+                                           v.DEFAULT_TH).tree_nodes
         except v.ConstructionFailed:
             continue
+        # every live node is a tree node or next to one
+        covered = cover_map(graph, sc.state(), tree_nodes)
         assert all(c >= 1 for c in covered.values())
         assert tree_nodes == {i for i, c in covered.items() if c == 2}
-        for i, c in covered.items():
-            if c == 1:
-                assert any(covered.get(u) == 2
-                           for u in neighbors(graph, i) if u != v.SINK)
         covered_ok += 1
 
     rng = np.random.default_rng(302)
@@ -132,7 +130,8 @@ def test_criterion_3_greedy_cover_correctness():
         if best is None:
             continue
         try:
-            tree_nodes, _ = v.build_min_cover(graph, sc.state(), v.DEFAULT_TH)
+            tree_nodes = v.build_min_cover(graph, sc.state(),
+                                           v.DEFAULT_TH).tree_nodes
         except v.ConstructionFailed:
             continue
         size = len(tree_nodes)

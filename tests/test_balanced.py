@@ -498,7 +498,7 @@ def test_array_problem_equals_scalar_reference(case, mode, e_init):
             g.move_sink(sink)
         if tree is None:
             try:
-                chosen, _ = v.build_min_cover(g, sc.state(), TH)
+                chosen = v.build_min_cover(g, sc.state(), TH).tree_nodes
             except v.ConstructionFailed:
                 chosen = set()
         else:

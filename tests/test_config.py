@@ -1,6 +1,7 @@
 """Experiment configuration: parsing, validation, echo round-trip."""
 
 import dataclasses
+import math
 import os
 import string
 import typing
@@ -106,6 +107,15 @@ def test_ranges_must_be_strictly_increasing():
         cfg.validate()
     with pytest.raises(ValueError, match="increasing"):
         v.parse_config_text("ranges = 20,20\n").validate()
+
+
+@pytest.mark.parametrize("ranges", [
+    (math.inf,), (math.nan,), (20.0, math.inf), (20.0, math.nan, 30.0)])
+def test_validate_rejects_non_finite_ranges(ranges):
+    # the parser refuses non-finite floats, a config built in code does not
+    cfg = dataclasses.replace(v.ExperimentConfig(), ranges=ranges)
+    with pytest.raises(ValueError, match="ranges must be positive and finite"):
+        cfg.validate()
 
 
 def test_ranges_parse_tolerates_whitespace():

@@ -303,7 +303,7 @@ def ten_client_two_gateway_scenario():
 
 def test_ten_clients_split_between_equal_gateways():
     sc = ten_client_two_gateway_scenario()
-    tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
+    tree = v.build_min_cover(*graph_and_state(sc), TH).tree_nodes
     assert tree == {10, 11}
     prob = v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
                                       v.FitnessParams())
@@ -432,7 +432,7 @@ def backbone_layout(layout_seed, n, range_m, energies):
             node.status = v.classify_status(e, 0, TH)
         sc = v.Scenario(field, nodes, range_m, layout_seed)
         try:
-            tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
+            tree = v.build_min_cover(*graph_and_state(sc), TH).tree_nodes
             v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
                                        v.FitnessParams())
             return sc
@@ -605,7 +605,7 @@ def test_zero_probability_candidate_keeps_its_load_row():
               (140.0, 140.0), (150.0, 150.0)]
     sc = scenario_from(coords, range_m=30.0)
     fitness = v.FitnessParams(c1=1.0, c2=0.0, c3=0.0)
-    tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
+    tree = v.build_min_cover(*graph_and_state(sc), TH).tree_nodes
     problem = v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
                                          fitness)
     assert problem.candidates[2] == [1, 3]
@@ -660,7 +660,7 @@ def chain_scenario(energies=None):
 
 def test_forced_chains_stop_at_draws_and_the_sink():
     sc = chain_scenario()
-    tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
+    tree = v.build_min_cover(*graph_and_state(sc), TH).tree_nodes
     problem = v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
                                          v.FitnessParams())
     assert problem.candidates == {0: [v.SINK], 1: [0], 2: [0], 3: [1, 2],
@@ -752,7 +752,7 @@ def test_fixed_parent_chains_follow_the_parents(algo, layout):
     if algo == "mmevbt":
         parent = v.build_mmevbt(*graph_and_state(sc), RADIO, TH).parent
     else:
-        tree, _ = v.build_min_cover(*graph_and_state(sc), TH)
+        tree = v.build_min_cover(*graph_and_state(sc), TH).tree_nodes
         problem = v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
                                              v.FitnessParams())
         parent = {i: best_parent(problem, i) for i in problem.candidates}
@@ -882,7 +882,7 @@ def test_builds_equal_references_on_drained_states(case, mode):
         failed = v.ConstructionFailed(uncovered)
         assert cover == (type(failed), str(failed))
     else:
-        assert cover[0] == chosen
+        assert cover.tree_nodes == chosen
         params = v.FitnessParams(mode=mode)
         got = outcome(v.build_forwarding_problem, graph, state, chosen, th,
                       params, 0.01)
@@ -918,7 +918,7 @@ def test_builds_write_no_node():
     graph, state = graph_and_state(sc)
     kept = [a.copy() for a in input_arrays(graph, state)]
     tree = v.build_mmevbt(graph, state, RADIO, TH)
-    cover, _ = v.build_min_cover(graph, state, TH)
+    cover = v.build_min_cover(graph, state, TH).tree_nodes
     v.build_forwarding_problem(graph, state, cover, TH, v.FitnessParams())
     v.relocate_sink(graph, state, sc.field,
                     v.SimPolicy(grid=2, max_step=5.0))

@@ -100,8 +100,8 @@ def test_sweep_fig4_counts_greedy_cover_sizes():
     assert all(r.successes == cfg.target_successes for r in summary)
     probe = next(a for a in attempts if not a.failed)
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
-    tree_nodes, _ = build_min_cover(*graph_and_state(sc), cfg.policy.th)
-    assert len(tree_nodes) == probe.n_tree_nodes
+    cover = build_min_cover(*graph_and_state(sc), cfg.policy.th)
+    assert len(cover.tree_nodes) == probe.n_tree_nodes
 
 
 # energy levels drawn in every order, ties included; e_fail > e_init >= th
@@ -142,7 +142,8 @@ def test_sweep_attempts_equal_their_scenario_replay(e_init, th, e_fail, n,
     for sweep, count in [
             (sweep_figure3, lambda g, s: len(build_mmevbt(
                 g, s, cfg.radio, th).tree_nodes())),
-            (sweep_figure4, lambda g, s: len(build_min_cover(g, s, th)[0]))]:
+            (sweep_figure4,
+             lambda g, s: len(build_min_cover(g, s, th).tree_nodes))]:
         for attempt in sweep(cfg)[1]:
             sc = make_scenario(cfg, attempt.scenario_seed, range_m)
             try:
@@ -155,13 +156,21 @@ def test_sweep_attempts_equal_their_scenario_replay(e_init, th, e_fail, n,
 
 @pytest.mark.parametrize("sweep", [sweep_figure3, sweep_figure4])
 @pytest.mark.parametrize("range_m, error", [
-    (0.0, ValueError),  # build_reachability's range check
-    (math.inf, OverflowError),  # the attempt seed's round(inf * 1000)
+    (0.0, ValueError),
+    # not the attempt seed's OverflowError or ValueError from round(r * 1000)
+    (math.inf, ValueError),
+    (math.nan, ValueError),
 ])
 def test_sweeps_reject_a_range_not_positive_and_finite(sweep, range_m,
                                                         error):
-    with pytest.raises(error):
+    with pytest.raises(error, match="ranges must be positive and finite"):
         sweep(small_sweep_config(ranges=(range_m,)))
+
+
+@pytest.mark.parametrize("sweep", [sweep_figure3, sweep_figure4])
+def test_sweeps_reject_a_trailing_infinite_range_before_sweeping(sweep):
+    with pytest.raises(ValueError, match="ranges must be positive and finite"):
+        sweep(small_sweep_config(ranges=(20.0, math.inf)))
 
 
 def test_sweep_exhausted_when_range_too_small():
