@@ -9,7 +9,6 @@ relocates the sink; a CLI harness sweeps sensing ranges into CSV.
 
 from .balanced import (
     BETA_MIN,
-    FitnessParams,
     ForwardingProblem,
     build_forwarding_problem,
     expected_loads,
@@ -17,21 +16,27 @@ from .balanced import (
     select_parent,
     selection_probabilities,
 )
-from .config import ExperimentConfig, apply_setting, load_config, parse_config_text
-from .energy import (
+from .config import (
+    ALGORITHMS,
     DEFAULT_E_AMP,
     DEFAULT_E_ELEC,
     DEFAULT_E_FAIL,
     DEFAULT_PACKET_BITS,
+    DEFAULT_TH,
     E_INIT,
+    ExperimentConfig,
+    FitnessParams,
     RadioParams,
-    rx_cost,
-    tx_cost,
+    SimPolicy,
+    TrafficModel,
+    apply_setting,
+    load_config,
+    parse_config_text,
 )
+from .energy import rx_cost, tx_cost
 from .mincover import build_min_cover
 from .mmevbt import BackboneTree, build_mmevbt, relocate_sink
 from .model import (
-    DEFAULT_TH,
     SINK,
     ConstructionFailed,
     Field,
@@ -46,14 +51,7 @@ from .model import (
     is_connected_to_sink,
 )
 from .scenario_io import ScenarioFormatError, read_scenario, write_scenario
-from .simulate import (
-    ALGORITHMS,
-    LifetimeMetrics,
-    SimPolicy,
-    TrafficModel,
-    compare_load_spread,
-    run_simulation,
-)
+from .simulate import LifetimeMetrics, compare_load_spread, run_simulation
 from .sweeps import (
     attempt_seed,
     make_scenario,

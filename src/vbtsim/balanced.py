@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import E_INIT, FitnessParams
 from .model import (
-    E_INIT,
     SINK,
     ConstructionFailed,
     ReachabilityGraph,
@@ -28,24 +28,6 @@ from .model import (
 )
 
 BETA_MIN = math.pi / 36  # 5 degrees; caps the straightness reward
-
-
-@dataclass(frozen=True)
-class FitnessParams:
-    c1: float = 1.0 / 3.0
-    c2: float = 1.0 / 3.0
-    c3: float = 1.0 / 3.0
-    mode: str = "normalized"  # or "raw"
-
-    def validate(self) -> "FitnessParams":
-        # a nan weight fails both comparisons
-        if not all(c >= 0 for c in (self.c1, self.c2, self.c3)):
-            raise ValueError("fitness weights must be nonnegative")
-        if not abs(self.c1 + self.c2 + self.c3 - 1.0) <= 1e-9:
-            raise ValueError("fitness weights must sum to 1")
-        if self.mode not in ("normalized", "raw"):
-            raise ValueError(f"unknown fitness mode '{self.mode}'")
-        return self
 
 
 def selection_probabilities(values: Sequence[float]) -> list[float]:
@@ -180,8 +162,8 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
     itself in range needs no backbone at all: its candidate list is just
     the sink, delivery is direct. Each backbone node's next_hop is its
     smallest-id neighbour one level closer. Raises ConstructionFailed for
-    live nodes with no candidate at all; in raw mode a zero-distance
-    candidate raises ValueError first.
+    live nodes with no candidate at all; params that fail validate(),
+    and in raw mode a zero-distance candidate, raise ValueError first.
 
     Everything is a pass over the graph's CSR edges: the level BFS walks
     the edges between eligible vertices, a next_hop is the first edge of
@@ -192,6 +174,7 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
     fitness(...).total to the bit. The normalized distance term divides
     by graph.range. Reads only graph and state, and writes neither.
     """
+    params.validate()
     energy, live = state
     n = len(energy)
     live = np.append(live, False)

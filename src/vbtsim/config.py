@@ -1,12 +1,13 @@
-"""Flat key = value experiment configuration over nested sections.
+"""Every parameter section and the flat key = value experiment config.
 
 ExperimentConfig holds six top-level scalars and one frozen section per
-dotted key prefix: field (below), energy (EnergyParams), radio
+dotted key prefix: field (FieldParams), energy (EnergyParams), radio
 (RadioParams), policy (SimPolicy), fitness (FitnessParams) and traffic
-(TrafficModel). Keys, their parsers and their defaults all come from
-those declarations: a section field `name` is the key `section.name`,
-parsed by its declared type, so a new field is a new key with nothing
-else to edit.
+(TrafficModel). Each is declared here with its defaults and rules, and
+this module imports nothing from the package. Keys, their parsers and
+their defaults all come from those declarations: a section field `name`
+is the key `section.name`, parsed by its declared type, so a new field
+is a new key with nothing else to edit.
 
 One key per line, '#' starts a comment (radio.e_elec = 50e-9). Unknown
 keys are fatal so typos never pass silently. Every CSV the harness
@@ -20,9 +21,98 @@ import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional, get_type_hints
 
-from .balanced import FitnessParams
-from .energy import EnergyParams, RadioParams
-from .simulate import ALGORITHMS, SimPolicy, TrafficModel
+E_INIT = 2.0               # default initial battery per node, joules
+
+# Standard first-order radio constants; packet = 512 bytes.
+DEFAULT_E_ELEC = 50e-9    # J/bit, transceiver electronics
+DEFAULT_E_AMP = 100e-12   # J/bit/m^2, transmit amplifier
+DEFAULT_PACKET_BITS = 4096
+
+# Below one packet's reception, rx_cost(RadioParams()), a node can do nothing.
+DEFAULT_E_FAIL = DEFAULT_E_ELEC * DEFAULT_PACKET_BITS
+
+DEFAULT_TH = 0.1 * E_INIT  # relay-eligibility threshold, joules
+
+ALGORITHMS = ("mmevbt", "min_cover_best_parent", "balanced_probabilistic")
+
+
+@dataclass(frozen=True)
+class RadioParams:
+    e_elec: float = DEFAULT_E_ELEC
+    e_amp: float = DEFAULT_E_AMP
+    packet_bits: int = DEFAULT_PACKET_BITS
+
+    def validate(self) -> "RadioParams":
+        if not (0 < self.e_elec < math.inf and 0 < self.e_amp < math.inf
+                and self.packet_bits > 0):  # nan fails every comparison
+            raise ValueError("radio parameters must be strictly positive "
+                             "and finite")
+        return self
+
+
+@dataclass(frozen=True)
+class EnergyParams:
+    e_init: float = E_INIT  # initial battery per deployed node, joules
+
+    def validate(self) -> "EnergyParams":
+        if not 0 < self.e_init < math.inf:
+            raise ValueError("energy.e_init must be > 0 and finite")
+        return self
+
+
+@dataclass(frozen=True)
+class FitnessParams:
+    c1: float = 1.0 / 3.0
+    c2: float = 1.0 / 3.0
+    c3: float = 1.0 / 3.0
+    mode: str = "normalized"  # or "raw"
+
+    def validate(self) -> "FitnessParams":
+        # a nan weight fails both comparisons
+        if not all(c >= 0 for c in (self.c1, self.c2, self.c3)):
+            raise ValueError("fitness weights must be nonnegative")
+        if not abs(self.c1 + self.c2 + self.c3 - 1.0) <= 1e-9:
+            raise ValueError("fitness weights must sum to 1")
+        if self.mode not in ("normalized", "raw"):
+            raise ValueError(f"unknown fitness mode '{self.mode}'")
+        return self
+
+
+@dataclass(frozen=True)
+class SimPolicy:
+    th: float = DEFAULT_TH
+    # e_fail above th is accepted: a node fails only once it holds
+    # neither, so such a node relays while it holds th and then fails
+    e_fail: float = DEFAULT_E_FAIL
+    t_move: Optional[int] = 50  # sink relocation cadence in rounds; None = off
+    grid: int = 4
+    max_step: Optional[float] = None
+
+    def validate(self) -> "SimPolicy":
+        if not self.th >= 0:
+            raise ValueError("policy.th must be >= 0")
+        if not self.e_fail >= 0:
+            raise ValueError("policy.e_fail must be >= 0")
+        if not 1 <= self.grid <= 2**62:  # cell indices are int64
+            raise ValueError("policy.grid must be in [1, 2**62]")
+        if self.t_move is not None and self.t_move < 0:
+            raise ValueError("policy.t_move must be >= 0 (0 or none = off)")
+        if self.max_step is not None and not self.max_step >= 0:
+            raise ValueError("policy.max_step must be >= 0 (none = unbounded)")
+        return self
+
+
+@dataclass(frozen=True)
+class TrafficModel:
+    origin_probability: float = 0.1  # per node per round
+    rounds_max: int = 1000
+
+    def validate(self) -> "TrafficModel":
+        if not 0.0 <= self.origin_probability <= 1.0:
+            raise ValueError("traffic.origin_probability must be in [0,1]")
+        if self.rounds_max < 0:
+            raise ValueError("traffic.rounds_max must be >= 0")
+        return self
 
 
 @dataclass(frozen=True)

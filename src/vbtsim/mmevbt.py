@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from .energy import RadioParams, rx_cost
+from .config import RadioParams, SimPolicy
+from .energy import rx_cost
 from .model import (
     SINK,
     ConstructionFailed,
@@ -23,9 +24,6 @@ from .model import (
     State,
     distance,
 )
-
-if TYPE_CHECKING:  # simulate imports this module
-    from .simulate import SimPolicy
 
 
 @dataclass
@@ -72,9 +70,11 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
     (sink first, then ascending ids) that may relay and whose distance
     plus the hop's cost equals its own.
 
-    Raises ConstructionFailed listing every live node left unreachable.
+    Raises ValueError for params that fail validate(), and
+    ConstructionFailed listing every live node left unreachable.
     Reads only graph and state, and writes neither.
     """
+    params.validate()  # a negative cost would relax forever
     energy, live = state
     n = len(energy)
     head = np.append(live, False)  # live nodes: the sink is no head

@@ -14,9 +14,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .energy import DEFAULT_E_FAIL, E_INIT, RadioParams
-
-DEFAULT_TH = 0.1 * E_INIT  # relay-eligibility threshold, joules
+from .config import DEFAULT_E_FAIL, DEFAULT_TH, E_INIT, RadioParams
 
 # Edges per block of the scalar per-edge passes (see _per_edge).
 _BLOCK = 2048

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .energy import DEFAULT_E_FAIL
-from .model import DEFAULT_TH, Field, Node, Scenario, classify_status
+from .config import DEFAULT_E_FAIL, DEFAULT_TH
+from .model import Field, Node, Scenario, classify_status
 
 
 class ScenarioFormatError(ValueError):

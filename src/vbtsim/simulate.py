@@ -53,12 +53,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .balanced import FitnessParams, build_forwarding_problem
-from .energy import DEFAULT_E_FAIL, E_INIT, EnergyParams, RadioParams, rx_cost
+from .balanced import build_forwarding_problem
+from .config import (ALGORITHMS, DEFAULT_TH, E_INIT, EnergyParams,
+                     FitnessParams, RadioParams, SimPolicy, TrafficModel)
+from .energy import rx_cost
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt, relocate_sink
 from .model import (
-    DEFAULT_TH,
     SINK,
     ConstructionFailed,
     ReachabilityGraph,
@@ -68,47 +69,8 @@ from .model import (
     csr_positions,
 )
 
-ALGORITHMS = ("mmevbt", "min_cover_best_parent", "balanced_probabilistic")
-
 # Uniforms drawn per refill of _Uniforms beyond the values asked for.
 _CHUNK = 2048
-
-
-@dataclass(frozen=True)
-class TrafficModel:
-    origin_probability: float = 0.1  # per node per round
-    rounds_max: int = 1000
-
-    def validate(self) -> "TrafficModel":
-        if not 0.0 <= self.origin_probability <= 1.0:
-            raise ValueError("traffic.origin_probability must be in [0,1]")
-        if self.rounds_max < 0:
-            raise ValueError("traffic.rounds_max must be >= 0")
-        return self
-
-
-@dataclass(frozen=True)
-class SimPolicy:
-    th: float = DEFAULT_TH
-    # e_fail above th is accepted: a node fails only once it holds
-    # neither, so such a node relays while it holds th and then fails
-    e_fail: float = DEFAULT_E_FAIL
-    t_move: Optional[int] = 50  # sink relocation cadence in rounds; None = off
-    grid: int = 4
-    max_step: Optional[float] = None
-
-    def validate(self) -> "SimPolicy":
-        if not self.th >= 0:
-            raise ValueError("policy.th must be >= 0")
-        if not self.e_fail >= 0:
-            raise ValueError("policy.e_fail must be >= 0")
-        if not 1 <= self.grid <= 2**62:  # cell indices are int64
-            raise ValueError("policy.grid must be in [1, 2**62]")
-        if self.t_move is not None and self.t_move < 0:
-            raise ValueError("policy.t_move must be >= 0 (0 or none = off)")
-        if self.max_step is not None and not self.max_step >= 0:
-            raise ValueError("policy.max_step must be >= 0 (none = unbounded)")
-        return self
 
 
 @dataclass

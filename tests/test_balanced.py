@@ -371,6 +371,17 @@ def scenario_from(coords, range_m, energies=None):
     return v.Scenario(field, nodes, range_m, 0)
 
 
+@pytest.mark.parametrize("params", [
+    v.FitnessParams(mode="Normalized"),
+    v.FitnessParams(c1=5.0),
+    v.FitnessParams(c1=math.nan, c2=0.5, c3=0.5),
+], ids=["mode case", "weights sum", "nan weight"])
+def test_problem_rejects_fitness_params_that_fail_validate(params):
+    sc = scenario_from([(100, 110), (100, 120)], range_m=12)
+    with pytest.raises(ValueError, match="fitness"):
+        v.build_forwarding_problem(*graph_and_state(sc), {0}, TH, params)
+
+
 def test_problem_chain_uses_strictly_closer_levels():
     coords = [(100, 110), (100, 120), (100, 130), (100, 140)]
     sc = scenario_from(coords, range_m=12)

@@ -28,6 +28,15 @@ def test_defaults_validate():
     assert cfg.validate() is cfg
 
 
+def test_every_section_validate_returns_the_section():
+    cfg = v.ExperimentConfig()
+    sections = [getattr(cfg, f.name) for f in dataclasses.fields(cfg)]
+    checked = [s for s in sections if hasattr(s, "validate")]
+    assert len(checked) == 5  # field waits for the Field built from it
+    for section in checked:
+        assert section.validate() is section
+
+
 def test_default_factories_match_module_defaults():
     cfg = v.ExperimentConfig()
     assert cfg.field == FieldParams()

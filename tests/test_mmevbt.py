@@ -169,6 +169,19 @@ def test_failed_nodes_are_ignored_entirely():
     assert 1 not in tree.parent
 
 
+@pytest.mark.parametrize("radio", [
+    v.RadioParams(e_elec=math.nan),
+    v.RadioParams(e_amp=-1e-10),
+    v.RadioParams(e_elec=-5e-8),
+    v.RadioParams(e_elec=0.0),
+], ids=["nan", "negative e_amp", "negative e_elec", "zero"])
+def test_build_rejects_a_radio_that_fails_validate(radio):
+    # a negative hop cost never lets the relaxation's frontier empty
+    sc = scenario_from([(100, 110), (100, 120), (110, 110)], range_m=12)
+    with pytest.raises(ValueError, match="radio parameters"):
+        v.build_mmevbt(*graph_and_state(sc), radio, TH)
+
+
 EXACT_RADIO = v.RadioParams(e_elec=2.0 ** -20, e_amp=2.0 ** -30,
                             packet_bits=1024)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import vbtsim
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(vbtsim.__file__).parent
 
 PUBLIC = {
     "ALGORITHMS", "BETA_MIN", "DEFAULT_E_AMP", "DEFAULT_E_ELEC",
@@ -58,7 +59,7 @@ def test_no_function_imports_a_module():
     """Every import in the package sits at module level, so an import
     cycle fails at import time instead of hiding inside a function."""
     inside = []
-    for path in sorted(Path(vbtsim.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.Lambda)):
@@ -66,6 +67,32 @@ def test_no_function_imports_a_module():
                            for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert inside == []
+
+
+def test_config_imports_nothing_from_the_package():
+    """config declares every parameter section, so it is the root of the
+    package's import graph: the other modules import from it."""
+    imported = []
+    for node in ast.walk(ast.parse((PACKAGE / "config.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert [name for name in imported if name.startswith(".")
+            or name.split(".")[0] == "vbtsim"] == []
+
+
+def test_no_module_hides_an_import_behind_type_checking():
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "TYPE_CHECKING" in path.read_text()] == []
+
+
+def test_sections_and_defaults_are_the_config_modules_own():
+    for name in ("RadioParams", "FitnessParams", "SimPolicy", "TrafficModel",
+                 "ExperimentConfig", "E_INIT", "DEFAULT_E_ELEC",
+                 "DEFAULT_E_AMP", "DEFAULT_PACKET_BITS", "DEFAULT_E_FAIL",
+                 "DEFAULT_TH", "ALGORITHMS"):
+        assert getattr(vbtsim.config, name) is getattr(vbtsim, name), name
 
 
 def test_console_scripts_resolve_to_callables():
