@@ -25,6 +25,7 @@ from .config import (
     DEFAULT_TH,
     E_INIT,
     ExperimentConfig,
+    Field,
     FitnessParams,
     RadioParams,
     SimPolicy,
@@ -39,8 +40,6 @@ from .mmevbt import BackboneTree, build_mmevbt, relocate_sink
 from .model import (
     SINK,
     ConstructionFailed,
-    Field,
-    Node,
     NodeStatus,
     ReachabilityGraph,
     Scenario,

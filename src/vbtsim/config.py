@@ -1,7 +1,7 @@
 """Every parameter section and the flat key = value experiment config.
 
 ExperimentConfig holds six top-level scalars and one frozen section per
-dotted key prefix: field (FieldParams), energy (EnergyParams), radio
+dotted key prefix: field (Field), energy (EnergyParams), radio
 (RadioParams), policy (SimPolicy), fitness (FitnessParams) and traffic
 (TrafficModel). Each is declared here with its defaults and rules, and
 this module imports nothing from the package. Keys, their parsers and
@@ -89,16 +89,18 @@ class SimPolicy:
     max_step: Optional[float] = None
 
     def validate(self) -> "SimPolicy":
-        if not self.th >= 0:
-            raise ValueError("policy.th must be >= 0")
-        if not self.e_fail >= 0:
-            raise ValueError("policy.e_fail must be >= 0")
+        # nan fails every comparison; None alone means an unbounded step
+        if not 0 <= self.th < math.inf:
+            raise ValueError("policy.th must be >= 0 and finite")
+        if not 0 <= self.e_fail < math.inf:
+            raise ValueError("policy.e_fail must be >= 0 and finite")
         if not 1 <= self.grid <= 2**62:  # cell indices are int64
             raise ValueError("policy.grid must be in [1, 2**62]")
         if self.t_move is not None and self.t_move < 0:
             raise ValueError("policy.t_move must be >= 0 (0 or none = off)")
-        if self.max_step is not None and not self.max_step >= 0:
-            raise ValueError("policy.max_step must be >= 0 (none = unbounded)")
+        if self.max_step is not None and not 0 <= self.max_step < math.inf:
+            raise ValueError("policy.max_step must be >= 0 and finite "
+                             "(none = unbounded)")
         return self
 
 
@@ -116,18 +118,36 @@ class TrafficModel:
 
 
 @dataclass(frozen=True)
-class FieldParams:
-    """The numbers of a Field, unchecked until a Field is built from them.
+class Field:
+    """The deployment area [0, width] x [0, height] and the sink in it.
 
-    `run` reads its field from the scenario file, and a field reshaped
-    key by key may pass through a state with the sink outside, so the
-    checks wait for the Field itself.
+    Checked by validate() where it is used (deploy_uniform, a Scenario,
+    a scenario file, relocate_sink), not when built: `run` reads its field from the
+    scenario file, and a field reshaped key by key may pass through a
+    state with the sink outside.
     """
 
     width: float = 200.0
     height: float = 200.0
     sink_x: float = 100.0
     sink_y: float = 100.0
+
+    def validate(self) -> "Field":
+        if not all(map(math.isfinite, (self.width, self.height,
+                                       self.sink_x, self.sink_y))):
+            raise ValueError("field values must be finite")
+        if self.width <= 0 or self.height <= 0:
+            raise ValueError("field dimensions must be positive")
+        if not self.contains(self.sink_x, self.sink_y):
+            raise ValueError("sink position outside the field")
+        return self
+
+    def contains(self, x: float, y: float) -> bool:
+        return 0.0 <= x <= self.width and 0.0 <= y <= self.height
+
+    @property
+    def sink_pos(self) -> tuple[float, float]:
+        return (self.sink_x, self.sink_y)
 
 
 @dataclass(frozen=True)
@@ -138,7 +158,7 @@ class ExperimentConfig:
     max_attempts: int = 200
     algorithm: str = "mmevbt"
     base_seed: int = 0
-    field: FieldParams = FieldParams()
+    field: Field = Field()
     energy: EnergyParams = EnergyParams()
     radio: RadioParams = RadioParams()
     policy: SimPolicy = SimPolicy()
@@ -160,7 +180,7 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.target_successes < 1 or self.max_attempts < 1:
             raise ValueError("target_successes and max_attempts must be >= 1")
-        # field is checked by Field when a sweep or make_scenario builds one
+        # field is checked where it is used: run reads its own from a file
         for section in (self.energy, self.radio, self.fitness, self.policy,
                         self.traffic):
             section.validate()

@@ -14,12 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RadioParams, SimPolicy
+from .config import Field, RadioParams, SimPolicy
 from .energy import rx_cost
 from .model import (
     SINK,
     ConstructionFailed,
-    Field,
     ReachabilityGraph,
     State,
     distance,
@@ -35,8 +34,8 @@ class BackboneTree:
     carried in the map with consumption 0 so hop arithmetic needs no
     special case. edges holds each routed node's hop as its graph's CSR
     edge, in parent's key order. Tree membership is this output alone:
-    the tree nodes are the parents other than the sink, and no Node
-    status records it.
+    the tree nodes are the parents other than the sink, and no status
+    records it.
     """
 
     parent: dict[int, int] = dc_field(default_factory=dict)
@@ -127,9 +126,10 @@ def relocate_sink(graph: ReachabilityGraph, state: State, field: Field,
     sink. A bounded policy.max_step clamps the move to that many meters
     along the straight line. Pure: returns the position, the caller
     moves the sink and rebuilds. The node and sink positions are
-    graph.points, the sink last. Raises ValueError for a policy that
-    fails validate(), or no live node.
+    graph.points, the sink last. Raises ValueError for a field or policy
+    that fails validate(), or no live node.
     """
+    field.validate()
     grid, max_step = policy.validate().grid, policy.max_step
     energy, live = state
     if not live.any():

@@ -1,4 +1,5 @@
-"""Domain types, field geometry, seeded deployment and unit-disk reachability.
+"""Scenarios as arrays, node statuses, seeded deployment and unit-disk
+reachability.
 
 The reachability graph keeps its edges as CSR arrays only, carries each
 edge's distance and transmit cost as flat arrays built on first use, and
@@ -14,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_E_FAIL, DEFAULT_TH, E_INIT, RadioParams
+from .config import DEFAULT_E_FAIL, Field, RadioParams
 
 # Edges per block of the scalar per-edge passes (see _per_edge).
 _BLOCK = 2048
@@ -23,7 +24,7 @@ _BLOCK = 2048
 # with a ReachabilityGraph, all that a build or relocate_sink reads.
 State = tuple[np.ndarray, np.ndarray]
 
-# Distinguished vertex id for the sink.  The sink is not a Node: it has
+# Distinguished vertex id for the sink.  The sink is not a node: it has
 # unlimited power, never drains, and may be moved.
 SINK = -1
 
@@ -53,68 +54,53 @@ def classify_status(energy: float, children: int, th: float,
     return NodeStatus.FAILED
 
 
-@dataclass
-class Node:
-    id: int
-    x: float
-    y: float
-    energy: float
-    status: NodeStatus = NodeStatus.CANDIDATE_NON_TREE
-
-    def is_alive(self) -> bool:
-        return self.status is not NodeStatus.FAILED
-
-
-@dataclass
-class Field:
-    width: float
-    height: float
-    sink_x: float
-    sink_y: float
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("field dimensions must be positive")
-        if not self.contains(self.sink_x, self.sink_y):
-            raise ValueError("sink position outside the field")
-
-    def contains(self, x: float, y: float) -> bool:
-        return 0.0 <= x <= self.width and 0.0 <= y <= self.height
-
-    @property
-    def sink_pos(self) -> tuple[float, float]:
-        return (self.sink_x, self.sink_y)
-
-
-@dataclass
+@dataclass(eq=False)
 class Scenario:
+    """A deployment as arrays by node id: each node's position (xy, (n, 2)),
+    battery (energy, (n,)) and whether it is alive (live, (n,) bool).
+
+    xy and energy are held as float arrays (np.asarray: a float array is
+    not copied). points() and state() return copies, so a run never
+    writes them.
+    """
+
     field: Field
-    nodes: list[Node]
+    xy: np.ndarray
+    energy: np.ndarray
+    live: np.ndarray
     sensing_range: float
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.nodes:
+        self.field.validate()
+        self.xy = np.asarray(self.xy, dtype=float)
+        self.energy = np.asarray(self.energy, dtype=float)
+        self.live = np.asarray(self.live)
+        n = len(self.xy)
+        if not n:
             raise ValueError("need at least one node")
+        if (self.xy.shape != (n, 2) or self.energy.shape != (n,)
+                or self.live.shape != (n,) or self.live.dtype != bool):
+            raise ValueError("xy, energy and live must be shaped (n, 2), "
+                             "(n,) and (n,) bool")
         if not 0 < self.sensing_range < math.inf:
             raise ValueError("sensing range must be positive and finite")
-        ids = [n.id for n in self.nodes]
-        if ids != list(range(len(ids))):
-            raise ValueError("node ids must be dense from 0 in order")
-        for n in self.nodes:
-            if not self.field.contains(n.x, n.y):
-                raise ValueError(f"node {n.id} outside the field")
+        if not (np.isfinite(self.energy) & (self.energy >= 0)).all():
+            raise ValueError("node energies must be finite and >= 0")
+        # nan fails every comparison
+        inside = ((self.xy >= 0.0)
+                  & (self.xy <= (self.field.width, self.field.height)))
+        if not inside.all():  # .all(axis=1) costs more than the rest
+            node = np.flatnonzero(~inside.all(axis=1))[0]
+            raise ValueError(f"node {node} outside the field")
 
     def points(self) -> np.ndarray:
         """A fresh (n+1, 2) array: each node's (x, y) by id, the sink last."""
-        return np.array([(n.x, n.y) for n in self.nodes]
-                        + [self.field.sink_pos], dtype=float)
+        return np.vstack((self.xy, [self.field.sink_pos]))
 
     def state(self) -> State:
-        """The nodes' energies and liveness as a State."""
-        return (np.array([n.energy for n in self.nodes], dtype=float),
-                np.array([n.status is not NodeStatus.FAILED
-                          for n in self.nodes], dtype=bool))
+        """Copies of the nodes' energies and liveness, as a State."""
+        return self.energy.copy(), self.live.copy()
 
 
 @dataclass(eq=False)
@@ -275,23 +261,17 @@ def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def uniform_points(field: Field, n: int, seed: int) -> np.ndarray:
-    """n points i.i.d. uniform over the field, (n, 2); same seed, same."""
+def deploy_uniform(field: Field, n: int, seed: int) -> np.ndarray:
+    """n points i.i.d. uniform over the field, (n, 2): all x draws, then
+    all y draws, from one generator; same seed, same layout. Raises
+    ValueError for a field that fails validate()."""
+    field.validate()  # numpy would raise OverflowError for a nan or inf side
     if n < 1:
         raise ValueError("need at least one node")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, field.width, n)
     ys = rng.uniform(0.0, field.height, n)
     return np.column_stack((xs, ys))
-
-
-def deploy_uniform(field: Field, n: int, seed: int, e_init: float = E_INIT,
-                   th: float = DEFAULT_TH,
-                   e_fail: float = DEFAULT_E_FAIL) -> list[Node]:
-    """Drop n nodes i.i.d. uniform over the field; same seed, same layout."""
-    status = classify_status(e_init, 0, th, e_fail)
-    points = uniform_points(field, n, seed).tolist()
-    return [Node(i, x, y, e_init, status) for i, (x, y) in enumerate(points)]
 
 
 def build_reachability(points: np.ndarray,

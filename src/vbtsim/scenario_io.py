@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 
-from .config import DEFAULT_E_FAIL, DEFAULT_TH
-from .model import Field, Node, Scenario, classify_status
+import numpy as np
+
+from .config import DEFAULT_E_FAIL, DEFAULT_TH, Field
+from .model import NodeStatus, Scenario, classify_status
 
 
 class ScenarioFormatError(ValueError):
@@ -24,10 +26,10 @@ class ScenarioFormatError(ValueError):
 
 def read_scenario(path: str, th: float = DEFAULT_TH,
                   e_fail: float = DEFAULT_E_FAIL) -> Scenario:
-    """Parse a scenario file; node statuses are derived from stored energy."""
+    """Parse a scenario file; a node is live unless classify_status of its
+    stored energy says FAILED."""
     field = None
-    nodes: list[Node] = []
-    seen_ids: set[int] = set()
+    nodes: dict[int, tuple[float, float, float]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -49,7 +51,7 @@ def read_scenario(path: str, th: float = DEFAULT_TH,
                     raise ScenarioFormatError(
                         line_no, "field values must be finite")
                 try:
-                    field = Field(w, h, sx, sy)
+                    field = Field(w, h, sx, sy).validate()
                 except ValueError as exc:
                     raise ScenarioFormatError(line_no, str(exc))
                 sensing_range, rng_seed = rng_m, seed
@@ -69,23 +71,24 @@ def read_scenario(path: str, th: float = DEFAULT_TH,
                 if energy < 0:
                     raise ScenarioFormatError(
                         line_no, f"node {node_id} energy must be >= 0")
-                if node_id in seen_ids:
+                if node_id in nodes:
                     raise ScenarioFormatError(line_no, f"duplicate node id {node_id}")
                 if not field.contains(x, y):
                     raise ScenarioFormatError(line_no, f"node {node_id} outside field")
-                seen_ids.add(node_id)
-                status = classify_status(energy, 0, th, e_fail)
-                nodes.append(Node(node_id, x, y, energy, status))
+                nodes[node_id] = (x, y, energy)
             else:
                 raise ScenarioFormatError(line_no, f"unknown record '{kind}'")
     if field is None:
         raise ScenarioFormatError(0, "missing field line")
     if not nodes:
         raise ScenarioFormatError(0, "no node lines")
-    nodes.sort(key=lambda n: n.id)
-    if [n.id for n in nodes] != list(range(len(nodes))):
+    if sorted(nodes) != list(range(len(nodes))):
         raise ScenarioFormatError(0, "node ids must be dense from 0")
-    return Scenario(field, nodes, sensing_range, rng_seed)
+    rows = np.array([nodes[i] for i in range(len(nodes))])  # x, y, energy
+    live = [classify_status(e, 0, th, e_fail) is not NodeStatus.FAILED
+            for e in rows[:, 2].tolist()]
+    return Scenario(field, rows[:, :2], rows[:, 2], live, sensing_range,
+                    rng_seed)
 
 
 def write_scenario(scenario: Scenario, path: str) -> None:
@@ -94,5 +97,6 @@ def write_scenario(scenario: Scenario, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"field {f.width!r} {f.height!r} {f.sink_x!r} {f.sink_y!r} "
                  f"{scenario.sensing_range!r} {scenario.rng_seed}\n")
-        for n in scenario.nodes:
-            fh.write(f"node {n.id} {n.x!r} {n.y!r} {n.energy!r}\n")
+        for i, ((x, y), energy) in enumerate(zip(scenario.xy.tolist(),
+                                                 scenario.energy.tolist())):
+            fh.write(f"node {i} {x!r} {y!r} {energy!r}\n")

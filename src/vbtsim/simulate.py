@@ -6,10 +6,10 @@ when any node's relay eligibility flipped, and periodically relocate the
 sink. Everything is driven by one seeded generator, so a (scenario,
 config, seed) triple always replays bit-for-bit.
 
-The run's state is two arrays by node id (model.State: energy, live).
-Every build and relocation reads only the run's graph and that state,
-so the run reads the caller's Nodes only at its start, writes none and
-moves only its graph's sink: the Scenario is never copied. A status
+The run's state is two arrays by node id (model.State: energy, live),
+copied from the Scenario's at its start. Every build and relocation
+reads only the run's graph and that state, so the run never writes the
+Scenario and moves only its graph's sink. A status
 matters only as "failed or not": relay eligibility is energy >= th, and
 a node fails once it holds neither th nor e_fail, whatever its child
 count. A round touches only the nodes that spent energy. Energy only
@@ -321,7 +321,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     radio.validate()
     EnergyParams(e_init).validate()
     stream = _Uniforms(_generator(seed))
-    n_total = len(scenario.nodes)
+    n_total = len(scenario.xy)
     th, e_fail = policy.th, policy.e_fail
     rx = rx_cost(radio)
     metrics = LifetimeMetrics()

@@ -19,7 +19,6 @@ from .mincover import build_min_cover
 from .mmevbt import build_mmevbt
 from .model import (
     ConstructionFailed,
-    Field,
     NodeStatus,
     ReachabilityGraph,
     Scenario,
@@ -27,7 +26,6 @@ from .model import (
     build_reachability,
     classify_status,
     deploy_uniform,
-    uniform_points,
 )
 from .simulate import LifetimeMetrics, run_simulation
 
@@ -42,11 +40,13 @@ def attempt_seed(base_seed: int, range_m: float, attempt: int) -> int:
 
 def make_scenario(config: ExperimentConfig, seed: int,
                   range_m: float) -> Scenario:
-    field = Field(**vars(config.field))
-    nodes = deploy_uniform(field, config.n_nodes, seed,
-                           e_init=config.energy.e_init,
-                           th=config.policy.th, e_fail=config.policy.e_fail)
-    return Scenario(field, nodes, range_m, seed)
+    """config.n_nodes nodes drawn by deploy_uniform over config.field, each
+    holding energy.e_init and live unless classify_status says FAILED."""
+    n, e_init, policy = config.n_nodes, config.energy.e_init, config.policy
+    live = classify_status(e_init, 0, policy.th,
+                           policy.e_fail) is not NodeStatus.FAILED
+    return Scenario(config.field, deploy_uniform(config.field, n, seed),
+                    np.full(n, e_init), np.full(n, live), range_m, seed)
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,8 @@ class RangeRow:
 def _sweep(config: ExperimentConfig,
            count_tree_nodes: Callable[[ReachabilityGraph, State], int]
            ) -> tuple[list[RangeRow], list[AttemptRow]]:
-    """Each attempt is make_scenario's deployment as arrays, no Node."""
+    """Each attempt is make_scenario's deployment at its attempt_seed."""
     config.validate()
-    field = Field(**vars(config.field))
-    n, e_init, policy = config.n_nodes, config.energy.e_init, config.policy
-    live = classify_status(e_init, 0, policy.th,
-                           policy.e_fail) is not NodeStatus.FAILED
     summary: list[RangeRow] = []
     attempts: list[AttemptRow] = []
     for range_m in config.ranges:
@@ -85,12 +81,10 @@ def _sweep(config: ExperimentConfig,
             if successes >= config.target_successes:
                 break
             seed = attempt_seed(config.base_seed, range_m, attempt)
-            points = np.vstack((uniform_points(field, n, seed),
-                                [field.sink_pos]))
-            graph = build_reachability(points, range_m)
-            state = (np.full(n, e_init, dtype=float), np.full(n, live))
+            scenario = make_scenario(config, seed, range_m)
+            graph = build_reachability(scenario.points(), range_m)
             try:
-                size = count_tree_nodes(graph, state)
+                size = count_tree_nodes(graph, scenario.state())
             except ConstructionFailed:
                 failures += 1
                 attempts.append(AttemptRow(seed, range_m, None, True))
@@ -194,7 +188,7 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig, out_dir: str,
               ["seed", "algorithm", "range", "n_nodes", "first_death",
                "disconnect", "reconstructions", "total_energy_J"],
               [[config.base_seed, config.algorithm, scenario.sensing_range,
-                len(scenario.nodes), metrics.first_node_death_round,
+                len(scenario.xy), metrics.first_node_death_round,
                 metrics.rounds_until_disconnect, metrics.reconstructions,
                 metrics.total_energy_consumed]])
     paths.append(metrics_path)

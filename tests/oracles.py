@@ -7,9 +7,10 @@ enumeration instead of search-plus-matching. reference_run_simulation is
 the round loop as it was before the per-build route table: every hop
 cost recomputed, every node reclassified and the whole eligibility
 signature compared each round, the graph rebuilt on every relocation.
-Its statuses follow its own copy of the four-way rule
-(_refresh_statuses), applied after every build; no package build
-writes a status, and nothing here imports a private package name.
+Its statuses are its own dict under its own copy of the four-way rule
+(_refresh_statuses), applied after every build, and its copy of the
+scenario's live array follows them; no package build writes a status,
+and nothing here imports a private package name.
 reference_forwarding_problem is the candidate and fitness build pair by
 pair over dicts, scored with the scalar fitness(). reference_mmevbt is
 the heap Dijkstra over per-vertex neighbour lists and scalar hop_weight,
@@ -20,9 +21,10 @@ covered node after each pick, and cover_map labels a cover's live
 nodes. reference_compare_load_spread is the load-spread comparison
 over a built problem's per-node dicts, one select_parent per packet.
 graph_and_state turns a Scenario into the (graph, state) pair that
-every package build takes; the references read the Scenario itself.
+every package build takes; the references read the Scenario's arrays
+themselves. scenario_from builds a Scenario from a list of points.
 neighbors, positions, live_ids and copy_scenario give a graph row or a
-Scenario as plain ids, dicts or fresh Nodes; the package keeps no such
+Scenario as plain ids, dicts or fresh arrays; the package keeps no such
 accessor.
 
 The scalar references (hop_weight, path_consumption, deviation_angle,
@@ -33,13 +35,12 @@ in the package calls them.
 
 from __future__ import annotations
 
-import copy
 import functools
 import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -47,6 +48,7 @@ import numpy as np
 from vbtsim import (
     ALGORITHMS,
     BETA_MIN,
+    DEFAULT_E_FAIL,
     DEFAULT_TH,
     E_INIT,
     SINK,
@@ -56,7 +58,6 @@ from vbtsim import (
     FitnessParams,
     ForwardingProblem,
     LifetimeMetrics,
-    Node,
     NodeStatus,
     Scenario,
     SimPolicy,
@@ -71,6 +72,19 @@ from vbtsim import (
     select_parent,
     tx_cost,
 )
+
+
+def scenario_from(coords, range_m, energies=None, field=None, live=None):
+    """A Scenario of the points coords, by id, on field (200 x 200, the
+    sink central, by default). Each node holds energies[i] (E_INIT by
+    default) and is live[i], by default live unless classify_status of
+    its energy under the default th and e_fail says FAILED."""
+    energy = [E_INIT] * len(coords) if energies is None else energies
+    if live is None:
+        live = [classify_status(e, 0, DEFAULT_TH, DEFAULT_E_FAIL)
+                is not NodeStatus.FAILED for e in energy]
+    return Scenario(field or Field(200, 200, 100, 100),
+                    np.array(coords, dtype=float), energy, live, range_m, 0)
 
 
 def graph_and_state(scenario):
@@ -92,21 +106,19 @@ def neighbors(graph, vertex):
 
 def positions(scenario):
     """Positions of every vertex, the sink included under id SINK."""
-    pos = {n.id: (n.x, n.y) for n in scenario.nodes}
+    pos = dict(enumerate(map(tuple, scenario.xy.tolist())))
     pos[SINK] = scenario.field.sink_pos
     return pos
 
 
 def live_ids(scenario):
-    return [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
+    return np.flatnonzero(scenario.live).tolist()
 
 
 def copy_scenario(scenario):
-    """An independent copy: a fresh Field and fresh Nodes."""
-    f = scenario.field
-    return Scenario(Field(f.width, f.height, f.sink_x, f.sink_y),
-                    [Node(n.id, n.x, n.y, n.energy, n.status)
-                     for n in scenario.nodes],
+    """An independent copy: fresh arrays (the Field is frozen)."""
+    return Scenario(scenario.field, scenario.xy.copy(),
+                    scenario.energy.copy(), scenario.live.copy(),
                     scenario.sensing_range, scenario.rng_seed)
 
 
@@ -117,10 +129,9 @@ def dense_reachability(scenario):
     O(n^2) memory: keep n small. Returns {vertex: sorted neighbour ids},
     nodes 0..n-1 first, then SINK.
     """
-    n = len(scenario.nodes)
+    n = len(scenario.xy)
     pts = np.empty((n + 1, 2))
-    for i, nd in enumerate(scenario.nodes):
-        pts[i] = (nd.x, nd.y)
+    pts[:n] = scenario.xy
     pts[n] = scenario.field.sink_pos
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     within = d2 <= scenario.sensing_range**2
@@ -280,7 +291,7 @@ def reference_mmevbt(scenario, params, th, graph=None):
     Relaxes over graph.neighbors with scalar hop_weight per edge; only
     the sink and live nodes holding th expand. Equal-cost parents go to
     the smaller id (SINK is smallest). Raises ConstructionFailed; writes
-    no Node.
+    nothing.
     """
     if graph is None:
         graph = build_reachability(scenario.points(), scenario.sensing_range)
@@ -288,10 +299,7 @@ def reference_mmevbt(scenario, params, th, graph=None):
     live = set(live_ids(scenario))
 
     def relays(u):
-        if u == SINK:
-            return True
-        node = scenario.nodes[u]
-        return node.status is not NodeStatus.FAILED and node.energy >= th
+        return u == SINK or (u in live and scenario.energy[u] >= th)
 
     dist = {SINK: 0.0}
     parent = {}
@@ -329,13 +337,15 @@ def reference_relocate_sink(scenario, grid=4, max_step=None):
     cell_h = f.height / grid
     total = {}
     count = {}
-    for node in scenario.nodes:
-        if node.status is NodeStatus.FAILED:
+    for (x, y), energy, alive in zip(scenario.xy.tolist(),
+                                     scenario.energy.tolist(),
+                                     scenario.live.tolist()):
+        if not alive:
             continue
-        col = min(int(node.x / cell_w), grid - 1)
-        row = min(int(node.y / cell_h), grid - 1)
+        col = min(int(x / cell_w), grid - 1)
+        row = min(int(y / cell_h), grid - 1)
         idx = row * grid + col
-        total[idx] = total.get(idx, 0.0) + node.energy
+        total[idx] = total.get(idx, 0.0) + energy
         count[idx] = count.get(idx, 0) + 1
 
     best_idx = min(total, key=lambda i: (-(total[i] / count[i]), i))
@@ -358,7 +368,7 @@ def reference_min_cover(scenario, th):
     Returns (tree ids, []) on success and (None, still-uncovered ids) when
     no eligible pick makes progress."""
     g = build_reachability(scenario.points(), scenario.sensing_range)
-    live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
+    live = live_ids(scenario)
     live_set = set(live)
     adj = {i: [u for u in neighbors(g, i) if u != SINK and u in live_set]
            for i in live}
@@ -373,7 +383,7 @@ def reference_min_cover(scenario, th):
     while any(c == 0 for c in covered.values()):
         best, best_wd = None, -1
         for i in sorted(covered):
-            if covered[i] == 1 and scenario.nodes[i].energy >= th:
+            if covered[i] == 1 and scenario.energy[i] >= th:
                 wd = sum(1 for u in adj[i] if covered[u] == 0)
                 if wd > best_wd:
                     best, best_wd = i, wd
@@ -399,15 +409,12 @@ def bellman_ford_consumption(scenario, params, th):
 
     Returns {node_id: joules}, math.inf where no eligible path exists.
     """
-    live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
+    live = live_ids(scenario)
     pos = positions(scenario)
     r = scenario.sensing_range
 
     def eligible_relay(v):
-        if v == SINK:
-            return True
-        node = scenario.nodes[v]
-        return node.status is not NodeStatus.FAILED and node.energy >= th
+        return v == SINK or (scenario.live[v] and scenario.energy[v] >= th)
 
     edges = []  # (child u, parent v, weight)
     for u in live:
@@ -440,7 +447,7 @@ def min_connected_cover_size(scenario, graph):
 
     Exhaustive over all subsets; only sane for n <= 12 or so.
     """
-    live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
+    live = live_ids(scenario)
     live_set = set(live)
     adj = {i: {v for v in neighbors(graph, i) if v != SINK and v in live_set}
            for i in live}
@@ -502,10 +509,9 @@ def reference_forwarding_problem(scenario, tree_nodes, th, params,
     if graph is None:
         graph = build_reachability(scenario.points(), scenario.sensing_range)
     pos = positions(scenario)
-    live = [n.id for n in scenario.nodes if n.status is not NodeStatus.FAILED]
+    live = live_ids(scenario)
     eligible = {t for t in tree_nodes
-                if scenario.nodes[t].status is not NodeStatus.FAILED
-                and scenario.nodes[t].energy >= th}
+                if scenario.live[t] and scenario.energy[t] >= th}
 
     levels = {SINK: 0}
     frontier = [SINK]
@@ -518,7 +524,7 @@ def reference_forwarding_problem(scenario, tree_nodes, th, params,
                     nxt.append(u)
         frontier = sorted(nxt)
 
-    energies = {n.id: n.energy for n in scenario.nodes}
+    energies = dict(enumerate(scenario.energy.tolist()))
     energies[SINK] = e_init  # mains-powered: always scores a full battery
     next_hop = {}
     for t in sorted(eligible & levels.keys()):
@@ -596,7 +602,8 @@ def scan_select_index(probabilities, r):
 class _ReferenceRouter:
     """Per-build routing state for one algorithm over one scenario."""
 
-    def __init__(self, algorithm, radio, policy, fitness_params, e_init):
+    def __init__(self, algorithm, radio, policy, fitness_params, e_init,
+                 status):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm '{algorithm}'")
         self.algorithm = algorithm
@@ -604,6 +611,7 @@ class _ReferenceRouter:
         self.policy = policy
         self.fitness_params = fitness_params
         self.e_init = e_init
+        self.status = status  # id -> NodeStatus, refreshed by every build
         self.next_map = {}
         self.problem = None
         self.probs = {}
@@ -616,7 +624,7 @@ class _ReferenceRouter:
             self.next_map = tree.parent
             self.problem = None
             self.probs = {}
-            _refresh_statuses(scenario, _serving_counts(self, scenario),
+            _refresh_statuses(scenario, self.status, _serving_counts(self),
                               self.policy)
             return
         tree_set = build_min_cover(graph, scenario.state(),
@@ -633,7 +641,7 @@ class _ReferenceRouter:
                 if f > best_f:  # strict: ties keep the smaller id
                     best, best_f = cand, f
             self.next_map[i] = best
-        _refresh_statuses(scenario, _serving_counts(self, scenario),
+        _refresh_statuses(scenario, self.status, _serving_counts(self),
                           self.policy)
 
     def route(self, origin, rng):
@@ -657,22 +665,23 @@ class _ReferenceRouter:
         return [(self.next_map[node_id], 1.0)]
 
 
-def _refresh_statuses(scenario, children, policy):
+def _refresh_statuses(scenario, status, children, policy):
     """Re-derive every live node's status from energy and child count,
-    as the round loop once did after every build; Failed stays Failed."""
-    for node in scenario.nodes:
-        if node.status is not NodeStatus.FAILED:
-            node.status = classify_status(node.energy,
-                                          children.get(node.id, 0),
-                                          policy.th, policy.e_fail)
+    as the round loop once did after every build; Failed stays Failed,
+    and a node that fails here leaves scenario.live."""
+    for i, energy in enumerate(scenario.energy.tolist()):
+        if status[i] is not NodeStatus.FAILED:
+            status[i] = classify_status(energy, children.get(i, 0),
+                                        policy.th, policy.e_fail)
+            scenario.live[i] = status[i] is not NodeStatus.FAILED
 
 
 def _eligibility_signature(scenario, th):
-    return tuple((n.status is not NodeStatus.FAILED, n.energy >= th)
-                 for n in scenario.nodes)
+    return tuple(zip(scenario.live.tolist(),
+                     (scenario.energy >= th).tolist()))
 
 
-def _serving_counts(router, scenario):
+def _serving_counts(router):
     """How many nodes each backbone vertex currently forwards for."""
     counts = {}
     if router.algorithm == "mmevbt":
@@ -692,11 +701,14 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
                              seed, fitness_params=None, e_init=E_INIT,
                              event_log: Optional[list] = None):
     """The full-rescan round loop; same contract as run_simulation."""
-    sc = copy.deepcopy(scenario)
+    sc = copy_scenario(scenario)
     fparams = (fitness_params or FitnessParams()).validate()
     radio.validate()
     rng = np.random.default_rng(seed)
-    n_total = len(sc.nodes)
+    n_total = len(sc.xy)
+    # a given live node starts as a candidate; every build re-derives it
+    status = {i: NodeStatus.CANDIDATE_NON_TREE if alive else NodeStatus.FAILED
+              for i, alive in enumerate(sc.live.tolist())}
     metrics = LifetimeMetrics()
 
     def log(round_no, event, node=-1, detail=""):
@@ -704,14 +716,15 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
             event_log.append((round_no, event, node, detail))
 
     graph = build_reachability(sc.points(), sc.sensing_range)
-    router = _ReferenceRouter(algorithm, radio, policy, fparams, e_init)
+    router = _ReferenceRouter(algorithm, radio, policy, fparams, e_init,
+                              status)
     router.rebuild(sc, graph)  # initial ConstructionFailed propagates
     last_sig = _eligibility_signature(sc, policy.th)
 
     for round_no in range(1, traffic.rounds_max + 1):
         metrics.rounds_run = round_no
         pos = positions(sc)
-        alive = [n.id for n in sc.nodes if n.status is not NodeStatus.FAILED]
+        alive = [i for i, st in status.items() if st is not NodeStatus.FAILED]
         draws = rng.random(len(alive))
         origins = [i for i, u in zip(alive, draws)
                    if u < traffic.origin_probability]
@@ -741,23 +754,23 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
         metrics.total_energy_consumed += functools.reduce(
             operator.add, spend.values(), 0.0)
         for node_id in sorted(spend):
-            node = sc.nodes[node_id]
-            node.energy = max(0.0, node.energy - spend[node_id])
+            sc.energy[node_id] = max(0.0, float(sc.energy[node_id])
+                                     - spend[node_id])
 
-        children = _serving_counts(router, sc)
-        for node in sc.nodes:
-            if node.status is NodeStatus.FAILED:
+        children = _serving_counts(router)
+        for i, energy in enumerate(sc.energy.tolist()):
+            if status[i] is NodeStatus.FAILED:
                 continue
-            status = classify_status(node.energy, children.get(node.id, 0),
-                                     policy.th, policy.e_fail)
-            if status is NodeStatus.FAILED:
-                log(round_no, "death", node.id)
+            status[i] = classify_status(energy, children.get(i, 0),
+                                        policy.th, policy.e_fail)
+            if status[i] is NodeStatus.FAILED:
+                sc.live[i] = False
+                log(round_no, "death", i)
                 if metrics.first_node_death_round is None:
                     metrics.first_node_death_round = round_no
-            node.status = status
 
-        alive_after = sum(1 for n in sc.nodes
-                          if n.status is not NodeStatus.FAILED)
+        alive_after = sum(1 for st in status.values()
+                          if st is not NodeStatus.FAILED)
         metrics.alive_fraction_curve.append((round_no, alive_after / n_total))
         if alive_after == 0:
             metrics.rounds_until_disconnect = round_no
@@ -781,15 +794,15 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
             target = reference_relocate_sink(sc, policy.grid,
                                              policy.max_step)
             if target != sc.field.sink_pos:
-                saved = (sc.field.sink_x, sc.field.sink_y)
-                sc.field.sink_x, sc.field.sink_y = target
+                saved = sc.field
+                sc.field = replace(saved, sink_x=target[0], sink_y=target[1])
                 graph = build_reachability(sc.points(), sc.sensing_range)
                 try:
                     router.rebuild(sc, graph)
                 except ConstructionFailed:
                     # rebuild mutates nothing when it fails, so the old
                     # routing state is still valid at the old position
-                    sc.field.sink_x, sc.field.sink_y = saved
+                    sc.field = saved
                     graph = build_reachability(sc.points(), sc.sensing_range)
                     log(round_no, "relocate", detail="reverted")
                 else:

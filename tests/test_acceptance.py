@@ -20,6 +20,7 @@ from oracles import (
     cover_map,
     graph_and_state,
     min_connected_cover_size,
+    scenario_from,
 )
 
 RADIO = v.RadioParams()
@@ -33,9 +34,8 @@ def report(num, name, ok, detail):
 
 
 def uniform_scenario(n, range_m, seed, e_init=v.E_INIT):
-    field = v.Field(*FIELD_ARGS)
-    nodes = v.deploy_uniform(field, n, seed, e_init=e_init)
-    return v.Scenario(field, nodes, range_m, seed)
+    xy = v.deploy_uniform(v.Field(*FIELD_ARGS), n, seed)
+    return scenario_from(xy, range_m, [e_init] * n)
 
 
 def test_criterion_1_minimal_energy_optimality():
@@ -50,10 +50,9 @@ def test_criterion_1_minimal_energy_optimality():
         sc = uniform_scenario(n, range_m, int(rng.integers(0, 2**31)))
         # soften a random subset below the relay threshold so the
         # eligibility filter actually shapes the shortest paths
-        for node in sc.nodes:
+        for i in range(n):
             if rng.random() < 0.15:
-                node.energy = 0.05
-                node.status = v.classify_status(0.05, 0, v.DEFAULT_TH)
+                sc.energy[i] = 0.05  # below th, still live
         try:
             tree = v.build_mmevbt(*graph_and_state(sc), RADIO, v.DEFAULT_TH)
         except v.ConstructionFailed:
@@ -262,10 +261,7 @@ def _clustered_scenario(seed, n_bg=150, n_clusters=4, per_cluster=20,
             x = min(max(rng.normal(cx, sigma), 0.0), field.width)
             y = min(max(rng.normal(cy, sigma), 0.0), field.height)
             pts.append((x, y))
-    nodes = [v.Node(i, float(x), float(y), v.E_INIT,
-                    v.classify_status(v.E_INIT, 0, v.DEFAULT_TH))
-             for i, (x, y) in enumerate(pts)]
-    return v.Scenario(field, nodes, range_m, seed)
+    return scenario_from(pts, range_m, field=field)
 
 
 def test_criterion_7_lifetime_direction():
@@ -285,9 +281,8 @@ def test_criterion_7_lifetime_direction():
     wins = ties = pairs = 0
     seed = 0
     while pairs < 30 and seed < 300:
-        field = v.Field(*FIELD_ARGS)
-        nodes = v.deploy_uniform(field, 120, seed, e_init=e_init, th=th)
-        sc = v.Scenario(field, nodes, 38.0, seed)
+        sc = scenario_from(v.deploy_uniform(v.Field(*FIELD_ARGS), 120, seed),
+                           38.0, [e_init] * 120)
         try:
             m_on = v.run_simulation(sc, "mmevbt", traffic, RADIO, moving,
                                     seed=seed, e_init=e_init)

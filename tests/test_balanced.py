@@ -12,7 +12,7 @@ import vbtsim as v
 from oracles import (FitnessContext, best_parent, brute_force_min_max,
                      deviation_angle, fitness, graph_and_state, load_stats,
                      realize_selections, reference_forwarding_problem,
-                     scan_select_index)
+                     scan_select_index, scenario_from)
 from vbtsim.balanced import draw_index
 
 TH = v.DEFAULT_TH
@@ -361,16 +361,6 @@ def test_realized_mc_never_beats_optimum():
 
 # -------------------------------------------------- building from a scenario
 
-def scenario_from(coords, range_m, energies=None):
-    field = v.Field(200, 200, 100, 100)
-    nodes = []
-    for i, (x, y) in enumerate(coords):
-        e = v.E_INIT if energies is None else energies[i]
-        nodes.append(v.Node(id=i, x=x, y=y, energy=e,
-                            status=v.classify_status(e, 0, TH, v.DEFAULT_E_FAIL)))
-    return v.Scenario(field, nodes, range_m, 0)
-
-
 @pytest.mark.parametrize("params", [
     v.FitnessParams(mode="Normalized"),
     v.FitnessParams(c1=5.0),
@@ -469,14 +459,14 @@ def drained_layouts(draw):
     a tree-node set and a few (drain, kill, sink move) steps."""
     f = v.Field(100, 100, draw(st.floats(0, 100)), draw(st.floats(0, 100)))
     n = draw(st.integers(1, 40))
-    nodes = v.deploy_uniform(f, n, draw(st.integers(0, 2**16)))
-    for node in nodes:
-        if node.id and draw(st.integers(0, 4)) == 0:  # stack on a node
-            twin = nodes[draw(st.integers(0, node.id - 1))]
-            node.x, node.y = twin.x, twin.y
-        node.energy = draw(st.sampled_from([2.0] * 4 + [0.2, 0.05, 0.0]))
-        node.status = v.classify_status(node.energy, 0, TH)
-    sc = v.Scenario(f, nodes, draw(st.sampled_from([25.0, 45.0, 70.0])))
+    xy = v.deploy_uniform(f, n, draw(st.integers(0, 2**16)))
+    energies = []
+    for i in range(n):
+        if i and draw(st.integers(0, 4)) == 0:  # stack on a node
+            xy[i] = xy[draw(st.integers(0, i - 1))]
+        energies.append(draw(st.sampled_from([2.0] * 4 + [0.2, 0.05, 0.0])))
+    sc = scenario_from(xy, draw(st.sampled_from([25.0, 45.0, 70.0])),
+                       energies=energies, field=f)
     # None: the greedy cover's tree nodes, at each step
     tree = draw(st.sampled_from([None, set(range(n)), set(range(n))]) | st.sets(
         st.integers(0, n - 1), max_size=n))
@@ -500,12 +490,11 @@ def test_array_problem_equals_scalar_reference(case, mode, e_init):
     g = v.build_reachability(sc.points(), sc.sensing_range)
     for touched, factor, sink in [([], 1.0, None)] + steps:
         for i in touched:
-            node = sc.nodes[i]
-            node.energy *= factor
+            sc.energy[i] *= factor
             if factor == 0.0:
-                node.status = v.NodeStatus.FAILED
+                sc.live[i] = False
         if sink is not None:
-            sc.field.sink_x, sc.field.sink_y = sink
+            sc.field = v.Field(sc.field.width, sc.field.height, *sink)
             g.move_sink(sink)
         if tree is None:
             try:
@@ -552,9 +541,7 @@ def check_candidate_arrays(p, g):
 
 def test_array_problem_with_no_live_node():
     sc = scenario_from([(100, 110), (100, 120)], range_m=12,
-                       energies=[0.0, 0.0])
-    for node in sc.nodes:
-        node.status = v.NodeStatus.FAILED
+                       energies=[0.0, 0.0], live=[False, False])
     p = v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
                                    v.FitnessParams())
     assert p == reference_forwarding_problem(sc, {0}, TH, v.FitnessParams())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vbtsim as v
-from vbtsim.config import _PARSERS, EnergyParams, FieldParams, apply_setting
+from vbtsim.config import _PARSERS, EnergyParams, apply_setting
 
 ALL_KEYS = {
     "n_nodes", "field.width", "field.height", "field.sink_x", "field.sink_y",
@@ -32,14 +32,14 @@ def test_every_section_validate_returns_the_section():
     cfg = v.ExperimentConfig()
     sections = [getattr(cfg, f.name) for f in dataclasses.fields(cfg)]
     checked = [s for s in sections if hasattr(s, "validate")]
-    assert len(checked) == 5  # field waits for the Field built from it
+    assert len(checked) == 6  # field too, though only where it is used
     for section in checked:
         assert section.validate() is section
 
 
 def test_default_factories_match_module_defaults():
     cfg = v.ExperimentConfig()
-    assert cfg.field == FieldParams()
+    assert cfg.field == v.Field()
     assert cfg.energy == EnergyParams()
     assert cfg.radio == v.RadioParams()
     assert cfg.policy == v.SimPolicy()

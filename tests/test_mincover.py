@@ -9,19 +9,11 @@ from oracles import (
     graph_and_state,
     min_connected_cover_size,
     reference_min_cover,
+    scenario_from,
 )
 
 TH = v.DEFAULT_TH
-
-
-def scenario_from(coords, range_m, energies=None):
-    field = v.Field(200, 200, 100, 100)
-    nodes = []
-    for i, (x, y) in enumerate(coords):
-        e = v.E_INIT if energies is None else energies[i]
-        nodes.append(v.Node(id=i, x=x, y=y, energy=e,
-                            status=v.classify_status(e, 0, TH, v.DEFAULT_E_FAIL)))
-    return v.Scenario(field, nodes, range_m, 0)
+FIELD = v.Field(200, 200, 100, 100)  # scenario_from's default
 
 
 def test_collinear_triple_covered_by_middle_node():
@@ -69,13 +61,11 @@ def test_cover_failure_lists_uncovered_nodes():
 
 
 def test_greedy_never_beats_exhaustive_minimum():
-    field = v.Field(200, 200, 100, 100)
     done = 0
     seed = 0
     while done < 10:
         seed += 1
-        nodes = v.deploy_uniform(field, 12, seed=seed)
-        sc = v.Scenario(field, nodes, 70.0, seed)
+        sc = scenario_from(v.deploy_uniform(FIELD, 12, seed=seed), 70.0)
         g = v.build_reachability(sc.points(), sc.sensing_range)
         try:
             tree = v.build_min_cover(g, sc.state(), TH).tree_nodes
@@ -88,13 +78,11 @@ def test_greedy_never_beats_exhaustive_minimum():
 
 
 def test_coverage_completeness_on_success():
-    field = v.Field(200, 200, 100, 100)
     done = 0
     seed = 100
     while done < 8:
         seed += 1
-        nodes = v.deploy_uniform(field, 60, seed=seed)
-        sc = v.Scenario(field, nodes, 40.0, seed)
+        sc = scenario_from(v.deploy_uniform(FIELD, 60, seed=seed), 40.0)
         g = v.build_reachability(sc.points(), sc.sensing_range)
         try:
             tree = v.build_min_cover(g, sc.state(), TH).tree_nodes
@@ -108,17 +96,13 @@ def test_coverage_completeness_on_success():
 
 
 def test_matches_independent_replay():
-    field = v.Field(200, 200, 100, 100)
     done = 0
     seed = 300
     while done < 10:
         seed += 1
-        nodes = v.deploy_uniform(field, 50, seed=seed)
-        for k, n in enumerate(nodes):
-            if k % 7 == 0:
-                n.energy = 0.15
-                n.status = v.classify_status(n.energy, 0, TH, v.DEFAULT_E_FAIL)
-        sc = v.Scenario(field, nodes, 45.0, seed)
+        energies = [0.15 if k % 7 == 0 else v.E_INIT for k in range(50)]
+        sc = scenario_from(v.deploy_uniform(FIELD, 50, seed=seed), 45.0,
+                           energies=energies)
         expect, _ = reference_min_cover(sc, TH)
         try:
             tree = v.build_min_cover(*graph_and_state(sc), TH).tree_nodes
@@ -155,12 +139,9 @@ def assert_equals_full_rescore(sc):
 def test_lazy_greedy_equals_full_rescore(seed, kinds, range_m):
     # nodes below th are coverable but never promoted past the seed;
     # failed nodes drop out of the graph altogether
-    field = v.Field(200, 200, 100, 100)
-    nodes = v.deploy_uniform(field, len(kinds), seed=seed)
-    for n, kind in zip(nodes, kinds):
-        n.energy = ENERGY_KINDS[kind]
-        n.status = v.classify_status(n.energy, 0, TH, v.DEFAULT_E_FAIL)
-    assert_equals_full_rescore(v.Scenario(field, nodes, range_m, seed))
+    assert_equals_full_rescore(scenario_from(
+        v.deploy_uniform(FIELD, len(kinds), seed=seed), range_m,
+        energies=[ENERGY_KINDS[kind] for kind in kinds]))
 
 
 @given(st.integers(1, 9), st.integers(1, 9),
@@ -188,9 +169,7 @@ def test_lazy_greedy_equals_full_rescore_on_lattices(rows, cols, reach,
 
 
 def test_determinism():
-    field = v.Field(200, 200, 100, 100)
-    nodes = v.deploy_uniform(field, 80, seed=9)
-    sc = v.Scenario(field, nodes, 35.0, 9)
+    sc = scenario_from(v.deploy_uniform(FIELD, 80, seed=9), 35.0)
     try:
         t1 = v.build_min_cover(*graph_and_state(sc), TH)
         t2 = v.build_min_cover(*graph_and_state(sc), TH)

@@ -16,20 +16,12 @@ from oracles import (
     positions,
     reference_mmevbt,
     reference_relocate_sink,
+    scenario_from,
 )
 
 RADIO = v.RadioParams()
 TH = v.DEFAULT_TH
-
-
-def scenario_from(coords, range_m, energies=None, field=None):
-    field = field or v.Field(200, 200, 100, 100)
-    nodes = []
-    for i, (x, y) in enumerate(coords):
-        e = v.E_INIT if energies is None else energies[i]
-        nodes.append(v.Node(id=i, x=x, y=y, energy=e,
-                            status=v.classify_status(e, 0, TH, v.DEFAULT_E_FAIL)))
-    return v.Scenario(field, nodes, range_m, 0)
+FIELD = v.Field(200, 200, 100, 100)  # scenario_from's default
 
 
 def relocate(sc, grid=4, max_step=None):
@@ -45,12 +37,12 @@ def assert_tree_invariants(tree, scenario, params=RADIO, th=TH):
         parent_cons = tree.consumption[par]
         assert tree.consumption[i] == pytest.approx(hop + parent_cons, rel=1e-12)
         if par != v.SINK:
-            assert scenario.nodes[par].energy >= th
+            assert scenario.energy[par] >= th
         # parent chain terminates at the sink without a cycle
         chain = [i]
         while chain[-1] != v.SINK:
             chain.append(tree.parent[chain[-1]])
-            assert len(chain) <= len(scenario.nodes) + 1
+            assert len(chain) <= len(scenario.xy) + 1
 
 
 # ---------------------------------------------------------------- build
@@ -81,13 +73,11 @@ def test_relay_wins_when_direct_is_out_of_range():
 
 
 def test_consumption_matches_bellman_ford_oracle():
-    field = v.Field(200, 200, 100, 100)
     checked = 0
     seed = 0
     while checked < 30:
         seed += 1
-        nodes = v.deploy_uniform(field, 40, seed=seed)
-        sc = v.Scenario(field, nodes, 45.0, seed)
+        sc = scenario_from(v.deploy_uniform(FIELD, 40, seed=seed), 45.0)
         oracle = bellman_ford_consumption(sc, RADIO, TH)
         try:
             tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
@@ -102,15 +92,11 @@ def test_consumption_matches_bellman_ford_oracle():
 
 
 def test_oracle_agreement_with_depleted_relays():
-    field = v.Field(200, 200, 100, 100)
-    import numpy as np
     rng = np.random.default_rng(99)
     for seed in range(10):
-        nodes = v.deploy_uniform(field, 40, seed=200 + seed)
-        for n in nodes:
-            n.energy = float(rng.uniform(0.0, v.E_INIT))
-            n.status = v.classify_status(n.energy, 0, TH, v.DEFAULT_E_FAIL)
-        sc = v.Scenario(field, nodes, 50.0, seed)
+        xy = v.deploy_uniform(FIELD, 40, seed=200 + seed)
+        energies = [float(rng.uniform(0.0, v.E_INIT)) for _ in range(40)]
+        sc = scenario_from(xy, 50.0, energies=energies)
         oracle = bellman_ford_consumption(sc, RADIO, TH)
         try:
             tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
@@ -206,13 +192,14 @@ def spt_cases(draw):
     energy = rng.uniform(0.0, v.E_INIT, len(pts))
     drained = rng.random(len(pts)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
     energy[drained] = rng.choice([0.0, e_fail, th, v.E_INIT], drained.sum())
-    nodes = [v.Node(i, x, y, e, v.classify_status(e, 0, th, e_fail))
-             for i, ((x, y), e) in enumerate(zip(pts, energy.tolist()))]
+    live = [v.classify_status(e, 0, th, e_fail) is not v.NodeStatus.FAILED
+            for e in energy.tolist()]
     field = v.Field(100.0, 100.0, *spots(1)[0])
     range_m = draw(st.sampled_from([15.0, 22.5, 35.0, 60.0, 150.0]))
     moves = [tuple(p) for p in spots(draw(st.integers(0, 3)))]
     radio = EXACT_RADIO if lattice else RADIO
-    return v.Scenario(field, nodes, range_m, 0), moves, radio, th, e_fail
+    sc = scenario_from(pts, range_m, energy, field, live)
+    return sc, moves, radio, th, e_fail
 
 
 def float_bits(values):
@@ -221,19 +208,17 @@ def float_bits(values):
 
 @settings(max_examples=300)
 @given(spt_cases())
-@example((v.Scenario(v.Field(200, 200, 100, 100),
-                     [v.Node(i, x, y, v.E_INIT) for i, (x, y)
-                      in enumerate([(110, 100), (100, 120), (110, 120)])],
-                     21.0, 0), [], EXACT_RADIO, TH, v.DEFAULT_E_FAIL))
+@example((scenario_from([(110, 100), (100, 120), (110, 120)], 21.0), [],
+          EXACT_RADIO, TH, v.DEFAULT_E_FAIL))
 def test_array_spt_equals_heap_dijkstra(case):
     """The frontier relaxation and its tie pass give the heap Dijkstra's
     tree to the bit: consumption, parents and the unreachable ids, on a
-    graph whose sink moved in place; neither build changes a status."""
+    graph whose sink moved in place; neither build writes a scenario."""
     sc, moves, radio, th, _ = case
     ref = copy_scenario(sc)
     graph = v.build_reachability(sc.points(), sc.sensing_range)
     for pos in moves:
-        ref.field.sink_x, ref.field.sink_y = pos
+        ref.field = v.Field(ref.field.width, ref.field.height, *pos)
         graph.move_sink(pos)
 
     def attempt(build, *inputs):
@@ -244,14 +229,15 @@ def test_array_spt_equals_heap_dijkstra(case):
 
     tree = attempt(v.build_mmevbt, graph, sc.state())
     expect = attempt(reference_mmevbt, ref)
-    assert [n.status for n in ref.nodes] == [n.status for n in sc.nodes]
+    for name in ("xy", "energy", "live"):
+        assert getattr(ref, name).tolist() == getattr(sc, name).tolist()
     if isinstance(expect, list):
         assert tree == expect
         return
     assert tree.parent == expect.parent
     assert float_bits(tree.consumption) == float_bits(expect.consumption)
     # each routed node's CSR edge runs from its row to its parent
-    n = len(sc.nodes)
+    n = len(sc.xy)
     assert graph.edge_rows(tree.edges).tolist() == list(tree.parent)
     assert graph.nbrs[tree.edges].tolist() == \
         [n if p == v.SINK else p for p in tree.parent.values()]
@@ -260,9 +246,7 @@ def test_array_spt_equals_heap_dijkstra(case):
 # ---------------------------------------------------------------- maintenance
 
 def test_maintain_without_changes_reproduces_tree():
-    field = v.Field(200, 200, 100, 100)
-    nodes = v.deploy_uniform(field, 40, seed=4)
-    sc = v.Scenario(field, nodes, 45.0, 4)
+    sc = scenario_from(v.deploy_uniform(FIELD, 40, seed=4), 45.0)
     t1 = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     t2 = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert t1.parent == t2.parent
@@ -270,22 +254,19 @@ def test_maintain_without_changes_reproduces_tree():
 
 
 def test_maintain_equals_fresh_build_after_random_drains():
-    import numpy as np
-    field = v.Field(200, 200, 100, 100)
     rng = np.random.default_rng(8)
     done = 0
     seed = 0
     while done < 5:
         seed += 1
-        nodes = v.deploy_uniform(field, 50, seed=seed)
-        sc = v.Scenario(field, nodes, 45.0, seed)
+        sc = scenario_from(v.deploy_uniform(FIELD, 50, seed=seed), 45.0)
         try:
             tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         except v.ConstructionFailed:
             continue
-        for n in sc.nodes:
+        for i in range(len(sc.xy)):
             if rng.random() < 0.3:
-                n.energy = float(rng.uniform(0.0, v.E_INIT))
+                sc.energy[i] = float(rng.uniform(0.0, v.E_INIT))
         try:
             maintained = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         except v.ConstructionFailed:
@@ -293,7 +274,7 @@ def test_maintain_equals_fresh_build_after_random_drains():
         fresh = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         assert maintained.parent == fresh.parent
         assert maintained.consumption == fresh.consumption
-        drained = [n.id for n in sc.nodes if n.energy < TH]
+        drained = np.flatnonzero(sc.energy < TH).tolist()
         for i, par in maintained.parent.items():
             assert par not in drained
         assert_tree_invariants(maintained, sc)
@@ -303,60 +284,44 @@ def test_maintain_equals_fresh_build_after_random_drains():
 # ---------------------------------------------------------------- relocation
 
 def test_relocation_fixed_point_with_uniform_energy():
-    field = v.Field(200, 200, 100, 100)
     coords = [(50, 50), (150, 50), (50, 150), (150, 150)]
     sc = scenario_from(coords, range_m=90, field=v.Field(200, 200, 50, 50))
     assert relocate(sc, grid=2) == (50.0, 50.0)
 
 
 def test_relocation_targets_richest_cell_centroid():
-    field = v.Field(100, 100, 25, 75)
-    nodes = [
-        v.Node(0, 20, 20, 0.5, v.NodeStatus.CANDIDATE_NON_TREE),
-        v.Node(1, 80, 80, 2.0, v.NodeStatus.CANDIDATE_NON_TREE),
-    ]
-    sc = v.Scenario(field, nodes, 120.0, 0)
+    sc = scenario_from([(20, 20), (80, 80)], 120.0, energies=[0.5, 2.0],
+                       field=v.Field(100, 100, 25, 75))
     assert relocate(sc, grid=2) == (75.0, 75.0)
 
 
 def test_relocation_bounded_step_moves_along_the_line():
-    field = v.Field(100, 100, 25, 75)
-    nodes = [
-        v.Node(0, 20, 20, 0.5, v.NodeStatus.CANDIDATE_NON_TREE),
-        v.Node(1, 80, 80, 2.0, v.NodeStatus.CANDIDATE_NON_TREE),
-    ]
-    sc = v.Scenario(field, nodes, 120.0, 0)
+    sc = scenario_from([(20, 20), (80, 80)], 120.0, energies=[0.5, 2.0],
+                       field=v.Field(100, 100, 25, 75))
     # target (75, 75) is 50 m away from (25, 75); a 10 m step lands at (35, 75)
     x, y = relocate(sc, grid=2, max_step=10.0)
     assert (x, y) == pytest.approx((35.0, 75.0), abs=1e-12)
 
 
 def test_relocation_ignores_failed_nodes():
-    field = v.Field(100, 100, 25, 75)
-    nodes = [
-        v.Node(0, 20, 20, 0.5, v.NodeStatus.CANDIDATE_NON_TREE),
-        v.Node(1, 80, 80, 0.0, v.NodeStatus.FAILED),
-    ]
-    sc = v.Scenario(field, nodes, 120.0, 0)
+    sc = scenario_from([(20, 20), (80, 80)], 120.0, energies=[0.5, 0.0],
+                       field=v.Field(100, 100, 25, 75), live=[True, False])
     assert relocate(sc, grid=2) == (25.0, 25.0)
 
 
 def test_relocation_picks_maximal_mean_cell_on_random_instances():
-    import numpy as np
-    field = v.Field(200, 200, 100, 100)
     rng = np.random.default_rng(4)
     for seed in range(5):
-        nodes = v.deploy_uniform(field, 60, seed=400 + seed)
-        for n in nodes:
-            n.energy = float(rng.uniform(0.05, v.E_INIT))
-        sc = v.Scenario(field, nodes, 40.0, seed)
+        xy = v.deploy_uniform(FIELD, 60, seed=400 + seed)
+        energies = [float(rng.uniform(0.05, v.E_INIT)) for _ in range(60)]
+        sc = scenario_from(xy, 40.0, energies=energies)
         tx, ty = relocate(sc, grid=4)
         # independent recomputation of per-cell means
         cells = {}
-        for n in nodes:
-            col = min(int(n.x / 50.0), 3)
-            row = min(int(n.y / 50.0), 3)
-            cells.setdefault((row, col), []).append(n.energy)
+        for (x, y), e in zip(xy.tolist(), energies):
+            col = min(int(x / 50.0), 3)
+            row = min(int(y / 50.0), 3)
+            cells.setdefault((row, col), []).append(e)
         means = {k: sum(es) / len(es) for k, es in cells.items()}
         chosen = (min(int(ty / 50.0), 3), min(int(tx / 50.0), 3))
         assert means[chosen] == max(means.values())
@@ -372,17 +337,18 @@ def relocation_cases(draw):
     coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
     energy = st.one_of(st.floats(0.0, v.E_INIT),
                        st.sampled_from([0.0, 0.5, 1.0]))
-    nodes = []
-    for i in range(draw(st.integers(1, 30))):
+    xy, energies, live = [], [], []
+    for _ in range(draw(st.integers(1, 30))):
         fx, fy, e = draw(coord), draw(coord), draw(energy)
         status = draw(st.sampled_from(list(v.NodeStatus)))
-        nodes.append(v.Node(i, fx * width, fy * height, e, status))
-    if all(nd.status is v.NodeStatus.FAILED for nd in nodes):
-        nodes[0].status = v.NodeStatus.PERMANENT_NON_TREE
+        xy.append((fx * width, fy * height))
+        energies.append(e)
+        live.append(status is not v.NodeStatus.FAILED)
+    live[0] |= not any(live)
     field = v.Field(width, height, draw(coord) * width, draw(coord) * height)
     grid = draw(st.sampled_from([1, 2, 3, 4, 7, 10**6, 2**62]))
     max_step = draw(st.sampled_from([None, 0.0, 5.0, 1e9]))
-    return v.Scenario(field, nodes, 10.0, 0), grid, max_step
+    return scenario_from(xy, 10.0, energies, field, live), grid, max_step
 
 
 @given(relocation_cases())
@@ -395,22 +361,19 @@ def test_relocation_equals_reference_loop(case):
 def test_relocation_exact_tie_goes_to_smaller_cell_index():
     # cell 2 (row 1, col 0) comes first in node order; cell 1 (row 0,
     # col 1) averages 0.5 and 1.5 to exactly the same 1.0
-    field = v.Field(100, 100, 50, 50)
-    nodes = [v.Node(0, 20, 80, 1.0), v.Node(1, 80, 20, 0.5),
-             v.Node(2, 70, 30, 1.5), v.Node(3, 20, 20, 0.25)]
-    sc = v.Scenario(field, nodes, 10.0, 0)
+    sc = scenario_from([(20, 80), (80, 20), (70, 30), (20, 20)], 10.0,
+                       energies=[1.0, 0.5, 1.5, 0.25],
+                       field=v.Field(100, 100, 50, 50))
     assert relocate(sc, grid=2) == (75.0, 25.0)
     assert reference_relocate_sink(sc, grid=2) == (75.0, 25.0)
 
 
 def test_relocation_with_a_million_cells_a_side():
-    field = v.Field(200, 200, 100, 100)
-    nodes = v.deploy_uniform(field, 300, seed=5)
+    xy = v.deploy_uniform(FIELD, 300, seed=5)
     rng = np.random.default_rng(5)
-    for nd in nodes:
-        nd.energy = float(rng.uniform(0.0, v.E_INIT))
-    nodes[7].x, nodes[7].y = nodes[3].x, nodes[3].y  # one shared cell
-    sc = v.Scenario(field, nodes, 10.0, 0)
+    energies = [float(rng.uniform(0.0, v.E_INIT)) for _ in range(300)]
+    xy[7] = xy[3]  # one shared cell
+    sc = scenario_from(xy, 10.0, energies=energies, live=[True] * 300)
     assert relocate(sc, grid=10**6) == \
         reference_relocate_sink(sc, grid=10**6)
 
@@ -419,10 +382,8 @@ def test_relocation_sums_each_cell_as_a_left_fold():
     # cell 1 holds 1.0 then fifteen 2**-53: added from the left each one
     # rounds away, so its mean is exactly 1/16 and ties cell 0's single
     # node; a pairwise or compensated sum would keep them and win cell 1
-    field = v.Field(100, 100, 50, 50)
-    energies = [1.0] + [2.0 ** -53] * 15
-    nodes = [v.Node(i, 80, 20, e) for i, e in enumerate(energies)]
-    nodes.append(v.Node(len(nodes), 20, 20, 1.0 / 16))
-    sc = v.Scenario(field, nodes, 10.0, 0)
+    energies = [1.0] + [2.0 ** -53] * 15 + [1.0 / 16]
+    sc = scenario_from([(80, 20)] * 16 + [(20, 20)], 10.0, energies=energies,
+                       field=v.Field(100, 100, 50, 50), live=[True] * 17)
     assert relocate(sc, grid=2) == (25.0, 25.0)
     assert reference_relocate_sink(sc, grid=2) == (25.0, 25.0)

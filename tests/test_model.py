@@ -1,4 +1,5 @@
-"""Core model: field, nodes, statuses, deployment, unit-disk reachability."""
+"""Core model: field, scenario arrays, statuses, deployment, unit-disk
+reachability."""
 
 import math
 
@@ -16,17 +17,9 @@ from oracles import (
     live_ids,
     neighbors,
     positions,
+    scenario_from,
 )
-from vbtsim.model import hop_levels, left_sum, uniform_points
-
-
-def make_scenario(nodes, range_m=10.0, field=None, seed=0):
-    field = field or v.Field(200, 200, 100, 100)
-    return v.Scenario(field=field, nodes=nodes, sensing_range=range_m, rng_seed=seed)
-
-
-def node(i, x, y, energy=v.E_INIT, status=v.NodeStatus.CANDIDATE_NON_TREE):
-    return v.Node(id=i, x=x, y=y, energy=energy, status=status)
+from vbtsim.model import hop_levels, left_sum
 
 
 # ---------------------------------------------------------------- statuses
@@ -48,11 +41,6 @@ def test_classify_status_boundaries():
     assert v.classify_status(ef * 0.999, 5, th, ef) is v.NodeStatus.FAILED
 
 
-def test_node_is_alive():
-    assert node(0, 1, 1).is_alive()
-    assert not node(0, 1, 1, energy=0.0, status=v.NodeStatus.FAILED).is_alive()
-
-
 # ---------------------------------------------------------------- field
 
 def test_field_contains():
@@ -65,16 +53,33 @@ def test_field_sink_pos():
     assert v.Field(200, 200, 60, 80).sink_pos == (60.0, 80.0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((math.inf, 200, 100, 100), "must be finite"),
+    ((200, 200, math.nan, 100), "must be finite"),
+    ((200, -math.inf, 100, 0), "must be finite"),
+    ((0, 200, 0, 100), "dimensions must be positive"),
+    ((200, 200, 300, 100), "sink position outside the field"),
+])
+def test_field_validate_rejects_bad_numbers(args, message):
+    field = v.Field(*args)  # a config section: checked only where used
+    with pytest.raises(ValueError, match=message):
+        field.validate()
+    with pytest.raises(ValueError, match=message):
+        scenario_from([(0, 0)], 10.0, field=field)
+    with pytest.raises(ValueError, match=message):
+        v.deploy_uniform(field, 1, seed=0)
+    assert v.Field(200, 200, 0, 200).validate() == v.Field(200, 200, 0, 200)
+
+
 # ---------------------------------------------------------------- deployment
 
 def test_deploy_single_node_in_bounds_with_full_energy():
     f = v.Field(200, 200, 100, 100)
-    nodes = v.deploy_uniform(f, 1, seed=3)
-    assert len(nodes) == 1
-    n = nodes[0]
-    assert 0 <= n.x <= 200 and 0 <= n.y <= 200
-    assert n.energy == v.E_INIT
-    assert n.status is v.NodeStatus.CANDIDATE_NON_TREE
+    (x, y), = v.deploy_uniform(f, 1, seed=3).tolist()
+    assert 0 <= x <= 200 and 0 <= y <= 200
+    sc = v.make_scenario(v.ExperimentConfig(n_nodes=1), 3, 10.0)
+    assert sc.xy.tolist() == [[x, y]]
+    assert sc.energy.tolist() == [v.E_INIT] and sc.live.tolist() == [True]
 
 
 def test_deploy_rejects_zero_nodes():
@@ -85,43 +90,41 @@ def test_deploy_rejects_zero_nodes():
 def test_deploy_is_deterministic_per_seed():
     f = v.Field(200, 200, 100, 100)
     a = v.deploy_uniform(f, 200, seed=42)
-    b = v.deploy_uniform(f, 200, seed=42)
-    assert [(n.id, n.x, n.y, n.energy) for n in a] == [(n.id, n.x, n.y, n.energy) for n in b]
-    c = v.deploy_uniform(f, 200, seed=43)
-    assert [(n.x, n.y) for n in a] != [(n.x, n.y) for n in c]
+    assert a.tolist() == v.deploy_uniform(f, 200, seed=42).tolist()
+    assert a.tolist() != v.deploy_uniform(f, 200, seed=43).tolist()
     # one RNG path: all x draws, then all y draws, as (n, 2) rows
     rng = np.random.default_rng(42)
     xs, ys = rng.uniform(0.0, 200, 200), rng.uniform(0.0, 200, 200)
-    pts = uniform_points(f, 200, 42)
-    assert pts.shape == (200, 2) and pts.dtype == np.float64
-    assert pts.tolist() == [[n.x, n.y] for n in a] == np.c_[xs, ys].tolist()
+    assert a.shape == (200, 2) and a.dtype == np.float64
+    assert a.tolist() == np.c_[xs, ys].tolist()
 
 
 def test_deploy_mean_position_matches_uniform_law():
     # standard error of the mean of U(0, 200) over 10000 draws
     f = v.Field(200, 200, 100, 100)
-    nodes = v.deploy_uniform(f, 10000, seed=7)
-    mean_x = sum(n.x for n in nodes) / len(nodes)
+    mean_x = v.deploy_uniform(f, 10000, seed=7)[:, 0].mean()
     tol = 3 * (200 / math.sqrt(12)) / math.sqrt(10000)
     assert abs(mean_x - 100.0) <= tol
 
 
 def test_deploy_ids_are_dense_from_zero():
-    nodes = v.deploy_uniform(v.Field(200, 200, 100, 100), 25, seed=9)
-    assert [n.id for n in nodes] == list(range(25))
+    """A node's id is its row: a Scenario's arrays hold one row per id."""
+    sc = v.make_scenario(v.ExperimentConfig(n_nodes=25), 9, 10.0)
+    assert list(positions(sc)) == list(range(25)) + [v.SINK]
+    assert (len(sc.xy), len(sc.energy), len(sc.live)) == (25, 25, 25)
 
 
 # ---------------------------------------------------------------- scenario
 
 def test_scenario_positions_include_sink():
-    sc = make_scenario([node(0, 10, 10)])
+    sc = scenario_from([(10, 10)], 10.0)
     pos = positions(sc)
     assert pos[v.SINK] == (100.0, 100.0)
     assert pos[0] == (10.0, 10.0)
 
 
 def test_scenario_points_are_a_fresh_array_sink_last():
-    sc = make_scenario([node(0, 10, 10), node(1, 12.5, 3)])
+    sc = scenario_from([(10, 10), (12.5, 3)], 10.0)
     pts = sc.points()
     assert pts.dtype == np.float64
     assert pts.tolist() == [[10.0, 10.0], [12.5, 3.0], [100.0, 100.0]]
@@ -131,34 +134,66 @@ def test_scenario_points_are_a_fresh_array_sink_last():
     assert sc.points()[-1].tolist() == [100.0, 100.0]
 
 
-def test_scenario_rejects_non_dense_ids():
-    with pytest.raises(ValueError):
-        make_scenario([node(0, 1, 1), node(2, 2, 2)])
-
-
 def test_scenario_rejects_out_of_field_node():
-    with pytest.raises(ValueError):
-        make_scenario([node(0, 201, 5)])
+    with pytest.raises(ValueError, match="node 1 outside the field"):
+        scenario_from([(1, 1), (201, 5), (-1, 0)], 10.0)
+    with pytest.raises(ValueError, match="node 0 outside the field"):
+        scenario_from([(math.nan, 5)], 10.0)
 
 
 def test_scenario_live_ids_excludes_failed():
-    sc = make_scenario([node(0, 1, 1), node(1, 2, 2, energy=0.0, status=v.NodeStatus.FAILED)])
+    sc = scenario_from([(1, 1), (2, 2)], 10.0, energies=[v.E_INIT, 0.0])
     assert live_ids(sc) == [0]
+
+
+XY, ENERGY, LIVE = [(10.0, 10.0), (20.0, 20.0)], [1.0, 2.0], [True, True]
+
+
+@pytest.mark.parametrize("xy, energy, live, message", [
+    (XY, [math.nan, 2.0], LIVE, "energies must be finite and >= 0"),
+    (XY, [1.0, math.inf], LIVE, "energies must be finite and >= 0"),
+    (XY, [1.0, -5.0], LIVE, "energies must be finite and >= 0"),
+    ([(10.0, 10.0, 0.0), (20.0, 20.0, 0.0)], ENERGY, LIVE, "shaped"),
+    ([10.0, 20.0], ENERGY, LIVE, "shaped"),
+    (XY, [1.0, 2.0, 3.0], LIVE, "shaped"),
+    (XY, [[1.0], [2.0]], LIVE, "shaped"),
+    (XY, ENERGY, [True], "shaped"),
+    (XY, ENERGY, [1, 1], "shaped"),
+    (XY, ENERGY, [1.0, 0.0], "shaped"),
+], ids=["nan energy", "inf energy", "negative energy", "xy 3 wide",
+        "xy flat", "energy long", "energy 2-d", "live short", "live int",
+        "live float"])
+def test_scenario_rejects_bad_arrays(xy, energy, live, message):
+    """A NaN or negative battery would reach a run, which would drop the
+    node as failed in silence."""
+    with pytest.raises(ValueError, match=message):
+        v.Scenario(v.Field(200, 200, 100, 100), xy, energy, live, 30.0)
+
+
+def test_scenario_holds_float_arrays_and_copies_its_state():
+    field = v.Field(200, 200, 100, 100)
+    sc = v.Scenario(field, [(1, 2), (3, 4)], [1, 0], [True, False], 30.0)
+    assert sc.xy.dtype == sc.energy.dtype == np.float64
+    energy, live = sc.state()
+    energy[0], live[0] = 0.0, False
+    assert sc.energy.tolist() == [1.0, 0.0]
+    assert sc.live.tolist() == [True, False]
 
 
 def test_scenario_copy_is_independent():
     field = v.Field(200, 200, 100, 100)
-    sc = v.Scenario(field, v.deploy_uniform(field, 5, seed=2), 30.0, 9)
+    xy = v.deploy_uniform(field, 5, seed=2)
+    sc = v.Scenario(field, xy, np.full(5, v.E_INIT), np.ones(5, bool), 30.0, 9)
     dup = copy_scenario(sc)
-    assert dup == sc
-    assert dup.field is not sc.field
-    assert all(a is not b for a, b in zip(dup.nodes, sc.nodes))
-    dup.nodes[0].energy = 0.0
-    dup.nodes[1].status = v.NodeStatus.FAILED
-    dup.field.sink_x = 3.0
-    assert sc.nodes[0].energy == v.E_INIT
-    assert sc.nodes[1].status is not v.NodeStatus.FAILED
-    assert sc.field.sink_pos == (100, 100)
+    for name in ("xy", "energy", "live"):
+        assert getattr(dup, name) is not getattr(sc, name)
+        assert (getattr(dup, name) == getattr(sc, name)).all()
+    assert (dup.field, dup.sensing_range, dup.rng_seed) == (field, 30.0, 9)
+    dup.xy[0] = (3.0, 3.0)
+    dup.energy[0] = 0.0
+    dup.live[1] = False
+    assert sc.xy.tolist() == xy.tolist()
+    assert sc.energy.tolist() == [v.E_INIT] * 5 and sc.live.all()
 
 
 def test_left_sum_is_a_plain_left_fold():
@@ -176,13 +211,13 @@ def test_distance_is_euclidean():
 
 
 def test_reachability_boundary_is_inclusive():
-    sc = make_scenario([node(0, 0, 0), node(1, 0, 10)], range_m=10.0)
+    sc = scenario_from([(0, 0), (0, 10)], range_m=10.0)
     g = v.build_reachability(sc.points(), sc.sensing_range)
     assert 1 in neighbors(g, 0) and 0 in neighbors(g, 1)
 
 
 def test_reachability_just_beyond_range_absent():
-    sc = make_scenario([node(0, 0, 0), node(1, 0, 10.01)], range_m=10.0)
+    sc = scenario_from([(0, 0), (0, 10.01)], range_m=10.0)
     g = v.build_reachability(sc.points(), sc.sensing_range)
     assert 1 not in neighbors(g, 0) and 0 not in neighbors(g, 1)
 
@@ -203,8 +238,7 @@ def test_reachability_rejects_points_not_shaped_m_by_2(shape):
 def test_reachability_matches_brute_force_oracle():
     f = v.Field(200, 200, 100, 100)
     for seed in (11, 12, 13):
-        nodes = v.deploy_uniform(f, 50, seed=seed)
-        sc = v.Scenario(f, nodes, 35.0, seed)
+        sc = scenario_from(v.deploy_uniform(f, 50, seed=seed), 35.0, field=f)
         g = v.build_reachability(sc.points(), sc.sensing_range)
         pos = positions(sc)
         ids = list(pos)
@@ -218,8 +252,8 @@ def test_reachability_matches_brute_force_oracle():
 
 def test_reachability_symmetric_no_self_loops():
     f = v.Field(200, 200, 100, 100)
-    nodes = v.deploy_uniform(f, 60, seed=21)
-    g = v.build_reachability(v.Scenario(f, nodes, 30.0, 21).points(), 30.0)
+    sc = scenario_from(v.deploy_uniform(f, 60, seed=21), 30.0, field=f)
+    g = v.build_reachability(sc.points(), 30.0)
     for a in list(range(60)) + [v.SINK]:
         assert a not in neighbors(g, a)
         for b in neighbors(g, a):
@@ -256,13 +290,11 @@ def edge_case_layouts(draw):
         elif partner == "same":
             pts.append((x, y))
     field = v.Field(width, height, coord(width), coord(height))
-    nodes = [node(i, x, y) for i, (x, y) in enumerate(pts)]
-    return v.Scenario(field, nodes, range_m, 0)
+    return scenario_from(pts, range_m, field=field)
 
 
 def layout(width, height, sink, coords, range_m):
-    nodes = [node(i, x, y) for i, (x, y) in enumerate(coords)]
-    return v.Scenario(v.Field(width, height, *sink), nodes, range_m, 0)
+    return scenario_from(coords, range_m, field=v.Field(width, height, *sink))
 
 
 @pytest.mark.filterwarnings("error")  # e.g. an overflowing cell index
@@ -285,7 +317,7 @@ def test_grid_reachability_equals_dense_oracle(sc):
        st.floats(min_value=0.5, max_value=300.0))
 def test_grid_reachability_equals_dense_oracle_uniform(seed, n, range_m):
     f = v.Field(200, 200, 100, 100)
-    sc = v.Scenario(f, v.deploy_uniform(f, n, seed=seed), range_m, seed)
+    sc = scenario_from(v.deploy_uniform(f, n, seed=seed), range_m, field=f)
     g = v.build_reachability(sc.points(), sc.sensing_range)
     assert adjacency(g) == dense_reachability(sc)
 
@@ -328,8 +360,8 @@ def sink_walks(draw):
     sc = draw(edge_case_layouts())
     f, r = sc.field, sc.sensing_range
     spots = [(0.0, 0.0), (f.width, f.height), f.sink_pos]
-    for nd in sc.nodes:
-        spots += [(nd.x, nd.y), (nd.x + r, nd.y), (nd.x, nd.y - r)]
+    for x, y in sc.xy.tolist():
+        spots += [(x, y), (x + r, y), (x, y - r)]
     spot = st.sampled_from([p for p in spots if f.contains(*p)])
     anywhere = st.tuples(st.floats(0.0, f.width), st.floats(0.0, f.height))
     walk = draw(st.lists(st.one_of(spot, anywhere), min_size=1, max_size=4))
@@ -361,7 +393,7 @@ def test_moved_sink_graph_equals_fresh_build(case):
     g = v.build_reachability(sc.points(), sc.sensing_range)
     g.edge_tx(RADIOS[0])  # a cached radio is patched, not rebuilt
     for pos in walk:
-        sc.field.sink_x, sc.field.sink_y = pos
+        sc.field = v.Field(sc.field.width, sc.field.height, *pos)
         g.move_sink(pos)
         fresh = v.build_reachability(sc.points(), sc.sensing_range)
         assert adjacency(g) == adjacency(fresh)
@@ -383,7 +415,7 @@ def test_cached_weights_equal_hop_weight_of_distance(sc):
 def expected_edge_arrays(sc, params):
     """CSR rows of a fresh build, with scalar distances and tx costs."""
     fresh = v.build_reachability(sc.points(), sc.sensing_range)
-    n, pos = len(sc.nodes), positions(sc)
+    n, pos = len(sc.xy), positions(sc)
     rows = adjacency(fresh)
     nbrs = [n if u == v.SINK else u for w in rows for u in rows[w]]
     dist = [v.distance(pos[w], pos[u]) for w in rows for u in rows[w]]
@@ -412,7 +444,7 @@ def test_cached_tx_costs_follow_sink_moves(case, cached):
     if cached == "tx":
         g.edge_tx(RADIOS[0])
     for pos in walk:
-        sc.field.sink_x, sc.field.sink_y = pos
+        sc.field = v.Field(sc.field.width, sc.field.height, *pos)
         g.move_sink(pos)
         if cached == "tx":
             assert_edge_arrays_fresh(sc, g, RADIOS[0])
@@ -440,14 +472,14 @@ def test_edge_tx_is_scalar_tx_cost_of_each_distance():
     g.edge_tx(RADIOS[0])
     # the sink walks in next to node 2, stays, then leaves again
     for pos in [(80.0, 80.0), (95.0, 90.0), (0.0, 20.0), (170.0, 170.0)]:
-        sc.field.sink_x, sc.field.sink_y = pos
+        sc.field = v.Field(sc.field.width, sc.field.height, *pos)
         g.move_sink(pos)
         assert_edge_arrays_fresh(sc, g, RADIOS[0])
     assert g.distances()[g.indptr[0]] == d
 
 
 def test_neighbor_ids_are_plain_ints():
-    sc = make_scenario([node(0, 99, 99)], range_m=10.0)
+    sc = scenario_from([(99, 99)], range_m=10.0)
     g = v.build_reachability(sc.points(), sc.sensing_range)
     assert all(type(x) is int for x in neighbors(g, v.SINK))
 
@@ -455,22 +487,20 @@ def test_neighbor_ids_are_plain_ints():
 # ---------------------------------------------------------------- connectivity
 
 def test_single_node_within_sink_range_connected():
-    sc = make_scenario([node(0, 95, 100)], range_m=10.0)
+    sc = scenario_from([(95, 100)], range_m=10.0)
     g, (_, live) = graph_and_state(sc)
     assert v.is_connected_to_sink(g, live)
 
 
 def test_isolated_node_disconnects():
-    sc = make_scenario([node(0, 95, 100), node(1, 0, 0)], range_m=10.0)
+    sc = scenario_from([(95, 100), (0, 0)], range_m=10.0)
     g, (_, live) = graph_and_state(sc)
     assert not v.is_connected_to_sink(g, live)
 
 
 def test_failed_nodes_do_not_count_against_connectivity():
-    sc = make_scenario(
-        [node(0, 95, 100), node(1, 0, 0, energy=0.0, status=v.NodeStatus.FAILED)],
-        range_m=10.0,
-    )
+    sc = scenario_from([(95, 100), (0, 0)], range_m=10.0,
+                       energies=[v.E_INIT, 0.0])
     g = v.build_reachability(sc.points(), sc.sensing_range)
     assert not v.is_connected_to_sink(g, np.ones(2, dtype=bool))
     assert v.is_connected_to_sink(g, sc.state()[1])
@@ -483,17 +513,16 @@ def test_sparse_200_node_networks_mostly_disconnected():
     disconnected = 0
     for attempt in range(50):
         seed = v.attempt_seed(0, 20.0, attempt)
-        nodes = v.deploy_uniform(f, 200, seed=seed)
-        g = v.build_reachability(v.Scenario(f, nodes, 20.0, seed).points(),
-                                 20.0)
+        sc = scenario_from(v.deploy_uniform(f, 200, seed=seed), 20.0, field=f)
+        g = v.build_reachability(sc.points(), 20.0)
         if not v.is_connected_to_sink(g, np.ones(200, dtype=bool)):
             disconnected += 1
     assert disconnected >= 48  # at least 95% of 50
 
 
 def test_multihop_chain_is_connected():
-    chain = [node(i, 100 + 9 * (i + 1), 100) for i in range(5)]
-    sc = make_scenario(chain, range_m=10.0)
+    sc = scenario_from([(100 + 9 * (i + 1), 100) for i in range(5)],
+                       range_m=10.0)
     g, (_, live) = graph_and_state(sc)
     assert v.is_connected_to_sink(g, live)
 
@@ -504,7 +533,7 @@ def test_hop_levels_and_connectivity_equal_dense_bfs(seed, n, range_m, data):
     """hop_levels and is_connected_to_sink against a plain BFS from the
     sink over the dense oracle's adjacency, through alive nodes only."""
     f = v.Field(100, 100, 50, 50)
-    sc = v.Scenario(f, v.deploy_uniform(f, n, seed=seed), range_m, seed)
+    sc = scenario_from(v.deploy_uniform(f, n, seed=seed), range_m, field=f)
     alive = data.draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1))))
     live = set(range(n)) if alive is None else alive
     adj = dense_reachability(sc)

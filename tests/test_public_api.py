@@ -16,7 +16,7 @@ PUBLIC = {
     "DEFAULT_E_FAIL", "DEFAULT_PACKET_BITS", "DEFAULT_TH", "E_INIT", "SINK",
     "BackboneTree", "ConstructionFailed", "ExperimentConfig", "Field",
     "FitnessParams", "ForwardingProblem",
-    "LifetimeMetrics", "Node", "NodeStatus", "RadioParams",
+    "LifetimeMetrics", "NodeStatus", "RadioParams",
     "ReachabilityGraph", "Scenario", "ScenarioFormatError", "SimPolicy",
     "TrafficModel", "apply_setting", "attempt_seed",
     "build_forwarding_problem", "build_min_cover", "build_mmevbt",
@@ -35,7 +35,7 @@ def test_public_names_are_pinned():
     names = {name for name, obj in vars(vbtsim).items()
              if not name.startswith("_")
              and not isinstance(obj, types.ModuleType)}
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 50
     assert names == PUBLIC
 
 
@@ -88,11 +88,27 @@ def test_no_module_hides_an_import_behind_type_checking():
 
 
 def test_sections_and_defaults_are_the_config_modules_own():
-    for name in ("RadioParams", "FitnessParams", "SimPolicy", "TrafficModel",
-                 "ExperimentConfig", "E_INIT", "DEFAULT_E_ELEC",
+    for name in ("Field", "RadioParams", "FitnessParams", "SimPolicy",
+                 "TrafficModel", "ExperimentConfig", "E_INIT", "DEFAULT_E_ELEC",
                  "DEFAULT_E_AMP", "DEFAULT_PACKET_BITS", "DEFAULT_E_FAIL",
                  "DEFAULT_TH", "ALGORITHMS"):
         assert getattr(vbtsim.config, name) is getattr(vbtsim, name), name
+
+
+def test_traced_layers_resolve_to_callables():
+    """perfbench/tracer.py wraps each (module, function) pair of its LAYERS
+    in every traced benchmark run, so a renamed layer fails here too. The
+    tuple is read with ast: nothing under perfbench/ is imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    layers, = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "LAYERS"
+                       for t in node.targets)]
+    assert layers
+    missing = [f"{module}.{name}" for module, name in layers
+               if not callable(getattr(
+                   importlib.import_module(f"vbtsim.{module}"), name, None))]
+    assert missing == []
 
 
 def test_console_scripts_resolve_to_callables():

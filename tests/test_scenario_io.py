@@ -25,33 +25,32 @@ def test_read_basic_file(tmp_path):
     sc = read_scenario(write_text(tmp_path, GOOD), th=0.2, e_fail=2.048e-4)
     assert sc.field.width == 200 and sc.field.sink_pos == (100.0, 100.0)
     assert sc.sensing_range == 25.0 and sc.rng_seed == 7
-    assert [n.id for n in sc.nodes] == [0, 1, 2]
-    assert (sc.nodes[0].x, sc.nodes[0].y) == (10.5, 20.25)
+    assert sc.xy.tolist() == [[10.5, 20.25], [100.0, 100.0], [30.0, 40.0]]
+    assert sc.energy.tolist() == [2.0, 0.15, 0.0001]
 
 
 def test_read_derives_statuses_from_energy(tmp_path):
     sc = read_scenario(write_text(tmp_path, GOOD), th=0.2, e_fail=2.048e-4)
-    assert sc.nodes[0].status is v.NodeStatus.CANDIDATE_NON_TREE
-    assert sc.nodes[1].status is v.NodeStatus.PERMANENT_NON_TREE
-    assert sc.nodes[2].status is v.NodeStatus.FAILED
+    # a candidate, a permanent non-tree node and a failed one
+    assert sc.live.tolist() == [True, True, False]
 
 
 def test_round_trip_preserves_values_exactly(tmp_path):
     field = v.Field(150, 120, 75, 60)
-    nodes = v.deploy_uniform(field, 40, seed=5)
-    nodes[3].energy = 0.123456789012345
-    sc = v.Scenario(field, nodes, 17.5, 5)
+    energy = [v.E_INIT] * 40
+    energy[3] = 0.123456789012345
+    sc = v.Scenario(field, v.deploy_uniform(field, 40, seed=5), energy,
+                    [True] * 40, 17.5, 5)
     path = tmp_path / "rt.txt"
     write_scenario(sc, path)
     back = read_scenario(path, th=0.2, e_fail=2.048e-4)
     assert back.sensing_range == sc.sensing_range and back.rng_seed == sc.rng_seed
-    for a, b in zip(sc.nodes, back.nodes):
-        assert (a.id, a.x, a.y, a.energy) == (b.id, b.x, b.y, b.energy)
+    assert back.xy.tolist() == sc.xy.tolist()
+    assert back.energy.tolist() == sc.energy.tolist()
 
 
 def test_write_then_write_is_byte_identical(tmp_path):
-    field = v.Field(200, 200, 100, 100)
-    sc = v.Scenario(field, v.deploy_uniform(field, 10, seed=2), 30.0, 2)
+    sc = v.make_scenario(v.ExperimentConfig(n_nodes=10), 2, 30.0)
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     write_scenario(sc, p1)
     write_scenario(sc, p2)
@@ -120,10 +119,10 @@ def test_gappy_ids_rejected(tmp_path):
 def test_comments_and_blank_lines_ignored(tmp_path):
     text = "\n# header\nfield 200 200 100 100 25 7\n\n# a node\nnode 0 1 1 2.0\n\n"
     sc = read_scenario(write_text(tmp_path, text), th=0.2, e_fail=2.048e-4)
-    assert len(sc.nodes) == 1
+    assert sc.xy.tolist() == [[1.0, 1.0]]
 
 
 def test_unsorted_node_lines_are_accepted_and_sorted(tmp_path):
     text = "field 200 200 100 100 25 7\nnode 1 2 2 2.0\nnode 0 1 1 2.0\n"
     sc = read_scenario(write_text(tmp_path, text), th=0.2, e_fail=2.048e-4)
-    assert [n.id for n in sc.nodes] == [0, 1]
+    assert sc.xy.tolist() == [[1.0, 1.0], [2.0, 2.0]]

@@ -1,6 +1,5 @@
 """Round-based lifetime simulation and the load-spread comparison."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -15,7 +14,7 @@ from oracles import (best_parent, graph_and_state, positions,
                      reference_compare_load_spread,
                      reference_forwarding_problem, reference_min_cover,
                      reference_mmevbt, reference_relocate_sink,
-                     reference_run_simulation, route_energy)
+                     reference_run_simulation, route_energy, scenario_from)
 from vbtsim import simulate
 from vbtsim.config import EnergyParams
 from vbtsim.model import left_sum
@@ -25,21 +24,10 @@ RADIO = v.RadioParams()
 NO_MOVE = v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=0)
 
 
-def scenario_from(coords, range_m, energies=None, field=None):
-    field = field or v.Field(200, 200, 100, 100)
-    nodes = []
-    for i, (x, y) in enumerate(coords):
-        e = v.E_INIT if energies is None else energies[i]
-        nodes.append(v.Node(id=i, x=x, y=y, energy=e,
-                            status=v.classify_status(e, 0, TH, v.DEFAULT_E_FAIL)))
-    return v.Scenario(field, nodes, range_m, 0)
-
-
 def connected_random_scenario(seed, n=30, range_m=45.0):
     field = v.Field(200, 200, 100, 100)
     while True:
-        nodes = v.deploy_uniform(field, n, seed=seed)
-        sc = v.Scenario(field, nodes, range_m, seed)
+        sc = scenario_from(v.deploy_uniform(field, n, seed=seed), range_m)
         try:
             v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
             return sc
@@ -93,14 +81,19 @@ def test_initial_construction_failure_propagates():
             v.run_simulation(sc, algo, v.TrafficModel(), RADIO, NO_MOVE, seed=1)
 
 
+def arrays_of(sc):
+    """A Scenario's arrays as lists, to compare before and after."""
+    return sc.xy.tolist(), sc.energy.tolist(), sc.live.tolist()
+
+
 def test_input_scenario_is_never_mutated():
     sc = connected_random_scenario(3)
-    before = [(n.id, n.x, n.y, n.energy, n.status) for n in sc.nodes]
+    before = arrays_of(sc)
     sink_before = sc.field.sink_pos
     v.run_simulation(sc, "mmevbt", v.TrafficModel(rounds_max=50), RADIO,
                      v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=10),
                      seed=4)
-    assert [(n.id, n.x, n.y, n.energy, n.status) for n in sc.nodes] == before
+    assert arrays_of(sc) == before
     assert sc.field.sink_pos == sink_before
 
 
@@ -108,15 +101,14 @@ def test_input_scenario_is_never_mutated():
 def test_runs_leave_the_input_scenario_unchanged(algo):
     # low batteries: nodes die and the sink moves, all on the copy
     sc = connected_random_scenario(5, n=30, range_m=50.0)
-    for n in sc.nodes:
-        n.energy = 0.01
-    before = [(n.energy, n.status) for n in sc.nodes]
+    sc.energy[:] = 0.01
+    before = arrays_of(sc)
     policy = v.SimPolicy(th=0.002, t_move=3)
     m = v.run_simulation(sc, algo, v.TrafficModel(0.5, 200), RADIO, policy,
                          seed=2, e_init=0.01)
     assert m.first_node_death_round is not None
     v.compare_load_spread(sc, rounds=5, seed=2, th=0.002, e_init=0.01)
-    assert [(n.energy, n.status) for n in sc.nodes] == before
+    assert arrays_of(sc) == before
     assert sc.field.sink_pos == (100, 100)
 
 
@@ -136,8 +128,7 @@ def test_determinism_across_runs():
 @pytest.mark.parametrize("algo", v.ALGORITHMS)
 def test_energy_conservation_against_event_replay(algo):
     sc = connected_random_scenario(6, n=25, range_m=50.0)
-    for n in sc.nodes:
-        n.energy = 0.02
+    sc.energy[:] = 0.02
     traffic = v.TrafficModel(origin_probability=0.3, rounds_max=150)
     policy = v.SimPolicy(th=0.002, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     events = []
@@ -156,8 +147,7 @@ def test_packets_never_transit_ineligible_nodes(algo):
     # relay had threshold energy and every origin was alive at send time
     sc = connected_random_scenario(7, n=25, range_m=50.0)
     e_start = 0.02
-    for n in sc.nodes:
-        n.energy = e_start
+    sc.energy[:] = e_start
     th = 0.004
     policy = v.SimPolicy(th=th, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=200)
@@ -165,7 +155,7 @@ def test_packets_never_transit_ineligible_nodes(algo):
     v.run_simulation(sc, algo, traffic, RADIO, policy, seed=9,
                      e_init=e_start, event_log=events)
     pos = positions(sc)
-    energy = {n.id: e_start for n in sc.nodes}
+    energy = dict.fromkeys(range(len(sc.xy)), e_start)
     dead = set()
     by_round = {}
     for rnd, ev, node, detail in events:
@@ -197,8 +187,7 @@ def test_packets_never_transit_ineligible_nodes(algo):
 def test_alive_curve_monotone_and_death_before_disconnect():
     for algo in v.ALGORITHMS:
         sc = connected_random_scenario(10, n=20, range_m=55.0)
-        for n in sc.nodes:
-            n.energy = 0.01
+        sc.energy[:] = 0.01
         traffic = v.TrafficModel(origin_probability=0.5, rounds_max=300)
         policy = v.SimPolicy(th=0.001, e_fail=v.DEFAULT_E_FAIL, t_move=0)
         m = v.run_simulation(sc, algo, traffic, RADIO, policy, seed=3,
@@ -212,8 +201,7 @@ def test_alive_curve_monotone_and_death_before_disconnect():
 
 def test_failed_nodes_never_reappear_in_routes():
     sc = connected_random_scenario(12, n=25, range_m=50.0)
-    for n in sc.nodes:
-        n.energy = 0.02
+    sc.energy[:] = 0.02
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=250)
     policy = v.SimPolicy(th=0.002, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     events = []
@@ -235,8 +223,8 @@ def test_eligibility_flip_triggers_rebuild():
     # uneven batteries: the poor nodes lose relay rights early while the
     # rich majority keeps the network routable through the rebuild
     sc = connected_random_scenario(13, n=35, range_m=60.0)
-    for n in sc.nodes:
-        n.energy = 0.004 if n.id % 5 == 0 else 0.1
+    sc.energy[:] = 0.1
+    sc.energy[::5] = 0.004
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=100)
     policy = v.SimPolicy(th=0.002, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     events = []
@@ -264,12 +252,8 @@ def test_relocation_moves_the_sink_and_rebuilds():
 def test_failed_relocation_reverts_and_sim_continues():
     # the rich lone node pulls the sink into a cell from which nothing is
     # reachable; every attempt must be rolled back
-    field = v.Field(200, 200, 50, 50)
-    nodes = [
-        v.Node(0, 79, 50, 0.5, v.NodeStatus.CANDIDATE_NON_TREE),
-        v.Node(1, 105, 60, 2.0, v.NodeStatus.CANDIDATE_NON_TREE),
-    ]
-    sc = v.Scenario(field, nodes, 30.0, 0)
+    sc = scenario_from([(79, 50), (105, 60)], 30.0, energies=[0.5, 2.0],
+                       field=v.Field(200, 200, 50, 50))
     policy = v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=4, grid=2)
     traffic = v.TrafficModel(origin_probability=0.0, rounds_max=12)
     events = []
@@ -367,8 +351,7 @@ def relocate(sc, grid=4, max_step=None):
 
 def all_failed_scenario():
     sc = ten_client_two_gateway_scenario()
-    for node in sc.nodes:
-        node.energy, node.status = 0.0, v.NodeStatus.FAILED
+    sc.energy[:], sc.live[:] = 0.0, False
     return sc
 
 
@@ -383,9 +366,8 @@ def all_failed_scenario():
      "seed must be >= 0"),
     (lambda: v.compare_load_spread(ten_client_two_gateway_scenario(),
                                    rounds=1, seed=-1), "seed must be >= 0"),
-    (lambda: v.run_simulation(v.Scenario(v.Field(200, 200, 100, 100), [],
-                                         30.0), "mmevbt", v.TrafficModel(),
-                              RADIO, NO_MOVE, seed=1),
+    (lambda: v.run_simulation(scenario_from([], 30.0), "mmevbt",
+                              v.TrafficModel(), RADIO, NO_MOVE, seed=1),
      "need at least one node"),
     (lambda: run_ten(fitness_params=v.FitnessParams(c1=math.nan)),
      "fitness weights"),
@@ -395,6 +377,12 @@ def all_failed_scenario():
      "radio parameters"),
     (lambda: run_ten(policy=v.SimPolicy(max_step=math.nan)),
      "policy.max_step"),
+    (lambda: run_ten(policy=v.SimPolicy(max_step=math.inf)),
+     "policy.max_step must be >= 0 and finite"),
+    (lambda: run_ten(policy=v.SimPolicy(th=math.inf)),
+     "policy.th must be >= 0 and finite"),
+    (lambda: run_ten(policy=v.SimPolicy(e_fail=math.inf)),
+     "policy.e_fail must be >= 0 and finite"),
     (lambda: EnergyParams(e_init=math.nan).validate(), "energy.e_init"),
     (lambda: run_ten(e_init=math.nan), "energy.e_init"),
     (lambda: run_ten(e_init=-1.0), "energy.e_init"),
@@ -404,6 +392,7 @@ def all_failed_scenario():
 ], ids=["relocate-no-live-node", "relocate-grid-0", "relocate-max-step<0",
         "run-seed<0", "compare-seed<0", "run-no-nodes", "run-c1-nan",
         "run-e-elec-nan", "run-e-amp-inf", "run-max-step-nan",
+        "run-max-step-inf", "run-th-inf", "run-e-fail-inf",
         "e-init-nan", "run-e-init-nan", "run-e-init<0", "compare-e-init-nan"])
 def test_library_calls_reject_bad_inputs_clearly(call, message):
     with pytest.raises(ValueError, match=message):
@@ -426,11 +415,9 @@ def backbone_layout(layout_seed, n, range_m, energies):
     batteries and failed nodes."""
     field = v.Field(100, 100, 10, 10)
     for attempt in range(20):
-        nodes = v.deploy_uniform(field, n, layout_seed + 1000 * attempt)
-        for node, e in zip(nodes, energies):
-            node.energy = e
-            node.status = v.classify_status(e, 0, TH)
-        sc = v.Scenario(field, nodes, range_m, layout_seed)
+        sc = scenario_from(
+            v.deploy_uniform(field, n, layout_seed + 1000 * attempt),
+            range_m, energies[:n], field)
         try:
             tree = v.build_min_cover(*graph_and_state(sc), TH).tree_nodes
             v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
@@ -520,12 +507,12 @@ def lifetime_cases(draw):
     e_fail = draw(st.sampled_from([v.DEFAULT_E_FAIL, 0.0, 1.5 * th]))
     # mostly full batteries; some start below th or already failed
     levels = st.sampled_from([e_init] * 6 + [e_init / 2, th / 2, 1e-4])
-    nodes = v.deploy_uniform(field, n, draw(st.integers(0, 2**16)),
-                             e_init=e_init, th=th, e_fail=e_fail)
-    for node in nodes:
-        node.energy = draw(levels)
-        node.status = v.classify_status(node.energy, 0, th, e_fail)
-    sc = v.Scenario(field, nodes, draw(st.sampled_from([70.0, 45.0, 30.0])))
+    xy = v.deploy_uniform(field, n, draw(st.integers(0, 2**16)))
+    energies = [draw(levels) for _ in range(n)]
+    live = [v.classify_status(e, 0, th, e_fail) is not v.NodeStatus.FAILED
+            for e in energies]
+    sc = scenario_from(xy, draw(st.sampled_from([70.0, 45.0, 30.0])),
+                       energies, field, live)
     policy = v.SimPolicy(th=th, e_fail=e_fail,
                          t_move=draw(st.sampled_from([0, None, 1, 4])),
                          grid=draw(st.sampled_from([2, 4])),
@@ -556,8 +543,8 @@ def test_route_table_loop_equals_reference_on_eventful_runs(algo, mode):
     fitness = v.FitnessParams(mode=mode)
     seen = set()
     for layout in (2, 4, 16, 18, 23):
-        nodes = v.deploy_uniform(field, 60, layout, e_init=0.05, th=0.005)
-        sc = v.Scenario(field, nodes, 45.0, layout)
+        sc = scenario_from(v.deploy_uniform(field, 60, layout), 45.0,
+                           energies=[0.05] * 60)
         new, ref = run_both(sc, algo, traffic, policy, 1, fitness, 0.05)
         assert new == ref
         metrics, events = new
@@ -626,9 +613,8 @@ def test_energies_exactly_at_thresholds_equal_reference(algo, at_th):
     # alive, so its first spend is a crossing
     th = 0.004
     sc = connected_random_scenario(13, n=35, range_m=60.0)
-    for n in sc.nodes:
-        n.energy = 0.1 if n.id % 4 else th if at_th else v.DEFAULT_E_FAIL
-        n.status = v.classify_status(n.energy, 0, th)
+    sc.energy[:] = 0.1
+    sc.energy[::4] = th if at_th else v.DEFAULT_E_FAIL  # still live
     policy = v.SimPolicy(th=th, t_move=0)
     new, ref = run_both(sc, algo, v.TrafficModel(0.3, 20), policy, 7,
                         e_init=0.1)
@@ -641,8 +627,7 @@ def test_live_status_on_an_empty_battery_equals_reference(algo):
     # a node whose status says live while it holds neither th nor e_fail
     # is a head of the first build, then fails without a logged death
     sc = connected_random_scenario(15, n=35, range_m=60.0)
-    for n in sc.nodes[::5]:
-        n.energy, n.status = 0.0, v.NodeStatus.CANDIDATE_NON_TREE
+    sc.energy[::5] = 0.0  # sc.live stays True
     new, ref = run_both(sc, algo, v.TrafficModel(0.5, 30), NO_MOVE, 7)
     assert new == ref
     assert new[0].alive_fraction_curve[0] == (1, 28 / 35)
@@ -721,8 +706,8 @@ def test_all_forced_multi_hop_balanced_run_equals_reference(monkeypatch):
         raise AssertionError("walked a table with no draw rows")
 
     field = v.Field(100, 100, 50, 50)
-    sc = v.Scenario(field, v.deploy_uniform(field, 8, 33, e_init=0.05,
-                                            th=0.005), 30.0, 33)
+    sc = scenario_from(v.deploy_uniform(field, 8, 33), 30.0, [0.05] * 8,
+                       field)
     policy = v.SimPolicy(th=0.005, t_move=0)
     router = simulate._Router("balanced_probabilistic", RADIO, policy,
                               v.FitnessParams(), 0.05)
@@ -758,7 +743,7 @@ def test_fixed_parent_chains_follow_the_parents(algo, layout):
         parent = {i: best_parent(problem, i) for i in problem.candidates}
     router = fixed_parent_router(algo, sc)
     assert np.diff(router.slot_ptr).max() == 1
-    n, ptr = len(sc.nodes), router.chain_ptr
+    n, ptr = len(sc.xy), router.chain_ptr
     for i in range(n):
         want = [i]
         while want[-1] != v.SINK:
@@ -814,8 +799,8 @@ def test_walk_draws_bisect_each_row_in_place():
 
 @st.composite
 def drained_states(draw):
-    """A layout after drains, deaths and a sink move: the Scenario whose
-    Nodes hold the state, the same state as arrays, and the moved graph."""
+    """A layout after drains, deaths and a sink move: the Scenario, a copy
+    of its state, and the moved graph."""
     n = draw(st.integers(1, 25))
     th = 0.002
     e_fail = draw(st.sampled_from([v.DEFAULT_E_FAIL, 0.0, 1.5 * th]))
@@ -824,18 +809,13 @@ def drained_states(draw):
     live = draw(st.lists(st.sampled_from([True] * 7 + [False]),
                          min_size=n, max_size=n))
     field = v.Field(100, 100, 50.0, 50.0)
-    nodes = v.deploy_uniform(field, n, draw(st.integers(0, 2**16)))
-    # a build tells statuses apart only as failed or not
-    up = [s for s in v.NodeStatus if s is not v.NodeStatus.FAILED]
-    for node, e, alive in zip(nodes, energy, live):
-        node.energy = e
-        node.status = (draw(st.sampled_from(up)) if alive
-                       else v.NodeStatus.FAILED)
-    sc = v.Scenario(field, nodes, draw(st.sampled_from([70.0, 45.0])))
+    sc = scenario_from(v.deploy_uniform(field, n, draw(st.integers(0, 2**16))),
+                       draw(st.sampled_from([70.0, 45.0])), energy, field,
+                       live)
     graph = v.build_reachability(sc.points(), sc.sensing_range)
     sink = (draw(st.sampled_from([0.0, 10.0, 50.0, 100.0])),
             draw(st.sampled_from([0.0, 37.5, 50.0])))
-    sc.field.sink_x, sc.field.sink_y = sink
+    sc.field = v.Field(100, 100, *sink)
     graph.move_sink(sink)
     return sc, (np.array(energy), np.array(live)), graph, th, e_fail
 
@@ -862,9 +842,9 @@ def fitness_bits(problem):
 @given(drained_states(), st.sampled_from(["normalized", "raw"]))
 def test_builds_equal_references_on_drained_states(case, mode):
     """After drains, deaths and a sink move, each build and relocate_sink
-    over (graph, state) equals its reference over the Scenario whose
-    Nodes hold that state, and leaves the state and the graph's arrays
-    as they were."""
+    over (graph, state) equals its reference over the Scenario that
+    holds that state, and leaves the state and the graph's arrays as
+    they were."""
     sc, state, graph, th, _ = case
     kept = [a.copy() for a in input_arrays(graph, state)]
 
@@ -908,13 +888,11 @@ def test_builds_equal_references_on_drained_states(case, mode):
 def test_builds_write_no_node():
     """Every backbone build and the sink relocation leave the state
     arrays, the graph's points and CSR arrays and the Scenario they came
-    from as they were, Node statuses included."""
+    from as they were."""
     sc = ten_client_two_gateway_scenario()
-    for node in sc.nodes[:10]:  # clients: mixed batteries and labels
-        node.energy = (v.E_INIT, TH / 2, TH)[node.id % 3]
-        node.status = list(v.NodeStatus)[node.id % 4]
-    before = [dataclasses.replace(node) for node in sc.nodes]
-    field = dataclasses.replace(sc.field)
+    sc.energy[:10] = np.resize([v.E_INIT, TH / 2, TH], 10)  # the clients
+    sc.live[:10] = np.arange(10) % 4 != 3  # NodeStatus.FAILED is 4th
+    before, field = arrays_of(sc), sc.field
     graph, state = graph_and_state(sc)
     kept = [a.copy() for a in input_arrays(graph, state)]
     tree = v.build_mmevbt(graph, state, RADIO, TH)
@@ -923,7 +901,7 @@ def test_builds_write_no_node():
     v.relocate_sink(graph, state, sc.field,
                     v.SimPolicy(grid=2, max_step=5.0))
     assert tree.tree_nodes() >= {10, 11} and cover == {10, 11}
-    assert sc.nodes == before and sc.field == field
+    assert arrays_of(sc) == before and sc.field is field
     assert all(np.array_equal(a, b)
                for a, b in zip(kept, input_arrays(graph, state)))
 
@@ -1039,9 +1017,8 @@ def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
 
     monkeypatch.setattr(simulate, "_Router", Router)
     monkeypatch.setattr(simulate, "_Uniforms", Uniforms)
-    field = v.Field(200, 200, 100, 100)
-    nodes = v.deploy_uniform(field, 60, 16, e_init=0.05, th=0.005)
-    sc = v.Scenario(field, nodes, 45.0, 16)
+    sc = scenario_from(v.deploy_uniform(v.Field(200, 200, 100, 100), 60, 16),
+                       45.0, energies=[0.05] * 60)
     policy = v.SimPolicy(th=0.005, t_move=5)
     new, ref = run_both(sc, algo, v.TrafficModel(0.3, 300), policy, 1,
                         e_init=0.05)
