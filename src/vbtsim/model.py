@@ -46,7 +46,10 @@ class NodeStatus(Enum):
 
 def classify_status(energy: float, children: int, th: float,
                     e_fail: float = DEFAULT_E_FAIL) -> NodeStatus:
-    """Four-way node status from residual energy and current child count."""
+    """Four-way node status from residual energy and current child count;
+    a node holding 0 J has failed, whatever th and e_fail are."""
+    if energy <= 0:
+        return NodeStatus.FAILED
     if energy >= th:
         return NodeStatus.TREE if children > 0 else NodeStatus.CANDIDATE_NON_TREE
     if energy >= e_fail:

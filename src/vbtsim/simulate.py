@@ -11,10 +11,10 @@ copied from the Scenario's at its start. Every build and relocation
 reads only the run's graph and that state, so the run never writes the
 Scenario and moves only its graph's sink. A status
 matters only as "failed or not": relay eligibility is energy >= th, and
-a node fails once it holds neither th nor e_fail, whatever its child
-count. A round touches only the nodes that spent energy. Energy only
-falls, so a node dies or loses eligibility exactly when a debit takes
-it below e_fail or th, and a rebuild is due exactly when one did.
+a node fails once it holds neither th nor e_fail, or 0 J, whatever its
+child count. A round touches only the nodes that spent energy. Energy
+only falls, so a node dies or loses eligibility exactly when a debit
+takes it below that floor or th, and a rebuild is due exactly then.
 
 Every build fills one route table (_Router), in which a fixed parent
 (mmevbt, min_cover_best_parent) is a row with one candidate. With no
@@ -42,14 +42,18 @@ direct-to-sink packet adds to a sink entry that the run drops. A
 fixed-parent packet adds exactly 1.0 to its first hop: there the loads
 are the counts. compare_load_spread bisects the same CandidateArrays
 rows as a rebuild.
+
+The event log (EventLog) keeps each round's packets as arrays, which its
+writer formats in groups of rounds with one gather of tokens each: the
+round loop builds no string or tuple per packet.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -71,6 +75,8 @@ from .model import (
 
 # Uniforms drawn per refill of _Uniforms beyond the values asked for.
 _CHUNK = 2048
+# Hops after which EventLog.write formats its group of packet rows.
+_HOP_CAP = 16384
 
 
 @dataclass
@@ -83,6 +89,57 @@ class LifetimeMetrics:
     rounds_run: int = 0
     tree_load_counts: dict[int, int] = dc_field(default_factory=dict)
     tree_load_expected: dict[int, float] = dc_field(default_factory=dict)
+
+
+class EventLog:
+    """A run's rows in run order: a CSV line per event, and per round
+    a block (round, origins, senders, starts) of its packets' senders,
+    packet after packet and the sink left out, and where each starts."""
+
+    def __init__(self) -> None:
+        self.rows: list[str | tuple] = []
+
+    def add_event(self, round_no: int, event: str, node: int = -1,
+                  detail: str = "") -> None:
+        self.rows.append(f"{round_no},{event},{node},{detail}\n")
+
+    def add_packets(self, round_no: int, origins: np.ndarray,
+                    senders: np.ndarray, starts: np.ndarray) -> None:
+        self.rows.append((round_no, origins, senders.astype(np.int32), starts))
+
+    def write(self, fh: TextIO) -> None:
+        """Write the rows, packets in groups of rounds, each group ended
+        after _HOP_CAP hops or by an event."""
+        ids = [str(i) for i in range(1 + max((int(r[2].max(initial=-1))
+               for r in self.rows if not isinstance(r, str)), default=-1))]
+        tokens = [*(i + ">" for i in ids), f"{SINK}\n", *(i + "," for i in ids)]
+        group, hops = [], 0
+        for row in [*self.rows, ""]:  # "" writes the last group
+            if group and (isinstance(row, str) or hops >= _HOP_CAP):
+                fh.write(_packet_rows(group, tokens))
+                group, hops = [], 0
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                group.append(row)
+                hops += len(row[2])
+
+
+def _packet_rows(group: list, tokens: list[str]) -> str:
+    """The blocks' packet rows from tokens "i>" (i), "-1\n" (n), "i,"
+    (n + 1 + i) and, after those, each block's "r,packet,". At a first
+    sender go the previous sink, the round and the origin, in order."""
+    rounds, origins, senders, starts = zip(*group)
+    offsets = np.cumsum([0, *map(len, senders)])
+    starts = np.concatenate([s + k for s, k in zip(starts, offsets)])
+    sink, prefix = len(tokens) // 2, len(tokens) + np.arange(len(group))
+    # np.insert keeps the given order at equal positions
+    at = np.insert(np.concatenate(senders), np.concatenate(
+        (np.append(starts, offsets[-1])[1:], starts, starts)), np.concatenate(
+        (np.full(len(starts), sink), np.repeat(prefix, list(map(len, origins))),
+         sink + 1 + np.concatenate(origins))))
+    return "".join(np.array([*tokens, *(f"{r},packet," for r in rounds)],
+                            dtype=object)[at].tolist())
 
 
 class _Uniforms:
@@ -285,18 +342,18 @@ def _spend(senders: np.ndarray, tx: np.ndarray, first: np.ndarray,
 
 
 def _debit(energy: np.ndarray, ids: np.ndarray, amounts: np.ndarray,
-           th: float, e_fail: float) -> tuple[list[int], bool]:
+           th: float, floor: float) -> tuple[list[int], bool]:
     """Debit amounts from energy[ids] (ascending, distinct), floored at 0.
 
-    The ids are live nodes, each holding th or e_fail. Returns those
-    that now hold neither, the round's deaths, ascending, and whether
-    any node fell below th.
+    The ids are live nodes, each holding at least floor. Returns those
+    that now hold less, the round's deaths, ascending, and whether any
+    node fell below th.
     """
     before = energy[ids]
     after = np.maximum(before - amounts, 0.0)
     energy[ids] = after
-    dead = (after < th) & (after < e_fail)
-    return ids[dead].tolist(), bool(((before >= th) & (after < th)).any())
+    return (ids[after < floor].tolist(),
+            bool(((before >= th) & (after < th)).any()))
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -309,11 +366,11 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                    radio: RadioParams, policy: SimPolicy, seed: int,
                    fitness_params: Optional[FitnessParams] = None,
                    e_init: float = E_INIT,
-                   event_log: Optional[list] = None) -> LifetimeMetrics:
+                   event_log: Optional[EventLog] = None) -> LifetimeMetrics:
     """Run one seeded lifetime simulation; the input scenario is untouched.
 
-    event_log, when given, collects (round, event, node, detail) tuples
-    for packet sends, deaths, rebuilds, relocations and disconnect.
+    event_log, when given, collects the packet sends, deaths, rebuilds,
+    relocations and disconnect.
     """
     traffic.validate()
     policy.validate()
@@ -322,7 +379,8 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     EnergyParams(e_init).validate()
     stream = _Uniforms(_generator(seed))
     n_total = len(scenario.xy)
-    th, e_fail = policy.th, policy.e_fail
+    # a node dies below min(th, e_fail), and at 0 J whatever they are
+    th, floor = policy.th, max(min(policy.th, policy.e_fail), math.ulp(0.0))
     rx = rx_cost(radio)
     metrics = LifetimeMetrics()
     state = energy, live = scenario.state()  # written in place by the rounds
@@ -330,22 +388,15 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     # picks, balanced expected loads and the tree nodes any packet could pick
     first_hops = np.zeros(n_total + 1, dtype=np.int64)
     expected, seen = np.zeros(n_total + 1), np.zeros(n_total + 1, dtype=bool)
-    # packet path pieces by vertex, the sink (n) last
-    if event_log is not None:
-        tokens = np.array([*(f"{i}>" for i in range(n_total)), f"{SINK}\n"],
-                          dtype=object)
+    log = (event_log.add_event if event_log is not None
+           else lambda *args, **kwargs: None)
 
-    def log(round_no: int, event: str, node: int = -1, detail: str = "") -> None:
-        if event_log is not None:
-            event_log.append((round_no, event, node, detail))
-
-    # the run moves only the graph's sink, never the scenario's
+    # a live node below floor fails before the first build, with no death
+    # logged; the run moves only the graph's sink, never the scenario's
+    live &= energy >= floor
     graph = build_reachability(scenario.points(), scenario.sensing_range)
     router = _Router(algorithm, radio, policy, fparams, e_init)
     router.rebuild(graph, state)  # initial failure propagates
-    # a live node holding neither th nor e_fail fails at the first build,
-    # with no death logged
-    live &= (energy >= th) | (energy >= e_fail)
     alive = np.flatnonzero(live)
 
     for round_no in range(1, traffic.rounds_max + 1):
@@ -361,12 +412,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
         first_hops += np.bincount(router.head[hops[starts]],
                                   minlength=n_total + 1)
         if event_log is not None:
-            # each packet's senders' "i>", then the sink's "-1\n"
-            ends = np.append(starts[1:], len(hops))
-            paths = "".join(tokens[np.insert(senders, ends, n_total)]
-                            .tolist()).split("\n")
-            event_log.extend(zip(repeat(round_no), repeat("packet"),
-                                 origins.tolist(), paths[:-1]))
+            event_log.add_packets(round_no, origins, senders, starts)
         if router.balanced:
             # per tree node 0.0 + its total so far + each p as drawn
             at, _ = csr_positions(router.slot_ptr, origins)
@@ -378,7 +424,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
 
         metrics.total_energy_consumed += spent
         # only a node that spent can die or lose relay eligibility
-        dead, flipped = _debit(energy, ids, amounts, th, e_fail)
+        dead, flipped = _debit(energy, ids, amounts, th, floor)
         for node_id in dead:
             log(round_no, "death", node_id)
         if dead:

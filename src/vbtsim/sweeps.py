@@ -9,8 +9,9 @@ as '#' header lines and replay byte-for-byte from (config, base_seed).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .model import (
     classify_status,
     deploy_uniform,
 )
-from .simulate import LifetimeMetrics, run_simulation
+from .simulate import EventLog, LifetimeMetrics, run_simulation
 
 # Seeds spread attempts out so no two (range, attempt) cells collide for
 # any base_seed and ranges on a millimeter grid.
@@ -131,20 +132,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# _fmt per exact cell type; any other type falls back to _fmt itself
-_CELL = {int: str, str: str, float: repr, bool: ("0", "1").__getitem__,
-         type(None): lambda _: ""}
+@contextmanager
+def _csv_file(path: str, config: ExperimentConfig,
+              columns: list[str]) -> Iterator[TextIO]:
+    """path opened for writing, after the config echo and the column line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in config.echo_lines())
+        fh.write(",".join(columns) + "\n")
+        yield fh
 
 
 def write_csv(path: str, config: ExperimentConfig, columns: list[str],
               rows: Iterable[Sequence]) -> None:
-    cell = _CELL.get
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in config.echo_lines():
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join([cell(type(v), _fmt)(v) for v in row]) + "\n"
-                      for row in rows)
+    with _csv_file(path, config, columns) as fh:
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def write_sweep_outputs(out_dir: str, stem: str, config: ExperimentConfig,
@@ -173,7 +174,7 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig, out_dir: str,
     Raises ConstructionFailed when the initial backbone cannot form; the
     caller maps that to a nonzero exit code.
     """
-    events: Optional[list] = [] if write_events else None
+    events = EventLog() if write_events else None
     metrics = run_simulation(scenario, config.algorithm, config.traffic,
                              config.radio, config.policy,
                              seed=config.base_seed,
@@ -181,36 +182,26 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig, out_dir: str,
                              e_init=config.energy.e_init,
                              event_log=events)
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
-    metrics_path = os.path.join(out_dir, f"{stem}_metrics.csv")
-    write_csv(metrics_path, config,
+    names = ["metrics", "alive", "loads"] + ["events"] * (events is not None)
+    paths = [os.path.join(out_dir, f"{stem}_{name}.csv") for name in names]
+    write_csv(paths[0], config,
               ["seed", "algorithm", "range", "n_nodes", "first_death",
                "disconnect", "reconstructions", "total_energy_J"],
               [[config.base_seed, config.algorithm, scenario.sensing_range,
                 len(scenario.xy), metrics.first_node_death_round,
                 metrics.rounds_until_disconnect, metrics.reconstructions,
                 metrics.total_energy_consumed]])
-    paths.append(metrics_path)
-
-    alive_path = os.path.join(out_dir, f"{stem}_alive.csv")
-    write_csv(alive_path, config, ["seed", "round", "alive_fraction"],
+    write_csv(paths[1], config, ["seed", "round", "alive_fraction"],
               [[config.base_seed, rnd, frac]
                for rnd, frac in metrics.alive_fraction_curve])
-    paths.append(alive_path)
-
-    loads_path = os.path.join(out_dir, f"{stem}_loads.csv")
     load_ids = sorted(set(metrics.tree_load_counts)
                       | set(metrics.tree_load_expected))
-    write_csv(loads_path, config,
+    write_csv(paths[2], config,
               ["tree_node_id", "realized_count", "expected_count"],
               [[i, metrics.tree_load_counts.get(i, 0),
                 metrics.tree_load_expected.get(i, 0.0)] for i in load_ids])
-    paths.append(loads_path)
-
     if events is not None:
-        events_path = os.path.join(out_dir, f"{stem}_events.csv")
-        write_csv(events_path, config, ["round", "event", "node", "detail"],
-                  events)
-        paths.append(events_path)
+        with _csv_file(paths[3], config,
+                       ["round", "event", "node", "detail"]) as fh:
+            events.write(fh)
     return metrics, paths

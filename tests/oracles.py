@@ -8,9 +8,10 @@ the round loop as it was before the per-build route table: every hop
 cost recomputed, every node reclassified and the whole eligibility
 signature compared each round, the graph rebuilt on every relocation.
 Its statuses are its own dict under its own copy of the four-way rule
-(_refresh_statuses), applied after every build, and its copy of the
-scenario's live array follows them; no package build writes a status,
-and nothing here imports a private package name.
+(_refresh_statuses), applied before the first build and after every
+build, and its copy of the scenario's live array follows them; no
+package build writes a status, and nothing here imports a private
+package name.
 reference_forwarding_problem is the candidate and fitness build pair by
 pair over dicts, scored with the scalar fitness(). reference_mmevbt is
 the heap Dijkstra over per-vertex neighbour lists and scalar hop_weight,
@@ -20,6 +21,8 @@ package. reference_min_cover replays the greedy cover, re-scoring every
 covered node after each pick, and cover_map labels a cover's live
 nodes. reference_compare_load_spread is the load-spread comparison
 over a built problem's per-node dicts, one select_parent per packet.
+event_rows parses the rows an EventLog writes back into the tuples
+the reference round loop logs, its paths joined packet by packet.
 graph_and_state turns a Scenario into the (graph, state) pair that
 every package build takes; the references read the Scenario's arrays
 themselves. scenario_from builds a Scenario from a list of points.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import io
 import itertools
 import math
 import operator
@@ -697,6 +701,15 @@ def _serving_counts(router):
     return counts
 
 
+def event_rows(log):
+    """The rows an EventLog writes, parsed back into (round, event, node,
+    detail) tuples: what reference_run_simulation's event_log holds."""
+    text = io.StringIO()
+    log.write(text)
+    return [(int(r), event, int(node), detail) for r, event, node, detail
+            in (line.split(",", 3) for line in text.getvalue().splitlines())]
+
+
 def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
                              seed, fitness_params=None, e_init=E_INIT,
                              event_log: Optional[list] = None):
@@ -715,6 +728,7 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
         if event_log is not None:
             event_log.append((round_no, event, node, detail))
 
+    _refresh_statuses(sc, status, {}, policy)  # a failed node never routes
     graph = build_reachability(sc.points(), sc.sensing_range)
     router = _ReferenceRouter(algorithm, radio, policy, fparams, e_init,
                               status)

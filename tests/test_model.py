@@ -39,6 +39,10 @@ def test_classify_status_boundaries():
     assert v.classify_status(th, 0, th, ef) is v.NodeStatus.CANDIDATE_NON_TREE
     assert v.classify_status(ef, 0, th, ef) is v.NodeStatus.PERMANENT_NON_TREE
     assert v.classify_status(ef * 0.999, 5, th, ef) is v.NodeStatus.FAILED
+    # 0 J has failed whatever the thresholds; the least charge has not
+    assert v.classify_status(0.0, 2, 0.0, 0.0) is v.NodeStatus.FAILED
+    assert v.classify_status(0.0, 0, th, 0.0) is v.NodeStatus.FAILED
+    assert v.classify_status(5e-324, 2, 0.0, ef) is v.NodeStatus.TREE
 
 
 # ---------------------------------------------------------------- field

@@ -1,5 +1,6 @@
 """Round-based lifetime simulation and the load-spread comparison."""
 
+import io
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vbtsim as v
-from oracles import (best_parent, graph_and_state, positions,
+from oracles import (best_parent, event_rows, graph_and_state, positions,
                      reference_compare_load_spread,
                      reference_forwarding_problem, reference_min_cover,
                      reference_mmevbt, reference_relocate_sink,
@@ -131,12 +132,12 @@ def test_energy_conservation_against_event_replay(algo):
     sc.energy[:] = 0.02
     traffic = v.TrafficModel(origin_probability=0.3, rounds_max=150)
     policy = v.SimPolicy(th=0.002, e_fail=v.DEFAULT_E_FAIL, t_move=0)
-    events = []
+    log = simulate.EventLog()
     m = v.run_simulation(sc, algo, traffic, RADIO, policy, seed=8,
-                         e_init=0.02, event_log=events)
+                         e_init=0.02, event_log=log)
     pos = positions(sc)
     replayed = sum(route_energy(RADIO, pos, parse_path(detail))
-                   for _, ev, _, detail in events if ev == "packet")
+                   for _, ev, _, detail in event_rows(log) if ev == "packet")
     assert m.total_energy_consumed == pytest.approx(replayed, rel=1e-9)
     assert m.total_energy_consumed > 0  # the drain really happened
 
@@ -151,14 +152,14 @@ def test_packets_never_transit_ineligible_nodes(algo):
     th = 0.004
     policy = v.SimPolicy(th=th, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=200)
-    events = []
+    log = simulate.EventLog()
     v.run_simulation(sc, algo, traffic, RADIO, policy, seed=9,
-                     e_init=e_start, event_log=events)
+                     e_init=e_start, event_log=log)
     pos = positions(sc)
     energy = dict.fromkeys(range(len(sc.xy)), e_start)
     dead = set()
     by_round = {}
-    for rnd, ev, node, detail in events:
+    for rnd, ev, node, detail in event_rows(log):
         by_round.setdefault(rnd, []).append((ev, node, detail))
     for rnd in sorted(by_round):
         spend = {}
@@ -204,9 +205,10 @@ def test_failed_nodes_never_reappear_in_routes():
     sc.energy[:] = 0.02
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=250)
     policy = v.SimPolicy(th=0.002, e_fail=v.DEFAULT_E_FAIL, t_move=0)
-    events = []
+    log = simulate.EventLog()
     v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=6,
-                     e_init=0.02, event_log=events)
+                     e_init=0.02, event_log=log)
+    events = event_rows(log)
     death_round = {}
     for rnd, ev, node, _ in events:
         if ev == "death":
@@ -227,10 +229,10 @@ def test_eligibility_flip_triggers_rebuild():
     sc.energy[::5] = 0.004
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=100)
     policy = v.SimPolicy(th=0.002, e_fail=v.DEFAULT_E_FAIL, t_move=0)
-    events = []
+    log = simulate.EventLog()
     m = v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=7,
-                         e_init=0.1, event_log=events)
-    rebuilds = [e for e in events if e[1] == "rebuild"]
+                         e_init=0.1, event_log=log)
+    rebuilds = [e for e in event_rows(log) if e[1] == "rebuild"]
     assert m.reconstructions == len(rebuilds)
     assert m.reconstructions >= 1
 
@@ -241,10 +243,10 @@ def test_relocation_moves_the_sink_and_rebuilds():
     sc = connected_random_scenario(14, n=40, range_m=50.0)
     policy = v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=5, grid=4)
     traffic = v.TrafficModel(origin_probability=0.2, rounds_max=20)
-    events = []
+    log = simulate.EventLog()
     m = v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=2,
-                         event_log=events)
-    moves = [e for e in events if e[1] == "relocate"]
+                         event_log=log)
+    moves = [e for e in event_rows(log) if e[1] == "relocate"]
     assert moves and all(e[0] % 5 == 0 for e in moves)
     assert m.reconstructions >= len([e for e in moves if e[3] != "reverted"])
 
@@ -256,10 +258,10 @@ def test_failed_relocation_reverts_and_sim_continues():
                        field=v.Field(200, 200, 50, 50))
     policy = v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=4, grid=2)
     traffic = v.TrafficModel(origin_probability=0.0, rounds_max=12)
-    events = []
+    log = simulate.EventLog()
     m = v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=1,
-                         event_log=events)
-    moves = [e for e in events if e[1] == "relocate"]
+                         event_log=log)
+    moves = [e for e in event_rows(log) if e[1] == "relocate"]
     assert len(moves) == 3
     assert all(e[3] == "reverted" for e in moves)
     assert m.rounds_until_disconnect is None
@@ -482,18 +484,20 @@ def run_both(sc, algo, traffic, policy, seed, fitness_params=None,
              e_init=v.E_INIT):
     """Run the route-table loop and the reference loop on one input.
 
-    Returns the two (metrics or unreachable ids, event log) outcomes.
+    Returns the two (metrics or unreachable ids, event rows) outcomes;
+    the route-table loop's rows are its EventLog as written.
     """
     outcomes = []
-    for run in (v.run_simulation, reference_run_simulation):
-        events = []
+    for run, log in ((v.run_simulation, simulate.EventLog()),
+                     (reference_run_simulation, [])):
         try:
             result = run(sc, algo, traffic, RADIO, policy, seed,
                          fitness_params=fitness_params, e_init=e_init,
-                         event_log=events)
+                         event_log=log)
         except v.ConstructionFailed as fail:
             result = fail.unreachable
-        outcomes.append((result, events))
+        outcomes.append((result, log if isinstance(log, list)
+                         else event_rows(log)))
     return outcomes
 
 
@@ -625,13 +629,64 @@ def test_energies_exactly_at_thresholds_equal_reference(algo, at_th):
 @pytest.mark.parametrize("algo", v.ALGORITHMS)
 def test_live_status_on_an_empty_battery_equals_reference(algo):
     # a node whose status says live while it holds neither th nor e_fail
-    # is a head of the first build, then fails without a logged death
+    # fails before the first build, without a logged death
     sc = connected_random_scenario(15, n=35, range_m=60.0)
     sc.energy[::5] = 0.0  # sc.live stays True
     new, ref = run_both(sc, algo, v.TrafficModel(0.5, 30), NO_MOVE, 7)
     assert new == ref
     assert new[0].alive_fraction_curve[0] == (1, 28 / 35)
     assert not [e for e in new[1] if e[1] == "death"]
+
+
+@pytest.mark.parametrize("th, e_fail", [(0.0, v.DEFAULT_E_FAIL), (0.002, 0.0)],
+                         ids=["th=0", "e_fail=0"])
+def test_a_battery_at_zero_joules_dies_whatever_the_thresholds(th, e_fail):
+    # with a zero threshold, a drained node used to stay live and keep
+    # relaying: the th = 0 run went all 3000 rounds and reported 74 J
+    # consumed of 0.6 J; node 0 starts live on an empty battery
+    field = v.Field(100, 100, 50, 50)
+    sc = scenario_from(v.deploy_uniform(field, 60, 1), 40.0, [0.01] * 60,
+                       field)
+    sc.energy[0] = 0.0
+    policy = v.SimPolicy(th=th, e_fail=e_fail, t_move=0)
+    new, ref = run_both(sc, "mmevbt", v.TrafficModel(0.5, 3000), policy, 1,
+                        e_init=0.01)
+    assert new == ref
+    metrics, events = new
+    assert metrics.alive_fraction_curve[0] == (1, 59 / 60)
+    assert metrics.first_node_death_round is not None
+    assert metrics.rounds_until_disconnect < 100
+    assert 0 not in {node for _, ev, node, _ in events if ev == "death"}
+
+
+def test_event_log_writes_rows_in_run_order_whatever_the_groups(monkeypatch):
+    def ids(*values):
+        return np.array(values, dtype=np.int64)
+
+    log = simulate.EventLog()
+    log.add_packets(1, ids(3, 2), ids(3, 1, 2), ids(0, 2))
+    log.add_packets(2, ids(), ids(), ids())  # a round with no packets
+    log.add_packets(3, ids(0), ids(0, 3, 1), ids(0))
+    log.add_event(3, "death", 3)
+    log.add_event(3, "rebuild", detail="eligibility")
+    log.add_packets(4, ids(1, 10), ids(1, 10, 2), ids(0, 1))
+    log.add_event(4, "relocate", detail="reverted")
+    log.add_packets(5, ids(2, 1), ids(2, 1), ids(0, 1))
+    log.add_packets(6, ids(10), ids(10), ids(0))
+    log.add_packets(7, ids(2), ids(2, 0), ids(0))
+    log.add_event(7, "disconnect", detail="0;10")
+    expected = ("1,packet,3,3>1>-1\n1,packet,2,2>-1\n"
+                "3,packet,0,0>3>1>-1\n3,death,3,\n3,rebuild,-1,eligibility\n"
+                "4,packet,1,1>-1\n4,packet,10,10>2>-1\n"
+                "4,relocate,-1,reverted\n"
+                "5,packet,2,2>-1\n5,packet,1,1>-1\n6,packet,10,10>-1\n"
+                "7,packet,2,2>0>-1\n7,disconnect,-1,0;10\n")
+    # three hops a group: groups end inside rounds 1-2 and 5-7 too
+    for cap in (simulate._HOP_CAP, 3):
+        monkeypatch.setattr(simulate, "_HOP_CAP", cap)
+        text = io.StringIO()
+        log.write(text)
+        assert text.getvalue() == expected
 
 
 def chain_scenario(energies=None):
@@ -997,6 +1052,7 @@ def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
     # a tiny chunk makes the stream refill every round, between the origin
     # draws and the hop draws, carrying unread values over
     monkeypatch.setattr(simulate, "_CHUNK", 3)
+    monkeypatch.setattr(simulate, "_HOP_CAP", 3)  # and a write every round
     routers, walks = [], []
 
     class Router(simulate._Router):
