@@ -9,9 +9,7 @@ relocates the sink; a CLI harness sweeps sensing ranges into CSV.
 
 from .balanced import (
     BETA_MIN,
-    ForwardingProblem,
     build_forwarding_problem,
-    expected_loads,
     min_max_load_exact,
     select_parent,
     selection_probabilities,
@@ -36,7 +34,7 @@ from .config import (
 )
 from .energy import rx_cost, tx_cost
 from .mincover import build_min_cover
-from .mmevbt import BackboneTree, build_mmevbt, relocate_sink
+from .mmevbt import build_mmevbt, relocate_sink
 from .model import (
     SINK,
     ConstructionFailed,

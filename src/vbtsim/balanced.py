@@ -2,9 +2,10 @@
 
 Each node scores its reachable tree-node parents with a weighted fitness
 (distance, residual energy, path straightness) and forwards each packet
-to one of them at random, with probability proportional to fitness. Also
-provides the analytic expected per-parent loads and an exact min-max
-assignment solver used as the balancing yardstick.
+to one of them at random, with probability proportional to fitness. A
+build returns its candidate edges and their fitness as flat arrays
+(CandidateArrays). Also provides an exact min-max assignment solver
+used as the balancing yardstick.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +65,8 @@ class CandidateArrays:
     """One build's candidate edges as flat arrays, node rows ascending.
 
     Node rows[k]'s candidates are the graph edges edges[bounds[k]:
-    bounds[k + 1]], in candidates order; fitness aligns with edges.
+    bounds[k + 1]] in their row's order: the sink (vertex n) first, then
+    node ids ascending. fitness aligns with edges.
     max_level is the deepest backbone level: no route takes more than
     1 + max_level hops.
     """
@@ -117,41 +119,10 @@ class CandidateArrays:
         return probs[rank, col], cum[rank, col]
 
 
-@dataclass
-class ForwardingProblem:
-    """Who may forward to whom, and how attractive each option is.
-
-    candidates[i] lists node i's admissible parents sorted ascending (the
-    sink id precedes all node ids); fitness[i] aligns with candidates[i].
-    levels holds each backbone vertex's hop distance from the sink over
-    the backbone; every candidate sits strictly closer to the sink than
-    its child, so forwarding always terminates. arrays holds the same
-    candidates as graph edges when build_forwarding_problem made it; it
-    makes the four dicts from them only when one is first read.
-    """
-
-    candidates: dict[int, list[int]] = dc_field(default_factory=dict)
-    fitness: dict[int, list[float]] = dc_field(default_factory=dict)
-    levels: dict[int, int] = dc_field(default_factory=dict)
-    next_hop: dict[int, int] = dc_field(default_factory=dict)
-    arrays: Optional[CandidateArrays] = dc_field(default=None, repr=False,
-                                                 compare=False)
-
-    def __getattr__(self, name: str):
-        if name not in self.__dataclass_fields__ or "_views" not in vars(self):
-            raise AttributeError(name)
-        views = vars(self).pop("_views")
-        vars(self).update(_dict_views(self.arrays, *views))
-        return vars(self)[name]
-
-    def probabilities(self, node_id: int) -> list[float]:
-        return selection_probabilities(self.fitness[node_id])
-
-
 def build_forwarding_problem(graph: ReachabilityGraph, state: State,
                              tree_nodes: set[int], th: float,
                              params: FitnessParams, e_init: float = E_INIT
-                             ) -> ForwardingProblem:
+                             ) -> CandidateArrays:
     """Wire every live node to its eligible tree-node parents.
 
     A tree node may serve as a parent while it is alive, holds at least
@@ -160,10 +131,12 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
     strictly smaller level; non-backbone nodes rank as level infinity, so
     any adjacent backbone vertex qualifies for them. A node with the sink
     itself in range needs no backbone at all: its candidate list is just
-    the sink, delivery is direct. Each backbone node's next_hop is its
-    smallest-id neighbour one level closer. Raises ConstructionFailed for
-    live nodes with no candidate at all; params that fail validate(),
-    and in raw mode a zero-distance candidate, raise ValueError first.
+    the sink, delivery is direct. Each backbone node's next_hop, which
+    its children's deviation angles read, is its smallest-id neighbour
+    one level closer. Returns the candidates and their fitness totals as
+    CandidateArrays. Raises ConstructionFailed for live nodes with no
+    candidate at all; params that fail validate(), and in raw mode a
+    zero-distance candidate, raise ValueError first.
 
     Everything is a pass over the graph's CSR edges: the level BFS walks
     the edges between eligible vertices, a next_hop is the first edge of
@@ -212,28 +185,7 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
 
     rows = np.flatnonzero(count)
     bounds = np.concatenate(([0], np.cumsum(count[rows])))
-    problem = object.__new__(ForwardingProblem)  # dicts made on first read
-    vars(problem).update(_views=(parent, level, hop_from, hop_to),
-                         arrays=CandidateArrays(rows, bounds, cand, total,
-                                                max_level))
-    return problem
-
-
-def _dict_views(arrays: CandidateArrays, parent: np.ndarray,
-                level: np.ndarray, hop_from: np.ndarray,
-                hop_to: np.ndarray) -> dict:
-    """A built ForwardingProblem's four dicts, from its arrays."""
-    n = len(level) - 1
-    keys, cut = arrays.rows.tolist(), arrays.bounds.tolist()
-    backbone = np.flatnonzero(level[:n] <= arrays.max_level)
-    return dict(
-        candidates=dict(zip(keys, split_rows(
-            np.where(parent == n, SINK, parent).tolist(), cut))),
-        fitness=dict(zip(keys, split_rows(arrays.fitness.tolist(), cut))),
-        levels={SINK: 0, **dict(zip(backbone.tolist(),
-                                    level[backbone].tolist()))},
-        next_hop=dict(zip(hop_from.tolist(),
-                          np.where(hop_to == n, SINK, hop_to).tolist())))
+    return CandidateArrays(rows, bounds, cand, total, max_level)
 
 
 def _candidate_edges(graph: ReachabilityGraph, level: np.ndarray,
@@ -286,37 +238,24 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(hi < x, hi, x)
 
 
-def split_rows(values: list, bounds: list[int]) -> list[list]:
-    """values cut into the runs values[bounds[k]:bounds[k + 1]]."""
-    return list(map(values.__getitem__, map(slice, bounds, bounds[1:])))
-
-
-def expected_loads(problem: ForwardingProblem) -> dict[int, float]:
-    """Per-parent expected child count: sum of selection probabilities."""
-    expected: dict[int, float] = {}
-    for i in sorted(problem.candidates):
-        probs = problem.probabilities(i)
-        for cand, p in zip(problem.candidates[i], probs):
-            expected[cand] = expected.get(cand, 0.0) + p
-    return expected
-
-
-def min_max_load_exact(problem: ForwardingProblem
+def min_max_load_exact(candidates: Mapping[int, Sequence[int]]
                        ) -> tuple[dict[int, int], int]:
-    """Assign every node one candidate minimizing the busiest parent's load.
+    """Assign every node one of its candidates minimizing the busiest
+    parent's load.
 
-    Binary-searches the optimal mc, checking each bound's feasibility
-    with capacity-limited augmenting paths (the sink is uncapacitated);
-    returns a witness assignment and mc.
+    candidates maps each node to the parents it may pick; SINK is
+    uncapacitated. Binary-searches the optimal mc, checking each bound's
+    feasibility with capacity-limited augmenting paths; returns a
+    witness assignment and mc.
     """
-    nodes = sorted(problem.candidates)
+    nodes = sorted(candidates)
     if not nodes:
         return {}, 0
     lo, hi = 0, len(nodes)
-    feasible = _capacity_match(problem, nodes, hi)
+    feasible = _capacity_match(candidates, nodes, hi)
     while lo < hi:
         mid = (lo + hi) // 2
-        attempt = _capacity_match(problem, nodes, mid)
+        attempt = _capacity_match(candidates, nodes, mid)
         if attempt is None:
             lo = mid + 1
         else:
@@ -325,35 +264,51 @@ def min_max_load_exact(problem: ForwardingProblem
     return feasible, lo
 
 
-def _capacity_match(problem: ForwardingProblem, nodes: list[int],
-                    cap: int) -> Optional[dict[int, int]]:
+def _capacity_match(candidates: Mapping[int, Sequence[int]],
+                    nodes: list[int], cap: int) -> Optional[dict[int, int]]:
     """Kuhn-style augmenting assignment; each parent takes at most cap
-    children (the sink is uncapacitated). None when infeasible."""
+    children (the sink is uncapacitated). None when infeasible.
+
+    The depth-first search for an augmenting path keeps its frames on an
+    explicit stack, so a path may be as long as the node count: each
+    frame is a node, its untried candidates, the parent it is trying and
+    that parent's untried holders. A path applies its moves deepest
+    first.
+    """
     assigned: dict[int, list[int]] = {}
     match: dict[int, int] = {}
 
-    def slots(t: int) -> int:
-        return len(nodes) + 1 if t == SINK else cap
-
-    def augment(i: int, visited: set[int]) -> bool:
-        for t in problem.candidates[i]:
-            if t in visited:
+    def augment(root: int) -> bool:
+        visited: set[int] = set()
+        stack = [(root, iter(candidates[root]), None, iter(()))]
+        while stack:
+            i, options, _, holders = stack[-1]
+            j = next(holders, None)
+            if j is not None:  # try moving holder j elsewhere
+                stack.append((j, iter(candidates[j]), None, iter(())))
+                continue
+            t = next((u for u in options if u not in visited), None)
+            if t is None:  # i has no augmenting path left
+                stack.pop()
                 continue
             visited.add(t)
-            holders = assigned.setdefault(t, [])
-            if len(holders) < slots(t):
-                holders.append(i)
+            held = assigned.setdefault(t, [])
+            if len(held) < (len(nodes) + 1 if t == SINK else cap):
+                held.append(i)
                 match[i] = t
-                return True
-            for j in list(holders):
-                if augment(j, visited):
-                    holders.remove(j)
-                    holders.append(i)
+                stack.pop()
+                while stack:  # each frame below takes its holder's slot
+                    moved = i
+                    i, _, t, _ = stack.pop()
+                    held = assigned[t]
+                    held.remove(moved)
+                    held.append(i)
                     match[i] = t
-                    return True
+                return True
+            stack[-1] = (i, options, t, iter(list(held)))
         return False
 
     for i in nodes:
-        if not augment(i, set()):
+        if not augment(i):
             return None
     return match

@@ -2,63 +2,32 @@
 
 Sink-rooted shortest-path tree under per-hop radio cost, where only nodes
 at or above the relay threshold may forward for others, built by array
-passes over the graph's CSR edges. Maintenance is a full rebuild; the
-sink relocates by a grid rule.
+passes over the graph's CSR edges. A build returns the arrays it
+computes: each routed node's hop and every vertex's path energy.
+Maintenance is a full rebuild; the sink relocates by a grid rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
 from .config import Field, RadioParams, SimPolicy
 from .energy import rx_cost
-from .model import (
-    SINK,
-    ConstructionFailed,
-    ReachabilityGraph,
-    State,
-    distance,
-)
-
-
-@dataclass
-class BackboneTree:
-    """Parent forest rooted at the sink plus per-node path energy.
-
-    consumption[i] is the total energy all participants spend moving one
-    packet from node i to the sink along the parent chain. The sink is
-    carried in the map with consumption 0 so hop arithmetic needs no
-    special case. edges holds each routed node's hop as its graph's CSR
-    edge, in parent's key order. Tree membership is this output alone:
-    the tree nodes are the parents other than the sink, and no status
-    records it.
-    """
-
-    parent: dict[int, int] = dc_field(default_factory=dict)
-    consumption: dict[int, float] = dc_field(default_factory=dict)
-    edges: Optional[np.ndarray] = dc_field(default=None, repr=False,
-                                           compare=False)
-
-    def tree_nodes(self) -> set[int]:
-        """The nodes some node routes through: the paper's tree nodes."""
-        return set(self.parent.values()) - {SINK}
+from .model import ConstructionFailed, ReachabilityGraph, State, distance
 
 
 def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
-                 th: float) -> BackboneTree:
+                 th: float) -> tuple[np.ndarray, np.ndarray]:
     """Construct the minimal-energy backbone for every live node.
 
     A shortest-path tree from the sink over hop costs (the sender's tx
     plus the receiver's rx, none at the sink); a vertex may appear on
     the interior of a path only when its energy is at or above th. The
     path's own endpoint is exempt, so nodes below th still get routes,
-    they just never relay. Equal-cost parents resolve to the smaller
-    vertex id (the sink's id is smaller than every node's, so it wins
-    ties).
+    they just never relay. Equal-cost parents resolve to the sink, then
+    to the smaller node id.
 
     Frontier relaxation over the graph's CSR rows: each pass adds the
     hop costs to the distances of the relays whose distance fell in the
@@ -68,6 +37,14 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
     bit for bit. A last pass gives each node the first entry of its row
     (sink first, then ascending ids) that may relay and whose distance
     plus the hop's cost equals its own.
+
+    Returns (edges, dist). edges holds each routed node's hop as its
+    graph's CSR edge, senders ascending: graph.nbrs[edges] are the
+    parents, the sink as vertex n. dist[i] is the total energy all
+    participants spend moving one packet from vertex i to the sink along
+    its parent chain: 0.0 at the sink, inf for a node that is not live.
+    Tree membership is this output alone: the tree nodes are the parents
+    other than the sink, and no status records it.
 
     Raises ValueError for params that fail validate(), and
     ConstructionFailed listing every live node left unreachable.
@@ -107,13 +84,7 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
     via = graph.nbrs[edges]
     tight = relay[via] & (dist[via] + (tx[edges] + rx[via]) == dist[src])
     src, edges = src[tight], edges[tight]
-    edges = edges[np.diff(src, prepend=-1) != 0]
-    up = graph.nbrs[edges]
-    ids = routed.tolist()
-    return BackboneTree(
-        parent=dict(zip(ids, np.where(up == n, SINK, up).tolist())),
-        consumption={SINK: 0.0, **dict(zip(ids, dist[routed].tolist()))},
-        edges=edges)
+    return edges[np.diff(src, prepend=-1) != 0], dist
 
 
 def relocate_sink(graph: ReachabilityGraph, state: State, field: Field,

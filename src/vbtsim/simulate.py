@@ -214,12 +214,11 @@ class _Router:
         and then changes nothing."""
         th = self.policy.th
         if self.algorithm == "mmevbt":
-            self._fill(graph, build_mmevbt(graph, state, self.radio, th).edges)
+            self._fill(graph, build_mmevbt(graph, state, self.radio, th)[0])
             return
         tree_set = build_min_cover(graph, state, th).tree_nodes
         rows = build_forwarding_problem(graph, state, tree_set, th,
-                                        self.fitness_params,
-                                        self.e_init).arrays
+                                        self.fitness_params, self.e_init)
         if self.balanced:
             # a hop goes one level down, or onto the backbone from off it
             self._fill(graph, rows.edges, rows.draws(), 1 + rows.max_level)
@@ -502,7 +501,7 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     graph = build_reachability(scenario.points(), scenario.sensing_range)
     tree_set = build_min_cover(graph, state, th).tree_nodes
     rows = build_forwarding_problem(graph, state, tree_set, th, fparams,
-                                    e_init).arrays
+                                    e_init)
     # uniform r picks slot bisect_right(cums, r, lo, hi - 1) of row k's
     # slots lo = bounds[k] .. hi - 1, as the round loop does
     cums, bounds = rows.draws()[1].tolist(), rows.bounds.tolist()

@@ -104,8 +104,10 @@ def sweep_figure3(config: ExperimentConfig
     """Minimal-energy backbone sizes across sensing ranges."""
 
     def count(graph: ReachabilityGraph, state: State) -> int:
-        tree = build_mmevbt(graph, state, config.radio, config.policy.th)
-        return len(tree.tree_nodes())
+        edges, _ = build_mmevbt(graph, state, config.radio, config.policy.th)
+        # the distinct parents other than the sink, vertex n
+        per_head = np.bincount(graph.nbrs[edges])[:len(state[0])]
+        return int(np.count_nonzero(per_head))
 
     return _sweep(config, count)
 

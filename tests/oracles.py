@@ -20,7 +20,9 @@ round loop uses both, so it shares no tree or relocation code with the
 package. reference_min_cover replays the greedy cover, re-scoring every
 covered node after each pick, and cover_map labels a cover's live
 nodes. reference_compare_load_spread is the load-spread comparison
-over a built problem's per-node dicts, one select_parent per packet.
+over a build's per-node dicts, one select_parent per packet.
+tree_dicts, tree_nodes and candidate_dicts read a build's arrays as
+the per-node dicts the references return.
 event_rows parses the rows an EventLog writes back into the tuples
 the reference round loop logs, its paths joined packet by packet.
 graph_and_state turns a Scenario into the (graph, state) pair that
@@ -31,9 +33,9 @@ Scenario as plain ids, dicts or fresh arrays; the package keeps no such
 accessor.
 
 The scalar references (hop_weight, path_consumption, deviation_angle,
-fitness, best_parent, realize_selections, load_stats) state per hop,
-route, pair or node what the package computes in array passes; nothing
-in the package calls them.
+fitness, best_parent, expected_loads, realize_selections, load_stats)
+state per hop, route, pair or node what the package computes in array
+passes; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -56,11 +58,9 @@ from vbtsim import (
     DEFAULT_TH,
     E_INIT,
     SINK,
-    BackboneTree,
     ConstructionFailed,
     Field,
     FitnessParams,
-    ForwardingProblem,
     LifetimeMetrics,
     NodeStatus,
     Scenario,
@@ -71,9 +71,9 @@ from vbtsim import (
     build_reachability,
     classify_status,
     distance,
-    expected_loads,
     rx_cost,
     select_parent,
+    selection_probabilities,
     tx_cost,
 )
 
@@ -106,6 +106,35 @@ def neighbors(graph, vertex):
     if ids and ids[0] == n:
         ids[0] = SINK
     return ids
+
+
+def tree_dicts(graph, tree):
+    """build_mmevbt's (edges, dist) as dicts: each routed node's parent,
+    the sink as SINK, senders ascending; and its path energy, SINK's 0.0
+    first."""
+    edges, dist = tree
+    n = len(graph.indptr) - 2
+    ids = graph.edge_rows(edges).tolist()
+    up = graph.nbrs[edges]
+    parent = dict(zip(ids, np.where(up == n, SINK, up).tolist()))
+    return parent, {SINK: 0.0, **dict(zip(ids, dist[ids].tolist()))}
+
+
+def tree_nodes(graph, tree):
+    """The nodes some node of build_mmevbt's tree routes through."""
+    return set(tree_dicts(graph, tree)[0].values()) - {SINK}
+
+
+def candidate_dicts(graph, rows):
+    """build_forwarding_problem's CandidateArrays as dicts: each node's
+    candidate parents, the sink as SINK, and their fitness totals."""
+    n = len(graph.indptr) - 2
+    heads = graph.nbrs[rows.edges]
+    heads = np.where(heads == n, SINK, heads).tolist()
+    fits, cut = rows.fitness.tolist(), rows.bounds.tolist()
+    keys = rows.rows.tolist()
+    return ({i: heads[lo:hi] for i, lo, hi in zip(keys, cut, cut[1:])},
+            {i: fits[lo:hi] for i, lo, hi in zip(keys, cut, cut[1:])})
 
 
 def positions(scenario):
@@ -257,11 +286,20 @@ def fitness(node_i, cand, ctx, params):
     return FitnessBreakdown(f_d, f_e, f_beta, beta, total)
 
 
-def best_parent(problem, node_id):
+def best_parent(candidates, fitness, node_id):
     """The highest-fitness candidate; ties keep the smaller id."""
-    fit = problem.fitness[node_id]
-    return problem.candidates[node_id][max(range(len(fit)),
-                                           key=fit.__getitem__)]
+    fit = fitness[node_id]
+    return candidates[node_id][max(range(len(fit)), key=fit.__getitem__)]
+
+
+def expected_loads(candidates, fitness):
+    """Per-parent expected child count: sum of selection probabilities."""
+    expected = {}
+    for i in sorted(candidates):
+        probs = selection_probabilities(fitness[i])
+        for cand, p in zip(candidates[i], probs):
+            expected[cand] = expected.get(cand, 0.0) + p
+    return expected
 
 
 @dataclass
@@ -271,26 +309,29 @@ class LoadStats:
     expected_count: dict[int, float]
 
 
-def realize_selections(problem, rng):
+def realize_selections(candidates, fitness, rng):
     """One random parent pick per node, in ascending node order."""
     picks = {}
-    for i in sorted(problem.candidates):
-        idx = select_parent(problem.probabilities(i), rng)
-        picks[i] = problem.candidates[i][idx]
+    for i in sorted(candidates):
+        idx = select_parent(selection_probabilities(fitness[i]), rng)
+        picks[i] = candidates[i][idx]
     return picks
 
 
-def load_stats(problem, selections):
+def load_stats(candidates, fitness, selections):
     """Realized per-parent counts; mc maxes over tree nodes, not the sink."""
     count = {}
     for i in sorted(selections):
         count[selections[i]] = count.get(selections[i], 0) + 1
     mc = max((c for t, c in count.items() if t != SINK), default=0)
-    return LoadStats(count=count, mc=mc, expected_count=expected_loads(problem))
+    return LoadStats(count=count, mc=mc,
+                     expected_count=expected_loads(candidates, fitness))
 
 
 def reference_mmevbt(scenario, params, th, graph=None):
-    """build_mmevbt as a heap Dijkstra from the sink.
+    """build_mmevbt as a heap Dijkstra from the sink, as dicts: each
+    routed node's parent and each vertex's path energy, the form
+    tree_dicts gives a build.
 
     Relaxes over graph.neighbors with scalar hop_weight per edge; only
     the sink and live nodes holding th expand. Equal-cost parents go to
@@ -331,7 +372,7 @@ def reference_mmevbt(scenario, params, th, graph=None):
     unreachable = live - dist.keys()
     if unreachable:
         raise ConstructionFailed(unreachable)
-    return BackboneTree(parent=parent, consumption=dist)
+    return parent, dist
 
 
 def reference_relocate_sink(scenario, grid=4, max_step=None):
@@ -506,6 +547,22 @@ def route_energy(params, positions, path):
     return total
 
 
+@dataclass
+class ReferenceProblem:
+    """reference_forwarding_problem's result, per node: candidates[i]
+    lists node i's admissible parents ascending (SINK first), fitness[i]
+    aligns with it; levels holds each backbone vertex's hop distance
+    from the sink, next_hop each backbone node's onward hop."""
+
+    candidates: dict[int, list[int]]
+    fitness: dict[int, list[float]]
+    levels: dict[int, int]
+    next_hop: dict[int, int]
+
+    def probabilities(self, node_id):
+        return selection_probabilities(self.fitness[node_id])
+
+
 def reference_forwarding_problem(scenario, tree_nodes, th, params,
                                  e_init=E_INIT, graph=None):
     """build_forwarding_problem pair by pair: a level BFS over dicts,
@@ -538,7 +595,7 @@ def reference_forwarding_problem(scenario, tree_nodes, th, params,
 
     ctx = FitnessContext(positions=pos, energies=energies, next_hop=next_hop,
                          range_m=scenario.sensing_range, e_init=e_init)
-    problem = ForwardingProblem(levels=levels, next_hop=next_hop)
+    problem = ReferenceProblem({}, {}, levels, next_hop)
     unreachable = []
     for i in live:
         own = levels.get(i, math.inf) if i in eligible else math.inf
@@ -567,14 +624,14 @@ def reference_compare_load_spread(scenario, rounds, seed, *, th=DEFAULT_TH,
     fparams = (fitness_params or FitnessParams()).validate()
     graph, state = graph_and_state(scenario)
     tree_set = build_min_cover(graph, state, th).tree_nodes
-    problem = build_forwarding_problem(graph, state, tree_set, th, fparams,
-                                       e_init)
-    probs = {i: problem.probabilities(i) for i in problem.candidates}
-    best_next = {i: best_parent(problem, i) for i in problem.candidates}
+    candidates, fit = candidate_dicts(graph, build_forwarding_problem(
+        graph, state, tree_set, th, fparams, e_init))
+    probs = {i: selection_probabilities(fit[i]) for i in candidates}
+    best_next = {i: best_parent(candidates, fit, i) for i in candidates}
 
     rng_origin = np.random.default_rng(seed)
     rng_pick = np.random.default_rng(seed + 1)
-    ids = sorted(problem.candidates)
+    ids = sorted(candidates)
     count_prob = {}
     count_det = {}
     for _ in range(rounds):
@@ -582,7 +639,7 @@ def reference_compare_load_spread(scenario, rounds, seed, *, th=DEFAULT_TH,
         origins = [i for i, u in zip(ids, draws) if u < origin_probability]
         for origin in origins:
             idx = select_parent(probs[origin], rng_pick)
-            pick = problem.candidates[origin][idx]
+            pick = candidates[origin][idx]
             if pick != SINK:
                 count_prob[pick] = count_prob.get(pick, 0) + 1
             pick = best_next[origin]
@@ -623,9 +680,8 @@ class _ReferenceRouter:
     def rebuild(self, scenario, graph):
         """Reconstruct the backbone; raises ConstructionFailed."""
         if self.algorithm == "mmevbt":
-            tree = reference_mmevbt(scenario, self.radio, self.policy.th,
-                                    graph=graph)
-            self.next_map = tree.parent
+            self.next_map, _ = reference_mmevbt(scenario, self.radio,
+                                                self.policy.th, graph=graph)
             self.problem = None
             self.probs = {}
             _refresh_statuses(scenario, self.status, _serving_counts(self),

@@ -17,10 +17,13 @@ from vbtsim.sweeps import attempt_seed, make_scenario
 from oracles import (
     bellman_ford_consumption,
     brute_force_min_max,
+    candidate_dicts,
     cover_map,
+    expected_loads,
     graph_and_state,
     min_connected_cover_size,
     scenario_from,
+    tree_nodes,
 )
 
 RADIO = v.RadioParams()
@@ -54,12 +57,13 @@ def test_criterion_1_minimal_energy_optimality():
             if rng.random() < 0.15:
                 sc.energy[i] = 0.05  # below th, still live
         try:
-            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, v.DEFAULT_TH)
+            _, dist = v.build_mmevbt(*graph_and_state(sc), RADIO,
+                                     v.DEFAULT_TH)
         except v.ConstructionFailed:
             continue
         oracle = bellman_ford_consumption(sc, RADIO, v.DEFAULT_TH)
         for i, expect in oracle.items():
-            rel = abs(tree.consumption[i] - expect) / expect
+            rel = abs(dist[i] - expect) / expect
             worst_rel = max(worst_rel, rel)
         done += 1
     elapsed = time.perf_counter() - t0
@@ -172,16 +176,18 @@ def _random_forwarding_problem(seed):
         n = int(rng.integers(12, 40))
         range_m = float(rng.uniform(40.0, 70.0))
         sc = uniform_scenario(n, range_m, s)
+        graph, state = graph_and_state(sc)
         try:
-            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, v.DEFAULT_TH)
-            tree_set = set(tree.tree_nodes())
+            tree = v.build_mmevbt(graph, state, RADIO, v.DEFAULT_TH)
+            tree_set = tree_nodes(graph, tree)
             if not tree_set:
                 continue
-            problem = v.build_forwarding_problem(*graph_and_state(sc),
-                                                 tree_set, v.DEFAULT_TH,
-                                                 v.FitnessParams())
-            if any(len(c) > 1 for c in problem.candidates.values()):
-                return problem
+            candidates, fitness = candidate_dicts(
+                graph, v.build_forwarding_problem(graph, state, tree_set,
+                                                  v.DEFAULT_TH,
+                                                  v.FitnessParams()))
+            if any(len(c) > 1 for c in candidates.values()):
+                return candidates, fitness
         except v.ConstructionFailed:
             continue
 
@@ -193,17 +199,17 @@ def test_criterion_5_expected_load_identity():
     worst_z = 0.0
     worst_sum_err = 0.0
     for case in range(50):
-        problem = _random_forwarding_problem(base + case)
-        expected = v.expected_loads(problem)
+        candidates, fitness = _random_forwarding_problem(base + case)
+        expected = expected_loads(candidates, fitness)
         worst_sum_err = max(worst_sum_err, abs(sum(expected.values())
-                                               - len(problem.candidates)))
+                                               - len(candidates)))
         rng = np.random.default_rng(base + 50_000 + case)
-        nodes = sorted(problem.candidates)
+        nodes = sorted(candidates)
         counts = {t: 0 for t in expected}
         variances = {t: 0.0 for t in expected}
         for i in nodes:
-            probs = np.asarray(problem.probabilities(i))
-            cands = problem.candidates[i]
+            probs = np.asarray(v.selection_probabilities(fitness[i]))
+            cands = candidates[i]
             for cand, p in zip(cands, probs):
                 variances[cand] += p * (1.0 - p)
             cum = np.cumsum(probs)
@@ -232,16 +238,14 @@ def test_criterion_6_exact_min_max_load():
     for case in range(100):
         n = int(rng.integers(1, 9))
         targets = list(range(100, 100 + int(rng.integers(2, 6))))
-        cands, fits = {}, {}
+        cands = {}
         for i in range(n):
             k = min(int(rng.integers(1, 4)), len(targets))
             cands[i] = sorted(int(c) for c in
                               rng.choice(targets, size=k, replace=False))
-            fits[i] = list(rng.uniform(0.05, 2.0, size=k))
-        problem = v.ForwardingProblem(candidates=cands, fitness=fits,
-                                      levels={}, next_hop={})
+            rng.uniform(0.05, 2.0, size=k)  # fitness: keeps the draws' order
         expect = brute_force_min_max(cands)
-        _, mc = v.min_max_load_exact(problem)
+        _, mc = v.min_max_load_exact(cands)
         assert mc == expect, (case, mc, expect)
     elapsed = time.perf_counter() - t0
     report(6, "exact min-max assignment equals exhaustive optimum",

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vbtsim as v
-from oracles import (FitnessContext, best_parent, brute_force_min_max,
-                     deviation_angle, fitness, graph_and_state, load_stats,
+from oracles import (FitnessContext, ReferenceProblem, best_parent,
+                     brute_force_min_max, candidate_dicts, deviation_angle,
+                     expected_loads, fitness, graph_and_state, load_stats,
                      realize_selections, reference_forwarding_problem,
                      scan_select_index, scenario_from)
-from vbtsim.balanced import draw_index
+from vbtsim.balanced import CandidateArrays, draw_index
 
 TH = v.DEFAULT_TH
 
@@ -208,11 +209,9 @@ def test_bisect_draw_equals_cumulative_scan(values, r):
 
 
 def test_best_parent_prefers_fitness_then_smaller_id():
-    prob = v.ForwardingProblem(candidates={9: [v.SINK, 2, 4, 7]},
-                               fitness={9: [0.3, 0.8, 0.8, 0.5]})
-    assert best_parent(prob, 9) == 2
-    prob.fitness[9] = [0.9, 0.8, 0.8, 0.5]
-    assert best_parent(prob, 9) == v.SINK
+    cands = {9: [v.SINK, 2, 4, 7]}
+    assert best_parent(cands, {9: [0.3, 0.8, 0.8, 0.5]}, 9) == 2
+    assert best_parent(cands, {9: [0.9, 0.8, 0.8, 0.5]}, 9) == v.SINK
 
 
 def test_selection_frequency_matches_binomial_oracle():
@@ -227,19 +226,12 @@ def test_selection_frequency_matches_binomial_oracle():
 # ------------------------------------------------------------ expected loads
 
 def test_single_forced_candidate_expected_one():
-    prob = v.ForwardingProblem(candidates={5: [2]}, fitness={5: [0.9]},
-                               levels={2: 1}, next_hop={2: v.SINK})
-    assert v.expected_loads(prob) == {2: 1.0}
+    assert expected_loads({5: [2]}, {5: [0.9]}) == {2: 1.0}
 
 
 def test_two_nodes_sharing_the_worked_pair():
-    prob = v.ForwardingProblem(
-        candidates={10: [4, 5], 11: [4, 5]},
-        fitness={10: [0.58, 0.62], 11: [0.58, 0.62]},
-        levels={4: 1, 5: 1},
-        next_hop={4: v.SINK, 5: v.SINK},
-    )
-    exp = v.expected_loads(prob)
+    exp = expected_loads({10: [4, 5], 11: [4, 5]},
+                         {10: [0.58, 0.62], 11: [0.58, 0.62]})
     assert exp[4] == pytest.approx(2 * 0.48333, abs=2e-5)
     assert exp[5] == pytest.approx(2 * 0.51667, abs=2e-5)
     assert sum(exp.values()) == pytest.approx(2.0, abs=1e-12)
@@ -255,24 +247,19 @@ def test_expected_total_equals_node_count():
             k = int(rng.integers(1, 4))
             cands[i] = list(range(100, 100 + k))
             fit[i] = list(rng.uniform(0.05, 2.0, size=k))
-        prob = v.ForwardingProblem(candidates=cands, fitness=fit,
-                                   levels={}, next_hop={})
-        assert sum(v.expected_loads(prob).values()) == pytest.approx(n, abs=1e-9)
+        assert sum(expected_loads(cands, fit).values()) == \
+            pytest.approx(n, abs=1e-9)
 
 
 def test_monte_carlo_counts_match_expectation():
-    prob = v.ForwardingProblem(
-        candidates={i: [90, 91] for i in range(6)},
-        fitness={i: [0.58, 0.62] for i in range(6)},
-        levels={90: 1, 91: 1},
-        next_hop={90: v.SINK, 91: v.SINK},
-    )
-    exp = v.expected_loads(prob)
+    cands = {i: [90, 91] for i in range(6)}
+    fit = {i: [0.58, 0.62] for i in range(6)}
+    exp = expected_loads(cands, fit)
     rng = np.random.default_rng(41)
     rounds = 20000
     totals = {90: 0, 91: 0}
     for _ in range(rounds):
-        picks = realize_selections(prob, rng)
+        picks = realize_selections(cands, fit, rng)
         for t in picks.values():
             totals[t] += 1
     for t in (90, 91):
@@ -282,12 +269,10 @@ def test_monte_carlo_counts_match_expectation():
 
 
 def test_load_stats_counts_and_mc():
-    prob = v.ForwardingProblem(
-        candidates={0: [7], 1: [7], 2: [v.SINK]},
-        fitness={0: [1.0], 1: [1.0], 2: [1.0]},
-        levels={7: 1}, next_hop={7: v.SINK},
-    )
-    stats = load_stats(prob, realize_selections(prob, np.random.default_rng(1)))
+    cands = {0: [7], 1: [7], 2: [v.SINK]}
+    fit = {0: [1.0], 1: [1.0], 2: [1.0]}
+    stats = load_stats(cands, fit, realize_selections(
+        cands, fit, np.random.default_rng(1)))
     assert stats.count == {7: 2, v.SINK: 1}
     assert stats.mc == 2  # the sink's direct deliveries never count
     assert sum(stats.count.values()) == 3
@@ -296,19 +281,12 @@ def test_load_stats_counts_and_mc():
 # ------------------------------------------------------------------- min-max
 
 def test_min_max_forced_candidate():
-    prob = v.ForwardingProblem(candidates={i: [7] for i in range(5)},
-                               fitness={i: [1.0] for i in range(5)},
-                               levels={7: 1}, next_hop={7: v.SINK})
-    assign, mc = v.min_max_load_exact(prob)
+    assign, mc = v.min_max_load_exact({i: [7] for i in range(5)})
     assert mc == 5 and assign == {i: 7 for i in range(5)}
 
 
 def test_min_max_perfect_split():
-    prob = v.ForwardingProblem(candidates={0: [7, 8], 1: [7, 8]},
-                               fitness={0: [1.0, 1.0], 1: [1.0, 1.0]},
-                               levels={7: 1, 8: 1},
-                               next_hop={7: v.SINK, 8: v.SINK})
-    _, mc = v.min_max_load_exact(prob)
+    _, mc = v.min_max_load_exact({0: [7, 8], 1: [7, 8]})
     assert mc == 1
 
 
@@ -322,21 +300,20 @@ def random_problem(rng):
         chosen = sorted(rng.choice(tree_ids, size=k, replace=False).tolist())
         cands[i] = [int(c) for c in chosen]
         fit[i] = list(rng.uniform(0.05, 2.0, size=k))
-    return v.ForwardingProblem(candidates=cands, fitness=fit, levels={},
-                               next_hop={})
+    return cands, fit
 
 
 def check_min_max_against_brute_force(seed):
     rng = np.random.default_rng(seed)
     for _ in range(30):
-        prob = random_problem(rng)
-        expect_mc = brute_force_min_max(prob.candidates)
-        assign, mc = v.min_max_load_exact(prob)
+        cands, _ = random_problem(rng)
+        expect_mc = brute_force_min_max(cands)
+        assign, mc = v.min_max_load_exact(cands)
         assert mc == expect_mc
         # witness validity: one candidate per node, counts honour mc
         counts = {}
         for i, t in assign.items():
-            assert t in prob.candidates[i]
+            assert t in cands[i]
             if t != v.SINK:
                 counts[t] = counts.get(t, 0) + 1
         assert max(counts.values(), default=0) == mc
@@ -353,10 +330,22 @@ def test_min_max_matching_path_agrees_with_brute_force():
 def test_realized_mc_never_beats_optimum():
     rng = np.random.default_rng(71)
     for _ in range(50):
-        prob = random_problem(rng)
-        _, optimal = v.min_max_load_exact(prob)
-        stats = load_stats(prob, realize_selections(prob, rng))
+        cands, fit = random_problem(rng)
+        _, optimal = v.min_max_load_exact(cands)
+        stats = load_stats(cands, fit, realize_selections(cands, fit, rng))
         assert stats.mc >= optimal
+
+
+def test_min_max_solves_a_long_augmenting_chain():
+    # node k may take parent 10000 + k + 1 or its own 10000 + k, and the
+    # last node only its own: at cap 1 node k's augmenting path moves
+    # every node after it, a path as long as the node count
+    n = 1500
+    cands = {k: [10000 + k + 1, 10000 + k] for k in range(n - 1)}
+    cands[n - 1] = [10000 + n - 1]
+    assign, mc = v.min_max_load_exact(cands)
+    assert mc == 1
+    assert assign == {k: 10000 + k for k in range(n)}
 
 
 # -------------------------------------------------- building from a scenario
@@ -372,41 +361,47 @@ def test_problem_rejects_fitness_params_that_fail_validate(params):
         v.build_forwarding_problem(*graph_and_state(sc), {0}, TH, params)
 
 
+def built_dicts(sc, tree):
+    """build_forwarding_problem over sc with default fitness, as
+    candidate_dicts' (candidates, fitness)."""
+    graph, state = graph_and_state(sc)
+    return candidate_dicts(graph, v.build_forwarding_problem(
+        graph, state, tree, TH, v.FitnessParams()))
+
+
 def test_problem_chain_uses_strictly_closer_levels():
     coords = [(100, 110), (100, 120), (100, 130), (100, 140)]
     sc = scenario_from(coords, range_m=12)
-    prob = v.build_forwarding_problem(*graph_and_state(sc), {0, 1, 2}, TH,
-                                      v.FitnessParams())
-    assert prob.candidates == {0: [v.SINK], 1: [0], 2: [1], 3: [2]}
-    assert prob.levels[v.SINK] == 0 and prob.levels[0] == 1 and prob.levels[2] == 3
-    assert prob.next_hop[1] == 0
+    cands, fit = built_dicts(sc, {0, 1, 2})
+    assert cands == {0: [v.SINK], 1: [0], 2: [1], 3: [2]}
+    ref = reference_forwarding_problem(sc, {0, 1, 2}, TH, v.FitnessParams())
+    assert ref.levels[v.SINK] == 0 and ref.levels[0] == 1
+    assert ref.levels[2] == 3
+    assert ref.next_hop[1] == 0
+    assert (cands, fit) == (ref.candidates, ref.fitness)
 
 
-def test_built_problem_makes_its_dicts_on_first_read():
+def test_built_problem_is_its_candidate_arrays():
     coords = [(100, 110), (100, 120), (100, 130), (100, 140)]
     sc = scenario_from(coords, range_m=12)
-    prob = v.build_forwarding_problem(*graph_and_state(sc), {0, 1, 2}, TH,
+    graph, state = graph_and_state(sc)
+    rows = v.build_forwarding_problem(graph, state, {0, 1, 2}, TH,
                                       v.FitnessParams())
-    views = ("candidates", "fitness", "levels", "next_hop")
-    assert prob.arrays is not None
-    with pytest.raises(AttributeError):
-        prob.not_a_field
-    assert not set(views) & set(vars(prob))
-    copy = pickle.loads(pickle.dumps(prob))
-    assert prob.next_hop == {0: v.SINK, 1: 0, 2: 1}
-    assert set(views) <= set(vars(prob)) and "_views" not in vars(prob)
-    assert prob == reference_forwarding_problem(sc, {0, 1, 2}, TH,
-                                                v.FitnessParams()) == copy
+    assert type(rows) is CandidateArrays and rows.max_level == 3
+    copy = pickle.loads(pickle.dumps(rows))
+    ref = reference_forwarding_problem(sc, {0, 1, 2}, TH, v.FitnessParams())
+    assert ref.next_hop == {0: v.SINK, 1: 0, 2: 1}
+    assert candidate_dicts(graph, rows) == candidate_dicts(graph, copy) == \
+        (ref.candidates, ref.fitness)
 
 
 def test_sink_adjacent_nodes_deliver_directly():
     coords = [(100, 110), (95, 105), (100, 125)]
     sc = scenario_from(coords, range_m=15)
-    prob = v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
-                                      v.FitnessParams())
-    assert prob.candidates[0] == [v.SINK]
-    assert prob.candidates[1] == [v.SINK]
-    assert prob.candidates[2] == [0]
+    cands, _ = built_dicts(sc, {0})
+    assert cands[0] == [v.SINK]
+    assert cands[1] == [v.SINK]
+    assert cands[2] == [0]
 
 
 def test_problem_unreachable_node_raises():
@@ -429,11 +424,10 @@ def test_problem_skips_depleted_tree_nodes():
 def test_symmetric_diamond_splits_fifty_fifty():
     coords = [(100, 112), (112, 100), (110, 110)]
     sc = scenario_from(coords, range_m=13)
-    prob = v.build_forwarding_problem(*graph_and_state(sc), {0, 1}, TH,
-                                      v.FitnessParams())
-    assert prob.candidates[2] == [0, 1]
-    assert prob.probabilities(2) == [0.5, 0.5]
-    exp = v.expected_loads(prob)
+    cands, fit = built_dicts(sc, {0, 1})
+    assert cands[2] == [0, 1]
+    assert v.selection_probabilities(fit[2]) == [0.5, 0.5]
+    exp = expected_loads(cands, fit)
     # the two tree nodes deliver their own packets straight to the sink
     assert exp[0] == exp[1] == pytest.approx(0.5, abs=1e-12)
     assert exp[v.SINK] == pytest.approx(2.0, abs=1e-12)
@@ -442,15 +436,18 @@ def test_symmetric_diamond_splits_fifty_fifty():
 # ------------------------------------------- array build vs scalar oracle
 
 def problem_outcome(build, *args):
-    """A build's result with every float as its exact bits, or its error."""
+    """A build's candidates with every fitness as its exact bits, or its
+    error. The levels and next hops decide both, so they go unread."""
     try:
         p = build(*args)
     except v.ConstructionFailed as fail:
         return "unreachable", fail.unreachable
     except ValueError as err:
         return "error", str(err)
-    bits = {i: [f.hex() for f in fit] for i, fit in p.fitness.items()}
-    return "built", p.candidates, bits, p.levels, p.next_hop
+    cands, fit = ((p.candidates, p.fitness) if isinstance(p, ReferenceProblem)
+                  else candidate_dicts(args[0], p))
+    bits = {i: [f.hex() for f in row] for i, row in fit.items()}
+    return "built", cands, bits
 
 
 @st.composite
@@ -481,10 +478,10 @@ def drained_layouts(draw):
 @given(drained_layouts(), st.sampled_from(["normalized", "raw"]),
        st.sampled_from([2.0, 0.5]))
 def test_array_problem_equals_scalar_reference(case, mode, e_init):
-    """Candidates, fitness bits, levels, next hops, failure lists and the
-    raw-mode error (which wins over an unreachable node) all match the
-    pair-by-pair build, after drains, deaths and sink moves; so do the
-    draw rows and best parents the round loop reads from the arrays."""
+    """Candidates, fitness bits, failure lists and the raw-mode error
+    (which wins over an unreachable node) all match the pair-by-pair
+    build, after drains, deaths and sink moves; so do the draw rows and
+    best parents the round loop reads from the arrays."""
     sc, tree, steps = case
     params = v.FitnessParams(mode=mode)
     g = v.build_reachability(sc.points(), sc.sensing_range)
@@ -513,22 +510,18 @@ def test_array_problem_equals_scalar_reference(case, mode, e_init):
                 g, sc.state(), chosen, TH, params, e_init), g)
 
 
-def check_candidate_arrays(p, g):
-    arrays, n = p.arrays, len(g.indptr) - 2
+def check_candidate_arrays(arrays, g):
+    n = len(g.indptr) - 2
+    cands, fit = candidate_dicts(g, arrays)
     rows = arrays.rows.tolist()
-    assert rows == sorted(p.candidates)
-    ends = g.nbrs[arrays.edges]
-    assert np.where(ends == n, v.SINK, ends).tolist() == \
-        [c for i in rows for c in p.candidates[i]]
+    assert rows == sorted(cands)
     assert (g.edge_rows(arrays.edges) == np.repeat(
         arrays.rows, np.diff(arrays.bounds))).all()
-    assert [f.hex() for f in arrays.fitness.tolist()] == \
-        [f.hex() for i in rows for f in p.fitness[i]]
     best = g.nbrs[arrays.best_edges()]
     assert np.where(best == n, v.SINK, best).tolist() == \
-        [best_parent(p, i) for i in rows]
+        [best_parent(cands, fit, i) for i in rows]
     try:
-        probs = [p.probabilities(i) for i in rows]
+        probs = [v.selection_probabilities(fit[i]) for i in rows]
     except ValueError as err:
         with pytest.raises(ValueError, match=str(err)):
             arrays.draws()
@@ -542,12 +535,15 @@ def check_candidate_arrays(p, g):
 def test_array_problem_with_no_live_node():
     sc = scenario_from([(100, 110), (100, 120)], range_m=12,
                        energies=[0.0, 0.0], live=[False, False])
-    p = v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
-                                   v.FitnessParams())
-    assert p == reference_forwarding_problem(sc, {0}, TH, v.FitnessParams())
-    assert p.candidates == {} and p.levels == {v.SINK: 0}
-    flat, cums = p.arrays.draws()
-    assert flat.size == cums.size == p.arrays.best_edges().size == 0
+    graph, state = graph_and_state(sc)
+    rows = v.build_forwarding_problem(graph, state, {0}, TH,
+                                      v.FitnessParams())
+    ref = reference_forwarding_problem(sc, {0}, TH, v.FitnessParams())
+    assert candidate_dicts(graph, rows) == ({}, {}) == \
+        (ref.candidates, ref.fitness)
+    assert ref.levels == {v.SINK: 0} and rows.max_level == 0
+    flat, cums = rows.draws()
+    assert flat.size == cums.size == rows.best_edges().size == 0
 
 
 @pytest.mark.parametrize("mode, error", [

@@ -276,3 +276,16 @@ def test_readme_config_block_is_the_default_echo():
     block = section.split("```\n", 2)[1]
     assert block.splitlines() == \
         [line[2:] for line in v.ExperimentConfig().echo_lines()]
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```\n", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    rows = (tmp_path / "events.csv").read_text(encoding="utf-8").splitlines()
+    assert rows and all(len(row.split(",", 3)) == 4 for row in rows)

@@ -17,6 +17,8 @@ from oracles import (
     reference_mmevbt,
     reference_relocate_sink,
     scenario_from,
+    tree_dicts,
+    tree_nodes,
 )
 
 RADIO = v.RadioParams()
@@ -30,18 +32,26 @@ def relocate(sc, grid=4, max_step=None):
                            v.SimPolicy(grid=grid, max_step=max_step))
 
 
-def assert_tree_invariants(tree, scenario, params=RADIO, th=TH):
+def built(sc, params=RADIO, th=TH):
+    """build_mmevbt over sc, as tree_dicts' (parent, consumption)."""
+    graph, state = graph_and_state(sc)
+    return tree_dicts(graph, v.build_mmevbt(graph, state, params, th))
+
+
+def assert_tree_invariants(parent, consumption, scenario, params=RADIO,
+                           th=TH):
     pos = positions(scenario)
-    for i, par in tree.parent.items():
+    for i, par in parent.items():
         hop = hop_weight(params, v.distance(pos[i], pos[par]), par)
-        parent_cons = tree.consumption[par]
-        assert tree.consumption[i] == pytest.approx(hop + parent_cons, rel=1e-12)
+        # the tie pass: a node's energy is its hop plus its parent's, bit
+        # for bit, in hop_weight's order
+        assert consumption[i] == hop + consumption[par]
         if par != v.SINK:
             assert scenario.energy[par] >= th
         # parent chain terminates at the sink without a cycle
         chain = [i]
         while chain[-1] != v.SINK:
-            chain.append(tree.parent[chain[-1]])
+            chain.append(parent[chain[-1]])
             assert len(chain) <= len(scenario.xy) + 1
 
 
@@ -49,27 +59,35 @@ def assert_tree_invariants(tree, scenario, params=RADIO, th=TH):
 
 def test_single_node_routes_directly():
     sc = scenario_from([(100, 110)], range_m=12)
-    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-    assert tree.parent[0] == v.SINK
-    assert tree.consumption[0] == pytest.approx(2.4576e-4, rel=1e-12)
-    assert tree.consumption[v.SINK] == 0.0
+    graph, state = graph_and_state(sc)
+    edges, dist = v.build_mmevbt(graph, state, RADIO, TH)
+    assert graph.nbrs[edges].tolist() == [1]  # the sink is vertex n
+    assert dist[0] == pytest.approx(2.4576e-4, rel=1e-12)
+    assert dist[1] == 0.0
+    parent, consumption = tree_dicts(graph, (edges, dist))
+    assert parent == {0: v.SINK}
+    assert consumption == {v.SINK: 0.0, 0: dist[0]}
 
 
 def test_direct_beats_relay_at_square_path_loss():
     # A 20 m out, B on the segment 10 m from each endpoint
     sc = scenario_from([(100, 120), (100, 110)], range_m=25)
-    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-    assert tree.parent[0] == v.SINK
-    assert tree.consumption[0] == pytest.approx(3.6864e-4, rel=1e-12)
-    assert len(tree.tree_nodes()) == 0  # nobody relays
+    graph, state = graph_and_state(sc)
+    tree = v.build_mmevbt(graph, state, RADIO, TH)
+    parent, consumption = tree_dicts(graph, tree)
+    assert parent[0] == v.SINK
+    assert consumption[0] == pytest.approx(3.6864e-4, rel=1e-12)
+    assert len(tree_nodes(graph, tree)) == 0  # nobody relays
 
 
 def test_relay_wins_when_direct_is_out_of_range():
     sc = scenario_from([(100, 110), (100, 120)], range_m=12)
-    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-    assert tree.parent[1] == 0
-    assert tree.consumption[1] == pytest.approx(6.9632e-4, rel=1e-12)
-    assert tree.tree_nodes() == {0}
+    graph, state = graph_and_state(sc)
+    tree = v.build_mmevbt(graph, state, RADIO, TH)
+    parent, consumption = tree_dicts(graph, tree)
+    assert parent[1] == 0
+    assert consumption[1] == pytest.approx(6.9632e-4, rel=1e-12)
+    assert tree_nodes(graph, tree) == {0}
 
 
 def test_consumption_matches_bellman_ford_oracle():
@@ -80,14 +98,14 @@ def test_consumption_matches_bellman_ford_oracle():
         sc = scenario_from(v.deploy_uniform(FIELD, 40, seed=seed), 45.0)
         oracle = bellman_ford_consumption(sc, RADIO, TH)
         try:
-            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
+            parent, consumption = built(sc)
         except v.ConstructionFailed as err:
             assert err.unreachable == sorted(i for i in live_ids(sc)
                                              if math.isinf(oracle[i]))
             continue
         for i in live_ids(sc):
-            assert tree.consumption[i] == pytest.approx(oracle[i], rel=1e-9)
-        assert_tree_invariants(tree, sc)
+            assert consumption[i] == pytest.approx(oracle[i], rel=1e-9)
+        assert_tree_invariants(parent, consumption, sc)
         checked += 1
 
 
@@ -99,13 +117,13 @@ def test_oracle_agreement_with_depleted_relays():
         sc = scenario_from(xy, 50.0, energies=energies)
         oracle = bellman_ford_consumption(sc, RADIO, TH)
         try:
-            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
+            _, consumption = built(sc)
         except v.ConstructionFailed as err:
             assert err.unreachable == sorted(i for i in live_ids(sc)
                                              if math.isinf(oracle[i]))
             continue
         for i in live_ids(sc):
-            assert tree.consumption[i] == pytest.approx(oracle[i], rel=1e-9)
+            assert consumption[i] == pytest.approx(oracle[i], rel=1e-9)
 
 
 def exact_tie_scenario():
@@ -118,12 +136,12 @@ def exact_tie_scenario():
 
 def test_tie_breaks_to_smaller_parent_id():
     sc, params = exact_tie_scenario()
-    tree = v.build_mmevbt(*graph_and_state(sc), params, TH)
+    parent, consumption = built(sc, params)
     pos = positions(sc)
-    via_a = hop_weight(params, v.distance(pos[2], pos[0]), 0) + tree.consumption[0]
-    via_b = hop_weight(params, v.distance(pos[2], pos[1]), 1) + tree.consumption[1]
+    via_a = hop_weight(params, v.distance(pos[2], pos[0]), 0) + consumption[0]
+    via_b = hop_weight(params, v.distance(pos[2], pos[1]), 1) + consumption[1]
     assert via_a == via_b  # guard: the tie really is exact
-    assert tree.parent[2] == 0
+    assert parent[2] == 0
 
 
 def test_construction_failed_lists_sorted_unreachable():
@@ -143,16 +161,18 @@ def test_below_threshold_node_cannot_relay():
 
 def test_below_threshold_endpoint_may_still_originate():
     sc = scenario_from([(100, 110), (100, 120)], range_m=12, energies=[2.0, 0.15])
-    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-    assert tree.parent[1] == 0
-    assert tree.consumption[1] == pytest.approx(6.9632e-4, rel=1e-12)
+    parent, consumption = built(sc)
+    assert parent[1] == 0
+    assert consumption[1] == pytest.approx(6.9632e-4, rel=1e-12)
 
 
 def test_failed_nodes_are_ignored_entirely():
     sc = scenario_from([(100, 110), (0, 0)], range_m=12, energies=[2.0, 0.0])
     # the dead corner node is not "unreachable"
-    tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-    assert 1 not in tree.parent
+    graph, state = graph_and_state(sc)
+    edges, dist = v.build_mmevbt(graph, state, RADIO, TH)
+    assert graph.edge_rows(edges).tolist() == [0]
+    assert dist[1] == math.inf
 
 
 @pytest.mark.parametrize("radio", [
@@ -234,13 +254,15 @@ def test_array_spt_equals_heap_dijkstra(case):
     if isinstance(expect, list):
         assert tree == expect
         return
-    assert tree.parent == expect.parent
-    assert float_bits(tree.consumption) == float_bits(expect.consumption)
-    # each routed node's CSR edge runs from its row to its parent
-    n = len(sc.xy)
-    assert graph.edge_rows(tree.edges).tolist() == list(tree.parent)
-    assert graph.nbrs[tree.edges].tolist() == \
-        [n if p == v.SINK else p for p in tree.parent.values()]
+    parent, consumption = tree_dicts(graph, tree)
+    assert parent == expect[0]
+    assert float_bits(consumption) == float_bits(expect[1])
+    # every vertex off the tree is inf: the dead nodes
+    edges, dist = tree
+    off = np.ones(len(dist), dtype=bool)
+    off[graph.edge_rows(edges)] = False
+    off[-1] = False
+    assert np.isinf(dist[off]).all() and not sc.live[off[:-1]].any()
 
 
 # ---------------------------------------------------------------- maintenance
@@ -249,8 +271,8 @@ def test_maintain_without_changes_reproduces_tree():
     sc = scenario_from(v.deploy_uniform(FIELD, 40, seed=4), 45.0)
     t1 = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     t2 = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-    assert t1.parent == t2.parent
-    assert t1.consumption == t2.consumption
+    assert t1[0].tolist() == t2[0].tolist()
+    assert t1[1].tolist() == t2[1].tolist()
 
 
 def test_maintain_equals_fresh_build_after_random_drains():
@@ -261,23 +283,22 @@ def test_maintain_equals_fresh_build_after_random_drains():
         seed += 1
         sc = scenario_from(v.deploy_uniform(FIELD, 50, seed=seed), 45.0)
         try:
-            tree = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
+            v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
         except v.ConstructionFailed:
             continue
         for i in range(len(sc.xy)):
             if rng.random() < 0.3:
                 sc.energy[i] = float(rng.uniform(0.0, v.E_INIT))
         try:
-            maintained = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
+            maintained = built(sc)
         except v.ConstructionFailed:
             continue
-        fresh = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-        assert maintained.parent == fresh.parent
-        assert maintained.consumption == fresh.consumption
+        fresh = built(sc)
+        assert maintained == fresh
         drained = np.flatnonzero(sc.energy < TH).tolist()
-        for i, par in maintained.parent.items():
+        for i, par in maintained[0].items():
             assert par not in drained
-        assert_tree_invariants(maintained, sc)
+        assert_tree_invariants(*maintained, sc)
         done += 1
 
 

@@ -14,14 +14,13 @@ PACKAGE = Path(vbtsim.__file__).parent
 PUBLIC = {
     "ALGORITHMS", "BETA_MIN", "DEFAULT_E_AMP", "DEFAULT_E_ELEC",
     "DEFAULT_E_FAIL", "DEFAULT_PACKET_BITS", "DEFAULT_TH", "E_INIT", "SINK",
-    "BackboneTree", "ConstructionFailed", "ExperimentConfig", "Field",
-    "FitnessParams", "ForwardingProblem",
+    "ConstructionFailed", "ExperimentConfig", "Field", "FitnessParams",
     "LifetimeMetrics", "NodeStatus", "RadioParams",
     "ReachabilityGraph", "Scenario", "ScenarioFormatError", "SimPolicy",
     "TrafficModel", "apply_setting", "attempt_seed",
     "build_forwarding_problem", "build_min_cover", "build_mmevbt",
     "build_reachability", "classify_status", "compare_load_spread",
-    "deploy_uniform", "distance", "expected_loads", "is_connected_to_sink",
+    "deploy_uniform", "distance", "is_connected_to_sink",
     "load_config", "make_scenario", "min_max_load_exact",
     "parse_config_text", "read_scenario", "relocate_sink", "run_scenario",
     "run_simulation", "rx_cost", "select_parent", "selection_probabilities",
@@ -35,7 +34,7 @@ def test_public_names_are_pinned():
     names = {name for name, obj in vars(vbtsim).items()
              if not name.startswith("_")
              and not isinstance(obj, types.ModuleType)}
-    assert len(PUBLIC) == 50
+    assert len(PUBLIC) == 47
     assert names == PUBLIC
 
 

@@ -23,7 +23,7 @@ from vbtsim.sweeps import (
     write_csv,
     write_sweep_outputs,
 )
-from oracles import graph_and_state
+from oracles import graph_and_state, tree_nodes
 
 SEED_STRIDE = 1_000_003
 
@@ -89,8 +89,9 @@ def test_sweep_rows_consistent_and_replayable():
     # replay one successful attempt from its recorded seed
     probe = next(a for a in attempts if not a.failed)
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
-    tree = build_mmevbt(*graph_and_state(sc), cfg.radio, cfg.policy.th)
-    assert len(tree.tree_nodes()) == probe.n_tree_nodes
+    graph, state = graph_and_state(sc)
+    tree = build_mmevbt(graph, state, cfg.radio, cfg.policy.th)
+    assert len(tree_nodes(graph, tree)) == probe.n_tree_nodes
 
 
 def test_sweep_fig4_counts_greedy_cover_sizes():
@@ -123,8 +124,8 @@ def test_sweep_attempts_equal_their_scenario_replay(e_init, th, e_fail, n,
         base_seed=base_seed, energy=EnergyParams(e_init),
         policy=v.SimPolicy(th=th, e_fail=e_fail))
     for sweep, count in [
-            (sweep_figure3, lambda g, s: len(build_mmevbt(
-                g, s, cfg.radio, th).tree_nodes())),
+            (sweep_figure3, lambda g, s: len(tree_nodes(g, build_mmevbt(
+                g, s, cfg.radio, th)))),
             (sweep_figure4,
              lambda g, s: len(build_min_cover(g, s, th).tree_nodes))]:
         for attempt in sweep(cfg)[1]:
