@@ -38,11 +38,9 @@ from .mmevbt import build_mmevbt, relocate_sink
 from .model import (
     SINK,
     ConstructionFailed,
-    NodeStatus,
     ReachabilityGraph,
     Scenario,
     build_reachability,
-    classify_status,
     deploy_uniform,
     distance,
     is_connected_to_sink,

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .config import E_INIT, FitnessParams
+from .config import E_INIT, EnergyParams, FitnessParams, SimPolicy
 from .model import (
     SINK,
     ConstructionFailed,
@@ -135,8 +135,8 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
     its children's deviation angles read, is its smallest-id neighbour
     one level closer. Returns the candidates and their fitness totals as
     CandidateArrays. Raises ConstructionFailed for live nodes with no
-    candidate at all; params that fail validate(), and in raw mode a
-    zero-distance candidate, raise ValueError first.
+    candidate at all; params, a th or an e_init that fail validate(),
+    and in raw mode a zero-distance candidate, raise ValueError first.
 
     Everything is a pass over the graph's CSR edges: the level BFS walks
     the edges between eligible vertices, a next_hop is the first edge of
@@ -148,6 +148,8 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
     by graph.range. Reads only graph and state, and writes neither.
     """
     params.validate()
+    SimPolicy(th=th).validate()
+    EnergyParams(e_init).validate()
     energy, live = state
     n = len(energy)
     live = np.append(live, False)

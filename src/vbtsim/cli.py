@@ -93,8 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                         attempts)
         elif args.verb == "run":
             config = resolve_config(args)
-            scenario = read_scenario(args.scenario, th=config.policy.th,
-                                     e_fail=config.policy.e_fail)
+            scenario = read_scenario(args.scenario)
             _, paths = run_scenario(scenario, config, args.out,
                                     write_events=args.events)
         else:  # gen-scenario

@@ -103,6 +103,13 @@ class SimPolicy:
                              "(none = unbounded)")
         return self
 
+    @property
+    def floor(self) -> float:
+        """The least energy a live node holds: a node is live iff its
+        energy >= floor, so it fails below min(th, e_fail), and at 0 J
+        whatever they are."""
+        return max(min(self.th, self.e_fail), math.ulp(0.0))
+
 
 @dataclass(frozen=True)
 class TrafficModel:

@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import SimPolicy
 from .model import ConstructionFailed, ReachabilityGraph, State
 
 
@@ -39,8 +40,10 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
     covered, so keys are unique and the pop order, hence every pick, is
     that of popping and pushing back. The picks are those of re-scoring
     every covered node after each promotion, without the O(n^2) cost.
-    Reads only graph and state, and writes neither.
+    Raises ValueError for a th that fails SimPolicy.validate(). Reads
+    only graph and state, and writes neither.
     """
+    SimPolicy(th=th).validate()
     energy, live = state
     n = len(energy)
     live = np.append(live, False)  # the sink, n, is never live

@@ -46,11 +46,12 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
     Tree membership is this output alone: the tree nodes are the parents
     other than the sink, and no status records it.
 
-    Raises ValueError for params that fail validate(), and
+    Raises ValueError for params or a th that fail validate(), and
     ConstructionFailed listing every live node left unreachable.
     Reads only graph and state, and writes neither.
     """
     params.validate()  # a negative cost would relax forever
+    SimPolicy(th=th).validate()
     energy, live = state
     n = len(energy)
     head = np.append(live, False)  # live nodes: the sink is no head

@@ -1,5 +1,4 @@
-"""Scenarios as arrays, node statuses, seeded deployment and unit-disk
-reachability.
+"""Scenarios as arrays, seeded deployment and unit-disk reachability.
 
 The reachability graph keeps its edges as CSR arrays only, carries each
 edge's distance and transmit cost as flat arrays built on first use, and
@@ -10,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_E_FAIL, Field, RadioParams
+from .config import Field, RadioParams
 
 # Edges per block of the scalar per-edge passes (see _per_edge).
 _BLOCK = 2048
@@ -37,40 +35,20 @@ class ConstructionFailed(RuntimeError):
         super().__init__(f"no route to sink for nodes {self.unreachable}")
 
 
-class NodeStatus(Enum):
-    TREE = "tree"
-    CANDIDATE_NON_TREE = "candidate_non_tree"
-    PERMANENT_NON_TREE = "permanent_non_tree"
-    FAILED = "failed"
-
-
-def classify_status(energy: float, children: int, th: float,
-                    e_fail: float = DEFAULT_E_FAIL) -> NodeStatus:
-    """Four-way node status from residual energy and current child count;
-    a node holding 0 J has failed, whatever th and e_fail are."""
-    if energy <= 0:
-        return NodeStatus.FAILED
-    if energy >= th:
-        return NodeStatus.TREE if children > 0 else NodeStatus.CANDIDATE_NON_TREE
-    if energy >= e_fail:
-        return NodeStatus.PERMANENT_NON_TREE
-    return NodeStatus.FAILED
-
-
 @dataclass(eq=False)
 class Scenario:
-    """A deployment as arrays by node id: each node's position (xy, (n, 2)),
-    battery (energy, (n,)) and whether it is alive (live, (n,) bool).
+    """A deployment as arrays by node id: each node's position (xy, (n, 2))
+    and battery (energy, (n,)).
 
     xy and energy are held as float arrays (np.asarray: a float array is
     not copied). points() and state() return copies, so a run never
-    writes them.
+    writes them. Liveness is not stored: state(floor) derives it from
+    energy under a run's SimPolicy.floor.
     """
 
     field: Field
     xy: np.ndarray
     energy: np.ndarray
-    live: np.ndarray
     sensing_range: float
     rng_seed: int = 0
 
@@ -78,14 +56,11 @@ class Scenario:
         self.field.validate()
         self.xy = np.asarray(self.xy, dtype=float)
         self.energy = np.asarray(self.energy, dtype=float)
-        self.live = np.asarray(self.live)
         n = len(self.xy)
         if not n:
             raise ValueError("need at least one node")
-        if (self.xy.shape != (n, 2) or self.energy.shape != (n,)
-                or self.live.shape != (n,) or self.live.dtype != bool):
-            raise ValueError("xy, energy and live must be shaped (n, 2), "
-                             "(n,) and (n,) bool")
+        if self.xy.shape != (n, 2) or self.energy.shape != (n,):
+            raise ValueError("xy and energy must be shaped (n, 2) and (n,)")
         if not 0 < self.sensing_range < math.inf:
             raise ValueError("sensing range must be positive and finite")
         if not (np.isfinite(self.energy) & (self.energy >= 0)).all():
@@ -101,9 +76,10 @@ class Scenario:
         """A fresh (n+1, 2) array: each node's (x, y) by id, the sink last."""
         return np.vstack((self.xy, [self.field.sink_pos]))
 
-    def state(self) -> State:
-        """Copies of the nodes' energies and liveness, as a State."""
-        return self.energy.copy(), self.live.copy()
+    def state(self, floor: float) -> State:
+        """A copy of the nodes' energies and each node's liveness,
+        energy >= floor (a SimPolicy's floor), as a State."""
+        return self.energy.copy(), self.energy >= floor
 
 
 @dataclass(eq=False)

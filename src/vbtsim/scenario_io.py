@@ -4,6 +4,9 @@ Format, one record per line, '.' decimal separator, '#' starts a comment:
 
     field <width> <height> <sink_x> <sink_y> <range> <seed>
     node <id> <x> <y> <energy>
+
+A file holds energies only: the run's policy decides which nodes are
+live (Scenario.state).
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT_E_FAIL, DEFAULT_TH, Field
-from .model import NodeStatus, Scenario, classify_status
+from .config import Field
+from .model import Scenario
 
 
 class ScenarioFormatError(ValueError):
@@ -24,10 +27,8 @@ class ScenarioFormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-def read_scenario(path: str, th: float = DEFAULT_TH,
-                  e_fail: float = DEFAULT_E_FAIL) -> Scenario:
-    """Parse a scenario file; a node is live unless classify_status of its
-    stored energy says FAILED."""
+def read_scenario(path: str) -> Scenario:
+    """Parse a scenario file."""
     field = None
     nodes: dict[int, tuple[float, float, float]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -47,13 +48,13 @@ def read_scenario(path: str, th: float = DEFAULT_TH,
                     seed = int(args[5])
                 except ValueError:
                     raise ScenarioFormatError(line_no, "bad number in field line")
-                if not all(map(math.isfinite, (w, h, sx, sy, rng_m))):
-                    raise ScenarioFormatError(
-                        line_no, "field values must be finite")
                 try:
                     field = Field(w, h, sx, sy).validate()
                 except ValueError as exc:
                     raise ScenarioFormatError(line_no, str(exc))
+                if not 0 < rng_m < math.inf:  # nan fails it too
+                    raise ScenarioFormatError(
+                        line_no, "sensing range must be positive and finite")
                 sensing_range, rng_seed = rng_m, seed
             elif kind == "node":
                 if field is None:
@@ -85,10 +86,7 @@ def read_scenario(path: str, th: float = DEFAULT_TH,
     if sorted(nodes) != list(range(len(nodes))):
         raise ScenarioFormatError(0, "node ids must be dense from 0")
     rows = np.array([nodes[i] for i in range(len(nodes))])  # x, y, energy
-    live = [classify_status(e, 0, th, e_fail) is not NodeStatus.FAILED
-            for e in rows[:, 2].tolist()]
-    return Scenario(field, rows[:, :2], rows[:, 2], live, sensing_range,
-                    rng_seed)
+    return Scenario(field, rows[:, :2], rows[:, 2], sensing_range, rng_seed)
 
 
 def write_scenario(scenario: Scenario, path: str) -> None:

@@ -7,14 +7,14 @@ sink. Everything is driven by one seeded generator, so a (scenario,
 config, seed) triple always replays bit-for-bit.
 
 The run's state is two arrays by node id (model.State: energy, live),
-copied from the Scenario's at its start. Every build and relocation
-reads only the run's graph and that state, so the run never writes the
-Scenario and moves only its graph's sink. A status
-matters only as "failed or not": relay eligibility is energy >= th, and
-a node fails once it holds neither th nor e_fail, or 0 J, whatever its
-child count. A round touches only the nodes that spent energy. Energy
+made from the Scenario's energies at its start. Every build and
+relocation reads only the run's graph and that state, so the run never
+writes the Scenario and moves only its graph's sink. Liveness is one
+rule, energy >= SimPolicy.floor: a node fails once it holds neither th
+nor e_fail, or 0 J, whatever its child count; relay eligibility is
+energy >= th. A round touches only the nodes that spent energy. Energy
 only falls, so a node dies or loses eligibility exactly when a debit
-takes it below that floor or th, and a rebuild is due exactly then.
+takes it below the floor or th, and a rebuild is due exactly then.
 
 Every build fills one route table (_Router), in which a fixed parent
 (mmevbt, min_cover_best_parent) is a row with one candidate. With no
@@ -50,7 +50,6 @@ round loop builds no string or tuple per packet.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, TextIO
@@ -378,11 +377,12 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     EnergyParams(e_init).validate()
     stream = _Uniforms(_generator(seed))
     n_total = len(scenario.xy)
-    # a node dies below min(th, e_fail), and at 0 J whatever they are
-    th, floor = policy.th, max(min(policy.th, policy.e_fail), math.ulp(0.0))
+    th, floor = policy.th, policy.floor
     rx = rx_cost(radio)
     metrics = LifetimeMetrics()
-    state = energy, live = scenario.state()  # written in place by the rounds
+    # written in place by the rounds; a node below floor starts failed,
+    # with no death logged
+    state = energy, live = scenario.state(floor)
     # per vertex over the run (the sink is n, dropped at the end): parent
     # picks, balanced expected loads and the tree nodes any packet could pick
     first_hops = np.zeros(n_total + 1, dtype=np.int64)
@@ -390,9 +390,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     log = (event_log.add_event if event_log is not None
            else lambda *args, **kwargs: None)
 
-    # a live node below floor fails before the first build, with no death
-    # logged; the run moves only the graph's sink, never the scenario's
-    live &= energy >= floor
+    # the run moves only the graph's sink, never the scenario's
     graph = build_reachability(scenario.points(), scenario.sensing_range)
     router = _Router(algorithm, radio, policy, fparams, e_init)
     router.rebuild(graph, state)  # initial failure propagates
@@ -491,13 +489,14 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     origin's chosen parent; returns each policy's maximum per-tree-node
     count. Direct-to-sink deliveries burden no tree node and count for
     neither policy. Picks read the build's CandidateArrays as a run does.
+    A node is live while it holds SimPolicy(th=th).floor.
     """
-    SimPolicy(th=th).validate()
+    policy = SimPolicy(th=th).validate()
     TrafficModel(origin_probability, rounds).validate()
     EnergyParams(e_init).validate()
     fparams = (fitness_params or FitnessParams()).validate()
     rng_origin, rng_pick = _generator(seed), _generator(seed + 1)
-    state = scenario.state()
+    state = scenario.state(policy.floor)
     graph = build_reachability(scenario.points(), scenario.sensing_range)
     tree_set = build_min_cover(graph, state, th).tree_nodes
     rows = build_forwarding_problem(graph, state, tree_set, th, fparams,

@@ -20,12 +20,10 @@ from .mincover import build_min_cover
 from .mmevbt import build_mmevbt
 from .model import (
     ConstructionFailed,
-    NodeStatus,
     ReachabilityGraph,
     Scenario,
     State,
     build_reachability,
-    classify_status,
     deploy_uniform,
 )
 from .simulate import EventLog, LifetimeMetrics, run_simulation
@@ -42,12 +40,10 @@ def attempt_seed(base_seed: int, range_m: float, attempt: int) -> int:
 def make_scenario(config: ExperimentConfig, seed: int,
                   range_m: float) -> Scenario:
     """config.n_nodes nodes drawn by deploy_uniform over config.field, each
-    holding energy.e_init and live unless classify_status says FAILED."""
-    n, e_init, policy = config.n_nodes, config.energy.e_init, config.policy
-    live = classify_status(e_init, 0, policy.th,
-                           policy.e_fail) is not NodeStatus.FAILED
+    holding energy.e_init."""
+    n = config.n_nodes
     return Scenario(config.field, deploy_uniform(config.field, n, seed),
-                    np.full(n, e_init), np.full(n, live), range_m, seed)
+                    np.full(n, config.energy.e_init), range_m, seed)
 
 
 @dataclass(frozen=True)
@@ -70,8 +66,10 @@ class RangeRow:
 def _sweep(config: ExperimentConfig,
            count_tree_nodes: Callable[[ReachabilityGraph, State], int]
            ) -> tuple[list[RangeRow], list[AttemptRow]]:
-    """Each attempt is make_scenario's deployment at its attempt_seed."""
+    """Each attempt is make_scenario's deployment at its attempt_seed, in
+    the state a run of it would start from."""
     config.validate()
+    floor = config.policy.floor
     summary: list[RangeRow] = []
     attempts: list[AttemptRow] = []
     for range_m in config.ranges:
@@ -85,7 +83,7 @@ def _sweep(config: ExperimentConfig,
             scenario = make_scenario(config, seed, range_m)
             graph = build_reachability(scenario.points(), range_m)
             try:
-                size = count_tree_nodes(graph, scenario.state())
+                size = count_tree_nodes(graph, scenario.state(floor))
             except ConstructionFailed:
                 failures += 1
                 attempts.append(AttemptRow(seed, range_m, None, True))

@@ -7,11 +7,12 @@ enumeration instead of search-plus-matching. reference_run_simulation is
 the round loop as it was before the per-build route table: every hop
 cost recomputed, every node reclassified and the whole eligibility
 signature compared each round, the graph rebuilt on every relocation.
-Its statuses are its own dict under its own copy of the four-way rule
-(_refresh_statuses), applied before the first build and after every
-build, and its copy of the scenario's live array follows them; no
-package build writes a status, and nothing here imports a private
-package name.
+Its statuses are its own dict under the paper's four-way rule
+(classify_status and NodeStatus, which live here: the package asks only
+"failed or not", energy >= SimPolicy.floor), applied before the first
+build and after every build, and they alone decide which nodes are
+live; no package build writes a status, and nothing here imports a
+private package name.
 reference_forwarding_problem is the candidate and fitness build pair by
 pair over dicts, scored with the scalar fitness(). reference_mmevbt is
 the heap Dijkstra over per-vertex neighbour lists and scalar hop_weight,
@@ -27,7 +28,8 @@ event_rows parses the rows an EventLog writes back into the tuples
 the reference round loop logs, its paths joined packet by packet.
 graph_and_state turns a Scenario into the (graph, state) pair that
 every package build takes; the references read the Scenario's arrays
-themselves. scenario_from builds a Scenario from a list of points.
+themselves, with the liveness live_mask gives unless passed a live
+mask. scenario_from builds a Scenario from a list of points.
 neighbors, positions, live_ids and copy_scenario give a graph row or a
 Scenario as plain ids, dicts or fresh arrays; the package keeps no such
 accessor.
@@ -47,6 +49,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
+from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -62,14 +65,12 @@ from vbtsim import (
     Field,
     FitnessParams,
     LifetimeMetrics,
-    NodeStatus,
     Scenario,
     SimPolicy,
     TrafficModel,
     build_forwarding_problem,
     build_min_cover,
     build_reachability,
-    classify_status,
     distance,
     rx_cost,
     select_parent,
@@ -78,24 +79,51 @@ from vbtsim import (
 )
 
 
-def scenario_from(coords, range_m, energies=None, field=None, live=None):
+class NodeStatus(Enum):
+    TREE = "tree"
+    CANDIDATE_NON_TREE = "candidate_non_tree"
+    PERMANENT_NON_TREE = "permanent_non_tree"
+    FAILED = "failed"
+
+
+def classify_status(energy, children, th, e_fail=DEFAULT_E_FAIL):
+    """The paper's four-way node status from residual energy and current
+    child count; a node holding 0 J has failed, whatever th and e_fail
+    are."""
+    if energy <= 0:
+        return NodeStatus.FAILED
+    if energy >= th:
+        return NodeStatus.TREE if children > 0 else NodeStatus.CANDIDATE_NON_TREE
+    if energy >= e_fail:
+        return NodeStatus.PERMANENT_NON_TREE
+    return NodeStatus.FAILED
+
+
+def live_mask(scenario, th=DEFAULT_TH, e_fail=DEFAULT_E_FAIL):
+    """Each node's liveness by id, as a bool array: not FAILED under
+    classify_status of its energy with no children."""
+    return np.array([classify_status(e, 0, th, e_fail) is not NodeStatus.FAILED
+                     for e in scenario.energy.tolist()], dtype=bool)
+
+
+def scenario_from(coords, range_m, energies=None, field=None):
     """A Scenario of the points coords, by id, on field (200 x 200, the
     sink central, by default). Each node holds energies[i] (E_INIT by
-    default) and is live[i], by default live unless classify_status of
-    its energy under the default th and e_fail says FAILED."""
+    default)."""
     energy = [E_INIT] * len(coords) if energies is None else energies
-    if live is None:
-        live = [classify_status(e, 0, DEFAULT_TH, DEFAULT_E_FAIL)
-                is not NodeStatus.FAILED for e in energy]
     return Scenario(field or Field(200, 200, 100, 100),
-                    np.array(coords, dtype=float), energy, live, range_m, 0)
+                    np.array(coords, dtype=float), energy, range_m, 0)
 
 
-def graph_and_state(scenario):
+def graph_and_state(scenario, live=None):
     """scenario's reachability graph and State: the (graph, state) pair
-    every package build and relocate_sink takes."""
-    return (build_reachability(scenario.points(), scenario.sensing_range),
-            scenario.state())
+    every package build and relocate_sink takes. The state is the one a
+    run under the default policy starts from, or holds the given live
+    mask."""
+    graph = build_reachability(scenario.points(), scenario.sensing_range)
+    if live is None:
+        return graph, scenario.state(SimPolicy().floor)
+    return graph, (scenario.energy.copy(), np.array(live, dtype=bool))
 
 
 def neighbors(graph, vertex):
@@ -144,15 +172,17 @@ def positions(scenario):
     return pos
 
 
-def live_ids(scenario):
-    return np.flatnonzero(scenario.live).tolist()
+def live_ids(scenario, live=None):
+    """The ids of the live nodes: live_mask's, or the given mask's."""
+    return np.flatnonzero(live_mask(scenario) if live is None
+                          else live).tolist()
 
 
 def copy_scenario(scenario):
     """An independent copy: fresh arrays (the Field is frozen)."""
     return Scenario(scenario.field, scenario.xy.copy(),
-                    scenario.energy.copy(), scenario.live.copy(),
-                    scenario.sensing_range, scenario.rng_seed)
+                    scenario.energy.copy(), scenario.sensing_range,
+                    scenario.rng_seed)
 
 
 def dense_reachability(scenario):
@@ -328,7 +358,7 @@ def load_stats(candidates, fitness, selections):
                      expected_count=expected_loads(candidates, fitness))
 
 
-def reference_mmevbt(scenario, params, th, graph=None):
+def reference_mmevbt(scenario, params, th, graph=None, live=None):
     """build_mmevbt as a heap Dijkstra from the sink, as dicts: each
     routed node's parent and each vertex's path energy, the form
     tree_dicts gives a build.
@@ -341,7 +371,7 @@ def reference_mmevbt(scenario, params, th, graph=None):
     if graph is None:
         graph = build_reachability(scenario.points(), scenario.sensing_range)
     pos = positions(scenario)
-    live = set(live_ids(scenario))
+    live = set(live_ids(scenario, live))
 
     def relays(u):
         return u == SINK or (u in live and scenario.energy[u] >= th)
@@ -375,16 +405,17 @@ def reference_mmevbt(scenario, params, th, graph=None):
     return parent, dist
 
 
-def reference_relocate_sink(scenario, grid=4, max_step=None):
+def reference_relocate_sink(scenario, grid=4, max_step=None, live=None):
     """relocate_sink as a per-node loop summing energies into dicts."""
+    if live is None:
+        live = live_mask(scenario)
     f = scenario.field
     cell_w = f.width / grid
     cell_h = f.height / grid
     total = {}
     count = {}
     for (x, y), energy, alive in zip(scenario.xy.tolist(),
-                                     scenario.energy.tolist(),
-                                     scenario.live.tolist()):
+                                     scenario.energy.tolist(), live):
         if not alive:
             continue
         col = min(int(x / cell_w), grid - 1)
@@ -406,14 +437,14 @@ def reference_relocate_sink(scenario, grid=4, max_step=None):
             cur[1] + (target[1] - cur[1]) * frac)
 
 
-def reference_min_cover(scenario, th):
+def reference_min_cover(scenario, th, live=None):
     """build_min_cover as a from-scratch replay of the selection loop: every
     covered node re-scored after each promotion, no incremental counts.
 
     Returns (tree ids, []) on success and (None, still-uncovered ids) when
     no eligible pick makes progress."""
     g = build_reachability(scenario.points(), scenario.sensing_range)
-    live = live_ids(scenario)
+    live = live_ids(scenario, live)
     live_set = set(live)
     adj = {i: [u for u in neighbors(g, i) if u != SINK and u in live_set]
            for i in live}
@@ -449,17 +480,18 @@ def cover_map(graph, state, tree):
             for i in np.flatnonzero(state[1]).tolist()}
 
 
-def bellman_ford_consumption(scenario, params, th):
+def bellman_ford_consumption(scenario, params, th, live=None):
     """Cheapest route energy per live node, relays filtered by th.
 
     Returns {node_id: joules}, math.inf where no eligible path exists.
     """
-    live = live_ids(scenario)
+    live = live_ids(scenario, live)
     pos = positions(scenario)
     r = scenario.sensing_range
+    live_set = set(live)
 
     def eligible_relay(v):
-        return v == SINK or (scenario.live[v] and scenario.energy[v] >= th)
+        return v == SINK or (v in live_set and scenario.energy[v] >= th)
 
     edges = []  # (child u, parent v, weight)
     for u in live:
@@ -564,15 +596,16 @@ class ReferenceProblem:
 
 
 def reference_forwarding_problem(scenario, tree_nodes, th, params,
-                                 e_init=E_INIT, graph=None):
+                                 e_init=E_INIT, graph=None, live=None):
     """build_forwarding_problem pair by pair: a level BFS over dicts,
     next_hop by min over each row, and fitness() per candidate."""
     if graph is None:
         graph = build_reachability(scenario.points(), scenario.sensing_range)
     pos = positions(scenario)
-    live = live_ids(scenario)
+    live = live_ids(scenario, live)
+    live_set = set(live)
     eligible = {t for t in tree_nodes
-                if scenario.live[t] and scenario.energy[t] >= th}
+                if t in live_set and scenario.energy[t] >= th}
 
     levels = {SINK: 0}
     frontier = [SINK]
@@ -622,7 +655,7 @@ def reference_compare_load_spread(scenario, rounds, seed, *, th=DEFAULT_TH,
     SimPolicy(th=th).validate()
     TrafficModel(origin_probability, rounds).validate()
     fparams = (fitness_params or FitnessParams()).validate()
-    graph, state = graph_and_state(scenario)
+    graph, state = graph_and_state(scenario, live_mask(scenario, th))
     tree_set = build_min_cover(graph, state, th).tree_nodes
     candidates, fit = candidate_dicts(graph, build_forwarding_problem(
         graph, state, tree_set, th, fparams, e_init))
@@ -679,19 +712,21 @@ class _ReferenceRouter:
 
     def rebuild(self, scenario, graph):
         """Reconstruct the backbone; raises ConstructionFailed."""
+        live = _live(self.status)
         if self.algorithm == "mmevbt":
             self.next_map, _ = reference_mmevbt(scenario, self.radio,
-                                                self.policy.th, graph=graph)
+                                                self.policy.th, graph=graph,
+                                                live=live)
             self.problem = None
             self.probs = {}
             _refresh_statuses(scenario, self.status, _serving_counts(self),
                               self.policy)
             return
-        tree_set = build_min_cover(graph, scenario.state(),
-                                   self.policy.th).tree_nodes
+        state = scenario.energy.copy(), np.array(live)
+        tree_set = build_min_cover(graph, state, self.policy.th).tree_nodes
         problem = reference_forwarding_problem(
             scenario, tree_set, self.policy.th, self.fitness_params,
-            self.e_init, graph=graph)
+            self.e_init, graph=graph, live=live)
         self.problem = problem
         self.probs = {i: problem.probabilities(i) for i in problem.candidates}
         self.next_map = {}
@@ -727,18 +762,20 @@ class _ReferenceRouter:
 
 def _refresh_statuses(scenario, status, children, policy):
     """Re-derive every live node's status from energy and child count,
-    as the round loop once did after every build; Failed stays Failed,
-    and a node that fails here leaves scenario.live."""
+    as the round loop once did after every build; Failed stays Failed."""
     for i, energy in enumerate(scenario.energy.tolist()):
         if status[i] is not NodeStatus.FAILED:
             status[i] = classify_status(energy, children.get(i, 0),
                                         policy.th, policy.e_fail)
-            scenario.live[i] = status[i] is not NodeStatus.FAILED
 
 
-def _eligibility_signature(scenario, th):
-    return tuple(zip(scenario.live.tolist(),
-                     (scenario.energy >= th).tolist()))
+def _live(status):
+    """Each node's liveness by id: its status is not FAILED."""
+    return [st is not NodeStatus.FAILED for st in status.values()]
+
+
+def _eligibility_signature(scenario, status, th):
+    return tuple(zip(_live(status), (scenario.energy >= th).tolist()))
 
 
 def _serving_counts(router):
@@ -775,9 +812,8 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
     radio.validate()
     rng = np.random.default_rng(seed)
     n_total = len(sc.xy)
-    # a given live node starts as a candidate; every build re-derives it
-    status = {i: NodeStatus.CANDIDATE_NON_TREE if alive else NodeStatus.FAILED
-              for i, alive in enumerate(sc.live.tolist())}
+    # every node starts as a candidate; every build re-derives it
+    status = dict.fromkeys(range(n_total), NodeStatus.CANDIDATE_NON_TREE)
     metrics = LifetimeMetrics()
 
     def log(round_no, event, node=-1, detail=""):
@@ -789,7 +825,7 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
     router = _ReferenceRouter(algorithm, radio, policy, fparams, e_init,
                               status)
     router.rebuild(sc, graph)  # initial ConstructionFailed propagates
-    last_sig = _eligibility_signature(sc, policy.th)
+    last_sig = _eligibility_signature(sc, status, policy.th)
 
     for round_no in range(1, traffic.rounds_max + 1):
         metrics.rounds_run = round_no
@@ -834,7 +870,6 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
             status[i] = classify_status(energy, children.get(i, 0),
                                         policy.th, policy.e_fail)
             if status[i] is NodeStatus.FAILED:
-                sc.live[i] = False
                 log(round_no, "death", i)
                 if metrics.first_node_death_round is None:
                     metrics.first_node_death_round = round_no
@@ -847,7 +882,7 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
             log(round_no, "disconnect")
             break
 
-        sig = _eligibility_signature(sc, policy.th)
+        sig = _eligibility_signature(sc, status, policy.th)
         if sig != last_sig:
             try:
                 router.rebuild(sc, graph)
@@ -862,7 +897,7 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
 
         if policy.t_move and round_no % policy.t_move == 0:
             target = reference_relocate_sink(sc, policy.grid,
-                                             policy.max_step)
+                                             policy.max_step, _live(status))
             if target != sc.field.sink_pos:
                 saved = sc.field
                 sc.field = replace(saved, sink_x=target[0], sink_y=target[1])
@@ -877,7 +912,7 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
                     log(round_no, "relocate", detail="reverted")
                 else:
                     metrics.reconstructions += 1
-                    last_sig = _eligibility_signature(sc, policy.th)
+                    last_sig = _eligibility_signature(sc, status, policy.th)
                     log(round_no, "relocate",
                         detail=f"{target[0]:.3f};{target[1]:.3f}")
 

@@ -108,14 +108,14 @@ def test_criterion_3_greedy_cover_correctness():
         n = int(rng.integers(10, 201))
         range_m = float(rng.uniform(25.0, 70.0))
         sc = uniform_scenario(n, range_m, int(rng.integers(0, 2**31)))
-        graph = v.build_reachability(sc.points(), sc.sensing_range)
+        graph, state = graph_and_state(sc)
         try:
-            tree_nodes = v.build_min_cover(graph, sc.state(),
+            tree_nodes = v.build_min_cover(graph, state,
                                            v.DEFAULT_TH).tree_nodes
         except v.ConstructionFailed:
             continue
         # every live node is a tree node or next to one
-        covered = cover_map(graph, sc.state(), tree_nodes)
+        covered = cover_map(graph, state, tree_nodes)
         assert all(c >= 1 for c in covered.values())
         assert tree_nodes == {i for i, c in covered.items() if c == 2}
         covered_ok += 1
@@ -128,12 +128,12 @@ def test_criterion_3_greedy_cover_correctness():
         n = int(rng.integers(4, 13))
         range_m = float(rng.uniform(55.0, 110.0))
         sc = uniform_scenario(n, range_m, int(rng.integers(0, 2**31)))
-        graph = v.build_reachability(sc.points(), sc.sensing_range)
+        graph, state = graph_and_state(sc)
         best = min_connected_cover_size(sc, graph)
         if best is None:
             continue
         try:
-            tree_nodes = v.build_min_cover(graph, sc.state(),
+            tree_nodes = v.build_min_cover(graph, state,
                                            v.DEFAULT_TH).tree_nodes
         except v.ConstructionFailed:
             continue

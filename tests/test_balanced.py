@@ -17,6 +17,7 @@ from oracles import (FitnessContext, ReferenceProblem, best_parent,
 from vbtsim.balanced import CandidateArrays, draw_index
 
 TH = v.DEFAULT_TH
+FLOOR = v.SimPolicy().floor
 
 
 class FixedRng:
@@ -487,27 +488,25 @@ def test_array_problem_equals_scalar_reference(case, mode, e_init):
     g = v.build_reachability(sc.points(), sc.sensing_range)
     for touched, factor, sink in [([], 1.0, None)] + steps:
         for i in touched:
-            sc.energy[i] *= factor
-            if factor == 0.0:
-                sc.live[i] = False
+            sc.energy[i] *= factor  # a node drained to 0 J dies
         if sink is not None:
             sc.field = v.Field(sc.field.width, sc.field.height, *sink)
             g.move_sink(sink)
         if tree is None:
             try:
-                chosen = v.build_min_cover(g, sc.state(), TH).tree_nodes
+                chosen = v.build_min_cover(g, sc.state(FLOOR), TH).tree_nodes
             except v.ConstructionFailed:
                 chosen = set()
         else:
             chosen = tree
-        got = problem_outcome(v.build_forwarding_problem, g, sc.state(),
+        got = problem_outcome(v.build_forwarding_problem, g, sc.state(FLOOR),
                               chosen, TH, params, e_init)
         want = problem_outcome(reference_forwarding_problem, sc, chosen, TH,
                                params, e_init, g)
         assert got == want
         if got[0] == "built":
             check_candidate_arrays(v.build_forwarding_problem(
-                g, sc.state(), chosen, TH, params, e_init), g)
+                g, sc.state(FLOOR), chosen, TH, params, e_init), g)
 
 
 def check_candidate_arrays(arrays, g):
@@ -534,7 +533,7 @@ def check_candidate_arrays(arrays, g):
 
 def test_array_problem_with_no_live_node():
     sc = scenario_from([(100, 110), (100, 120)], range_m=12,
-                       energies=[0.0, 0.0], live=[False, False])
+                       energies=[0.0, 0.0])
     graph, state = graph_and_state(sc)
     rows = v.build_forwarding_problem(graph, state, {0}, TH,
                                       v.FitnessParams())

@@ -66,9 +66,9 @@ def test_greedy_never_beats_exhaustive_minimum():
     while done < 10:
         seed += 1
         sc = scenario_from(v.deploy_uniform(FIELD, 12, seed=seed), 70.0)
-        g = v.build_reachability(sc.points(), sc.sensing_range)
+        g, state = graph_and_state(sc)
         try:
-            tree = v.build_min_cover(g, sc.state(), TH).tree_nodes
+            tree = v.build_min_cover(g, state, TH).tree_nodes
         except v.ConstructionFailed:
             continue
         best = min_connected_cover_size(sc, g)
@@ -83,13 +83,13 @@ def test_coverage_completeness_on_success():
     while done < 8:
         seed += 1
         sc = scenario_from(v.deploy_uniform(FIELD, 60, seed=seed), 40.0)
-        g = v.build_reachability(sc.points(), sc.sensing_range)
+        g, state = graph_and_state(sc)
         try:
-            tree = v.build_min_cover(g, sc.state(), TH).tree_nodes
+            tree = v.build_min_cover(g, state, TH).tree_nodes
         except v.ConstructionFailed:
             continue
         # every live node is a tree node or next to one
-        covered = cover_map(g, sc.state(), tree)
+        covered = cover_map(g, state, tree)
         assert set(covered.values()) <= {1, 2}
         assert {i for i, c in covered.items() if c == 2} == tree
         done += 1

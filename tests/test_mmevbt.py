@@ -8,11 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import vbtsim as v
 from oracles import (
+    NodeStatus,
     bellman_ford_consumption,
     copy_scenario,
     graph_and_state,
     hop_weight,
     live_ids,
+    live_mask,
     positions,
     reference_mmevbt,
     reference_relocate_sink,
@@ -26,9 +28,10 @@ TH = v.DEFAULT_TH
 FIELD = v.Field(200, 200, 100, 100)  # scenario_from's default
 
 
-def relocate(sc, grid=4, max_step=None):
-    """relocate_sink over sc's graph, state and field."""
-    return v.relocate_sink(*graph_and_state(sc), sc.field,
+def relocate(sc, grid=4, max_step=None, live=None):
+    """relocate_sink over sc's graph, state (graph_and_state's) and
+    field."""
+    return v.relocate_sink(*graph_and_state(sc, live), sc.field,
                            v.SimPolicy(grid=grid, max_step=max_step))
 
 
@@ -212,13 +215,11 @@ def spt_cases(draw):
     energy = rng.uniform(0.0, v.E_INIT, len(pts))
     drained = rng.random(len(pts)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
     energy[drained] = rng.choice([0.0, e_fail, th, v.E_INIT], drained.sum())
-    live = [v.classify_status(e, 0, th, e_fail) is not v.NodeStatus.FAILED
-            for e in energy.tolist()]
     field = v.Field(100.0, 100.0, *spots(1)[0])
     range_m = draw(st.sampled_from([15.0, 22.5, 35.0, 60.0, 150.0]))
     moves = [tuple(p) for p in spots(draw(st.integers(0, 3)))]
     radio = EXACT_RADIO if lattice else RADIO
-    sc = scenario_from(pts, range_m, energy, field, live)
+    sc = scenario_from(pts, range_m, energy, field)
     return sc, moves, radio, th, e_fail
 
 
@@ -234,22 +235,23 @@ def test_array_spt_equals_heap_dijkstra(case):
     """The frontier relaxation and its tie pass give the heap Dijkstra's
     tree to the bit: consumption, parents and the unreachable ids, on a
     graph whose sink moved in place; neither build writes a scenario."""
-    sc, moves, radio, th, _ = case
+    sc, moves, radio, th, e_fail = case
     ref = copy_scenario(sc)
     graph = v.build_reachability(sc.points(), sc.sensing_range)
+    state = sc.state(v.SimPolicy(th=th, e_fail=e_fail).floor)
     for pos in moves:
         ref.field = v.Field(ref.field.width, ref.field.height, *pos)
         graph.move_sink(pos)
 
-    def attempt(build, *inputs):
+    def attempt(build, *inputs, **options):
         try:
-            return build(*inputs, radio, th)
+            return build(*inputs, radio, th, **options)
         except v.ConstructionFailed as err:
             return err.unreachable
 
-    tree = attempt(v.build_mmevbt, graph, sc.state())
-    expect = attempt(reference_mmevbt, ref)
-    for name in ("xy", "energy", "live"):
+    tree = attempt(v.build_mmevbt, graph, state)
+    expect = attempt(reference_mmevbt, ref, live=live_mask(sc, th, e_fail))
+    for name in ("xy", "energy"):
         assert getattr(ref, name).tolist() == getattr(sc, name).tolist()
     if isinstance(expect, list):
         assert tree == expect
@@ -262,7 +264,7 @@ def test_array_spt_equals_heap_dijkstra(case):
     off = np.ones(len(dist), dtype=bool)
     off[graph.edge_rows(edges)] = False
     off[-1] = False
-    assert np.isinf(dist[off]).all() and not sc.live[off[:-1]].any()
+    assert np.isinf(dist[off]).all() and not state[1][off[:-1]].any()
 
 
 # ---------------------------------------------------------------- maintenance
@@ -326,7 +328,7 @@ def test_relocation_bounded_step_moves_along_the_line():
 
 def test_relocation_ignores_failed_nodes():
     sc = scenario_from([(20, 20), (80, 80)], 120.0, energies=[0.5, 0.0],
-                       field=v.Field(100, 100, 25, 75), live=[True, False])
+                       field=v.Field(100, 100, 25, 75))
     assert relocate(sc, grid=2) == (25.0, 25.0)
 
 
@@ -361,22 +363,22 @@ def relocation_cases(draw):
     xy, energies, live = [], [], []
     for _ in range(draw(st.integers(1, 30))):
         fx, fy, e = draw(coord), draw(coord), draw(energy)
-        status = draw(st.sampled_from(list(v.NodeStatus)))
         xy.append((fx * width, fy * height))
         energies.append(e)
-        live.append(status is not v.NodeStatus.FAILED)
+        live.append(draw(st.sampled_from(list(NodeStatus)))
+                    is not NodeStatus.FAILED)
     live[0] |= not any(live)
     field = v.Field(width, height, draw(coord) * width, draw(coord) * height)
     grid = draw(st.sampled_from([1, 2, 3, 4, 7, 10**6, 2**62]))
     max_step = draw(st.sampled_from([None, 0.0, 5.0, 1e9]))
-    return scenario_from(xy, 10.0, energies, field, live), grid, max_step
+    return scenario_from(xy, 10.0, energies, field), live, grid, max_step
 
 
 @given(relocation_cases())
 def test_relocation_equals_reference_loop(case):
-    sc, grid, max_step = case
-    assert relocate(sc, grid, max_step) == \
-        reference_relocate_sink(sc, grid, max_step)
+    sc, live, grid, max_step = case
+    assert relocate(sc, grid, max_step, live) == \
+        reference_relocate_sink(sc, grid, max_step, live)
 
 
 def test_relocation_exact_tie_goes_to_smaller_cell_index():
@@ -394,9 +396,10 @@ def test_relocation_with_a_million_cells_a_side():
     rng = np.random.default_rng(5)
     energies = [float(rng.uniform(0.0, v.E_INIT)) for _ in range(300)]
     xy[7] = xy[3]  # one shared cell
-    sc = scenario_from(xy, 10.0, energies=energies, live=[True] * 300)
-    assert relocate(sc, grid=10**6) == \
-        reference_relocate_sink(sc, grid=10**6)
+    sc = scenario_from(xy, 10.0, energies=energies)
+    live = [True] * 300
+    assert relocate(sc, grid=10**6, live=live) == \
+        reference_relocate_sink(sc, grid=10**6, live=live)
 
 
 def test_relocation_sums_each_cell_as_a_left_fold():
@@ -405,6 +408,7 @@ def test_relocation_sums_each_cell_as_a_left_fold():
     # node; a pairwise or compensated sum would keep them and win cell 1
     energies = [1.0] + [2.0 ** -53] * 15 + [1.0 / 16]
     sc = scenario_from([(80, 20)] * 16 + [(20, 20)], 10.0, energies=energies,
-                       field=v.Field(100, 100, 50, 50), live=[True] * 17)
-    assert relocate(sc, grid=2) == (25.0, 25.0)
-    assert reference_relocate_sink(sc, grid=2) == (25.0, 25.0)
+                       field=v.Field(100, 100, 50, 50))
+    live = [True] * 17
+    assert relocate(sc, grid=2, live=live) == (25.0, 25.0)
+    assert reference_relocate_sink(sc, grid=2, live=live) == (25.0, 25.0)

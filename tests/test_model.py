@@ -1,5 +1,5 @@
-"""Core model: field, scenario arrays, statuses, deployment, unit-disk
-reachability."""
+"""Core model: the liveness rule, field, scenario arrays, deployment,
+unit-disk reachability."""
 
 import math
 
@@ -9,7 +9,9 @@ from hypothesis import example, given, strategies as st
 
 import vbtsim as v
 from oracles import (
+    NodeStatus,
     adjacency,
+    classify_status,
     copy_scenario,
     dense_reachability,
     graph_and_state,
@@ -26,23 +28,53 @@ from vbtsim.model import hop_levels, left_sum
 
 def test_classify_status_table():
     th, ef = 0.2, 2.048e-4
-    assert v.classify_status(1.0, 3, th, ef) is v.NodeStatus.TREE
-    assert v.classify_status(1.0, 0, th, ef) is v.NodeStatus.CANDIDATE_NON_TREE
-    assert v.classify_status(0.1, 0, th, ef) is v.NodeStatus.PERMANENT_NON_TREE
-    assert v.classify_status(1e-6, 0, th, ef) is v.NodeStatus.FAILED
+    assert classify_status(1.0, 3, th, ef) is NodeStatus.TREE
+    assert classify_status(1.0, 0, th, ef) is NodeStatus.CANDIDATE_NON_TREE
+    assert classify_status(0.1, 0, th, ef) is NodeStatus.PERMANENT_NON_TREE
+    assert classify_status(1e-6, 0, th, ef) is NodeStatus.FAILED
 
 
 def test_classify_status_boundaries():
     th, ef = 0.2, 2.048e-4
     # exactly Th still qualifies as relay material; exactly e_fail is not dead
-    assert v.classify_status(th, 1, th, ef) is v.NodeStatus.TREE
-    assert v.classify_status(th, 0, th, ef) is v.NodeStatus.CANDIDATE_NON_TREE
-    assert v.classify_status(ef, 0, th, ef) is v.NodeStatus.PERMANENT_NON_TREE
-    assert v.classify_status(ef * 0.999, 5, th, ef) is v.NodeStatus.FAILED
+    assert classify_status(th, 1, th, ef) is NodeStatus.TREE
+    assert classify_status(th, 0, th, ef) is NodeStatus.CANDIDATE_NON_TREE
+    assert classify_status(ef, 0, th, ef) is NodeStatus.PERMANENT_NON_TREE
+    assert classify_status(ef * 0.999, 5, th, ef) is NodeStatus.FAILED
     # 0 J has failed whatever the thresholds; the least charge has not
-    assert v.classify_status(0.0, 2, 0.0, 0.0) is v.NodeStatus.FAILED
-    assert v.classify_status(0.0, 0, th, 0.0) is v.NodeStatus.FAILED
-    assert v.classify_status(5e-324, 2, 0.0, ef) is v.NodeStatus.TREE
+    assert classify_status(0.0, 2, 0.0, 0.0) is NodeStatus.FAILED
+    assert classify_status(0.0, 0, th, 0.0) is NodeStatus.FAILED
+    assert classify_status(5e-324, 2, 0.0, ef) is NodeStatus.TREE
+
+
+THRESHOLDS = st.sampled_from([0.0, 5e-324, 1e-300, v.DEFAULT_E_FAIL,
+                              v.DEFAULT_TH, 0.5, v.E_INIT])
+
+
+@st.composite
+def floor_cases(draw):
+    """Thresholds, zero and denormal ones and e_fail > th among them, and
+    energies at, just below and between them."""
+    th, e_fail = draw(THRESHOLDS), draw(THRESHOLDS)
+    marks = [0.0, 5e-324, th, e_fail]
+    marks += [math.nextafter(x, 0.0) for x in (th, e_fail)]
+    energy = draw(st.one_of(st.sampled_from(marks),
+                            st.floats(0.0, 2 * v.E_INIT)))
+    return th, e_fail, energy
+
+
+@given(floor_cases())
+@example((0.0, 0.0, 0.0))
+@example((0.0, 0.0, 5e-324))
+@example((0.5, 0.2, 0.2))
+@example((0.2, 0.5, math.nextafter(0.2, 0.0)))
+def test_floor_is_the_four_way_rule_on_failed(case):
+    """A node is live under energy >= SimPolicy.floor exactly when the
+    paper's four-way status does not say FAILED."""
+    th, e_fail, energy = case
+    floor = v.SimPolicy(th=th, e_fail=e_fail).floor
+    assert (energy >= floor) == (
+        classify_status(energy, 0, th, e_fail) is not NodeStatus.FAILED)
 
 
 # ---------------------------------------------------------------- field
@@ -83,7 +115,8 @@ def test_deploy_single_node_in_bounds_with_full_energy():
     assert 0 <= x <= 200 and 0 <= y <= 200
     sc = v.make_scenario(v.ExperimentConfig(n_nodes=1), 3, 10.0)
     assert sc.xy.tolist() == [[x, y]]
-    assert sc.energy.tolist() == [v.E_INIT] and sc.live.tolist() == [True]
+    assert sc.energy.tolist() == [v.E_INIT]
+    assert sc.state(v.SimPolicy().floor)[1].tolist() == [True]
 
 
 def test_deploy_rejects_zero_nodes():
@@ -115,7 +148,7 @@ def test_deploy_ids_are_dense_from_zero():
     """A node's id is its row: a Scenario's arrays hold one row per id."""
     sc = v.make_scenario(v.ExperimentConfig(n_nodes=25), 9, 10.0)
     assert list(positions(sc)) == list(range(25)) + [v.SINK]
-    assert (len(sc.xy), len(sc.energy), len(sc.live)) == (25, 25, 25)
+    assert (len(sc.xy), len(sc.energy)) == (25, 25)
 
 
 # ---------------------------------------------------------------- scenario
@@ -150,54 +183,50 @@ def test_scenario_live_ids_excludes_failed():
     assert live_ids(sc) == [0]
 
 
-XY, ENERGY, LIVE = [(10.0, 10.0), (20.0, 20.0)], [1.0, 2.0], [True, True]
+XY, ENERGY = [(10.0, 10.0), (20.0, 20.0)], [1.0, 2.0]
 
 
-@pytest.mark.parametrize("xy, energy, live, message", [
-    (XY, [math.nan, 2.0], LIVE, "energies must be finite and >= 0"),
-    (XY, [1.0, math.inf], LIVE, "energies must be finite and >= 0"),
-    (XY, [1.0, -5.0], LIVE, "energies must be finite and >= 0"),
-    ([(10.0, 10.0, 0.0), (20.0, 20.0, 0.0)], ENERGY, LIVE, "shaped"),
-    ([10.0, 20.0], ENERGY, LIVE, "shaped"),
-    (XY, [1.0, 2.0, 3.0], LIVE, "shaped"),
-    (XY, [[1.0], [2.0]], LIVE, "shaped"),
-    (XY, ENERGY, [True], "shaped"),
-    (XY, ENERGY, [1, 1], "shaped"),
-    (XY, ENERGY, [1.0, 0.0], "shaped"),
+@pytest.mark.parametrize("xy, energy, message", [
+    (XY, [math.nan, 2.0], "energies must be finite and >= 0"),
+    (XY, [1.0, math.inf], "energies must be finite and >= 0"),
+    (XY, [1.0, -5.0], "energies must be finite and >= 0"),
+    ([(10.0, 10.0, 0.0), (20.0, 20.0, 0.0)], ENERGY, "shaped"),
+    ([10.0, 20.0], ENERGY, "shaped"),
+    (XY, [1.0, 2.0, 3.0], "shaped"),
+    (XY, [[1.0], [2.0]], "shaped"),
 ], ids=["nan energy", "inf energy", "negative energy", "xy 3 wide",
-        "xy flat", "energy long", "energy 2-d", "live short", "live int",
-        "live float"])
-def test_scenario_rejects_bad_arrays(xy, energy, live, message):
+        "xy flat", "energy long", "energy 2-d"])
+def test_scenario_rejects_bad_arrays(xy, energy, message):
     """A NaN or negative battery would reach a run, which would drop the
     node as failed in silence."""
     with pytest.raises(ValueError, match=message):
-        v.Scenario(v.Field(200, 200, 100, 100), xy, energy, live, 30.0)
+        v.Scenario(v.Field(200, 200, 100, 100), xy, energy, 30.0)
 
 
 def test_scenario_holds_float_arrays_and_copies_its_state():
     field = v.Field(200, 200, 100, 100)
-    sc = v.Scenario(field, [(1, 2), (3, 4)], [1, 0], [True, False], 30.0)
+    sc = v.Scenario(field, [(1, 2), (3, 4)], [1, 0], 30.0)
     assert sc.xy.dtype == sc.energy.dtype == np.float64
-    energy, live = sc.state()
+    energy, live = sc.state(v.SimPolicy().floor)
+    assert live.tolist() == [True, False]
     energy[0], live[0] = 0.0, False
     assert sc.energy.tolist() == [1.0, 0.0]
-    assert sc.live.tolist() == [True, False]
+    assert sc.state(v.SimPolicy().floor)[1].tolist() == [True, False]
 
 
 def test_scenario_copy_is_independent():
     field = v.Field(200, 200, 100, 100)
     xy = v.deploy_uniform(field, 5, seed=2)
-    sc = v.Scenario(field, xy, np.full(5, v.E_INIT), np.ones(5, bool), 30.0, 9)
+    sc = v.Scenario(field, xy, np.full(5, v.E_INIT), 30.0, 9)
     dup = copy_scenario(sc)
-    for name in ("xy", "energy", "live"):
+    for name in ("xy", "energy"):
         assert getattr(dup, name) is not getattr(sc, name)
         assert (getattr(dup, name) == getattr(sc, name)).all()
     assert (dup.field, dup.sensing_range, dup.rng_seed) == (field, 30.0, 9)
     dup.xy[0] = (3.0, 3.0)
     dup.energy[0] = 0.0
-    dup.live[1] = False
     assert sc.xy.tolist() == xy.tolist()
-    assert sc.energy.tolist() == [v.E_INIT] * 5 and sc.live.all()
+    assert sc.energy.tolist() == [v.E_INIT] * 5
 
 
 def test_left_sum_is_a_plain_left_fold():
@@ -507,7 +536,7 @@ def test_failed_nodes_do_not_count_against_connectivity():
                        energies=[v.E_INIT, 0.0])
     g = v.build_reachability(sc.points(), sc.sensing_range)
     assert not v.is_connected_to_sink(g, np.ones(2, dtype=bool))
-    assert v.is_connected_to_sink(g, sc.state()[1])
+    assert v.is_connected_to_sink(g, sc.state(v.SimPolicy().floor)[1])
 
 
 def test_sparse_200_node_networks_mostly_disconnected():

@@ -15,11 +15,11 @@ PUBLIC = {
     "ALGORITHMS", "BETA_MIN", "DEFAULT_E_AMP", "DEFAULT_E_ELEC",
     "DEFAULT_E_FAIL", "DEFAULT_PACKET_BITS", "DEFAULT_TH", "E_INIT", "SINK",
     "ConstructionFailed", "ExperimentConfig", "Field", "FitnessParams",
-    "LifetimeMetrics", "NodeStatus", "RadioParams",
+    "LifetimeMetrics", "RadioParams",
     "ReachabilityGraph", "Scenario", "ScenarioFormatError", "SimPolicy",
     "TrafficModel", "apply_setting", "attempt_seed",
     "build_forwarding_problem", "build_min_cover", "build_mmevbt",
-    "build_reachability", "classify_status", "compare_load_spread",
+    "build_reachability", "compare_load_spread",
     "deploy_uniform", "distance", "is_connected_to_sink",
     "load_config", "make_scenario", "min_max_load_exact",
     "parse_config_text", "read_scenario", "relocate_sink", "run_scenario",
@@ -34,7 +34,7 @@ def test_public_names_are_pinned():
     names = {name for name, obj in vars(vbtsim).items()
              if not name.startswith("_")
              and not isinstance(obj, types.ModuleType)}
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 45
     assert names == PUBLIC
 
 

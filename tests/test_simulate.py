@@ -86,7 +86,7 @@ def test_initial_construction_failure_propagates():
 
 def arrays_of(sc):
     """A Scenario's arrays as lists, to compare before and after."""
-    return sc.xy.tolist(), sc.energy.tolist(), sc.live.tolist()
+    return sc.xy.tolist(), sc.energy.tolist()
 
 
 def test_input_scenario_is_never_mutated():
@@ -357,7 +357,7 @@ def relocate(sc, grid=4, max_step=None):
 
 def all_failed_scenario():
     sc = ten_client_two_gateway_scenario()
-    sc.energy[:], sc.live[:] = 0.0, False
+    sc.energy[:] = 0.0
     return sc
 
 
@@ -403,6 +403,36 @@ def all_failed_scenario():
 def test_library_calls_reject_bad_inputs_clearly(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def build_ten(build, th=TH, e_init=v.E_INIT):
+    """build over the ten-client layout's graph and state."""
+    graph, state = graph_and_state(ten_client_two_gateway_scenario())
+    if build is v.build_forwarding_problem:
+        return build(graph, state, {10, 11}, th, v.FitnessParams(), e_init)
+    if build is v.build_mmevbt:
+        return build(graph, state, RADIO, th)
+    return build(graph, state, th)
+
+
+@pytest.mark.parametrize("build", [v.build_mmevbt, v.build_min_cover,
+                                   v.build_forwarding_problem],
+                         ids=["mmevbt", "min_cover", "forwarding"])
+@pytest.mark.parametrize("th", [-1.0, math.nan, math.inf],
+                         ids=["th<0", "th-nan", "th-inf"])
+def test_builds_reject_a_bad_th(build, th):
+    # th = -1 used to be accepted; nan and inf raised ConstructionFailed
+    # listing the nodes that no relay could serve
+    with pytest.raises(ValueError, match="policy.th must be >= 0 and finite"):
+        build_ten(build, th=th)
+
+
+@pytest.mark.parametrize("e_init", [0.0, math.nan, -1.0, math.inf],
+                         ids=["0", "nan", "<0", "inf"])
+def test_forwarding_build_rejects_a_bad_e_init(e_init):
+    # 0 used to score candidates nan with a RuntimeWarning, nan in silence
+    with pytest.raises(ValueError, match="energy.e_init must be > 0"):
+        build_ten(v.build_forwarding_problem, e_init=e_init)
 
 
 def spread_outcome(compare, sc, rounds, seed, **kwargs):
@@ -517,10 +547,8 @@ def lifetime_cases(draw):
     levels = st.sampled_from([e_init] * 6 + [e_init / 2, th / 2, 1e-4])
     xy = v.deploy_uniform(field, n, draw(st.integers(0, 2**16)))
     energies = [draw(levels) for _ in range(n)]
-    live = [v.classify_status(e, 0, th, e_fail) is not v.NodeStatus.FAILED
-            for e in energies]
     sc = scenario_from(xy, draw(st.sampled_from([70.0, 45.0, 30.0])),
-                       energies, field, live)
+                       energies, field)
     policy = v.SimPolicy(th=th, e_fail=e_fail,
                          t_move=draw(st.sampled_from([0, None, 1, 4])),
                          grid=draw(st.sampled_from([2, 4])),
@@ -633,10 +661,10 @@ def test_energies_exactly_at_thresholds_equal_reference(algo, at_th):
 
 @pytest.mark.parametrize("algo", v.ALGORITHMS)
 def test_live_status_on_an_empty_battery_equals_reference(algo):
-    # a node whose status says live while it holds neither th nor e_fail
-    # fails before the first build, without a logged death
+    # a node that holds neither th nor e_fail is failed from the start,
+    # without a logged death
     sc = connected_random_scenario(15, n=35, range_m=60.0)
-    sc.energy[::5] = 0.0  # sc.live stays True
+    sc.energy[::5] = 0.0
     new, ref = run_both(sc, algo, v.TrafficModel(0.5, 30), NO_MOVE, 7)
     assert new == ref
     assert new[0].alive_fraction_curve[0] == (1, 28 / 35)
@@ -859,8 +887,7 @@ def drained_states(draw):
                          min_size=n, max_size=n))
     field = v.Field(100, 100, 50.0, 50.0)
     sc = scenario_from(v.deploy_uniform(field, n, draw(st.integers(0, 2**16))),
-                       draw(st.sampled_from([70.0, 45.0])), energy, field,
-                       live)
+                       draw(st.sampled_from([70.0, 45.0])), energy, field)
     graph = v.build_reachability(sc.points(), sc.sensing_range)
     sink = (draw(st.sampled_from([0.0, 10.0, 50.0, 100.0])),
             draw(st.sampled_from([0.0, 37.5, 50.0])))
@@ -892,20 +919,21 @@ def fitness_bits(candidates, fitness):
 def test_builds_equal_references_on_drained_states(case, mode):
     """After drains, deaths and a sink move, each build and relocate_sink
     over (graph, state) equals its reference over the Scenario that
-    holds that state, and leaves the state and the graph's arrays as
-    they were."""
+    holds that state's energies and its live mask, and leaves the state
+    and the graph's arrays as they were."""
     sc, state, graph, th, _ = case
+    live = state[1]
     kept = [a.copy() for a in input_arrays(graph, state)]
 
     tree = outcome(v.build_mmevbt, graph, state, RADIO, th)
-    want = outcome(reference_mmevbt, sc, RADIO, th)
+    want = outcome(reference_mmevbt, sc, RADIO, th, live=live)
     if isinstance(want[0], dict):  # not an error's (type, message)
         assert tree_dicts(graph, tree) == want
     else:
         assert tree == want
 
     cover = outcome(v.build_min_cover, graph, state, th)
-    chosen, uncovered = reference_min_cover(sc, th)
+    chosen, uncovered = reference_min_cover(sc, th, live)
     if chosen is None:
         failed = v.ConstructionFailed(uncovered)
         assert cover == (type(failed), str(failed))
@@ -915,7 +943,7 @@ def test_builds_equal_references_on_drained_states(case, mode):
         got = outcome(v.build_forwarding_problem, graph, state, chosen, th,
                       params, 0.01)
         want = outcome(reference_forwarding_problem, sc, chosen, th, params,
-                       0.01)
+                       0.01, live=live)
         if isinstance(want, ReferenceProblem):
             assert fitness_bits(*candidate_dicts(graph, got)) == \
                 fitness_bits(want.candidates, want.fitness)
@@ -925,8 +953,8 @@ def test_builds_equal_references_on_drained_states(case, mode):
     for grid, step in [(2, None), (4, 10.0)]:
         got = outcome(v.relocate_sink, graph, state, sc.field,
                       v.SimPolicy(grid=grid, max_step=step))
-        if state[1].any():
-            assert got == reference_relocate_sink(sc, grid, step)
+        if live.any():
+            assert got == reference_relocate_sink(sc, grid, step, live)
         else:
             assert got == (ValueError,
                            "relocate_sink needs at least one live node")
@@ -940,9 +968,10 @@ def test_builds_write_no_node():
     from as they were."""
     sc = ten_client_two_gateway_scenario()
     sc.energy[:10] = np.resize([v.E_INIT, TH / 2, TH], 10)  # the clients
-    sc.live[:10] = np.arange(10) % 4 != 3  # NodeStatus.FAILED is 4th
+    live = np.ones(14, dtype=bool)
+    live[:10] = np.arange(10) % 4 != 3  # NodeStatus.FAILED is 4th
     before, field = arrays_of(sc), sc.field
-    graph, state = graph_and_state(sc)
+    graph, state = graph_and_state(sc, live)
     kept = [a.copy() for a in input_arrays(graph, state)]
     tree = v.build_mmevbt(graph, state, RADIO, TH)
     cover = v.build_min_cover(graph, state, TH).tree_nodes

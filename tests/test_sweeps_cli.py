@@ -23,7 +23,7 @@ from vbtsim.sweeps import (
     write_csv,
     write_sweep_outputs,
 )
-from oracles import graph_and_state, tree_nodes
+from oracles import graph_and_state, live_mask, tree_nodes
 
 SEED_STRIDE = 1_000_003
 
@@ -65,7 +65,8 @@ def test_make_scenario_uses_config():
     assert sc.sensing_range == 33.0
     assert sc.rng_seed == 77
     assert sc.field is cfg.field
-    assert sc.energy.tolist() == [0.5] * 12 and sc.live.all()
+    assert sc.energy.tolist() == [0.5] * 12
+    assert sc.state(cfg.policy.floor)[1].all()
     assert sc.xy.tolist() == v.deploy_uniform(cfg.field, 12, 77).tolist()
     assert make_scenario(cfg, 77, 33.0).xy.tolist() == sc.xy.tolist()
 
@@ -118,7 +119,8 @@ LEVELS = st.sampled_from([0.05, 0.2, 0.3, 0.5])
 def test_sweep_attempts_equal_their_scenario_replay(e_init, th, e_fail, n,
                                                     range_m, base_seed):
     """Every attempt's count and outcome equal a build on the
-    make_scenario of its recorded seed."""
+    make_scenario of its recorded seed, its nodes live as the four-way
+    status says under the config's th and e_fail."""
     cfg = small_sweep_config(
         n_nodes=n, ranges=(range_m,), target_successes=2, max_attempts=3,
         base_seed=base_seed, energy=EnergyParams(e_init),
@@ -131,7 +133,7 @@ def test_sweep_attempts_equal_their_scenario_replay(e_init, th, e_fail, n,
         for attempt in sweep(cfg)[1]:
             sc = make_scenario(cfg, attempt.scenario_seed, range_m)
             try:
-                size = count(*graph_and_state(sc))
+                size = count(*graph_and_state(sc, live_mask(sc, th, e_fail)))
             except v.ConstructionFailed:
                 size = None
             assert (attempt.n_tree_nodes, attempt.failed) == (
@@ -279,6 +281,28 @@ def test_cli_gen_scenario_then_run(tmp_path, capsys):
         "run_metrics.csv", "run_alive.csv", "run_loads.csv",
         "run_events.csv"]
     assert all(os.path.exists(p) for p in printed)
+
+
+def test_cli_run_fails_a_node_below_the_policy_floor(tmp_path, capsys):
+    """A scenario file holds energies only: node 1's 0.005 J is live under
+    the default thresholds but below min(th, e_fail) here, so the run
+    starts with it failed and it sends nothing."""
+    scen = tmp_path / "s.txt"
+    scen.write_text("field 200 200 100 100 30 0\n"
+                    "node 0 115 115 2.0\nnode 1 100 120 0.005\n"
+                    "node 2 100 140 2.0\nnode 3 85 130 2.0\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(scen), "--events", "--out", str(out),
+                 "--set", "policy.th=0.5", "--set", "policy.e_fail=0.01",
+                 "--set", "traffic.origin_probability=1.0",
+                 "--set", "traffic.rounds_max=5"]) == 0
+    capsys.readouterr()
+    assert body_lines(str(out / "run_alive.csv"))[1] == "0,1,0.75"
+    paths = [row.split(",")[3].split(">") for row in
+             body_lines(str(out / "run_events.csv"))[1:]
+             if row.split(",")[1] == "packet"]
+    assert len(paths) == 15 and all("1" not in path for path in paths)
 
 
 def test_cli_run_reruns_byte_identical(tmp_path, capsys):
@@ -487,16 +511,24 @@ def test_cli_rejects_non_finite_scenario_energy(tmp_path, capsys, energy):
 @pytest.mark.parametrize("text, message", [
     # nan used to reach the grid's cell index and exit 2
     ("field 200 200 100 100 nan 7\nnode 0 100 110 2.0\n",
-     "line 1: field values must be finite"),
+     "line 1: sensing range must be positive and finite"),
     # inf used to run and exit 0
     ("field 200 200 100 100 inf 7\nnode 0 100 110 2.0\n",
+     "line 1: sensing range must be positive and finite"),
+    # 0 and -5 used to fail in the Scenario, with no line number
+    ("field 200 200 100 100 0 7\nnode 0 100 110 2.0\n",
+     "line 1: sensing range must be positive and finite"),
+    ("field 200 200 100 100 -5 7\nnode 0 100 110 2.0\n",
+     "line 1: sensing range must be positive and finite"),
+    ("field 200 200 nan 100 60 7\nnode 0 100 110 2.0\n",
      "line 1: field values must be finite"),
     # a negative battery used to be classed failed in silence
     ("field 200 200 100 100 60 7\nnode 0 100 110 -2.0\n",
      "line 2: node 0 energy must be >= 0"),
     # no nodes used to die dividing by the node count
     ("field 200 200 100 100 60 7\n", "line 0: no node lines"),
-], ids=["range=nan", "range=inf", "energy<0", "no nodes"])
+], ids=["range=nan", "range=inf", "range=0", "range<0", "sink_x=nan",
+        "energy<0", "no nodes"])
 def test_cli_rejects_bad_scenario_numbers(tmp_path, capsys, text, message):
     scen = tmp_path / "s.txt"
     scen.write_text(text, encoding="utf-8")
