@@ -189,15 +189,21 @@ def dense_reachability(scenario):
     """All-pairs unit-disk adjacency from one dense (n+1)x(n+1)x2 array.
 
     Same inclusive test and float arithmetic as the package's grid build,
-    O(n^2) memory: keep n small. Returns {vertex: sorted neighbour ids},
-    nodes 0..n-1 first, then SINK.
+    O(n^2) memory: keep n small. A range whose square overflows holds
+    every pair. Returns {vertex: sorted neighbour ids}, nodes 0..n-1
+    first, then SINK.
     """
     n = len(scenario.xy)
     pts = np.empty((n + 1, 2))
     pts[:n] = scenario.xy
     pts[n] = scenario.field.sink_pos
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= scenario.sensing_range**2
+    try:
+        r2 = scenario.sensing_range**2
+    except OverflowError:
+        r2 = math.inf
+    with np.errstate(over="ignore"):
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    within = d2 <= r2
     np.fill_diagonal(within, False)
 
     def vid(row):

@@ -2,6 +2,7 @@
 unit-disk reachability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,55 @@ def test_reachability_rejects_points_not_shaped_m_by_2(shape):
         v.build_reachability(np.zeros(shape), 10.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, -1], ids=["node", "sink"])
+def test_reachability_rejects_non_finite_points(bad, row):
+    pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    pts[row, 1] = bad
+    with pytest.raises(ValueError, match="points must be finite"):
+        v.build_reachability(pts, 10.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_move_sink_rejects_a_non_finite_position(bad, axis):
+    pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    g = v.build_reachability(pts.copy(), 10.0)
+    pos = [0.0, 0.0]
+    pos[axis] = bad
+    with pytest.raises(ValueError, match="points must be finite"):
+        g.move_sink(tuple(pos))
+    assert (g.points == pts).all()
+
+
+def test_a_range_whose_square_overflows_holds_every_pair():
+    """1e300**2 overflows a float: every pair is then in range, also
+    after the sink moves, instead of the build raising OverflowError."""
+    sc = layout(200, 200, (100, 100), [(0, 0), (200, 200), (3, 4)], 1e300)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
+    complete = {u: sorted({0, 1, 2, v.SINK} - {u}) for u in [0, 1, 2, v.SINK]}
+    assert adjacency(g) == complete == dense_reachability(sc)
+    g.move_sink((200.0, 0.0))
+    assert adjacency(g) == complete
+
+
+def assert_csr_layout(graph, pts):
+    """The layout every reader of the CSR arrays relies on: int64 indptr
+    with a row per node and the sink, int32 nbrs, each row the sink (n)
+    first when present, then node ids strictly ascending, never its own
+    id; and the graph holds the points array it was built from."""
+    n = len(pts) - 1
+    assert graph.points is pts
+    assert graph.indptr.dtype == np.int64 and len(graph.indptr) == n + 2
+    assert graph.nbrs.dtype == np.int32
+    for u in range(n + 1):
+        row = graph.nbrs[graph.indptr[u]:graph.indptr[u + 1]].tolist()
+        if row and row[0] == n:
+            row = row[1:]
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert n not in row and u not in row
+
+
 def test_reachability_matches_brute_force_oracle():
     f = v.Field(200, 200, 100, 100)
     for seed in (11, 12, 13):
@@ -301,7 +351,8 @@ def edge_case_layouts(draw):
     big = max(width, height)
     range_m = draw(st.one_of(
         st.floats(min_value=1e-3, max_value=big),
-        st.sampled_from([1e-300, 1e-9, width / 7, height / 3, 2.5 * big])))
+        st.sampled_from([1e-300, 1e-9, width / 7, height / 3, 2.5 * big,
+                         1e300])))
 
     def coord(limit):
         # a multiple of the range lands exactly on a grid-cell boundary
@@ -339,7 +390,9 @@ def layout(width, height, sink, coords, range_m):
 # 3e-300 is past the range, but both squares underflow to 0.0
 @example(layout(1, 1, (0, 0), [(0, 3e-300)], 1e-300))
 def test_grid_reachability_equals_dense_oracle(sc):
-    g = v.build_reachability(sc.points(), sc.sensing_range)
+    pts = sc.points()
+    g = v.build_reachability(pts, sc.sensing_range)
+    assert_csr_layout(g, pts)
     expect = dense_reachability(sc)
     assert adjacency(g) == expect
     assert list(adjacency(g)) == list(expect)
@@ -351,7 +404,9 @@ def test_grid_reachability_equals_dense_oracle(sc):
 def test_grid_reachability_equals_dense_oracle_uniform(seed, n, range_m):
     f = v.Field(200, 200, 100, 100)
     sc = scenario_from(v.deploy_uniform(f, n, seed=seed), range_m, field=f)
-    g = v.build_reachability(sc.points(), sc.sensing_range)
+    pts = sc.points()
+    g = v.build_reachability(pts, sc.sensing_range)
+    assert_csr_layout(g, pts)
     assert adjacency(g) == dense_reachability(sc)
 
 
@@ -382,8 +437,26 @@ def test_grid_reachability_equals_dense_oracle_clustered(seed, k, n, range_m):
     pts = centers[rng.integers(k, size=n)] + rng.normal(0.0, range_m, (n, 2))
     sc = layout(200, 200, (100, 100), np.clip(pts, 0.0, 200.0).tolist(),
                 range_m)
-    g = v.build_reachability(sc.points(), range_m)
+    pts = sc.points()
+    g = v.build_reachability(pts, range_m)
+    assert_csr_layout(g, pts)
     assert adjacency(g) == dense_reachability(sc)
+
+
+def test_build_peak_memory_per_directed_edge():
+    """tracemalloc counts exact allocation sizes, so this bound does not
+    depend on the host. The peak includes the returned arrays, so a peak
+    below their bytes would mean numpy's allocations went untraced."""
+    pts = np.vstack((v.deploy_uniform(v.Field(), 4000, 1), [(100.0, 100.0)]))
+    tracemalloc.start()
+    try:
+        g = v.build_reachability(pts, 8.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edges = len(g.nbrs)
+    assert edges == 78_070
+    assert g.indptr.nbytes + g.nbrs.nbytes <= peak <= 28 * edges
 
 
 @st.composite

@@ -321,6 +321,30 @@ def test_cli_run_reruns_byte_identical(tmp_path, capsys):
             read_bytes(str(tmp_path / "r2" / name))
 
 
+@pytest.mark.parametrize("algorithm", ["mmevbt", "min_cover_best_parent",
+                                       "balanced_probabilistic"])
+def test_cli_runs_at_a_range_whose_square_overflows(tmp_path, capsys,
+                                                     algorithm):
+    """1e300 is positive and finite, but 1e300**2 overflows a float:
+    every pair is in range and the run completes."""
+    scen = tmp_path / "s.txt"
+    scen.write_text("field 200 200 100 100 1e300 0\n"
+                    "node 0 110 100 2.0\nnode 1 0 0 2.0\n"
+                    "node 2 200 200 2.0\n", encoding="utf-8")
+    assert main(["run", str(scen), "--out", str(tmp_path / "out"),
+                 "--set", f"algorithm={algorithm}",
+                 "--set", "traffic.rounds_max=5"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", ["sweep-fig3", "sweep-fig4"])
+def test_cli_sweeps_at_a_range_whose_square_overflows(tmp_path, capsys, verb):
+    assert main([verb, "--out", str(tmp_path), "--set", "n_nodes=30",
+                 "--set", "ranges=1e300", "--set", "target_successes=2",
+                 "--set", "max_attempts=4"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_sweep_fig3_writes_summary_and_attempts(tmp_path, capsys):
     rc = main(["sweep-fig3", "--out", str(tmp_path),
                "--set", "n_nodes=30", "--set", "ranges=45,60",
