@@ -145,6 +145,10 @@ class Field:
             raise ValueError("field values must be finite")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("field dimensions must be positive")
+        # two points of the field are then at most 2**511.5 apart, so the
+        # tx cost's squared distance stays finite
+        if self.width > 2.0**511 or self.height > 2.0**511:
+            raise ValueError("field dimensions must be at most 2**511")
         if not self.contains(self.sink_x, self.sink_y):
             raise ValueError("sink position outside the field")
         return self

@@ -17,31 +17,31 @@ only falls, so a node dies or loses eligibility exactly when a debit
 takes it below the floor or th, and a rebuild is due exactly then.
 
 Every build fills one route table (_Router), in which a fixed parent
-(mmevbt, min_cover_best_parent) is a row with one candidate. With no
-draws in the table, a packet's route is its origin's chain of forced
-hops, gathered for all packets at once. Otherwise the packets are
-walked in Python, reading uniforms in order from one stream
+(mmevbt, min_cover_best_parent) is a row with one candidate. A
+fixed-parent packet's route is its origin's chain of forced hops,
+gathered for all packets at once. A balanced table always walks its
+packets in Python, reading uniforms in order from one stream
 (_Uniforms): rng.random(k) yields exactly the values of k scalar
 rng.random() calls, so the origin draws are a slice of it and each hop
-uses up the next value, a forced chain as many as it has hops, even
-when gathered. A draw bisects its node's row of the build's cumulative
-selection sums in place, balanced.draw_index's rule, and a chain is one
-step, so a packet costs one Python step per draw or chain, not per hop.
+uses up the next value, a forced chain as many as it has hops. A draw
+bisects its node's row of the build's cumulative selection sums in
+place, balanced.draw_index's rule, and a chain is one step, so a packet
+costs one Python step per draw or chain, not per hop.
 
-Both walkers feed one kernel (_spend): the senders packet by packet and
-hop by hop, a relay's receive cost just before its transmit cost, the
-order in which the reference loop charges them. Weighted np.bincount
+Both route paths feed one kernel (_charge): the senders packet by packet
+and hop by hop, a relay's receive cost just before its transmit cost,
+the order in which the reference loop charges them. Weighted np.bincount
 adds each node's charges one by one in that order, the same left fold,
-so every float is bit-identical; the round total folds the nodes in
-first-touch order with np.cumsum, a left fold (never sum(), which
-compensates from Python 3.12 on). A balanced round folds its origins'
-selection probabilities, read from the table's rows, into the run's
-expected loads with one weighted np.bincount led by those totals: per
-tree node 0 + total + p1 + ..., the left fold of a per-packet loop. A
-direct-to-sink packet adds to a sink entry that the run drops. A
-fixed-parent packet adds exactly 1.0 to its first hop: there the loads
-are the counts. compare_load_spread bisects the same CandidateArrays
-rows as a rebuild.
+so every float is bit-identical; the kernel debits the nodes that spent
+and folds the round total over them in first-touch order with np.cumsum,
+a left fold (never sum(), which compensates from Python 3.12 on). A
+balanced round folds its origins' selection probabilities, read from the
+table's rows, into the run's expected loads with one weighted
+np.bincount led by those totals: per tree node 0 + total + p1 + ..., the
+left fold of a per-packet loop. A direct-to-sink packet adds to a sink
+entry that the run drops. A fixed-parent packet adds exactly 1.0 to its
+first hop: there the loads are the counts. compare_load_spread bisects
+the same CandidateArrays rows as a rebuild.
 
 The event log (EventLog) keeps each round's packets as arrays, which its
 writer formats in groups of rounds with one gather of tokens each: the
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -192,9 +192,9 @@ class _Router:
     i and the forced nodes after it take up to the sink or the first
     node with a draw (none at a draw node); for r = n + 1 + s, the drawn
     slot s alone. route() expands each packet's rows with one gather.
-    Walk lists (lengths, stops, heads, starts, cums) exist only for a
-    table with draws; without them a packet is its origin's row.
-    max_draws bounds the longest path to the sink.
+    A balanced table walks (route() reads its walk lists, and max_draws
+    bounds its longest path to the sink); in a fixed-parent one a packet
+    is its origin's row.
     """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
@@ -220,27 +220,29 @@ class _Router:
                                         self.fitness_params, self.e_init)
         if self.balanced:
             # a hop goes one level down, or onto the backbone from off it
-            self._fill(graph, rows.edges, rows.draws(), 1 + rows.max_level)
+            self._fill(graph, rows.edges, (*rows.draws(), 1 + rows.max_level))
         else:
             self._fill(graph, rows.best_edges())
 
     def _fill(self, graph, edges: np.ndarray,
-              draws: Optional[tuple[np.ndarray, np.ndarray]] = None,
-              max_draws: Optional[int] = None) -> None:
-        """The table of candidate edges, senders ascending, and draws
-        their CandidateArrays.draws(). max_draws defaults to the longest
-        chain, a bound when no node draws."""
+              draws: Optional[tuple[np.ndarray, np.ndarray, int]] = None
+              ) -> None:
+        """The table of candidate edges, senders ascending. A balanced
+        build gives draws, its CandidateArrays.draws() and max_draws, and
+        its table gets the walk lists (lengths, stops, heads, starts,
+        cums): each node's chain length and stop (where its chain ends,
+        the head of its last slot; itself at a draw node), each slot's
+        head, each node's first slot and the slots' cumulative sums."""
         self.sink = n = len(graph.indptr) - 2
         self.sender = graph.edge_rows(edges)
         self.head = head = graph.nbrs[edges].astype(np.int64)
         self.slot_tx = graph.edge_tx(self.radio)[edges]
         self.slot_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(self.sender, minlength=n + 1))))
-        width = np.diff(self.slot_ptr)
         # each forced node's slot (-1 at the rest), and the slot taken
         # after each slot: -1 at a draw node or the sink, and after -1
         forced = np.full(n + 1, -1)
-        ids = np.flatnonzero(width == 1)
+        ids = np.flatnonzero(np.diff(self.slot_ptr) == 1)
         forced[ids] = slot = self.slot_ptr[ids]
         after = np.append(forced[head], -1)
         # chase every chain at once: row k of steps holds each one's k-th
@@ -255,38 +257,22 @@ class _Router:
         self.chain_ptr = np.concatenate((ptr, ptr[-1] + 1
                                          + np.arange(len(edges))))
         self.chain = np.concatenate((steps[taken], np.arange(len(edges))))
-        self.max_draws = (int(length.max(initial=0)) if max_draws is None
-                          else max_draws)
-        self.lengths = None
         if draws is not None:
-            self.slot_p = draws[0]
-            if (width > 1).any():
-                self._walk_lists(draws[1].tolist())
-
-    def _walk_lists(self, cums: Sequence[float] = ()) -> None:
-        """Each node's chain length and stop (where its chain ends, the
-        head of its last slot; itself at a draw node), each slot's head,
-        each node's first slot and the slots' cumulative sums, as lists:
-        route() then walks in Python."""
-        ptr = self.chain_ptr[:self.sink + 2]
-        length = np.diff(ptr)
-        stops = np.arange(self.sink + 1)
-        ends = length > 0
-        stops[ends] = self.head[self.chain[ptr[1:][ends] - 1]]
-        self.lengths, self.stops = length.tolist(), stops.tolist()
-        self.heads = self.head.tolist()
-        self.starts, self.cums = self.slot_ptr.tolist(), cums
+            self.slot_p, cums, self.max_draws = draws
+            stops = np.arange(n + 1)
+            ends = length > 0
+            stops[ends] = head[self.chain[ptr[1:][ends] - 1]]
+            self.lengths, self.stops = length.tolist(), stops.tolist()
+            self.heads = head.tolist()
+            self.starts, self.cums = self.slot_ptr.tolist(), cums.tolist()
 
     def route(self, origins: np.ndarray,
               stream: _Uniforms) -> tuple[np.ndarray, np.ndarray]:
         """The slots of one packet from each origin, packet by packet and
         hop by hop, and the index of each packet's first slot."""
-        walk = self.lengths is not None
-        rows, firsts = (self._walk(origins, stream) if walk
+        rows, firsts = (self._walk(origins, stream) if self.balanced
                         else (origins, slice(None)))
         at, count = csr_positions(self.chain_ptr, rows)
-        if self.balanced and not walk:
-            stream.take(len(at))  # forced hops still use up a uniform each
         return self.chain[at], (np.cumsum(count) - count)[firsts]
 
     def _walk(self, origins: np.ndarray,
@@ -317,15 +303,19 @@ class _Router:
         return np.array(rows, dtype=np.int64), firsts
 
 
-def _spend(senders: np.ndarray, tx: np.ndarray, first: np.ndarray,
-           rx: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Spend of one round's hops, packet by packet and hop by hop.
+def _charge(energy: np.ndarray, senders: np.ndarray, tx: np.ndarray,
+            first: np.ndarray, rx: float, th: float,
+            floor: float) -> tuple[list[int], bool, float]:
+    """Charge one round's hops, packet by packet and hop by hop.
 
     Sender k is charged 0.0 if it is its packet's origin (k in first),
     else rx, and then tx[k]; sender n, the sink as padding, is dropped.
-    Returns the ids that spent (ascending), their spend, and the round
-    total folded in first-touch order (cumsum adds one by one).
+    The senders are live nodes, each holding at least floor, and each is
+    debited its charges, floored at 0. Returns those that now hold less,
+    the round's deaths, ascending; whether any node fell below th; and
+    the round total, folded in first-touch order (cumsum adds one by one).
     """
+    n = len(energy)
     charges = np.empty((senders.size, 2))
     charges[:, 0] = rx
     charges[first, 0] = 0.0
@@ -336,22 +326,12 @@ def _spend(senders: np.ndarray, tx: np.ndarray, first: np.ndarray,
     np.minimum.at(at, senders, np.arange(senders.size))
     ids = np.flatnonzero(at[:n] < senders.size)
     total = np.cumsum(spend[ids[np.argsort(at[ids])]])
-    return ids, spend[ids], float(total[-1]) if total.size else 0.0
-
-
-def _debit(energy: np.ndarray, ids: np.ndarray, amounts: np.ndarray,
-           th: float, floor: float) -> tuple[list[int], bool]:
-    """Debit amounts from energy[ids] (ascending, distinct), floored at 0.
-
-    The ids are live nodes, each holding at least floor. Returns those
-    that now hold less, the round's deaths, ascending, and whether any
-    node fell below th.
-    """
     before = energy[ids]
-    after = np.maximum(before - amounts, 0.0)
+    after = np.maximum(before - spend[ids], 0.0)
     energy[ids] = after
     return (ids[after < floor].tolist(),
-            bool(((before >= th) & (after < th)).any()))
+            bool(((before >= th) & (after < th)).any()),
+            float(total[-1]) if total.size else 0.0)
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -404,8 +384,10 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
         # routes all reflect start-of-round energies; debits land afterwards
         hops, starts = router.route(origins, stream)
         senders = router.sender[hops]
-        ids, amounts, spent = _spend(senders, router.slot_tx[hops], starts,
-                                     rx, n_total)
+        # only a node that spent can die or lose relay eligibility
+        dead, flipped, spent = _charge(energy, senders, router.slot_tx[hops],
+                                       starts, rx, th, floor)
+        metrics.total_energy_consumed += spent
         first_hops += np.bincount(router.head[hops[starts]],
                                   minlength=n_total + 1)
         if event_log is not None:
@@ -419,9 +401,6 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
                 np.concatenate((expected, router.slot_p[at])))
             seen[load_ids] = True
 
-        metrics.total_energy_consumed += spent
-        # only a node that spent can die or lose relay eligibility
-        dead, flipped = _debit(energy, ids, amounts, th, floor)
         for node_id in dead:
             log(round_no, "death", node_id)
         if dead:

@@ -1,8 +1,10 @@
 """Experiment configuration: parsing, validation, echo round-trip."""
 
 import dataclasses
+import importlib
 import math
 import os
+import re
 import string
 import typing
 from typing import Optional
@@ -21,6 +23,8 @@ ALL_KEYS = {
     "policy.max_step", "fitness.c1", "fitness.c2", "fitness.c3",
     "fitness.mode", "traffic.origin_probability", "traffic.rounds_max",
 }
+MODULES = {"model", "simulate", "balanced", "mincover", "mmevbt", "sweeps",
+           "config", "energy", "scenario_io", "cli"}
 
 
 def test_defaults_validate():
@@ -289,3 +293,31 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
     rows = (tmp_path / "events.csv").read_text(encoding="utf-8").splitlines()
     assert rows and all(len(row.split(",", 3)) == 4 for row in rows)
+
+
+def test_readme_names_resolve():
+    # a backticked X.Y or X.Y.Z, maybe called, whose X is a vbtsim module
+    # or public class must name something the package has; config keys
+    # such as energy.e_init are not names
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    checked = []
+    for name in re.findall(r"`((?:\w+\.){1,2}\w+)(?:\(.*?\))?`", text):
+        if name in ALL_KEYS:
+            continue
+        parts = name.split(".")
+        if parts[0] == "vbtsim":
+            parts = parts[1:]
+        if parts[0] in MODULES:
+            obj = importlib.import_module(f"vbtsim.{parts[0]}")
+        elif (isinstance(getattr(v, parts[0], None), type)
+              and not parts[0].startswith("_")):
+            obj = getattr(v, parts[0])
+        else:
+            continue
+        for attr in parts[1:]:
+            assert hasattr(obj, attr), f"README names {name}, which is gone"
+            obj = getattr(obj, attr)
+        checked.append(name)
+    assert "model.State" in checked and len(checked) >= 10

@@ -96,6 +96,9 @@ def test_field_sink_pos():
     ((200, -math.inf, 100, 0), "must be finite"),
     ((0, 200, 0, 100), "dimensions must be positive"),
     ((200, 200, 300, 100), "sink position outside the field"),
+    # a hop across such a field overflowed the tx cost's square
+    ((1e300, 200, 100, 100), r"dimensions must be at most 2\*\*511"),
+    ((200, 2.0**512, 100, 100), r"dimensions must be at most 2\*\*511"),
 ])
 def test_field_validate_rejects_bad_numbers(args, message):
     field = v.Field(*args)  # a config section: checked only where used
@@ -106,6 +109,8 @@ def test_field_validate_rejects_bad_numbers(args, message):
     with pytest.raises(ValueError, match=message):
         v.deploy_uniform(field, 1, seed=0)
     assert v.Field(200, 200, 0, 200).validate() == v.Field(200, 200, 0, 200)
+    widest = v.Field(2.0**511, 2.0**511, 0, 0)
+    assert widest.validate() == widest
 
 
 # ---------------------------------------------------------------- deployment

@@ -774,13 +774,10 @@ def test_chain_walk_equals_reference():
     assert metrics.reconstructions == 1 and metrics.rounds_run > 38
 
 
-def test_all_forced_multi_hop_balanced_run_equals_reference(monkeypatch):
+def test_all_forced_multi_hop_balanced_run_equals_reference():
     # every node of this layout has one candidate, some five hops from
-    # the sink: each round gathers whole chains and uses up one uniform
-    # per hop, until a flip's rebuild fails
-    def refuse(self, origins, stream):
-        raise AssertionError("walked a table with no draw rows")
-
+    # the sink: each round walks one whole chain per packet and uses up
+    # one uniform per hop, until a flip's rebuild fails
     field = v.Field(100, 100, 50, 50)
     sc = scenario_from(v.deploy_uniform(field, 8, 33), 30.0, [0.05] * 8,
                        field)
@@ -788,8 +785,13 @@ def test_all_forced_multi_hop_balanced_run_equals_reference(monkeypatch):
     router = simulate._Router("balanced_probabilistic", RADIO, policy,
                               v.FitnessParams(), 0.05)
     router.rebuild(*graph_and_state(sc))
-    assert np.diff(router.slot_ptr).max() == 1 and router.lengths is None
-    monkeypatch.setattr(simulate._Router, "_walk", refuse)
+    assert np.diff(router.slot_ptr).max() == 1
+    assert router.lengths == np.diff(router.chain_ptr[:9 + 1]).tolist()
+    origins = np.array([0, 3, 3, 7, 5])
+    stream = simulate._Uniforms(np.random.default_rng(0))
+    rows, firsts = router._walk(origins, stream)
+    assert rows.tolist() == origins.tolist() and firsts == [0, 1, 2, 3, 4]
+    assert stream.pos == sum(router.lengths[u] for u in origins.tolist())
     new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(0.5, 300),
                         policy, 4, e_init=0.05)
     assert new == ref
@@ -832,18 +834,6 @@ def test_fixed_parent_chains_follow_the_parents(algo, layout):
         assert router.sender[chain].tolist() == want[:-1]
 
 
-@pytest.mark.parametrize("algo", ["mmevbt", "min_cover_best_parent"])
-def test_python_walk_of_a_fixed_parent_table_equals_the_gather(algo):
-    sc = connected_random_scenario(3, n=40, range_m=35.0)
-    router = fixed_parent_router(algo, sc)
-    origins = np.random.default_rng(2).integers(0, 40, 60)
-    gather = router.route(origins, simulate._Uniforms(np.random.default_rng(1)))
-    router._walk_lists()  # route() now walks in Python
-    walk = router.route(origins, simulate._Uniforms(np.random.default_rng(1)))
-    assert [a.tolist() for a in walk] == [a.tolist() for a in gather]
-    assert len(gather[0]) > 3 * len(origins)
-
-
 class FixedUniforms:
     """A Generator stand-in whose random(k) yields given values, then 0."""
 
@@ -870,6 +860,56 @@ def test_walk_draws_bisect_each_row_in_place():
     # row's last sum picks that row's last slot, never the next row's
     assert (rows - 4).tolist() == [1, 3, 3, 5, 4]
     assert firsts == [0, 1, 2, 3, 4] and stream.pos == 5
+
+
+@st.composite
+def charge_rounds(draw):
+    """A round's packets as sender paths ending at vertex n, their hops'
+    tx costs, rx, th, the floor, and energies at and just below th and
+    the floor or small enough for the round to floor at 0."""
+    n = draw(st.integers(1, 6))
+    th = draw(st.just(0.0) | st.floats(0.0, 0.01))
+    e_fail = draw(st.just(0.0) | st.floats(0.0, 0.01))
+    floor = v.SimPolicy(th=th, e_fail=e_fail).floor
+    edges = [th, math.nextafter(th, 0.0), floor, math.nextafter(floor, 0.0)]
+    energy = draw(st.lists(st.sampled_from(edges) | st.floats(0.0, 0.02),
+                           min_size=n, max_size=n))
+    paths = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=4).map(lambda p: [*p, n]),
+                          max_size=6))
+    hops = sum(len(p) - 1 for p in paths)
+    costs = st.floats(0.0, 0.01)
+    tx = draw(st.lists(costs, min_size=hops, max_size=hops))
+    return np.array(energy), paths, np.array(tx), draw(costs), th, floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(charge_rounds())
+def test_charge_equals_a_per_hop_loop(case):
+    energy, paths, tx, rx, th, floor = case
+    # the scalar loop: rx then tx per hop, no rx at an origin, spends
+    # kept in first-touch order, a debit floored at 0
+    spend, k = {}, 0
+    for path in paths:
+        for hop, sender in enumerate(path[:-1]):
+            if hop:
+                spend[sender] = spend.get(sender, 0.0) + rx
+            spend[sender] = spend.get(sender, 0.0) + tx[k]
+            k += 1
+    want_energy, total = energy.tolist(), 0.0
+    for node, amount in spend.items():
+        total += amount
+        want_energy[node] = max(want_energy[node] - amount, 0.0)
+    before = energy.tolist()
+    dead = sorted(i for i in spend if want_energy[i] < floor)
+    flipped = any(before[i] >= th > want_energy[i] for i in spend)
+
+    senders = np.array([u for p in paths for u in p[:-1]], dtype=np.int64)
+    first = np.cumsum([0, *(len(p) - 1 for p in paths)])[:-1]
+    got = simulate._charge(energy, senders, tx, first, rx, th, floor)
+    assert got[:2] == (dead, flipped)
+    assert got[2].hex() == total.hex()
+    assert [e.hex() for e in energy.tolist()] == [e.hex() for e in want_energy]
 
 
 # ---------------------------------------------------------- state arrays

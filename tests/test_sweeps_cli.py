@@ -514,6 +514,13 @@ def test_gen_scenario_rejects_non_positive_range(tmp_path, capsys, range_m):
     assert "sensing range must be positive" in capsys.readouterr().err
 
 
+def test_gen_scenario_rejects_a_field_wider_than_2_511(tmp_path, capsys):
+    scen = tmp_path / "s.txt"
+    assert main(["gen-scenario", str(scen), "--set", "field.width=1e300"]) == 1
+    assert not scen.exists()
+    assert "field dimensions must be at most 2**511" in capsys.readouterr().err
+
+
 def test_cli_rejects_zero_e_init(tmp_path, capsys):
     assert run_with_setting(tmp_path, "energy.e_init=0") == 1
     assert "energy.e_init must be > 0" in capsys.readouterr().err
@@ -551,8 +558,12 @@ def test_cli_rejects_non_finite_scenario_energy(tmp_path, capsys, energy):
      "line 2: node 0 energy must be >= 0"),
     # no nodes used to die dividing by the node count
     ("field 200 200 100 100 60 7\n", "line 0: no node lines"),
+    # a hop this long used to overflow the tx cost's square
+    ("field 1e300 1e300 0 0 1e300 0\nnode 0 1e200 0 2.0\n"
+     "node 1 0 1e200 2.0\n",
+     "line 1: field dimensions must be at most 2**511"),
 ], ids=["range=nan", "range=inf", "range=0", "range<0", "sink_x=nan",
-        "energy<0", "no nodes"])
+        "energy<0", "no nodes", "field>2**511"])
 def test_cli_rejects_bad_scenario_numbers(tmp_path, capsys, text, message):
     scen = tmp_path / "s.txt"
     scen.write_text(text, encoding="utf-8")
