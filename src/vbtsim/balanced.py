@@ -19,14 +19,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .config import E_INIT, EnergyParams, FitnessParams, SimPolicy
-from .model import (
-    SINK,
-    ConstructionFailed,
-    ReachabilityGraph,
-    State,
-    hop_levels,
-    left_sum,
-)
+from .model import SINK, ReachabilityGraph, State, hop_levels, left_sum
 
 BETA_MIN = math.pi / 36  # 5 degrees; caps the straightness reward
 
@@ -122,7 +115,7 @@ class CandidateArrays:
 def build_forwarding_problem(graph: ReachabilityGraph, state: State,
                              tree_nodes: set[int], th: float,
                              params: FitnessParams, e_init: float = E_INIT
-                             ) -> CandidateArrays:
+                             ) -> tuple[CandidateArrays, np.ndarray]:
     """Wire every live node to its eligible tree-node parents.
 
     A tree node may serve as a parent while it is alive, holds at least
@@ -134,9 +127,9 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
     the sink, delivery is direct. Each backbone node's next_hop, which
     its children's deviation angles read, is its smallest-id neighbour
     one level closer. Returns the candidates and their fitness totals as
-    CandidateArrays. Raises ConstructionFailed for live nodes with no
-    candidate at all; params, a th or an e_init that fail validate(),
-    and in raw mode a zero-distance candidate, raise ValueError first.
+    CandidateArrays, and the live nodes with no candidate at all,
+    ascending. params, a th or an e_init that fail validate(), and in
+    raw mode a zero-distance candidate, raise ValueError.
 
     Everything is a pass over the graph's CSR edges: the level BFS walks
     the edges between eligible vertices, a next_hop is the first edge of
@@ -165,9 +158,6 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
     if params.mode == "raw" and (d == 0).any():
         raise ValueError("raw mode cannot score a zero-distance candidate")
     count = np.bincount(child, minlength=n + 1)
-    unreachable = np.flatnonzero(live & (count == 0))
-    if unreachable.size:
-        raise ConstructionFailed(unreachable.tolist())
 
     next_hop = np.full(n + 1, n)
     next_hop[hop_from] = hop_to
@@ -187,7 +177,8 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
 
     rows = np.flatnonzero(count)
     bounds = np.concatenate(([0], np.cumsum(count[rows])))
-    return CandidateArrays(rows, bounds, cand, total, max_level)
+    return (CandidateArrays(rows, bounds, cand, total, max_level),
+            np.flatnonzero(live & (count == 0)))
 
 
 def _candidate_edges(graph: ReachabilityGraph, level: np.ndarray,

@@ -183,8 +183,10 @@ class ExperimentConfig:
             raise ValueError("ranges must be non-empty")
         if any(b <= a for a, b in zip(self.ranges, self.ranges[1:])):
             raise ValueError("ranges must be strictly increasing")
-        if not all(0 < r < math.inf for r in self.ranges):  # NaN fails too
-            raise ValueError("ranges must be positive and finite")
+        # NaN fails; a sweep seeds from r * 1000, which must be finite
+        if not all(0 < r <= 2.0**1014 for r in self.ranges):
+            raise ValueError("ranges must be positive and finite, at most "
+                             "2**1014")
         if self.base_seed < 0:  # numpy seeds must be non-negative
             raise ValueError("base_seed must be >= 0")
         if self.algorithm not in ALGORITHMS:

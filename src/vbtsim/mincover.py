@@ -5,29 +5,24 @@ found with Minoux's lazy (accelerated) greedy."""
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import SimPolicy
-from .model import ConstructionFailed, ReachabilityGraph, State
-
-
-class Cover(NamedTuple):
-    """A greedy cover's tree nodes (a tuple: perfbench reads result[0])."""
-    tree_nodes: set[int]
+from .model import ReachabilityGraph, State
 
 
 def build_min_cover(graph: ReachabilityGraph, state: State, th: float
-                    ) -> Cover:
+                    ) -> tuple[set[int], np.ndarray]:
     """Pick tree nodes greedily until every live node is covered.
 
     The sink plays no part here; only sensor-to-sensor adjacency counts
     and only live nodes need covering. The seed is the node with the most
     live neighbors regardless of its energy; every later pick must hold
-    at least th joules. Score ties go to the smaller id. Raises
-    ConstructionFailed with the still-uncovered ids when no eligible
-    pick makes progress (disconnected layout).
+    at least th joules. Score ties go to the smaller id. Returns
+    (tree_nodes, stranded): the picks, and the live ids still uncovered,
+    ascending, when no eligible pick makes progress (disconnected
+    layout), else none.
 
     Each later pick is the covered node that reaches the most uncovered
     ones. That count, wd, only falls, so each newly covered node holding
@@ -50,7 +45,7 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
     live_ids = np.flatnonzero(live).tolist()
     tree_nodes: set[int] = set()
     if not live_ids:
-        return Cover(tree_nodes)
+        return tree_nodes, np.zeros(0, dtype=np.int64)
     keep = live[graph.nbrs] & np.repeat(live, np.diff(graph.indptr))
     # a memoryview reads ints on the fly: no list of every edge's ints
     adj = memoryview(graph.nbrs[keep])
@@ -84,9 +79,7 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
     for u in adj[bounds[seed]:bounds[seed + 1]]:
         wd[u] -= 1
     uncovered = len(live_ids) - 1 - promote(seed)
-    while uncovered:
-        if not heap:
-            raise ConstructionFailed(i for i in live_ids if not covered[i])
+    while uncovered and heap:
         key = heap[0]
         best = key % m
         w = wd[best]
@@ -98,4 +91,5 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
         else:
             heappop(heap)
 
-    return Cover(tree_nodes)
+    stranded = [i for i in live_ids if not covered[i]] if uncovered else []
+    return tree_nodes, np.array(stranded, dtype=np.int64)

@@ -3,8 +3,9 @@
 Sink-rooted shortest-path tree under per-hop radio cost, where only nodes
 at or above the relay threshold may forward for others, built by array
 passes over the graph's CSR edges. A build returns the arrays it
-computes: each routed node's hop and every vertex's path energy.
-Maintenance is a full rebuild; the sink relocates by a grid rule.
+computes: each routed node's hop, every vertex's path energy and the
+live nodes it cannot route. Maintenance is a full rebuild; the sink
+relocates by a grid rule.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import numpy as np
 
 from .config import Field, RadioParams, SimPolicy
 from .energy import rx_cost
-from .model import ConstructionFailed, ReachabilityGraph, State, distance
+from .model import ReachabilityGraph, State, distance
 
 
 def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
-                 th: float) -> tuple[np.ndarray, np.ndarray]:
+                 th: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Construct the minimal-energy backbone for every live node.
 
     A shortest-path tree from the sink over hop costs (the sender's tx
@@ -38,17 +39,17 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
     (sink first, then ascending ids) that may relay and whose distance
     plus the hop's cost equals its own.
 
-    Returns (edges, dist). edges holds each routed node's hop as its
-    graph's CSR edge, senders ascending: graph.nbrs[edges] are the
-    parents, the sink as vertex n. dist[i] is the total energy all
+    Returns (edges, dist, stranded). edges holds each routed node's hop
+    as its graph's CSR edge, senders ascending: graph.nbrs[edges] are
+    the parents, the sink as vertex n. dist[i] is the total energy all
     participants spend moving one packet from vertex i to the sink along
-    its parent chain: 0.0 at the sink, inf for a node that is not live.
-    Tree membership is this output alone: the tree nodes are the parents
-    other than the sink, and no status records it.
+    its parent chain: 0.0 at the sink, inf for a node that is not live
+    or has no route. stranded holds the live nodes with no route,
+    ascending. Tree membership is this output alone: the tree nodes are
+    the parents other than the sink, and no status records it.
 
-    Raises ValueError for params or a th that fail validate(), and
-    ConstructionFailed listing every live node left unreachable.
-    Reads only graph and state, and writes neither.
+    Raises ValueError for params or a th that fail validate(). Reads
+    only graph and state, and writes neither.
     """
     params.validate()  # a negative cost would relax forever
     SimPolicy(th=th).validate()
@@ -77,15 +78,13 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
 
     routed = np.flatnonzero(head)
     lost = np.isinf(dist[routed])
-    if lost.any():
-        raise ConstructionFailed(routed[lost].tolist())
-
-    # each parent: the first relay of the row on a shortest path to it
-    src, edges = graph.out_edges(routed)
+    # each parent: the first relay of the row on a shortest path to it;
+    # a lost node would match an unreached relay, as inf == inf
+    src, edges = graph.out_edges(routed[~lost])
     via = graph.nbrs[edges]
     tight = relay[via] & (dist[via] + (tx[edges] + rx[via]) == dist[src])
     src, edges = src[tight], edges[tight]
-    return edges[np.diff(src, prepend=-1) != 0], dist
+    return edges[np.diff(src, prepend=-1) != 0], dist, routed[lost]
 
 
 def relocate_sink(graph: ReachabilityGraph, state: State, field: Field,

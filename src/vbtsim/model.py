@@ -28,7 +28,7 @@ SINK = -1
 
 
 class ConstructionFailed(RuntimeError):
-    """A backbone construction attempt left live nodes without a route."""
+    """simulate's error for a first build that strands live nodes."""
 
     def __init__(self, unreachable: Iterable[int]):
         self.unreachable = sorted(unreachable)

@@ -3,8 +3,9 @@
 Each round: draw packet origins, fix every route against start-of-round
 state, debit radio costs, mark the nodes that died, rebuild the backbone
 when any node's relay eligibility flipped, and periodically relocate the
-sink. Everything is driven by one seeded generator, so a (scenario,
-config, seed) triple always replays bit-for-bit.
+sink. A rebuild that strands a live node ends the run. Everything is
+driven by one seeded generator, so a (scenario, config, seed) triple
+always replays bit-for-bit.
 
 The run's state is two arrays by node id (model.State: energy, live),
 made from the Scenario's energies at its start. Every build and
@@ -17,31 +18,23 @@ only falls, so a node dies or loses eligibility exactly when a debit
 takes it below the floor or th, and a rebuild is due exactly then.
 
 Every build fills one route table (_Router), in which a fixed parent
-(mmevbt, min_cover_best_parent) is a row with one candidate. A
-fixed-parent packet's route is its origin's chain of forced hops,
-gathered for all packets at once. A balanced table always walks its
-packets in Python, reading uniforms in order from one stream
-(_Uniforms): rng.random(k) yields exactly the values of k scalar
-rng.random() calls, so the origin draws are a slice of it and each hop
-uses up the next value, a forced chain as many as it has hops. A draw
-bisects its node's row of the build's cumulative selection sums in
-place, balanced.draw_index's rule, and a chain is one step, so a packet
-costs one Python step per draw or chain, not per hop.
+(mmevbt, min_cover_best_parent) is a row with one candidate. A balanced
+table walks its packets in Python, reading uniforms in order from one
+stream (_Uniforms): the origin draws are a slice of it, and each hop
+uses up the next value.
 
 Both route paths feed one kernel (_charge): the senders packet by packet
 and hop by hop, a relay's receive cost just before its transmit cost,
 the order in which the reference loop charges them. Weighted np.bincount
 adds each node's charges one by one in that order, the same left fold,
-so every float is bit-identical; the kernel debits the nodes that spent
-and folds the round total over them in first-touch order with np.cumsum,
-a left fold (never sum(), which compensates from Python 3.12 on). A
+so every float is bit-identical; the round total is an np.cumsum, a left
+fold (never sum(), which compensates from Python 3.12 on). A
 balanced round folds its origins' selection probabilities, read from the
 table's rows, into the run's expected loads with one weighted
 np.bincount led by those totals: per tree node 0 + total + p1 + ..., the
 left fold of a per-packet loop. A direct-to-sink packet adds to a sink
 entry that the run drops. A fixed-parent packet adds exactly 1.0 to its
-first hop: there the loads are the counts. compare_load_spread bisects
-the same CandidateArrays rows as a rebuild.
+first hop: there the loads are the counts.
 
 The event log (EventLog) keeps each round's packets as arrays, which its
 writer formats in groups of rounds with one gather of tokens each: the
@@ -208,21 +201,27 @@ class _Router:
         self.fitness_params = fitness_params
         self.e_init = e_init
 
-    def rebuild(self, graph: ReachabilityGraph, state: State) -> None:
-        """Reconstruct the backbone from state; raises ConstructionFailed
-        and then changes nothing."""
+    def rebuild(self, graph: ReachabilityGraph, state: State) -> np.ndarray:
+        """Reconstruct the backbone from state. Returns the ids the build
+        strands, ascending; the table is filled only if there are none."""
         th = self.policy.th
         if self.algorithm == "mmevbt":
-            self._fill(graph, build_mmevbt(graph, state, self.radio, th)[0])
-            return
-        tree_set = build_min_cover(graph, state, th).tree_nodes
-        rows = build_forwarding_problem(graph, state, tree_set, th,
-                                        self.fitness_params, self.e_init)
+            edges, _, stranded = build_mmevbt(graph, state, self.radio, th)
+            if not stranded.size:
+                self._fill(graph, edges)
+            return stranded
+        tree_set, stranded = build_min_cover(graph, state, th)
+        if not stranded.size:
+            rows, stranded = build_forwarding_problem(
+                graph, state, tree_set, th, self.fitness_params, self.e_init)
+        if stranded.size:
+            return stranded
         if self.balanced:
             # a hop goes one level down, or onto the backbone from off it
             self._fill(graph, rows.edges, (*rows.draws(), 1 + rows.max_level))
         else:
             self._fill(graph, rows.best_edges())
+        return stranded
 
     def _fill(self, graph, edges: np.ndarray,
               draws: Optional[tuple[np.ndarray, np.ndarray, int]] = None
@@ -334,6 +333,12 @@ def _charge(energy: np.ndarray, senders: np.ndarray, tx: np.ndarray,
             float(total[-1]) if total.size else 0.0)
 
 
+def _routed(stranded: np.ndarray) -> None:
+    """Raise ConstructionFailed when a build stranded any live node."""
+    if stranded.size:
+        raise ConstructionFailed(stranded.tolist())
+
+
 def _generator(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -373,7 +378,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     # the run moves only the graph's sink, never the scenario's
     graph = build_reachability(scenario.points(), scenario.sensing_range)
     router = _Router(algorithm, radio, policy, fparams, e_init)
-    router.rebuild(graph, state)  # initial failure propagates
+    _routed(router.rebuild(graph, state))
     alive = np.flatnonzero(live)
 
     for round_no in range(1, traffic.rounds_max + 1):
@@ -416,12 +421,11 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
             break
 
         if dead or flipped:
-            try:
-                router.rebuild(graph, state)
-            except ConstructionFailed as fail:
+            stranded = router.rebuild(graph, state)
+            if stranded.size:
                 metrics.rounds_until_disconnect = round_no
                 log(round_no, "disconnect",
-                    detail=";".join(str(i) for i in fail.unreachable))
+                    detail=";".join(map(str, stranded.tolist())))
                 break
             metrics.reconstructions += 1
             log(round_no, "rebuild", detail="eligibility")
@@ -431,11 +435,9 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
             target = relocate_sink(graph, state, scenario.field, policy)
             if target != saved:
                 graph.move_sink(target)
-                try:
-                    router.rebuild(graph, state)
-                except ConstructionFailed:
-                    # rebuild mutates nothing when it fails, so the old
-                    # route table is still valid at the old position
+                if router.rebuild(graph, state).size:
+                    # a rebuild that strands nodes fills nothing, so the
+                    # old route table is still valid at the old position
                     graph.move_sink(saved)
                     log(round_no, "relocate", detail="reverted")
                 else:
@@ -477,9 +479,11 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     rng_origin, rng_pick = _generator(seed), _generator(seed + 1)
     state = scenario.state(policy.floor)
     graph = build_reachability(scenario.points(), scenario.sensing_range)
-    tree_set = build_min_cover(graph, state, th).tree_nodes
-    rows = build_forwarding_problem(graph, state, tree_set, th, fparams,
-                                    e_init)
+    tree_set, stranded = build_min_cover(graph, state, th)
+    _routed(stranded)
+    rows, stranded = build_forwarding_problem(graph, state, tree_set, th,
+                                              fparams, e_init)
+    _routed(stranded)
     # uniform r picks slot bisect_right(cums, r, lo, hi - 1) of row k's
     # slots lo = bounds[k] .. hi - 1, as the round loop does
     cums, bounds = rows.draws()[1].tolist(), rows.bounds.tolist()

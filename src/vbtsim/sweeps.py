@@ -19,7 +19,6 @@ from .config import ExperimentConfig
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt
 from .model import (
-    ConstructionFailed,
     ReachabilityGraph,
     Scenario,
     State,
@@ -64,10 +63,11 @@ class RangeRow:
 
 
 def _sweep(config: ExperimentConfig,
-           count_tree_nodes: Callable[[ReachabilityGraph, State], int]
+           count_tree_nodes: Callable[..., Optional[int]]
            ) -> tuple[list[RangeRow], list[AttemptRow]]:
     """Each attempt is make_scenario's deployment at its attempt_seed, in
-    the state a run of it would start from."""
+    the state a run of it would start from. It fails, and
+    count_tree_nodes returns None, when its build strands a node."""
     config.validate()
     floor = config.policy.floor
     summary: list[RangeRow] = []
@@ -82,15 +82,13 @@ def _sweep(config: ExperimentConfig,
             seed = attempt_seed(config.base_seed, range_m, attempt)
             scenario = make_scenario(config, seed, range_m)
             graph = build_reachability(scenario.points(), range_m)
-            try:
-                size = count_tree_nodes(graph, scenario.state(floor))
-            except ConstructionFailed:
+            size = count_tree_nodes(graph, scenario.state(floor))
+            if size is None:
                 failures += 1
-                attempts.append(AttemptRow(seed, range_m, None, True))
             else:
                 successes += 1
                 sizes.append(size)
-                attempts.append(AttemptRow(seed, range_m, size, False))
+            attempts.append(AttemptRow(seed, range_m, size, size is None))
         mean = sum(sizes) / len(sizes) if sizes else None
         summary.append(RangeRow(range_m, successes, failures, mean,
                                 successes < config.target_successes))
@@ -101,11 +99,12 @@ def sweep_figure3(config: ExperimentConfig
                   ) -> tuple[list[RangeRow], list[AttemptRow]]:
     """Minimal-energy backbone sizes across sensing ranges."""
 
-    def count(graph: ReachabilityGraph, state: State) -> int:
-        edges, _ = build_mmevbt(graph, state, config.radio, config.policy.th)
+    def count(graph: ReachabilityGraph, state: State) -> Optional[int]:
+        edges, _, stranded = build_mmevbt(graph, state, config.radio,
+                                          config.policy.th)
         # the distinct parents other than the sink, vertex n
         per_head = np.bincount(graph.nbrs[edges])[:len(state[0])]
-        return int(np.count_nonzero(per_head))
+        return None if stranded.size else int(np.count_nonzero(per_head))
 
     return _sweep(config, count)
 
@@ -114,8 +113,9 @@ def sweep_figure4(config: ExperimentConfig
                   ) -> tuple[list[RangeRow], list[AttemptRow]]:
     """Greedy minimal-cover backbone sizes across sensing ranges."""
 
-    def count(graph: ReachabilityGraph, state: State) -> int:
-        return len(build_min_cover(graph, state, config.policy.th).tree_nodes)
+    def count(graph: ReachabilityGraph, state: State) -> Optional[int]:
+        tree_nodes, stranded = build_min_cover(graph, state, config.policy.th)
+        return None if stranded.size else len(tree_nodes)
 
     return _sweep(config, count)
 
@@ -171,8 +171,8 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig, out_dir: str,
                  ) -> tuple[LifetimeMetrics, list[str]]:
     """Simulate one scenario under the config; write the metrics CSVs.
 
-    Raises ConstructionFailed when the initial backbone cannot form; the
-    caller maps that to a nonzero exit code.
+    Raises ConstructionFailed when the initial build strands a live
+    node (the CLI exits 2); a later build that does ends the run.
     """
     events = EventLog() if write_events else None
     metrics = run_simulation(scenario, config.algorithm, config.traffic,

@@ -23,7 +23,8 @@ covered node after each pick, and cover_map labels a cover's live
 nodes. reference_compare_load_spread is the load-spread comparison
 over a build's per-node dicts, one select_parent per packet.
 tree_dicts, tree_nodes and candidate_dicts read a build's arrays as
-the per-node dicts the references return.
+the per-node dicts the references return, and routed turns a build's
+stranded ids into the ConstructionFailed the references raise.
 event_rows parses the rows an EventLog writes back into the tuples
 the reference round loop logs, its paths joined packet by packet.
 graph_and_state turns a Scenario into the (graph, state) pair that
@@ -134,6 +135,17 @@ def neighbors(graph, vertex):
     if ids and ids[0] == n:
         ids[0] = SINK
     return ids
+
+
+def routed(build):
+    """A package build's result less its stranded ids, the last item:
+    build_mmevbt's (edges, dist), build_min_cover's tree nodes or
+    build_forwarding_problem's CandidateArrays. Raises
+    ConstructionFailed, as the references do, when it stranded any."""
+    *result, stranded = build
+    if stranded.size:
+        raise ConstructionFailed(stranded.tolist())
+    return tuple(result) if len(result) > 1 else result[0]
 
 
 def tree_dicts(graph, tree):
@@ -662,9 +674,9 @@ def reference_compare_load_spread(scenario, rounds, seed, *, th=DEFAULT_TH,
     TrafficModel(origin_probability, rounds).validate()
     fparams = (fitness_params or FitnessParams()).validate()
     graph, state = graph_and_state(scenario, live_mask(scenario, th))
-    tree_set = build_min_cover(graph, state, th).tree_nodes
-    candidates, fit = candidate_dicts(graph, build_forwarding_problem(
-        graph, state, tree_set, th, fparams, e_init))
+    tree_set = routed(build_min_cover(graph, state, th))
+    candidates, fit = candidate_dicts(graph, routed(build_forwarding_problem(
+        graph, state, tree_set, th, fparams, e_init)))
     probs = {i: selection_probabilities(fit[i]) for i in candidates}
     best_next = {i: best_parent(candidates, fit, i) for i in candidates}
 
@@ -729,7 +741,7 @@ class _ReferenceRouter:
                               self.policy)
             return
         state = scenario.energy.copy(), np.array(live)
-        tree_set = build_min_cover(graph, state, self.policy.th).tree_nodes
+        tree_set = routed(build_min_cover(graph, state, self.policy.th))
         problem = reference_forwarding_problem(
             scenario, tree_set, self.policy.th, self.fitness_params,
             self.e_init, graph=graph, live=live)

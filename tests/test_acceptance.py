@@ -22,6 +22,7 @@ from oracles import (
     expected_loads,
     graph_and_state,
     min_connected_cover_size,
+    routed,
     scenario_from,
     tree_nodes,
 )
@@ -57,8 +58,8 @@ def test_criterion_1_minimal_energy_optimality():
             if rng.random() < 0.15:
                 sc.energy[i] = 0.05  # below th, still live
         try:
-            _, dist = v.build_mmevbt(*graph_and_state(sc), RADIO,
-                                     v.DEFAULT_TH)
+            _, dist = routed(v.build_mmevbt(*graph_and_state(sc), RADIO,
+                                            v.DEFAULT_TH))
         except v.ConstructionFailed:
             continue
         oracle = bellman_ford_consumption(sc, RADIO, v.DEFAULT_TH)
@@ -81,11 +82,9 @@ def test_criterion_2_connectivity_threshold():
         successes = 0
         for s in range(50):
             sc = make_scenario(cfg, attempt_seed(0, range_m, s), range_m)
-            try:
-                v.build_mmevbt(*graph_and_state(sc), cfg.radio, cfg.policy.th)
-                successes += 1
-            except v.ConstructionFailed:
-                pass
+            stranded = v.build_mmevbt(*graph_and_state(sc), cfg.radio,
+                                      cfg.policy.th)[2]
+            successes += not stranded.size
         rates[range_m] = successes / 50.0
     elapsed = time.perf_counter() - t0
     ordered = [rates[r] for r in (20.0, 25.0, 30.0, 35.0)]
@@ -110,8 +109,8 @@ def test_criterion_3_greedy_cover_correctness():
         sc = uniform_scenario(n, range_m, int(rng.integers(0, 2**31)))
         graph, state = graph_and_state(sc)
         try:
-            tree_nodes = v.build_min_cover(graph, state,
-                                           v.DEFAULT_TH).tree_nodes
+            tree_nodes = routed(v.build_min_cover(graph, state,
+                                                  v.DEFAULT_TH))
         except v.ConstructionFailed:
             continue
         # every live node is a tree node or next to one
@@ -133,8 +132,8 @@ def test_criterion_3_greedy_cover_correctness():
         if best is None:
             continue
         try:
-            tree_nodes = v.build_min_cover(graph, state,
-                                           v.DEFAULT_TH).tree_nodes
+            tree_nodes = routed(v.build_min_cover(graph, state,
+                                                  v.DEFAULT_TH))
         except v.ConstructionFailed:
             continue
         size = len(tree_nodes)
@@ -178,14 +177,14 @@ def _random_forwarding_problem(seed):
         sc = uniform_scenario(n, range_m, s)
         graph, state = graph_and_state(sc)
         try:
-            tree = v.build_mmevbt(graph, state, RADIO, v.DEFAULT_TH)
+            tree = routed(v.build_mmevbt(graph, state, RADIO, v.DEFAULT_TH))
             tree_set = tree_nodes(graph, tree)
             if not tree_set:
                 continue
             candidates, fitness = candidate_dicts(
-                graph, v.build_forwarding_problem(graph, state, tree_set,
-                                                  v.DEFAULT_TH,
-                                                  v.FitnessParams()))
+                graph, routed(v.build_forwarding_problem(
+                    graph, state, tree_set, v.DEFAULT_TH,
+                    v.FitnessParams())))
             if any(len(c) > 1 for c in candidates.values()):
                 return candidates, fitness
         except v.ConstructionFailed:

@@ -13,7 +13,7 @@ from oracles import (FitnessContext, ReferenceProblem, best_parent,
                      brute_force_min_max, candidate_dicts, deviation_angle,
                      expected_loads, fitness, graph_and_state, load_stats,
                      realize_selections, reference_forwarding_problem,
-                     scan_select_index, scenario_from)
+                     routed, scan_select_index, scenario_from)
 from vbtsim.balanced import CandidateArrays, draw_index
 
 TH = v.DEFAULT_TH
@@ -366,8 +366,8 @@ def built_dicts(sc, tree):
     """build_forwarding_problem over sc with default fitness, as
     candidate_dicts' (candidates, fitness)."""
     graph, state = graph_and_state(sc)
-    return candidate_dicts(graph, v.build_forwarding_problem(
-        graph, state, tree, TH, v.FitnessParams()))
+    return candidate_dicts(graph, routed(v.build_forwarding_problem(
+        graph, state, tree, TH, v.FitnessParams())))
 
 
 def test_problem_chain_uses_strictly_closer_levels():
@@ -386,8 +386,8 @@ def test_built_problem_is_its_candidate_arrays():
     coords = [(100, 110), (100, 120), (100, 130), (100, 140)]
     sc = scenario_from(coords, range_m=12)
     graph, state = graph_and_state(sc)
-    rows = v.build_forwarding_problem(graph, state, {0, 1, 2}, TH,
-                                      v.FitnessParams())
+    rows = routed(v.build_forwarding_problem(graph, state, {0, 1, 2}, TH,
+                                             v.FitnessParams()))
     assert type(rows) is CandidateArrays and rows.max_level == 3
     copy = pickle.loads(pickle.dumps(rows))
     ref = reference_forwarding_problem(sc, {0, 1, 2}, TH, v.FitnessParams())
@@ -408,18 +408,19 @@ def test_sink_adjacent_nodes_deliver_directly():
 def test_problem_unreachable_node_raises():
     coords = [(100, 110), (10, 10)]
     sc = scenario_from(coords, range_m=15)
-    with pytest.raises(v.ConstructionFailed) as err:
-        v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
-                                   v.FitnessParams())
-    assert err.value.unreachable == [1]
+    graph, state = graph_and_state(sc)
+    rows, stranded = v.build_forwarding_problem(graph, state, {0}, TH,
+                                                v.FitnessParams())
+    assert stranded.tolist() == [1]
+    assert candidate_dicts(graph, rows)[0] == {0: [v.SINK]}
 
 
 def test_problem_skips_depleted_tree_nodes():
     coords = [(100, 110), (100, 120)]
     sc = scenario_from(coords, range_m=12, energies=[0.15, 2.0])
-    with pytest.raises(v.ConstructionFailed):
-        v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
-                                   v.FitnessParams())
+    stranded = v.build_forwarding_problem(*graph_and_state(sc), {0}, TH,
+                                          v.FitnessParams())[1]
+    assert stranded.tolist() == [1]
 
 
 def test_symmetric_diamond_splits_fifty_fifty():
@@ -438,9 +439,12 @@ def test_symmetric_diamond_splits_fifty_fifty():
 
 def problem_outcome(build, *args):
     """A build's candidates with every fitness as its exact bits, or its
-    error. The levels and next hops decide both, so they go unread."""
+    error or stranded ids. The levels and next hops decide both, so they
+    go unread."""
     try:
         p = build(*args)
+        if not isinstance(p, ReferenceProblem):
+            p = routed(p)
     except v.ConstructionFailed as fail:
         return "unreachable", fail.unreachable
     except ValueError as err:
@@ -494,7 +498,7 @@ def test_array_problem_equals_scalar_reference(case, mode, e_init):
             g.move_sink(sink)
         if tree is None:
             try:
-                chosen = v.build_min_cover(g, sc.state(FLOOR), TH).tree_nodes
+                chosen = routed(v.build_min_cover(g, sc.state(FLOOR), TH))
             except v.ConstructionFailed:
                 chosen = set()
         else:
@@ -506,7 +510,7 @@ def test_array_problem_equals_scalar_reference(case, mode, e_init):
         assert got == want
         if got[0] == "built":
             check_candidate_arrays(v.build_forwarding_problem(
-                g, sc.state(FLOOR), chosen, TH, params, e_init), g)
+                g, sc.state(FLOOR), chosen, TH, params, e_init)[0], g)
 
 
 def check_candidate_arrays(arrays, g):
@@ -535,8 +539,8 @@ def test_array_problem_with_no_live_node():
     sc = scenario_from([(100, 110), (100, 120)], range_m=12,
                        energies=[0.0, 0.0])
     graph, state = graph_and_state(sc)
-    rows = v.build_forwarding_problem(graph, state, {0}, TH,
-                                      v.FitnessParams())
+    rows = routed(v.build_forwarding_problem(graph, state, {0}, TH,
+                                             v.FitnessParams()))
     ref = reference_forwarding_problem(sc, {0}, TH, v.FitnessParams())
     assert candidate_dicts(graph, rows) == ({}, {}) == \
         (ref.candidates, ref.fitness)
@@ -552,7 +556,8 @@ def test_raw_zero_distance_error_precedes_unreachable(mode, error):
     sc = scenario_from([(100, 110), (100, 121), (100, 121), (10, 10)],
                        range_m=12)
     params = v.FitnessParams(mode=mode)
-    with pytest.raises(error):
-        v.build_forwarding_problem(*graph_and_state(sc), {0, 1}, TH, params)
+    with pytest.raises(error):  # the build strands node 3
+        routed(v.build_forwarding_problem(*graph_and_state(sc), {0, 1}, TH,
+                                          params))
     with pytest.raises(error):
         reference_forwarding_problem(sc, {0, 1}, TH, params)

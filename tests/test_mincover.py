@@ -9,6 +9,7 @@ from oracles import (
     graph_and_state,
     min_connected_cover_size,
     reference_min_cover,
+    routed,
     scenario_from,
 )
 
@@ -19,7 +20,7 @@ FIELD = v.Field(200, 200, 100, 100)  # scenario_from's default
 def test_collinear_triple_covered_by_middle_node():
     sc = scenario_from([(100, 60), (100, 70), (100, 80)], range_m=10)
     graph, state = graph_and_state(sc)
-    tree = v.build_min_cover(graph, state, TH).tree_nodes
+    tree = routed(v.build_min_cover(graph, state, TH))
     assert tree == {1}
     assert cover_map(graph, state, tree) == {0: 1, 1: 2, 2: 1}
 
@@ -27,7 +28,7 @@ def test_collinear_triple_covered_by_middle_node():
 def test_single_isolated_node_seeds_itself():
     sc = scenario_from([(100, 95)], range_m=10)
     graph, state = graph_and_state(sc)
-    tree = v.build_min_cover(graph, state, TH).tree_nodes
+    tree = routed(v.build_min_cover(graph, state, TH))
     assert tree == {0}
     assert cover_map(graph, state, tree) == {0: 2}
 
@@ -38,7 +39,7 @@ def test_seed_eligibility_is_unconditioned_on_energy():
     energies = [0.15, 2.0, 2.0, 2.0, 2.0]
     sc = scenario_from(coords, range_m=10, energies=energies)
     graph, state = graph_and_state(sc)
-    tree = v.build_min_cover(graph, state, TH).tree_nodes
+    tree = routed(v.build_min_cover(graph, state, TH))
     assert tree == {0}
     assert cover_map(graph, state, tree)[0] == 2
 
@@ -48,16 +49,15 @@ def test_later_picks_respect_energy_threshold():
     coords = [(100, 20), (100, 30), (100, 40), (100, 50), (100, 60)]
     energies = [2.0, 2.0, 0.15, 2.0, 2.0]
     sc = scenario_from(coords, range_m=10, energies=energies)
-    with pytest.raises(v.ConstructionFailed):
-        v.build_min_cover(*graph_and_state(sc), TH)
+    tree, stranded = v.build_min_cover(*graph_and_state(sc), TH)
+    assert stranded.tolist() == [3, 4] and tree == {1}
 
 
 def test_cover_failure_lists_uncovered_nodes():
     coords = [(100, 60), (100, 70), (20, 20), (20, 30)]
     sc = scenario_from(coords, range_m=10)
-    with pytest.raises(v.ConstructionFailed) as err:
-        v.build_min_cover(*graph_and_state(sc), TH)
-    assert err.value.unreachable == [2, 3]
+    stranded = v.build_min_cover(*graph_and_state(sc), TH)[1]
+    assert stranded.tolist() == [2, 3]
 
 
 def test_greedy_never_beats_exhaustive_minimum():
@@ -68,7 +68,7 @@ def test_greedy_never_beats_exhaustive_minimum():
         sc = scenario_from(v.deploy_uniform(FIELD, 12, seed=seed), 70.0)
         g, state = graph_and_state(sc)
         try:
-            tree = v.build_min_cover(g, state, TH).tree_nodes
+            tree = routed(v.build_min_cover(g, state, TH))
         except v.ConstructionFailed:
             continue
         best = min_connected_cover_size(sc, g)
@@ -85,7 +85,7 @@ def test_coverage_completeness_on_success():
         sc = scenario_from(v.deploy_uniform(FIELD, 60, seed=seed), 40.0)
         g, state = graph_and_state(sc)
         try:
-            tree = v.build_min_cover(g, state, TH).tree_nodes
+            tree = routed(v.build_min_cover(g, state, TH))
         except v.ConstructionFailed:
             continue
         # every live node is a tree node or next to one
@@ -105,7 +105,7 @@ def test_matches_independent_replay():
                            energies=energies)
         expect, _ = reference_min_cover(sc, TH)
         try:
-            tree = v.build_min_cover(*graph_and_state(sc), TH).tree_nodes
+            tree = routed(v.build_min_cover(*graph_and_state(sc), TH))
         except v.ConstructionFailed:
             assert expect is None
             continue
@@ -117,15 +117,13 @@ ENERGY_KINDS = {"full": v.E_INIT, "low": 0.15, "failed": 0.0}
 
 
 def assert_equals_full_rescore(sc):
-    """build_min_cover on sc makes reference_min_cover's picks, or fails
-    listing the same uncovered ids."""
+    """build_min_cover on sc makes reference_min_cover's picks, or strands
+    the same uncovered ids."""
     expect_tree, expect_unreachable = reference_min_cover(sc, TH)
     graph, state = graph_and_state(sc)
-    try:
-        tree = v.build_min_cover(graph, state, TH).tree_nodes
-    except v.ConstructionFailed as err:
-        assert expect_tree is None
-        assert err.unreachable == expect_unreachable
+    tree, stranded = v.build_min_cover(graph, state, TH)
+    assert stranded.tolist() == expect_unreachable
+    if expect_tree is None:
         return
     assert tree == expect_tree
     covered = cover_map(graph, state, tree)
@@ -170,12 +168,11 @@ def test_lazy_greedy_equals_full_rescore_on_lattices(rows, cols, reach,
 
 def test_determinism():
     sc = scenario_from(v.deploy_uniform(FIELD, 80, seed=9), 35.0)
-    try:
-        t1 = v.build_min_cover(*graph_and_state(sc), TH)
-        t2 = v.build_min_cover(*graph_and_state(sc), TH)
-    except v.ConstructionFailed:
+    t1 = v.build_min_cover(*graph_and_state(sc), TH)
+    t2 = v.build_min_cover(*graph_and_state(sc), TH)
+    if t1[1].size:
         pytest.skip("seed 9 not coverable at this range")
-    assert t1 == t2
+    assert t1[0] == t2[0] and t1[1].tolist() == t2[1].tolist()
 
 
 def test_degree_tie_prefers_smaller_id():
@@ -184,6 +181,6 @@ def test_degree_tie_prefers_smaller_id():
     coords = [(100, 30), (100, 40), (100, 50), (100, 60)]
     sc = scenario_from(coords, range_m=10)
     graph, state = graph_and_state(sc)
-    tree = v.build_min_cover(graph, state, TH).tree_nodes
+    tree = routed(v.build_min_cover(graph, state, TH))
     assert tree == {1, 2}
     assert cover_map(graph, state, tree) == {0: 1, 1: 2, 2: 2, 3: 1}

@@ -18,6 +18,7 @@ from oracles import (
     positions,
     reference_mmevbt,
     reference_relocate_sink,
+    routed,
     scenario_from,
     tree_dicts,
     tree_nodes,
@@ -36,9 +37,11 @@ def relocate(sc, grid=4, max_step=None, live=None):
 
 
 def built(sc, params=RADIO, th=TH):
-    """build_mmevbt over sc, as tree_dicts' (parent, consumption)."""
+    """build_mmevbt over sc, as tree_dicts' (parent, consumption); raises
+    ConstructionFailed for the nodes it strands."""
     graph, state = graph_and_state(sc)
-    return tree_dicts(graph, v.build_mmevbt(graph, state, params, th))
+    return tree_dicts(graph, routed(v.build_mmevbt(graph, state, params,
+                                                   th)))
 
 
 def assert_tree_invariants(parent, consumption, scenario, params=RADIO,
@@ -63,7 +66,7 @@ def assert_tree_invariants(parent, consumption, scenario, params=RADIO,
 def test_single_node_routes_directly():
     sc = scenario_from([(100, 110)], range_m=12)
     graph, state = graph_and_state(sc)
-    edges, dist = v.build_mmevbt(graph, state, RADIO, TH)
+    edges, dist = routed(v.build_mmevbt(graph, state, RADIO, TH))
     assert graph.nbrs[edges].tolist() == [1]  # the sink is vertex n
     assert dist[0] == pytest.approx(2.4576e-4, rel=1e-12)
     assert dist[1] == 0.0
@@ -76,7 +79,7 @@ def test_direct_beats_relay_at_square_path_loss():
     # A 20 m out, B on the segment 10 m from each endpoint
     sc = scenario_from([(100, 120), (100, 110)], range_m=25)
     graph, state = graph_and_state(sc)
-    tree = v.build_mmevbt(graph, state, RADIO, TH)
+    tree = routed(v.build_mmevbt(graph, state, RADIO, TH))
     parent, consumption = tree_dicts(graph, tree)
     assert parent[0] == v.SINK
     assert consumption[0] == pytest.approx(3.6864e-4, rel=1e-12)
@@ -86,7 +89,7 @@ def test_direct_beats_relay_at_square_path_loss():
 def test_relay_wins_when_direct_is_out_of_range():
     sc = scenario_from([(100, 110), (100, 120)], range_m=12)
     graph, state = graph_and_state(sc)
-    tree = v.build_mmevbt(graph, state, RADIO, TH)
+    tree = routed(v.build_mmevbt(graph, state, RADIO, TH))
     parent, consumption = tree_dicts(graph, tree)
     assert parent[1] == 0
     assert consumption[1] == pytest.approx(6.9632e-4, rel=1e-12)
@@ -149,17 +152,16 @@ def test_tie_breaks_to_smaller_parent_id():
 
 def test_construction_failed_lists_sorted_unreachable():
     sc = scenario_from([(95, 100), (0, 0), (0, 5)], range_m=10)
-    with pytest.raises(v.ConstructionFailed) as err:
-        v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-    assert err.value.unreachable == [1, 2]
+    edges, _, stranded = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
+    assert stranded.tolist() == [1, 2]
+    assert edges.size == 1  # node 0 still routes
 
 
 def test_below_threshold_node_cannot_relay():
     # chain sink - A - C where only A can reach the sink
     sc = scenario_from([(100, 110), (100, 120)], range_m=12, energies=[0.15, 2.0])
-    with pytest.raises(v.ConstructionFailed) as err:
-        v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-    assert err.value.unreachable == [1]
+    stranded = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)[2]
+    assert stranded.tolist() == [1]
 
 
 def test_below_threshold_endpoint_may_still_originate():
@@ -173,7 +175,8 @@ def test_failed_nodes_are_ignored_entirely():
     sc = scenario_from([(100, 110), (0, 0)], range_m=12, energies=[2.0, 0.0])
     # the dead corner node is not "unreachable"
     graph, state = graph_and_state(sc)
-    edges, dist = v.build_mmevbt(graph, state, RADIO, TH)
+    edges, dist, stranded = v.build_mmevbt(graph, state, RADIO, TH)
+    assert stranded.tolist() == []
     assert graph.edge_rows(edges).tolist() == [0]
     assert dist[1] == math.inf
 
@@ -234,7 +237,9 @@ def float_bits(values):
 def test_array_spt_equals_heap_dijkstra(case):
     """The frontier relaxation and its tie pass give the heap Dijkstra's
     tree to the bit: consumption, parents and the unreachable ids, on a
-    graph whose sink moved in place; neither build writes a scenario."""
+    graph whose sink moved in place; neither build writes a scenario.
+    With stranded nodes, the tree is the heap Dijkstra's with them dead:
+    no lost node takes a parent."""
     sc, moves, radio, th, e_fail = case
     ref = copy_scenario(sc)
     graph = v.build_reachability(sc.points(), sc.sensing_range)
@@ -243,28 +248,32 @@ def test_array_spt_equals_heap_dijkstra(case):
         ref.field = v.Field(ref.field.width, ref.field.height, *pos)
         graph.move_sink(pos)
 
-    def attempt(build, *inputs, **options):
+    def attempt(live):
         try:
-            return build(*inputs, radio, th, **options)
+            return reference_mmevbt(ref, radio, th, live=live)
         except v.ConstructionFailed as err:
             return err.unreachable
 
-    tree = attempt(v.build_mmevbt, graph, state)
-    expect = attempt(reference_mmevbt, ref, live=live_mask(sc, th, e_fail))
+    *tree, stranded = v.build_mmevbt(graph, state, radio, th)
+    live = live_mask(sc, th, e_fail)
+    expect = attempt(live)
     for name in ("xy", "energy"):
         assert getattr(ref, name).tolist() == getattr(sc, name).tolist()
     if isinstance(expect, list):
-        assert tree == expect
-        return
+        assert stranded.tolist() == expect
+        live[expect] = False
+        expect = attempt(live)
+    else:
+        assert stranded.tolist() == []
     parent, consumption = tree_dicts(graph, tree)
     assert parent == expect[0]
     assert float_bits(consumption) == float_bits(expect[1])
-    # every vertex off the tree is inf: the dead nodes
+    # every vertex off the tree is inf: the dead and the stranded nodes
     edges, dist = tree
     off = np.ones(len(dist), dtype=bool)
     off[graph.edge_rows(edges)] = False
     off[-1] = False
-    assert np.isinf(dist[off]).all() and not state[1][off[:-1]].any()
+    assert np.isinf(dist[off]).all() and not live[off[:-1]].any()
 
 
 # ---------------------------------------------------------------- maintenance
@@ -275,6 +284,7 @@ def test_maintain_without_changes_reproduces_tree():
     t2 = v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
     assert t1[0].tolist() == t2[0].tolist()
     assert t1[1].tolist() == t2[1].tolist()
+    assert t1[2].tolist() == t2[2].tolist()
 
 
 def test_maintain_equals_fresh_build_after_random_drains():
@@ -284,9 +294,7 @@ def test_maintain_equals_fresh_build_after_random_drains():
     while done < 5:
         seed += 1
         sc = scenario_from(v.deploy_uniform(FIELD, 50, seed=seed), 45.0)
-        try:
-            v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
-        except v.ConstructionFailed:
+        if v.build_mmevbt(*graph_and_state(sc), RADIO, TH)[2].size:
             continue
         for i in range(len(sc.xy)):
             if rng.random() < 0.3:

@@ -68,6 +68,40 @@ def test_no_function_imports_a_module():
     assert inside == []
 
 
+def test_construction_failed_has_one_raise_and_one_catch():
+    """Each build returns the live nodes it strands, so only simulate
+    raises ConstructionFailed (a run's first build, compare_load_spread)
+    and only cli catches it (exit code 2)."""
+    def names(expr):
+        return {getattr(n, "id", getattr(n, "attr", None))
+                for n in ast.walk(expr)}
+
+    raises, catches = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)  # a call's callee
+                if "ConstructionFailed" in names(exc):
+                    raises.add(path.name)
+            elif isinstance(node, ast.ExceptHandler) and node.type:
+                if "ConstructionFailed" in names(node.type):
+                    catches.add(path.name)
+    assert (raises, catches) == ({"simulate.py"}, {"cli.py"})
+
+
+def test_sources_parse_as_python_3_10():
+    """CI also runs Python 3.10, which has no except*, no PEP 695 type
+    syntax and no 3.12 f-string quoting. ast.parse with feature_version
+    (3, 10) rejects them on any newer interpreter, so this catches them
+    before CI does; perfbench/ is only read."""
+    paths = [path for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+             for path in sorted(folder.glob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
+
+
 def test_config_imports_nothing_from_the_package():
     """config declares every parameter section, so it is the root of the
     package's import graph: the other modules import from it."""

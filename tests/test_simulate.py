@@ -16,8 +16,8 @@ from oracles import (ReferenceProblem, best_parent, candidate_dicts,
                      reference_compare_load_spread,
                      reference_forwarding_problem, reference_min_cover,
                      reference_mmevbt, reference_relocate_sink,
-                     reference_run_simulation, route_energy, scenario_from,
-                     tree_dicts, tree_nodes)
+                     reference_run_simulation, route_energy, routed,
+                     scenario_from, tree_dicts, tree_nodes)
 from vbtsim import simulate
 from vbtsim.config import EnergyParams
 from vbtsim.model import left_sum
@@ -31,11 +31,9 @@ def connected_random_scenario(seed, n=30, range_m=45.0):
     field = v.Field(200, 200, 100, 100)
     while True:
         sc = scenario_from(v.deploy_uniform(field, n, seed=seed), range_m)
-        try:
-            v.build_mmevbt(*graph_and_state(sc), RADIO, TH)
+        if not v.build_mmevbt(*graph_and_state(sc), RADIO, TH)[2].size:
             return sc
-        except v.ConstructionFailed:
-            seed += 1000
+        seed += 1000
 
 
 def parse_path(detail):
@@ -292,10 +290,10 @@ def ten_client_two_gateway_scenario():
 def test_ten_clients_split_between_equal_gateways():
     sc = ten_client_two_gateway_scenario()
     graph, state = graph_and_state(sc)
-    tree = v.build_min_cover(graph, state, TH).tree_nodes
+    tree = routed(v.build_min_cover(graph, state, TH))
     assert tree == {10, 11}
-    cands, fit = candidate_dicts(graph, v.build_forwarding_problem(
-        graph, state, tree, TH, v.FitnessParams()))
+    cands, fit = candidate_dicts(graph, routed(v.build_forwarding_problem(
+        graph, state, tree, TH, v.FitnessParams())))
     for i in range(10):
         assert cands[i] == [10, 11]
         # exact by symmetry
@@ -455,9 +453,9 @@ def backbone_layout(layout_seed, n, range_m, energies):
             v.deploy_uniform(field, n, layout_seed + 1000 * attempt),
             range_m, energies[:n], field)
         try:
-            tree = v.build_min_cover(*graph_and_state(sc), TH).tree_nodes
-            v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
-                                       v.FitnessParams())
+            tree = routed(v.build_min_cover(*graph_and_state(sc), TH))
+            routed(v.build_forwarding_problem(*graph_and_state(sc), tree, TH,
+                                              v.FitnessParams()))
             return sc
         except v.ConstructionFailed:
             pass
@@ -629,9 +627,9 @@ def test_zero_probability_candidate_keeps_its_load_row():
     sc = scenario_from(coords, range_m=30.0)
     fitness = v.FitnessParams(c1=1.0, c2=0.0, c3=0.0)
     graph, state = graph_and_state(sc)
-    tree = v.build_min_cover(graph, state, TH).tree_nodes
-    cands, fit = candidate_dicts(graph, v.build_forwarding_problem(
-        graph, state, tree, TH, fitness))
+    tree = routed(v.build_min_cover(graph, state, TH))
+    cands, fit = candidate_dicts(graph, routed(v.build_forwarding_problem(
+        graph, state, tree, TH, fitness)))
     assert cands[2] == [1, 3]
     assert v.selection_probabilities(fit[2]) == [0.0, 1.0]
     new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(1.0, 20),
@@ -734,9 +732,9 @@ def chain_scenario(energies=None):
 def test_forced_chains_stop_at_draws_and_the_sink():
     sc = chain_scenario()
     graph, state = graph_and_state(sc)
-    tree = v.build_min_cover(graph, state, TH).tree_nodes
-    cands, _ = candidate_dicts(graph, v.build_forwarding_problem(
-        graph, state, tree, TH, v.FitnessParams()))
+    tree = routed(v.build_min_cover(graph, state, TH))
+    cands, _ = candidate_dicts(graph, routed(v.build_forwarding_problem(
+        graph, state, tree, TH, v.FitnessParams())))
     assert cands == {0: [v.SINK], 1: [0], 2: [0], 3: [1, 2],
                      4: [3], 5: [v.SINK], 6: [1], 7: [2]}
     names = [str(i) for i in range(8)] + ["-1"]
@@ -801,6 +799,42 @@ def test_all_forced_multi_hop_balanced_run_equals_reference():
     assert metrics.rounds_run > 20 and metrics.rounds_until_disconnect
 
 
+def assert_stranding_keeps_the_table(algo, sc, energy, live, stranded):
+    """A router built over sc's state, rebuilt over (energy, live),
+    returns stranded and leaves its every attribute the same object, so
+    a reverted sink move routes on the old table."""
+    graph, state = graph_and_state(sc)
+    router = simulate._Router(algo, RADIO, NO_MOVE, v.FitnessParams(),
+                              v.E_INIT)
+    assert router.rebuild(graph, state).tolist() == []
+    table = dict(vars(router))
+    assert {"sender", "head", "slot_tx", "slot_ptr", "chain"} <= set(table)
+    assert router.rebuild(graph, (energy, live)).tolist() == stranded
+    assert vars(router).keys() == table.keys()
+    assert all(getattr(router, k) is x for k, x in table.items())
+
+
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+def test_a_rebuild_that_strands_nodes_keeps_every_table_array(algo):
+    # with both gateways dead the ten clients reach no relay: mmevbt
+    # strands them and the satellites, the cover the satellites
+    sc = ten_client_two_gateway_scenario()
+    live = np.ones(14, dtype=bool)
+    live[[10, 11]] = False
+    assert_stranding_keeps_the_table(
+        algo, sc, sc.energy.copy(), live,
+        [*range(10), 12, 13] if algo == "mmevbt" else [12, 13])
+
+
+@pytest.mark.parametrize("algo", ["min_cover_best_parent",
+                                  "balanced_probabilistic"])
+def test_a_forwarding_build_that_strands_keeps_every_table_array(algo):
+    # the cover {0} still covers node 1, but 0 holds less than th
+    sc = scenario_from([(100, 110), (100, 120)], range_m=12)
+    assert_stranding_keeps_the_table(algo, sc, np.array([0.15, 2.0]),
+                                     np.ones(2, dtype=bool), [1])
+
+
 def fixed_parent_router(algo, sc):
     router = simulate._Router(algo, RADIO, NO_MOVE, v.FitnessParams(),
                               v.E_INIT)
@@ -814,11 +848,12 @@ def test_fixed_parent_chains_follow_the_parents(algo, layout):
     sc = connected_random_scenario(layout, n=40, range_m=35.0)
     graph, state = graph_and_state(sc)
     if algo == "mmevbt":
-        parent, _ = tree_dicts(graph, v.build_mmevbt(graph, state, RADIO, TH))
+        parent, _ = tree_dicts(graph, routed(v.build_mmevbt(graph, state,
+                                                            RADIO, TH)))
     else:
-        tree = v.build_min_cover(graph, state, TH).tree_nodes
-        cands, fit = candidate_dicts(graph, v.build_forwarding_problem(
-            graph, state, tree, TH, v.FitnessParams()))
+        tree = routed(v.build_min_cover(graph, state, TH))
+        cands, fit = candidate_dicts(graph, routed(v.build_forwarding_problem(
+            graph, state, tree, TH, v.FitnessParams())))
         parent = {i: best_parent(cands, fit, i) for i in cands}
     router = fixed_parent_router(algo, sc)
     assert np.diff(router.slot_ptr).max() == 1
@@ -937,11 +972,21 @@ def drained_states(draw):
 
 
 def outcome(build, *args, **kwargs):
-    """build's result, or the type and message of what it raised."""
+    """build's result, the ids a reference's ConstructionFailed lists,
+    or the type and message of a ValueError."""
     try:
         return build(*args, **kwargs)
-    except (v.ConstructionFailed, ValueError) as exc:
+    except v.ConstructionFailed as fail:
+        return fail.unreachable
+    except ValueError as exc:
         return type(exc), str(exc)
+
+
+def without(live, ids):
+    """The live mask with ids dead."""
+    live = live.copy()
+    live[ids] = False
+    return live
 
 
 def input_arrays(graph, state):
@@ -960,32 +1005,37 @@ def test_builds_equal_references_on_drained_states(case, mode):
     """After drains, deaths and a sink move, each build and relocate_sink
     over (graph, state) equals its reference over the Scenario that
     holds that state's energies and its live mask, and leaves the state
-    and the graph's arrays as they were."""
+    and the graph's arrays as they were. A build's stranded ids are the
+    ids the reference's ConstructionFailed lists, and what it routes is
+    the reference's build with those nodes dead."""
     sc, state, graph, th, _ = case
     live = state[1]
     kept = [a.copy() for a in input_arrays(graph, state)]
 
-    tree = outcome(v.build_mmevbt, graph, state, RADIO, th)
+    *tree, stranded = v.build_mmevbt(graph, state, RADIO, th)
     want = outcome(reference_mmevbt, sc, RADIO, th, live=live)
-    if isinstance(want[0], dict):  # not an error's (type, message)
-        assert tree_dicts(graph, tree) == want
-    else:
-        assert tree == want
+    assert stranded.tolist() == (want if isinstance(want, list) else [])
+    want = reference_mmevbt(sc, RADIO, th, live=without(live, stranded))
+    assert tree_dicts(graph, tree) == want
 
-    cover = outcome(v.build_min_cover, graph, state, th)
+    cover, stranded = v.build_min_cover(graph, state, th)
     chosen, uncovered = reference_min_cover(sc, th, live)
-    if chosen is None:
-        failed = v.ConstructionFailed(uncovered)
-        assert cover == (type(failed), str(failed))
-    else:
-        assert cover.tree_nodes == chosen
+    assert stranded.tolist() == uncovered
+    if chosen is not None:
+        assert cover == chosen
         params = v.FitnessParams(mode=mode)
         got = outcome(v.build_forwarding_problem, graph, state, chosen, th,
                       params, 0.01)
         want = outcome(reference_forwarding_problem, sc, chosen, th, params,
                        0.01, live=live)
+        if isinstance(want, list):  # the unreachable ids
+            assert got[1].tolist() == want
+            want = reference_forwarding_problem(
+                sc, chosen, th, params, 0.01, live=without(live, want))
+        elif isinstance(want, ReferenceProblem):
+            assert not got[1].size
         if isinstance(want, ReferenceProblem):
-            assert fitness_bits(*candidate_dicts(graph, got)) == \
+            assert fitness_bits(*candidate_dicts(graph, got[0])) == \
                 fitness_bits(want.candidates, want.fitness)
         else:
             assert got == want
@@ -1013,9 +1063,10 @@ def test_builds_write_no_node():
     before, field = arrays_of(sc), sc.field
     graph, state = graph_and_state(sc, live)
     kept = [a.copy() for a in input_arrays(graph, state)]
-    tree = v.build_mmevbt(graph, state, RADIO, TH)
-    cover = v.build_min_cover(graph, state, TH).tree_nodes
-    v.build_forwarding_problem(graph, state, cover, TH, v.FitnessParams())
+    tree = routed(v.build_mmevbt(graph, state, RADIO, TH))
+    cover = routed(v.build_min_cover(graph, state, TH))
+    routed(v.build_forwarding_problem(graph, state, cover, TH,
+                                      v.FitnessParams()))
     v.relocate_sink(graph, state, sc.field,
                     v.SimPolicy(grid=2, max_step=5.0))
     assert tree_nodes(graph, tree) >= {10, 11} and cover == {10, 11}

@@ -1,8 +1,11 @@
 """Sweep harness and command-line interface."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from vbtsim.sweeps import (
     write_csv,
     write_sweep_outputs,
 )
-from oracles import graph_and_state, live_mask, tree_nodes
+from oracles import graph_and_state, live_mask, routed, tree_nodes
 
 SEED_STRIDE = 1_000_003
 
@@ -91,7 +94,7 @@ def test_sweep_rows_consistent_and_replayable():
     probe = next(a for a in attempts if not a.failed)
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
     graph, state = graph_and_state(sc)
-    tree = build_mmevbt(graph, state, cfg.radio, cfg.policy.th)
+    tree = routed(build_mmevbt(graph, state, cfg.radio, cfg.policy.th))
     assert len(tree_nodes(graph, tree)) == probe.n_tree_nodes
 
 
@@ -101,8 +104,8 @@ def test_sweep_fig4_counts_greedy_cover_sizes():
     assert all(r.successes == cfg.target_successes for r in summary)
     probe = next(a for a in attempts if not a.failed)
     sc = make_scenario(cfg, probe.scenario_seed, probe.range_m)
-    cover = build_min_cover(*graph_and_state(sc), cfg.policy.th)
-    assert len(cover.tree_nodes) == probe.n_tree_nodes
+    cover = routed(build_min_cover(*graph_and_state(sc), cfg.policy.th))
+    assert len(cover) == probe.n_tree_nodes
 
 
 # energy levels drawn in every order, ties included; e_fail > e_init >= th
@@ -126,10 +129,10 @@ def test_sweep_attempts_equal_their_scenario_replay(e_init, th, e_fail, n,
         base_seed=base_seed, energy=EnergyParams(e_init),
         policy=v.SimPolicy(th=th, e_fail=e_fail))
     for sweep, count in [
-            (sweep_figure3, lambda g, s: len(tree_nodes(g, build_mmevbt(
-                g, s, cfg.radio, th)))),
+            (sweep_figure3, lambda g, s: len(tree_nodes(g, routed(
+                build_mmevbt(g, s, cfg.radio, th))))),
             (sweep_figure4,
-             lambda g, s: len(build_min_cover(g, s, th).tree_nodes))]:
+             lambda g, s: len(routed(build_min_cover(g, s, th))))]:
         for attempt in sweep(cfg)[1]:
             sc = make_scenario(cfg, attempt.scenario_seed, range_m)
             try:
@@ -571,3 +574,81 @@ def test_cli_rejects_bad_scenario_numbers(tmp_path, capsys, text, message):
     assert main(["run", str(scen), "--out", str(out)]) == 1
     assert not out.exists()
     assert f"scenario error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["sweep-fig3", "sweep-fig4"])
+def test_cli_rejects_a_sweep_range_whose_seed_index_overflows(tmp_path,
+                                                              capsys, verb):
+    # 1e308 * 1000 is inf: attempt_seed's int(round(...)) used to end the
+    # sweep in an OverflowError traceback
+    out = tmp_path / "out"
+    assert main([verb, "--out", str(out), "--set", "ranges=1e308"]) == 1
+    err = capsys.readouterr().err
+    assert "ranges must be positive and finite, at most 2**1014" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+# Every key the config declares, read from its echo: config.py is their
+# one home, so a new key is drawn with nothing here to edit.
+CONFIG_KEYS = [line[2:].split(" = ")[0]
+               for line in v.ExperimentConfig().echo_lines()]
+EXTREMES = ["0", "-1", "5e-324", "1e-300", "0.5", "1e300", "1e308", "inf",
+            "-inf", "nan", "", "word"]
+# Keys that size the work draw only small values, so that no example
+# allocates much memory or runs long.
+SIZING = {"n_nodes", "traffic.rounds_max", "max_attempts",
+          "target_successes", "policy.grid"}
+SMALL = ["0", "-1", "1", "2", "5", "0.5", "nan", "", "word"]
+VERB_FILES = {"run": 3, "sweep-fig3": 2, "sweep-fig4": 2, "gen-scenario": 1}
+SCENARIO_30 = make_scenario(
+    dataclasses.replace(v.ExperimentConfig(), n_nodes=30), 3, 60.0)
+
+
+@st.composite
+def setting(draw):
+    key = draw(st.sampled_from(CONFIG_KEYS))
+    value = draw(st.sampled_from(SMALL if key in SIZING else EXTREMES))
+    return f"{key}={value}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(verb=st.sampled_from(sorted(VERB_FILES)),
+       sets=st.lists(setting(), min_size=1, max_size=3),
+       mutation=st.none() | st.tuples(st.integers(0, 30), st.integers(1, 6),
+                                      st.sampled_from(EXTREMES)))
+@example(verb="sweep-fig4", sets=["ranges=1e308"], mutation=None)
+def test_cli_ends_every_extreme_input_with_an_exit_code(verb, sets,
+                                                        mutation):
+    """main on a 30-node scenario, with one to three extreme --set values
+    and perhaps one number of the scenario file replaced, returns 0, 1
+    or 2 and raises nothing; a 0 return wrote every file it printed.
+    Small sweeps and runs come first, so a drawn size still wins."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = os.path.join(tmp, "s.txt")
+        v.write_scenario(SCENARIO_30, scen)
+        if mutation is not None:
+            line, token, value = mutation
+            with open(scen, encoding="utf-8") as fh:
+                lines = [row.split() for row in fh]
+            row = lines[line]
+            row[min(token, len(row) - 1)] = value
+            with open(scen, "w", encoding="utf-8") as fh:
+                fh.writelines(" ".join(row) + "\n" for row in lines)
+        out = os.path.join(tmp, "out")
+        args = [verb, os.path.join(tmp, "g.txt") if verb == "gen-scenario"
+                else scen] if verb in ("run", "gen-scenario") else [verb]
+        base = ["n_nodes=30", "max_attempts=3", "target_successes=2",
+                "traffic.rounds_max=40"]
+        for pair in base + sets:
+            args += ["--set", pair]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            rc = main(args + ["--out", out])
+        assert rc in (0, 1, 2), stderr.getvalue()
+        paths = stdout.getvalue().splitlines()
+        if rc == 0:
+            assert len(paths) == VERB_FILES[verb]
+            assert all(os.path.getsize(path) > 0 for path in paths)
+        else:
+            assert paths == [] and stderr.getvalue()
