@@ -9,7 +9,9 @@ change that alters output bytes on purpose, and say why.
 
 The scenarios are small and their batteries low, so runs end within a
 few dozen rounds after node deaths, eligibility rebuilds, sink
-relocations (some reverted) and a mid-run construction failure.
+relocations (some reverted) and a mid-run construction failure. The two
+long cases pin the benchmark layout's full mmevbt run, which ends at
+round 1645 on a failed rebuild after 187 reconstructions and no death.
 """
 
 import contextlib
@@ -46,6 +48,7 @@ MOVE = ("policy.t_move=5",)
 STEP = ("policy.t_move=5", "policy.max_step=15")
 STILL = ("policy.t_move=0",)
 RAW = ("fitness.mode=raw",)
+LONG = ("traffic.rounds_max=20000", "policy.t_move=50")
 
 CASES = {
     "mmevbt-still": _run("mmevbt", *STILL),
@@ -72,6 +75,11 @@ CASES = {
     "balanced-1000": _run("balanced_probabilistic", "traffic.rounds_max=60",
                           "policy.t_move=25", scenario=SCENARIO_1000,
                           low=False),
+    # the benchmark layout's long mmevbt run: 1645 rounds, 187 rebuilds
+    "mmevbt-long": _run("mmevbt", *LONG, events=False,
+                        scenario=SCENARIO_1000, low=False),
+    "mmevbt-long-events": _run("mmevbt", *LONG, scenario=SCENARIO_1000,
+                               low=False),
     "sweep-fig3": {"gen": None,
                    "argv": ["sweep-fig3"] + _sets("n_nodes=60",
                                                   "ranges=30,40",
@@ -202,6 +210,24 @@ DIGESTS = {
             "dd3dfb0269a6190fe6a8434d58c4cff7094bf8ff0fc2afe60c5533431dfe69a6",
         "run_metrics.csv":
             "b59db70109c570e5824d10a0b4904d8ee4cb0c116d60ea00f9930903d994bf7c",
+    },
+    "mmevbt-long": {
+        "run_alive.csv":
+            "4f255693dc16001a1a54851c8197955020bd2ee064ba63be7fc12f40e6c2d088",
+        "run_loads.csv":
+            "cce7e5c578d8a7ab280615b51c8cf34c19109b9bdaa706b7ecd49d47d6a61703",
+        "run_metrics.csv":
+            "015d123fc3a501c35147ee832109de6c8bd999e3f4e5567a0722b5dc799c1742",
+    },
+    "mmevbt-long-events": {
+        "run_alive.csv":
+            "4f255693dc16001a1a54851c8197955020bd2ee064ba63be7fc12f40e6c2d088",
+        "run_events.csv":
+            "c7dfa6204fecc67a45c2bc1239c6cffc8e7cd910588be4e6dca4bc9b17134506",
+        "run_loads.csv":
+            "cce7e5c578d8a7ab280615b51c8cf34c19109b9bdaa706b7ecd49d47d6a61703",
+        "run_metrics.csv":
+            "015d123fc3a501c35147ee832109de6c8bd999e3f4e5567a0722b5dc799c1742",
     },
     "mmevbt-move": {
         "run_alive.csv":
