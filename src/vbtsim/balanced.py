@@ -37,12 +37,8 @@ def selection_probabilities(values: Sequence[float]) -> list[float]:
 
 
 def select_parent(probabilities: Sequence[float], rng: np.random.Generator) -> int:
-    """Draw one candidate index: R uniform in [0,1) against cumulative sums."""
-    return draw_index(list(itertools.accumulate(probabilities)), rng.random())
-
-
-def draw_index(cumulative: Sequence[float], r: float) -> int:
-    """First index whose cumulative sum exceeds r (the scan's r < acc).
+    """Draw one candidate index: the first whose cumulative sum exceeds
+    R, uniform in [0,1) (the scan's R < acc).
 
     The last sum never bounds a draw, so rounding that leaves it just
     below 1 lands its slack on the last interval. The round loop and
@@ -50,7 +46,8 @@ def draw_index(cumulative: Sequence[float], r: float) -> int:
     sums in place with the same bounds: bisect_right(cums, r, lo, hi - 1)
     over the row's slots lo..hi - 1 is the drawn slot itself.
     """
-    return bisect_right(cumulative, r, 0, len(cumulative) - 1)
+    cumulative = list(itertools.accumulate(probabilities))
+    return bisect_right(cumulative, rng.random(), 0, len(cumulative) - 1)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ tests/oracles.py states it hop by hop.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import RadioParams
 
 
@@ -16,6 +18,13 @@ def tx_cost(params: RadioParams, distance: float) -> float:
         raise ValueError(f"negative distance: {distance}")
     b = params.packet_bits
     return params.e_elec * b + params.e_amp * b * distance**2
+
+
+def tx_costs(params: RadioParams, squares: np.ndarray) -> np.ndarray:
+    """tx_cost of each hop from its squared distance, such as a gather of
+    ReachabilityGraph.squares(): elementwise, tx_cost's float ops."""
+    b = params.packet_bits
+    return params.e_elec * b + params.e_amp * b * squares
 
 
 def rx_cost(params: RadioParams) -> float:

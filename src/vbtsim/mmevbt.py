@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .config import Field, RadioParams, SimPolicy
-from .energy import rx_cost
+from .energy import rx_cost, tx_costs
 from .model import ReachabilityGraph, State, distance
 
 
@@ -30,14 +30,15 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
     they just never relay. Equal-cost parents resolve to the sink, then
     to the smaller node id.
 
-    Frontier relaxation over the graph's CSR rows: each pass adds the
-    hop costs to the distances of the relays whose distance fell in the
-    last pass and folds them into their live neighbours' with
-    np.minimum.at. Float + of a nonnegative cost is monotone, so any
-    relaxation order reaches the same minimum fold as Dijkstra's heap,
-    bit for bit. A last pass gives each node the first entry of its row
-    (sink first, then ascending ids) that may relay and whose distance
-    plus the hop's cost equals its own.
+    Frontier relaxation over the graph's CSR rows: each pass prices the
+    edges out of the relays whose distance fell in the last pass
+    (energy.tx_costs), adds the hop costs to those distances and folds
+    them into their live neighbours' with np.minimum.at. Float + of a
+    nonnegative cost is monotone, so any relaxation order reaches the
+    same minimum fold as Dijkstra's heap, bit for bit. A last pass gives
+    each node the first entry of its row (sink first, then ascending
+    ids) that may relay and whose distance plus the hop's cost equals
+    its own.
 
     Returns (edges, dist, stranded). edges holds each routed node's hop
     as its graph's CSR edge, senders ascending: graph.nbrs[edges] are
@@ -59,7 +60,7 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
     relay = np.append(live & (energy >= th), True)  # the sink relays for all
     rx = np.full(n + 1, rx_cost(params))  # by receiver: free at the sink
     rx[n] = 0.0
-    tx = graph.edge_tx(params)
+    sq = graph.squares()
 
     dist = np.full(n + 1, math.inf)
     dist[n] = 0.0
@@ -68,10 +69,10 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
         src, edges = graph.out_edges(frontier)
         dst = graph.nbrs[edges]
         keep = head[dst]
-        src, edges, dst = src[keep], edges[keep], dst[keep]
+        src, dst, tx = src[keep], dst[keep], tx_costs(params, sq[edges[keep]])
         before = dist[dst]
         # hop_weight's order (tests/oracles.py): tx + rx, then + dist[src]
-        np.minimum.at(dist, dst, dist[src] + (tx[edges] + rx[src]))
+        np.minimum.at(dist, dst, dist[src] + (tx + rx[src]))
         fell = np.zeros(n + 1, dtype=bool)
         fell[dst] = dist[dst] < before
         frontier = np.flatnonzero(fell & relay)
@@ -81,8 +82,8 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
     # each parent: the first relay of the row on a shortest path to it;
     # a lost node would match an unreached relay, as inf == inf
     src, edges = graph.out_edges(routed[~lost])
-    via = graph.nbrs[edges]
-    tight = relay[via] & (dist[via] + (tx[edges] + rx[via]) == dist[src])
+    via, tx = graph.nbrs[edges], tx_costs(params, sq[edges])
+    tight = relay[via] & (dist[via] + (tx + rx[via]) == dist[src])
     src, edges = src[tight], edges[tight]
     return edges[np.diff(src, prepend=-1) != 0], dist, routed[lost]
 

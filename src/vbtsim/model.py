@@ -1,8 +1,8 @@
 """Scenarios as arrays, seeded deployment and unit-disk reachability.
 
-The reachability graph keeps its edges as CSR arrays only, carries each
-edge's distance and transmit cost as flat arrays built on first use, and
-moves its sink vertex in place.
+The reachability graph is geometry only: CSR edges, each edge's distance
+and its square as flat arrays built on first use, and a sink vertex moved
+in place. energy.tx_costs prices the edges a build gathers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .config import Field, RadioParams
+from .config import Field
 
 # Edges per block of the scalar per-edge passes (see _per_edge).
 _BLOCK = 2048
@@ -91,8 +91,8 @@ class ReachabilityGraph:
     are CSR arrays with the sink as row and id n (the node count): row v
     is nbrs[indptr[v]:indptr[v + 1]], its neighbour ids ascending after
     the sink, which sorts first. Per-edge arrays aligned with nbrs (the
-    distances, and the tx costs for one radio) are built on first use
-    and kept; a sink move patches only the entries that involve the sink.
+    distances and their squares) are built on first use and kept; a sink
+    move patches only the entries that involve the sink.
     """
 
     range: float
@@ -103,9 +103,7 @@ class ReachabilityGraph:
     # allocates nothing more
     _dist: Optional[np.ndarray] = dc_field(default=None, init=False,
                                            repr=False)
-    _radio: Optional[RadioParams] = dc_field(default=None, init=False,
-                                             repr=False)
-    _tx: Optional[np.ndarray] = dc_field(default=None, init=False,
+    _sq: Optional[np.ndarray] = dc_field(default=None, init=False,
                                          repr=False)
 
     def edge_rows(self, edges: np.ndarray) -> np.ndarray:
@@ -131,13 +129,12 @@ class ReachabilityGraph:
                                    ys[src] - ys[self.nbrs])
         return self._dist
 
-    def edge_tx(self, params: RadioParams) -> np.ndarray:
-        """Per edge, the tx_cost of the hop from its row vertex to nbrs[k]."""
-        if params != self._radio:
-            self._radio, self._tx = params, None
-        if self._tx is None:
-            self._tx = _tx_costs(params, self.distances())
-        return self._tx
+    def squares(self) -> np.ndarray:
+        """Per edge, its distance squared as tx_cost squares it, which
+        energy.tx_costs prices."""
+        if self._sq is None:
+            self._sq = _squares(self.distances())
+        return self._sq
 
     def move_sink(self, sink_pos: tuple[float, float]) -> None:
         """Put the sink at sink_pos, as build_reachability would have.
@@ -145,8 +142,8 @@ class ReachabilityGraph:
         The sink's row is recomputed with the build's exact inclusive
         test, and every node row the sink enters, stays in or leaves has
         its head (the sink sorts first) inserted, recomputed or dropped,
-        in the CSR arrays and the cost arrays built so far. A non-finite
-        position raises ValueError and moves nothing.
+        in the CSR arrays and in the distances and squares built so far.
+        A non-finite position raises ValueError and moves nothing.
         """
         if not np.isfinite(sink_pos).all():
             raise ValueError("points must be finite")
@@ -189,9 +186,9 @@ class ReachabilityGraph:
         dist = np.array(list(map(math.hypot, (sx - pts[row, 0]).tolist(),
                                  (sy - pts[row, 1]).tolist())), dtype=float)
         self._dist = patch(self._dist, dist, dist)
-        if self._tx is not None:
-            tx = _tx_costs(self._radio, dist)
-            self._tx = patch(self._tx, tx, tx)
+        if self._sq is not None:
+            sq = _squares(dist)
+            self._sq = patch(self._sq, sq, sq)
 
 
 def csr_positions(indptr: np.ndarray,
@@ -206,16 +203,11 @@ def csr_positions(indptr: np.ndarray,
     return at, counts
 
 
-def _tx_costs(params: RadioParams, dist: np.ndarray) -> np.ndarray:
-    """tx_cost of each distance, elementwise in tx_cost's order.
-
-    The square is libm pow, as tx_cost's distance**2 computes it; a
-    numpy square is d*d, which differs from it in the last bit for some
-    distances.
-    """
-    b = params.packet_bits
-    d2 = _per_edge(math.pow, dist, np.broadcast_to(2.0, dist.shape))
-    return params.e_elec * b + params.e_amp * b * d2
+def _squares(dist: np.ndarray) -> np.ndarray:
+    """Each distance squared by libm pow, as tx_cost's distance**2
+    computes it; a numpy square is d*d, which differs from it in the
+    last bit for some distances."""
+    return _per_edge(math.pow, dist, np.broadcast_to(2.0, dist.shape))
 
 
 def _per_edge(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:

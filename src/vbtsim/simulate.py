@@ -52,7 +52,7 @@ import numpy as np
 from .balanced import build_forwarding_problem
 from .config import (ALGORITHMS, DEFAULT_TH, E_INIT, EnergyParams,
                      FitnessParams, RadioParams, SimPolicy, TrafficModel)
-from .energy import rx_cost
+from .energy import rx_cost, tx_costs
 from .mincover import build_min_cover
 from .mmevbt import build_mmevbt, relocate_sink
 from .model import (
@@ -174,7 +174,8 @@ class _Router:
 
     Slot s, a position in the build's candidate edges, is the hop from
     sender[s] to head[s] (the sink is vertex n, the node count) at cost
-    slot_tx[s]; node i's slots are slot_ptr[i] <= s < slot_ptr[i + 1].
+    slot_tx[s], energy.tx_costs of the graph's squares() gathered at the
+    slots; node i's slots are slot_ptr[i] <= s < slot_ptr[i + 1].
     mmevbt and min_cover_best_parent give each routed node one
     candidate, balanced_probabilistic all of them, with selection
     probability slot_p[s] and cumulative sum cums[s] along the row. A
@@ -235,7 +236,7 @@ class _Router:
         self.sink = n = len(graph.indptr) - 2
         self.sender = graph.edge_rows(edges)
         self.head = head = graph.nbrs[edges].astype(np.int64)
-        self.slot_tx = graph.edge_tx(self.radio)[edges]
+        self.slot_tx = tx_costs(self.radio, graph.squares()[edges])
         self.slot_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(self.sender, minlength=n + 1))))
         # each forced node's slot (-1 at the rest), and the slot taken
@@ -469,8 +470,8 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     energy drain, so fitness never shifts). Every packet charges its
     origin's chosen parent; returns each policy's maximum per-tree-node
     count. Direct-to-sink deliveries burden no tree node and count for
-    neither policy. Picks read the build's CandidateArrays as a run does.
-    A node is live while it holds SimPolicy(th=th).floor.
+    neither policy. Both read the route tables a run builds, balanced and
+    best-parent. A node is live while it holds SimPolicy(th=th).floor.
     """
     policy = SimPolicy(th=th).validate()
     TrafficModel(origin_probability, rounds).validate()
@@ -479,24 +480,22 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
     rng_origin, rng_pick = _generator(seed), _generator(seed + 1)
     state = scenario.state(policy.floor)
     graph = build_reachability(scenario.points(), scenario.sensing_range)
-    tree_set, stranded = build_min_cover(graph, state, th)
-    _routed(stranded)
-    rows, stranded = build_forwarding_problem(graph, state, tree_set, th,
-                                              fparams, e_init)
-    _routed(stranded)
-    # uniform r picks slot bisect_right(cums, r, lo, hi - 1) of row k's
-    # slots lo = bounds[k] .. hi - 1, as the round loop does
-    cums, bounds = rows.draws()[1].tolist(), rows.bounds.tolist()
-    head, n = graph.nbrs[rows.edges], len(state[0])
-    best = graph.nbrs[rows.best_edges()]
+    draw, best = [_Router(a, RadioParams(), policy, fparams, e_init)
+                  for a in ("balanced_probabilistic", "min_cover_best_parent")]
+    for router in (draw, best):
+        _routed(router.rebuild(graph, state))
+    # every live node has a row; uniform r picks slot
+    # bisect_right(cums, r, lo, hi - 1) of its slots lo..hi - 1, as _walk
+    cums, starts = draw.cums, draw.starts
+    alive, n = np.flatnonzero(state[1]), len(state[0])
     count = np.zeros((2, n + 1), dtype=np.int64)  # the sink is vertex n
     for _ in range(rounds):
-        origins = np.flatnonzero(
-            rng_origin.random(len(rows.rows)) < origin_probability)
-        picks = [bisect_right(cums, r, bounds[k], bounds[k + 1] - 1)
-                 for k, r in zip(origins.tolist(),
+        origins = alive[rng_origin.random(len(alive)) < origin_probability]
+        picks = [bisect_right(cums, r, starts[u], starts[u + 1] - 1)
+                 for u, r in zip(origins.tolist(),
                                  rng_pick.random(len(origins)).tolist())]
-        count[0] += np.bincount(head[picks], minlength=n + 1)
-        count[1] += np.bincount(best[origins], minlength=n + 1)
+        count[0] += np.bincount(draw.head[picks], minlength=n + 1)
+        count[1] += np.bincount(best.head[best.slot_ptr[origins]],
+                                minlength=n + 1)
     mc_prob, mc_det = count[:, :n].max(axis=1, initial=0).tolist()
     return mc_prob, mc_det

@@ -14,7 +14,7 @@ from oracles import (FitnessContext, ReferenceProblem, best_parent,
                      expected_loads, fitness, graph_and_state, load_stats,
                      realize_selections, reference_forwarding_problem,
                      routed, scan_select_index, scenario_from)
-from vbtsim.balanced import CandidateArrays, draw_index
+from vbtsim.balanced import CandidateArrays
 
 TH = v.DEFAULT_TH
 FLOOR = v.SimPolicy().floor
@@ -203,10 +203,9 @@ def test_bisect_draw_equals_cumulative_scan(values, r):
     expect = scan_select_index(p, r)
     assert v.select_parent(p, FixedRng(r)) == expect
     # a draw landing exactly on a cumulative sum moves to the next interval
-    cumulative = list(itertools.accumulate(p))
-    assert draw_index(cumulative, r) == expect
-    for edge in cumulative[:-1]:
-        assert draw_index(cumulative, edge) == scan_select_index(p, edge)
+    for edge in list(itertools.accumulate(p))[:-1]:
+        assert v.select_parent(p, FixedRng(edge)) == \
+            scan_select_index(p, edge)
 
 
 def test_best_parent_prefers_fitness_then_smaller_id():

@@ -22,6 +22,7 @@ from oracles import (
     positions,
     scenario_from,
 )
+from vbtsim.energy import tx_costs
 from vbtsim.model import hop_levels, left_sum
 
 
@@ -487,9 +488,10 @@ def expected_weights(sc, graph, params):
 
 
 def edge_weights(graph, params):
-    """The hop weights build_mmevbt adds up: each edge's tx plus its row
-    vertex's rx, none in the sink's row."""
-    tx = graph.edge_tx(params)
+    """The hop weights build_mmevbt adds up: each edge's tx, priced from
+    the graph's squares, plus its row vertex's rx, none in the sink's
+    row."""
+    tx = tx_costs(params, graph.squares())
     rx = np.full(len(tx), v.rx_cost(params))
     rx[graph.indptr[-2]:] = 0.0
     return (tx + rx).tolist()
@@ -502,7 +504,7 @@ RADIOS = (v.RadioParams(), v.RadioParams(e_elec=1e-7, e_amp=3e-12))
 def test_moved_sink_graph_equals_fresh_build(case):
     sc, walk = case
     g = v.build_reachability(sc.points(), sc.sensing_range)
-    g.edge_tx(RADIOS[0])  # a cached radio is patched, not rebuilt
+    g.squares()  # cached squares are patched, not rebuilt
     for pos in walk:
         sc.field = v.Field(sc.field.width, sc.field.height, *pos)
         g.move_sink(pos)
@@ -517,10 +519,12 @@ def test_moved_sink_graph_equals_fresh_build(case):
 
 @given(edge_case_layouts())
 def test_cached_weights_equal_hop_weight_of_distance(sc):
+    """Two radios priced alternately on one graph: the graph holds no
+    radio, so each pricing reads the same cached squares."""
     g = v.build_reachability(sc.points(), sc.sensing_range)
-    for params in RADIOS:
+    for params in RADIOS + RADIOS:
         assert edge_weights(g, params) == expected_weights(sc, g, params)
-        assert g.edge_tx(params) is g.edge_tx(params)
+        assert g.squares() is g.squares()
 
 
 def expected_edge_arrays(sc, params):
@@ -539,38 +543,40 @@ def assert_edge_arrays_fresh(sc, g, params):
     assert g.indptr.tolist() == indptr
     assert g.nbrs.tolist() == nbrs
     assert g.distances().tolist() == dist
-    assert g.edge_tx(params).tolist() == tx
+    assert g.squares().tolist() == [d**2 for d in dist]
+    assert tx_costs(params, g.squares()).tolist() == tx
 
 
-@given(sink_walks(), st.sampled_from(["none", "dist", "tx"]))
+@given(sink_walks(), st.sampled_from(["none", "dist", "squares"]))
 def test_cached_tx_costs_follow_sink_moves(case, cached):
-    """The CSR arrays, distances and tx costs after sink moves that add,
-    keep and drop sink edges equal a fresh build's with scalar tx_cost
-    of each distance, whether they were built before the moves or not,
-    and give every hop hop_weight's cost."""
+    """The CSR arrays, distances, squares and the tx costs priced from
+    them after sink moves that add, keep and drop sink edges equal a
+    fresh build's with scalar tx_cost of each distance, whether they
+    were built before the moves or not, and give every hop hop_weight's
+    cost for either radio."""
     sc, walk = case
     g = v.build_reachability(sc.points(), sc.sensing_range)
     if cached == "dist":
         g.distances()
-    if cached == "tx":
-        g.edge_tx(RADIOS[0])
+    if cached == "squares":
+        g.squares()
     for pos in walk:
         sc.field = v.Field(sc.field.width, sc.field.height, *pos)
         g.move_sink(pos)
-        if cached == "tx":
-            assert_edge_arrays_fresh(sc, g, RADIOS[0])
-            assert g.edge_tx(RADIOS[0]) is g.edge_tx(RADIOS[0])
-            assert edge_weights(g, RADIOS[0]) == \
-                expected_weights(sc, g, RADIOS[0])
+        if cached == "squares":
+            for params in RADIOS:
+                assert_edge_arrays_fresh(sc, g, params)
+                assert edge_weights(g, params) == \
+                    expected_weights(sc, g, params)
         elif cached == "dist":
             assert g.distances().tolist() == \
                 expected_edge_arrays(sc, RADIOS[0])[2]
-    for params in RADIOS[::-1]:  # another radio rebuilds the tx costs
+    for params in RADIOS[::-1]:
         assert_edge_arrays_fresh(sc, g, params)
         assert edge_weights(g, params) == expected_weights(sc, g, params)
 
 
-def test_edge_tx_is_scalar_tx_cost_of_each_distance():
+def test_tx_costs_are_scalar_tx_cost_of_each_distance():
     # at this distance libm pow(d, 2) and d * d differ in the last bit,
     # so a numpy square in the tx formula would show here
     d = 30.034675292417745
@@ -580,7 +586,7 @@ def test_edge_tx_is_scalar_tx_cost_of_each_distance():
     sc = layout(200, 200, (100, 100), [(0.0, 0.0), (d, 0.0), (90.0, 95.0)],
                 35.0)
     g = v.build_reachability(sc.points(), sc.sensing_range)
-    g.edge_tx(RADIOS[0])
+    g.squares()
     # the sink walks in next to node 2, stays, then leaves again
     for pos in [(80.0, 80.0), (95.0, 90.0), (0.0, 20.0), (170.0, 170.0)]:
         sc.field = v.Field(sc.field.width, sc.field.height, *pos)

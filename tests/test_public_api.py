@@ -89,6 +89,30 @@ def test_construction_failed_has_one_raise_and_one_catch():
     assert (raises, catches) == ({"simulate.py"}, {"cli.py"})
 
 
+def test_one_home_for_the_hop_cost_and_the_balanced_draw():
+    """The graph is geometry only: model.py knows no radio and prices no
+    edge, energy.tx_costs does. compare_load_spread reads the route
+    tables a run builds: it calls no backbone build, and neither draws()
+    nor best_edges() of a build's candidates, itself."""
+    def tree(name):
+        return ast.parse((PACKAGE / name).read_text())
+
+    model = tree("model.py")
+    imported = {a.name for node in ast.walk(model)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    defined = {node.name for node in ast.walk(model)
+               if isinstance(node, ast.FunctionDef)}
+    assert "RadioParams" not in imported
+    assert "edge_tx" not in defined
+    compare, = [node for node in tree("simulate.py").body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "compare_load_spread"]
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(compare) if isinstance(node, ast.Call)}
+    assert called & {"build_mmevbt", "build_min_cover",
+                     "build_forwarding_problem", "draws", "best_edges"} == set()
+
+
 def test_sources_parse_as_python_3_10():
     """CI also runs Python 3.10, which has no except*, no PEP 695 type
     syntax and no 3.12 f-string quoting. ast.parse with feature_version
