@@ -310,10 +310,10 @@ def _charge(energy: np.ndarray, senders: np.ndarray, tx: np.ndarray,
 
     Sender k is charged 0.0 if it is its packet's origin (k in first),
     else rx, and then tx[k]; sender n, the sink as padding, is dropped.
-    The senders are live nodes, each holding at least floor, and each is
-    debited its charges, floored at 0. Returns those that now hold less,
+    The senders are live nodes, each holding at least floor; each drains
+    its charges, or all it holds if less. Returns those now below floor,
     the round's deaths, ascending; whether any node fell below th; and
-    the round total, folded in first-touch order (cumsum adds one by one).
+    the energy drained, folded in first-touch order (a left fold).
     """
     n = len(energy)
     charges = np.empty((senders.size, 2))
@@ -325,10 +325,10 @@ def _charge(energy: np.ndarray, senders: np.ndarray, tx: np.ndarray,
     at = np.full(n + 1, senders.size)  # each node's first position
     np.minimum.at(at, senders, np.arange(senders.size))
     ids = np.flatnonzero(at[:n] < senders.size)
-    total = np.cumsum(spend[ids[np.argsort(at[ids])]])
     before = energy[ids]
-    after = np.maximum(before - spend[ids], 0.0)
-    energy[ids] = after
+    drained = np.minimum(spend[ids], before)
+    total = np.cumsum(drained[np.argsort(at[ids])])
+    energy[ids] = after = before - drained
     return (ids[after < floor].tolist(),
             bool(((before >= th) & (after < th)).any()),
             float(total[-1]) if total.size else 0.0)
@@ -484,8 +484,7 @@ def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
                   for a in ("balanced_probabilistic", "min_cover_best_parent")]
     for router in (draw, best):
         _routed(router.rebuild(graph, state))
-    # every live node has a row; uniform r picks slot
-    # bisect_right(cums, r, lo, hi - 1) of its slots lo..hi - 1, as _walk
+    # every live node has a row, whose draw _walk bisects as these do
     cums, starts = draw.cums, draw.starts
     alive, n = np.flatnonzero(state[1]), len(state[0])
     count = np.zeros((2, n + 1), dtype=np.int64)  # the sink is vertex n

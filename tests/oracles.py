@@ -587,16 +587,6 @@ def brute_force_min_max(candidates):
     return best
 
 
-def route_energy(params, positions, path):
-    """Replay a vertex path's tx/rx charges hop by hop."""
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        total += tx_cost(params, math.dist(positions[u], positions[v]))
-        if v != SINK:
-            total += rx_cost(params)
-    return total
-
-
 @dataclass
 class ReferenceProblem:
     """reference_forwarding_problem's result, per node: candidates[i]
@@ -874,12 +864,14 @@ def reference_run_simulation(scenario, algorithm, traffic, radio, policy,
                     metrics.tree_load_expected[cand] = \
                         metrics.tree_load_expected.get(cand, 0.0) + p
 
+        # each node drains its spend, or all it holds if that is less
+        drained = {u: min(cost, float(sc.energy[u]))
+                   for u, cost in spend.items()}
         # a left fold, as sum() of floats was before Python 3.12
         metrics.total_energy_consumed += functools.reduce(
-            operator.add, spend.values(), 0.0)
-        for node_id in sorted(spend):
-            sc.energy[node_id] = max(0.0, float(sc.energy[node_id])
-                                     - spend[node_id])
+            operator.add, drained.values(), 0.0)
+        for node_id in sorted(drained):
+            sc.energy[node_id] = float(sc.energy[node_id]) - drained[node_id]
 
         children = _serving_counts(router)
         for i, energy in enumerate(sc.energy.tolist()):

@@ -16,7 +16,7 @@ from oracles import (ReferenceProblem, best_parent, candidate_dicts,
                      reference_compare_load_spread,
                      reference_forwarding_problem, reference_min_cover,
                      reference_mmevbt, reference_relocate_sink,
-                     reference_run_simulation, route_energy, routed,
+                     reference_run_simulation, routed,
                      scenario_from, tree_dicts, tree_nodes)
 from vbtsim import simulate
 from vbtsim.config import EnergyParams
@@ -38,6 +38,21 @@ def connected_random_scenario(seed, n=30, range_m=45.0):
 
 def parse_path(detail):
     return [int(tok) for tok in detail.split(">")]
+
+
+def round_spends(log, pos):
+    """{round: {node: spend}} of a run's packet events: per hop, tx_cost
+    for the sender and rx_cost for a receiver short of the sink."""
+    spends = {}
+    for rnd, ev, _, detail in event_rows(log):
+        spend = spends.setdefault(rnd, {})
+        path = parse_path(detail) if ev == "packet" else []
+        for a, b in zip(path, path[1:]):
+            spend[a] = spend.get(a, 0.0) + v.tx_cost(
+                RADIO, v.distance(pos[a], pos[b]))
+            if b != v.SINK:
+                spend[b] = spend.get(b, 0.0) + v.rx_cost(RADIO)
+    return spends
 
 
 # ------------------------------------------------------------------ basics
@@ -135,11 +150,35 @@ def test_energy_conservation_against_event_replay(algo):
     log = simulate.EventLog()
     m = v.run_simulation(sc, algo, traffic, RADIO, policy, seed=8,
                          e_init=0.02, event_log=log)
-    pos = positions(sc)
-    replayed = sum(route_energy(RADIO, pos, parse_path(detail))
-                   for _, ev, _, detail in event_rows(log) if ev == "packet")
+    # each round, a node drains its spend, or all it holds if that is less
+    energy, replayed = dict.fromkeys(range(len(sc.xy)), 0.02), 0.0
+    for spend in round_spends(log, positions(sc)).values():
+        for i, c in spend.items():
+            drained = min(c, energy[i])
+            energy[i] -= drained
+            replayed += drained
     assert m.total_energy_consumed == pytest.approx(replayed, rel=1e-9)
     assert m.total_energy_consumed > 0  # the drain really happened
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0),
+                          st.floats(0.0, 0.01)), min_size=1, max_size=4),
+       st.sampled_from(v.ALGORITHMS),
+       st.sampled_from([0.0, v.DEFAULT_E_FAIL]))
+def test_no_run_drains_more_than_its_batteries_held(nodes, algo, e_fail):
+    """Every node is in range of the sink and of every other node, so no
+    build strands one and the run ends when the last battery fails. A
+    battery's last round may cost more than it holds; the tolerance
+    covers only the folding of the drained amounts."""
+    energies = [e for _, _, e in nodes]
+    sc = scenario_from([(100 + x, 100 + y) for x, y, _ in nodes], 20.0,
+                       energies)
+    m = v.run_simulation(sc, algo, v.TrafficModel(1.0, 200), RADIO,
+                         v.SimPolicy(th=0.002, e_fail=e_fail, t_move=0),
+                         seed=1, e_init=0.01)
+    assert m.alive_fraction_curve[-1][1] == 0.0
+    assert m.total_energy_consumed <= sum(energies) * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("algo", v.ALGORITHMS)
@@ -155,14 +194,13 @@ def test_packets_never_transit_ineligible_nodes(algo):
     log = simulate.EventLog()
     v.run_simulation(sc, algo, traffic, RADIO, policy, seed=9,
                      e_init=e_start, event_log=log)
-    pos = positions(sc)
+    spends = round_spends(log, positions(sc))
     energy = dict.fromkeys(range(len(sc.xy)), e_start)
     dead = set()
     by_round = {}
     for rnd, ev, node, detail in event_rows(log):
         by_round.setdefault(rnd, []).append((ev, node, detail))
     for rnd in sorted(by_round):
-        spend = {}
         for ev, node, detail in by_round[rnd]:
             if ev != "packet":
                 continue
@@ -172,12 +210,7 @@ def test_packets_never_transit_ineligible_nodes(algo):
             for relay in path[1:-1]:
                 assert relay not in dead
                 assert energy[relay] >= th
-            for a, b in zip(path, path[1:]):
-                spend[a] = spend.get(a, 0.0) + v.tx_cost(
-                    RADIO, v.distance(pos[a], pos[b]))
-                if b != v.SINK:
-                    spend[b] = spend.get(b, 0.0) + v.rx_cost(RADIO)
-        for i, c in spend.items():
+        for i, c in spends[rnd].items():
             energy[i] = max(0.0, energy[i] - c)
         for ev, node, _ in by_round[rnd]:
             if ev == "death":
@@ -923,7 +956,8 @@ def charge_rounds(draw):
 def test_charge_equals_a_per_hop_loop(case):
     energy, paths, tx, rx, th, floor = case
     # the scalar loop: rx then tx per hop, no rx at an origin, spends
-    # kept in first-touch order, a debit floored at 0
+    # kept in first-touch order; a node drains its spend, or all it holds
+    # if that is less
     spend, k = {}, 0
     for path in paths:
         for hop, sender in enumerate(path[:-1]):
@@ -933,8 +967,9 @@ def test_charge_equals_a_per_hop_loop(case):
             k += 1
     want_energy, total = energy.tolist(), 0.0
     for node, amount in spend.items():
-        total += amount
-        want_energy[node] = max(want_energy[node] - amount, 0.0)
+        drained = min(amount, want_energy[node])
+        total += drained
+        want_energy[node] -= drained
     before = energy.tolist()
     dead = sorted(i for i in spend if want_energy[i] < floor)
     flipped = any(before[i] >= th > want_energy[i] for i in spend)
