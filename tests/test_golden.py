@@ -5,7 +5,11 @@ cost and reclassified every node each round, before the per-build route
 table replaced it; the sweep-fig4 digests were recorded from the lazy
 greedy cover. Any change to routing, energy, lifetime or load numbers,
 or to the CSV formatting, changes a digest. Re-record only for a
-change that alters output bytes on purpose, and say why.
+change that alters output bytes on purpose, and say why. The
+run_metrics.csv digests of cover-raw-step, cover-raw-still-noevents,
+mmevbt-move and mmevbt-still were re-recorded when total_energy_J became
+the energy drained: each of those runs overdraws a battery in its last
+round.
 
 The scenarios are small and their batteries low, so runs end within a
 few dozen rounds after node deaths, eligibility rebuilds, sink
@@ -173,7 +177,7 @@ DIGESTS = {
         "run_loads.csv":
             "aa777e266f5c5977dd9b51e12fdaac9e6db2cce9f822cefa5d9e6f786f7b53f1",
         "run_metrics.csv":
-            "2345ac720f0702d2ee8c772055fa3b66e7cb5424682e1dab782df2a6e1c41622",
+            "dcbb7580462ef8827278e41fc8dbb04751b7551053dd71af5d1802fbdef1438f",
     },
     "cover-raw-still-noevents": {
         "run_alive.csv":
@@ -181,7 +185,7 @@ DIGESTS = {
         "run_loads.csv":
             "1e251ec55031f9ee5e17ac335ff8def839c5ed11ee86a81e69c2b1df364fe2ec",
         "run_metrics.csv":
-            "5b1a2a5c873db3c8b656fe8c8aadf91ec29b356e10fc22a46ed019695059bc83",
+            "e71294c85c424e91010bde6d327e04bcf2caeb98b65384b233ec72309f469f1f",
     },
     "cover-still": {
         "run_alive.csv":
@@ -237,7 +241,7 @@ DIGESTS = {
         "run_loads.csv":
             "adf8625e2c134e3490e17d8356cb178e262423f4bf2758719ca11f41c7011a84",
         "run_metrics.csv":
-            "31d3cf5bc645df42eb56917fc527da75d8ab00402596a054e138fa4c4458eb7c",
+            "b88ac0bdf6f96d646de77fb5a23136117b1275cfc587e9ed8466ff11c53a7fec",
     },
     "mmevbt-step-noevents": {
         "run_alive.csv":
@@ -255,7 +259,7 @@ DIGESTS = {
         "run_loads.csv":
             "bb98edd664e7aef635fd57e0ec5a79f31c7185c76827e83a85d2997d090f2fdb",
         "run_metrics.csv":
-            "c80a27105398eff4ffaa81d0dad7accf14d6513bf8339a961b1c6e55446b76de",
+            "33432e411f1fe6d13499ac162a58784aad3f8c65fb3c626a5ed85b41c01c8000",
     },
     "sweep-fig3": {
         "fig3_attempts.csv":
