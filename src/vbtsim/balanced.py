@@ -42,9 +42,8 @@ def select_parent(probabilities: Sequence[float], rng: np.random.Generator) -> i
 
     The last sum never bounds a draw, so rounding that leaves it just
     below 1 lands its slack on the last interval. The round loop and
-    compare_load_spread bisect each row of CandidateArrays.draws()'s flat
-    sums in place with the same bounds: bisect_right(cums, r, lo, hi - 1)
-    over the row's slots lo..hi - 1 is the drawn slot itself.
+    compare_load_spread bisect each row of a route table's sums in place
+    with the same bounds.
     """
     cumulative = list(itertools.accumulate(probabilities))
     return bisect_right(cumulative, rng.random(), 0, len(cumulative) - 1)

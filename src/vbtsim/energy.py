@@ -1,6 +1,8 @@
 """First-order radio energy model: per-hop transmit and receive costs.
 
-The amplifier follows the fixed free-space d^2 law. A whole route's cost
+The one home of a hop's price: tx_cost prices a distance, and tx_costs
+the edges a build gathers from a graph's squared distances. The
+amplifier follows the fixed free-space d^2 law. A whole route's cost
 is the sum of its hops' costs; the scalar reference path_consumption in
 tests/oracles.py states it hop by hop.
 """
@@ -21,8 +23,8 @@ def tx_cost(params: RadioParams, distance: float) -> float:
 
 
 def tx_costs(params: RadioParams, squares: np.ndarray) -> np.ndarray:
-    """tx_cost of each hop from its squared distance, such as a gather of
-    ReachabilityGraph.squares(): elementwise, tx_cost's float ops."""
+    """tx_cost of each hop from its squared distance, as gathered from
+    ReachabilityGraph.squares(), with tx_cost's float ops elementwise."""
     b = params.packet_bits
     return params.e_elec * b + params.e_amp * b * squares
 
