@@ -53,14 +53,13 @@ def select_parent(probabilities: Sequence[float], rng: np.random.Generator) -> i
 class CandidateArrays:
     """One build's candidate edges as flat arrays, node rows ascending.
 
-    Node rows[k]'s candidates are the graph edges edges[bounds[k]:
+    The k-th node with a candidate has the graph edges edges[bounds[k]:
     bounds[k + 1]] in their row's order: the sink (vertex n) first, then
     node ids ascending. fitness aligns with edges.
     max_level is the deepest backbone level: no route takes more than
     1 + max_level hops.
     """
 
-    rows: np.ndarray
     bounds: np.ndarray
     edges: np.ndarray
     fitness: np.ndarray
@@ -171,9 +170,8 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
             f_beta = math.pi / beta
         total = params.c1 * f_d + params.c2 * f_e + params.c3 * f_beta
 
-    rows = np.flatnonzero(count)
-    bounds = np.concatenate(([0], np.cumsum(count[rows])))
-    return (CandidateArrays(rows, bounds, cand, total, max_level),
+    bounds = np.concatenate(([0], np.cumsum(count[count > 0])))
+    return (CandidateArrays(bounds, cand, total, max_level),
             np.flatnonzero(live & (count == 0)))
 
 

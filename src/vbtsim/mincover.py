@@ -1,6 +1,19 @@
 """Greedy backbone with as few tree nodes as possible: the degree-greedy
 connected cover of the sensor-only reachability graph (build_min_cover),
-found with Minoux's lazy (accelerated) greedy."""
+found with Minoux's lazy (accelerated) greedy.
+
+The reuse rule (cover_holds): build_min_cover returns a cover it built
+without stranding again from any state with the same live mask in which
+no node holds th that did not then, and every pick but the seed still
+holds th. The seed (_seed) depends on the live set alone. Each later
+pick is the best-scoring covered node that holds th, and a score
+depends only on the live set and the picks before it; so, step by step,
+the candidates are a subset of the old ones that still holds the old
+pick, which wins again, until the same picks cover every live node. The
+sink plays no part, so a sink move keeps a cover, and so does a seed
+that falls below th: it is picked whatever its energy. In a run energy
+only falls, so the second clause always holds there.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +22,7 @@ from heapq import heappop, heappush, heapreplace
 import numpy as np
 
 from .config import SimPolicy
-from .model import ReachabilityGraph, State
+from .model import ReachabilityGraph, State, masked_edges
 
 
 def build_min_cover(graph: ReachabilityGraph, state: State, th: float
@@ -46,11 +59,9 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
     tree_nodes: set[int] = set()
     if not live_ids:
         return tree_nodes, np.zeros(0, dtype=np.int64)
-    keep = live[graph.nbrs] & np.repeat(live, np.diff(graph.indptr))
+    keep, offsets = masked_edges(graph, live)
     # a memoryview reads ints on the fly: no list of every edge's ints
     adj = memoryview(graph.nbrs[keep])
-    offsets = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)))
-    offsets = offsets[graph.indptr]
     degree = np.diff(offsets)
     bounds = offsets.tolist()
     wd = degree.tolist()  # uncovered live neighbours per node
@@ -73,8 +84,7 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
                 heappush(heap, v - wd[v] * m)
         return len(fresh)
 
-    # most live neighbours, ties to the smaller id
-    seed = int(np.argmax(np.where(live, degree, -1)))
+    seed = _seed(live, degree)
     covered[seed] = True
     for u in adj[bounds[seed]:bounds[seed + 1]]:
         wd[u] -= 1
@@ -93,3 +103,34 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
 
     stranded = [i for i in live_ids if not covered[i]] if uncovered else []
     return tree_nodes, np.array(stranded, dtype=np.int64)
+
+
+def _seed(live: np.ndarray, degree: np.ndarray) -> int:
+    """The cover's first pick: the vertex live holds with the most live
+    neighbours (degree), ties to the smaller id."""
+    return int(np.argmax(np.where(live, degree, -1)))
+
+
+def cover_holds(graph: ReachabilityGraph, state: State, th: float,
+                tree_nodes: set[int], built: State) -> bool:
+    """Whether build_min_cover(graph, state, th) returns tree_nodes, the
+    picks it returned with no stranded ids from the state built, again.
+
+    True iff the live mask is unchanged, no node holds th that did not
+    in built, and every pick but the seed holds th: the reuse rule of
+    the module docstring, which says why it is exact. Reads only graph,
+    state and built, and writes none of them.
+    """
+    energy, live = state
+    if not np.array_equal(live, built[1]):
+        return False
+    rich = energy >= th
+    if (rich & (built[0] < th)).any():
+        return False
+    tree = np.fromiter(tree_nodes, dtype=np.int64, count=len(tree_nodes))
+    poor = tree[~rich[tree]]
+    if len(poor) != 1:
+        return not len(poor)
+    live = np.append(live, False)  # the sink, n, is never live
+    degree = np.diff(masked_edges(graph, live)[1])
+    return int(poor[0]) == _seed(live, degree)

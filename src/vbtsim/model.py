@@ -362,25 +362,40 @@ def build_reachability(points: np.ndarray,
                              keys.astype(np.int32))
 
 
+def masked_edges(graph: ReachabilityGraph,
+                 mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges between vertices the bool mask holds, as a mask over
+    graph.nbrs, and the CSR offsets of each vertex's such edges."""
+    keep = mask[graph.nbrs] & np.repeat(mask, np.diff(graph.indptr))
+    offsets = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)))
+    return keep, offsets[graph.indptr]
+
+
 def hop_levels(graph: ReachabilityGraph,
                mask: np.ndarray) -> tuple[np.ndarray, int]:
     """Hop levels from the sink (vertex n) over the vertices mask holds,
-    and the deepest; an unreached vertex holds level n + 1."""
+    and the deepest; an unreached vertex holds level n + 1.
+
+    A breadth-first search over the edges between those vertices and the
+    sink: each level walks only the rows of the vertices the level before
+    reached, each vertex once, so every edge is read once."""
     n = len(mask) - 1
-    level = np.full(n + 1, n + 1)
-    level[n] = 0
-    hop = np.flatnonzero(mask[graph.nbrs])
-    hop_from, hop_to = graph.edge_rows(hop), graph.nbrs[hop]
-    expands = mask[hop_from] | (hop_from == n)
-    hop_from, hop_to = hop_from[expands], hop_to[expands]
-    max_level = 0
+    mask = mask.copy()
+    mask[n] = True
+    keep, offsets = masked_edges(graph, mask)
+    heads, bounds = graph.nbrs[keep].tolist(), offsets.tolist()
+    level = [n + 1] * n + [0]
+    frontier, max_level = [n], 0
     while True:
-        reached = hop_to[(level[hop_from] == max_level)
-                         & (level[hop_to] == n + 1)]
-        if not reached.size:
-            return level, max_level
-        max_level += 1
-        level[reached] = max_level
+        reached = []
+        for u in frontier:
+            for w in heads[bounds[u]:bounds[u + 1]]:
+                if level[w] > n:
+                    level[w] = max_level + 1
+                    reached.append(w)
+        if not reached:
+            return np.array(level), max_level
+        frontier, max_level = reached, max_level + 1
 
 
 def is_connected_to_sink(graph: ReachabilityGraph, live: np.ndarray) -> bool:

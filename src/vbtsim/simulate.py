@@ -53,7 +53,7 @@ from .balanced import build_forwarding_problem
 from .config import (ALGORITHMS, DEFAULT_TH, E_INIT, EnergyParams,
                      FitnessParams, RadioParams, SimPolicy, TrafficModel)
 from .energy import rx_cost, tx_costs
-from .mincover import build_min_cover
+from .mincover import build_min_cover, cover_holds
 from .mmevbt import build_mmevbt, relocate_sink
 from .model import (
     SINK,
@@ -189,6 +189,12 @@ class _Router:
     A balanced table walks (route() reads its walk lists, and max_draws
     bounds its longest path to the sink); in a fixed-parent one a packet
     is its origin's row.
+
+    cover is the tree nodes of the last table-filling cover build and a
+    copy of the state it was grown from (the run writes its state in
+    place), or None. A cover rebuild hands it back without the greedy
+    while mincover.cover_holds; the forwarding problem and the table are
+    rebuilt every time.
     """
 
     def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
@@ -201,6 +207,7 @@ class _Router:
         self.policy = policy
         self.fitness_params = fitness_params
         self.e_init = e_init
+        self.cover: Optional[tuple[set[int], State]] = None
 
     def rebuild(self, graph: ReachabilityGraph, state: State) -> np.ndarray:
         """Reconstruct the backbone from state. Returns the ids the build
@@ -211,12 +218,17 @@ class _Router:
             if not stranded.size:
                 self._fill(graph, edges)
             return stranded
-        tree_set, stranded = build_min_cover(graph, state, th)
-        if not stranded.size:
-            rows, stranded = build_forwarding_problem(
-                graph, state, tree_set, th, self.fitness_params, self.e_init)
+        cover = self.cover
+        if cover is None or not cover_holds(graph, state, th, *cover):
+            tree_set, stranded = build_min_cover(graph, state, th)
+            if stranded.size:
+                return stranded
+            cover = tree_set, (state[0].copy(), state[1].copy())
+        rows, stranded = build_forwarding_problem(
+            graph, state, cover[0], th, self.fitness_params, self.e_init)
         if stranded.size:
             return stranded
+        self.cover = cover
         if self.balanced:
             # a hop goes one level down, or onto the backbone from off it
             self._fill(graph, rows.edges, (*rows.draws(), 1 + rows.max_level))

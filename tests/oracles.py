@@ -20,8 +20,10 @@ and reference_relocate_sink the per-node loop over dicts; the reference
 round loop uses both, so it shares no tree or relocation code with the
 package. reference_min_cover replays the greedy cover, re-scoring every
 covered node after each pick, and cover_map labels a cover's live
-nodes. reference_compare_load_spread is the load-spread comparison
-over a build's per-node dicts, one select_parent per packet.
+nodes. reference_hop_levels is the level BFS as an edge rescan: every
+masked edge is read again at every level. reference_compare_load_spread
+is the load-spread comparison over a build's per-node dicts, one
+select_parent per packet.
 tree_dicts, tree_nodes and candidate_dicts read a build's arrays as
 the per-node dicts the references return, and routed turns a build's
 stranded ids into the ConstructionFailed the references raise.
@@ -172,7 +174,7 @@ def candidate_dicts(graph, rows):
     heads = graph.nbrs[rows.edges]
     heads = np.where(heads == n, SINK, heads).tolist()
     fits, cut = rows.fitness.tolist(), rows.bounds.tolist()
-    keys = rows.rows.tolist()
+    keys = graph.edge_rows(rows.edges[rows.bounds[:-1]]).tolist()
     return ({i: heads[lo:hi] for i, lo, hi in zip(keys, cut, cut[1:])},
             {i: fits[lo:hi] for i, lo, hi in zip(keys, cut, cut[1:])})
 
@@ -488,6 +490,26 @@ def reference_min_cover(scenario, th, live=None):
             if covered[u] == 0:
                 covered[u] = 1
     return {i for i, c in covered.items() if c == 2}, []
+
+
+def reference_hop_levels(graph, mask):
+    """hop_levels as a rescan: each level keeps the edges out of the last
+    level (or the sink) into unreached vertices that mask holds."""
+    n = len(mask) - 1
+    level = np.full(n + 1, n + 1)
+    level[n] = 0
+    hop = np.flatnonzero(mask[graph.nbrs])
+    hop_from, hop_to = graph.edge_rows(hop), graph.nbrs[hop]
+    expands = mask[hop_from] | (hop_from == n)
+    hop_from, hop_to = hop_from[expands], hop_to[expands]
+    max_level = 0
+    while True:
+        reached = hop_to[(level[hop_from] == max_level)
+                         & (level[hop_to] == n + 1)]
+        if not reached.size:
+            return level, max_level
+        max_level += 1
+        level[reached] = max_level
 
 
 def cover_map(graph, state, tree):

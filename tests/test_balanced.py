@@ -515,10 +515,11 @@ def test_array_problem_equals_scalar_reference(case, mode, e_init):
 def check_candidate_arrays(arrays, g):
     n = len(g.indptr) - 2
     cands, fit = candidate_dicts(g, arrays)
-    rows = arrays.rows.tolist()
+    ids = g.edge_rows(arrays.edges[arrays.bounds[:-1]])
+    rows = ids.tolist()
     assert rows == sorted(cands)
     assert (g.edge_rows(arrays.edges) == np.repeat(
-        arrays.rows, np.diff(arrays.bounds))).all()
+        ids, np.diff(arrays.bounds))).all()
     best = g.nbrs[arrays.best_edges()]
     assert np.where(best == n, v.SINK, best).tolist() == \
         [best_parent(cands, fit, i) for i in rows]

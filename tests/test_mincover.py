@@ -1,17 +1,20 @@
 """Greedy tree-node cover: seeding, iteration order, failure detection."""
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import vbtsim as v
 from oracles import (
     cover_map,
     graph_and_state,
     min_connected_cover_size,
+    neighbors,
     reference_min_cover,
     routed,
     scenario_from,
 )
+from vbtsim.mincover import cover_holds
 
 TH = v.DEFAULT_TH
 FIELD = v.Field(200, 200, 100, 100)  # scenario_from's default
@@ -184,3 +187,66 @@ def test_degree_tie_prefers_smaller_id():
     tree = routed(v.build_min_cover(graph, state, TH))
     assert tree == {1, 2}
     assert cover_map(graph, state, tree) == {0: 1, 1: 2, 2: 2, 3: 1}
+
+
+# what a drain does to its target: a seed flip, a later pick's flip, a
+# non-pick's flip, a death, a node regaining th, or nothing beyond the
+# drains that keep th
+DRAIN_TARGETS = ["seed", "pick", "other", "death", "rise", "none"]
+SMALL = v.Field(100, 100, 50, 50)  # dense enough that most layouts cover
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40),
+       st.floats(min_value=30.0, max_value=70.0),
+       st.sampled_from(DRAIN_TARGETS), st.integers(0, 2**16),
+       st.lists(st.floats(0.0, 1.0), min_size=40, max_size=40),
+       st.one_of(st.none(), st.tuples(st.floats(0.0, 100.0),
+                                      st.floats(0.0, 100.0))))
+@example(seed=2, n=30, range_m=35.0, target="seed", pick=0,
+         fractions=[0.5] * 40, sink=(10.0, 90.0))
+@example(seed=2, n=30, range_m=35.0, target="other", pick=3,
+         fractions=[0.5] * 40, sink=None)
+@example(seed=2, n=30, range_m=35.0, target="pick", pick=1,
+         fractions=[0.5] * 40, sink=(60.0, 40.0))
+@example(seed=2, n=30, range_m=35.0, target="rise", pick=0,
+         fractions=[0.5, 0.5, 0.05] * 13 + [0.5], sink=None)
+def test_a_kept_cover_equals_a_fresh_build(seed, n, range_m, target, pick,
+                                           fractions, sink):
+    """cover_holds accepts a cover after drains exactly when no later
+    pick lost th, no node died and none regained th, with or without a
+    sink move, and the cover it accepts is the fresh build's and the full
+    re-score's. A fraction below 0.1 starts its node below th."""
+    energy = np.where(np.array(fractions[:n]) < 0.1, TH / 2, v.E_INIT)
+    sc = scenario_from(v.deploy_uniform(SMALL, n, seed=seed), range_m,
+                       energies=energy.tolist(), field=SMALL)
+    graph, built = graph_and_state(sc)
+    tree, stranded = v.build_min_cover(graph, built, TH)
+    assume(not stranded.size)
+    first = max(range(n), key=lambda i: (len(neighbors(graph, i)) - (
+        v.SINK in neighbors(graph, i)), -i))  # every node is live
+    rich = set(np.flatnonzero(energy >= TH).tolist())
+    pools = {"seed": [first] if first in rich else [],
+             "pick": sorted(tree - {first}),
+             "other": sorted(rich - tree), "death": list(range(n)),
+             "rise": sorted(set(range(n)) - rich), "none": [None]}
+    assume(pools[target])
+    k = pools[target][pick % len(pools[target])]
+    # every node that holds th drains, but keeps th unless it is the
+    # target; the rest keep what they hold
+    energy = np.where(energy >= TH,
+                      TH + (v.E_INIT - TH) * np.array(fractions[:n]), energy)
+    state = energy, built[1].copy()
+    if k is not None:
+        energy[k] = {"death": 0.0, "rise": v.E_INIT}.get(target, TH / 2)
+        state[1][k] = target != "death"
+    field = SMALL
+    if sink is not None:
+        graph.move_sink(sink)
+        field = v.Field(100, 100, *sink)
+    holds = cover_holds(graph, state, TH, tree, built)
+    assert holds == (target not in ("pick", "death", "rise"))
+    if holds:
+        fresh, stranded = v.build_min_cover(graph, state, TH)
+        moved = v.Scenario(field, sc.xy, energy, range_m, 0)
+        assert (fresh, stranded.tolist()) == (tree, [])
+        assert reference_min_cover(moved, TH, state[1]) == (tree, [])

@@ -20,6 +20,7 @@ from oracles import (
     live_ids,
     neighbors,
     positions,
+    reference_hop_levels,
     scenario_from,
 )
 from vbtsim.energy import tx_costs
@@ -642,6 +643,23 @@ def test_multihop_chain_is_connected():
                        range_m=10.0)
     g, (_, live) = graph_and_state(sc)
     assert v.is_connected_to_sink(g, live)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+       st.sampled_from([5.0, 12.0, 25.0, 40.0]),
+       st.lists(st.booleans(), min_size=61, max_size=61))
+@example(seed=3, n=40, range_m=25.0, bits=[False] * 61)  # the sink alone
+@example(seed=3, n=40, range_m=12.0, bits=[True] * 61)  # 9 levels, 26 cut off
+def test_hop_levels_equal_the_edge_rescan(seed, n, range_m, bits):
+    """The frontier BFS gives the rescan's levels and deepest level on any
+    mask, the sink in it or not."""
+    f = v.Field(100, 100, 50, 50)
+    sc = scenario_from(v.deploy_uniform(f, n, seed=seed), range_m, field=f)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
+    mask = np.array(bits[:n + 1])
+    got, deepest = hop_levels(g, mask)
+    want, want_deepest = reference_hop_levels(g, mask)
+    assert got.tolist() == want.tolist() and deepest == want_deepest
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60),

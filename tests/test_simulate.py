@@ -868,6 +868,16 @@ def test_a_forwarding_build_that_strands_keeps_every_table_array(algo):
                                      np.ones(2, dtype=bool), [1])
 
 
+@pytest.mark.parametrize("algo", ["min_cover_best_parent",
+                                  "balanced_probabilistic"])
+def test_a_forwarding_build_that_strands_keeps_the_last_cover(algo):
+    # node 2's death regrows the cover {0}, which still covers node 1,
+    # but 0 holds less than th: the regrown cover replaces nothing
+    sc = scenario_from([(100, 110), (100, 120), (90, 110)], range_m=12)
+    assert_stranding_keeps_the_table(algo, sc, np.array([0.15, 2.0, 0.0]),
+                                     np.array([True, True, False]), [1])
+
+
 def fixed_parent_router(algo, sc):
     router = simulate._Router(algo, RADIO, NO_MOVE, v.FitnessParams(),
                               v.E_INIT)
@@ -1232,6 +1242,33 @@ def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
     if algo == "balanced_probabilistic":
         assert len(walks) == new[0].rounds_run
         assert refills_inside_chains(walks, new[1]) > 0
+
+
+@pytest.mark.parametrize("algo", ["min_cover_best_parent",
+                                  "balanced_probabilistic"])
+def test_cover_rebuilds_reuse_a_cover_that_holds(algo, monkeypatch):
+    """Sink moves and seed flips keep the cover, so the run calls the
+    greedy fewer times than it rebuilds, and still equals the reference
+    loop, which grows every cover from scratch."""
+    calls = {"build_min_cover": 0, "rebuild": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(simulate, "build_min_cover")
+    counted(simulate._Router, "rebuild")
+    sc = scenario_from(v.deploy_uniform(v.Field(200, 200, 100, 100), 60, 16),
+                       45.0, energies=[0.05] * 60)
+    policy = v.SimPolicy(th=0.005, t_move=5)
+    new, ref = run_both(sc, algo, v.TrafficModel(0.3, 300), policy, 1,
+                        e_init=0.05)
+    assert new == ref
+    assert 0 < calls["build_min_cover"] < calls["rebuild"]
 
 
 def assert_run_leaves_numpy_ma_unloaded(tmp_path, algorithm):
