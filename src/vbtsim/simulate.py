@@ -4,8 +4,8 @@ Each round: draw packet origins, fix every route against start-of-round
 state, debit radio costs, mark the nodes that died, rebuild the backbone
 when any node's relay eligibility flipped, and periodically relocate the
 sink. A rebuild that strands a live node ends the run. Everything is
-driven by one seeded generator, so a (scenario, config, seed) triple
-always replays bit-for-bit.
+driven by one generator seeded with config.base_seed, so a (scenario,
+config) pair always replays bit-for-bit.
 
 The run's state is two arrays by node id (model.State: energy, live),
 made from the Scenario's energies at its start. Every build and
@@ -44,14 +44,13 @@ round loop builds no string or tuple per packet.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, TextIO
 
 import numpy as np
 
 from .balanced import build_forwarding_problem
-from .config import (ALGORITHMS, DEFAULT_TH, E_INIT, EnergyParams,
-                     FitnessParams, RadioParams, SimPolicy, TrafficModel)
+from .config import ExperimentConfig
 from .energy import rx_cost, tx_costs
 from .mincover import build_min_cover, cover_holds
 from .mmevbt import build_mmevbt, relocate_sink
@@ -170,7 +169,7 @@ class _Uniforms:
 
 
 class _Router:
-    """Route table of one backbone build for one algorithm.
+    """Route table of one backbone build of config.algorithm.
 
     Slot s, a position in the build's candidate edges, is the hop from
     sender[s] to head[s] (the sink is vertex n, the node count) at cost
@@ -197,24 +196,18 @@ class _Router:
     rebuilt every time.
     """
 
-    def __init__(self, algorithm: str, radio: RadioParams, policy: SimPolicy,
-                 fitness_params: FitnessParams, e_init: float):
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm '{algorithm}'")
-        self.algorithm = algorithm
-        self.balanced = algorithm == "balanced_probabilistic"
-        self.radio = radio
-        self.policy = policy
-        self.fitness_params = fitness_params
-        self.e_init = e_init
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.balanced = config.algorithm == "balanced_probabilistic"
         self.cover: Optional[tuple[set[int], State]] = None
 
     def rebuild(self, graph: ReachabilityGraph, state: State) -> np.ndarray:
         """Reconstruct the backbone from state. Returns the ids the build
         strands, ascending; the table is filled only if there are none."""
-        th = self.policy.th
-        if self.algorithm == "mmevbt":
-            edges, _, stranded = build_mmevbt(graph, state, self.radio, th)
+        config = self.config
+        th = config.policy.th
+        if config.algorithm == "mmevbt":
+            edges, _, stranded = build_mmevbt(graph, state, config.radio, th)
             if not stranded.size:
                 self._fill(graph, edges)
             return stranded
@@ -225,7 +218,7 @@ class _Router:
                 return stranded
             cover = tree_set, (state[0].copy(), state[1].copy())
         rows, stranded = build_forwarding_problem(
-            graph, state, cover[0], th, self.fitness_params, self.e_init)
+            graph, state, cover[0], th, config.fitness, config.energy.e_init)
         if stranded.size:
             return stranded
         self.cover = cover
@@ -248,7 +241,7 @@ class _Router:
         self.sink = n = len(graph.indptr) - 2
         self.sender = graph.edge_rows(edges)
         self.head = head = graph.nbrs[edges].astype(np.int64)
-        self.slot_tx = tx_costs(self.radio, graph.squares()[edges])
+        self.slot_tx = tx_costs(self.config.radio, graph.squares()[edges])
         self.slot_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(self.sender, minlength=n + 1))))
         # each forced node's slot (-1 at the rest), and the slot taken
@@ -352,31 +345,20 @@ def _routed(stranded: np.ndarray) -> None:
         raise ConstructionFailed(stranded.tolist())
 
 
-def _generator(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
-
-
-def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
-                   radio: RadioParams, policy: SimPolicy, seed: int,
-                   fitness_params: Optional[FitnessParams] = None,
-                   e_init: float = E_INIT,
+def run_simulation(scenario: Scenario, config: ExperimentConfig,
                    event_log: Optional[EventLog] = None) -> LifetimeMetrics:
-    """Run one seeded lifetime simulation; the input scenario is untouched.
+    """Run config.algorithm over the scenario for config.traffic, seeded
+    by config.base_seed; the input scenario is untouched.
 
     event_log, when given, collects the packet sends, deaths, rebuilds,
     relocations and disconnect.
     """
-    traffic.validate()
-    policy.validate()
-    fparams = (fitness_params or FitnessParams()).validate()
-    radio.validate()
-    EnergyParams(e_init).validate()
-    stream = _Uniforms(_generator(seed))
+    config.validate()
+    traffic, policy = config.traffic, config.policy
+    stream = _Uniforms(np.random.default_rng(config.base_seed))
     n_total = len(scenario.xy)
     th, floor = policy.th, policy.floor
-    rx = rx_cost(radio)
+    rx = rx_cost(config.radio)
     metrics = LifetimeMetrics()
     # written in place by the rounds; a node below floor starts failed,
     # with no death logged
@@ -390,7 +372,7 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
 
     # the run moves only the graph's sink, never the scenario's
     graph = build_reachability(scenario.points(), scenario.sensing_range)
-    router = _Router(algorithm, radio, policy, fparams, e_init)
+    router = _Router(config)
     _routed(router.rebuild(graph, state))
     alive = np.flatnonzero(live)
 
@@ -471,37 +453,37 @@ def run_simulation(scenario: Scenario, algorithm: str, traffic: TrafficModel,
     return metrics
 
 
-def compare_load_spread(scenario: Scenario, rounds: int, seed: int, *,
-                        th: float = DEFAULT_TH,
-                        fitness_params: Optional[FitnessParams] = None,
-                        e_init: float = E_INIT,
-                        origin_probability: float = 1.0) -> tuple[int, int]:
+def compare_load_spread(scenario: Scenario,
+                        config: ExperimentConfig) -> tuple[int, int]:
     """Busiest-parent packet counts: probabilistic vs fixed best-fitness.
 
-    Both policies see identical traffic over the same frozen backbone (no
-    energy drain, so fitness never shifts). Every packet charges its
-    origin's chosen parent; returns each policy's maximum per-tree-node
-    count. Direct-to-sink deliveries burden no tree node and count for
-    neither policy. Both read the route tables a run builds, balanced and
-    best-parent. A node is live while it holds SimPolicy(th=th).floor.
+    Both policies see identical config.traffic over the same frozen
+    backbone (no energy drain, so fitness never shifts): origins drawn
+    with seed config.base_seed, picks with base_seed + 1. Every packet
+    charges its origin's chosen parent; returns each policy's maximum
+    per-tree-node count. Direct-to-sink deliveries burden no tree node
+    and count for neither policy. Both read the route tables a run of
+    config builds, balanced and best-parent, over one cover.
     """
-    policy = SimPolicy(th=th).validate()
-    TrafficModel(origin_probability, rounds).validate()
-    EnergyParams(e_init).validate()
-    fparams = (fitness_params or FitnessParams()).validate()
-    rng_origin, rng_pick = _generator(seed), _generator(seed + 1)
-    state = scenario.state(policy.floor)
+    config.validate()
+    traffic = config.traffic
+    rng_origin = np.random.default_rng(config.base_seed)
+    rng_pick = np.random.default_rng(config.base_seed + 1)
+    state = scenario.state(config.policy.floor)
     graph = build_reachability(scenario.points(), scenario.sensing_range)
-    draw, best = [_Router(a, RadioParams(), policy, fparams, e_init)
+    draw, best = [_Router(replace(config, algorithm=a))
                   for a in ("balanced_probabilistic", "min_cover_best_parent")]
-    for router in (draw, best):
-        _routed(router.rebuild(graph, state))
+    _routed(draw.rebuild(graph, state))
+    # grown from this very state, so cover_holds accepts it
+    best.cover = draw.cover
+    _routed(best.rebuild(graph, state))
     # every live node has a row, whose draw _walk bisects as these do
     cums, starts = draw.cums, draw.starts
     alive, n = np.flatnonzero(state[1]), len(state[0])
     count = np.zeros((2, n + 1), dtype=np.int64)  # the sink is vertex n
-    for _ in range(rounds):
-        origins = alive[rng_origin.random(len(alive)) < origin_probability]
+    for _ in range(traffic.rounds_max):
+        origins = alive[rng_origin.random(len(alive))
+                        < traffic.origin_probability]
         picks = [bisect_right(cums, r, starts[u], starts[u + 1] - 1)
                  for u, r in zip(origins.tolist(),
                                  rng_pick.random(len(origins)).tolist())]

@@ -167,23 +167,18 @@ def write_sweep_outputs(out_dir: str, stem: str, config: ExperimentConfig,
 
 
 def run_scenario(scenario: Scenario, config: ExperimentConfig, out_dir: str,
-                 stem: str = "run", write_events: bool = False
+                 write_events: bool = False
                  ) -> tuple[LifetimeMetrics, list[str]]:
-    """Simulate one scenario under the config; write the metrics CSVs.
+    """Simulate one scenario under the config; write the run_*.csv files.
 
     Raises ConstructionFailed when the initial build strands a live
     node (the CLI exits 2); a later build that does ends the run.
     """
     events = EventLog() if write_events else None
-    metrics = run_simulation(scenario, config.algorithm, config.traffic,
-                             config.radio, config.policy,
-                             seed=config.base_seed,
-                             fitness_params=config.fitness,
-                             e_init=config.energy.e_init,
-                             event_log=events)
+    metrics = run_simulation(scenario, config, events)
     os.makedirs(out_dir, exist_ok=True)
     names = ["metrics", "alive", "loads"] + ["events"] * (events is not None)
-    paths = [os.path.join(out_dir, f"{stem}_{name}.csv") for name in names]
+    paths = [os.path.join(out_dir, f"run_{name}.csv") for name in names]
     write_csv(paths[0], config,
               ["seed", "algorithm", "range", "n_nodes", "first_death",
                "disconnect", "reconstructions", "total_energy_J"],

@@ -8,11 +8,13 @@ numbers.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 import vbtsim as v
 from vbtsim.cli import main
+from vbtsim.config import EnergyParams
 from vbtsim.sweeps import attempt_seed, make_scenario
 from oracles import (
     bellman_ford_consumption,
@@ -286,11 +288,11 @@ def test_criterion_7_lifetime_direction():
     while pairs < 30 and seed < 300:
         sc = scenario_from(v.deploy_uniform(v.Field(*FIELD_ARGS), 120, seed),
                            38.0, [e_init] * 120)
+        config = v.ExperimentConfig(base_seed=seed, traffic=traffic,
+                                    energy=EnergyParams(e_init))
         try:
-            m_on = v.run_simulation(sc, "mmevbt", traffic, RADIO, moving,
-                                    seed=seed, e_init=e_init)
-            m_off = v.run_simulation(sc, "mmevbt", traffic, RADIO, parked,
-                                     seed=seed, e_init=e_init)
+            m_on = v.run_simulation(sc, replace(config, policy=moving))
+            m_off = v.run_simulation(sc, replace(config, policy=parked))
         except v.ConstructionFailed:
             seed += 1
             continue
@@ -306,8 +308,8 @@ def test_criterion_7_lifetime_direction():
     while comparisons < 30 and seed < 300:
         sc = _clustered_scenario(seed)
         try:
-            mc_prob, mc_det = v.compare_load_spread(sc, rounds=20,
-                                                    seed=seed + 1)
+            mc_prob, mc_det = v.compare_load_spread(sc, v.ExperimentConfig(
+                base_seed=seed + 1, traffic=v.TrafficModel(1.0, 20)))
         except v.ConstructionFailed:
             seed += 1
             continue

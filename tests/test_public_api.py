@@ -2,11 +2,13 @@
 
 import ast
 import importlib
+import inspect
 import re
 import types
 from pathlib import Path
 
 import vbtsim
+from vbtsim import simulate
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(vbtsim.__file__).parent
@@ -111,6 +113,26 @@ def test_one_home_for_the_hop_cost_and_the_balanced_draw():
               for node in ast.walk(compare) if isinstance(node, ast.Call)}
     assert called & {"build_mmevbt", "build_min_cover",
                      "build_forwarding_problem", "draws", "best_edges"} == set()
+
+
+def test_runs_take_their_experiment_config():
+    """A run, the load-spread comparison and the route table take the one
+    ExperimentConfig, which validates itself, not its fields one by one:
+    simulate imports no section from config and checks no seed itself."""
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(simulate.run_simulation) == ["scenario", "config",
+                                               "event_log"]
+    assert params(simulate.compare_load_spread) == ["scenario", "config"]
+    assert params(simulate._Router.__init__) == ["self", "config"]
+    tree = ast.parse((PACKAGE / "simulate.py").read_text())
+    imported = [a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module == "config"
+                for a in node.names]
+    assert imported == ["ExperimentConfig"]
+    assert "_generator" not in {node.name for node in tree.body
+                                if isinstance(node, ast.FunctionDef)}
 
 
 def test_sources_parse_as_python_3_10():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ from vbtsim.model import left_sum
 TH = v.DEFAULT_TH
 RADIO = v.RadioParams()
 NO_MOVE = v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=0)
+
+
+def cfg(algorithm="mmevbt", traffic=v.TrafficModel(), policy=NO_MOVE, seed=0,
+        e_init=v.E_INIT, **sections):
+    """The ExperimentConfig of a run: its algorithm, traffic, policy,
+    base_seed and energy.e_init, any other sections given, the rest at
+    their defaults."""
+    return v.ExperimentConfig(algorithm=algorithm, traffic=traffic,
+                              policy=policy, base_seed=seed,
+                              energy=EnergyParams(e_init), **sections)
 
 
 def connected_random_scenario(seed, n=30, range_m=45.0):
@@ -60,7 +71,7 @@ def round_spends(log, pos):
 def test_zero_traffic_changes_nothing():
     sc = connected_random_scenario(1)
     traffic = v.TrafficModel(origin_probability=0.0, rounds_max=25)
-    m = v.run_simulation(sc, "mmevbt", traffic, RADIO, NO_MOVE, seed=5)
+    m = v.run_simulation(sc, cfg(traffic=traffic, seed=5))
     assert m.total_energy_consumed == 0.0
     assert m.first_node_death_round is None
     assert m.rounds_until_disconnect is None
@@ -74,8 +85,7 @@ def test_single_node_drain_has_closed_form():
     sc = scenario_from([(100, 110)], range_m=12, energies=[e_start])
     policy = v.SimPolicy(th=0.001, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     traffic = v.TrafficModel(origin_probability=1.0, rounds_max=200)
-    m = v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=0,
-                         e_init=e_start)
+    m = v.run_simulation(sc, cfg("mmevbt", traffic, policy, 0, e_start))
     per_round = v.tx_cost(RADIO, 10.0)
     expect_death = math.floor((e_start - v.DEFAULT_E_FAIL) / per_round) + 1
     assert m.first_node_death_round == expect_death
@@ -87,14 +97,14 @@ def test_single_node_drain_has_closed_form():
 def test_unknown_algorithm_rejected():
     sc = connected_random_scenario(2)
     with pytest.raises(ValueError):
-        v.run_simulation(sc, "mystery", v.TrafficModel(), RADIO, NO_MOVE, seed=1)
+        v.run_simulation(sc, cfg("mystery", seed=1))
 
 
 def test_initial_construction_failure_propagates():
     sc = scenario_from([(100, 110), (10, 10)], range_m=12)
     for algo in v.ALGORITHMS:
         with pytest.raises(v.ConstructionFailed):
-            v.run_simulation(sc, algo, v.TrafficModel(), RADIO, NO_MOVE, seed=1)
+            v.run_simulation(sc, cfg(algo, seed=1))
 
 
 def arrays_of(sc):
@@ -106,9 +116,9 @@ def test_input_scenario_is_never_mutated():
     sc = connected_random_scenario(3)
     before = arrays_of(sc)
     sink_before = sc.field.sink_pos
-    v.run_simulation(sc, "mmevbt", v.TrafficModel(rounds_max=50), RADIO,
-                     v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=10),
-                     seed=4)
+    policy = v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=10)
+    v.run_simulation(sc, cfg("mmevbt", v.TrafficModel(rounds_max=50), policy,
+                             4))
     assert arrays_of(sc) == before
     assert sc.field.sink_pos == sink_before
 
@@ -120,10 +130,10 @@ def test_runs_leave_the_input_scenario_unchanged(algo):
     sc.energy[:] = 0.01
     before = arrays_of(sc)
     policy = v.SimPolicy(th=0.002, t_move=3)
-    m = v.run_simulation(sc, algo, v.TrafficModel(0.5, 200), RADIO, policy,
-                         seed=2, e_init=0.01)
+    config = cfg(algo, v.TrafficModel(0.5, 200), policy, 2, 0.01)
+    m = v.run_simulation(sc, config)
     assert m.first_node_death_round is not None
-    v.compare_load_spread(sc, rounds=5, seed=2, th=0.002, e_init=0.01)
+    v.compare_load_spread(sc, replace(config, traffic=v.TrafficModel(1.0, 5)))
     assert arrays_of(sc) == before
     assert sc.field.sink_pos == (100, 100)
 
@@ -131,11 +141,10 @@ def test_runs_leave_the_input_scenario_unchanged(algo):
 def test_determinism_across_runs():
     sc = connected_random_scenario(4)
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=120)
-    runs = [v.run_simulation(sc, "balanced_probabilistic", traffic, RADIO,
-                             NO_MOVE, seed=11, e_init=0.01) for _ in range(2)]
+    config = cfg("balanced_probabilistic", traffic, NO_MOVE, 11, 0.01)
+    runs = [v.run_simulation(sc, config) for _ in range(2)]
     assert runs[0] == runs[1]
-    other = v.run_simulation(sc, "balanced_probabilistic", traffic, RADIO,
-                             NO_MOVE, seed=12, e_init=0.01)
+    other = v.run_simulation(sc, replace(config, base_seed=12))
     assert other != runs[0]
 
 
@@ -148,8 +157,7 @@ def test_energy_conservation_against_event_replay(algo):
     traffic = v.TrafficModel(origin_probability=0.3, rounds_max=150)
     policy = v.SimPolicy(th=0.002, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     log = simulate.EventLog()
-    m = v.run_simulation(sc, algo, traffic, RADIO, policy, seed=8,
-                         e_init=0.02, event_log=log)
+    m = v.run_simulation(sc, cfg(algo, traffic, policy, 8, 0.02), log)
     # each round, a node drains its spend, or all it holds if that is less
     energy, replayed = dict.fromkeys(range(len(sc.xy)), 0.02), 0.0
     for spend in round_spends(log, positions(sc)).values():
@@ -174,9 +182,9 @@ def test_no_run_drains_more_than_its_batteries_held(nodes, algo, e_fail):
     energies = [e for _, _, e in nodes]
     sc = scenario_from([(100 + x, 100 + y) for x, y, _ in nodes], 20.0,
                        energies)
-    m = v.run_simulation(sc, algo, v.TrafficModel(1.0, 200), RADIO,
-                         v.SimPolicy(th=0.002, e_fail=e_fail, t_move=0),
-                         seed=1, e_init=0.01)
+    policy = v.SimPolicy(th=0.002, e_fail=e_fail, t_move=0)
+    m = v.run_simulation(sc, cfg(algo, v.TrafficModel(1.0, 200), policy, 1,
+                                 0.01))
     assert m.alive_fraction_curve[-1][1] == 0.0
     assert m.total_energy_consumed <= sum(energies) * (1 + 1e-9)
 
@@ -192,8 +200,7 @@ def test_packets_never_transit_ineligible_nodes(algo):
     policy = v.SimPolicy(th=th, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=200)
     log = simulate.EventLog()
-    v.run_simulation(sc, algo, traffic, RADIO, policy, seed=9,
-                     e_init=e_start, event_log=log)
+    v.run_simulation(sc, cfg(algo, traffic, policy, 9, e_start), log)
     spends = round_spends(log, positions(sc))
     energy = dict.fromkeys(range(len(sc.xy)), e_start)
     dead = set()
@@ -224,8 +231,7 @@ def test_alive_curve_monotone_and_death_before_disconnect():
         sc.energy[:] = 0.01
         traffic = v.TrafficModel(origin_probability=0.5, rounds_max=300)
         policy = v.SimPolicy(th=0.001, e_fail=v.DEFAULT_E_FAIL, t_move=0)
-        m = v.run_simulation(sc, algo, traffic, RADIO, policy, seed=3,
-                             e_init=0.01)
+        m = v.run_simulation(sc, cfg(algo, traffic, policy, 3, 0.01))
         fractions = [f for _, f in m.alive_fraction_curve]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
         assert m.first_node_death_round is not None
@@ -239,8 +245,7 @@ def test_failed_nodes_never_reappear_in_routes():
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=250)
     policy = v.SimPolicy(th=0.002, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     log = simulate.EventLog()
-    v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=6,
-                     e_init=0.02, event_log=log)
+    v.run_simulation(sc, cfg("mmevbt", traffic, policy, 6, 0.02), log)
     events = event_rows(log)
     death_round = {}
     for rnd, ev, node, _ in events:
@@ -263,8 +268,7 @@ def test_eligibility_flip_triggers_rebuild():
     traffic = v.TrafficModel(origin_probability=0.4, rounds_max=100)
     policy = v.SimPolicy(th=0.002, e_fail=v.DEFAULT_E_FAIL, t_move=0)
     log = simulate.EventLog()
-    m = v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=7,
-                         e_init=0.1, event_log=log)
+    m = v.run_simulation(sc, cfg("mmevbt", traffic, policy, 7, 0.1), log)
     rebuilds = [e for e in event_rows(log) if e[1] == "rebuild"]
     assert m.reconstructions == len(rebuilds)
     assert m.reconstructions >= 1
@@ -277,8 +281,7 @@ def test_relocation_moves_the_sink_and_rebuilds():
     policy = v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=5, grid=4)
     traffic = v.TrafficModel(origin_probability=0.2, rounds_max=20)
     log = simulate.EventLog()
-    m = v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=2,
-                         event_log=log)
+    m = v.run_simulation(sc, cfg("mmevbt", traffic, policy, 2), log)
     moves = [e for e in event_rows(log) if e[1] == "relocate"]
     assert moves and all(e[0] % 5 == 0 for e in moves)
     assert m.reconstructions >= len([e for e in moves if e[3] != "reverted"])
@@ -292,8 +295,7 @@ def test_failed_relocation_reverts_and_sim_continues():
     policy = v.SimPolicy(th=TH, e_fail=v.DEFAULT_E_FAIL, t_move=4, grid=2)
     traffic = v.TrafficModel(origin_probability=0.0, rounds_max=12)
     log = simulate.EventLog()
-    m = v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=1,
-                         event_log=log)
+    m = v.run_simulation(sc, cfg("mmevbt", traffic, policy, 1), log)
     moves = [e for e in event_rows(log) if e[1] == "relocate"]
     assert len(moves) == 3
     assert all(e[3] == "reverted" for e in moves)
@@ -307,7 +309,8 @@ def test_failed_relocation_reverts_and_sim_continues():
 def test_compare_load_spread_forced_single_tree_node():
     coords = [(100, 85), (100, 95), (90, 95)]
     sc = scenario_from(coords, range_m=10)
-    mc_prob, mc_det = v.compare_load_spread(sc, rounds=5, seed=3)
+    mc_prob, mc_det = v.compare_load_spread(
+        sc, cfg(traffic=v.TrafficModel(1.0, 5), seed=3))
     assert mc_prob == mc_det == 10  # nodes 0 and 2 send via node 1 every round
 
 
@@ -336,12 +339,13 @@ def test_ten_clients_split_between_equal_gateways():
 
     # deterministic best-fitness forwarding dumps all ten clients plus one
     # satellite on gateway 10; the probabilistic policy splits binomially
-    mc_prob, mc_det = v.compare_load_spread(sc, rounds=1, seed=0)
+    config = cfg(traffic=v.TrafficModel(1.0, 1))
+    mc_prob, mc_det = v.compare_load_spread(sc, config)
     assert mc_det == 11
     wins = 0
     means = []
     for seed in range(100):
-        mc_p, mc_d = v.compare_load_spread(sc, rounds=1, seed=seed)
+        mc_p, mc_d = v.compare_load_spread(sc, replace(config, base_seed=seed))
         assert mc_d == 11
         means.append(mc_p)
         if mc_p < mc_d:
@@ -354,30 +358,32 @@ def test_ten_clients_split_between_equal_gateways():
 
 def test_compare_load_spread_deterministic_per_seed():
     sc = ten_client_two_gateway_scenario()
-    assert v.compare_load_spread(sc, rounds=7, seed=5) == \
-        v.compare_load_spread(sc, rounds=7, seed=5)
+    config = cfg(traffic=v.TrafficModel(1.0, 7), seed=5)
+    assert v.compare_load_spread(sc, config) == \
+        v.compare_load_spread(sc, config)
 
 
 def test_compare_respects_origin_probability():
     sc = ten_client_two_gateway_scenario()
-    mc_prob, mc_det = v.compare_load_spread(sc, rounds=50, seed=1,
-                                            origin_probability=0.0)
+    mc_prob, mc_det = v.compare_load_spread(
+        sc, cfg(traffic=v.TrafficModel(0.0, 50), seed=1))
     assert mc_prob == mc_det == 0
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"th": -1.0}, {"origin_probability": 2.0}, {"origin_probability": -1.0},
-    {"rounds": -4},
+@pytest.mark.parametrize("policy, traffic", [
+    (v.SimPolicy(th=-1.0), v.TrafficModel(1.0, 5)),
+    (NO_MOVE, v.TrafficModel(2.0, 5)), (NO_MOVE, v.TrafficModel(-1.0, 5)),
+    (NO_MOVE, v.TrafficModel(1.0, -4)),
 ], ids=["th<0", "origin_p>1", "origin_p<0", "rounds<0"])
-def test_compare_load_spread_rejects_bad_values(kwargs):
-    args = {"rounds": 5, "seed": 1, **kwargs}
+def test_compare_load_spread_rejects_bad_values(policy, traffic):
     with pytest.raises(ValueError):
-        v.compare_load_spread(ten_client_two_gateway_scenario(), **args)
+        v.compare_load_spread(ten_client_two_gateway_scenario(),
+                              cfg(traffic=traffic, policy=policy, seed=1))
 
 
-def run_ten(radio=RADIO, policy=NO_MOVE, **kwargs):
-    return v.run_simulation(ten_client_two_gateway_scenario(), "mmevbt",
-                            v.TrafficModel(), radio, policy, 1, **kwargs)
+def run_ten(seed=1, **fields):
+    return v.run_simulation(ten_client_two_gateway_scenario(),
+                            cfg(seed=seed, **fields))
 
 
 def relocate(sc, grid=4, max_step=None):
@@ -398,15 +404,12 @@ def all_failed_scenario():
      "policy.grid"),
     (lambda: relocate(ten_client_two_gateway_scenario(), max_step=-1.0),
      "policy.max_step"),
-    (lambda: v.run_simulation(ten_client_two_gateway_scenario(), "mmevbt",
-                              v.TrafficModel(), RADIO, NO_MOVE, seed=-1),
-     "seed must be >= 0"),
+    (lambda: run_ten(seed=-1), "base_seed must be >= 0"),
     (lambda: v.compare_load_spread(ten_client_two_gateway_scenario(),
-                                   rounds=1, seed=-1), "seed must be >= 0"),
-    (lambda: v.run_simulation(scenario_from([], 30.0), "mmevbt",
-                              v.TrafficModel(), RADIO, NO_MOVE, seed=1),
+                                   cfg(seed=-1)), "base_seed must be >= 0"),
+    (lambda: v.run_simulation(scenario_from([], 30.0), cfg(seed=1)),
      "need at least one node"),
-    (lambda: run_ten(fitness_params=v.FitnessParams(c1=math.nan)),
+    (lambda: run_ten(fitness=v.FitnessParams(c1=math.nan)),
      "fitness weights"),
     (lambda: run_ten(radio=v.RadioParams(e_elec=math.nan)),
      "radio parameters"),
@@ -424,8 +427,7 @@ def all_failed_scenario():
     (lambda: run_ten(e_init=math.nan), "energy.e_init"),
     (lambda: run_ten(e_init=-1.0), "energy.e_init"),
     (lambda: v.compare_load_spread(ten_client_two_gateway_scenario(),
-                                   rounds=1, seed=0, e_init=math.nan),
-     "energy.e_init"),
+                                   cfg(e_init=math.nan)), "energy.e_init"),
 ], ids=["relocate-no-live-node", "relocate-grid-0", "relocate-max-step<0",
         "run-seed<0", "compare-seed<0", "run-no-nodes", "run-c1-nan",
         "run-e-elec-nan", "run-e-amp-inf", "run-max-step-nan",
@@ -466,10 +468,10 @@ def test_forwarding_build_rejects_a_bad_e_init(e_init):
         build_ten(v.build_forwarding_problem, e_init=e_init)
 
 
-def spread_outcome(compare, sc, rounds, seed, **kwargs):
+def spread_outcome(compare):
     """A comparison's counts, or the error it raised."""
     try:
-        return compare(sc, rounds, seed, **kwargs)
+        return compare()
     except v.ConstructionFailed as fail:
         return "unreachable", fail.unreachable
     except ValueError as err:
@@ -510,11 +512,28 @@ def test_compare_load_spread_equals_dict_reference(
     dict comparison on random connected layouts with mixed and failed
     batteries."""
     sc = backbone_layout(layout_seed, n, range_m, energies)
-    kwargs = dict(fitness_params=v.FitnessParams(mode=mode),
-                  origin_probability=origin_probability)
-    got = spread_outcome(v.compare_load_spread, sc, rounds, seed, **kwargs)
-    assert got == spread_outcome(reference_compare_load_spread, sc, rounds,
-                                 seed, **kwargs)
+    fitness = v.FitnessParams(mode=mode)
+    config = cfg(traffic=v.TrafficModel(origin_probability, rounds),
+                 seed=seed, fitness=fitness)
+    got = spread_outcome(lambda: v.compare_load_spread(sc, config))
+    assert got == spread_outcome(lambda: reference_compare_load_spread(
+        sc, rounds, seed, fitness_params=fitness,
+        origin_probability=origin_probability))
+
+
+def test_compare_load_spread_grows_one_cover(monkeypatch):
+    """The best-parent table reuses the cover the balanced table grew
+    from the same state, so the greedy runs once, and the counts still
+    equal the reference comparison, which grows its own cover."""
+    calls = []
+    greedy = simulate.build_min_cover
+    monkeypatch.setattr(simulate, "build_min_cover",
+                        lambda *args: calls.append(1) or greedy(*args))
+    sc = ten_client_two_gateway_scenario()
+    got = v.compare_load_spread(sc, cfg(traffic=v.TrafficModel(1.0, 7),
+                                        seed=5))
+    assert len(calls) == 1
+    assert got == reference_compare_load_spread(sc, 7, 5)
 
 
 # ---------------------------------------------------------- uniform stream
@@ -545,20 +564,23 @@ def test_uniform_stream_replays_scalar_draws(seed, ops):
 
 # ------------------------------------------------ full-rescan loop oracle
 
-def run_both(sc, algo, traffic, policy, seed, fitness_params=None,
-             e_init=v.E_INIT):
+def run_both(sc, config):
     """Run the route-table loop and the reference loop on one input.
 
     Returns the two (metrics or unreachable ids, event rows) outcomes;
     the route-table loop's rows are its EventLog as written.
     """
+    def reference(log):
+        return reference_run_simulation(
+            sc, config.algorithm, config.traffic, config.radio,
+            config.policy, config.base_seed, fitness_params=config.fitness,
+            e_init=config.energy.e_init, event_log=log)
+
     outcomes = []
-    for run, log in ((v.run_simulation, simulate.EventLog()),
-                     (reference_run_simulation, [])):
+    for run, log in ((lambda log: v.run_simulation(sc, config, log),
+                      simulate.EventLog()), (reference, [])):
         try:
-            result = run(sc, algo, traffic, RADIO, policy, seed,
-                         fitness_params=fitness_params, e_init=e_init,
-                         event_log=log)
+            result = run(log)
         except v.ConstructionFailed as fail:
             result = fail.unreachable
         outcomes.append((result, log if isinstance(log, list)
@@ -588,14 +610,17 @@ def lifetime_cases(draw):
                              draw(st.integers(1, 80)))
     fitness = v.FitnessParams(mode=draw(st.sampled_from(["normalized",
                                                          "raw"])))
-    return (sc, draw(st.sampled_from(v.ALGORITHMS)), traffic, policy,
-            draw(st.integers(0, 2**32 - 1)), fitness, e_init)
+    # a dearer amplifier or a shorter packet reprices every hop
+    radio = draw(st.sampled_from([RADIO, v.RadioParams(e_amp=1e-9),
+                                  v.RadioParams(packet_bits=1000)]))
+    return sc, cfg(draw(st.sampled_from(v.ALGORITHMS)), traffic, policy,
+                   draw(st.integers(0, 2**32 - 1)), e_init, fitness=fitness,
+                   radio=radio)
 
 
 @given(lifetime_cases())
 def test_route_table_loop_equals_reference_loop(case):
-    sc, algo, traffic, policy, seed, fitness, e_init = case
-    new, ref = run_both(sc, algo, traffic, policy, seed, fitness, e_init)
+    new, ref = run_both(*case)
     assert new == ref
 
 
@@ -612,7 +637,8 @@ def test_route_table_loop_equals_reference_on_eventful_runs(algo, mode):
     for layout in (2, 4, 16, 18, 23):
         sc = scenario_from(v.deploy_uniform(field, 60, layout), 45.0,
                            energies=[0.05] * 60)
-        new, ref = run_both(sc, algo, traffic, policy, 1, fitness, 0.05)
+        new, ref = run_both(sc, cfg(algo, traffic, policy, 1, 0.05,
+                                    fitness=fitness))
         assert new == ref
         metrics, events = new
         if isinstance(metrics, v.LifetimeMetrics):
@@ -627,7 +653,7 @@ def test_rounds_without_origins_equal_reference(algo):
     # ten nodes at 2% a round: most rounds send nothing, a few send
     sc = connected_random_scenario(21, n=10, range_m=70.0)
     traffic = v.TrafficModel(0.02, 60)
-    new, ref = run_both(sc, algo, traffic, NO_MOVE, 3, e_init=v.E_INIT)
+    new, ref = run_both(sc, cfg(algo, traffic, NO_MOVE, 3))
     assert new == ref
     sent = {rnd for rnd, ev, _, _ in new[1] if ev == "packet"}
     assert 0 < len(sent) < 30
@@ -641,8 +667,8 @@ def test_one_hop_rounds_equal_reference(algo):
               for k in range(8)]
     sc = scenario_from(coords, range_m=25.0, energies=[0.002] * 8)
     policy = v.SimPolicy(th=0.0004, t_move=0)
-    new, ref = run_both(sc, algo, v.TrafficModel(0.7, 400), policy, 5,
-                        e_init=0.002)
+    new, ref = run_both(sc, cfg(algo, v.TrafficModel(0.7, 400), policy, 5,
+                                0.002))
     assert new == ref
     metrics, events = new
     paths = [parse_path(d) for _, ev, _, d in events if ev == "packet"]
@@ -665,8 +691,9 @@ def test_zero_probability_candidate_keeps_its_load_row():
         graph, state, tree, TH, fitness)))
     assert cands[2] == [1, 3]
     assert v.selection_probabilities(fit[2]) == [0.0, 1.0]
-    new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(1.0, 20),
-                        NO_MOVE, 3, fitness)
+    new, ref = run_both(sc, cfg("balanced_probabilistic",
+                                v.TrafficModel(1.0, 20), NO_MOVE, 3,
+                                fitness=fitness))
     assert new == ref
     metrics = new[0]
     assert metrics.tree_load_expected[1] == 0.0
@@ -684,8 +711,8 @@ def test_energies_exactly_at_thresholds_equal_reference(algo, at_th):
     sc.energy[:] = 0.1
     sc.energy[::4] = th if at_th else v.DEFAULT_E_FAIL  # still live
     policy = v.SimPolicy(th=th, t_move=0)
-    new, ref = run_both(sc, algo, v.TrafficModel(0.3, 20), policy, 7,
-                        e_init=0.1)
+    new, ref = run_both(sc, cfg(algo, v.TrafficModel(0.3, 20), policy, 7,
+                                0.1))
     assert new == ref
     assert new[0].reconstructions >= 1
 
@@ -696,7 +723,7 @@ def test_live_status_on_an_empty_battery_equals_reference(algo):
     # without a logged death
     sc = connected_random_scenario(15, n=35, range_m=60.0)
     sc.energy[::5] = 0.0
-    new, ref = run_both(sc, algo, v.TrafficModel(0.5, 30), NO_MOVE, 7)
+    new, ref = run_both(sc, cfg(algo, v.TrafficModel(0.5, 30), NO_MOVE, 7))
     assert new == ref
     assert new[0].alive_fraction_curve[0] == (1, 28 / 35)
     assert not [e for e in new[1] if e[1] == "death"]
@@ -713,8 +740,8 @@ def test_a_battery_at_zero_joules_dies_whatever_the_thresholds(th, e_fail):
                        field)
     sc.energy[0] = 0.0
     policy = v.SimPolicy(th=th, e_fail=e_fail, t_move=0)
-    new, ref = run_both(sc, "mmevbt", v.TrafficModel(0.5, 3000), policy, 1,
-                        e_init=0.01)
+    new, ref = run_both(sc, cfg("mmevbt", v.TrafficModel(0.5, 3000), policy,
+                                1, 0.01))
     assert new == ref
     metrics, events = new
     assert metrics.alive_fraction_curve[0] == (1, 59 / 60)
@@ -771,8 +798,7 @@ def test_forced_chains_stop_at_draws_and_the_sink():
     assert cands == {0: [v.SINK], 1: [0], 2: [0], 3: [1, 2],
                      4: [3], 5: [v.SINK], 6: [1], 7: [2]}
     names = [str(i) for i in range(8)] + ["-1"]
-    router = simulate._Router("balanced_probabilistic", RADIO, NO_MOVE,
-                              v.FitnessParams(), v.E_INIT)
+    router = simulate._Router(cfg("balanced_probabilistic"))
     router.rebuild(*graph_and_state(sc))
     ptr = router.chain_ptr.tolist()
     # each chain's stop, its heads' names as a packet path shows them,
@@ -796,8 +822,8 @@ def test_chain_walk_equals_reference():
     # node 5 falls below th first, so a rebuild remakes the chains
     sc = chain_scenario([1.0, 0.5, 0.5, 0.5, 0.05, 0.02, 0.05, 0.05])
     policy = v.SimPolicy(th=0.01, t_move=0)
-    new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(0.5, 400),
-                        policy, 5, e_init=0.1)
+    new, ref = run_both(sc, cfg("balanced_probabilistic",
+                                v.TrafficModel(0.5, 400), policy, 5, 0.1))
     assert new == ref
     metrics, events = new
     paths = {tuple(parse_path(d)) for _, ev, _, d in events if ev == "packet"}
@@ -813,8 +839,8 @@ def test_all_forced_multi_hop_balanced_run_equals_reference():
     sc = scenario_from(v.deploy_uniform(field, 8, 33), 30.0, [0.05] * 8,
                        field)
     policy = v.SimPolicy(th=0.005, t_move=0)
-    router = simulate._Router("balanced_probabilistic", RADIO, policy,
-                              v.FitnessParams(), 0.05)
+    router = simulate._Router(cfg("balanced_probabilistic", policy=policy,
+                                  e_init=0.05))
     router.rebuild(*graph_and_state(sc))
     assert np.diff(router.slot_ptr).max() == 1
     assert router.lengths == np.diff(router.chain_ptr[:9 + 1]).tolist()
@@ -823,8 +849,8 @@ def test_all_forced_multi_hop_balanced_run_equals_reference():
     rows, firsts = router._walk(origins, stream)
     assert rows.tolist() == origins.tolist() and firsts == [0, 1, 2, 3, 4]
     assert stream.pos == sum(router.lengths[u] for u in origins.tolist())
-    new, ref = run_both(sc, "balanced_probabilistic", v.TrafficModel(0.5, 300),
-                        policy, 4, e_init=0.05)
+    new, ref = run_both(sc, cfg("balanced_probabilistic",
+                                v.TrafficModel(0.5, 300), policy, 4, 0.05))
     assert new == ref
     metrics, events = new
     paths = [parse_path(d) for _, ev, _, d in events if ev == "packet"]
@@ -837,8 +863,7 @@ def assert_stranding_keeps_the_table(algo, sc, energy, live, stranded):
     returns stranded and leaves its every attribute the same object, so
     a reverted sink move routes on the old table."""
     graph, state = graph_and_state(sc)
-    router = simulate._Router(algo, RADIO, NO_MOVE, v.FitnessParams(),
-                              v.E_INIT)
+    router = simulate._Router(cfg(algo))
     assert router.rebuild(graph, state).tolist() == []
     table = dict(vars(router))
     assert {"sender", "head", "slot_tx", "slot_ptr", "chain"} <= set(table)
@@ -879,8 +904,7 @@ def test_a_forwarding_build_that_strands_keeps_the_last_cover(algo):
 
 
 def fixed_parent_router(algo, sc):
-    router = simulate._Router(algo, RADIO, NO_MOVE, v.FitnessParams(),
-                              v.E_INIT)
+    router = simulate._Router(cfg(algo))
     router.rebuild(*graph_and_state(sc))
     return router
 
@@ -925,8 +949,7 @@ class FixedUniforms:
 def test_walk_draws_bisect_each_row_in_place():
     # three draw nodes, two slots each, all onto the sink (vertex 3);
     # node 1's sums end at the largest double below 1, node 2's below it
-    router = simulate._Router("balanced_probabilistic", RADIO, NO_MOVE,
-                              v.FitnessParams(), v.E_INIT)
+    router = simulate._Router(cfg("balanced_probabilistic"))
     router.sink, router.max_draws = 3, 1
     router.lengths, router.stops, router.heads = [0] * 4, [0, 1, 2, 3], [3] * 6
     router.starts = [0, 2, 4, 6, 6]
@@ -1182,7 +1205,7 @@ def test_policy_and_traffic_reject_bad_values(bad):
 def test_run_simulation_rejects_bad_policy_or_traffic(policy, traffic):
     sc = connected_random_scenario(20, n=20)
     with pytest.raises(ValueError):
-        v.run_simulation(sc, "mmevbt", traffic, RADIO, policy, seed=1)
+        v.run_simulation(sc, cfg("mmevbt", traffic, policy, 1))
 
 
 def refills_inside_chains(walks, events):
@@ -1235,8 +1258,8 @@ def test_route_table_loop_equals_reference_across_refills(algo, monkeypatch):
     sc = scenario_from(v.deploy_uniform(v.Field(200, 200, 100, 100), 60, 16),
                        45.0, energies=[0.05] * 60)
     policy = v.SimPolicy(th=0.005, t_move=5)
-    new, ref = run_both(sc, algo, v.TrafficModel(0.3, 300), policy, 1,
-                        e_init=0.05)
+    new, ref = run_both(sc, cfg(algo, v.TrafficModel(0.3, 300), policy, 1,
+                                0.05))
     assert new == ref
     assert len([e for e in new[1] if e[1] == "packet"]) > 100
     if algo == "balanced_probabilistic":
@@ -1265,8 +1288,8 @@ def test_cover_rebuilds_reuse_a_cover_that_holds(algo, monkeypatch):
     sc = scenario_from(v.deploy_uniform(v.Field(200, 200, 100, 100), 60, 16),
                        45.0, energies=[0.05] * 60)
     policy = v.SimPolicy(th=0.005, t_move=5)
-    new, ref = run_both(sc, algo, v.TrafficModel(0.3, 300), policy, 1,
-                        e_init=0.05)
+    new, ref = run_both(sc, cfg(algo, v.TrafficModel(0.3, 300), policy, 1,
+                                0.05))
     assert new == ref
     assert 0 < calls["build_min_cover"] < calls["rebuild"]
 

@@ -242,11 +242,9 @@ def test_run_scenario_writes_metrics_alive_loads_events(tmp_path):
     cfg = dataclasses.replace(v.ExperimentConfig(), n_nodes=25,
                               traffic=v.TrafficModel(rounds_max=150))
     sc = make_scenario(cfg, 3, 60.0)
-    metrics, paths = run_scenario(sc, cfg, str(tmp_path), stem="probe",
-                                  write_events=True)
+    metrics, paths = run_scenario(sc, cfg, str(tmp_path), write_events=True)
     assert [os.path.basename(p) for p in paths] == [
-        "probe_metrics.csv", "probe_alive.csv",
-        "probe_loads.csv", "probe_events.csv"]
+        "run_metrics.csv", "run_alive.csv", "run_loads.csv", "run_events.csv"]
     assert all(os.path.exists(p) for p in paths)
     header, row = body_lines(paths[0])
     assert header.split(",") == ["seed", "algorithm", "range", "n_nodes",
