@@ -18,17 +18,19 @@ only falls, so a node dies or loses eligibility exactly when a debit
 takes it below the floor or th, and a rebuild is due exactly then.
 
 Every build fills one route table (_Router), in which a fixed parent
-(mmevbt, min_cover_best_parent) is a row with one candidate. A balanced
-table walks its packets in Python, reading uniforms in order from one
-stream (_Uniforms): the origin draws are a slice of it, and each hop
-uses up the next value.
+(mmevbt, min_cover_best_parent) is a row with one candidate. A
+fixed-parent round gathers its origins' padded route rows in one 2-D
+read. A balanced table walks its packets in Python, reading uniforms in
+order from one stream (_Uniforms): the origin draws are a slice of it,
+and each hop uses up the next value.
 
 Both route paths feed one kernel (_charge): the senders packet by packet
 and hop by hop, a relay's receive cost just before its transmit cost,
 the order in which the reference loop charges them. Weighted np.bincount
 adds each node's charges one by one in that order, the same left fold,
-so every float is bit-identical; the round total is an np.cumsum, a left
-fold (never sum(), which compensates from Python 3.12 on). A
+so every float is bit-identical; the round total is an np.cumsum over
+the nodes in first-touch order, which the hop order gives, a left fold
+(never sum(), which compensates from Python 3.12 on). A
 balanced round folds its origins' selection probabilities, read from the
 table's rows, into the run's expected loads with one weighted
 np.bincount led by those totals: per tree node 0 + total + p1 + ..., the
@@ -49,7 +51,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .balanced import build_forwarding_problem
+from .balanced import CandidateArrays, build_forwarding_problem
 from .config import ExperimentConfig
 from .energy import rx_cost, tx_costs
 from .mincover import build_min_cover, cover_holds
@@ -180,26 +182,33 @@ class _Router:
     probability slot_p[s] and cumulative sum cums[s] along the row. A
     node with several draws: a uniform r picks slot
     bisect_right(cums, r, lo, hi - 1) for its slots lo..hi - 1. A node
-    with one is forced. Row r of the table is
+    with one is forced.
+
+    In a fixed-parent table every routed node is forced, and a packet is
+    its origin's row of paths, an (n + 1) x depth matrix: row i lists
+    the slots node i takes to the sink and length[i] of them, -1 past
+    that (the whole row at an unrouted node and the sink). route() reads
+    a round's hops as one 2-D gather of those rows.
+
+    A balanced table walks (route() reads its walk lists, and max_draws
+    bounds its longest path to the sink). Row r of its CSR table is
     chain[chain_ptr[r]:chain_ptr[r + 1]]: for r = i <= n, the slots node
     i and the forced nodes after it take up to the sink or the first
     node with a draw (none at a draw node); for r = n + 1 + s, the drawn
     slot s alone. route() expands each packet's rows with one gather.
-    A balanced table walks (route() reads its walk lists, and max_draws
-    bounds its longest path to the sink); in a fixed-parent one a packet
-    is its origin's row.
 
     cover is the tree nodes of the last table-filling cover build and a
     copy of the state it was grown from (the run writes its state in
     place), or None. A cover rebuild hands it back without the greedy
-    while mincover.cover_holds; the forwarding problem and the table are
-    rebuilt every time.
+    while mincover.cover_holds; the forwarding problem, kept as
+    candidates, and the table are rebuilt every time.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.balanced = config.algorithm == "balanced_probabilistic"
         self.cover: Optional[tuple[set[int], State]] = None
+        self.candidates: Optional[CandidateArrays] = None
 
     def rebuild(self, graph: ReachabilityGraph, state: State) -> np.ndarray:
         """Reconstruct the backbone from state. Returns the ids the build
@@ -222,22 +231,31 @@ class _Router:
         if stranded.size:
             return stranded
         self.cover = cover
+        self.fill_candidates(graph, rows)
+        return stranded
+
+    def fill_candidates(self, graph: ReachabilityGraph,
+                        rows: CandidateArrays) -> None:
+        """The table of a forwarding problem's candidates, which it keeps:
+        all of them with their draws, or each row's best parent."""
+        self.candidates = rows
         if self.balanced:
             # a hop goes one level down, or onto the backbone from off it
             self._fill(graph, rows.edges, (*rows.draws(), 1 + rows.max_level))
         else:
             self._fill(graph, rows.best_edges())
-        return stranded
 
     def _fill(self, graph, edges: np.ndarray,
               draws: Optional[tuple[np.ndarray, np.ndarray, int]] = None
               ) -> None:
-        """The table of candidate edges, senders ascending. A balanced
-        build gives draws, its CandidateArrays.draws() and max_draws, and
-        its table gets the walk lists (lengths, stops, heads, starts,
-        cums): each node's chain length and stop (where its chain ends,
-        the head of its last slot; itself at a draw node), each slot's
-        head, each node's first slot and the slots' cumulative sums."""
+        """The table of candidate edges, senders ascending. A fixed-parent
+        table spreads the chased chains into its route rows (paths, length).
+        A balanced build gives draws, its CandidateArrays.draws() and
+        max_draws; its table packs the chains into the CSR chain and gets
+        the walk lists (lengths, stops, heads, starts, cums): each node's
+        chain length and stop (where its chain ends, the head of its last
+        slot; itself at a draw node), each slot's head, each node's first
+        slot and the slots' cumulative sums."""
         self.sink = n = len(graph.indptr) - 2
         self.sender = graph.edge_rows(edges)
         self.head = head = graph.nbrs[edges].astype(np.int64)
@@ -258,25 +276,32 @@ class _Router:
         taken = steps >= 0
         length = np.zeros(n + 1, dtype=np.int64)
         length[ids] = taken.sum(axis=1)
+        if draws is None:
+            # every routed node is forced: its chain is its whole route
+            self.paths = np.full((n + 1, steps.shape[1]), -1)
+            self.paths[ids] = steps
+            self.length = length
+            return
         ptr = np.concatenate(([0], np.cumsum(length)))
         self.chain_ptr = np.concatenate((ptr, ptr[-1] + 1
                                          + np.arange(len(edges))))
         self.chain = np.concatenate((steps[taken], np.arange(len(edges))))
-        if draws is not None:
-            self.slot_p, cums, self.max_draws = draws
-            stops = np.arange(n + 1)
-            ends = length > 0
-            stops[ends] = head[self.chain[ptr[1:][ends] - 1]]
-            self.lengths, self.stops = length.tolist(), stops.tolist()
-            self.heads = head.tolist()
-            self.starts, self.cums = self.slot_ptr.tolist(), cums.tolist()
+        self.slot_p, cums, self.max_draws = draws
+        stops = np.arange(n + 1)
+        ends = length > 0
+        stops[ends] = head[self.chain[ptr[1:][ends] - 1]]
+        self.lengths, self.stops = length.tolist(), stops.tolist()
+        self.heads = head.tolist()
+        self.starts, self.cums = self.slot_ptr.tolist(), cums.tolist()
 
     def route(self, origins: np.ndarray,
               stream: _Uniforms) -> tuple[np.ndarray, np.ndarray]:
         """The slots of one packet from each origin, packet by packet and
         hop by hop, and the index of each packet's first slot."""
-        rows, firsts = (self._walk(origins, stream) if self.balanced
-                        else (origins, slice(None)))
+        if not self.balanced:
+            rows, count = self.paths[origins], self.length[origins]
+            return rows[rows >= 0], np.cumsum(count) - count
+        rows, firsts = self._walk(origins, stream)
         at, count = csr_positions(self.chain_ptr, rows)
         return self.chain[at], (np.cumsum(count) - count)[firsts]
 
@@ -314,27 +339,27 @@ def _charge(energy: np.ndarray, senders: np.ndarray, tx: np.ndarray,
     """Charge one round's hops, packet by packet and hop by hop.
 
     Sender k is charged 0.0 if it is its packet's origin (k in first),
-    else rx, and then tx[k]; sender n, the sink as padding, is dropped.
-    The senders are live nodes, each holding at least floor; each drains
-    its charges, or all it holds if less. Returns those now below floor,
-    the round's deaths, ascending; whether any node fell below th; and
-    the energy drained, folded in first-touch order (a left fold).
+    else rx, and then tx[k]. The senders are live nodes, each holding at
+    least floor; each drains its charges, or all it holds if less.
+    Returns those now below floor, the round's deaths, ascending; whether
+    any node fell below th; and the energy drained, folded in first-touch
+    order (a left fold).
     """
-    n = len(energy)
+    position = np.arange(senders.size)
     charges = np.empty((senders.size, 2))
     charges[:, 0] = rx
     charges[first, 0] = 0.0
     charges[:, 1] = tx
-    spend = np.bincount(np.repeat(senders, 2), charges.ravel(),
-                        minlength=n + 1)
-    at = np.full(n + 1, senders.size)  # each node's first position
-    np.minimum.at(at, senders, np.arange(senders.size))
-    ids = np.flatnonzero(at[:n] < senders.size)
+    spend = np.bincount(np.repeat(senders, 2), charges.ravel())
+    at = np.full(len(energy), senders.size)  # each node's first position
+    np.minimum.at(at, senders, position)
+    ids = senders[at[senders] == position]  # in first-touch order
     before = energy[ids]
     drained = np.minimum(spend[ids], before)
-    total = np.cumsum(drained[np.argsort(at[ids])])
+    total = np.cumsum(drained)
     energy[ids] = after = before - drained
-    return (ids[after < floor].tolist(),
+    dead = ids[after < floor]
+    return (np.sort(dead).tolist() if dead.size else [],
             bool(((before >= th) & (after < th)).any()),
             float(total[-1]) if total.size else 0.0)
 
@@ -463,7 +488,8 @@ def compare_load_spread(scenario: Scenario,
     charges its origin's chosen parent; returns each policy's maximum
     per-tree-node count. Direct-to-sink deliveries burden no tree node
     and count for neither policy. Both read the route tables a run of
-    config builds, balanced and best-parent, over one cover.
+    config builds, balanced and best-parent, over one cover and one
+    forwarding problem.
     """
     config.validate()
     traffic = config.traffic
@@ -474,9 +500,8 @@ def compare_load_spread(scenario: Scenario,
     draw, best = [_Router(replace(config, algorithm=a))
                   for a in ("balanced_probabilistic", "min_cover_best_parent")]
     _routed(draw.rebuild(graph, state))
-    # grown from this very state, so cover_holds accepts it
-    best.cover = draw.cover
-    _routed(best.rebuild(graph, state))
+    # the problem a best-parent rebuild over this state would build
+    best.fill_candidates(graph, draw.candidates)
     # every live node has a row, whose draw _walk bisects as these do
     cums, starts = draw.cums, draw.starts
     alive, n = np.flatnonzero(state[1]), len(state[0])

@@ -522,17 +522,20 @@ def test_compare_load_spread_equals_dict_reference(
 
 
 def test_compare_load_spread_grows_one_cover(monkeypatch):
-    """The best-parent table reuses the cover the balanced table grew
-    from the same state, so the greedy runs once, and the counts still
-    equal the reference comparison, which grows its own cover."""
+    """The best-parent table reuses the cover and the forwarding problem
+    the balanced table built from the same state, so each build runs
+    once, and the counts still equal the reference comparison, which
+    builds its own."""
     calls = []
-    greedy = simulate.build_min_cover
-    monkeypatch.setattr(simulate, "build_min_cover",
-                        lambda *args: calls.append(1) or greedy(*args))
+    for name in ("build_min_cover", "build_forwarding_problem"):
+        build = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name,
+                            lambda *args, name=name, build=build:
+                            calls.append(name) or build(*args))
     sc = ten_client_two_gateway_scenario()
     got = v.compare_load_spread(sc, cfg(traffic=v.TrafficModel(1.0, 7),
                                         seed=5))
-    assert len(calls) == 1
+    assert calls == ["build_min_cover", "build_forwarding_problem"]
     assert got == reference_compare_load_spread(sc, 7, 5)
 
 
@@ -866,7 +869,9 @@ def assert_stranding_keeps_the_table(algo, sc, energy, live, stranded):
     router = simulate._Router(cfg(algo))
     assert router.rebuild(graph, state).tolist() == []
     table = dict(vars(router))
-    assert {"sender", "head", "slot_tx", "slot_ptr", "chain"} <= set(table)
+    rows = ({"chain", "chain_ptr"} if algo == "balanced_probabilistic"
+            else {"paths", "length"})
+    assert {"sender", "head", "slot_tx", "slot_ptr", *rows} <= set(table)
     assert router.rebuild(graph, (energy, live)).tolist() == stranded
     assert vars(router).keys() == table.keys()
     assert all(getattr(router, k) is x for k, x in table.items())
@@ -924,16 +929,86 @@ def test_fixed_parent_chains_follow_the_parents(algo, layout):
         parent = {i: best_parent(cands, fit, i) for i in cands}
     router = fixed_parent_router(algo, sc)
     assert np.diff(router.slot_ptr).max() == 1
-    n, ptr = len(sc.xy), router.chain_ptr
+    n = len(sc.xy)
+    assert router.paths.shape[0] == n + 1 and (router.paths[n] < 0).all()
     for i in range(n):
         want = [i]
         while want[-1] != v.SINK:
             want.append(parent[want[-1]])
-        chain = router.chain[ptr[i]:ptr[i + 1]]
+        row = router.paths[i]
+        path = row[:router.length[i]]
+        assert (path >= 0).all() and (row[router.length[i]:] < 0).all()
         got = [i, *(v.SINK if h == n else h
-                    for h in router.head[chain].tolist())]
+                    for h in router.head[path].tolist())]
         assert got == want
-        assert router.sender[chain].tolist() == want[:-1]
+        assert router.sender[path].tolist() == want[:-1]
+
+
+def line_scenario(n=60):
+    """n nodes 10 m apart on a line from a sink at its end, in range of
+    only their neighbours: the first two nodes reach the sink, and every
+    route is as long as the line is."""
+    coords = [(2.0, 10.0)] + [(10.0 * k + 2, 10.0) for k in range(1, n)]
+    return scenario_from(coords, 12.0, [0.2] * n,
+                         v.Field(10.0 * n + 10, 20, 0, 10))
+
+
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+def test_deep_route_rows_equal_reference(algo):
+    # routes of 59 hops, far more than the few columns of a field's
+    # trees; the run ends when a relay near the sink falls below th
+    sc = line_scenario()
+    if algo != "balanced_probabilistic":
+        router = fixed_parent_router(algo, sc)
+        assert router.paths.shape == (61, 59)
+        assert router.length.tolist() == [1, *range(1, 60), 0]
+    policy = v.SimPolicy(th=0.02, t_move=0)
+    new, ref = run_both(sc, cfg(algo, v.TrafficModel(0.1, 300), policy, 3,
+                                0.2))
+    assert new == ref
+    metrics, events = new
+    paths = [parse_path(d) for _, ev, _, d in events if ev == "packet"]
+    assert max(map(len, paths)) == 60
+    assert 50 < metrics.rounds_run == metrics.rounds_until_disconnect
+
+
+def sink_free_senders(algo, sc, target):
+    """Whether no slot of the tables a router fills over sc, before and
+    after a sink move to target, is sent by the sink (vertex n); the
+    number of tables filled."""
+    graph, state = graph_and_state(sc)
+    router = simulate._Router(cfg(algo))
+    ok, filled = True, 0
+    for move in (False, True):
+        if move:
+            graph.move_sink(target)
+        if not router.rebuild(graph, state).size:
+            ok &= bool((router.sender < len(sc.xy)).all())
+            filled += 1
+    return ok, filled
+
+
+@pytest.mark.parametrize("algo", v.ALGORITHMS)
+@pytest.mark.parametrize("layout", [1, 6, 9])
+def test_no_slot_is_sent_by_the_sink(algo, layout):
+    """Every slot's sender is a child row of a build's edges, and the
+    sink, appended not live, is none: _charge sizes its arrays at n."""
+    sc = connected_random_scenario(layout, n=40, range_m=35.0)
+    assert sink_free_senders(algo, sc, (90.0, 110.0)) == (True, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=st.integers(0, 2**16), n=st.integers(1, 40),
+       range_m=st.sampled_from([30.0, 45.0, 70.0]),
+       algo=st.sampled_from(v.ALGORITHMS),
+       target=st.tuples(st.floats(0, 100), st.floats(0, 100)))
+def test_no_slot_is_sent_by_the_sink_on_any_layout(layout, n, range_m, algo,
+                                                   target):
+    # about three layouts in four fill both tables
+    field = v.Field(100, 100, 50, 50)
+    sc = scenario_from(v.deploy_uniform(field, n, layout), range_m,
+                       field=field)
+    assert sink_free_senders(algo, sc, target)[0]
 
 
 class FixedUniforms:
