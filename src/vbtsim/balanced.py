@@ -149,7 +149,7 @@ def build_forwarding_problem(graph: ReachabilityGraph, state: State,
     level, max_level = hop_levels(graph, eligible)
     cand, child, parent, hop_from, hop_to = _candidate_edges(graph, level,
                                                              live)
-    d = graph.distances()[cand]
+    d = graph.distances(cand)
     if params.mode == "raw" and (d == 0).any():
         raise ValueError("raw mode cannot score a zero-distance candidate")
     count = np.bincount(child, minlength=n + 1)

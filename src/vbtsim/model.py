@@ -1,8 +1,8 @@
 """Scenarios as arrays, seeded deployment and unit-disk reachability.
 
 The reachability graph is geometry only: CSR edges, each edge's distance
-and its square as flat arrays built on first use, and a sink vertex moved
-in place. energy.tx_costs prices the edges a build gathers.
+and its square as flat arrays priced on demand, once per edge, and a sink
+vertex moved in place. energy.tx_costs prices the edges a build gathers.
 """
 
 from __future__ import annotations
@@ -91,8 +91,10 @@ class ReachabilityGraph:
     are CSR arrays with the sink as row and id n (the node count): row v
     is nbrs[indptr[v]:indptr[v + 1]], its neighbour ids ascending after
     the sink, which sorts first. Per-edge arrays aligned with nbrs (the
-    distances and their squares) are built on first use and kept; a sink
-    move patches only the entries that involve the sink.
+    distances and their squares) are kept, and each entry is priced the
+    first time a caller asks for it: a build asks for the edges it reads,
+    and build_mmevbt, which reads nearly all of them, for the whole array.
+    A sink move patches only the entries that involve the sink.
     """
 
     range: float
@@ -100,11 +102,14 @@ class ReachabilityGraph:
     indptr: np.ndarray = dc_field(repr=False)
     nbrs: np.ndarray = dc_field(repr=False)
     # None until first use, so a graph that never routes (the sweeps')
-    # allocates nothing more
+    # allocates nothing more; then NaN marks an entry not yet priced, as
+    # two finite points are never a NaN distance apart
     _dist: Optional[np.ndarray] = dc_field(default=None, init=False,
                                            repr=False)
     _sq: Optional[np.ndarray] = dc_field(default=None, init=False,
                                          repr=False)
+    # the names of the kept arrays with every entry priced
+    _whole: set[str] = dc_field(default_factory=set, init=False, repr=False)
 
     def edge_rows(self, edges: np.ndarray) -> np.ndarray:
         """The row (sending vertex, the sink as n) of each given edge."""
@@ -115,26 +120,57 @@ class ReachabilityGraph:
         edges, counts = csr_positions(self.indptr, rows)
         return np.repeat(rows, counts), edges
 
-    def distances(self) -> np.ndarray:
-        """Per edge, the distance from its row vertex to nbrs[k].
+    def distances(self, edges: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per edge, the distance from its row vertex to nbrs[k]; given
+        an array of edges, theirs alone.
 
         Scalar math.hypot, as distance() computes it: np.hypot differs
         from it in the last bit for some inputs. hypot drops the signs,
         so the distance is symmetric to the bit.
         """
-        if self._dist is None:
-            xs, ys = self.points.T
-            src = self.edge_rows(np.arange(len(self.nbrs)))
-            self._dist = _per_edge(math.hypot, xs[src] - xs[self.nbrs],
-                                   ys[src] - ys[self.nbrs])
-        return self._dist
+        return self._kept("_dist", edges, self._hypot)
 
-    def squares(self) -> np.ndarray:
+    def squares(self, edges: Optional[np.ndarray] = None) -> np.ndarray:
         """Per edge, its distance squared as tx_cost squares it, which
-        energy.tx_costs prices."""
-        if self._sq is None:
-            self._sq = _squares(self.distances())
-        return self._sq
+        energy.tx_costs prices; given an array of edges, theirs alone."""
+        return self._kept("_sq", edges,
+                          lambda at: _squares(self.distances(at)))
+
+    def _kept(self, name: str, edges: Optional[np.ndarray],
+              price: Callable[[Optional[np.ndarray]], np.ndarray]
+              ) -> np.ndarray:
+        """The kept per-edge array name, whole (edges None) or at the
+        given edges, after price(at) has priced the entries at the edges
+        at that are not priced yet. A whole array asked for before any
+        entry is priced is built in one pass, price(None); once whole, it
+        is handed back as it is, as a sink move prices its new entries."""
+        kept = getattr(self, name)
+        if edges is None:
+            if name not in self._whole:
+                if kept is None:
+                    setattr(self, name, price(None))
+                else:
+                    at = np.flatnonzero(np.isnan(kept))
+                    kept[at] = price(at)
+                self._whole.add(name)
+            return getattr(self, name)
+        if kept is None:
+            kept = np.full(len(self.nbrs), math.nan)
+            setattr(self, name, kept)
+        values = kept[edges]
+        todo = np.isnan(values)
+        if todo.any():
+            at = edges[todo]
+            values[todo] = kept[at] = price(at)
+        return values
+
+    def _hypot(self, edges: Optional[np.ndarray]) -> np.ndarray:
+        """The distances of the given edges (None: all), by math.hypot."""
+        if edges is None:
+            edges = np.arange(len(self.nbrs))
+        xs, ys = self.points.T
+        src, dst = self.edge_rows(edges), self.nbrs[edges]
+        return _per_edge(math.hypot, xs[src] - xs[dst], ys[src] - ys[dst])
 
     def move_sink(self, sink_pos: tuple[float, float]) -> None:
         """Put the sink at sink_pos, as build_reachability would have.
@@ -142,8 +178,10 @@ class ReachabilityGraph:
         The sink's row is recomputed with the build's exact inclusive
         test, and every node row the sink enters, stays in or leaves has
         its head (the sink sorts first) inserted, recomputed or dropped,
-        in the CSR arrays and in the distances and squares built so far.
-        A non-finite position raises ValueError and moves nothing.
+        in the CSR arrays and in the kept distances and squares. There
+        the sink's new entries are priced, and every other entry keeps
+        its value, or stays unpriced. A non-finite position raises
+        ValueError and moves nothing.
         """
         if not np.isfinite(sink_pos).all():
             raise ValueError("points must be finite")
@@ -178,14 +216,15 @@ class ReachabilityGraph:
             return new
 
         self.nbrs = patch(self.nbrs, n, row)
-        if self._dist is None:
+        if self._dist is None and self._sq is None:
             return
         # distance is symmetric to the bit, so a node row's head equals
         # the sink row's entry for that node
         sx, sy = sink_pos
         dist = np.array(list(map(math.hypot, (sx - pts[row, 0]).tolist(),
                                  (sy - pts[row, 1]).tolist())), dtype=float)
-        self._dist = patch(self._dist, dist, dist)
+        if self._dist is not None:
+            self._dist = patch(self._dist, dist, dist)
         if self._sq is not None:
             sq = _squares(dist)
             self._sq = patch(self._sq, sq, sq)

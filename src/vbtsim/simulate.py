@@ -175,12 +175,12 @@ class _Router:
 
     Slot s, a position in the build's candidate edges, is the hop from
     sender[s] to head[s] (the sink is vertex n, the node count) at cost
-    slot_tx[s], energy.tx_costs of the graph's squares() gathered at the
-    slots; node i's slots are slot_ptr[i] <= s < slot_ptr[i + 1].
-    mmevbt and min_cover_best_parent give each routed node one
-    candidate, balanced_probabilistic all of them, with selection
-    probability slot_p[s] and cumulative sum cums[s] along the row. A
-    node with several draws: a uniform r picks slot
+    slot_tx[s], energy.tx_costs of the graph's squares() at the slots,
+    which prices only those; node i's slots are slot_ptr[i] <= s <
+    slot_ptr[i + 1]. mmevbt and min_cover_best_parent give each routed
+    node one candidate, balanced_probabilistic all of them, with
+    selection probability slot_p[s] and cumulative sum cums[s] along the
+    row. A node with several draws: a uniform r picks slot
     bisect_right(cums, r, lo, hi - 1) for its slots lo..hi - 1. A node
     with one is forced.
 
@@ -259,7 +259,7 @@ class _Router:
         self.sink = n = len(graph.indptr) - 2
         self.sender = graph.edge_rows(edges)
         self.head = head = graph.nbrs[edges].astype(np.int64)
-        self.slot_tx = tx_costs(self.config.radio, graph.squares()[edges])
+        self.slot_tx = tx_costs(self.config.radio, graph.squares(edges))
         self.slot_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(self.sender, minlength=n + 1))))
         # each forced node's slot (-1 at the rest), and the slot taken

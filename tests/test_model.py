@@ -1,6 +1,7 @@
 """Core model: the liveness rule, field, scenario arrays, deployment,
 unit-disk reachability."""
 
+import copy
 import math
 import tracemalloc
 
@@ -548,19 +549,31 @@ def assert_edge_arrays_fresh(sc, g, params):
     assert tx_costs(params, g.squares()).tolist() == tx
 
 
-@given(sink_walks(), st.sampled_from(["none", "dist", "squares"]))
-def test_cached_tx_costs_follow_sink_moves(case, cached):
+@given(sink_walks(), st.sampled_from(["none", "dist", "squares", "some"]),
+       st.data())
+def test_cached_tx_costs_follow_sink_moves(case, cached, data):
     """The CSR arrays, distances, squares and the tx costs priced from
     them after sink moves that add, keep and drop sink edges equal a
     fresh build's with scalar tx_cost of each distance, whether they
-    were built before the moves or not, and give every hop hop_weight's
-    cost for either radio."""
+    were built before the moves, not at all, or only at a drawn subset
+    of edges, and give every hop hop_weight's cost for either radio."""
     sc, walk = case
     g = v.build_reachability(sc.points(), sc.sensing_range)
     if cached == "dist":
         g.distances()
     if cached == "squares":
         g.squares()
+    if cached == "some":
+        drawn = data.draw(st.lists(st.booleans(), min_size=len(g.nbrs),
+                                   max_size=len(g.nbrs)))
+        edges = np.flatnonzero(drawn)
+        dist = expected_edge_arrays(sc, RADIOS[0])[2]
+        # squares price the distances they need, so some edges end up
+        # with a distance and no square
+        assert g.squares(edges[::2]).tolist() == \
+            [dist[k]**2 for k in edges[::2]]
+        assert g.distances(edges[1::2]).tolist() == \
+            [dist[k] for k in edges[1::2]]
     for pos in walk:
         sc.field = v.Field(sc.field.width, sc.field.height, *pos)
         g.move_sink(pos)
@@ -572,9 +585,46 @@ def test_cached_tx_costs_follow_sink_moves(case, cached):
         elif cached == "dist":
             assert g.distances().tolist() == \
                 expected_edge_arrays(sc, RADIOS[0])[2]
+        elif cached == "some":
+            # priced whole on a copy, so g stays priced in part
+            assert_edge_arrays_fresh(sc, copy.deepcopy(g), RADIOS[0])
     for params in RADIOS[::-1]:
         assert_edge_arrays_fresh(sc, g, params)
         assert edge_weights(g, params) == expected_weights(sc, g, params)
+
+
+def test_squares_priced_at_no_edge_follow_a_sink_move():
+    """Squares asked for at no edge price no distance, and a sink move
+    still patches them to the moved graph's length and values."""
+    sc = layout(200, 200, (100, 100), [(95.0, 100.0), (0.0, 0.0)], 10.0)
+    g = v.build_reachability(sc.points(), sc.sensing_range)
+    assert g.squares(np.array([], dtype=np.int64)).size == 0
+    sc.field = v.Field(200, 200, 50.0, 50.0)
+    g.move_sink((50.0, 50.0))  # out of range: the sink loses its edges
+    assert_edge_arrays_fresh(sc, g, RADIOS[0])
+
+
+def test_builds_price_each_edge_once(monkeypatch):
+    """A forwarding build prices only the edges it reads, fewer than the
+    graph has; an mmevbt build after it prices the rest and none again."""
+    calls, scalar = [], math.hypot
+
+    def hypot(*xy):
+        calls.append(xy)
+        return scalar(*xy)
+
+    sc = v.make_scenario(v.ExperimentConfig(n_nodes=300), 3, 20.0)
+    g, state = graph_and_state(sc)
+    tree, stranded = v.build_min_cover(g, state, v.DEFAULT_TH)
+    assert not stranded.size and len(tree) > 1
+    monkeypatch.setattr(math, "hypot", hypot)
+    rows, stranded = v.build_forwarding_problem(g, state, tree,
+                                                v.DEFAULT_TH,
+                                                v.FitnessParams())
+    assert not stranded.size
+    assert len(rows.edges) <= len(calls) < len(g.nbrs)
+    v.build_mmevbt(g, state, v.RadioParams(), v.DEFAULT_TH)
+    assert len(calls) == len(g.nbrs)
 
 
 def test_tx_costs_are_scalar_tx_cost_of_each_distance():
