@@ -46,7 +46,7 @@ from .model import (
     is_connected_to_sink,
 )
 from .scenario_io import ScenarioFormatError, read_scenario, write_scenario
-from .simulate import LifetimeMetrics, compare_load_spread, run_simulation
+from .simulate import LifetimeMetrics, run_simulation
 from .sweeps import (
     attempt_seed,
     make_scenario,

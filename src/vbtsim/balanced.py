@@ -41,9 +41,9 @@ def select_parent(probabilities: Sequence[float], rng: np.random.Generator) -> i
     R, uniform in [0,1) (the scan's R < acc).
 
     The last sum never bounds a draw, so rounding that leaves it just
-    below 1 lands its slack on the last interval. The round loop and
-    compare_load_spread bisect each row of a route table's sums in place
-    with the same bounds.
+    below 1 lands its slack on the last interval. The round loop (and
+    compare_load_spread in tests/oracles.py) bisects each row of a route
+    table's sums in place with the same bounds.
     """
     cumulative = list(itertools.accumulate(probabilities))
     return bisect_right(cumulative, rng.random(), 0, len(cumulative) - 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -118,7 +119,7 @@ class ReachabilityGraph:
     def out_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The edges of the given rows, row after row, and each one's row."""
         edges, counts = csr_positions(self.indptr, rows)
-        return np.repeat(rows, counts), edges
+        return rows.repeat(counts), edges
 
     def distances(self, edges: Optional[np.ndarray] = None) -> np.ndarray:
         """Per edge, the distance from its row vertex to nbrs[k]; given
@@ -166,10 +167,12 @@ class ReachabilityGraph:
 
     def _hypot(self, edges: Optional[np.ndarray]) -> np.ndarray:
         """The distances of the given edges (None: all), by math.hypot."""
-        if edges is None:
-            edges = np.arange(len(self.nbrs))
         xs, ys = self.points.T
-        src, dst = self.edge_rows(edges), self.nbrs[edges]
+        if edges is None:
+            src = np.repeat(np.arange(len(xs)), np.diff(self.indptr))
+            dst = self.nbrs
+        else:
+            src, dst = self.edge_rows(edges), self.nbrs[edges]
         return _per_edge(math.hypot, xs[src] - xs[dst], ys[src] - ys[dst])
 
     def move_sink(self, sink_pos: tuple[float, float]) -> None:
@@ -236,9 +239,9 @@ def csr_positions(indptr: np.ndarray,
     each row's entry count."""
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     at = np.arange(ends[-1] if len(ends) else 0)
-    at += np.repeat(starts - ends + counts, counts)
+    at += (starts - ends + counts).repeat(counts)
     return at, counts
 
 
@@ -246,16 +249,18 @@ def _squares(dist: np.ndarray) -> np.ndarray:
     """Each distance squared by libm pow, as tx_cost's distance**2
     computes it; a numpy square is d*d, which differs from it in the
     last bit for some distances."""
-    return _per_edge(math.pow, dist, np.broadcast_to(2.0, dist.shape))
+    return _per_edge(math.pow, dist, 2.0)
 
 
-def _per_edge(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
-    """fn over the Python floats of aligned arrays, a block at a time,
-    so no list of every edge's floats is ever held."""
+def _per_edge(fn: Callable[..., float], *columns) -> np.ndarray:
+    """fn over the Python floats of aligned arrays, or a float that every
+    edge shares, a block at a time, so no list of every edge's floats is
+    ever held."""
     out = np.empty(len(columns[0]))
     for lo in range(0, len(out), _BLOCK):
-        out[lo:lo + _BLOCK] = list(map(
-            fn, *(c[lo:lo + _BLOCK].tolist() for c in columns)))
+        out[lo:lo + _BLOCK] = list(map(fn, *(
+            c[lo:lo + _BLOCK].tolist() if isinstance(c, np.ndarray)
+            else repeat(c) for c in columns)))
     return out
 
 

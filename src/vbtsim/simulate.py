@@ -18,25 +18,28 @@ only falls, so a node dies or loses eligibility exactly when a debit
 takes it below the floor or th, and a rebuild is due exactly then.
 
 Every build fills one route table (_Router), in which a fixed parent
-(mmevbt, min_cover_best_parent) is a row with one candidate. A
-fixed-parent round gathers its origins' padded route rows in one 2-D
-read. A balanced table walks its packets in Python, reading uniforms in
-order from one stream (_Uniforms): the origin draws are a slice of it,
-and each hop uses up the next value.
+(mmevbt, min_cover_best_parent) is a row with one candidate. Between
+rebuilds a fixed-parent route changes in nothing but whether its origin
+sends, so its table lays out each node's route once, as a padded row of
+senders and one of their charges; a round gathers its origins' rows of
+both and masks the padding once. A balanced table walks its packets in
+Python, reading uniforms in order from one stream (_Uniforms): the
+origin draws are a slice of it, and each hop uses up the next value.
 
-Both route paths feed one kernel (_charge): the senders packet by packet
-and hop by hop, a relay's receive cost just before its transmit cost,
-the order in which the reference loop charges them. Weighted np.bincount
-adds each node's charges one by one in that order, the same left fold,
-so every float is bit-identical; the round total is an np.cumsum over
-the nodes in first-touch order, which the hop order gives, a left fold
-(never sum(), which compensates from Python 3.12 on). A
-balanced round folds its origins' selection probabilities, read from the
-table's rows, into the run's expected loads with one weighted
-np.bincount led by those totals: per tree node 0 + total + p1 + ..., the
-left fold of a per-packet loop. A direct-to-sink packet adds to a sink
-entry that the run drops. A fixed-parent packet adds exactly 1.0 to its
-first hop: there the loads are the counts.
+Both route paths feed one kernel (_charge) the same pair: the senders
+packet by packet and hop by hop, and each one's receive cost (0.0 at an
+origin) just before its transmit cost, the order in which the reference
+loop charges them. Weighted np.bincount adds each node's charges one by
+one in that order, the same left fold, so every float is bit-identical;
+the round total is an np.cumsum over the nodes in first-touch order,
+which the hop order gives, a left fold (never sum(), which compensates
+from Python 3.12 on). A balanced round folds its origins' selection
+probabilities, read from the table's rows, into the run's expected
+loads with one weighted np.bincount led by those totals: per tree node
+0 + total + p1 + ..., the left fold of a per-packet loop. A
+direct-to-sink packet adds to a sink entry that the run drops. A
+fixed-parent packet adds exactly 1.0 to its first hop: there the loads
+are the counts.
 
 The event log (EventLog) keeps each round's packets as arrays, which its
 writer formats in groups of rounds with one gather of tokens each: the
@@ -46,7 +49,7 @@ round loop builds no string or tuple per packet.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, TextIO
 
 import numpy as np
@@ -86,8 +89,9 @@ class LifetimeMetrics:
 
 class EventLog:
     """A run's rows in run order: a CSV line per event, and per round
-    a block (round, origins, senders, starts) of its packets' senders,
-    packet after packet and the sink left out, and where each starts."""
+    a block (round, origins, senders, counts) of its packets' senders,
+    packet after packet and the sink left out, and each packet's hop
+    count."""
 
     def __init__(self) -> None:
         self.rows: list[str | tuple] = []
@@ -97,8 +101,8 @@ class EventLog:
         self.rows.append(f"{round_no},{event},{node},{detail}\n")
 
     def add_packets(self, round_no: int, origins: np.ndarray,
-                    senders: np.ndarray, starts: np.ndarray) -> None:
-        self.rows.append((round_no, origins, senders.astype(np.int32), starts))
+                    senders: np.ndarray, counts: np.ndarray) -> None:
+        self.rows.append((round_no, origins, senders.astype(np.int32), counts))
 
     def write(self, fh: TextIO) -> None:
         """Write the rows, packets in groups of rounds, each group ended
@@ -122,13 +126,14 @@ def _packet_rows(group: list, tokens: list[str]) -> str:
     """The blocks' packet rows from tokens "i>" (i), "-1\n" (n), "i,"
     (n + 1 + i) and, after those, each block's "r,packet,". At a first
     sender go the previous sink, the round and the origin, in order."""
-    rounds, origins, senders, starts = zip(*group)
-    offsets = np.cumsum([0, *map(len, senders)])
-    starts = np.concatenate([s + k for s, k in zip(starts, offsets)])
+    rounds, origins, senders, counts = zip(*group)
+    counts = np.concatenate(counts)
+    ends = np.cumsum(counts)
+    starts = ends - counts
     sink, prefix = len(tokens) // 2, len(tokens) + np.arange(len(group))
     # np.insert keeps the given order at equal positions
     at = np.insert(np.concatenate(senders), np.concatenate(
-        (np.append(starts, offsets[-1])[1:], starts, starts)), np.concatenate(
+        (ends, starts, starts)), np.concatenate(
         (np.full(len(starts), sink), np.repeat(prefix, list(map(len, origins))),
          sink + 1 + np.concatenate(origins))))
     return "".join(np.array([*tokens, *(f"{r},packet," for r in rounds)],
@@ -176,7 +181,8 @@ class _Router:
     Slot s, a position in the build's candidate edges, is the hop from
     sender[s] to head[s] (the sink is vertex n, the node count) at cost
     slot_tx[s], energy.tx_costs of the graph's squares() at the slots,
-    which prices only those; node i's slots are slot_ptr[i] <= s <
+    which prices only those, and slot_charges[s] is its (receive,
+    transmit) pair as one complex; node i's slots are slot_ptr[i] <= s <
     slot_ptr[i + 1]. mmevbt and min_cover_best_parent give each routed
     node one candidate, balanced_probabilistic all of them, with
     selection probability slot_p[s] and cumulative sum cums[s] along the
@@ -185,10 +191,14 @@ class _Router:
     with one is forced.
 
     In a fixed-parent table every routed node is forced, and a packet is
-    its origin's row of paths, an (n + 1) x depth matrix: row i lists
-    the slots node i takes to the sink and length[i] of them, -1 past
-    that (the whole row at an unrouted node and the sink). route() reads
-    a round's hops as one 2-D gather of those rows.
+    its origin's row of two (n + 1) x depth matrices. Row i of
+    sender_rows lists the senders of the length[i] hops node i's packet
+    takes to the sink, -1 past them (the whole row at an unrouted node
+    and the sink). Row i of charge_rows holds each of those hops'
+    (receive, transmit) charges as one complex, 0.0 received at the
+    first, the origin's own hop, and 0 past them. first_head[i] is the
+    head of node i's first hop. route() gathers a round's origins' rows
+    of both matrices and masks the padding once.
 
     A balanced table walks (route() reads its walk lists, and max_draws
     bounds its longest path to the sink). Row r of its CSR table is
@@ -249,7 +259,8 @@ class _Router:
               draws: Optional[tuple[np.ndarray, np.ndarray, int]] = None
               ) -> None:
         """The table of candidate edges, senders ascending. A fixed-parent
-        table spreads the chased chains into its route rows (paths, length).
+        table lays out the chased chains as its route rows (sender_rows,
+        charge_rows, first_head, length).
         A balanced build gives draws, its CandidateArrays.draws() and
         max_draws; its table packs the chains into the CSR chain and gets
         the walk lists (lengths, stops, heads, starts, cums): each node's
@@ -266,20 +277,35 @@ class _Router:
         # after each slot: -1 at a draw node or the sink, and after -1
         forced = np.full(n + 1, -1)
         ids = np.flatnonzero(np.diff(self.slot_ptr) == 1)
-        forced[ids] = slot = self.slot_ptr[ids]
+        forced[ids] = self.slot_ptr[ids]
         after = np.append(forced[head], -1)
-        # chase every chain at once: row k of steps holds each one's k-th
+        # chase the chains at once, row r of steps listing the slots chain
+        # r takes, -1 past its end: a balanced table's forced nodes' chains,
+        # which its CSR array packs, a fixed-parent table's every vertex's,
+        # so that its route rows are by node id
+        chased = ids if draws is not None else np.arange(n + 1)
+        slot = forced[chased]
         steps = [slot]
         while (slot := after[slot]).max(initial=-1) >= 0:
             steps.append(slot)
         steps = np.array(steps).T
         taken = steps >= 0
         length = np.zeros(n + 1, dtype=np.int64)
-        length[ids] = taken.sum(axis=1)
+        length[chased] = taken.sum(axis=1)
+        # each slot's (receive, transmit) charges as one complex, so that
+        # a gather of them views as those floats in that order
+        self.slot_charges = np.empty(len(edges), dtype=complex)
+        self.slot_charges.real = rx_cost(self.config.radio)
+        self.slot_charges.imag = self.slot_tx
         if draws is None:
-            # every routed node is forced: its chain is its whole route
-            self.paths = np.full((n + 1, steps.shape[1]), -1)
-            self.paths[ids] = steps
+            # every routed node is forced: its chain is its whole route,
+            # laid out as its senders and their charges (-1 and 0 past its
+            # end, the appended entries); an origin receives nothing
+            steps = steps.copy()  # row by row, as a round gathers them
+            self.sender_rows = np.append(self.sender, -1)[steps]
+            self.charge_rows = np.append(self.slot_charges, 0)[steps]
+            self.charge_rows.real[:, 0] = 0.0
+            self.first_head = np.append(head, -1)[forced]
             self.length = length
             return
         ptr = np.concatenate(([0], np.cumsum(length)))
@@ -294,16 +320,25 @@ class _Router:
         self.heads = head.tolist()
         self.starts, self.cums = self.slot_ptr.tolist(), cums.tolist()
 
-    def route(self, origins: np.ndarray,
-              stream: _Uniforms) -> tuple[np.ndarray, np.ndarray]:
-        """The slots of one packet from each origin, packet by packet and
-        hop by hop, and the index of each packet's first slot."""
+    def route(self, origins: np.ndarray, stream: _Uniforms
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One packet from each origin: the senders, packet by packet and
+        hop by hop, their (receive, transmit) charges as _charge reads
+        them, and per packet its hop count and first hop's head."""
         if not self.balanced:
-            rows, count = self.paths[origins], self.length[origins]
-            return rows[rows >= 0], np.cumsum(count) - count
+            rows = self.sender_rows[origins]
+            taken = rows >= 0
+            return (rows[taken], self.charge_rows[origins][taken].view(float),
+                    self.length[origins], self.first_head[origins])
         rows, firsts = self._walk(origins, stream)
         at, count = csr_positions(self.chain_ptr, rows)
-        return self.chain[at], (np.cumsum(count) - count)[firsts]
+        hops = self.chain[at]
+        starts = (np.cumsum(count) - count)[firsts]
+        charges = self.slot_charges[hops]
+        charges.real[starts] = 0.0  # an origin receives nothing
+        counts = np.concatenate((starts[1:], [len(hops)])) - starts
+        return (self.sender[hops], charges.view(float), counts,
+                self.head[hops[starts]])
 
     def _walk(self, origins: np.ndarray,
               stream: _Uniforms) -> tuple[np.ndarray, list[int]]:
@@ -333,30 +368,25 @@ class _Router:
         return np.array(rows, dtype=np.int64), firsts
 
 
-def _charge(energy: np.ndarray, senders: np.ndarray, tx: np.ndarray,
-            first: np.ndarray, rx: float, th: float,
-            floor: float) -> tuple[list[int], bool, float]:
+def _charge(energy: np.ndarray, senders: np.ndarray, charges: np.ndarray,
+            th: float, floor: float) -> tuple[list[int], bool, float]:
     """Charge one round's hops, packet by packet and hop by hop.
 
-    Sender k is charged 0.0 if it is its packet's origin (k in first),
-    else rx, and then tx[k]. The senders are live nodes, each holding at
-    least floor; each drains its charges, or all it holds if less.
-    Returns those now below floor, the round's deaths, ascending; whether
-    any node fell below th; and the energy drained, folded in first-touch
-    order (a left fold).
+    Sender k is charged charges[2k], its receive cost (0.0 at an origin),
+    and then charges[2k + 1], its transmit cost. The senders are live
+    nodes, each holding at least floor; each drains its charges, or all
+    it holds if less. Returns those now below floor, the round's deaths,
+    ascending; whether any node fell below th; and the energy drained,
+    folded in first-touch order (a left fold).
     """
     position = np.arange(senders.size)
-    charges = np.empty((senders.size, 2))
-    charges[:, 0] = rx
-    charges[first, 0] = 0.0
-    charges[:, 1] = tx
-    spend = np.bincount(np.repeat(senders, 2), charges.ravel())
+    spend = np.bincount(senders.repeat(2), charges)
     at = np.full(len(energy), senders.size)  # each node's first position
     np.minimum.at(at, senders, position)
     ids = senders[at[senders] == position]  # in first-touch order
     before = energy[ids]
     drained = np.minimum(spend[ids], before)
-    total = np.cumsum(drained)
+    total = drained.cumsum()
     energy[ids] = after = before - drained
     dead = ids[after < floor]
     return (np.sort(dead).tolist() if dead.size else [],
@@ -383,7 +413,6 @@ def run_simulation(scenario: Scenario, config: ExperimentConfig,
     stream = _Uniforms(np.random.default_rng(config.base_seed))
     n_total = len(scenario.xy)
     th, floor = policy.th, policy.floor
-    rx = rx_cost(config.radio)
     metrics = LifetimeMetrics()
     # written in place by the rounds; a node below floor starts failed,
     # with no death logged
@@ -407,16 +436,13 @@ def run_simulation(scenario: Scenario, config: ExperimentConfig,
         origins = alive[draws < traffic.origin_probability]
 
         # routes all reflect start-of-round energies; debits land afterwards
-        hops, starts = router.route(origins, stream)
-        senders = router.sender[hops]
+        senders, charges, counts, heads = router.route(origins, stream)
         # only a node that spent can die or lose relay eligibility
-        dead, flipped, spent = _charge(energy, senders, router.slot_tx[hops],
-                                       starts, rx, th, floor)
+        dead, flipped, spent = _charge(energy, senders, charges, th, floor)
         metrics.total_energy_consumed += spent
-        first_hops += np.bincount(router.head[hops[starts]],
-                                  minlength=n_total + 1)
+        first_hops += np.bincount(heads, minlength=n_total + 1)
         if event_log is not None:
-            event_log.add_packets(round_no, origins, senders, starts)
+            event_log.add_packets(round_no, origins, senders, counts)
         if router.balanced:
             # per tree node 0.0 + its total so far + each p as drawn
             at, _ = csr_positions(router.slot_ptr, origins)
@@ -476,44 +502,3 @@ def run_simulation(scenario: Scenario, config: ExperimentConfig,
     metrics.tree_load_expected = dict(zip(ids.tolist(),
                                           expected[ids].tolist()))
     return metrics
-
-
-def compare_load_spread(scenario: Scenario,
-                        config: ExperimentConfig) -> tuple[int, int]:
-    """Busiest-parent packet counts: probabilistic vs fixed best-fitness.
-
-    Both policies see identical config.traffic over the same frozen
-    backbone (no energy drain, so fitness never shifts): origins drawn
-    with seed config.base_seed, picks with base_seed + 1. Every packet
-    charges its origin's chosen parent; returns each policy's maximum
-    per-tree-node count. Direct-to-sink deliveries burden no tree node
-    and count for neither policy. Both read the route tables a run of
-    config builds, balanced and best-parent, over one cover and one
-    forwarding problem.
-    """
-    config.validate()
-    traffic = config.traffic
-    rng_origin = np.random.default_rng(config.base_seed)
-    rng_pick = np.random.default_rng(config.base_seed + 1)
-    state = scenario.state(config.policy.floor)
-    graph = build_reachability(scenario.points(), scenario.sensing_range)
-    draw, best = [_Router(replace(config, algorithm=a))
-                  for a in ("balanced_probabilistic", "min_cover_best_parent")]
-    _routed(draw.rebuild(graph, state))
-    # the problem a best-parent rebuild over this state would build
-    best.fill_candidates(graph, draw.candidates)
-    # every live node has a row, whose draw _walk bisects as these do
-    cums, starts = draw.cums, draw.starts
-    alive, n = np.flatnonzero(state[1]), len(state[0])
-    count = np.zeros((2, n + 1), dtype=np.int64)  # the sink is vertex n
-    for _ in range(traffic.rounds_max):
-        origins = alive[rng_origin.random(len(alive))
-                        < traffic.origin_probability]
-        picks = [bisect_right(cums, r, starts[u], starts[u + 1] - 1)
-                 for u, r in zip(origins.tolist(),
-                                 rng_pick.random(len(origins)).tolist())]
-        count[0] += np.bincount(draw.head[picks], minlength=n + 1)
-        count[1] += np.bincount(best.head[best.slot_ptr[origins]],
-                                minlength=n + 1)
-    mc_prob, mc_det = count[:, :n].max(axis=1, initial=0).tolist()
-    return mc_prob, mc_det

@@ -186,15 +186,18 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig, out_dir: str,
                 len(scenario.xy), metrics.first_node_death_round,
                 metrics.rounds_until_disconnect, metrics.reconstructions,
                 metrics.total_energy_consumed]])
-    write_csv(paths[1], config, ["seed", "round", "alive_fraction"],
-              [[config.base_seed, rnd, frac]
-               for rnd, frac in metrics.alive_fraction_curve])
-    load_ids = sorted(set(metrics.tree_load_counts)
-                      | set(metrics.tree_load_expected))
-    write_csv(paths[2], config,
-              ["tree_node_id", "realized_count", "expected_count"],
-              [[i, metrics.tree_load_counts.get(i, 0),
-                metrics.tree_load_expected.get(i, 0.0)] for i in load_ids])
+    # a run's curve and loads are Python ints and floats, which _fmt
+    # writes as str and repr: each row's f-string writes _fmt's bytes
+    seed = _fmt(config.base_seed)
+    with _csv_file(paths[1], config,
+                   ["seed", "round", "alive_fraction"]) as fh:
+        fh.writelines(f"{seed},{rnd},{frac!r}\n"
+                      for rnd, frac in metrics.alive_fraction_curve)
+    counts, expected = metrics.tree_load_counts, metrics.tree_load_expected
+    with _csv_file(paths[2], config,
+                   ["tree_node_id", "realized_count", "expected_count"]) as fh:
+        fh.writelines(f"{i},{counts.get(i, 0)},{expected.get(i, 0.0)!r}\n"
+                      for i in sorted(counts.keys() | expected.keys()))
     if events is not None:
         with _csv_file(paths[3], config,
                        ["round", "event", "node", "detail"]) as fh:

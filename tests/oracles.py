@@ -23,7 +23,9 @@ covered node after each pick, and cover_map labels a cover's live
 nodes. reference_hop_levels is the level BFS as an edge rescan: every
 masked edge is read again at every level. reference_compare_load_spread
 is the load-spread comparison over a build's per-node dicts, one
-select_parent per packet.
+select_parent per packet. compare_load_spread, the comparison it checks,
+has no caller in the package and lives here beside it; it alone reads
+the package's route tables (simulate._Router), which it is pinned to.
 tree_dicts, tree_nodes and candidate_dicts read a build's arrays as
 the per-node dicts the references return, and routed turns a build's
 stranded ids into the ConstructionFailed the references raise.
@@ -51,6 +53,7 @@ import io
 import itertools
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -80,6 +83,7 @@ from vbtsim import (
     selection_probabilities,
     tx_cost,
 )
+from vbtsim import simulate
 
 
 class NodeStatus(Enum):
@@ -710,6 +714,47 @@ def reference_compare_load_spread(scenario, rounds, seed, *, th=DEFAULT_TH,
                 count_det[pick] = count_det.get(pick, 0) + 1
     mc_prob = max(count_prob.values(), default=0)
     mc_det = max(count_det.values(), default=0)
+    return mc_prob, mc_det
+
+
+def compare_load_spread(scenario, config):
+    """Busiest-parent packet counts: probabilistic vs fixed best-fitness.
+
+    Both policies see identical config.traffic over the same frozen
+    backbone (no energy drain, so fitness never shifts): origins drawn
+    with seed config.base_seed, picks with base_seed + 1. Every packet
+    charges its origin's chosen parent; returns each policy's maximum
+    per-tree-node count. Direct-to-sink deliveries burden no tree node
+    and count for neither policy. Both read the route tables a run of
+    config builds, balanced and best-parent, over one cover and one
+    forwarding problem.
+    """
+    config.validate()
+    traffic = config.traffic
+    rng_origin = np.random.default_rng(config.base_seed)
+    rng_pick = np.random.default_rng(config.base_seed + 1)
+    state = scenario.state(config.policy.floor)
+    graph = build_reachability(scenario.points(), scenario.sensing_range)
+    draw, best = [simulate._Router(replace(config, algorithm=a))
+                  for a in ("balanced_probabilistic", "min_cover_best_parent")]
+    stranded = draw.rebuild(graph, state)
+    if stranded.size:
+        raise ConstructionFailed(stranded.tolist())
+    # the problem a best-parent rebuild over this state would build
+    best.fill_candidates(graph, draw.candidates)
+    # every live node has a row, whose draw _walk bisects as these do
+    cums, starts = draw.cums, draw.starts
+    alive, n = np.flatnonzero(state[1]), len(state[0])
+    count = np.zeros((2, n + 1), dtype=np.int64)  # the sink is vertex n
+    for _ in range(traffic.rounds_max):
+        origins = alive[rng_origin.random(len(alive))
+                        < traffic.origin_probability]
+        picks = [bisect_right(cums, r, starts[u], starts[u + 1] - 1)
+                 for u, r in zip(origins.tolist(),
+                                 rng_pick.random(len(origins)).tolist())]
+        count[0] += np.bincount(draw.head[picks], minlength=n + 1)
+        count[1] += np.bincount(best.first_head[origins], minlength=n + 1)
+    mc_prob, mc_det = count[:, :n].max(axis=1, initial=0).tolist()
     return mc_prob, mc_det
 
 

@@ -20,6 +20,7 @@ from oracles import (
     bellman_ford_consumption,
     brute_force_min_max,
     candidate_dicts,
+    compare_load_spread,
     cover_map,
     expected_loads,
     graph_and_state,
@@ -308,7 +309,7 @@ def test_criterion_7_lifetime_direction():
     while comparisons < 30 and seed < 300:
         sc = _clustered_scenario(seed)
         try:
-            mc_prob, mc_det = v.compare_load_spread(sc, v.ExperimentConfig(
+            mc_prob, mc_det = compare_load_spread(sc, v.ExperimentConfig(
                 base_seed=seed + 1, traffic=v.TrafficModel(1.0, 20)))
         except v.ConstructionFailed:
             seed += 1

@@ -8,10 +8,12 @@ import types
 from pathlib import Path
 
 import vbtsim
+from oracles import compare_load_spread
 from vbtsim import simulate
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(vbtsim.__file__).parent
+ORACLES = Path(__file__).with_name("oracles.py")
 
 PUBLIC = {
     "ALGORITHMS", "BETA_MIN", "DEFAULT_E_AMP", "DEFAULT_E_ELEC",
@@ -21,8 +23,7 @@ PUBLIC = {
     "ReachabilityGraph", "Scenario", "ScenarioFormatError", "SimPolicy",
     "TrafficModel", "apply_setting", "attempt_seed",
     "build_forwarding_problem", "build_min_cover", "build_mmevbt",
-    "build_reachability", "compare_load_spread",
-    "deploy_uniform", "distance", "is_connected_to_sink",
+    "build_reachability", "deploy_uniform", "distance", "is_connected_to_sink",
     "load_config", "make_scenario", "min_max_load_exact",
     "parse_config_text", "read_scenario", "relocate_sink", "run_scenario",
     "run_simulation", "rx_cost", "select_parent", "selection_probabilities",
@@ -36,14 +37,14 @@ def test_public_names_are_pinned():
     names = {name for name, obj in vars(vbtsim).items()
              if not name.startswith("_")
              and not isinstance(obj, types.ModuleType)}
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 44
     assert names == PUBLIC
 
 
 def test_oracles_import_no_private_package_name():
     """The references in tests/oracles.py stay independent: they import
     no _-prefixed module or name from vbtsim."""
-    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    tree = ast.parse(ORACLES.read_text())
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -72,8 +73,8 @@ def test_no_function_imports_a_module():
 
 def test_construction_failed_has_one_raise_and_one_catch():
     """Each build returns the live nodes it strands, so only simulate
-    raises ConstructionFailed (a run's first build, compare_load_spread)
-    and only cli catches it (exit code 2)."""
+    raises ConstructionFailed (a run's first build) and only cli catches
+    it (exit code 2)."""
     def names(expr):
         return {getattr(n, "id", getattr(n, "attr", None))
                 for n in ast.walk(expr)}
@@ -93,9 +94,9 @@ def test_construction_failed_has_one_raise_and_one_catch():
 
 def test_one_home_for_the_hop_cost_and_the_balanced_draw():
     """The graph is geometry only: model.py knows no radio and prices no
-    edge, energy.tx_costs does. compare_load_spread reads the route
-    tables a run builds: it calls no backbone build, and neither draws()
-    nor best_edges() of a build's candidates, itself."""
+    edge, energy.tx_costs does. compare_load_spread, in tests/oracles.py,
+    reads the route tables a run builds: it calls no backbone build, and
+    neither draws() nor best_edges() of a build's candidates, itself."""
     def tree(name):
         return ast.parse((PACKAGE / name).read_text())
 
@@ -106,7 +107,7 @@ def test_one_home_for_the_hop_cost_and_the_balanced_draw():
                if isinstance(node, ast.FunctionDef)}
     assert "RadioParams" not in imported
     assert "edge_tx" not in defined
-    compare, = [node for node in tree("simulate.py").body
+    compare, = [node for node in ast.parse(ORACLES.read_text()).body
                 if isinstance(node, ast.FunctionDef)
                 and node.name == "compare_load_spread"]
     called = {getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -116,15 +117,16 @@ def test_one_home_for_the_hop_cost_and_the_balanced_draw():
 
 
 def test_runs_take_their_experiment_config():
-    """A run, the load-spread comparison and the route table take the one
-    ExperimentConfig, which validates itself, not its fields one by one:
-    simulate imports no section from config and checks no seed itself."""
+    """A run, the load-spread comparison (in tests/oracles.py) and the
+    route table take the one ExperimentConfig, which validates itself,
+    not its fields one by one: simulate imports no section from config
+    and checks no seed itself."""
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
     assert params(simulate.run_simulation) == ["scenario", "config",
                                                "event_log"]
-    assert params(simulate.compare_load_spread) == ["scenario", "config"]
+    assert params(compare_load_spread) == ["scenario", "config"]
     assert params(simulate._Router.__init__) == ["self", "config"]
     tree = ast.parse((PACKAGE / "simulate.py").read_text())
     imported = [a.name for node in tree.body

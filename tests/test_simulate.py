@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import vbtsim as v
 from oracles import (ReferenceProblem, best_parent, candidate_dicts,
-                     event_rows, graph_and_state, positions,
-                     reference_compare_load_spread,
+                     compare_load_spread, event_rows, graph_and_state,
+                     positions, reference_compare_load_spread,
                      reference_forwarding_problem, reference_min_cover,
                      reference_mmevbt, reference_relocate_sink,
                      reference_run_simulation, routed,
@@ -133,7 +133,7 @@ def test_runs_leave_the_input_scenario_unchanged(algo):
     config = cfg(algo, v.TrafficModel(0.5, 200), policy, 2, 0.01)
     m = v.run_simulation(sc, config)
     assert m.first_node_death_round is not None
-    v.compare_load_spread(sc, replace(config, traffic=v.TrafficModel(1.0, 5)))
+    compare_load_spread(sc, replace(config, traffic=v.TrafficModel(1.0, 5)))
     assert arrays_of(sc) == before
     assert sc.field.sink_pos == (100, 100)
 
@@ -309,7 +309,7 @@ def test_failed_relocation_reverts_and_sim_continues():
 def test_compare_load_spread_forced_single_tree_node():
     coords = [(100, 85), (100, 95), (90, 95)]
     sc = scenario_from(coords, range_m=10)
-    mc_prob, mc_det = v.compare_load_spread(
+    mc_prob, mc_det = compare_load_spread(
         sc, cfg(traffic=v.TrafficModel(1.0, 5), seed=3))
     assert mc_prob == mc_det == 10  # nodes 0 and 2 send via node 1 every round
 
@@ -340,12 +340,12 @@ def test_ten_clients_split_between_equal_gateways():
     # deterministic best-fitness forwarding dumps all ten clients plus one
     # satellite on gateway 10; the probabilistic policy splits binomially
     config = cfg(traffic=v.TrafficModel(1.0, 1))
-    mc_prob, mc_det = v.compare_load_spread(sc, config)
+    mc_prob, mc_det = compare_load_spread(sc, config)
     assert mc_det == 11
     wins = 0
     means = []
     for seed in range(100):
-        mc_p, mc_d = v.compare_load_spread(sc, replace(config, base_seed=seed))
+        mc_p, mc_d = compare_load_spread(sc, replace(config, base_seed=seed))
         assert mc_d == 11
         means.append(mc_p)
         if mc_p < mc_d:
@@ -359,13 +359,13 @@ def test_ten_clients_split_between_equal_gateways():
 def test_compare_load_spread_deterministic_per_seed():
     sc = ten_client_two_gateway_scenario()
     config = cfg(traffic=v.TrafficModel(1.0, 7), seed=5)
-    assert v.compare_load_spread(sc, config) == \
-        v.compare_load_spread(sc, config)
+    assert compare_load_spread(sc, config) == \
+        compare_load_spread(sc, config)
 
 
 def test_compare_respects_origin_probability():
     sc = ten_client_two_gateway_scenario()
-    mc_prob, mc_det = v.compare_load_spread(
+    mc_prob, mc_det = compare_load_spread(
         sc, cfg(traffic=v.TrafficModel(0.0, 50), seed=1))
     assert mc_prob == mc_det == 0
 
@@ -377,8 +377,8 @@ def test_compare_respects_origin_probability():
 ], ids=["th<0", "origin_p>1", "origin_p<0", "rounds<0"])
 def test_compare_load_spread_rejects_bad_values(policy, traffic):
     with pytest.raises(ValueError):
-        v.compare_load_spread(ten_client_two_gateway_scenario(),
-                              cfg(traffic=traffic, policy=policy, seed=1))
+        compare_load_spread(ten_client_two_gateway_scenario(),
+                            cfg(traffic=traffic, policy=policy, seed=1))
 
 
 def run_ten(seed=1, **fields):
@@ -405,8 +405,8 @@ def all_failed_scenario():
     (lambda: relocate(ten_client_two_gateway_scenario(), max_step=-1.0),
      "policy.max_step"),
     (lambda: run_ten(seed=-1), "base_seed must be >= 0"),
-    (lambda: v.compare_load_spread(ten_client_two_gateway_scenario(),
-                                   cfg(seed=-1)), "base_seed must be >= 0"),
+    (lambda: compare_load_spread(ten_client_two_gateway_scenario(),
+                                 cfg(seed=-1)), "base_seed must be >= 0"),
     (lambda: v.run_simulation(scenario_from([], 30.0), cfg(seed=1)),
      "need at least one node"),
     (lambda: run_ten(fitness=v.FitnessParams(c1=math.nan)),
@@ -426,8 +426,8 @@ def all_failed_scenario():
     (lambda: EnergyParams(e_init=math.nan).validate(), "energy.e_init"),
     (lambda: run_ten(e_init=math.nan), "energy.e_init"),
     (lambda: run_ten(e_init=-1.0), "energy.e_init"),
-    (lambda: v.compare_load_spread(ten_client_two_gateway_scenario(),
-                                   cfg(e_init=math.nan)), "energy.e_init"),
+    (lambda: compare_load_spread(ten_client_two_gateway_scenario(),
+                                 cfg(e_init=math.nan)), "energy.e_init"),
 ], ids=["relocate-no-live-node", "relocate-grid-0", "relocate-max-step<0",
         "run-seed<0", "compare-seed<0", "run-no-nodes", "run-c1-nan",
         "run-e-elec-nan", "run-e-amp-inf", "run-max-step-nan",
@@ -515,7 +515,7 @@ def test_compare_load_spread_equals_dict_reference(
     fitness = v.FitnessParams(mode=mode)
     config = cfg(traffic=v.TrafficModel(origin_probability, rounds),
                  seed=seed, fitness=fitness)
-    got = spread_outcome(lambda: v.compare_load_spread(sc, config))
+    got = spread_outcome(lambda: compare_load_spread(sc, config))
     assert got == spread_outcome(lambda: reference_compare_load_spread(
         sc, rounds, seed, fitness_params=fitness,
         origin_probability=origin_probability))
@@ -533,8 +533,8 @@ def test_compare_load_spread_grows_one_cover(monkeypatch):
                             lambda *args, name=name, build=build:
                             calls.append(name) or build(*args))
     sc = ten_client_two_gateway_scenario()
-    got = v.compare_load_spread(sc, cfg(traffic=v.TrafficModel(1.0, 7),
-                                        seed=5))
+    got = compare_load_spread(sc, cfg(traffic=v.TrafficModel(1.0, 7),
+                                      seed=5))
     assert calls == ["build_min_cover", "build_forwarding_problem"]
     assert got == reference_compare_load_spread(sc, 7, 5)
 
@@ -757,17 +757,18 @@ def test_event_log_writes_rows_in_run_order_whatever_the_groups(monkeypatch):
     def ids(*values):
         return np.array(values, dtype=np.int64)
 
+    # per round: the origins, the senders and each packet's hop count
     log = simulate.EventLog()
-    log.add_packets(1, ids(3, 2), ids(3, 1, 2), ids(0, 2))
+    log.add_packets(1, ids(3, 2), ids(3, 1, 2), ids(2, 1))
     log.add_packets(2, ids(), ids(), ids())  # a round with no packets
-    log.add_packets(3, ids(0), ids(0, 3, 1), ids(0))
+    log.add_packets(3, ids(0), ids(0, 3, 1), ids(3))
     log.add_event(3, "death", 3)
     log.add_event(3, "rebuild", detail="eligibility")
-    log.add_packets(4, ids(1, 10), ids(1, 10, 2), ids(0, 1))
+    log.add_packets(4, ids(1, 10), ids(1, 10, 2), ids(1, 2))
     log.add_event(4, "relocate", detail="reverted")
-    log.add_packets(5, ids(2, 1), ids(2, 1), ids(0, 1))
-    log.add_packets(6, ids(10), ids(10), ids(0))
-    log.add_packets(7, ids(2), ids(2, 0), ids(0))
+    log.add_packets(5, ids(2, 1), ids(2, 1), ids(1, 1))
+    log.add_packets(6, ids(10), ids(10), ids(1))
+    log.add_packets(7, ids(2), ids(2, 0), ids(2))
     log.add_event(7, "disconnect", detail="0;10")
     expected = ("1,packet,3,3>1>-1\n1,packet,2,2>-1\n"
                 "3,packet,0,0>3>1>-1\n3,death,3,\n3,rebuild,-1,eligibility\n"
@@ -870,7 +871,7 @@ def assert_stranding_keeps_the_table(algo, sc, energy, live, stranded):
     assert router.rebuild(graph, state).tolist() == []
     table = dict(vars(router))
     rows = ({"chain", "chain_ptr"} if algo == "balanced_probabilistic"
-            else {"paths", "length"})
+            else {"sender_rows", "charge_rows", "first_head", "length"})
     assert {"sender", "head", "slot_tx", "slot_ptr", *rows} <= set(table)
     assert router.rebuild(graph, (energy, live)).tolist() == stranded
     assert vars(router).keys() == table.keys()
@@ -930,18 +931,72 @@ def test_fixed_parent_chains_follow_the_parents(algo, layout):
     router = fixed_parent_router(algo, sc)
     assert np.diff(router.slot_ptr).max() == 1
     n = len(sc.xy)
-    assert router.paths.shape[0] == n + 1 and (router.paths[n] < 0).all()
+    rows = router.sender_rows
+    assert rows.shape[0] == n + 1 and (rows[n] < 0).all()
+    assert router.first_head[n] == -1
     for i in range(n):
         want = [i]
         while want[-1] != v.SINK:
             want.append(parent[want[-1]])
-        row = router.paths[i]
-        path = row[:router.length[i]]
-        assert (path >= 0).all() and (row[router.length[i]:] < 0).all()
-        got = [i, *(v.SINK if h == n else h
-                    for h in router.head[path].tolist())]
+        row, k = rows[i], router.length[i]
+        assert (row[:k] >= 0).all() and (row[k:] < 0).all()
+        # each hop's head is the next hop's sender, the last one's the sink
+        got = [*row[:k].tolist(), v.SINK]
         assert got == want
-        assert router.sender[path].tolist() == want[:-1]
+        assert router.first_head[i] == (n if want[1] == v.SINK else want[1])
+    assert_route_rows_follow_the_slots(router)
+
+
+def assert_route_rows_follow_the_slots(router):
+    """A fixed-parent table's route rows, node by node, against their slot
+    by slot definition: the slots a node's packet takes to the sink, one
+    forced slot after another, are path; its sender row is sender[path],
+    its charge row [0.0 | rx, slot_tx[path]] (receive, transmit) pairs,
+    its first head head[path[0]], and past the path -1, 0.0 and -1."""
+    n, rx = router.sink, v.rx_cost(router.config.radio)
+    ptr = router.slot_ptr.tolist()
+    assert router.sender_rows.shape == router.charge_rows.shape
+    assert router.sender_rows.shape[0] == len(router.first_head) == n + 1
+    for i in range(n + 1):
+        path, u = [], i
+        while u != n and ptr[u + 1] - ptr[u] == 1:
+            path.append(ptr[u])
+            u = int(router.head[ptr[u]])
+        assert u == n or not path  # a routed node's path ends at the sink
+        k, pad = len(path), router.sender_rows.shape[1] - len(path)
+        assert router.length[i] == k
+        senders = router.sender_rows[i].tolist()
+        assert senders == router.sender[path].tolist() + [-1] * pad
+        charges = [x.hex() for x in router.charge_rows[i].view(float)]
+        want = [x for j, s in enumerate(path)
+                for x in (0.0 if j == 0 else rx, router.slot_tx[s])]
+        want += [0.0, 0.0] * pad
+        assert charges == [float(x).hex() for x in want]
+        assert router.first_head[i] == (router.head[path[0]] if path else -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=st.integers(0, 2**16), n=st.integers(1, 40),
+       range_m=st.sampled_from([30.0, 45.0, 70.0]),
+       algo=st.sampled_from(["mmevbt", "min_cover_best_parent"]),
+       energy=st.lists(st.sampled_from([2.0] * 4 + [0.3, TH, 0.1, 1e-4,
+                                                    0.0]),
+                       min_size=40, max_size=40),
+       target=st.tuples(st.floats(0, 100), st.floats(0, 100)))
+def test_route_rows_follow_the_slots_on_any_layout(layout, n, range_m, algo,
+                                                   energy, target):
+    # drained, failed and ineligible nodes; each table filled before and
+    # after the sink move is checked
+    field = v.Field(100, 100, 50, 50)
+    sc = scenario_from(v.deploy_uniform(field, n, layout), range_m,
+                       energy[:n], field)
+    graph, state = graph_and_state(sc)
+    router = simulate._Router(cfg(algo))
+    for move in (False, True):
+        if move:
+            graph.move_sink(target)
+        if not router.rebuild(graph, state).size:
+            assert_route_rows_follow_the_slots(router)
 
 
 def line_scenario(n=60):
@@ -960,8 +1015,9 @@ def test_deep_route_rows_equal_reference(algo):
     sc = line_scenario()
     if algo != "balanced_probabilistic":
         router = fixed_parent_router(algo, sc)
-        assert router.paths.shape == (61, 59)
+        assert router.sender_rows.shape == router.charge_rows.shape == (61, 59)
         assert router.length.tolist() == [1, *range(1, 60), 0]
+        assert_route_rows_follow_the_slots(router)
     policy = v.SimPolicy(th=0.02, t_move=0)
     new, ref = run_both(sc, cfg(algo, v.TrafficModel(0.1, 300), policy, 3,
                                 0.2))
@@ -1083,8 +1139,10 @@ def test_charge_equals_a_per_hop_loop(case):
     flipped = any(before[i] >= th > want_energy[i] for i in spend)
 
     senders = np.array([u for p in paths for u in p[:-1]], dtype=np.int64)
-    first = np.cumsum([0, *(len(p) - 1 for p in paths)])[:-1]
-    got = simulate._charge(energy, senders, tx, first, rx, th, floor)
+    # each hop's (receive, transmit) pair, 0.0 received at an origin
+    receive = [rx if hop else 0.0 for p in paths for hop in range(len(p) - 1)]
+    charges = np.column_stack((receive, tx)).ravel()
+    got = simulate._charge(energy, senders, charges, th, floor)
     assert got[:2] == (dead, flipped)
     assert got[2].hex() == total.hex()
     assert [e.hex() for e in energy.tolist()] == [e.hex() for e in want_energy]

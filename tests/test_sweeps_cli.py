@@ -6,12 +6,14 @@ import io
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vbtsim as v
+from vbtsim import sweeps
 from vbtsim.cli import main
 from vbtsim.config import EnergyParams
 from vbtsim.mincover import build_min_cover
@@ -225,6 +227,35 @@ def test_write_csv_writes_numpy_scalars_as_their_item(tmp_path, cell):
     assert read_bytes(paths[0]).splitlines()[-1] == (
         f"{_fmt(cell.item())},1".encode("utf-8"))
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**63),
+       curve=st.lists(st.tuples(st.integers(1, 10**6), st.floats())),
+       counts=st.dictionaries(st.integers(0, 10**6), st.integers(0, 2**70)),
+       expected=st.dictionaries(st.integers(0, 10**6), st.floats()))
+def test_run_csvs_write_the_per_cell_fmt_join(seed, curve, counts, expected):
+    """run_scenario writes run_alive.csv and run_loads.csv a column at a
+    time, each by its type; the bytes are write_csv's, cell by cell, for
+    any ints and floats (nan, infinities and -0.0 too) a run's metrics
+    hold, and load ids in either dict alone."""
+    config = dataclasses.replace(v.ExperimentConfig(), base_seed=seed)
+    metrics = v.LifetimeMetrics(alive_fraction_curve=curve,
+                                tree_load_counts=counts,
+                                tree_load_expected=expected)
+    ids = sorted(counts.keys() | expected.keys())
+    cells = [
+        (["seed", "round", "alive_fraction"],
+         [[seed, rnd, frac] for rnd, frac in curve]),
+        (["tree_node_id", "realized_count", "expected_count"],
+         [[i, counts.get(i, 0), expected.get(i, 0.0)] for i in ids])]
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(
+            sweeps, "run_simulation", lambda *args: metrics):
+        _, paths = run_scenario(make_scenario(config, 1, 60.0), config, out)
+        ref = os.path.join(out, "ref.csv")
+        for path, (columns, rows) in zip(paths[1:], cells):
+            write_csv(ref, config, columns, rows)
+            assert read_bytes(path) == read_bytes(ref)
 
 def test_sweep_outputs_byte_identical_across_reruns(tmp_path):
     cfg = small_sweep_config()
