@@ -14,7 +14,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -108,23 +108,25 @@ class CandidateArrays:
 
 
 def build_forwarding_problem(graph: ReachabilityGraph, state: State,
-                             tree_nodes: set[int], th: float,
+                             tree_nodes: Collection[int], th: float,
                              params: FitnessParams, e_init: float = E_INIT
                              ) -> tuple[CandidateArrays, np.ndarray]:
     """Wire every live node to its eligible tree-node parents.
 
-    A tree node may serve as a parent while it is alive, holds at least
-    th joules and has a backbone path to the sink (breadth-first level
-    over eligible tree nodes plus the sink). Candidates are neighbors of
-    strictly smaller level; non-backbone nodes rank as level infinity, so
-    any adjacent backbone vertex qualifies for them. A node with the sink
-    itself in range needs no backbone at all: its candidate list is just
-    the sink, delivery is direct. Each backbone node's next_hop, which
-    its children's deviation angles read, is its smallest-id neighbour
-    one level closer. Returns the candidates and their fitness totals as
-    CandidateArrays, and the live nodes with no candidate at all,
-    ascending. params, a th or an e_init that fail validate(), and in
-    raw mode a zero-distance candidate, raise ValueError.
+    A tree node, an id of tree_nodes (in any order, such as the picks of
+    build_min_cover), may serve as a parent while it is alive, holds at
+    least th joules and has a backbone path to the sink (breadth-first
+    level over eligible tree nodes plus the sink). Candidates are
+    neighbors of strictly smaller level; non-backbone nodes rank as level
+    infinity, so any adjacent backbone vertex qualifies for them. A node
+    with the sink itself in range needs no backbone at all: its candidate
+    list is just the sink, delivery is direct. Each backbone node's
+    next_hop, which its children's deviation angles read, is its
+    smallest-id neighbour one level closer. Returns the candidates and
+    their fitness totals as CandidateArrays, and the live nodes with no
+    candidate at all, ascending. params, a th or an e_init that fail
+    validate(), and in raw mode a zero-distance candidate, raise
+    ValueError.
 
     Everything is a pass over the graph's CSR edges: the level BFS walks
     the edges between eligible vertices, a next_hop is the first edge of

@@ -2,11 +2,11 @@
 connected cover of the sensor-only reachability graph (build_min_cover),
 found with Minoux's lazy (accelerated) greedy.
 
-The reuse rule (cover_holds): build_min_cover returns a cover it built
+The reuse rule (cover_holds): build_min_cover returns the picks it made
 without stranding again from any state with the same live mask in which
-no node holds th that did not then, and every pick but the seed still
-holds th. The seed (_seed) depends on the live set alone. Each later
-pick is the best-scoring covered node that holds th, and a score
+no node holds th that did not then, and every pick but the seed, the
+first, still holds th. The seed depends on the live set alone. Each
+later pick is the best-scoring covered node that holds th, and a score
 depends only on the live set and the picks before it; so, step by step,
 the candidates are a subset of the old ones that still holds the old
 pick, which wins again, until the same picks cover every live node. The
@@ -26,16 +26,17 @@ from .model import ReachabilityGraph, State, masked_edges
 
 
 def build_min_cover(graph: ReachabilityGraph, state: State, th: float
-                    ) -> tuple[set[int], np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Pick tree nodes greedily until every live node is covered.
 
     The sink plays no part here; only sensor-to-sensor adjacency counts
     and only live nodes need covering. The seed is the node with the most
     live neighbors regardless of its energy; every later pick must hold
     at least th joules. Score ties go to the smaller id. Returns
-    (tree_nodes, stranded): the picks, and the live ids still uncovered,
-    ascending, when no eligible pick makes progress (disconnected
-    layout), else none.
+    (picks, stranded): the tree nodes in the order they were promoted,
+    seed first, and the live ids still uncovered, ascending, when no
+    eligible pick makes progress (disconnected layout), else none; both
+    int64 arrays.
 
     Each later pick is the covered node that reaches the most uncovered
     ones. That count, wd, only falls, so each newly covered node holding
@@ -56,9 +57,8 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
     n = len(energy)
     live = np.append(live, False)  # the sink, n, is never live
     live_ids = np.flatnonzero(live).tolist()
-    tree_nodes: set[int] = set()
     if not live_ids:
-        return tree_nodes, np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     keep, offsets = masked_edges(graph, live)
     # a memoryview reads ints on the fly: no list of every edge's ints
     adj = memoryview(graph.nbrs[keep])
@@ -67,12 +67,13 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
     wd = degree.tolist()  # uncovered live neighbours per node
     rich = (energy >= th).tolist()
     covered = [False] * n
+    picks: list[int] = []
     heap: list[int] = []
     m = n + 1
 
     def promote(node_id: int) -> int:
         """Make node_id a tree node; return how many nodes it newly covers."""
-        tree_nodes.add(node_id)
+        picks.append(node_id)
         fresh = [v for v in adj[bounds[node_id]:bounds[node_id + 1]]
                  if not covered[v]]
         for v in fresh:  # v leaves the uncovered state
@@ -84,7 +85,8 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
                 heappush(heap, v - wd[v] * m)
         return len(fresh)
 
-    seed = _seed(live, degree)
+    # the live vertex with the most live neighbours, ties to the smaller id
+    seed = int(np.argmax(np.where(live, degree, -1)))
     covered[seed] = True
     for u in adj[bounds[seed]:bounds[seed + 1]]:
         wd[u] -= 1
@@ -102,24 +104,20 @@ def build_min_cover(graph: ReachabilityGraph, state: State, th: float
             heappop(heap)
 
     stranded = [i for i in live_ids if not covered[i]] if uncovered else []
-    return tree_nodes, np.array(stranded, dtype=np.int64)
+    return (np.array(picks, dtype=np.int64),
+            np.array(stranded, dtype=np.int64))
 
 
-def _seed(live: np.ndarray, degree: np.ndarray) -> int:
-    """The cover's first pick: the vertex live holds with the most live
-    neighbours (degree), ties to the smaller id."""
-    return int(np.argmax(np.where(live, degree, -1)))
-
-
-def cover_holds(graph: ReachabilityGraph, state: State, th: float,
-                tree_nodes: set[int], built: State) -> bool:
-    """Whether build_min_cover(graph, state, th) returns tree_nodes, the
-    picks it returned with no stranded ids from the state built, again.
+def cover_holds(state: State, th: float, picks: np.ndarray,
+                built: State) -> bool:
+    """Whether build_min_cover(graph, state, th) returns picks again,
+    where picks is what it returned, with no stranded ids, from the
+    state built on the same graph, wherever the sink has moved since.
 
     True iff the live mask is unchanged, no node holds th that did not
-    in built, and every pick but the seed holds th: the reuse rule of
-    the module docstring, which says why it is exact. Reads only graph,
-    state and built, and writes none of them.
+    in built, and every pick but the seed, picks[0], holds th: the reuse
+    rule of the module docstring, which says why it is exact. Reads only
+    state and built, and writes neither.
     """
     energy, live = state
     if not np.array_equal(live, built[1]):
@@ -127,10 +125,4 @@ def cover_holds(graph: ReachabilityGraph, state: State, th: float,
     rich = energy >= th
     if (rich & (built[0] < th)).any():
         return False
-    tree = np.fromiter(tree_nodes, dtype=np.int64, count=len(tree_nodes))
-    poor = tree[~rich[tree]]
-    if len(poor) != 1:
-        return not len(poor)
-    live = np.append(live, False)  # the sink, n, is never live
-    degree = np.diff(masked_edges(graph, live)[1])
-    return int(poor[0]) == _seed(live, degree)
+    return bool(rich[picks[1:]].all())

@@ -77,15 +77,16 @@ def build_mmevbt(graph: ReachabilityGraph, state: State, params: RadioParams,
         fell[dst] = dist[dst] < before
         frontier = np.flatnonzero(fell & relay)
 
-    routed = np.flatnonzero(head)
-    lost = np.isinf(dist[routed])
     # each parent: the first relay of the row on a shortest path to it;
-    # a lost node would match an unreached relay, as inf == inf
-    src, edges = graph.out_edges(routed[~lost])
-    via, tx = graph.nbrs[edges], tx_costs(params, sq[edges])
-    tight = relay[via] & (dist[via] + (tx + rx[via]) == dist[src])
-    src, edges = src[tight], edges[tight]
-    return edges[np.diff(src, prepend=-1) != 0], dist, routed[lost]
+    # a lost node's row is masked, or it would match an unreached relay
+    routed = head & (dist < math.inf)
+    src = np.arange(n + 1).repeat(np.diff(graph.indptr))  # each edge's row
+    via = graph.nbrs
+    edges = np.flatnonzero(routed[src] & relay[via] & (
+        dist[via] + (tx_costs(params, sq) + rx[via]) == dist[src]))
+    src = src[edges]
+    return (edges[np.diff(src, prepend=-1) != 0], dist,
+            np.flatnonzero(head & ~routed))
 
 
 def relocate_sink(graph: ReachabilityGraph, state: State, field: Field,

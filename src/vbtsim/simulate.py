@@ -35,8 +35,8 @@ the round total is an np.cumsum over the nodes in first-touch order,
 which the hop order gives, a left fold (never sum(), which compensates
 from Python 3.12 on). A balanced round folds its origins' selection
 probabilities, read from the table's rows, into the run's expected
-loads with one weighted np.bincount led by those totals: per tree node
-0 + total + p1 + ..., the left fold of a per-packet loop. A
+loads with one np.add.at, which adds in index order: per tree node
+total + p1 + ..., the left fold of a per-packet loop. A
 direct-to-sink packet adds to a sink entry that the run drops. A
 fixed-parent packet adds exactly 1.0 to its first hop: there the loads
 are the counts.
@@ -107,13 +107,17 @@ class EventLog:
     def write(self, fh: TextIO) -> None:
         """Write the rows, packets in groups of rounds, each group ended
         after _HOP_CAP hops or by an event."""
-        ids = [str(i) for i in range(1 + max((int(r[2].max(initial=-1))
-               for r in self.rows if not isinstance(r, str)), default=-1))]
-        tokens = [*(i + ">" for i in ids), f"{SINK}\n", *(i + "," for i in ids)]
+        blocks = [r for r in self.rows if not isinstance(r, str)]
+        n = 1 + max((int(r[2].max(initial=-1)) for r in blocks), default=-1)
+        tokens = np.array([*(f"{i}>" for i in range(n)), f"{SINK}\n",
+                           *(f"{i}," for i in range(n)),
+                           *(f"{r[0]},packet," for r in blocks)], object)
+        first = 2 * n + 1  # the first block's prefix
         group, hops = [], 0
         for row in [*self.rows, ""]:  # "" writes the last group
             if group and (isinstance(row, str) or hops >= _HOP_CAP):
-                fh.write(_packet_rows(group, tokens))
+                fh.write(_packet_rows(group, tokens, n, first))
+                first += len(group)
                 group, hops = [], 0
             if isinstance(row, str):
                 fh.write(row)
@@ -122,22 +126,21 @@ class EventLog:
                 hops += len(row[2])
 
 
-def _packet_rows(group: list, tokens: list[str]) -> str:
+def _packet_rows(group: list, tokens: np.ndarray, n: int, first: int) -> str:
     """The blocks' packet rows from tokens "i>" (i), "-1\n" (n), "i,"
-    (n + 1 + i) and, after those, each block's "r,packet,". At a first
+    (n + 1 + i) and, from first on, the group's "r,packet,". At a first
     sender go the previous sink, the round and the origin, in order."""
-    rounds, origins, senders, counts = zip(*group)
+    _, origins, senders, counts = zip(*group)
     counts = np.concatenate(counts)
     ends = np.cumsum(counts)
     starts = ends - counts
-    sink, prefix = len(tokens) // 2, len(tokens) + np.arange(len(group))
+    prefix = first + np.arange(len(group))
     # np.insert keeps the given order at equal positions
     at = np.insert(np.concatenate(senders), np.concatenate(
         (ends, starts, starts)), np.concatenate(
-        (np.full(len(starts), sink), np.repeat(prefix, list(map(len, origins))),
-         sink + 1 + np.concatenate(origins))))
-    return "".join(np.array([*tokens, *(f"{r},packet," for r in rounds)],
-                            dtype=object)[at].tolist())
+        (np.full(len(starts), n), np.repeat(prefix, list(map(len, origins))),
+         n + 1 + np.concatenate(origins))))
+    return "".join(tokens[at].tolist())
 
 
 class _Uniforms:
@@ -207,7 +210,7 @@ class _Router:
     node with a draw (none at a draw node); for r = n + 1 + s, the drawn
     slot s alone. route() expands each packet's rows with one gather.
 
-    cover is the tree nodes of the last table-filling cover build and a
+    cover is the picks of the last table-filling cover build and a
     copy of the state it was grown from (the run writes its state in
     place), or None. A cover rebuild hands it back without the greedy
     while mincover.cover_holds; the forwarding problem, kept as
@@ -217,7 +220,7 @@ class _Router:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.balanced = config.algorithm == "balanced_probabilistic"
-        self.cover: Optional[tuple[set[int], State]] = None
+        self.cover: Optional[tuple[np.ndarray, State]] = None
         self.candidates: Optional[CandidateArrays] = None
 
     def rebuild(self, graph: ReachabilityGraph, state: State) -> np.ndarray:
@@ -231,11 +234,11 @@ class _Router:
                 self._fill(graph, edges)
             return stranded
         cover = self.cover
-        if cover is None or not cover_holds(graph, state, th, *cover):
-            tree_set, stranded = build_min_cover(graph, state, th)
+        if cover is None or not cover_holds(state, th, *cover):
+            picks, stranded = build_min_cover(graph, state, th)
             if stranded.size:
                 return stranded
-            cover = tree_set, (state[0].copy(), state[1].copy())
+            cover = picks, (state[0].copy(), state[1].copy())
         rows, stranded = build_forwarding_problem(
             graph, state, cover[0], th, config.fitness, config.energy.e_init)
         if stranded.size:
@@ -444,12 +447,10 @@ def run_simulation(scenario: Scenario, config: ExperimentConfig,
         if event_log is not None:
             event_log.add_packets(round_no, origins, senders, counts)
         if router.balanced:
-            # per tree node 0.0 + its total so far + each p as drawn
+            # per tree node its total so far + each p as drawn
             at, _ = csr_positions(router.slot_ptr, origins)
             load_ids = router.head[at]
-            expected = np.bincount(
-                np.concatenate((np.arange(n_total + 1), load_ids)),
-                np.concatenate((expected, router.slot_p[at])))
+            np.add.at(expected, load_ids, router.slot_p[at])
             seen[load_ids] = True
 
         for node_id in dead:

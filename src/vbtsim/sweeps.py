@@ -114,8 +114,8 @@ def sweep_figure4(config: ExperimentConfig
     """Greedy minimal-cover backbone sizes across sensing ranges."""
 
     def count(graph: ReachabilityGraph, state: State) -> Optional[int]:
-        tree_nodes, stranded = build_min_cover(graph, state, config.policy.th)
-        return None if stranded.size else len(tree_nodes)
+        picks, stranded = build_min_cover(graph, state, config.policy.th)
+        return None if stranded.size else len(picks)
 
     return _sweep(config, count)
 

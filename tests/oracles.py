@@ -145,7 +145,7 @@ def neighbors(graph, vertex):
 
 def routed(build):
     """A package build's result less its stranded ids, the last item:
-    build_mmevbt's (edges, dist), build_min_cover's tree nodes or
+    build_mmevbt's (edges, dist), build_min_cover's picks or
     build_forwarding_problem's CandidateArrays. Raises
     ConstructionFailed, as the references do, when it stranded any."""
     *result, stranded = build
@@ -465,8 +465,8 @@ def reference_min_cover(scenario, th, live=None):
     """build_min_cover as a from-scratch replay of the selection loop: every
     covered node re-scored after each promotion, no incremental counts.
 
-    Returns (tree ids, []) on success and (None, still-uncovered ids) when
-    no eligible pick makes progress."""
+    Returns (picks in promotion order, seed first, []) on success and
+    (None, still-uncovered ids) when no eligible pick makes progress."""
     g = build_reachability(scenario.points(), scenario.sensing_range)
     live = live_ids(scenario, live)
     live_set = set(live)
@@ -474,8 +474,9 @@ def reference_min_cover(scenario, th, live=None):
            for i in live}
     covered = {i: 0 for i in live}
     if not live:
-        return set(), []
+        return [], []
     seed = max(live, key=lambda i: (len(adj[i]), -i))
+    picks = [seed]
     covered[seed] = 2
     for u in adj[seed]:
         if covered[u] == 0:
@@ -489,11 +490,12 @@ def reference_min_cover(scenario, th, live=None):
                     best, best_wd = i, wd
         if best is None or best_wd <= 0:
             return None, sorted(i for i, c in covered.items() if c == 0)
+        picks.append(best)
         covered[best] = 2
         for u in adj[best]:
             if covered[u] == 0:
                 covered[u] = 1
-    return {i for i, c in covered.items() if c == 2}, []
+    return picks, []
 
 
 def reference_hop_levels(graph, mask):
@@ -517,8 +519,9 @@ def reference_hop_levels(graph, mask):
 
 
 def cover_map(graph, state, tree):
-    """Live id -> 2 for a node of tree, 1 for a node next to one, 0 for an
-    uncovered node."""
+    """Live id -> 2 for a node of tree (any iterable of ids), 1 for a
+    node next to one, 0 for an uncovered node."""
+    tree = set(map(int, tree))
     return {i: 2 if i in tree else int(any(u in tree
                                            for u in neighbors(graph, i)))
             for i in np.flatnonzero(state[1]).tolist()}
@@ -638,7 +641,7 @@ def reference_forwarding_problem(scenario, tree_nodes, th, params,
     pos = positions(scenario)
     live = live_ids(scenario, live)
     live_set = set(live)
-    eligible = {t for t in tree_nodes
+    eligible = {t for t in map(int, tree_nodes)
                 if t in live_set and scenario.energy[t] >= th}
 
     levels = {SINK: 0}
