@@ -19,6 +19,13 @@ from .config import Field
 # Edges per block of the scalar per-edge passes (see _per_edge).
 _BLOCK = 2048
 
+# build_reachability's grid cells are a hair over range / this wide.
+# Narrower cells test fewer pairs out of range, in one more pass per
+# column. At 2 the build was up to 10 % faster on some layouts and 5 %
+# slower on others, and its traced peak was 30 % higher (ROADMAP,
+# Measured).
+_CELLS_PER_RANGE = 3
+
 # Every node's energy (float64) and whether it is alive (bool), by id:
 # with a ReachabilityGraph, all that a build or relocate_sink reads.
 State = tuple[np.ndarray, np.ndarray]
@@ -310,21 +317,27 @@ def build_reachability(points: np.ndarray,
 
     The graph keeps points (move_sink writes its last row), so pass an
     array nothing else holds, such as Scenario.points(). The points fall
-    into square cells a hair wider than the range, so a pair within range
-    is in one cell or in adjacent ones. Sorted into cell order, each point
-    is tested against the later points of its own cell and all points of
-    half of the eight cells around it, and each pair found is kept both
-    ways: the exact inclusive ((p_a - p_b) ** 2).sum() <= range**2 is
-    symmetric to the bit, as fl(a - b) == -fl(b - a). So the graph equals
-    the all-pairs one in O(n*k) memory for mean degree k. Each CSR row
-    lists its neighbour ids ascending, the sink (n) first.
+    into square cells a hair wider than a third of the range, so a pair
+    within range is at most 3 cells apart on each axis. Sorted into cell
+    order, column by column, cells (cx, cy - 3 .. cy + 3) are one run of
+    the sorted points, and the scan takes 4 passes: each point against
+    the later points of its own column up to cell cy + 3, then against
+    that run in each of columns cx + 1, cx + 2 and cx + 3. Each pair found
+    is kept both ways: the exact inclusive
+    ((p_a - p_b) ** 2).sum() <= range**2 is symmetric to the bit, as
+    fl(a - b) == -fl(b - a). So the graph equals the all-pairs one in
+    O(n*k) memory for mean degree k. Each CSR row lists its neighbour ids
+    ascending, the sink (n) first.
 
-    Candidate and kept pairs are int32 cell-order positions, and one
-    stencil offset's buffers are freed before the next; the CSR comes from
-    one int64 key per directed edge, sorted in place. The transient peak,
-    the returned arrays included, is about 19 bytes per directed edge at
-    4000 nodes and 17 at 20k and 100k (tracemalloc, mean degree 20 to 31).
-    A non-finite point raises ValueError.
+    Candidate and kept pairs are int32 cell-order positions. Each pass
+    turns its kept pairs into pair keys, row id * m + neighbour code, one
+    per directed edge, before the next pass, so no pass's candidates
+    outlive it. A key is int32 while m * m < 2**31 (m <= 46,340 points)
+    and int64 above; the keys, joined and sorted in place, are the CSR.
+    The transient peak, the returned arrays included, is about 16 bytes
+    per directed edge at 4000 nodes and 15 at 20k, and 18.5 at 100k,
+    whose keys are int64 (tracemalloc; mean degree 20, 25 and 31). A
+    non-finite point raises ValueError.
     """
     if not 0 < sensing_range < math.inf:
         raise ValueError("sensing range must be positive and finite")
@@ -334,6 +347,7 @@ def build_reachability(points: np.ndarray,
         raise ValueError("points must be finite")
     pts, r, m = points, sensing_range, len(points)
     r2 = _range_squared(r)
+    reach = _CELLS_PER_RANGE
 
     # The relative margin dwarfs the rounding in the cell index, which the
     # span floor keeps below 2**20 cells a side even for a tiny range.
@@ -341,69 +355,73 @@ def build_reachability(points: np.ndarray,
     # so a pair cells apart could pass the test: no cell is that small.
     origin = pts.min(axis=0)
     span = float((pts.max(axis=0) - origin).max())
-    cell = max(r, span * 2.0**-20, 2.0**-500) * (1.0 + 1e-6)
+    cell = max(r / reach, span * 2.0**-20, 2.0**-500) * (1.0 + 1e-6)
     cx, cy = np.floor((pts - origin) / cell).astype(np.int64).T
-    rows = int(cy.max()) + 3  # a spare row either side keeps keys unique
-    key = (cx + 1) * rows + (cy + 1)
+    # reach spare rows either side keep a column's run in its column
+    rows = int(cy.max()) + 2 * reach + 1
+    key = cx * rows + (cy + reach)
+    del cx, cy
     order = np.argsort(key, kind="stable")
     key = key[order]
     xs, ys = pts[order, 0], pts[order, 1]
-    ids = order.astype(np.int32)
-    # a row's neighbours sort by code: the sink (id m - 1) first, as 0
-    codes = (ids + 1) % m
+    # a pair's key is its row id * m + its neighbour's code, one int32
+    # while m * m < 2**31, where a row's neighbours sort by code: the sink
+    # (id m - 1) first, as 0
+    kdt = np.int32 if m * m < 2**31 else np.int64
+    rowbase = order.astype(kdt) * m
+    codes = ((order + 1) % m).astype(kdt)
+    del order
     here = np.arange(m, dtype=np.int32)
 
     pieces = []
-    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
-        if dx == dy == 0:  # the later points of the own cell
+    for dx in range(reach + 1):
+        if dx == 0:  # the later points of the own column, to cy + reach
             lo = here + 1
-            hi = np.searchsorted(key, key, side="right")
-        else:
-            target = key + (dx * rows + dy)
-            lo = np.searchsorted(key, target, side="left")
-            hi = np.searchsorted(key, target, side="right")
+            hi = np.searchsorted(key, key + reach, side="right")
+        else:  # cells cy - reach .. cy + reach of column cx + dx
+            target = key + dx * rows
+            lo = np.searchsorted(key, target - reach, side="left")
+            hi = np.searchsorted(key, target + reach, side="right")
         counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            continue
         # candidate t of point i is position lo[i] + t - (i's first t)
-        a = np.repeat(here, counts)
         b = np.repeat((lo - np.cumsum(counts) + counts).astype(np.int32),
                       counts)
-        b += np.arange(total, dtype=np.int32)
-        # the same float ops as ((p_a - p_b) ** 2).sum(), in 1-D
+        b += np.arange(len(b), dtype=np.int32)
+        # the same float ops as ((p_a - p_b) ** 2).sum(), in 1-D: point i
+        # repeated once per candidate, less each candidate, which take
+        # gathers by int32 positions faster than indexing does
         with np.errstate(over="ignore"):
-            d2 = xs[a]
-            d2 -= xs[b]
+            d2 = xs.repeat(counts)
+            d2 -= xs.take(b)
             d2 *= d2
-            sq = ys[a]
-            sq -= ys[b]
+            sq = ys.repeat(counts)
+            sq -= ys.take(b)
             sq *= sq
             d2 += sq
         del sq
-        keep = d2 <= r2
+        kept = np.flatnonzero(d2 <= r2)
         del d2
-        pieces.append((a[keep], b[keep]))
-        del a, b, keep
+        a, b = here.repeat(counts).take(kept), b.take(kept)
+        del kept
+        # each pair both ways, as key row id * m + neighbour code
+        piece = np.empty(2 * len(a), dtype=kdt)
+        for out, u, w in ((piece[:len(a)], a, b), (piece[len(a):], b, a)):
+            rowbase.take(u, out=out)
+            out += codes.take(w)
+        pieces.append(piece)
+        del a, b, u, w, out, piece
 
-    # each pair both ways, as key row id * m + neighbour code
-    keys = np.empty(2 * sum(len(a) for a, _ in pieces), dtype=np.int64)
-    at = 0
-    while pieces:
-        a, b = pieces.pop()
-        for u, w in ((a, b), (b, a)):
-            out = keys[at:at + len(u)]
-            np.multiply(ids[u], m, out=out, dtype=np.int64)
-            out += codes[w]
-            at += len(u)
-        del a, b, u, w, out
+    keys = np.concatenate(pieces)
+    del pieces
     keys.sort()
-    indptr = np.searchsorted(keys, np.arange(m + 1) * m)
+    # needles of the keys' dtype: with int64 ones, searchsorted would
+    # cast every key
+    indptr = np.searchsorted(keys, np.arange(m + 1, dtype=kdt) * m)
     # code 0, the sink, becomes its CSR id n = m - 1
     keys -= 1
     keys %= m
     return ReachabilityGraph(sensing_range, pts, indptr,
-                             keys.astype(np.int32))
+                             keys.astype(np.int32, copy=False))
 
 
 def masked_edges(graph: ReachabilityGraph,

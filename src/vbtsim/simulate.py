@@ -270,6 +270,11 @@ class _Router:
         chain length and stop (where its chain ends, the head of its last
         slot; itself at a draw node), each slot's head, each node's first
         slot and the slots' cumulative sums."""
+        # a fill follows a build that strands nothing, so the old table's
+        # arrays and walk lists go first: the two are never held at once
+        for name in vars(self).keys() - {"config", "balanced", "cover",
+                                         "candidates"}:
+            delattr(self, name)
         self.sink = n = len(graph.indptr) - 2
         self.sender = graph.edge_rows(edges)
         self.head = head = graph.nbrs[edges].astype(np.int64)

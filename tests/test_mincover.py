@@ -1,5 +1,7 @@
 """Greedy tree-node cover: seeding, iteration order, failure detection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -144,15 +146,21 @@ def assert_equals_full_rescore(sc):
     assert [i for i, c in covered.items() if c == 2] == sorted(tree.tolist())
 
 
-@given(st.integers(0, 2**32 - 1),
-       st.lists(st.sampled_from(sorted(ENERGY_KINDS)), min_size=1,
-                max_size=80),
-       st.floats(min_value=10.0, max_value=90.0))
-def test_lazy_greedy_equals_full_rescore(seed, kinds, range_m):
-    # nodes below th are coverable but never promoted past the seed;
-    # failed nodes drop out of the graph altogether
+@given(st.integers(0, 2**32 - 1), st.integers(20, 120),
+       st.floats(min_value=6.0, max_value=12.0), st.data())
+def test_lazy_greedy_equals_full_rescore(seed, n, degree, data):
+    """20 to 120 nodes at a mean degree of 6 to 12 on the field, so that
+    the greedy makes several picks. Nodes below th are coverable but
+    never promoted past the seed; failed nodes drop out of the graph
+    altogether."""
+    area = FIELD.width * FIELD.height
+    range_m = math.sqrt(degree * area / (math.pi * (n - 1)))
+    # half the nodes full on average, a quarter low, a quarter failed
+    kinds = data.draw(st.lists(
+        st.sampled_from(["full", "full", "low", "failed"]),
+        min_size=n, max_size=n))
     assert_equals_full_rescore(scenario_from(
-        v.deploy_uniform(FIELD, len(kinds), seed=seed), range_m,
+        v.deploy_uniform(FIELD, n, seed=seed), range_m,
         energies=[ENERGY_KINDS[kind] for kind in kinds]))
 
 
