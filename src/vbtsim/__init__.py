@@ -10,7 +10,6 @@ relocates the sink; a CLI harness sweeps sensing ranges into CSV.
 from .balanced import (
     BETA_MIN,
     build_forwarding_problem,
-    min_max_load_exact,
     select_parent,
     selection_probabilities,
 )

@@ -4,8 +4,7 @@ Each node scores its reachable tree-node parents with a weighted fitness
 (distance, residual energy, path straightness) and forwards each packet
 to one of them at random, with probability proportional to fitness. A
 build returns its candidate edges and their fitness as flat arrays
-(CandidateArrays). Also provides an exact min-max assignment solver
-used as the balancing yardstick.
+(CandidateArrays).
 """
 
 from __future__ import annotations
@@ -14,12 +13,12 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Collection, Mapping, Optional, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .config import E_INIT, EnergyParams, FitnessParams, SimPolicy
-from .model import SINK, ReachabilityGraph, State, hop_levels, left_sum
+from .model import ReachabilityGraph, State, hop_levels, left_sum
 
 BETA_MIN = math.pi / 36  # 5 degrees; caps the straightness reward
 
@@ -225,79 +224,3 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     max keeps x unless lo > x, min keeps it unless hi < it."""
     x = np.where(lo > x, lo, x)
     return np.where(hi < x, hi, x)
-
-
-def min_max_load_exact(candidates: Mapping[int, Sequence[int]]
-                       ) -> tuple[dict[int, int], int]:
-    """Assign every node one of its candidates minimizing the busiest
-    parent's load.
-
-    candidates maps each node to the parents it may pick; SINK is
-    uncapacitated. Binary-searches the optimal mc, checking each bound's
-    feasibility with capacity-limited augmenting paths; returns a
-    witness assignment and mc.
-    """
-    nodes = sorted(candidates)
-    if not nodes:
-        return {}, 0
-    lo, hi = 0, len(nodes)
-    feasible = _capacity_match(candidates, nodes, hi)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        attempt = _capacity_match(candidates, nodes, mid)
-        if attempt is None:
-            lo = mid + 1
-        else:
-            feasible = attempt
-            hi = mid
-    return feasible, lo
-
-
-def _capacity_match(candidates: Mapping[int, Sequence[int]],
-                    nodes: list[int], cap: int) -> Optional[dict[int, int]]:
-    """Kuhn-style augmenting assignment; each parent takes at most cap
-    children (the sink is uncapacitated). None when infeasible.
-
-    The depth-first search for an augmenting path keeps its frames on an
-    explicit stack, so a path may be as long as the node count: each
-    frame is a node, its untried candidates, the parent it is trying and
-    that parent's untried holders. A path applies its moves deepest
-    first.
-    """
-    assigned: dict[int, list[int]] = {}
-    match: dict[int, int] = {}
-
-    def augment(root: int) -> bool:
-        visited: set[int] = set()
-        stack = [(root, iter(candidates[root]), None, iter(()))]
-        while stack:
-            i, options, _, holders = stack[-1]
-            j = next(holders, None)
-            if j is not None:  # try moving holder j elsewhere
-                stack.append((j, iter(candidates[j]), None, iter(())))
-                continue
-            t = next((u for u in options if u not in visited), None)
-            if t is None:  # i has no augmenting path left
-                stack.pop()
-                continue
-            visited.add(t)
-            held = assigned.setdefault(t, [])
-            if len(held) < (len(nodes) + 1 if t == SINK else cap):
-                held.append(i)
-                match[i] = t
-                stack.pop()
-                while stack:  # each frame below takes its holder's slot
-                    moved = i
-                    i, _, t, _ = stack.pop()
-                    held = assigned[t]
-                    held.remove(moved)
-                    held.append(i)
-                    match[i] = t
-                return True
-            stack[-1] = (i, options, t, iter(list(held)))
-        return False
-
-    for i in nodes:
-        if not augment(i):
-            return None
-    return match

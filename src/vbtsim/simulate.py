@@ -54,7 +54,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .balanced import CandidateArrays, build_forwarding_problem
+from .balanced import build_forwarding_problem
 from .config import ExperimentConfig
 from .energy import rx_cost, tx_costs
 from .mincover import build_min_cover, cover_holds
@@ -213,15 +213,14 @@ class _Router:
     cover is the picks of the last table-filling cover build and a
     copy of the state it was grown from (the run writes its state in
     place), or None. A cover rebuild hands it back without the greedy
-    while mincover.cover_holds; the forwarding problem, kept as
-    candidates, and the table are rebuilt every time.
+    while mincover.cover_holds; the forwarding problem and the table
+    are rebuilt every time.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.balanced = config.algorithm == "balanced_probabilistic"
         self.cover: Optional[tuple[np.ndarray, State]] = None
-        self.candidates: Optional[CandidateArrays] = None
 
     def rebuild(self, graph: ReachabilityGraph, state: State) -> np.ndarray:
         """Reconstruct the backbone from state. Returns the ids the build
@@ -244,19 +243,12 @@ class _Router:
         if stranded.size:
             return stranded
         self.cover = cover
-        self.fill_candidates(graph, rows)
-        return stranded
-
-    def fill_candidates(self, graph: ReachabilityGraph,
-                        rows: CandidateArrays) -> None:
-        """The table of a forwarding problem's candidates, which it keeps:
-        all of them with their draws, or each row's best parent."""
-        self.candidates = rows
         if self.balanced:
             # a hop goes one level down, or onto the backbone from off it
             self._fill(graph, rows.edges, (*rows.draws(), 1 + rows.max_level))
         else:
             self._fill(graph, rows.best_edges())
+        return stranded
 
     def _fill(self, graph, edges: np.ndarray,
               draws: Optional[tuple[np.ndarray, np.ndarray, int]] = None
@@ -272,8 +264,7 @@ class _Router:
         slot and the slots' cumulative sums."""
         # a fill follows a build that strands nothing, so the old table's
         # arrays and walk lists go first: the two are never held at once
-        for name in vars(self).keys() - {"config", "balanced", "cover",
-                                         "candidates"}:
+        for name in vars(self).keys() - {"config", "balanced", "cover"}:
             delattr(self, name)
         self.sink = n = len(graph.indptr) - 2
         self.sender = graph.edge_rows(edges)

@@ -3,10 +3,14 @@
 Everything here is deliberately written the slow, obvious way and shares
 no graph code with the package: edge-list Bellman-Ford instead of the
 heap walk, subset enumeration instead of greedy, full assignment
-enumeration instead of search-plus-matching. reference_run_simulation is
-the round loop as it was before the per-build route table: every hop
-cost recomputed, every node reclassified and the whole eligibility
-signature compared each round, the graph rebuilt on every relocation.
+enumeration instead of search-plus-matching. min_max_load_exact, the
+search-plus-matching itself (the exact min-max assignment that judges
+the balancing), has no caller in the package and lives here too; the
+tests check it against brute_force_min_max, the full enumeration.
+reference_run_simulation is the round loop as it was before the
+per-build route table: every hop cost recomputed, every node
+reclassified and the whole eligibility signature compared each round,
+the graph rebuilt on every relocation.
 Its statuses are its own dict under the paper's four-way rule
 (classify_status and NodeStatus, which live here: the package asks only
 "failed or not", energy >= SimPolicy.floor), applied before the first
@@ -616,6 +620,81 @@ def brute_force_min_max(candidates):
     return best
 
 
+def min_max_load_exact(candidates):
+    """Assign every node one of its candidates minimizing the busiest
+    parent's load.
+
+    candidates maps each node to the parents it may pick; SINK is
+    uncapacitated. Binary-searches the optimal mc, checking each bound's
+    feasibility with capacity-limited augmenting paths; returns a
+    witness assignment and mc. The tests check it against
+    brute_force_min_max.
+    """
+    nodes = sorted(candidates)
+    if not nodes:
+        return {}, 0
+    lo, hi = 0, len(nodes)
+    feasible = _capacity_match(candidates, nodes, hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        attempt = _capacity_match(candidates, nodes, mid)
+        if attempt is None:
+            lo = mid + 1
+        else:
+            feasible = attempt
+            hi = mid
+    return feasible, lo
+
+
+def _capacity_match(candidates, nodes, cap):
+    """Kuhn-style augmenting assignment; each parent takes at most cap
+    children (the sink is uncapacitated). None when infeasible.
+
+    The depth-first search for an augmenting path keeps its frames on an
+    explicit stack, so a path may be as long as the node count: each
+    frame is a node, its untried candidates, the parent it is trying and
+    that parent's untried holders. A path applies its moves deepest
+    first.
+    """
+    assigned: dict[int, list[int]] = {}
+    match: dict[int, int] = {}
+
+    def augment(root: int) -> bool:
+        visited: set[int] = set()
+        stack = [(root, iter(candidates[root]), None, iter(()))]
+        while stack:
+            i, options, _, holders = stack[-1]
+            j = next(holders, None)
+            if j is not None:  # try moving holder j elsewhere
+                stack.append((j, iter(candidates[j]), None, iter(())))
+                continue
+            t = next((u for u in options if u not in visited), None)
+            if t is None:  # i has no augmenting path left
+                stack.pop()
+                continue
+            visited.add(t)
+            held = assigned.setdefault(t, [])
+            if len(held) < (len(nodes) + 1 if t == SINK else cap):
+                held.append(i)
+                match[i] = t
+                stack.pop()
+                while stack:  # each frame below takes its holder's slot
+                    moved = i
+                    i, _, t, _ = stack.pop()
+                    held = assigned[t]
+                    held.remove(moved)
+                    held.append(i)
+                    match[i] = t
+                return True
+            stack[-1] = (i, options, t, iter(list(held)))
+        return False
+
+    for i in nodes:
+        if not augment(i):
+            return None
+    return match
+
+
 @dataclass
 class ReferenceProblem:
     """reference_forwarding_problem's result, per node: candidates[i]
@@ -729,8 +808,8 @@ def compare_load_spread(scenario, config):
     charges its origin's chosen parent; returns each policy's maximum
     per-tree-node count. Direct-to-sink deliveries burden no tree node
     and count for neither policy. Both read the route tables a run of
-    config builds, balanced and best-parent, over one cover and one
-    forwarding problem.
+    config builds, balanced and best-parent, each rebuilt over the same
+    state, so over the same cover and forwarding problem.
     """
     config.validate()
     traffic = config.traffic
@@ -740,11 +819,10 @@ def compare_load_spread(scenario, config):
     graph = build_reachability(scenario.points(), scenario.sensing_range)
     draw, best = [simulate._Router(replace(config, algorithm=a))
                   for a in ("balanced_probabilistic", "min_cover_best_parent")]
-    stranded = draw.rebuild(graph, state)
-    if stranded.size:
-        raise ConstructionFailed(stranded.tolist())
-    # the problem a best-parent rebuild over this state would build
-    best.fill_candidates(graph, draw.candidates)
+    for router in (draw, best):
+        stranded = router.rebuild(graph, state)
+        if stranded.size:
+            raise ConstructionFailed(stranded.tolist())
     # every live node has a row, whose draw _walk bisects as these do
     cums, starts = draw.cums, draw.starts
     alive, n = np.flatnonzero(state[1]), len(state[0])

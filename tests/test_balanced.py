@@ -12,7 +12,8 @@ import vbtsim as v
 from oracles import (FitnessContext, ReferenceProblem, best_parent,
                      brute_force_min_max, candidate_dicts, deviation_angle,
                      expected_loads, fitness, graph_and_state, load_stats,
-                     realize_selections, reference_forwarding_problem,
+                     min_max_load_exact, realize_selections,
+                     reference_forwarding_problem,
                      routed, scan_select_index, scenario_from)
 from vbtsim.balanced import CandidateArrays
 
@@ -281,12 +282,12 @@ def test_load_stats_counts_and_mc():
 # ------------------------------------------------------------------- min-max
 
 def test_min_max_forced_candidate():
-    assign, mc = v.min_max_load_exact({i: [7] for i in range(5)})
+    assign, mc = min_max_load_exact({i: [7] for i in range(5)})
     assert mc == 5 and assign == {i: 7 for i in range(5)}
 
 
 def test_min_max_perfect_split():
-    _, mc = v.min_max_load_exact({0: [7, 8], 1: [7, 8]})
+    _, mc = min_max_load_exact({0: [7, 8], 1: [7, 8]})
     assert mc == 1
 
 
@@ -308,7 +309,7 @@ def check_min_max_against_brute_force(seed):
     for _ in range(30):
         cands, _ = random_problem(rng)
         expect_mc = brute_force_min_max(cands)
-        assign, mc = v.min_max_load_exact(cands)
+        assign, mc = min_max_load_exact(cands)
         assert mc == expect_mc
         # witness validity: one candidate per node, counts honour mc
         counts = {}
@@ -331,7 +332,7 @@ def test_realized_mc_never_beats_optimum():
     rng = np.random.default_rng(71)
     for _ in range(50):
         cands, fit = random_problem(rng)
-        _, optimal = v.min_max_load_exact(cands)
+        _, optimal = min_max_load_exact(cands)
         stats = load_stats(cands, fit, realize_selections(cands, fit, rng))
         assert stats.mc >= optimal
 
@@ -343,7 +344,7 @@ def test_min_max_solves_a_long_augmenting_chain():
     n = 1500
     cands = {k: [10000 + k + 1, 10000 + k] for k in range(n - 1)}
     cands[n - 1] = [10000 + n - 1]
-    assign, mc = v.min_max_load_exact(cands)
+    assign, mc = min_max_load_exact(cands)
     assert mc == 1
     assert assign == {k: 10000 + k for k in range(n)}
 

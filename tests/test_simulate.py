@@ -522,9 +522,9 @@ def test_compare_load_spread_equals_dict_reference(
 
 
 def test_compare_load_spread_grows_one_cover(monkeypatch):
-    """The best-parent table reuses the cover and the forwarding problem
-    the balanced table built from the same state, so each build runs
-    once, and the counts still equal the reference comparison, which
+    """Each route table, balanced and best-parent, grows its own cover
+    and forwarding problem from the same state, one build of each per
+    table, and the counts still equal the reference comparison, which
     builds its own."""
     calls = []
     for name in ("build_min_cover", "build_forwarding_problem"):
@@ -535,7 +535,7 @@ def test_compare_load_spread_grows_one_cover(monkeypatch):
     sc = ten_client_two_gateway_scenario()
     got = compare_load_spread(sc, cfg(traffic=v.TrafficModel(1.0, 7),
                                       seed=5))
-    assert calls == ["build_min_cover", "build_forwarding_problem"]
+    assert calls == ["build_min_cover", "build_forwarding_problem"] * 2
     assert got == reference_compare_load_spread(sc, 7, 5)
 
 
